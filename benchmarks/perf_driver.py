@@ -70,7 +70,7 @@ def _grid(quick: bool) -> List[Dict[str, object]]:
     """The measurement grid; ``quick`` selects the CI subset.
 
     Both modes keep the ``n=512`` expander election cells (reference and
-    vectorized): that pair carries the committed >=10x speedup claim, so
+    vectorized): that pair carries the committed >=3x speedup claim, so
     the trajectory job must keep watching it.
     """
     cells: List[Dict[str, object]] = []

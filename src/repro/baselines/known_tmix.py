@@ -67,13 +67,19 @@ def known_tmix_factory(
     params: ElectionParameters = DEFAULT_PARAMETERS,
     safety_factor: float = 1.0,
 ):
-    """Protocol factory with the walk length pinned to ``safety_factor * t_mix``."""
+    """Protocol factory with the walk length pinned to ``safety_factor * t_mix``.
+
+    Its nodes share one :class:`PhaseSchedule` of the pinned parameters,
+    exposed as ``factory.schedule``.
+    """
     walk_length = max(1, round(safety_factor * mixing_time))
     pinned = params.with_overrides(initial_walk_length=walk_length)
+    schedule = PhaseSchedule(pinned)
 
     def factory(ctx: NodeContext) -> KnownTmixNode:
-        return KnownTmixNode(ctx, params=pinned)
+        return KnownTmixNode(ctx, params=pinned, schedule=schedule)
 
+    factory.schedule = schedule
     return factory
 
 
@@ -92,17 +98,17 @@ def simulate_known_tmix(
     Phase-anchored crash plans resolve against the schedule of the *pinned*
     parameters -- the walk length every node actually runs with.
     """
-    walk_length = max(1, round(safety_factor * mixing_time))
-    pinned = params.with_overrides(initial_walk_length=walk_length)
-    schedule = PhaseSchedule(pinned)
+    factory = known_tmix_factory(
+        mixing_time, params=params, safety_factor=safety_factor
+    )
     return run_protocol(
         graph,
-        known_tmix_factory(mixing_time, params=params, safety_factor=safety_factor),
+        factory,
         seed=seed,
         port_stream=0x41,
         network_stream=0x42,
         fault_plan=fault_plan,
-        phase_start_of=lambda index: schedule.window(index).start,
+        phase_start_of=lambda index: factory.schedule.window(index).start,
         observers=observers,
         max_rounds=max_rounds,
     )

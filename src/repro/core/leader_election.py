@@ -52,10 +52,12 @@ class LeaderElectionNode(Protocol):
         ctx: NodeContext,
         params: ElectionParameters = DEFAULT_PARAMETERS,
         assumed_n: Optional[int] = None,
+        schedule: Optional[PhaseSchedule] = None,
     ) -> None:
         super().__init__(ctx)
         self.params = params
-        self.schedule = PhaseSchedule(params)
+        # Nodes built by one protocol factory share its schedule.
+        self.schedule = schedule if schedule is not None else PhaseSchedule(params)
         n = ctx.known_n if ctx.known_n is not None else assumed_n
         if n is None:
             raise ProtocolError(
@@ -68,6 +70,12 @@ class LeaderElectionNode(Protocol):
 
         # Walk-tree state per (origin id, phase index).
         self.trees: Dict[Tuple[int, int], WalkTreeState] = {}
+        # Live-tree indexes over ``trees``, so a round touches only trees with
+        # work due: trees joined through a parent port that still owe a
+        # REPORT or COLLECT converge-cast, and trees holding unfinished walks
+        # whose WALK segment may still be open.
+        self._pending_casts: Dict[Tuple[int, int], WalkTreeState] = {}
+        self._walking: Dict[Tuple[int, int], WalkTreeState] = {}
         # Cumulative set of origins this node has been a proxy for.
         self.proxy_origins: Set[int] = set()
         # Latest phase in which this node participated in each origin's tree.
@@ -167,10 +175,9 @@ class LeaderElectionNode(Protocol):
         offset = max(1, self.ctx.round - window.start)
         newly_joined = tree.first_arrival_offset is None
         tree.record_arrival(offset, in_port)
-        tree.add_resident(steps, count)
-        if tree.is_proxy:
-            self.proxy_origins.add(origin)
+        self._add_walks(tree, steps, count)
         if newly_joined and tree.parent_port is not None:
+            self._pending_casts[(origin, phase)] = tree
             # Schedule the converge-cast send slots for this tree.
             self.ctx.wake_at(window.report_send_round(offset))
             self.ctx.wake_at(window.collect_send_round(offset))
@@ -282,9 +289,7 @@ class LeaderElectionNode(Protocol):
         walks = self.params.num_walks(self.n_assumed)
         tree = self._tree(self.identifier, window.index, create=True)
         tree.record_arrival(0, None)
-        tree.add_resident(0, walks)
-        if tree.is_proxy:
-            self.proxy_origins.add(self.identifier)
+        self._add_walks(tree, 0, walks)
         # Wake-ups for the fixed points of this phase.
         self.ctx.wake_at(window.distribute_start)
         self.ctx.wake_at(window.decide_round)
@@ -369,10 +374,9 @@ class LeaderElectionNode(Protocol):
             self.ctx.send(port, message)
 
     def _send_due_convergecasts(self, round_number: int) -> None:
-        for (origin, phase), tree in sorted(self.trees.items()):
-            if tree.parent_port is None or tree.first_arrival_offset is None:
-                continue
-            window = self.schedule.window(phase)
+        for key in sorted(self._pending_casts):
+            tree = self._pending_casts[key]
+            window = self.schedule.window(tree.phase)
             offset = tree.first_arrival_offset
             if not tree.report_sent and round_number >= window.report_send_round(offset):
                 if round_number < window.distribute_start:
@@ -382,6 +386,8 @@ class LeaderElectionNode(Protocol):
                 if round_number < window.decide_round:
                     self._send_collect(tree)
                 tree.collect_sent = True
+                # The COLLECT slot follows the REPORT slot: nothing is owed.
+                del self._pending_casts[key]
 
     def _send_report(self, tree: WalkTreeState) -> None:
         tree.local_report_contribution(self.proxy_origins)
@@ -413,21 +419,23 @@ class LeaderElectionNode(Protocol):
     # ------------------------------------------------------------ walk logic
     def _advance_walks(self) -> None:
         round_number = self.ctx.round
-        for (origin, phase), tree in sorted(self.trees.items()):
-            if not tree.has_unfinished_tokens():
-                continue
-            window = self.schedule.window(phase)
-            if not window.walk_start <= round_number < window.report_start:
+        for key in sorted(self._walking):
+            tree = self._walking[key]
+            if round_number >= self.schedule.window(tree.phase).report_start:
+                # The WALK segment closed: these tokens never advance again.
+                del self._walking[key]
                 continue
             outgoing = tree.advance_one_round(self.ctx.rng, self.ctx.degree)
+            if not tree.has_unfinished_tokens():
+                del self._walking[key]
             if tree.is_proxy:
-                self.proxy_origins.add(origin)
+                self.proxy_origins.add(tree.origin)
             if not outgoing:
                 continue
             for (port, steps), count in sorted(outgoing.items()):
                 message = wire.make_walk_token(
-                    origin,
-                    phase,
+                    tree.origin,
+                    tree.phase,
                     steps,
                     count,
                     self.n_assumed,
@@ -441,13 +449,10 @@ class LeaderElectionNode(Protocol):
         # segment closed can never advance again, and waking for it forever
         # would busy-loop the node until the round cap.
         next_round = self.ctx.round + 1
-        for (_origin, phase), tree in self.trees.items():
-            if not tree.has_unfinished_tokens():
-                continue
-            window = self.schedule.window(phase)
-            if next_round < window.report_start:
-                return True
-        return False
+        return any(
+            next_round < self.schedule.window(tree.phase).report_start
+            for tree in self._walking.values()
+        )
 
     # ----------------------------------------------------------- winner logic
     def _note_winner(self) -> None:
@@ -485,6 +490,14 @@ class LeaderElectionNode(Protocol):
                     self.ctx.send(port, message)
 
     # -------------------------------------------------------------- plumbing
+    def _add_walks(self, tree: WalkTreeState, steps: int, count: int) -> None:
+        """Place ``count`` walks of ``tree`` here; index the tree if they go on."""
+        tree.add_resident(steps, count)
+        if tree.has_unfinished_tokens():
+            self._walking[(tree.origin, tree.phase)] = tree
+        if tree.is_proxy:
+            self.proxy_origins.add(tree.origin)
+
     def _tree(
         self, origin: int, phase: int, create: bool
     ) -> Optional[WalkTreeState]:
@@ -507,9 +520,17 @@ def leader_election_factory(
     params: ElectionParameters = DEFAULT_PARAMETERS,
     assumed_n: Optional[int] = None,
 ):
-    """Return a protocol factory for :class:`repro.sim.Network`."""
+    """Return a protocol factory for :class:`repro.sim.Network`.
+
+    Every node the factory builds shares one :class:`PhaseSchedule`, exposed
+    as ``factory.schedule`` for resolving phase-anchored fault plans.
+    """
+    schedule = PhaseSchedule(params)
 
     def factory(ctx: NodeContext) -> LeaderElectionNode:
-        return LeaderElectionNode(ctx, params=params, assumed_n=assumed_n)
+        return LeaderElectionNode(
+            ctx, params=params, assumed_n=assumed_n, schedule=schedule
+        )
 
+    factory.schedule = schedule
     return factory

@@ -20,9 +20,10 @@ offsets are relative to the phase start; phase ``i + 1`` starts right after.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from .params import ElectionParameters
 
@@ -102,10 +103,18 @@ class PhaseWindow:
 
 
 class PhaseSchedule:
-    """Computes phase windows for a given parameter set."""
+    """Computes phase windows for a given parameter set.
+
+    The windows form one table that is built once and grown on demand:
+    ``window`` is a list index and ``locate`` a bisection over the cached
+    window ends.  A network builds one schedule and shares it among all of
+    its nodes.
+    """
 
     def __init__(self, params: ElectionParameters) -> None:
         self._params = params
+        self._windows: List[PhaseWindow] = []
+        self._ends: List[int] = []
 
     def walk_length(self, phase_index: int) -> int:
         """Walk length ``L_i`` of phase ``phase_index`` (guess-and-double)."""
@@ -120,41 +129,41 @@ class PhaseSchedule:
             + self._params.segment_margin
         )
 
+    def _grow(self) -> None:
+        """Append the next phase's window to the table."""
+        index = len(self._windows)
+        window = PhaseWindow(
+            index=index,
+            walk_length=self.walk_length(index),
+            segment_length=self.segment_length(index),
+            start=self._ends[-1] if self._ends else 0,
+        )
+        self._windows.append(window)
+        self._ends.append(window.end)
+
     def window(self, phase_index: int) -> PhaseWindow:
         """Absolute :class:`PhaseWindow` of phase ``phase_index``."""
-        start = 0
-        for i in range(phase_index):
-            start += 6 * self.segment_length(i)
-        return PhaseWindow(
-            index=phase_index,
-            walk_length=self.walk_length(phase_index),
-            segment_length=self.segment_length(phase_index),
-            start=start,
-        )
+        if phase_index < 0:
+            raise ValueError("phase_index must be non-negative")
+        while len(self._windows) <= phase_index:
+            self._grow()
+        return self._windows[phase_index]
 
     def windows(self) -> Iterator[PhaseWindow]:
         """Yield phase windows indefinitely (callers break out)."""
-        start = 0
         index = 0
         while True:
-            seg = self.segment_length(index)
-            yield PhaseWindow(
-                index=index,
-                walk_length=self.walk_length(index),
-                segment_length=seg,
-                start=start,
-            )
-            start += 6 * seg
+            yield self.window(index)
             index += 1
 
     def locate(self, round_number: int) -> Tuple[PhaseWindow, Segment]:
         """Phase window and segment containing the absolute ``round_number``."""
         if round_number < 0:
             raise ValueError("round_number must be non-negative")
-        for window in self.windows():
-            if round_number < window.end:
-                return window, window.segment_of(round_number)
-        raise AssertionError("unreachable")  # pragma: no cover
+        while not self._ends or self._ends[-1] <= round_number:
+            self._grow()
+        window = self._windows[bisect.bisect_right(self._ends, round_number)]
+        return window, window.segment_of(round_number)
 
     def phases_needed_for_walk_length(self, walk_length: int) -> int:
         """Smallest phase index whose walk length reaches ``walk_length``."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ElectionParameters, PhaseSchedule, Segment
+from repro.core import ElectionParameters, PhaseSchedule, PhaseWindow, Segment
 
 
 def make_schedule(**overrides):
@@ -84,6 +84,31 @@ class TestWindows:
         for i, window in enumerate(generated):
             assert window == schedule.window(i)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"initial_walk_length": 3, "congestion_slack": 4, "segment_margin": 5}],
+    )
+    def test_window_matches_closed_form_prefix_sum(self, overrides):
+        params = ElectionParameters(**overrides)
+        initial = params.initial_walk_length
+        slack = params.congestion_slack
+        margin = params.segment_margin
+        schedule = PhaseSchedule(params)
+        # Last phase first, so the memoised table grows on demand.
+        for i in reversed(range(40)):
+            walk_length = initial * 2**i
+            assert schedule.window(i) == PhaseWindow(
+                index=i,
+                walk_length=walk_length,
+                segment_length=slack * walk_length + margin,
+                # sum over j < i of 6 * (slack * initial * 2**j + margin)
+                start=6 * (slack * initial * (2**i - 1) + margin * i),
+            )
+
+    def test_window_rejects_negative(self):
+        with pytest.raises(ValueError):
+            make_schedule().window(-1)
+
 
 class TestLocate:
     def test_locate_round_zero(self):
@@ -98,6 +123,16 @@ class TestLocate:
         window, segment = schedule.locate(target.collect_start + 1)
         assert window.index == 3
         assert segment == Segment.COLLECT
+
+    def test_locate_matches_linear_scan(self):
+        windows = [make_schedule().window(i) for i in range(8)]
+        schedule = make_schedule()
+        for round_number in range(windows[-1].end):
+            expected = next(w for w in windows if round_number < w.end)
+            assert schedule.locate(round_number) == (
+                expected,
+                expected.segment_of(round_number),
+            )
 
     def test_locate_rejects_negative(self):
         with pytest.raises(ValueError):
