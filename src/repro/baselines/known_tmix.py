@@ -67,19 +67,13 @@ def known_tmix_factory(
     params: ElectionParameters = DEFAULT_PARAMETERS,
     safety_factor: float = 1.0,
 ):
-    """Protocol factory with the walk length pinned to ``safety_factor * t_mix``.
-
-    Its nodes share one :class:`PhaseSchedule` of the pinned parameters,
-    exposed as ``factory.schedule``.
-    """
+    """Protocol factory with the walk length pinned to ``safety_factor * t_mix``."""
     walk_length = max(1, round(safety_factor * mixing_time))
     pinned = params.with_overrides(initial_walk_length=walk_length)
-    schedule = PhaseSchedule(pinned)
 
     def factory(ctx: NodeContext) -> KnownTmixNode:
-        return KnownTmixNode(ctx, params=pinned, schedule=schedule)
+        return KnownTmixNode(ctx, params=pinned)
 
-    factory.schedule = schedule
     return factory
 
 
@@ -98,17 +92,17 @@ def simulate_known_tmix(
     Phase-anchored crash plans resolve against the schedule of the *pinned*
     parameters -- the walk length every node actually runs with.
     """
-    factory = known_tmix_factory(
-        mixing_time, params=params, safety_factor=safety_factor
-    )
+    walk_length = max(1, round(safety_factor * mixing_time))
+    pinned = params.with_overrides(initial_walk_length=walk_length)
+    schedule = PhaseSchedule(pinned)
     return run_protocol(
         graph,
-        factory,
+        known_tmix_factory(mixing_time, params=params, safety_factor=safety_factor),
         seed=seed,
         port_stream=0x41,
         network_stream=0x42,
         fault_plan=fault_plan,
-        phase_start_of=lambda index: factory.schedule.window(index).start,
+        phase_start_of=lambda index: schedule.window(index).start,
         observers=observers,
         max_rounds=max_rounds,
     )

@@ -52,12 +52,10 @@ class LeaderElectionNode(Protocol):
         ctx: NodeContext,
         params: ElectionParameters = DEFAULT_PARAMETERS,
         assumed_n: Optional[int] = None,
-        schedule: Optional[PhaseSchedule] = None,
     ) -> None:
         super().__init__(ctx)
         self.params = params
-        # Nodes built by one protocol factory share its schedule.
-        self.schedule = schedule if schedule is not None else PhaseSchedule(params)
+        self.schedule = PhaseSchedule(params)
         n = ctx.known_n if ctx.known_n is not None else assumed_n
         if n is None:
             raise ProtocolError(
@@ -520,17 +518,9 @@ def leader_election_factory(
     params: ElectionParameters = DEFAULT_PARAMETERS,
     assumed_n: Optional[int] = None,
 ):
-    """Return a protocol factory for :class:`repro.sim.Network`.
-
-    Every node the factory builds shares one :class:`PhaseSchedule`, exposed
-    as ``factory.schedule`` for resolving phase-anchored fault plans.
-    """
-    schedule = PhaseSchedule(params)
+    """Return a protocol factory for :class:`repro.sim.Network`."""
 
     def factory(ctx: NodeContext) -> LeaderElectionNode:
-        return LeaderElectionNode(
-            ctx, params=params, assumed_n=assumed_n, schedule=schedule
-        )
+        return LeaderElectionNode(ctx, params=params, assumed_n=assumed_n)
 
-    factory.schedule = schedule
     return factory

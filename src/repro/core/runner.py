@@ -23,6 +23,7 @@ from ..sim.rng import derive_seed
 from .leader_election import leader_election_factory
 from .params import DEFAULT_PARAMETERS, ElectionParameters
 from .result import ElectionOutcome, outcome_from_simulation
+from .schedule import PhaseSchedule
 
 __all__ = [
     "run_leader_election",
@@ -62,17 +63,17 @@ def build_election_network(
     port_seed = None if seed is None else derive_seed(seed, 0xB0B)
     network_seed = None if seed is None else derive_seed(seed, 0xA11CE)
     port_graph = PortNumberedGraph(graph, seed=port_seed)
-    factory = leader_election_factory(params=params, assumed_n=assumed_n)
     injector = None
     if fault_plan is not None and not fault_plan.is_empty:
+        schedule = PhaseSchedule(params)
         injector = FaultInjector(
             fault_plan,
             master_seed=None if seed is None else derive_seed(seed, FAULT_SEED_STREAM),
-            phase_start_of=lambda index: factory.schedule.window(index).start,
+            phase_start_of=lambda index: schedule.window(index).start,
         )
     return Network(
         port_graph,
-        factory,
+        leader_election_factory(params=params, assumed_n=assumed_n),
         seed=network_seed,
         known_n=known_n,
         observers=observers,

@@ -107,8 +107,7 @@ class PhaseSchedule:
 
     The windows form one table that is built once and grown on demand:
     ``window`` is a list index and ``locate`` a bisection over the cached
-    window ends.  A network builds one schedule and shares it among all of
-    its nodes.
+    window ends.
     """
 
     def __init__(self, params: ElectionParameters) -> None:

@@ -133,11 +133,9 @@ def _known_tmix_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
     # Phase-anchored crash plans resolve against the schedule of the *pinned*
     # parameters -- the walk length every node actually runs with (the same
     # convention as simulate_known_tmix).
-    schedule = known_tmix_factory(
-        config["mixing_time"],
-        params=_params_of(config),
-        safety_factor=config["safety_factor"],
-    ).schedule
+    walk_length = max(1, round(config["safety_factor"] * config["mixing_time"]))
+    pinned = _params_of(config).with_overrides(initial_walk_length=walk_length)
+    schedule = PhaseSchedule(pinned)
     return lambda index: schedule.window(index).start
 
 
