@@ -60,7 +60,7 @@ def test_baseline_covers_both_simulators_per_cell():
 def test_committed_speedup_claim():
     """The acceptance pin: >=3x vectorized speedup on n>=512 expander
     election cells (and the grid actually contains such a cell).  The
-    committed baseline measures about 5.4x against the indexed reference
+    committed baseline measures about 4.8x against the indexed reference
     engine."""
     by_key = _by_key(_load())
     large_expander = [
