@@ -14,7 +14,7 @@ smoke job runs to catch driver breakage without paying for full campaigns.
 ``--backend NAME`` routes every ``BatchRunner`` in the session through the
 named execution backend (it sets the ``REPRO_EXEC_BACKEND`` override), so
 the E12/E13 campaign drivers -- and every other driver -- can be exercised
-under the worker-pool or command dispatcher without touching driver code.
+under the worker pool without touching driver code.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def pytest_addoption(parser):
         "--backend",
         default="",
         help="execution backend for every BatchRunner in the session "
-        "(serial, process, workerpool, command); sets REPRO_EXEC_BACKEND",
+        "(serial, process, workerpool); sets REPRO_EXEC_BACKEND",
     )
 
 

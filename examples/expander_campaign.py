@@ -148,7 +148,7 @@ def main(
     result = runner.run()
     print(result.describe())
 
-    report = campaign_report(campaign, cache)
+    report = campaign_report(campaign, cache, profile)
     markdown_path, json_path = write_report(campaign, cache, directory, report=report)
     for sweep_report in report["sweeps"]:
         print_sweep(campaign, sweep_report)

@@ -10,8 +10,9 @@ final ``report.md`` / ``report.json`` are byte-identical to a
 single-machine run of the same campaign.
 
 By default the fleet is ``--hosts N`` local process groups -- each "host" a
-``python -m repro.fleet.host --serve`` subprocess, which is also what the
-chaos tests and CI's fleet-smoke job drive.  Point ``--inventory`` at a
+``python -m repro.exec.worker --serve`` subprocess (the same serve-mode
+worker the ``workerpool`` backend runs), which is also what the chaos tests
+and CI's fleet-smoke job drive.  Point ``--inventory`` at a
 JSON file to run the same campaign over SSH or k8s command templates
 instead (see docs/architecture.md "Fleet dispatch" for the format and
 recipes).

@@ -30,12 +30,12 @@ from ..core.result import (
 from ..core.runner import run_leader_election
 from ..exec.algorithms import get_algorithm
 from ..exec.cache import OutcomeSummary, ResultCache, SummaryAggregate
-from ..exec.report import ProgressReporter
 from ..exec.runner import BatchRunner
 from ..exec.spec import SweepSpec, TrialSpec
 from ..faults.plan import CrashFaults, FaultPlan, MessageFaults
 from ..graphs.mixing import cached_mixing_time, mixing_time
 from ..graphs.topology import Graph
+from ..obs.tracer import TraceSink
 from ..sim.rng import derive_seed
 from .stats import success_rate, summarize
 
@@ -182,7 +182,7 @@ def scaling_sweep(
     compute_mixing_time: bool = True,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    reporter: Optional[ProgressReporter] = None,
+    sinks: Sequence[TraceSink] = (),
 ) -> List[ScalingRecord]:
     """Sweep graph sizes, running ``trials`` elections per size.
 
@@ -212,7 +212,7 @@ def scaling_sweep(
         trials=trials,
         base_seed=base_seed,
     )
-    runner = BatchRunner(workers=workers, cache=cache, reporter=reporter)
+    runner = BatchRunner(workers=workers, cache=cache, sinks=sinks)
     grouped = sweep.group(runner.run_sweep(sweep))
     records: List[ScalingRecord] = []
     for graph, config_results in zip(graphs, grouped):
@@ -331,7 +331,7 @@ def robustness_sweep(
     crash_phase: int = 2,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    reporter: Optional[ProgressReporter] = None,
+    sinks: Sequence[TraceSink] = (),
 ) -> List[RobustnessRecord]:
     """Sweep the election over message-drop rates and crash counts (E11).
 
@@ -359,7 +359,7 @@ def robustness_sweep(
         trials=trials,
         base_seed=base_seed,
     )
-    runner = BatchRunner(workers=workers, cache=cache, reporter=reporter)
+    runner = BatchRunner(workers=workers, cache=cache, sinks=sinks)
     grouped = sweep.group(runner.run_sweep(sweep))
 
     baseline_index = pairs.index((0.0, 0))

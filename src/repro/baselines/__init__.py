@@ -3,54 +3,43 @@
 Each baseline exposes a ``*_trial`` function returning the unified
 :class:`~repro.core.result.TrialOutcome` (fault-aware via the shared
 ``fault_plan`` hook) and is registered with the :mod:`repro.exec` algorithm
-registry; the historical ``run_*_election`` entry points remain as deprecated
-shims with identical numbers.
+registry.
 """
 
 from .clique_sublinear import (
     CliqueSublinearNode,
     clique_sublinear_factory,
     clique_sublinear_trial,
-    run_clique_sublinear_election,
 )
 from .controlled_flooding import (
     ControlledFloodingNode,
     controlled_flooding_factory,
     controlled_flooding_trial,
-    run_controlled_flooding_election,
 )
 from .flood_max import (
-    BaselineOutcome,
     FloodMaxNode,
     flood_max_factory,
     flood_max_trial,
-    run_flood_max_election,
 )
 from .known_tmix import (
     KnownTmixNode,
     known_tmix_factory,
     known_tmix_trial,
-    run_known_tmix_election,
     simulate_known_tmix,
 )
 
 __all__ = [
-    "BaselineOutcome",
     "FloodMaxNode",
     "flood_max_factory",
     "flood_max_trial",
-    "run_flood_max_election",
     "ControlledFloodingNode",
     "controlled_flooding_factory",
     "controlled_flooding_trial",
-    "run_controlled_flooding_election",
     "KnownTmixNode",
     "known_tmix_factory",
     "known_tmix_trial",
     "simulate_known_tmix",
-    "run_known_tmix_election",
     "CliqueSublinearNode",
     "clique_sublinear_factory",
     "clique_sublinear_trial",
-    "run_clique_sublinear_election",
 ]

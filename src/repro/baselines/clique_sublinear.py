@@ -14,7 +14,6 @@ to arbitrary well-connected graphs.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional
 
 from ..core.result import TrialOutcome, election_trial_outcome
@@ -24,13 +23,11 @@ from ..sim.harness import run_protocol
 from ..sim.message import Message, id_bits
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
-from .flood_max import BaselineOutcome
 
 __all__ = [
     "CliqueSublinearNode",
     "clique_sublinear_factory",
     "clique_sublinear_trial",
-    "run_clique_sublinear_election",
 ]
 
 PROBE = "probe"
@@ -140,35 +137,3 @@ def clique_sublinear_trial(
     """
     result = _simulate(graph, c1, c2, seed, fault_plan, max_rounds)
     return election_trial_outcome("clique_sublinear", result)
-
-
-def run_clique_sublinear_election(
-    graph: Graph,
-    c1: float = 2.0,
-    c2: float = 1.0,
-    seed: Optional[int] = None,
-    max_rounds: int = 1_000,
-) -> BaselineOutcome:
-    """Deprecated shim: the clique baseline as a :class:`BaselineOutcome`.
-
-    .. deprecated::
-        Use :func:`clique_sublinear_trial` (or
-        ``TrialSpec(algorithm="clique_sublinear")`` through
-        :mod:`repro.exec`); numbers are identical, only the envelope changed.
-    """
-    warnings.warn(
-        "run_clique_sublinear_election is deprecated; use "
-        "clique_sublinear_trial or the 'clique_sublinear' entry of the "
-        "repro.exec algorithm registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = _simulate(graph, c1, c2, seed, None, max_rounds)
-    leaders = result.nodes_with("leader", True)
-    contenders = len(result.nodes_with("contender", True))
-    return BaselineOutcome(
-        num_nodes=graph.num_nodes,
-        leaders=leaders,
-        contenders=contenders,
-        metrics=result.metrics,
-    )

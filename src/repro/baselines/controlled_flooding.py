@@ -10,7 +10,6 @@ well-connected topologies.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from ..core.result import TrialOutcome, election_trial_outcome
@@ -20,13 +19,11 @@ from ..sim.harness import run_protocol
 from ..sim.message import Message, id_bits
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
-from .flood_max import BaselineOutcome
 
 __all__ = [
     "ControlledFloodingNode",
     "controlled_flooding_factory",
     "controlled_flooding_trial",
-    "run_controlled_flooding_election",
 ]
 
 CANDIDATE_ID = "candidate_id"
@@ -118,31 +115,3 @@ def controlled_flooding_trial(
     """
     result = _simulate(graph, c1, seed, fault_plan, max_rounds)
     return election_trial_outcome("controlled_flooding", result)
-
-
-def run_controlled_flooding_election(
-    graph: Graph, c1: float = 2.0, seed: Optional[int] = None, max_rounds: int = 1_000_000
-) -> BaselineOutcome:
-    """Deprecated shim: controlled flooding as a :class:`BaselineOutcome`.
-
-    .. deprecated::
-        Use :func:`controlled_flooding_trial` (or
-        ``TrialSpec(algorithm="controlled_flooding")`` through
-        :mod:`repro.exec`); numbers are identical, only the envelope changed.
-    """
-    warnings.warn(
-        "run_controlled_flooding_election is deprecated; use "
-        "controlled_flooding_trial or the 'controlled_flooding' entry of the "
-        "repro.exec algorithm registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = _simulate(graph, c1, seed, None, max_rounds)
-    leaders = result.nodes_with("leader", True)
-    contenders = len(result.nodes_with("contender", True))
-    return BaselineOutcome(
-        num_nodes=graph.num_nodes,
-        leaders=leaders,
-        contenders=contenders,
-        metrics=result.metrics,
-    )

@@ -11,8 +11,6 @@ the E3 comparison shows.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.result import TrialOutcome, election_trial_outcome
@@ -20,7 +18,6 @@ from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..sim.harness import run_protocol
 from ..sim.message import Message, id_bits
-from ..sim.metrics import RunMetrics
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
 
@@ -28,59 +25,9 @@ __all__ = [
     "FloodMaxNode",
     "flood_max_factory",
     "flood_max_trial",
-    "BaselineOutcome",
-    "run_flood_max_election",
 ]
 
 MAX_ID = "max_id"
-
-
-@dataclass
-class BaselineOutcome:
-    """Outcome shared by the deprecated ``run_*_election`` baseline shims.
-
-    .. deprecated::
-        New code receives the unified
-        :class:`~repro.core.result.TrialOutcome` from the ``*_trial``
-        functions or the :mod:`repro.exec` registry; this class remains only
-        as the return type of the deprecated shims.
-    """
-
-    num_nodes: int
-    leaders: list
-    contenders: int
-    metrics: RunMetrics
-
-    @property
-    def num_leaders(self) -> int:
-        return len(self.leaders)
-
-    @property
-    def success(self) -> bool:
-        return self.num_leaders == 1
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def message_units(self) -> int:
-        return self.metrics.message_units
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-    def as_record(self) -> Dict[str, object]:
-        return {
-            "num_nodes": self.num_nodes,
-            "num_leaders": self.num_leaders,
-            "num_contenders": self.contenders,
-            "success": self.success,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "message_units": self.message_units,
-        }
 
 
 class FloodMaxNode(Protocol):
@@ -163,30 +110,4 @@ def flood_max_trial(
     result = _simulate(graph, seed, fault_plan, max_rounds)
     return election_trial_outcome(
         "flood_max", result, num_contenders=graph.num_nodes
-    )
-
-
-def run_flood_max_election(
-    graph: Graph, seed: Optional[int] = None, max_rounds: int = 1_000_000
-) -> BaselineOutcome:
-    """Deprecated shim: run flood-max and report a :class:`BaselineOutcome`.
-
-    .. deprecated::
-        Use :func:`flood_max_trial` (or ``TrialSpec(algorithm="flood_max")``
-        through :mod:`repro.exec`); numbers are identical, only the envelope
-        changed.
-    """
-    warnings.warn(
-        "run_flood_max_election is deprecated; use flood_max_trial or the "
-        "'flood_max' entry of the repro.exec algorithm registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = _simulate(graph, seed, None, max_rounds)
-    leaders = result.nodes_with("leader", True)
-    return BaselineOutcome(
-        num_nodes=graph.num_nodes,
-        leaders=leaders,
-        contenders=graph.num_nodes,
-        metrics=result.metrics,
     )

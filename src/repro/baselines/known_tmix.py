@@ -14,12 +14,11 @@ its ``I4`` view elects itself.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from ..core.leader_election import LeaderElectionNode
 from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
-from ..core.result import ElectionOutcome, TrialOutcome, outcome_from_simulation
+from ..core.result import TrialOutcome, outcome_from_simulation
 from ..core.schedule import PhaseSchedule
 from ..faults.plan import FaultPlan
 from ..graphs.mixing import cached_mixing_time
@@ -33,7 +32,6 @@ __all__ = [
     "known_tmix_factory",
     "known_tmix_trial",
     "simulate_known_tmix",
-    "run_known_tmix_election",
 ]
 
 
@@ -184,31 +182,3 @@ def known_tmix_trial(
     trial = TrialOutcome.from_election("known_tmix", outcome)
     trial.extras["mixing_time"] = mixing_time
     return trial
-
-
-def run_known_tmix_election(
-    graph: Graph,
-    mixing_time: int,
-    params: ElectionParameters = DEFAULT_PARAMETERS,
-    safety_factor: float = 1.0,
-    seed: Optional[int] = None,
-    max_rounds: int = 1_000_000,
-    observers: Sequence[MessageObserver] = (),
-) -> ElectionOutcome:
-    """Deprecated shim: the [25] baseline as an :class:`ElectionOutcome`.
-
-    .. deprecated::
-        Use :func:`known_tmix_trial` (or ``TrialSpec(algorithm="known_tmix")``
-        through :mod:`repro.exec`); numbers are identical, only the envelope
-        changed.
-    """
-    warnings.warn(
-        "run_known_tmix_election is deprecated; use known_tmix_trial or the "
-        "'known_tmix' entry of the repro.exec algorithm registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = simulate_known_tmix(
-        graph, mixing_time, params, safety_factor, seed, None, max_rounds, observers
-    )
-    return outcome_from_simulation(result)

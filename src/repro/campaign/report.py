@@ -19,15 +19,19 @@ Two output formats, both deterministic functions of the cached outcomes:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..analysis.experiments import summarize_config_groups
 from ..core.result import KIND_CLASSIFICATIONS
 from ..exec.cache import ResultCache, atomic_write_bytes
 from ..exec.fingerprint import code_version_tag, trial_fingerprint
-from .spec import CampaignSpec
+from .spec import CampaignSpec, expand_trials
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..exec.config import ExecutionProfile
 
 __all__ = ["cached_outcomes", "campaign_report", "render_markdown", "write_report"]
 
@@ -62,24 +66,24 @@ def cached_outcomes(spec: CampaignSpec, cache: ResultCache) -> Dict[str, List[Op
     return outcomes
 
 
-def _streamed_sweep(sweep, cache: ResultCache):
+def _streamed_sweep(sweep, trials, cache: ResultCache):
     """One sweep's aggregate rows and cached count, config by config.
 
-    Each configuration's trials are expanded and folded straight into a
-    :class:`~repro.exec.cache.SummaryAggregate` -- on the SQLite backend
-    the fold runs inside the database (one ``GROUP BY`` over the summary
-    index, no payload deserialisation, no per-trial Python objects); the
-    JSON tree folds its summary rows in Python.  Peak memory is one
-    aggregate however many trials the sweep holds.
+    ``trials`` is the shared expansion iterator positioned at this sweep;
+    each configuration's ``sweep.trials`` entries are pulled from it and
+    folded straight into a :class:`~repro.exec.cache.SummaryAggregate` --
+    on the SQLite backend the fold runs inside the database (one
+    ``GROUP BY`` over the summary index, no payload deserialisation, no
+    per-trial Python objects); the JSON tree folds its summary rows in
+    Python.  Peak memory is one aggregate however many trials the sweep
+    holds.
     """
     cached = 0
 
     def groups():
         nonlocal cached
-        for index in range(len(sweep.configs)):
-            fingerprints = [
-                trial_fingerprint(trial) for trial in sweep.expand_config(index)
-            ]
+        for _ in range(len(sweep.configs)):
+            fingerprints = [fp for _, _, _, fp in itertools.islice(trials, sweep.trials)]
             aggregate = cache.get_summary_aggregate(fingerprints)
             cached += aggregate.done
             yield aggregate
@@ -88,7 +92,11 @@ def _streamed_sweep(sweep, cache: ResultCache):
     return rows, cached
 
 
-def campaign_report(spec: CampaignSpec, cache: ResultCache) -> Dict[str, object]:
+def campaign_report(
+    spec: CampaignSpec,
+    cache: ResultCache,
+    profile: Optional["ExecutionProfile"] = None,
+) -> Dict[str, object]:
     """The full report document, computed from the cache alone.
 
     Deterministic in ``(spec, cached outcomes)``: no timestamps, no machine
@@ -97,22 +105,25 @@ def campaign_report(spec: CampaignSpec, cache: ResultCache) -> Dict[str, object]
     or a SQLite store versus a JSON tree) produce identical documents.
     Aggregation streams one configuration at a time over cached outcome
     *summaries*, so reporting over a million-trial cache never loads a
-    million outcomes into memory.
+    million outcomes into memory.  Pass the campaign's ``profile`` when it
+    ran under one: its run-wide simulator is part of every trial's
+    fingerprint, so the lookups must apply it exactly as the run did.
     """
+    trials = expand_trials(spec, profile)
     sweeps = []
     total = 0
     total_cached = 0
     for sweep in spec.sweeps:
-        rows, done = _streamed_sweep(sweep, cache)
-        trials = sweep.num_trials
-        total += trials
+        rows, done = _streamed_sweep(sweep, trials, cache)
+        trials_in_sweep = sweep.num_trials
+        total += trials_in_sweep
         total_cached += done
         sweeps.append(
             {
                 "name": sweep.name,
-                "trials": trials,
+                "trials": trials_in_sweep,
                 "cached": done,
-                "coverage": round(done / trials, 4),
+                "coverage": round(done / trials_in_sweep, 4),
                 "rows": rows,
             }
         )
@@ -201,6 +212,7 @@ def write_report(
     cache: ResultCache,
     directory: Union[str, os.PathLike],
     report: Optional[Dict[str, object]] = None,
+    profile: Optional["ExecutionProfile"] = None,
 ) -> Tuple[str, str]:
     """Write ``report.md`` and ``report.json`` under ``directory``.
 
@@ -208,11 +220,12 @@ def write_report(
     and a trailing newline, making it byte-comparable across machines (the
     property the sharding acceptance tests assert).  Pass a precomputed
     ``campaign_report`` document as ``report`` to skip re-scanning the cache
-    (each report computation is one lookup per trial of the campaign).
+    (each report computation is one lookup per trial of the campaign), and
+    the campaign's ``profile`` otherwise (see :func:`campaign_report`).
     """
     directory = os.fspath(directory)
     if report is None:
-        report = campaign_report(spec, cache)
+        report = campaign_report(spec, cache, profile)
     # Atomic writes (the campaign-wide protocol): a dashboard consumer
     # polling the report while a live campaign regenerates it never reads a
     # truncated file.

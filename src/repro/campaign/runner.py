@@ -27,21 +27,18 @@ from __future__ import annotations
 
 import logging
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..exec.backends import ExecutionBackend, make_backend
+from ..exec.backends import make_backend
 from ..exec.cache import ResultCache
-from ..exec.config import ExecutionProfile, _fold_deprecated_backend
-from ..exec.fingerprint import trial_fingerprint
-from ..exec.report import ProgressReporter, ReporterSink
+from ..exec.config import ExecutionProfile
 from ..exec.runner import BatchRunner, TrialResult
 from ..exec.shard import Shard
 from ..obs.report import campaign_telemetry
 from ..obs.tracer import TraceSink, current_tracer, use_tracer
 from .manifest import CampaignManifest, TrialEntry
-from .spec import CampaignSpec
+from .spec import CampaignSpec, expand_trials
 
 __all__ = ["CampaignRunner", "CampaignResult", "MANIFEST_NAME"]
 
@@ -132,11 +129,9 @@ class CampaignRunner:
 
     Execution choices (backend, simulator engine, tracing, worker count)
     arrive through one :class:`~repro.exec.config.ExecutionProfile` whose
-    precedence rule is explicit > CLI > env > default.  The legacy
-    ``backend=`` keyword still works as a ``DeprecationWarning`` shim that
-    folds into the profile.  Campaign semantics are backend-independent:
-    results, caches, manifests and reports are bit-identical whichever
-    backend ran the trials.
+    precedence rule is explicit > CLI > env > default.  Campaign semantics
+    are backend-independent: results, caches, manifests and reports are
+    bit-identical whichever backend ran the trials.
     """
 
     def __init__(
@@ -146,8 +141,6 @@ class CampaignRunner:
         workers: Optional[int] = None,
         shard: Optional[Shard] = None,
         directory: Optional[Union[str, os.PathLike]] = None,
-        reporter: Optional[ProgressReporter] = None,
-        backend: Optional[Union[str, ExecutionBackend]] = None,
         sinks: Sequence[TraceSink] = (),
         profile: Optional[ExecutionProfile] = None,
     ) -> None:
@@ -162,7 +155,7 @@ class CampaignRunner:
             )
         self.spec = spec
         self.cache = cache
-        self.profile = _fold_deprecated_backend(profile, backend, "CampaignRunner")
+        self.profile = profile if profile is not None else ExecutionProfile()
         self.workers = (
             workers if workers is not None else self.profile.effective_workers(default=1)
         )
@@ -176,17 +169,6 @@ class CampaignRunner:
                 raise TypeError(
                     "sinks must be TraceSink instances; got %r" % type(sink).__name__
                 )
-        self.reporter = reporter
-        if reporter is not None:
-            warnings.warn(
-                "CampaignRunner(reporter=...) is deprecated; pass "
-                "sinks=(ProgressSink(...),) or wrap a custom reporter in "
-                "ReporterSink (see repro.exec.report)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.sinks += (ReporterSink(reporter),)
-        self.backend = self.profile.backend
 
     @property
     def manifest_path(self) -> Optional[str]:
@@ -204,19 +186,10 @@ class CampaignRunner:
         return self._run()
 
     def _run(self) -> CampaignResult:
-        # Canonical expansion: (sweep name, index within sweep, spec, fp).
-        # Trial fingerprints are computed exactly once here -- after the
-        # profile's simulator choice is applied, so the fingerprint matches
-        # what actually runs -- and reused for the campaign fingerprint,
-        # shard assignment, cache lookups (via the batch runner) and the
-        # manifest.
-        apply_simulator = self.profile.effective_simulator() is not None
-        trials = []
-        for sweep in self.spec.sweeps:
-            for index, spec in enumerate(sweep.expand()):
-                if apply_simulator:
-                    spec = self.profile.apply_to_spec(spec)
-                trials.append((sweep.name, index, spec, trial_fingerprint(spec)))
+        # The canonical expansion's fingerprints are reused for the campaign
+        # fingerprint, shard assignment, cache lookups (via the batch
+        # runner) and the manifest.
+        trials = list(expand_trials(self.spec, self.profile))
         campaign_fingerprint = self.spec.fingerprint(
             [fingerprint for _, _, _, fingerprint in trials]
         )

@@ -30,14 +30,18 @@ trials (and numbers) the individual sweeps would.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..exec.fingerprint import trial_fingerprint
 from ..exec.spec import SweepSpec, TrialSpec
 
-__all__ = ["RetryPolicy", "CampaignSpec"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..exec.config import ExecutionProfile
+
+__all__ = ["RetryPolicy", "CampaignSpec", "expand_trials"]
 
 
 @dataclass(frozen=True)
@@ -154,3 +158,26 @@ class CampaignSpec:
         }
         encoded = json.dumps(document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def expand_trials(
+    campaign: CampaignSpec, profile: Optional["ExecutionProfile"] = None
+) -> Iterator[Tuple[str, int, TrialSpec, str]]:
+    """The campaign's trials as ``(sweep name, index, spec, fingerprint)``.
+
+    The one expansion every runner, dispatcher and report shares, in
+    :meth:`CampaignSpec.expand` order.  ``profile``'s run-wide simulator is
+    applied *before* fingerprinting, so each fingerprint names what actually
+    runs (and what the cache holds); each fingerprint is computed once.
+    Lazy down to one configuration at a time (``SweepSpec.expand`` order),
+    so a report can stream a huge sweep.
+    """
+    apply_simulator = profile is not None and profile.effective_simulator() is not None
+    for sweep in campaign.sweeps:
+        specs = itertools.chain.from_iterable(
+            map(sweep.expand_config, range(len(sweep.configs)))
+        )
+        for index, spec in enumerate(specs):
+            if apply_simulator:
+                spec = profile.apply_to_spec(spec)
+            yield sweep.name, index, spec, trial_fingerprint(spec)

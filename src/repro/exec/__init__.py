@@ -14,7 +14,7 @@ shape first-class support:
   before execution;
 * :class:`BatchRunner` -- the deterministic orchestrator over pluggable
   :class:`ExecutionBackend` implementations (``serial``, ``process``,
-  ``workerpool``, ``command`` -- see :mod:`repro.exec.backends`); every
+  ``workerpool`` -- see :mod:`repro.exec.backends`); every
   backend is bit-identical to serial for a fixed master seed, and the
   ``REPRO_EXEC_BACKEND`` environment override re-routes runs that did not
   pick a backend explicitly;
@@ -25,9 +25,7 @@ shape first-class support:
   WAL-mode database built for million-trial campaigns), selected per cache
   or through the ``REPRO_CACHE_BACKEND`` environment override;
 * :class:`ProgressSink` -- live progress and a wall/compute-time summary,
-  subscribed through the :mod:`repro.obs` trace-sink API (the legacy
-  :class:`TextReporter` observer keeps working via the
-  ``BatchRunner(reporter=...)`` deprecation shim);
+  subscribed through the :mod:`repro.obs` trace-sink API;
 * :class:`Shard` -- deterministic fingerprint-based partitioning, so
   ``run(specs, shard=Shard(k, m))`` executes slice ``k`` of ``m`` and the
   union of all slices is bit-identical to the unsharded run (the
@@ -61,7 +59,6 @@ from .algorithms import (
 )
 from .backends import (
     BACKEND_ENV_VAR,
-    CommandBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -93,14 +90,7 @@ from .config import (
 )
 from .execute import TrialPayload
 from .fingerprint import canonical_trial_document, code_version_tag, trial_fingerprint
-from .report import (
-    BatchSummary,
-    NullReporter,
-    ProgressReporter,
-    ProgressSink,
-    ReporterSink,
-    TextReporter,
-)
+from .report import BatchSummary, ProgressSink
 from .runner import BatchRunner, TrialResult, default_worker_count, execute_trial
 from .serialize import outcome_from_dict, outcome_to_dict
 from .shard import Shard, shard_index_for
@@ -111,9 +101,6 @@ __all__ = [
     "Algorithm",
     "algorithm_names",
     "fault_aware_algorithms",
-    # FAULT_AWARE_ALGORITHMS is still importable through __getattr__ (with a
-    # DeprecationWarning) but deliberately absent from __all__ so that star
-    # imports stay warning-free.
     "get_algorithm",
     "register_algorithm",
     "ResultCache",
@@ -132,10 +119,6 @@ __all__ = [
     "canonical_trial_document",
     "code_version_tag",
     "BatchSummary",
-    "ProgressReporter",
-    "NullReporter",
-    "TextReporter",
-    "ReporterSink",
     "ProgressSink",
     "BatchRunner",
     "ExecutionProfile",
@@ -152,7 +135,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "WorkerPoolBackend",
-    "CommandBackend",
     "add_backend_argument",
     "backend_names",
     "make_backend",
@@ -166,12 +148,3 @@ __all__ = [
     "build_graph",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated alias kept importable from the package root; the module-level
-    # shim in .algorithms owns the DeprecationWarning.
-    if name == "FAULT_AWARE_ALGORITHMS":
-        from . import algorithms
-
-        return algorithms.FAULT_AWARE_ALGORITHMS
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -34,7 +34,6 @@ private/test registrations and are excluded from the public catalog.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
@@ -160,21 +159,6 @@ def fault_aware_algorithms() -> FrozenSet[str]:
     return frozenset(
         name for name, algorithm in ALGORITHMS.items() if algorithm.fault_aware
     )
-
-
-def __getattr__(name: str):
-    # Pre-registry code consulted a hand-maintained FAULT_AWARE_ALGORITHMS
-    # set; capabilities now live on the Algorithm entries themselves.
-    if name == "FAULT_AWARE_ALGORITHMS":
-        warnings.warn(
-            "FAULT_AWARE_ALGORITHMS is deprecated; capabilities live on the "
-            "registry now -- use fault_aware_algorithms() or "
-            "get_algorithm(name).fault_aware",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return set(fault_aware_algorithms())
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # --------------------------------------------------------------------- paper

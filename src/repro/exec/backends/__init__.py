@@ -1,6 +1,6 @@
 """Pluggable execution backends for the batch runner.
 
-Four implementations of one :class:`ExecutionBackend` protocol decide where
+Three implementations of one :class:`ExecutionBackend` protocol decide where
 trials run; the :class:`~repro.exec.runner.BatchRunner` stays the single
 deterministic orchestrator on top, so every backend replays bit-identically
 to serial for a fixed master seed:
@@ -15,39 +15,39 @@ process    ``ProcessPoolExecutor`` (specs travel by pickle)       no
 workerpool persistent ``python -m repro.exec.worker --serve``     yes
            subprocesses over length-prefixed JSON stdio,
            respawned on death
-command    one worker-protocol command invocation per trial       yes
-           chunk (the SSH / job-queue dispatcher shape)
 ========== ===================================================== ==========
 
-Backends are picked three ways, strongest first: pass an instance
-(``BatchRunner(backend=WorkerPoolBackend(workers=8))``; the caller owns its
-lifecycle), pass a registry name (``BatchRunner(backend="workerpool")``), or
-set the :data:`BACKEND_ENV_VAR` environment override -- which is how the CI
-backend matrix runs the whole exec/campaign test tier under every backend
-without touching a line of test code.
+Remote execution goes through the fleet (:mod:`repro.fleet`), whose
+``HostSpec`` command templates start the same serve-mode worker behind SSH
+or ``kubectl``; both reach their subprocesses through one
+:class:`~repro.exec.backends.workerpool.WorkerChannel`.
+
+Backends are picked three ways, strongest first: put an instance in the
+profile (``BatchRunner(profile=ExecutionProfile(backend=WorkerPoolBackend(
+workers=8)))``; the caller owns its lifecycle), put a registry name there
+(``ExecutionProfile(backend="workerpool")``), or set the
+:data:`BACKEND_ENV_VAR` environment override -- which is how the CI backend
+matrix runs the whole exec/campaign test tier under every backend without
+touching a line of test code.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from ..execute import default_worker_count
 from .base import ExecutionBackend, TrialExecutionError
-from .command import CommandBackend
 from .process import ProcessPoolBackend
 from .serial import SerialBackend
 from .workerpool import WorkerPoolBackend, worker_command, worker_environment
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "COMMAND_TEMPLATE_ENV_VAR",
     "ExecutionBackend",
     "TrialExecutionError",
     "SerialBackend",
     "ProcessPoolBackend",
     "WorkerPoolBackend",
-    "CommandBackend",
     "add_backend_argument",
     "backend_names",
     "make_backend",
@@ -59,17 +59,10 @@ __all__ = [
 #: passed explicitly; one of :func:`backend_names`.
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 
-#: Command template the ``command`` backend uses when selected through the
-#: environment override (default: the local ``python -m repro.exec.worker``).
-COMMAND_TEMPLATE_ENV_VAR = "REPRO_EXEC_COMMAND"
-
 _FACTORIES = {
     "serial": lambda workers: SerialBackend(),
     "process": lambda workers: ProcessPoolBackend(workers=workers),
     "workerpool": lambda workers: WorkerPoolBackend(workers=workers),
-    "command": lambda workers: CommandBackend(
-        template=os.environ.get(COMMAND_TEMPLATE_ENV_VAR) or None, jobs=workers
-    ),
 }
 
 
@@ -77,7 +70,7 @@ def backend_names() -> tuple:
     """The registered backend names, sorted.
 
     >>> backend_names()
-    ('command', 'process', 'serial', 'workerpool')
+    ('process', 'serial', 'workerpool')
     """
     return tuple(sorted(_FACTORIES))
 
@@ -107,6 +100,5 @@ def add_backend_argument(parser) -> None:
         default="",
         choices=("",) + backend_names(),
         help="execution backend (default: serial/process by --workers; "
-        "workerpool survives worker deaths, command dispatches through "
-        "REPRO_EXEC_COMMAND-style templates)",
+        "workerpool survives worker deaths)",
     )

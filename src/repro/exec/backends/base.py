@@ -1,9 +1,9 @@
 """The execution-backend protocol the batch runner orchestrates over.
 
 An :class:`ExecutionBackend` owns *where* trials run -- in-process, in a
-process pool, on a pool of persistent wire workers, behind an arbitrary
-command -- and nothing else.  The :class:`~repro.exec.runner.BatchRunner`
-stays the single deterministic orchestrator: it validates specs, consults
+process pool, on a pool of persistent wire workers -- and nothing else.
+The :class:`~repro.exec.runner.BatchRunner` stays the single deterministic
+orchestrator: it validates specs, consults
 the cache, derives nothing from dispatch order, and re-assembles results in
 submission order; a backend only turns specs into
 :class:`~repro.exec.execute.TrialPayload` envelopes.  Because every trial's
@@ -24,8 +24,8 @@ The contract:
   backend itself closes it after the batch; a backend instance passed in by
   the caller is left running so its pool can serve the next batch;
 * :meth:`wire_safe` reports whether a spec can reach this backend's workers
-  at all.  In-process and pickle transports take everything; JSON-wire
-  backends refuse specs that cannot cross (see
+  at all.  In-process and pickle transports take everything; the JSON-wire
+  worker pool refuses specs that cannot cross (see
   :func:`repro.exec.wire.spec_wire_error`), and the runner transparently
   executes those in-process instead;
 * :attr:`survives_worker_death` declares the recovery capability: ``True``
@@ -37,20 +37,19 @@ from __future__ import annotations
 
 import abc
 from concurrent.futures import Future, as_completed
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from ..execute import TrialPayload
 from ..spec import TrialSpec
-from ..wire import PreparedDocuments, spec_wire_document
 
-__all__ = ["ExecutionBackend", "JsonWireBackend", "TrialExecutionError"]
+__all__ = ["ExecutionBackend", "TrialExecutionError"]
 
 
 class TrialExecutionError(RuntimeError):
     """A trial failed behind a wire that cannot ship exception objects.
 
-    Raised by ``on_error="raise"`` runs over the worker-pool and command
-    backends, carrying the worker-side one-line error description; the
+    Raised by ``on_error="raise"`` runs over the worker-pool backend,
+    carrying the worker-side one-line error description; the
     in-process and process-pool backends re-raise the original exception
     instead.
     """
@@ -59,7 +58,7 @@ class TrialExecutionError(RuntimeError):
 class ExecutionBackend(abc.ABC):
     """Where trials execute; see the module docstring for the contract."""
 
-    #: Registry name of the backend (``BatchRunner(backend=<name>)``).
+    #: Registry name of the backend (``ExecutionProfile(backend=<name>)``).
     name: str = "abstract"
 
     #: Whether a dying worker process costs only its in-flight trials
@@ -97,38 +96,3 @@ class ExecutionBackend(abc.ABC):
         for future in as_completed(futures):
             yield futures[future], future.result()
 
-
-class JsonWireBackend(ExecutionBackend):
-    """Shared plumbing of backends that ship trials as JSON wire documents.
-
-    Subclasses set ``self.preload`` (module names their workers import)
-    before calling ``super().__init__()``; they inherit the strict
-    :meth:`wire_safe` check and the :meth:`_wire_document` memo that hands
-    the partition pass's document to the dispatch pass (see
-    :class:`~repro.exec.wire.PreparedDocuments` for the aliasing and
-    size-cap arguments -- one implementation, so the two wire backends can
-    never diverge on it).
-    """
-
-    preload: Sequence[str] = ()
-
-    def __init__(self) -> None:
-        self._prepared = PreparedDocuments()
-
-    def wire_safe(self, spec: TrialSpec) -> bool:
-        document, error = spec_wire_document(spec, extra_modules=self.preload)
-        if error is None:
-            self._prepared.put(spec, document)
-        return error is None
-
-    def _wire_document(
-        self, spec: TrialSpec
-    ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
-        """The (document, error) for a spec, served from the memo if fresh."""
-        document = self._prepared.take(spec)
-        if document is not None:
-            return document, None
-        return spec_wire_document(spec, extra_modules=self.preload)
-
-    def close(self) -> None:
-        self._prepared.clear()

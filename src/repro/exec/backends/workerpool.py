@@ -25,15 +25,23 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...obs.tracer import current_tracer
 from ..execute import TrialPayload, default_worker_count, format_error
 from ..spec import TrialSpec
-from ..wire import WIRE_VERSION, payload_from_dict, read_frame, write_frame
-from .base import JsonWireBackend
+from ..wire import (
+    WIRE_VERSION,
+    PreparedDocuments,
+    payload_from_dict,
+    read_frame,
+    spec_wire_document,
+    write_frame,
+)
+from .base import ExecutionBackend
 
 __all__ = [
+    "WorkerChannel",
     "WorkerPoolBackend",
     "WorkerHungError",
     "worker_command",
@@ -43,21 +51,19 @@ __all__ = [
 #: Sentinel a serving thread interprets as "drain finished, exit".
 _SHUTDOWN = object()
 
+#: How long :meth:`WorkerChannel.close` waits after each polite step (EOF,
+#: then SIGTERM) before escalating.
+_CLOSE_GRACE_SECONDS = 2.0
+
 
 class WorkerHungError(RuntimeError):
     """A worker stopped emitting frames (heartbeats included) before its
     hang deadline: the process is alive but not making progress."""
 
 
-def worker_command(
-    serve: bool = True,
-    preload: Sequence[str] = (),
-    python: Optional[str] = None,
-) -> List[str]:
-    """The argv that starts a wire worker with this interpreter."""
-    argv = [python or sys.executable, "-m", "repro.exec.worker"]
-    if serve:
-        argv.append("--serve")
+def worker_command(preload: Sequence[str] = (), python: Optional[str] = None) -> List[str]:
+    """The argv that starts a serve-mode wire worker with this interpreter."""
+    argv = [python or sys.executable, "-m", "repro.exec.worker", "--serve"]
     for module in preload:
         argv += ["--preload", module]
     return argv
@@ -83,15 +89,22 @@ def worker_environment(extra_paths: Sequence[str] = ()) -> dict:
     return env
 
 
-class _Worker:
-    """One persistent worker subprocess plus its framed stdio channel."""
+class WorkerChannel:
+    """One supervised subprocess speaking length-prefixed JSON frames on stdio.
 
-    def __init__(self, argv: List[str], env: dict) -> None:
+    The parent side of every out-of-process path: a worker-pool slot and a
+    fleet host (:mod:`repro.fleet.dispatcher`) are both one channel to a
+    ``repro.exec.worker --serve`` process, started from an argv and an
+    environment.  Pipes are unbuffered and stderr is inherited, so child
+    tracebacks stay visible.
+    """
+
+    def __init__(self, argv: Sequence[str], env: dict) -> None:
         self.process = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            stderr=None,  # workers inherit stderr: tracebacks stay visible
+            stderr=None,
             env=env,
             bufsize=0,
         )
@@ -100,37 +113,30 @@ class _Worker:
     def pid(self) -> int:
         return self.process.pid
 
-    def run(
+    def request(
         self,
-        trial_document: dict,
-        heartbeat_seconds: Optional[float] = None,
-        hang_deadline_seconds: Optional[float] = None,
+        document: dict,
+        deadline: Optional[float] = None,
         on_progress: Optional[Callable[[dict], None]] = None,
     ) -> dict:
-        """One request round trip (raises on a dead or silent channel).
+        """Write one request frame; return the first non-progress frame.
 
-        Without ``heartbeat_seconds`` this is the single request/response
-        exchange of wire version 2.  With it, the worker interleaves
-        ``{"op": "progress"}`` frames (forwarded to ``on_progress``) before
-        the payload frame, and ``hang_deadline_seconds`` bounds the wait for
-        *any* next frame: a worker that is alive but stalled past the
-        deadline raises :class:`WorkerHungError` instead of blocking the
-        slot forever.
+        ``{"op": "progress"}`` frames arriving first are handed to
+        ``on_progress``.  ``deadline`` bounds the wait for *any* next frame:
+        a child alive but silent past it raises :class:`WorkerHungError`.  A
+        closed stream raises :class:`EOFError`.  Without a deadline the
+        exchange is one write and blocking reads -- no ``select``, no lock.
         """
-        request = {"op": "run", "version": WIRE_VERSION, "trial": trial_document}
-        if heartbeat_seconds is not None:
-            request["progress"] = {"heartbeat_seconds": heartbeat_seconds}
-        write_frame(self.process.stdin, request)
+        write_frame(self.process.stdin, document)
         stdout = self.process.stdout
         while True:
-            if hang_deadline_seconds is not None:
+            if deadline is not None:
                 # The pipe is unbuffered (bufsize=0), so select on the raw
                 # descriptor reflects exactly what read_frame would block on.
-                ready, _, _ = select.select([stdout], [], [], hang_deadline_seconds)
+                ready, _, _ = select.select([stdout], [], [], deadline)
                 if not ready:
                     raise WorkerHungError(
-                        "no frame (not even a heartbeat) within %.1fs"
-                        % hang_deadline_seconds
+                        "no frame (not even a heartbeat) within %.1fs" % deadline
                     )
             response = read_frame(stdout)
             if response is None:
@@ -141,24 +147,28 @@ class _Worker:
                 continue
             return response
 
+    def kill(self) -> None:
+        """SIGKILL the child: the one signal even a stopped process obeys."""
+        self.process.kill()
+
     def close(self) -> None:
-        """Shut the worker down, escalating politely: EOF, terminate, kill."""
+        """Shut the child down, escalating politely: EOF, terminate, kill."""
         try:
             self.process.stdin.close()
         except OSError:
             pass
         try:
-            self.process.wait(timeout=2)
+            self.process.wait(timeout=_CLOSE_GRACE_SECONDS)
         except subprocess.TimeoutExpired:
             self.process.terminate()
             try:
-                self.process.wait(timeout=2)
+                self.process.wait(timeout=_CLOSE_GRACE_SECONDS)
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
 
 
-class WorkerPoolBackend(JsonWireBackend):
+class WorkerPoolBackend(ExecutionBackend):
     """Persistent worker subprocesses with per-slot respawn on death.
 
     With ``heartbeat_seconds`` set, workers stream progress frames
@@ -225,10 +235,12 @@ class WorkerPoolBackend(JsonWireBackend):
         self._generation = 0
         self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: List[threading.Thread] = []
-        self._slots: List[Optional[_Worker]] = []
+        self._slots: List[Optional[WorkerChannel]] = []
         self._closed = False
         self._lock = threading.Lock()
-        super().__init__()
+        # Hands the partition pass's wire document to the dispatch pass (see
+        # PreparedDocuments for the aliasing and size-cap arguments).
+        self._prepared = PreparedDocuments()
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -261,7 +273,7 @@ class WorkerPoolBackend(JsonWireBackend):
             threads, self._threads = self._threads, []
             self._closed = True
             tasks = self._tasks
-        super().close()  # drop the prepared-document memo
+        self._prepared.clear()
         for _ in threads:
             tasks.put(_SHUTDOWN)
         for thread in threads:
@@ -272,6 +284,13 @@ class WorkerPoolBackend(JsonWireBackend):
         return [worker.pid for worker in self._slots if worker is not None]
 
     # -------------------------------------------------------------- dispatch
+    def wire_safe(self, spec: TrialSpec) -> bool:
+        """Strict JSON-wire check; a safe spec's document is memoised."""
+        document, error = spec_wire_document(spec, extra_modules=self.preload)
+        if error is None:
+            self._prepared.put(spec, document)
+        return error is None
+
     def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
         self.start()
         future: "Future[TrialPayload]" = Future()
@@ -279,11 +298,22 @@ class WorkerPoolBackend(JsonWireBackend):
         return future
 
     # ------------------------------------------------------------- internals
+    def _wire_document(
+        self, spec: TrialSpec
+    ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+        """The (document, error) for a spec, served from the memo if fresh."""
+        document = self._prepared.take(spec)
+        if document is not None:
+            return document, None
+        return spec_wire_document(spec, extra_modules=self.preload)
+
     def _stale(self, generation: int) -> bool:
         """Whether this serve thread belongs to a closed/superseded pool."""
         return self._closed or generation != self._generation
 
-    def _publish_slot(self, slot: int, generation: int, worker: Optional[_Worker]) -> None:
+    def _publish_slot(
+        self, slot: int, generation: int, worker: Optional[WorkerChannel]
+    ) -> None:
         """Mirror a thread's worker into _slots for worker_pids(), but only
         while the thread's generation is current -- a thread that outlived
         close() must never touch a restarted pool's state."""
@@ -299,7 +329,7 @@ class WorkerPoolBackend(JsonWireBackend):
         close(), and thread-local state is what keeps them from interleaving
         frames on one subprocess.
         """
-        worker: Optional[_Worker] = None
+        worker: Optional[WorkerChannel] = None
         deaths = 0
         while True:
             task = tasks.get()
@@ -354,8 +384,8 @@ class WorkerPoolBackend(JsonWireBackend):
                     elapsed_seconds=0.0,
                 )
             try:
-                worker = _Worker(
-                    worker_command(serve=True, preload=self.preload, python=self.python),
+                worker = WorkerChannel(
+                    worker_command(preload=self.preload, python=self.python),
                     worker_environment(self.extra_paths),
                 )
             except OSError as exc:
@@ -373,23 +403,27 @@ class WorkerPoolBackend(JsonWireBackend):
                     respawn=deaths > 0,
                     metrics={"respawns": int(deaths > 0)},
                 )
+        # With heartbeats on, the worker interleaves progress frames before
+        # the payload frame, and the hang deadline bounds the wait for any
+        # next frame; without them this is wire version 2's plain exchange.
+        request = {"op": "run", "version": WIRE_VERSION, "trial": document}
+        if self.heartbeat_seconds is not None:
+            request["progress"] = {"heartbeat_seconds": self.heartbeat_seconds}
         try:
-            response = worker.run(
-                document,
-                heartbeat_seconds=self.heartbeat_seconds,
-                hang_deadline_seconds=self.hang_deadline_seconds,
+            response = worker.request(
+                request,
+                deadline=self.hang_deadline_seconds,
                 on_progress=lambda frame: self._forward_progress(slot, frame),
             )
         except WorkerHungError as exc:
             # The worker is alive but silent past the deadline (stalled I/O,
-            # a stopped process, a wedged extension): SIGKILL it -- the one
-            # signal even a SIGSTOPped process cannot ignore -- and respawn
+            # a stopped process, a wedged extension): SIGKILL it and respawn
             # the slot, capturing the in-flight trial as a failure.
             with self._lock:
                 self.hangs += 1
             self._publish_slot(slot, generation, None)
             pid = worker.pid
-            worker.process.kill()
+            worker.kill()
             worker.close()
             if tracer.enabled:
                 tracer.event("worker.hung", slot=slot, pid=pid, metrics={"hangs": 1})

@@ -3,8 +3,8 @@
 Four selection mechanisms accreted across the execution stack, each with its
 own spelling and its own override chain:
 
-* the **execution backend** -- ``backend=`` on the runners, ``--backend`` on
-  the campaign CLIs, the ``REPRO_EXEC_BACKEND`` environment override;
+* the **execution backend** -- ``--backend`` on the campaign CLIs, the
+  ``REPRO_EXEC_BACKEND`` environment override;
 * the **cache backend** -- ``backend=`` on :class:`ResultCache`,
   ``--cache-backend`` on the CLIs, the ``REPRO_CACHE_BACKEND`` override and
   the ``cache.sqlite`` marker-file auto-detection;
@@ -31,9 +31,7 @@ most explicit statement there is.
 :func:`add_execution_arguments` is the one CLI helper every campaign example
 (and the fleet CLI) attaches instead of hand-rolling the five flags, and
 ``BatchRunner(profile=...)`` / ``CampaignRunner(profile=...)`` /
-``FleetDispatcher(profile=...)`` all accept the resulting object.  The old
-``backend=`` keyword on the runners keeps working as a
-``DeprecationWarning`` shim that folds into the profile.
+``FleetDispatcher(profile=...)`` all accept the resulting object.
 
 >>> profile = ExecutionProfile(backend="serial", trace=True)
 >>> profile.effective_backend()
@@ -51,13 +49,12 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from ..core.runner import KNOWN_SIMULATORS
 from .algorithms import get_algorithm
-from .backends import BACKEND_ENV_VAR, add_backend_argument
+from .backends import BACKEND_ENV_VAR, ExecutionBackend, add_backend_argument
 from .cache import CACHE_BACKEND_ENV_VAR, ResultCache, add_cache_backend_argument
 from .execute import default_worker_count
 from .spec import TrialSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .backends import ExecutionBackend
     from .cache import CacheBackend
 
 __all__ = [
@@ -92,7 +89,7 @@ class ExecutionProfile:
     #: Execution backend: a registry name, a live backend instance (the
     #: caller owns its lifecycle), or ``None`` (environment, then the
     #: workers-derived default).
-    backend: Union[None, str, "ExecutionBackend"] = None
+    backend: Union[None, str, ExecutionBackend] = None
     #: Cache backend: a registry name, a live :class:`CacheBackend`
     #: instance, or ``None`` (``cache.sqlite`` marker auto-detection, then
     #: environment, then ``json``).
@@ -112,6 +109,11 @@ class ExecutionProfile:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1, got %d" % self.workers)
+        if self.backend is not None and not isinstance(self.backend, (str, ExecutionBackend)):
+            raise TypeError(
+                "backend must be a name, an ExecutionBackend instance or None; "
+                "got %r" % type(self.backend).__name__
+            )
         if isinstance(self.trace, str):
             raise TypeError(
                 "trace must be a bool or None (strings are only interpreted "
@@ -124,7 +126,7 @@ class ExecutionProfile:
             )
 
     # ------------------------------------------------------------ resolution
-    def effective_backend(self) -> Union[None, str, "ExecutionBackend"]:
+    def effective_backend(self) -> Union[None, str, ExecutionBackend]:
         """Explicit backend choice, else the environment name, else ``None``.
 
         ``None`` means "let the runner apply its workers-derived default"
@@ -286,33 +288,3 @@ def add_execution_arguments(parser, workers_default: Optional[int] = None) -> No
         "REPRO_TRACE=1 enables this without the flag)",
     )
 
-
-def _fold_deprecated_backend(
-    profile: Optional[ExecutionProfile],
-    backend,
-    owner: str,
-) -> ExecutionProfile:
-    """Shared shim: fold a legacy ``backend=`` keyword into the profile.
-
-    Emits the :class:`DeprecationWarning` once per call site and rejects
-    contradictory double selection -- silently preferring one of the two
-    would make the migration ambiguous.
-    """
-    import warnings
-
-    resolved = profile if profile is not None else ExecutionProfile()
-    if backend is None:
-        return resolved
-    warnings.warn(
-        "%s(backend=...) is deprecated; pass "
-        "profile=ExecutionProfile(backend=...) instead (see "
-        "repro.exec.config)" % owner,
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if resolved.backend is not None:
-        raise ValueError(
-            "%s received both profile.backend and the deprecated backend= "
-            "keyword; pick one" % owner
-        )
-    return dataclasses.replace(resolved, backend=backend)

@@ -4,12 +4,10 @@ Progress is delivered through the :mod:`repro.obs` sink API: the runner
 emits ``batch.started`` / ``trial.finished`` / ``batch.finished`` trace
 events, and anything that wants live progress subscribes a
 :class:`~repro.obs.tracer.TraceSink` (``BatchRunner(sinks=...)`` or the
-process-wide tracer).  :class:`ProgressSink` is the stock terminal renderer;
-the historical :class:`ProgressReporter` observer interface survives as a
-deprecated shim bridged by :class:`ReporterSink`, so
-``BatchRunner(reporter=...)`` keeps working.  ``BatchSummary.effective_parallelism``
-is compute-seconds over wall-seconds -- the measured speedup the pool
-actually delivered, which the scaling benchmarks log.
+process-wide tracer).  :class:`ProgressSink` is the stock terminal renderer.
+``BatchSummary.effective_parallelism`` is compute-seconds over wall-seconds
+-- the measured speedup the pool actually delivered, which the scaling
+benchmarks log.
 """
 
 from __future__ import annotations
@@ -20,14 +18,7 @@ from typing import Dict, List, Optional, TextIO
 
 from ..obs.tracer import TraceSink
 
-__all__ = [
-    "BatchSummary",
-    "ProgressReporter",
-    "NullReporter",
-    "TextReporter",
-    "ReporterSink",
-    "ProgressSink",
-]
+__all__ = ["BatchSummary", "ProgressSink"]
 
 
 @dataclass
@@ -70,32 +61,17 @@ class BatchSummary:
         )
 
 
-class ProgressReporter:
-    """Legacy observer interface; subclass and override what you need.
+class ProgressSink(TraceSink):
+    """The stock terminal progress renderer, as a trace sink.
 
-    .. deprecated::
-        New code should subscribe a :class:`~repro.obs.tracer.TraceSink`
-        (``BatchRunner(sinks=...)``) instead; existing reporters keep
-        working through :class:`ReporterSink`, which is exactly what the
-        ``BatchRunner(reporter=...)`` shim wraps them in.
+    Plain-text progress lines for long campaigns on a terminal, subscribed
+    through ``BatchRunner(sinks=(ProgressSink(prefix="e1", every=4),))``.
+    The batch runner's progress events carry the live objects the lines are
+    rendered from (the :class:`TrialResult` under ``attrs["_result"]``, the
+    :class:`BatchSummary` under ``attrs["_summary"]``) -- underscore-prefixed,
+    so serialising sinks drop them.  Events of other layers (simulator
+    rounds, worker heartbeats) are ignored.
     """
-
-    def batch_started(self, total: int, workers: int) -> None:
-        """Called once before the first trial is dispatched."""
-
-    def trial_finished(self, result, done: int, total: int) -> None:
-        """Called after every trial (``result`` is a ``TrialResult``)."""
-
-    def batch_finished(self, summary: BatchSummary) -> None:
-        """Called once after the last trial completed."""
-
-
-class NullReporter(ProgressReporter):
-    """The default: no output."""
-
-
-class TextReporter(ProgressReporter):
-    """Plain-text progress lines, suitable for long campaigns on a terminal."""
 
     def __init__(
         self,
@@ -110,7 +86,7 @@ class TextReporter(ProgressReporter):
         self.every = every
         self.prefix = prefix
         # Retention is opt-in: long campaigns emit one line per trial, and an
-        # always-on transcript would grow for the reporter's whole lifetime.
+        # always-on transcript would grow for the sink's whole lifetime.
         self.keep_lines = keep_lines
         self.lines: List[str] = []
 
@@ -120,12 +96,21 @@ class TextReporter(ProgressReporter):
         self.stream.write(line + "\n")
         self.stream.flush()
 
-    def batch_started(self, total: int, workers: int) -> None:
-        """Announce the batch size and worker count."""
-        self._emit("[%s] %d trial(s) on %d worker(s)" % (self.prefix, total, workers))
+    def emit(self, record: Dict[str, object]) -> None:
+        name = record.get("name")
+        attrs = record.get("attrs", {})
+        if name == "batch.started":
+            self._emit(
+                "[%s] %d trial(s) on %d worker(s)"
+                % (self.prefix, attrs["total"], attrs["workers"])
+            )
+        elif name == "trial.finished" and "_result" in attrs:
+            self._trial_finished(attrs["_result"], attrs["done"], attrs["total"])
+        elif name == "batch.finished" and "_summary" in attrs:
+            self._emit("[%s] %s" % (self.prefix, attrs["_summary"]))
 
-    def trial_finished(self, result, done: int, total: int) -> None:
-        """Emit one progress line per ``every`` trials; failures always print."""
+    def _trial_finished(self, result, done: int, total: int) -> None:
+        """One progress line per ``every`` trials; failures always print."""
         outcome = result.outcome
         if outcome is None:
             self._emit(
@@ -148,57 +133,3 @@ class TextReporter(ProgressReporter):
                 " (cached)" if result.from_cache else "",
             )
         )
-
-    def batch_finished(self, summary: BatchSummary) -> None:
-        """Emit the aggregate wall/compute-time summary line."""
-        self._emit("[%s] %s" % (self.prefix, summary))
-
-
-class ReporterSink(TraceSink):
-    """Bridge a legacy :class:`ProgressReporter` onto the trace-sink API.
-
-    The batch runner's progress events carry the live objects the old
-    observer interface handed out (the :class:`TrialResult` under
-    ``attrs["_result"]``, the :class:`BatchSummary` under
-    ``attrs["_summary"]``) -- underscore-prefixed, so serialising sinks drop
-    them while this same-process bridge can replay the exact historical
-    callbacks.  Events of other layers (simulator rounds, worker heartbeats)
-    are ignored: reporters never saw those.
-    """
-
-    def __init__(self, reporter: ProgressReporter) -> None:
-        self.reporter = reporter
-
-    def emit(self, record: Dict[str, object]) -> None:
-        name = record.get("name")
-        attrs = record.get("attrs", {})
-        if name == "batch.started":
-            self.reporter.batch_started(attrs["total"], attrs["workers"])
-        elif name == "trial.finished" and "_result" in attrs:
-            self.reporter.trial_finished(attrs["_result"], attrs["done"], attrs["total"])
-        elif name == "batch.finished" and "_summary" in attrs:
-            self.reporter.batch_finished(attrs["_summary"])
-
-
-class ProgressSink(ReporterSink):
-    """The stock terminal progress renderer, as a trace sink.
-
-    Same lines as :class:`TextReporter` (it wraps one), subscribed the new
-    way: ``BatchRunner(sinks=(ProgressSink(prefix="e1", every=4),))``.
-    """
-
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        every: int = 1,
-        prefix: str = "exec",
-        keep_lines: bool = False,
-    ) -> None:
-        super().__init__(
-            TextReporter(stream=stream, every=every, prefix=prefix, keep_lines=keep_lines)
-        )
-
-    @property
-    def lines(self) -> List[str]:
-        """Retained lines when ``keep_lines`` was set (see TextReporter)."""
-        return self.reporter.lines

@@ -2,9 +2,9 @@
 
 ``BatchRunner`` executes :class:`~repro.exec.spec.TrialSpec` lists through a
 pluggable :class:`~repro.exec.backends.ExecutionBackend` -- in-process
-(``serial``), process pool (``process``), persistent wire workers
-(``workerpool``) or an arbitrary dispatch command (``command``).  The runner
-itself stays the single deterministic orchestrator: every bit of randomness
+(``serial``), process pool (``process``) or persistent wire workers
+(``workerpool``).  The runner itself stays the single deterministic
+orchestrator: every bit of randomness
 a trial consumes is derived from fields of its spec -- never from worker
 identity, dispatch order or shared state -- and results always come back in
 submission order, so **all backends are bit-identical** for a fixed master
@@ -14,13 +14,11 @@ The backend is chosen per run, strongest selector first: an
 :class:`ExecutionBackend` instance (caller owns its lifecycle), a registry
 name string, the ``REPRO_EXEC_BACKEND`` environment override, and finally
 the historical default -- serial for ``workers=1`` (or single-trial
-batches), a process pool otherwise.  Since the
-:class:`~repro.exec.config.ExecutionProfile` redesign that chain is the
-profile's precedence rule (explicit > CLI > env > default):
-``BatchRunner(profile=...)`` is the configuration surface, and the legacy
-``backend=`` keyword survives as a ``DeprecationWarning`` shim that folds
-into the profile.  Trials that cannot reach a wire
-backend's fresh worker interpreters (locally registered algorithms,
+batches), a process pool otherwise.  That chain is the
+:class:`~repro.exec.config.ExecutionProfile`'s precedence rule (explicit >
+CLI > env > default): ``BatchRunner(profile=...)`` is the configuration
+surface.  Trials that cannot reach a wire backend's fresh worker
+interpreters (locally registered algorithms,
 ``keep_simulation`` transcripts, non-JSON kwargs) transparently execute
 in-process instead: the backend never changes *what* a run returns, only
 *where* trials execute.
@@ -41,9 +39,8 @@ built on it.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.result import TrialOutcome
 from ..graphs.generators import get_family
@@ -57,7 +54,7 @@ from .backends import (
     make_backend,
 )
 from .cache import ResultCache
-from .config import ExecutionProfile, _fold_deprecated_backend
+from .config import ExecutionProfile
 from .execute import (
     TrialPayload,
     _check_capabilities,
@@ -66,7 +63,7 @@ from .execute import (
     guarded_payload,
 )
 from .fingerprint import trial_fingerprint
-from .report import BatchSummary, ProgressReporter, ReporterSink
+from .report import BatchSummary
 from .shard import Shard
 from .spec import GraphSpec, SweepSpec, TrialSpec
 
@@ -104,28 +101,18 @@ class BatchRunner:
         self,
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        reporter: Optional[ProgressReporter] = None,
         on_error: str = "raise",
-        backend: Union[None, str, ExecutionBackend] = None,
         sinks: Sequence[TraceSink] = (),
         profile: Optional[ExecutionProfile] = None,
     ) -> None:
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture', got %r" % on_error)
-        if backend is not None and not isinstance(backend, (str, ExecutionBackend)):
-            raise TypeError(
-                "backend must be a name, an ExecutionBackend instance or None; "
-                "got %r" % type(backend).__name__
-            )
         if profile is not None and not isinstance(profile, ExecutionProfile):
             raise TypeError(
                 "profile must be an ExecutionProfile or None; got %r"
                 % type(profile).__name__
             )
-        # Deprecation shim: the legacy backend= keyword folds into the
-        # profile, which is the single selection surface since the
-        # ExecutionProfile redesign.
-        self.profile = _fold_deprecated_backend(profile, backend, "BatchRunner")
+        self.profile = profile if profile is not None else ExecutionProfile()
         workers = workers if workers is not None else self.profile.effective_workers(default=1)
         if workers < 1:
             raise ValueError("workers must be at least 1, got %d" % workers)
@@ -135,25 +122,9 @@ class BatchRunner:
                 raise TypeError(
                     "sinks must be TraceSink instances; got %r" % type(sink).__name__
                 )
-        self.reporter = reporter
-        if reporter is not None:
-            # Deprecation shim: the observer interface is bridged onto the
-            # sink API; existing reporters keep receiving their exact
-            # historical callbacks.
-            warnings.warn(
-                "BatchRunner(reporter=...) is deprecated; pass "
-                "sinks=(ProgressSink(...),) or wrap a custom reporter in "
-                "ReporterSink (see repro.exec.report)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.sinks += (ReporterSink(reporter),)
         self.workers = workers
         self.cache = cache
         self.on_error = on_error
-        #: Kept readable for callers of the pre-profile API; the resolution
-        #: itself goes through ``self.profile``.
-        self.backend = self.profile.backend
         self.last_summary: Optional[BatchSummary] = None
         #: Registry name of the backend the most recent ``run`` dispatched to.
         self.last_backend_name: Optional[str] = None

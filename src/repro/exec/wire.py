@@ -1,8 +1,8 @@
 """The JSON wire format trials travel over to out-of-process workers.
 
-The worker-pool and command backends cannot rely on pickle: their workers
-are freshly spawned interpreters (possibly on another machine, behind SSH or
-a job queue), so everything crossing the boundary is plain, versioned JSON:
+The worker pool and the fleet cannot rely on pickle: their workers are
+freshly spawned interpreters (possibly on another machine, behind SSH or a
+job queue), so everything crossing the boundary is plain, versioned JSON:
 
 * **trial documents** -- :func:`spec_to_dict` / :func:`spec_from_dict`
   round-trip a :class:`~repro.exec.spec.TrialSpec` exactly: graph (family

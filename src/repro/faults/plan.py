@@ -234,7 +234,7 @@ class FaultPlan:
         """Rebuild a plan from its canonical :meth:`document` form.
 
         The exact inverse of :meth:`document`, which is what lets a plan
-        cross a JSON wire (the executor's worker-pool and command backends)
+        cross a JSON wire (the worker-pool backend and the fleet)
         without perturbing its fingerprint or the SplitMix64 seed streams
         derived from it.
 

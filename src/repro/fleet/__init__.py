@@ -9,10 +9,10 @@ together into one supervised distributed run:
   the declarative inventory (:mod:`repro.fleet.inventory`): each host is an
   argv template (local process groups by default; SSH and k8s are template
   recipes, see docs/architecture.md "Fleet dispatch");
-* :mod:`repro.fleet.host` -- the host-side serve loop
-  (``python -m repro.fleet.host --serve``): executes ``run_shard`` frames
-  through a local batch runner into the host's own cache, streaming worker
-  vocabulary progress frames;
+* the host side is the pool's own serve-mode worker
+  (``python -m repro.exec.worker --serve``): it executes ``run_shard``
+  frames through a local batch runner into the host's own cache, streaming
+  worker-vocabulary progress frames;
 * :class:`FleetDispatcher` (:mod:`repro.fleet.dispatcher`) -- placement,
   heartbeat supervision, work-stealing reassignment of straggler and
   dead-host shards, cache collection and live ``fleet.json`` health
@@ -40,7 +40,6 @@ from .dispatcher import (
     FLEET_STATUS_NAME,
     FLEET_STATUS_SCHEMA,
     FleetDispatcher,
-    FleetHostHungError,
     FleetResult,
 )
 from .inventory import (
@@ -54,7 +53,6 @@ from .inventory import (
 
 __all__ = [
     "FleetDispatcher",
-    "FleetHostHungError",
     "FleetResult",
     "FLEET_STATUS_NAME",
     "FLEET_STATUS_SCHEMA",

@@ -3,7 +3,8 @@
 :class:`FleetDispatcher` maps a campaign's deterministic ``Shard(k, m)``
 partitions onto a declarative host inventory and supervises the result:
 
-* **placement** -- the campaign expands exactly as in
+* **placement** -- the campaign expands through the same
+  :func:`~repro.campaign.spec.expand_trials` as
   :class:`~repro.campaign.runner.CampaignRunner` (profile simulator applied
   before fingerprinting), trials already in the campaign cache are served
   without dispatch, and the rest are partitioned into ``shards`` tasks by
@@ -12,10 +13,11 @@ partitions onto a declarative host inventory and supervises the result:
 * **work stealing** -- tasks live in one shared queue; every host's
   supervisor thread pulls the next task the moment its host is idle, so a
   straggler host simply ends up owning fewer shards;
-* **supervision** -- each host is a serve-mode :mod:`repro.fleet.host`
-  subprocess streaming ``{"op": "progress"}`` frames (the worker heartbeat
-  vocabulary); a host silent past the hang deadline, or one whose stream
-  dies, is SIGKILLed and marked dead, its cache is salvaged by
+* **supervision** -- each host is a serve-mode :mod:`repro.exec.worker`
+  subprocess behind a
+  :class:`~repro.exec.backends.workerpool.WorkerChannel` (the worker
+  pool's own channel), streaming ``{"op": "progress"}`` frames; a host
+  silent past the hang deadline, or one whose stream dies, is SIGKILLed and marked dead, its cache is salvaged by
   :meth:`~repro.exec.cache.ResultCache.merge_from`, and only the trials the
   salvage did *not* recover are re-placed on surviving hosts;
 * **collection** -- after every shard (and every salvage) the host's cache
@@ -36,8 +38,6 @@ import json
 import logging
 import os
 import queue
-import select
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -46,20 +46,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..campaign.manifest import CampaignManifest, TrialEntry
 from ..campaign.report import write_report
 from ..campaign.runner import MANIFEST_NAME
-from ..campaign.spec import CampaignSpec
-from ..exec.backends.workerpool import worker_environment
+from ..campaign.spec import CampaignSpec, expand_trials
+from ..exec.backends.workerpool import WorkerChannel, WorkerHungError, worker_environment
 from ..exec.cache import ResultCache, atomic_write_bytes
 from ..exec.config import ExecutionProfile
-from ..exec.fingerprint import trial_fingerprint
 from ..exec.shard import shard_index_for
-from ..exec.wire import WIRE_VERSION, read_frame, spec_to_dict, spec_wire_error, write_frame
+from ..exec.wire import WIRE_VERSION, spec_to_dict, spec_wire_error
 from ..obs.report import campaign_telemetry
 from ..obs.tracer import TraceSink, current_tracer
 from .inventory import HostSpec
 
 __all__ = [
     "FleetDispatcher",
-    "FleetHostHungError",
     "FleetResult",
     "FLEET_STATUS_NAME",
     "FLEET_STATUS_SCHEMA",
@@ -75,11 +73,6 @@ FLEET_STATUS_SCHEMA = "repro.fleet/status"
 
 #: Sentinel a supervisor thread interprets as "queue drained, shut down".
 _SHUTDOWN = object()
-
-
-class FleetHostHungError(RuntimeError):
-    """A host stopped emitting frames (heartbeats included) before its hang
-    deadline: the process is alive but not making progress."""
 
 
 @dataclass
@@ -133,7 +126,7 @@ class _HostState:
 
     def __init__(self, spec: HostSpec) -> None:
         self.spec = spec
-        self.process: Optional[subprocess.Popen] = None
+        self.channel: Optional[WorkerChannel] = None
         self.pid: Optional[int] = None
         self.status = "idle"  # idle | running | dead | done
         self.shard: Optional[str] = None
@@ -264,15 +257,7 @@ class FleetDispatcher:
         tracer = current_tracer().with_sinks(self.sinks)
         self._tracer = tracer
 
-        # Canonical expansion, exactly as CampaignRunner does it: profile
-        # simulator applied before fingerprinting, fingerprints computed once.
-        apply_simulator = self.profile.effective_simulator() is not None
-        trials = []
-        for sweep in self.spec.sweeps:
-            for index, spec in enumerate(sweep.expand()):
-                if apply_simulator:
-                    spec = self.profile.apply_to_spec(spec)
-                trials.append((sweep.name, index, spec, trial_fingerprint(spec)))
+        trials = list(expand_trials(self.spec, self.profile))
         self._trials = trials
         fingerprints = [fp for _, _, _, fp in trials]
         campaign_fingerprint = self.spec.fingerprint(fingerprints)
@@ -421,7 +406,7 @@ class FleetDispatcher:
                 placement=task.placements,
             )
             response = self._exchange(state, self._shard_request(label, positions))
-        except (OSError, EOFError, ValueError, FleetHostHungError) as exc:
+        except (OSError, EOFError, ValueError, WorkerHungError) as exc:
             self._host_died(state, task, exc)
             return False
 
@@ -472,60 +457,31 @@ class FleetDispatcher:
         request = dict(request)
         request["cache_root"] = self.host_cache_root(state.name)
         request["workers"] = state.spec.workers
-        process = state.process
-        write_frame(process.stdin, request)
-        stdout = process.stdout
-        while True:
-            # The pipe is unbuffered (bufsize=0), so select on the raw
-            # descriptor reflects exactly what read_frame would block on.
-            ready, _, _ = select.select([stdout], [], [], self.hang_deadline_seconds)
-            if not ready:
-                raise FleetHostHungError(
-                    "host %r sent no frame (not even a heartbeat) within %.1fs"
-                    % (state.name, self.hang_deadline_seconds)
-                )
-            response = read_frame(stdout)
-            if response is None:
-                raise EOFError("host %r closed its stream" % state.name)
-            if response.get("op") == "progress":
-                self._note_progress(state, response)
-                continue
-            return response
+        return state.channel.request(
+            request,
+            deadline=self.hang_deadline_seconds,
+            on_progress=lambda frame: self._note_progress(state, frame),
+        )
 
     def _ensure_host(self, state: _HostState) -> None:
-        if state.process is not None and state.process.poll() is None:
+        if state.channel is not None and state.channel.process.poll() is None:
             return
-        argv = state.spec.command_argv()
-        env = state.spec.environment(worker_environment(self.extra_paths))
-        state.process = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,  # hosts inherit stderr: tracebacks stay visible
-            env=env,
-            bufsize=0,
+        state.channel = WorkerChannel(
+            state.spec.command_argv(),
+            state.spec.environment(worker_environment(self.extra_paths)),
         )
         with self._lock:
-            state.pid = state.process.pid
+            state.pid = state.channel.pid
             state.last_frame_at = time.monotonic()
         # Startup handshake: interpreter boot plus imports (plus SSH or pod
         # attach for remote templates) can far exceed the steady-state hang
         # deadline, so the first exchange is a ping with its own generous
         # deadline -- after the pong, silence is judged by heartbeats.
-        write_frame(state.process.stdin, {"op": "ping"})
-        deadline = max(30.0, self.hang_deadline_seconds)
-        while True:
-            ready, _, _ = select.select([state.process.stdout], [], [], deadline)
-            if not ready:
-                raise FleetHostHungError(
-                    "host %r did not answer the startup ping within %.1fs"
-                    % (state.name, deadline)
-                )
-            response = read_frame(state.process.stdout)
-            if response is None:
-                raise EOFError("host %r closed its stream during startup" % state.name)
-            if response.get("ok"):
-                break
+        pong = state.channel.request(
+            {"op": "ping"}, deadline=max(30.0, self.hang_deadline_seconds)
+        )
+        if not pong.get("ok"):
+            raise ValueError("host %r answered the startup ping with %r" % (state.name, pong))
         with self._lock:
             state.last_frame_at = time.monotonic()
         self._tracer.event("fleet.host_spawned", host=state.name, pid=state.pid)
@@ -653,23 +609,18 @@ class FleetDispatcher:
     # ------------------------------------------------------------ host death
     def _host_died(self, state: _HostState, task: _ShardTask, exc: Exception) -> None:
         """SIGKILL a dead/silent host, salvage its cache, re-place the rest."""
-        hung = isinstance(exc, FleetHostHungError)
-        process, pid = state.process, state.pid
+        hung = isinstance(exc, WorkerHungError)
+        channel, pid = state.channel, state.pid
         with self._lock:
             state.status = "dead"
             state.shard = None
-            state.process = None
+            state.channel = None
             self._live_hosts -= 1
             last_host = self._live_hosts == 0
-        if process is not None:
-            # SIGKILL is the one signal even a SIGSTOPped process cannot
-            # ignore; politeness is for live hosts.
-            process.kill()
-            try:
-                process.stdin.close()
-            except OSError:
-                pass
-            process.wait()
+        if channel is not None:
+            # Politeness is for live hosts: SIGKILL first, then reap.
+            channel.kill()
+            channel.close()
         self._tracer.event(
             "fleet.host_death",
             host=state.name,
@@ -752,24 +703,11 @@ class FleetDispatcher:
 
     def _retire(self, state: _HostState) -> None:
         """Shut a surviving host down politely: EOF, terminate, kill."""
-        process = state.process
-        if process is None:
+        if state.channel is None:
             return
-        try:
-            process.stdin.close()
-        except OSError:
-            pass
-        try:
-            process.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            process.terminate()
-            try:
-                process.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+        state.channel.close()
         with self._lock:
-            state.process = None
+            state.channel = None
 
     # -------------------------------------------------------------- collection
     def _collect(self, state: _HostState) -> int:
@@ -783,7 +721,9 @@ class FleetDispatcher:
                 imported = self._campaign_cache.merge_from(source)
             finally:
                 source.close()
-            write_report(self.spec, self._campaign_cache, self.directory)
+            write_report(
+                self.spec, self._campaign_cache, self.directory, profile=self.profile
+            )
         self._tracer.event(
             "fleet.collected",
             host=state.name,
@@ -807,7 +747,7 @@ class FleetDispatcher:
                     source.close()
         with self._collect_lock:
             markdown_path, json_path = write_report(
-                self.spec, self._campaign_cache, self.directory
+                self.spec, self._campaign_cache, self.directory, profile=self.profile
             )
         return markdown_path, json_path
 

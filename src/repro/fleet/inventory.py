@@ -3,15 +3,16 @@
 A fleet is described by a sequence of :class:`HostSpec` values -- plain data,
 serialisable as JSON, with **no transport code of their own**: each host
 carries a *command template* whose expansion must start a
-``python -m repro.fleet.host`` process speaking length-prefixed JSON frames
-on stdio (see :mod:`repro.fleet.host`).  Because the transport is just an
-argv, the same dispatcher drives:
+``python -m repro.exec.worker --serve`` process speaking length-prefixed
+JSON frames on stdio (see :mod:`repro.exec.worker`).  Because the transport
+is just an argv, the same dispatcher drives:
 
 * **local process groups** (the default, ``command=None``) -- the testable
   backbone of the chaos suite and CI's fleet-smoke job;
-* **SSH** -- ``command="ssh user@node42 {python} -m repro.fleet.host"``;
+* **SSH** -- ``command="ssh user@node42 {python} -m repro.exec.worker
+  --serve"``;
 * **k8s / job queues** -- ``command="kubectl exec -i pod-{host} -- {python}
-  -m repro.fleet.host"`` or a scheduler submit wrapper.
+  -m repro.exec.worker --serve"`` or a scheduler submit wrapper.
 
 Template placeholders: ``{python}`` expands to the host's interpreter
 (``python`` field, or this interpreter) and ``{host}`` to the host's name.
@@ -21,8 +22,8 @@ file format and the remote recipes.
 
 >>> host = HostSpec(name="a")
 >>> host.command_argv()[-3:]
-['-m', 'repro.fleet.host', '--serve']
->>> HostSpec(name="n7", command="ssh n7 {python} -m repro.fleet.host --serve").command_argv()[0]
+['-m', 'repro.exec.worker', '--serve']
+>>> HostSpec(name="n7", command="ssh n7 {python} -m repro.exec.worker --serve").command_argv()[0]
 'ssh'
 """
 
@@ -34,6 +35,8 @@ import shlex
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from ..exec.backends.workerpool import worker_command
 
 __all__ = [
     "HostSpec",
@@ -60,7 +63,7 @@ class HostSpec:
 
     name: str
     #: Command template whose expansion starts the host process; ``None``
-    #: spawns ``{python} -m repro.fleet.host --serve`` locally.
+    #: spawns ``{python} -m repro.exec.worker --serve`` locally.
     command: Optional[str] = None
     #: Worker budget of this host's batch runner (its local parallelism).
     workers: int = 1
@@ -92,7 +95,7 @@ class HostSpec:
         """The argv that starts this host's serve-mode process."""
         python = self.python or sys.executable
         if self.command is None:
-            return [python, "-m", "repro.fleet.host", "--serve"]
+            return worker_command(python=python)
         try:
             return [
                 part.format(python=python, host=self.name)

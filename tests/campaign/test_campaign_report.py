@@ -1,5 +1,6 @@
 """Tests for the cache-backed report layer: coverage, tables, determinism."""
 
+import dataclasses
 import json
 
 from repro.analysis import sweep_summary
@@ -12,7 +13,15 @@ from repro.campaign import (
     write_report,
 )
 from repro.core import DEFAULT_PARAMETERS, ElectionParameters
-from repro.exec import BatchRunner, GraphSpec, ResultCache, Shard, SweepSpec, TrialSpec
+from repro.exec import (
+    BatchRunner,
+    ExecutionProfile,
+    GraphSpec,
+    ResultCache,
+    Shard,
+    SweepSpec,
+    TrialSpec,
+)
 from repro.faults import FaultPlan
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
@@ -287,3 +296,41 @@ class TestSweepSummary:
             "partial",
         }
         assert rows[0]["classifications"]["informed_all"] == 2
+
+
+def _naming_simulator(campaign, simulator):
+    """``campaign`` with ``simulator`` named on every configuration's spec."""
+    return dataclasses.replace(
+        campaign,
+        sweeps=tuple(
+            dataclasses.replace(
+                sweep,
+                configs=tuple(
+                    dataclasses.replace(config, simulator=simulator)
+                    for config in sweep.configs
+                ),
+            )
+            for sweep in campaign.sweeps
+        ),
+    )
+
+
+class TestProfiledReport:
+    def test_profiled_campaign_matches_one_naming_the_simulator(self, tmp_path):
+        """A campaign run under a run-wide simulator reports every trial its
+        cache holds, byte-identical to the same campaign naming the engine on
+        every spec."""
+        campaign = _campaign()
+        profile = ExecutionProfile(simulator="vectorized")
+        reports = []
+        for name, spec, run_profile in (
+            ("profiled", campaign, profile),
+            ("named", _naming_simulator(campaign, "vectorized"), None),
+        ):
+            cache = ResultCache(tmp_path / name / "cache")
+            CampaignRunner(spec, cache, workers=1, profile=run_profile).run()
+            _, json_path = write_report(spec, cache, tmp_path / name, profile=run_profile)
+            with open(json_path, "rb") as handle:
+                reports.append(handle.read())
+        assert json.loads(reports[0])["coverage"] == 1.0
+        assert reports[0] == reports[1]

@@ -250,7 +250,7 @@ def test_fleet_dispatch_is_documented():
         "HostSpec",
         "local_inventory",
         "load_inventory",
-        "repro.fleet.host --serve",
+        "repro.exec.worker --serve",
         "{python}",
         "fleet.json",
         "work stealing",
@@ -270,7 +270,7 @@ def test_fleet_dispatch_is_documented():
 def test_execution_profile_is_documented():
     """The unified execution-config surface is documented: the precedence
     rule, every environment tier, the shared CLI helper, and a migration
-    table for each deprecated knob."""
+    table for each removed legacy knob."""
     architecture = _read("docs", "architecture.md")
     assert "## The execution profile" in architecture
     assert "explicit  >  CLI  >  environment  >  default" in architecture
@@ -282,7 +282,7 @@ def test_execution_profile_is_documented():
         "REPRO_EXEC_SIMULATOR",
         "REPRO_TRACE",
         "DeprecationWarning",
-        "| Deprecated spelling | Replacement |",
+        "| Legacy spelling | Replacement |",
         "tests/exec/test_execution_profile.py",
     ):
         assert reference in architecture, reference

@@ -16,6 +16,7 @@ from repro.core import ElectionParameters
 from repro.core.result import KIND_CLASSIFICATIONS, TrialOutcome
 from repro.exec import (
     BatchRunner,
+    ExecutionProfile,
     GraphSpec,
     TrialSpec,
     algorithm_names,
@@ -123,7 +124,7 @@ class TestUnifiedExecution:
     def test_registry_wide_every_backend_matches_serial_bitwise(self):
         """The backend determinism contract (this PR's acceptance pin): for a
         fixed master seed, every execution backend -- in-process, process
-        pool, persistent wire workers, command dispatch -- produces bitwise
+        pool, persistent wire workers -- produces bitwise
         identical TrialOutcome sets for every registered algorithm, fault
         plans included (the plan's SplitMix64 streams must survive the JSON
         wire exactly)."""
@@ -139,11 +140,15 @@ class TestUnifiedExecution:
                 for result in results
             ]
 
-        reference = signature(BatchRunner(backend="serial").run(specs))
+        reference = signature(
+            BatchRunner(profile=ExecutionProfile(backend="serial")).run(specs)
+        )
         for backend in backend_names():
             if backend == "serial":
                 continue
-            results = BatchRunner(workers=2, backend=backend).run(specs)
+            results = BatchRunner(
+                workers=2, profile=ExecutionProfile(backend=backend)
+            ).run(specs)
             assert signature(results) == reference, backend
 
     def test_non_trial_outcome_return_is_a_registration_bug(self):
@@ -196,11 +201,6 @@ class TestDeclaredCapabilitiesMatchBehaviour:
         for name in algorithm_names():
             outcome = execute_trial(_spec(name, seed=11, fault_plan=plan))
             assert outcome.metrics.fault_events.get("dropped", 0) > 0, name
-
-    def test_deprecated_fault_aware_set_still_importable(self):
-        with pytest.warns(DeprecationWarning, match="FAULT_AWARE_ALGORITHMS"):
-            from repro.exec.algorithms import FAULT_AWARE_ALGORITHMS
-        assert set(algorithm_names()) <= FAULT_AWARE_ALGORITHMS
 
     def test_every_entry_declares_reference_plus_known_simulators(self):
         from repro.core.runner import KNOWN_SIMULATORS

@@ -1,20 +1,18 @@
 """The execution-backend layer: protocol, factory, env override, dispatch."""
 
 import json
-import sys
 
 import pytest
 
 from repro.core import ElectionParameters
 from repro.exec import (
     BatchRunner,
-    CommandBackend,
     ExecutionBackend,
+    ExecutionProfile,
     GraphSpec,
     ProcessPoolBackend,
     SerialBackend,
     SweepSpec,
-    TrialExecutionError,
     TrialSpec,
     WorkerPoolBackend,
     backend_names,
@@ -41,8 +39,8 @@ def _signature(results):
 
 
 class TestRegistry:
-    def test_four_backends_are_registered(self):
-        assert backend_names() == ("command", "process", "serial", "workerpool")
+    def test_three_backends_are_registered(self):
+        assert backend_names() == ("process", "serial", "workerpool")
 
     def test_factory_builds_each(self):
         for name in backend_names():
@@ -57,13 +55,12 @@ class TestRegistry:
 
     def test_declared_death_survival(self):
         assert WorkerPoolBackend(workers=1).survives_worker_death
-        assert CommandBackend().survives_worker_death
         assert not SerialBackend().survives_worker_death
         assert not ProcessPoolBackend(workers=1).survives_worker_death
 
     def test_runner_rejects_a_non_backend(self):
         with pytest.raises(TypeError, match="backend"):
-            BatchRunner(backend=42)
+            BatchRunner(profile=ExecutionProfile(backend=42))
 
     def test_add_backend_argument_tracks_the_registry(self):
         """The shared CLI helper (one definition for every campaign example)
@@ -95,7 +92,7 @@ class TestEnvOverride:
 
     def test_explicit_backend_beats_the_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "bogus")
-        runner = BatchRunner(workers=1, backend="serial")
+        runner = BatchRunner(workers=1, profile=ExecutionProfile(backend="serial"))
         runner.run_sweep(_sweep(trials=1))
         assert runner.last_backend_name == "serial"
 
@@ -113,7 +110,7 @@ class TestCallerOwnedLifecycle:
     def test_backend_instance_serves_multiple_batches(self):
         """A caller-owned pool is not closed by the runner between runs."""
         with WorkerPoolBackend(workers=2) as backend:
-            runner = BatchRunner(workers=2, backend=backend)
+            runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
             first = runner.run_sweep(_sweep())
             pids = set(backend.worker_pids())
             second = runner.run_sweep(_sweep())
@@ -126,7 +123,7 @@ class TestCallerOwnedLifecycle:
         pinned at that size for the rest of its life."""
         single = _sweep(trials=1).expand()[:1]
         with ProcessPoolBackend(workers=2) as backend:
-            runner = BatchRunner(workers=2, backend=backend)
+            runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
             runner.run(single)  # a 1-trial batch only needs 1 process
             assert backend._pool_size == 1
             runner.run_sweep(_sweep(trials=2))
@@ -134,60 +131,11 @@ class TestCallerOwnedLifecycle:
 
     def test_submit_returns_future_like(self):
         spec = _sweep(trials=1).expand()[0]
-        for backend in (SerialBackend(), CommandBackend()):
+        for backend in (SerialBackend(), WorkerPoolBackend(workers=1)):
             payload = backend.submit(spec).result()
             assert payload.error is None
             assert payload.outcome.num_nodes == 12
             backend.close()
-
-
-class TestCommandBackend:
-    def test_round_trip_matches_serial(self):
-        """The local worker entrypoint behind the command template produces
-        the exact serial outcomes (the satellite's round-trip pin)."""
-        sweep = _sweep()
-        reference = BatchRunner(backend="serial").run_sweep(sweep)
-        dispatched = BatchRunner(workers=2, backend=CommandBackend(jobs=2)).run_sweep(sweep)
-        assert _signature(dispatched) == _signature(reference)
-
-    def test_string_template_is_shell_split(self):
-        backend = CommandBackend(template="%s -m repro.exec.worker" % sys.executable)
-        assert backend.argv[1:] == ["-m", "repro.exec.worker"]
-
-    def test_failing_command_captures_the_whole_chunk(self):
-        backend = CommandBackend(
-            template=[sys.executable, "-c", "import sys; sys.exit(3)"]
-        )
-        results = BatchRunner(on_error="capture", backend=backend).run_sweep(_sweep())
-        assert all(result.failed for result in results)
-        assert all("exit status 3" in result.error for result in results)
-
-    def test_garbage_output_captures_the_whole_chunk(self):
-        backend = CommandBackend(template=[sys.executable, "-c", "print('not json')"])
-        results = BatchRunner(on_error="capture", backend=backend).run_sweep(
-            _sweep(trials=1)
-        )
-        assert all("unusable response" in result.error for result in results)
-
-    def test_failing_command_raises_in_raise_mode(self):
-        backend = CommandBackend(
-            template=[sys.executable, "-c", "import sys; sys.exit(3)"]
-        )
-        with pytest.raises(TrialExecutionError, match="exit status 3"):
-            BatchRunner(backend=backend).run_sweep(_sweep(trials=1))
-
-    def test_chunking_covers_every_trial_exactly_once(self):
-        backend = CommandBackend(chunk_size=3, jobs=2)
-        results = BatchRunner(workers=2, backend=backend).run_sweep(_sweep(trials=4))
-        assert [result.spec.label for result in results] == ["n=12"] * 4 + ["n=16"] * 4
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            CommandBackend(jobs=0)
-        with pytest.raises(ValueError):
-            CommandBackend(chunk_size=0)
-        with pytest.raises(ValueError):
-            CommandBackend(template=[])
 
 
 class TestInlineFallback:
@@ -213,7 +161,7 @@ class TestInlineFallback:
             ),
         ]
         with WorkerPoolBackend(workers=1) as backend:
-            results = BatchRunner(backend=backend).run(specs)
+            results = BatchRunner(profile=ExecutionProfile(backend=backend)).run(specs)
         assert [result.failed for result in results] == [False, False]
         # Identical trials, identical outcomes -- wherever each one ran.
         assert outcome_to_dict(results[0].outcome) == outcome_to_dict(results[1].outcome)

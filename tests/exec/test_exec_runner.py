@@ -6,12 +6,10 @@ from repro.core import ElectionParameters
 from repro.exec import (
     BatchRunner,
     GraphSpec,
-    NullReporter,
     ProgressSink,
     ResultCache,
     Shard,
     SweepSpec,
-    TextReporter,
     TrialSpec,
     execute_trial,
 )
@@ -233,32 +231,12 @@ class TestReporting:
         import sys
 
         sweep = _sweep()
-        sink = ProgressSink(stream=sys.stdout, prefix="test")
+        sink = ProgressSink(stream=sys.stdout, prefix="test", keep_lines=True)
         BatchRunner(workers=1, sinks=(sink,)).run_sweep(sweep)
         out = capsys.readouterr().out
         assert out.count("test]") == sweep.num_trials + 2  # start + trials + summary
         assert "4 trials (4 executed, 0 cached)" in out
-
-    def test_reporter_shim_warns_and_matches_sink_output(self):
-        """The deprecation shim: ``reporter=`` still works (behind a
-        DeprecationWarning) and renders exactly the ProgressSink lines."""
-        legacy = TextReporter(prefix="shim", keep_lines=True)
-        with pytest.warns(DeprecationWarning, match="reporter"):
-            BatchRunner(workers=1, reporter=legacy).run_sweep(_sweep())
-        sink = ProgressSink(prefix="shim", keep_lines=True)
-        BatchRunner(workers=1, sinks=(sink,)).run_sweep(_sweep())
-
-        def stable(lines):
-            # The summary line carries wall-clock timings; compare its shape.
-            return [line.split(" in ")[0] for line in lines]
-
-        assert stable(legacy.lines) == stable(sink.lines)
-        assert len(legacy.lines) == _sweep().num_trials + 2
-
-    def test_null_reporter_is_silent(self, capsys):
-        with pytest.warns(DeprecationWarning):
-            BatchRunner(workers=1, reporter=NullReporter()).run_sweep(_sweep())
-        assert capsys.readouterr().out == ""
+        assert "".join(line + "\n" for line in sink.lines) == out
 
     def test_summary_speedup_metric(self):
         runner = BatchRunner(workers=1)

@@ -5,10 +5,10 @@ per dimension::
 
     explicit  >  CLI  >  environment  >  default
 
-plus the deprecation shims that keep the four legacy selection knobs --
-``backend=`` on the runners, ``ResultCache(backend=...)``, per-spec
-simulator engines and hand-rolled ``--trace`` flags -- routing through
-:class:`ExecutionProfile` with unchanged behaviour.
+plus the legacy selection knobs that still exist --
+``ResultCache(backend=...)``, per-spec simulator engines and hand-rolled
+``--trace`` flags -- routing through :class:`ExecutionProfile` with
+unchanged behaviour.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignSpec, write_report
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.core.params import ElectionParameters
 from repro.exec import (
     BatchRunner,
@@ -221,77 +221,14 @@ class TestFromArguments:
         assert "backend=serial" in text and "workers=2" in text
 
 
-class TestDeprecatedBackendShims:
-    """The legacy ``backend=`` keyword folds into the profile, equivalently."""
-
-    def test_batch_runner_backend_keyword_warns_and_folds(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="BatchRunner"):
-            shimmed = BatchRunner(workers=1, backend="serial")
-        assert shimmed.profile.backend == "serial"
-        modern = BatchRunner(workers=1, profile=ExecutionProfile(backend="serial"))
-        from repro.exec.serialize import outcome_to_dict
-
-        specs = [_trial(seed=s) for s in (1, 2)]
-        old = [outcome_to_dict(r.outcome) for r in shimmed.run(specs)]
-        new = [outcome_to_dict(r.outcome) for r in modern.run(specs)]
-        assert old == new
-        assert shimmed.last_backend_name == modern.last_backend_name == "serial"
-
-    def test_batch_runner_rejects_contradictory_double_selection(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="pick one"):
-                BatchRunner(
-                    workers=1,
-                    backend="serial",
-                    profile=ExecutionProfile(backend="workerpool"),
-                )
-
-    def test_campaign_runner_backend_keyword_warns_and_is_equivalent(self, tmp_path):
-        campaign = _campaign()
-        old_dir, new_dir = str(tmp_path / "old"), str(tmp_path / "new")
-        old_cache = ResultCache(os.path.join(old_dir, "cache"))
-        with pytest.warns(DeprecationWarning, match="CampaignRunner"):
-            runner = CampaignRunner(
-                campaign, old_cache, workers=1, directory=old_dir, backend="serial"
-            )
-        runner.run()
-        write_report(campaign, old_cache, old_dir)
-
-        new_cache = ResultCache(os.path.join(new_dir, "cache"))
-        CampaignRunner(
-            campaign,
-            new_cache,
-            workers=1,
-            directory=new_dir,
-            profile=ExecutionProfile(backend="serial"),
-        ).run()
-        write_report(campaign, new_cache, new_dir)
-
-        for artifact in ("report.json", "report.md"):
-            with open(os.path.join(old_dir, artifact), "rb") as handle:
-                expected = handle.read()
-            with open(os.path.join(new_dir, artifact), "rb") as handle:
-                assert handle.read() == expected
-
-    def test_campaign_runner_rejects_contradictory_double_selection(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="pick one"):
-                CampaignRunner(
-                    _campaign(),
-                    ResultCache(tmp_path / "cache"),
-                    backend="serial",
-                    profile=ExecutionProfile(backend="workerpool"),
-                )
+class TestProfileDrivesTheRun:
+    """Each legacy dimension, routed through the one profile object."""
 
     def test_environment_backend_tier_reaches_the_batch_runner(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
         runner = BatchRunner(workers=4)
         runner.run([_trial()])
         assert runner.last_backend_name == "serial"
-
-
-class TestProfileDrivesTheRun:
-    """Each legacy dimension, routed through the one profile object."""
 
     def test_trace_dimension_writes_campaign_telemetry(self, tmp_path):
         directory = str(tmp_path / "traced")

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, write_report
+from repro.core import ElectionParameters
 from repro.exec import ExecutionProfile, GraphSpec, ResultCache, SweepSpec, TrialSpec
 from repro.exec.wire import WIRE_VERSION, read_frame, spec_to_dict, write_frame
 from repro.exec.fingerprint import trial_fingerprint
@@ -22,7 +23,7 @@ from repro.fleet import (
     HostSpec,
     local_inventory,
 )
-from repro.fleet import host as fleet_host
+from repro.exec import worker as serve_loop
 
 #: Fast fleet supervision cadence for tests (hosts answer in well under 2 s).
 FLEET_KWARGS = dict(heartbeat_seconds=0.5, hang_deadline_seconds=10.0)
@@ -123,6 +124,46 @@ class TestFleetRun:
             with open(os.path.join(fleet_dir, artifact), "rb") as handle:
                 assert handle.read() == expected, "%s differs for m=%d" % (artifact, m)
 
+    def test_profiled_fleet_report_matches_a_campaign_naming_the_simulator(self, tmp_path):
+        """The fleet renders its report through the profile too: a run under
+        a run-wide simulator reports full coverage, byte-identical to a
+        single-machine campaign naming that engine on every spec."""
+
+        def election_campaign(simulator):
+            configs = tuple(
+                TrialSpec(
+                    graph=GraphSpec("clique", (n,)),
+                    params=ElectionParameters(c1=3.0, c2=0.5),
+                    simulator=simulator,
+                    label="n=%d" % n,
+                )
+                for n in (8, 10)
+            )
+            sweep = SweepSpec(name="cliques", configs=configs, trials=2, base_seed=3)
+            return CampaignSpec(name="fleet-profiled", sweeps=(sweep,))
+
+        campaign = election_campaign("reference")
+        named = election_campaign("vectorized")
+        single_dir = str(tmp_path / "single")
+        cache = ResultCache(os.path.join(single_dir, "cache"))
+        CampaignRunner(named, cache, workers=1).run()
+        write_report(named, cache, single_dir)
+
+        fleet_dir = str(tmp_path / "fleet")
+        FleetDispatcher(
+            campaign,
+            local_inventory(2),
+            fleet_dir,
+            profile=ExecutionProfile(simulator="vectorized"),
+            **FLEET_KWARGS,
+        ).run()
+        with open(os.path.join(single_dir, "report.json"), "rb") as handle:
+            expected = handle.read()
+        with open(os.path.join(fleet_dir, "report.json"), "rb") as handle:
+            produced = handle.read()
+        assert json.loads(produced)["coverage"] == 1.0
+        assert produced == expected
+
     def test_rerun_resumes_fully_from_the_merged_cache(self, tmp_path):
         campaign = _campaign()
         directory = str(tmp_path / "run")
@@ -170,13 +211,17 @@ class TestFleetRun:
 
 
 def _drive_host(*frames):
-    """Feed frames to the host serve loop in-process; return (status, replies)."""
+    """Feed frames to the one serve loop in-process; return (status, replies).
+
+    Fleet hosts and pool workers are the same ``repro.exec.worker --serve``
+    process, so every case here drives that loop.
+    """
     stdin = io.BytesIO()
     for frame in frames:
         write_frame(stdin, frame)
     stdin.seek(0)
     stdout = io.BytesIO()
-    status = fleet_host._serve(stdin, stdout)
+    status = serve_loop._serve(stdin, stdout)
     stdout.seek(0)
     replies = []
     while True:

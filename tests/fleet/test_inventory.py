@@ -18,7 +18,7 @@ from repro.fleet import (
 class TestHostSpec:
     def test_default_command_is_the_local_host_process(self):
         argv = HostSpec(name="a").command_argv()
-        assert argv == [sys.executable, "-m", "repro.fleet.host", "--serve"]
+        assert argv == [sys.executable, "-m", "repro.exec.worker", "--serve"]
 
     def test_python_field_overrides_the_interpreter(self):
         argv = HostSpec(name="a", python="/opt/py/bin/python").command_argv()
@@ -26,7 +26,7 @@ class TestHostSpec:
 
     def test_ssh_template_expands_placeholders(self):
         host = HostSpec(
-            name="node42", command="ssh {host} {python} -m repro.fleet.host --serve"
+            name="node42", command="ssh {host} {python} -m repro.exec.worker --serve"
         )
         argv = host.command_argv()
         assert argv[0] == "ssh"
@@ -61,7 +61,7 @@ class TestHostSpec:
     def test_document_round_trip(self):
         host = HostSpec(
             name="n1",
-            command="ssh {host} {python} -m repro.fleet.host",
+            command="ssh {host} {python} -m repro.exec.worker",
             workers=4,
             env={"X": "1"},
             python="/usr/bin/python3",
@@ -102,7 +102,7 @@ class TestInventory:
 
     def test_load_inventory_reads_json_files(self, tmp_path):
         hosts = (
-            HostSpec(name="n1", command="ssh n1 {python} -m repro.fleet.host --serve"),
+            HostSpec(name="n1", command="ssh n1 {python} -m repro.exec.worker --serve"),
             HostSpec(name="n2", workers=8),
         )
         path = tmp_path / "fleet.json"
