@@ -1,13 +1,20 @@
 """Unit tests for the vectorized walk-phase engine (``repro.sim.vectorized``)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.runner import run_leader_election
 from repro.exec import GraphSpec, TrialSpec, trial_fingerprint
+from repro.exec.execute import execute_trial
+from repro.exec.serialize import outcome_to_dict
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
 from repro.graphs import expander_graph
+from repro.graphs.generators import gilbert_connectivity_radius
 from repro.graphs.topology import Graph
+from repro.obs import Tracer, TraceSink, use_tracer
 from repro.sim import (
     VECTORIZED_WALK_STREAM,
     VectorizedUnsupported,
@@ -130,3 +137,97 @@ class TestSmallAndDegenerateGraphs:
         assert outcome.metrics.max_edge_bits_in_round > 0
         no_cap = run_vectorized_election(graph, seed=2)
         assert no_cap.metrics.messages == outcome.metrics.messages
+
+
+_EXPANDER_64 = GraphSpec("expander", (64,), {"degree": 6}, seed=5)
+
+#: SHA-256 of ``json.dumps(outcome_to_dict(outcome))`` (insertion order, so
+#: ``messages_by_kind`` key order is pinned too), recorded before the engine's
+#: bookkeeping was vectorized.  Any change to RNG draws, rounds, message
+#: units, leaders or crash sets changes a digest.
+_GOLDEN = {
+    "election-expander": (
+        TrialSpec(graph=_EXPANDER_64, seed=1, simulator="vectorized"),
+        "dba4d82a5fa8785c68afc2f9d147c3330a42f19da27a71380630a257fc1d0338",
+    ),
+    "election-hypercube": (
+        TrialSpec(graph=GraphSpec("hypercube", (6,)), seed=2, simulator="vectorized"),
+        "fbac7f3c8ade0627d4c4b3ecb43a9e45324db1bb870ade3d406f805d6bbc7521",
+    ),
+    "election-gilbert": (
+        TrialSpec(
+            graph=GraphSpec("gilbert", (64, gilbert_connectivity_radius(64)), seed=6),
+            seed=3,
+            simulator="vectorized",
+        ),
+        "13d408660817423f54d8a2f00e9db2e52f688b21c8fd254e5c6282c58d10fdfa",
+    ),
+    "election-expander-crash": (
+        TrialSpec(
+            graph=_EXPANDER_64,
+            seed=4,
+            simulator="vectorized",
+            fault_plan=FaultPlan(crashes=CrashFaults(count=2, at_phase=2)),
+        ),
+        "ad82249a7bec9d14cbe8bc74950d9543fc30f42e4c97e060c95d4f9e601c3924",
+    ),
+    "known_tmix-expander": (
+        TrialSpec(graph=_EXPANDER_64, seed=5, algorithm="known_tmix", simulator="vectorized"),
+        "687045d10a4cd9eea5b01a9852a5f8acaaf005ff11078c389023ce2ad7a02dc5",
+    ),
+    "election-congestion": (
+        TrialSpec(
+            graph=_EXPANDER_64,
+            seed=6,
+            simulator="vectorized",
+            algo_kwargs={"edge_capacity_words": 1},
+        ),
+        "26403c87302c8e577be4ecc026e744b445d9ece91f6eed373a40744db18ff219",
+    ),
+}
+
+
+def _digest(outcome) -> str:
+    return hashlib.sha256(json.dumps(outcome_to_dict(outcome)).encode()).hexdigest()
+
+
+class TestGoldenOutcomes:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_outcome_digest_is_pinned(self, name):
+        spec, expected = _GOLDEN[name]
+        outcome = execute_trial(spec)
+        assert outcome.extras["simulator"] == "vectorized"
+        assert _digest(outcome) == expected
+
+    def test_pins_cover_crashes_and_congestion(self):
+        crash = execute_trial(_GOLDEN["election-expander-crash"][0])
+        assert len(crash.crashed_nodes) == 2
+        assert crash.metrics.fault_events["lost_to_crash"] > 0
+        congested = execute_trial(_GOLDEN["election-congestion"][0])
+        assert congested.metrics.congestion_events > 0
+
+
+class _Collect(TraceSink):
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestTracedRun:
+    @pytest.mark.parametrize(
+        "name", ["election-expander-crash", "known_tmix-expander", "election-congestion"]
+    )
+    def test_traced_outcome_matches_untraced(self, name):
+        spec, _expected = _GOLDEN[name]
+        untraced = execute_trial(spec)
+        sink = _Collect()
+        with use_tracer(Tracer(sink)):
+            traced = execute_trial(spec)
+        assert _digest(traced) == _digest(untraced)
+        phases = [r for r in sink.records if r["name"] == "vec.phase"]
+        assert phases
+        last = phases[-1]["attrs"]
+        assert last["messages"] == traced.metrics.messages
+        assert last["message_units"] == traced.metrics.message_units
