@@ -11,6 +11,15 @@ an int vector, one CSR neighbour-table gather moves every walk of every
 contender per round, and coin flips come in bulk from a dedicated seed
 stream.
 
+Cost model: the walk's per-round work is array operations, and the trees'
+forward edges are deduplicated as 1-D ``int64`` keys
+``(tree * n + src) * n + dst``.  Converge-cast and cascade messages are
+tallied per ``(kind, size_bits)`` and folded into the metric totals once
+per phase.  The winner cascade is a round-ordered FIFO that queues a
+delivery only when it still has work to do, and the converge-casts read
+per-tree rows, crash rounds and heard-winner rounds as Python lists, built
+once per tree or run.
+
 Seed-stream contract
 --------------------
 Identities and contender nominations are drawn through the exact per-node
@@ -45,9 +54,9 @@ round-interleaved across trees.
 
 from __future__ import annotations
 
-import heapq
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -181,29 +190,48 @@ def _crash_rounds(
 
 
 class _Metrics:
-    """Bulk-friendly stand-in for the reference MetricsCollector."""
+    """Bulk-friendly stand-in for the reference MetricsCollector.
 
-    def __init__(self, word_bits: int, track_edges: bool) -> None:
+    Walk tokens arrive a round at a time as arrays (:meth:`record_bulk`).
+    Every other send is tallied per ``(kind, size_bits)`` by :meth:`record`
+    and folded into the totals by :meth:`flush`, once per phase; the tally
+    keeps first-seen order, so ``by_kind`` gains its keys in the order the
+    per-message accounting would give them.
+    """
+
+    def __init__(self, word_bits: int, n: int, track_edges: bool) -> None:
         self.word_bits = word_bits
+        self.n = n
         self.messages = 0
         self.message_units = 0
         self.bits = 0
         self.by_kind: Dict[str, int] = {}
         self.units_by_kind: Dict[str, int] = {}
-        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = (
-            {} if track_edges else None
-        )
+        self.tally: Dict[Tuple[str, int], int] = {}
+        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = {} if track_edges else None
 
-    def record(self, kind: str, size_bits: int, rnd: int, u: int, v: int) -> None:
-        units = max(1, -(-size_bits // self.word_bits))
-        self.messages += 1
+    def _add(self, kind: str, count: int, units: int, bits: int) -> None:
+        self.messages += count
         self.message_units += units
-        self.bits += size_bits
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.bits += bits
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + count
         self.units_by_kind[kind] = self.units_by_kind.get(kind, 0) + units
-        if self.edge_bits is not None:
-            key = (rnd, u, v)
-            self.edge_bits[key] = self.edge_bits.get(key, 0) + size_bits
+
+    def record(self, kind: str, size_bits: int, rnd: int, u: int, targets: Sequence[int]) -> None:
+        """Tally one ``size_bits`` message from ``u`` to each of ``targets``."""
+        key = (kind, size_bits)
+        self.tally[key] = self.tally.get(key, 0) + len(targets)
+        edge_bits = self.edge_bits
+        if edge_bits is not None:
+            for v in targets:
+                edge = (rnd, u, v)
+                edge_bits[edge] = edge_bits.get(edge, 0) + size_bits
+
+    def flush(self) -> None:
+        """Fold the pending tallies into the totals."""
+        for (kind, size), count in self.tally.items():
+            self._add(kind, count, max(1, -(-size // self.word_bits)) * count, size * count)
+        self.tally.clear()
 
     def record_bulk(
         self,
@@ -213,24 +241,81 @@ class _Metrics:
         src: np.ndarray,
         dst: np.ndarray,
     ) -> None:
-        count = int(sizes.size)
-        if not count:
-            return
+        """Account one round's messages: ``sizes[i]`` bits from ``src[i]``
+        to ``dst[i]``, with the loads summed per edge before they are kept."""
         units = np.maximum(1, (sizes + self.word_bits - 1) // self.word_bits)
-        self.messages += count
-        self.message_units += int(units.sum())
-        self.bits += int(sizes.sum())
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-        self.units_by_kind[kind] = self.units_by_kind.get(kind, 0) + int(units.sum())
-        if self.edge_bits is not None:
-            for u, v, s in zip(src.tolist(), dst.tolist(), sizes.tolist()):
-                key = (rnd, u, v)
-                self.edge_bits[key] = self.edge_bits.get(key, 0) + s
+        self._add(kind, int(sizes.size), int(units.sum()), int(sizes.sum()))
+        edge_bits = self.edge_bits
+        if edge_bits is not None:
+            edges, inverse = np.unique(src * self.n + dst, return_inverse=True)
+            loads = np.zeros(edges.size, dtype=np.int64)
+            np.add.at(loads, inverse, sizes)
+            for edge, load in zip(edges.tolist(), loads.tolist()):
+                key = (rnd, *divmod(edge, self.n))
+                edge_bits[key] = edge_bits.get(key, 0) + load
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` for positive integers."""
     return np.frexp(values.astype(np.float64))[1].astype(np.int64)
+
+
+def _runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``sorted_keys``."""
+    starts = np.ones(sorted_keys.size, dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(starts)
+
+
+def _forward_maps(move_keys: List[np.ndarray], n: int, trees: int) -> List[Dict[int, List[int]]]:
+    """Per-tree forward edges ``{src: [dst, ...]}``, sources and targets
+    ascending, from the walk's ``(tree * n + src) * n + dst`` move keys."""
+    maps: List[Dict[int, List[int]]] = [{} for _ in range(trees)]
+    if not move_keys:
+        return maps
+    keys = np.concatenate(move_keys)
+    keys.sort()
+    keys = keys[_runs(keys)]
+    heads = keys // n
+    dst = (keys % n).tolist()
+    starts = _runs(heads)
+    ends = starts[1:].tolist() + [keys.size]
+    for head, begin, end in zip(heads[starts].tolist(), starts.tolist(), ends):
+        tree, src = divmod(head, n)
+        maps[tree][src] = dst[begin:end]
+    return maps
+
+
+class _Tree:
+    """One retained walk tree, as the winner cascade reads it."""
+
+    __slots__ = ("origin", "parent", "fwd", "winner_size", "flooded", "sent_up")
+
+    def __init__(
+        self, origin: int, parent: List[int], fwd: Dict[int, List[int]], winner_size: int
+    ) -> None:
+        self.origin = origin
+        self.parent = parent
+        self.fwd = fwd
+        self.winner_size = winner_size
+        self.flooded: Set[int] = set()  # nodes that forwarded winner-down
+        self.sent_up: Set[int] = set()  # nodes that relayed winner-up
+
+
+def _convergecast_order(offsets: np.ndarray, L: int) -> Tuple[List[int], List[int]]:
+    """One walk tree's converge-cast schedule.
+
+    Returns the tree's non-origin members deepest join offset first, ties by
+    node id -- the order their reports go out, in nondecreasing send round --
+    and every node's send delay after the segment start, ``max(0, L -
+    offset)`` (``-_NEVER`` off the tree and at the origin, whose offset is 0).
+    """
+    members = np.flatnonzero(offsets > 0)
+    offs = offsets[members]
+    order = np.lexsort((members, -offs))
+    delay = np.full(offsets.size, -_NEVER, dtype=np.int64)
+    delay[members] = np.maximum(0, L - offs)
+    return members[order].tolist(), delay.tolist()
 
 
 def _run_engine(
@@ -263,40 +348,47 @@ def _run_engine(
     crash_map = _crash_rounds(
         fault_plan, seed, n, lambda index: schedule.window(index).start
     )
-    crash = np.full(n, _NEVER, dtype=np.int64)
+    # Crash rounds twice over: an array for the walk's bulk masks, a list for
+    # the scalar reads of the converge-casts and the cascade.
+    crash_np = np.full(n, _NEVER, dtype=np.int64)
     for node, rnd in crash_map.items():
-        crash[node] = rnd
+        crash_np[node] = rnd
+    crash = crash_np.tolist()
     has_faults = fault_plan is not None and not fault_plan.is_empty
 
     # Algorithm 1: byte-identical identities and nominations.  Identifiers
     # live in a plain list -- id_space is n^4 and overflows int64 past
     # n ~ 55k, and the engine only ever reads them as Python scalars.
     ids: List[int] = [0] * n
-    contender = np.zeros(n, dtype=bool)
+    contender = [False] * n
     for i in range(n):
         rng = random.Random(derive_seed(network_seed, i))
         ids[i] = rng.randint(1, params.id_space(n_eff))
         contender[i] = rng.random() < params.contender_probability(n_eff)
-    contender_nodes = [int(v) for v in np.nonzero(contender)[0]]
-    if len({int(ids[v]) for v in contender_nodes}) < len(contender_nodes):
+    contender_nodes = [v for v in range(n) if contender[v]]
+    if len({ids[v] for v in contender_nodes}) < len(contender_nodes):
         raise VectorizedUnsupported(
             "duplicate contender identifiers alias their walk trees"
         )
-    id_to_contender = {int(ids[v]): v for v in contender_nodes}
+    id_to_contender = {ids[v]: v for v in contender_nodes}
 
     wrng = np.random.Generator(
         np.random.PCG64(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
     )
     indptr, indices, degrees = graph_csr(graph)
+    isolated = bool((degrees == 0).any())  # tokens on isolated nodes never move
     WB = word_bits_for(n)
     IDB = id_bits(n_eff)
-    metrics = _Metrics(WB, edge_capacity_words is not None)
+    metrics = _Metrics(WB, n, edge_capacity_words is not None)
+    record = metrics.record
     walks_per = params.num_walks(n_eff)
 
-    learn = np.full(n, _NEVER, dtype=np.int64)  # round each node heard a winner
+    # Round each node heard a winner: a list for the scalar reads of the
+    # converge-casts and the cascade, copied to an array for each walk.
+    learn = [_NEVER] * n
     proxy_for: List[Set[int]] = [set() for _ in range(n)]
     latest_phase: List[Dict[int, int]] = [{} for _ in range(n)]
-    rules_fired = np.zeros(n, dtype=bool)
+    rules_fired = [False] * n
 
     # Per-contender protocol state (mirrors LeaderElectionNode fields).
     state = {
@@ -318,9 +410,7 @@ def _run_engine(
     }
 
     # Retained per-(contender node, phase) trees for the winner cascade.
-    trees: Dict[Tuple[int, int], Dict[str, object]] = {}
-    wdf: Set[Tuple[int, int, int]] = set()  # (node, origin node, phase) winner-down sent
-    wus: Set[Tuple[int, int, int]] = set()  # (node, origin node, phase) winner-up sent
+    trees: Dict[Tuple[int, int], _Tree] = {}
 
     last_activity = 0
     clock = 0
@@ -340,72 +430,69 @@ def _run_engine(
         if r > clock:
             clock = min(r, max_rounds)
 
-    def knows(v: int, r: int) -> bool:
-        return int(learn[v]) <= r
-
     # ------------------------------------------------------------ winner cascade
-    events: List[Tuple[int, int, str, int, int, int]] = []
-    seq = 0
+    # A winner message sent in round r is accounted (metrics, activity and
+    # the receiver's heard-winner round) when sent, and queued for delivery
+    # in round r + 1.  Events pop in round order and every send lands one
+    # round after its pop, so the FIFO stays sorted by round and pops in
+    # (round, send order) -- the order of a (round, sequence) heap.  The
+    # cascade never reads ``learn``, and the decide loop that starts it
+    # reads it only at the decide round, before any delivery lands.
+    queue: Deque[Tuple[int, bool, int, _Tree]] = deque()
 
-    def push(r: int, kind: str, node: int, origin: int, phase: int) -> None:
-        nonlocal seq
-        heapq.heappush(events, (r, seq, kind, node, origin, phase))
-        seq += 1
-
-    def winner_size(phase: int) -> int:
-        return 2 * IDB + counter_bits(max(1, phase)) + 1
-
-    def flood_down(origin: int, phase: int, node: int, r: int) -> None:
-        """Forward winner-down over ``node``'s forward edges of one tree."""
-        nonlocal completed
-        tree = trees.get((origin, phase))
-        if tree is None:
+    def flood_down(tree: _Tree, node: int, r: int) -> None:
+        """Forward winner-down over ``node``'s forward edges of ``tree``."""
+        nonlocal completed, lost_to_crash
+        flooded = tree.flooded
+        if node in flooded:
             return
-        key = (node, origin, phase)
-        if key in wdf:
+        flooded.add(node)
+        targets = tree.fwd.get(node)
+        if not targets:
             return
-        wdf.add(key)
-        size = winner_size(phase)
-        for target in tree["fwd"].get(node, ()):  # type: ignore[union-attr]
-            metrics.record("winner_down", size, r, node, target)
-            a = r + 1
-            if a > max_rounds:
-                completed = False
-                continue
+        record("winner_down", tree.winner_size, r, node, targets)
+        a = r + 1
+        if a > max_rounds:
+            completed = False
+            return
+        assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
+        delivered = False
+        for target in targets:
             if crash[target] <= a:
                 if has_faults:
-                    nonlocal_lost(1)
+                    lost_to_crash += 1
                 continue
-            push(a, "down", target, origin, phase)
+            delivered = True
+            if learn[target] > a:
+                learn[target] = a
+            # Delivery is a no-op for a node that already forwarded over
+            # this tree and fired its rules.
+            if target not in flooded or not rules_fired[target]:
+                queue.append((a, True, target, tree))
+        if delivered:
+            act(a)
 
-    def send_up(origin: int, phase: int, node: int, r: int) -> None:
-        """Relay winner-up one hop towards ``origin`` along its tree."""
-        nonlocal completed
-        tree = trees.get((origin, phase))
-        if tree is None:
+    def send_up(tree: _Tree, node: int, r: int) -> None:
+        """Relay winner-up one hop towards the origin of ``tree``."""
+        nonlocal completed, lost_to_crash
+        parent = tree.parent[node]
+        if parent < 0 or node in tree.sent_up:
             return
-        parent = int(tree["parent"][node])  # type: ignore[index]
-        if parent < 0:
-            return
-        key = (node, origin, phase)
-        if key in wus:
-            return
-        wus.add(key)
-        size = winner_size(phase)
-        metrics.record("winner_up", size, r, node, parent)
+        tree.sent_up.add(node)
+        record("winner_up", tree.winner_size, r, node, (parent,))
         a = r + 1
         if a > max_rounds:
             completed = False
             return
         if crash[parent] <= a:
             if has_faults:
-                nonlocal_lost(1)
+                lost_to_crash += 1
             return
-        push(a, "up", parent, origin, phase)
-
-    def nonlocal_lost(k: int) -> None:
-        nonlocal lost_to_crash
-        lost_to_crash += k
+        act(a)
+        if learn[parent] > a:
+            learn[parent] = a
+        assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
+        queue.append((a, False, parent, tree))
 
     def fire_rules(v: int, r: int) -> None:
         """Algorithm 2 lines 6-7, once per node (reference _fire_winner_rules)."""
@@ -414,7 +501,7 @@ def _run_engine(
         rules_fired[v] = True
         # Rule 6: a proxy notifies every contender it serves.
         for origin_id in sorted(proxy_for[v]):
-            if origin_id == int(ids[v]):
+            if origin_id == ids[v]:
                 continue
             phase = latest_phase[v].get(origin_id)
             if phase is None:
@@ -422,28 +509,23 @@ def _run_engine(
             origin = id_to_contender.get(origin_id)
             if origin is None:
                 continue
-            send_up(origin, phase, v, r)
+            tree = trees.get((origin, phase))
+            if tree is not None:
+                send_up(tree, v, r)
         # Rule 7: a contender notifies all of its proxies.
         if contender[v]:
-            current = state[v]["current_phase"]
-            if current >= 0:
-                flood_down(v, int(current), v, r)
+            tree = trees.get((v, state[v]["current_phase"]))
+            if tree is not None:
+                flood_down(tree, v, r)
 
     def drain_events() -> None:
-        while events:
-            r, _s, kind, node, origin, phase = heapq.heappop(events)
-            act(r)
-            if int(learn[node]) > r:
-                learn[node] = r
-            if kind == "down":
-                flood_down(origin, phase, node, r)
-                fire_rules(node, r)
-            else:  # winner-up
-                if int(ids[node]) == int(ids[origin]) and contender[node]:
-                    fire_rules(node, r)
-                    continue
-                send_up(origin, phase, node, r)
-                fire_rules(node, r)
+        while queue:
+            r, down, node, tree = queue.popleft()
+            if down:
+                flood_down(tree, node, r)
+            elif node != tree.origin:  # winner-up still travelling
+                send_up(tree, node, r)
+            fire_rules(node, r)
 
     # ----------------------------------------------------------------- phases
     active = [v for v in contender_nodes if crash[v] > 0]
@@ -481,9 +563,9 @@ def _run_engine(
         par = np.full((S, n), -1, dtype=np.int64)
         proxies = np.zeros((S, n), dtype=np.int64)
         off[np.arange(S), starters_arr] = 0
-        fwd_own: List[np.ndarray] = []
-        fwd_src: List[np.ndarray] = []
-        fwd_dst: List[np.ndarray] = []
+        off_flat = off.reshape(-1)  # views indexed by tree * n + node
+        par_flat = par.reshape(-1)
+        move_keys: List[np.ndarray] = []  # each round's unique move keys
 
         for s, v in enumerate(starters):
             st = state[v]
@@ -491,9 +573,13 @@ def _run_engine(
             st["final_walk_length"] = L
             st["current_phase"] = phase
             st["distinct"] = 0
-            latest_phase[v][int(ids[v])] = phase
+            latest_phase[v][ids[v]] = phase
 
         # ---------------------------------------------------- WALK (vectorized)
+        learn_np = np.array(learn, dtype=np.int64)
+        phase_bits = counter_bits(max(1, phase))
+        # Winner flags ride on walk tokens only once some node has heard.
+        spreading = bool((learn_np < _NEVER).any())
         owners = np.repeat(np.arange(S, dtype=np.int64), walks_per)
         pos = np.repeat(starters_arr, walks_per)
         cap_hit_mid_walk = False
@@ -505,77 +591,79 @@ def _run_engine(
                 pos = pos[:0]
                 owners = owners[:0]
                 break
-            alive_tok = crash[pos] > r
-            if not alive_tok.all():
-                tick(r)
-                pos = pos[alive_tok]
-                owners = owners[alive_tok]
+            if crash_map:
+                alive_tok = crash_np[pos] > r
+                if not alive_tok.all():
+                    tick(r)
+                    pos = pos[alive_tok]
+                    owners = owners[alive_tok]
             if pos.size == 0:
                 break
             act(r)
-            coins = wrng.random(pos.size)
-            degp = degrees[pos]
-            move = (coins >= 0.5) & (degp > 0)
-            stay_pos = pos[~move]
-            stay_own = owners[~move]
-            if move.any():
-                msrc = pos[move]
-                mown = owners[move]
-                ports = (wrng.random(msrc.size) * degrees[msrc]).astype(np.int64)
-                np.minimum(ports, degrees[msrc] - 1, out=ports)
+            move = wrng.random(pos.size) >= 0.5
+            if isolated:
+                move &= degrees[pos] > 0
+            moving = np.flatnonzero(move)
+            staying = np.flatnonzero(~move)
+            stay_pos = pos[staying]
+            stay_own = owners[staying]
+            if moving.size:
+                msrc = pos[moving]
+                mown = owners[moving]
+                degm = degrees[msrc]
+                ports = (wrng.random(msrc.size) * degm).astype(np.int64)
+                np.minimum(ports, degm - 1, out=ports)
                 mdst = indices[indptr[msrc] + ports]
+                # One key per (tree, src, dst) move, in lexicographic order;
+                # the round's unique keys are also the tree's forward edges.
                 key = (mown * n + msrc) * n + mdst
                 order = np.argsort(key, kind="stable")
-                _uniq, first, counts = np.unique(
-                    key[order], return_index=True, return_counts=True
-                )
-                g_own = mown[order][first]
-                g_src = msrc[order][first]
-                g_dst = mdst[order][first]
-                sizes = (
-                    IDB
-                    + counter_bits(t)
-                    + counter_bits(max(1, phase))
-                    + 1
-                    + _bit_lengths(counts)
-                )
+                sorted_key = key[order]
+                first = _runs(sorted_key)
+                move_keys.append(sorted_key[first])
+                counts = np.diff(first, append=sorted_key.size)
+                head = order[first]
+                g_own = mown[head]
+                g_src = msrc[head]
+                g_dst = mdst[head]
+                sizes = IDB + counter_bits(t) + phase_bits + 1 + _bit_lengths(counts)
                 metrics.record_bulk("walk_token", sizes, r, g_src, g_dst)
-                fwd_own.append(g_own)
-                fwd_src.append(g_src)
-                fwd_dst.append(g_dst)
                 if r + 1 > max_rounds:
                     completed = False
                     cap_hit_mid_walk = True
-                    delivered_tok = np.zeros(mdst.size, dtype=bool)
+                    mdst = mdst[:0]
+                    mown = mown[:0]
                 else:
-                    g_alive = crash[g_dst] > r + 1
-                    if has_faults:
+                    if crash_map:
+                        g_alive = crash_np[g_dst] > r + 1
                         lost_to_crash += int((~g_alive).sum())
-                    delivered_tok = crash[mdst] > r + 1
-                    if g_alive.any():
+                        g_own = g_own[g_alive]
+                        g_src = g_src[g_alive]
+                        g_dst = g_dst[g_alive]
+                        delivered_tok = crash_np[mdst] > r + 1
+                        mdst = mdst[delivered_tok]
+                        mown = mown[delivered_tok]
+                    if g_dst.size:
                         act(r + 1)
-                        d_own = g_own[g_alive]
-                        d_src = g_src[g_alive]
-                        d_dst = g_dst[g_alive]
-                        flagged = learn[d_src] <= r
-                        if flagged.any():
-                            np.minimum.at(learn, d_dst[flagged], r + 1)
-                        ordr = np.lexsort((d_src, d_own * n + d_dst))
-                        o2 = d_own[ordr]
-                        s2 = d_src[ordr]
-                        dd2 = d_dst[ordr]
-                        pairkey = o2 * n + dd2
-                        firstmask = np.ones(pairkey.size, dtype=bool)
-                        firstmask[1:] = pairkey[1:] != pairkey[:-1]
-                        fo = o2[firstmask]
-                        fs = s2[firstmask]
-                        fd = dd2[firstmask]
-                        new = off[fo, fd] == -1
-                        offset_val = max(1, (r + 1) - start)
-                        off[fo[new], fd[new]] = offset_val
-                        par[fo[new], fd[new]] = fs[new]
-                pos = np.concatenate([stay_pos, mdst[delivered_tok]])
-                owners = np.concatenate([stay_own, mown[delivered_tok]])
+                        if spreading:
+                            flagged = learn_np[g_src] <= r
+                            if flagged.any():
+                                np.minimum.at(learn_np, g_dst[flagged], r + 1)
+                        # A node joins a tree through its smallest-id sender
+                        # of the first round a token of that tree reaches it.
+                        joins = g_own * n + g_dst
+                        fresh = off_flat[joins] == -1
+                        if fresh.any():
+                            joins = joins[fresh]
+                            senders = g_src[fresh]
+                            order = np.argsort(joins * n + senders)
+                            joins = joins[order]
+                            senders = senders[order]
+                            first = _runs(joins)
+                            off_flat[joins[first]] = max(1, (r + 1) - start)
+                            par_flat[joins[first]] = senders[first]
+                pos = np.concatenate([stay_pos, mdst])
+                owners = np.concatenate([stay_own, mown])
             else:
                 pos = stay_pos
                 owners = stay_own
@@ -587,87 +675,71 @@ def _run_engine(
                 break
             if cap_hit_mid_walk:
                 break
+        learn[:] = learn_np.tolist()
 
         # Tree bookkeeping shared by the exchange segments and the cascade.
-        if fwd_own:
-            all_own = np.concatenate(fwd_own)
-            all_src = np.concatenate(fwd_src)
-            all_dst = np.concatenate(fwd_dst)
-            tri = np.unique(
-                np.stack([all_own, all_src, all_dst], axis=1), axis=0
-            )
-        else:
-            tri = np.zeros((0, 3), dtype=np.int64)
-        fwd_maps: List[Dict[int, List[int]]] = [dict() for _ in range(S)]
-        for o, u, v in tri.tolist():
-            fwd_maps[o].setdefault(u, []).append(v)
-        members_of: List[np.ndarray] = []
+        fwd_maps = _forward_maps(move_keys, n, S)
+        winner_size = 2 * IDB + phase_bits + 1
+        parent_rows = par.tolist()
+        proxy_rows = proxies.tolist()
+        schedules: List[Tuple[List[int], List[int]]] = []
         for s, v in enumerate(starters):
-            members = np.nonzero(off[s] >= 0)[0]
-            members_of.append(members)
-            idk = int(ids[v])
-            for m in members.tolist():
+            idk = ids[v]
+            for m in np.flatnonzero(off[s] >= 0).tolist():
                 latest_phase[m][idk] = phase
-            prox_nodes = np.nonzero(proxies[s] > 0)[0]
-            for m in prox_nodes.tolist():
+            for m in np.flatnonzero(proxies[s] > 0).tolist():
                 proxy_for[m].add(idk)
-            trees[(v, phase)] = {
-                "parent": par[s],
-                "fwd": fwd_maps[s],
-                "origin": v,
-            }
+            trees[(v, phase)] = _Tree(v, parent_rows[s], fwd_maps[s], winner_size)
+            schedules.append(_convergecast_order(off[s], L))
 
         if cap_hit_mid_walk:
             break
 
-        phase_bits = counter_bits(max(1, phase))
-
         # ------------------------------------------------------------- REPORT
         for s, origin in enumerate(starters):
-            idk = int(ids[origin])
-            members = members_of[s]
-            offs = off[s][members]
-            order = np.lexsort((members, -offs))
+            idk = ids[origin]
+            ranked, delay = schedules[s]
+            if ranked:
+                tick(report_start + delay[ranked[-1]])
+            counts_of = proxy_rows[s]
+            parents = parent_rows[s]
             buf_ids: Dict[int, Set[int]] = {}
             buf_distinct: Dict[int, int] = {}
             buf_proxies: Dict[int, int] = {}
-            r_of: Dict[int, int] = {}
-            for m, o in zip(members.tolist(), offs.tolist()):
-                r_of[m] = report_start + max(0, L - o)
             st = state[origin]
-            for idx in order.tolist():
-                v = int(members[idx])
-                if v == origin:
-                    continue
-                r_v = r_of[v]
-                tick(r_v)
+            reached = 0  # latest active round (ranked is in nondecreasing send round)
+            for v in ranked:
+                r_v = report_start + delay[v]
                 if r_v > max_rounds:
                     completed = False
                     continue
                 if crash[v] <= r_v:
                     continue
-                act(r_v)
+                if r_v > reached:
+                    reached = r_v
                 v_ids = buf_ids.get(v, set())
                 v_distinct = buf_distinct.get(v, 0)
                 v_proxies = buf_proxies.get(v, 0)
-                if proxies[s][v] > 0:
+                count = counts_of[v]
+                if count > 0:
                     v_ids |= {o for o in proxy_for[v] if o != idk}
-                    if proxies[s][v] == 1:
+                    if count == 1:
                         v_distinct += 1
-                    v_proxies += int(proxies[s][v])
-                v_knows = knows(v, r_v)
+                    v_proxies += count
+                v_knows = learn[v] <= r_v
                 if not v_ids and v_distinct == 0 and not v_knows:
                     continue
+                # counter_bits(max(1, c)) for the counters c >= 0
                 size = (
                     IDB
                     + len(v_ids) * IDB
-                    + counter_bits(max(1, v_distinct))
-                    + counter_bits(max(1, v_proxies))
+                    + (v_distinct or 1).bit_length()
+                    + (v_proxies or 1).bit_length()
                     + phase_bits
                     + 1
                 )
-                parent = int(par[s][v])
-                metrics.record("report", size, r_v, v, parent)
+                parent = parents[v]
+                record("report", size, r_v, v, (parent,))
                 a = r_v + 1
                 if a > max_rounds:
                     completed = False
@@ -676,91 +748,95 @@ def _run_engine(
                     if has_faults:
                         lost_to_crash += 1
                     continue
-                act(a)
-                if v_knows and int(learn[parent]) > a:
+                reached = a
+                if v_knows and learn[parent] > a:
                     learn[parent] = a
                 if parent == origin:
                     st["adjacency"] |= v_ids
                     st["distinct"] += v_distinct
-                elif a <= r_of.get(parent, -1):
+                elif a <= report_start + delay[parent]:
                     buf_ids.setdefault(parent, set()).update(v_ids)
                     buf_distinct[parent] = buf_distinct.get(parent, 0) + v_distinct
                     buf_proxies[parent] = buf_proxies.get(parent, 0) + v_proxies
+            act(reached)
 
         # --------------------------------------------------------- DISTRIBUTE
         i2_acc: Dict[int, Set[int]] = {}
-        for s, origin in enumerate(starters):
-            tick(distribute_start)
-            if distribute_start > max_rounds:
-                completed = False
-                continue
+        tick(distribute_start)
+        if distribute_start > max_rounds:
+            completed = False
+        for s, origin in enumerate(starters if distribute_start <= max_rounds else ()):
             if crash[origin] <= distribute_start:
                 continue
             act(distribute_start)
-            st = state[origin]
-            i2 = set(st["adjacency"])
+            i2 = set(state[origin]["adjacency"])
             if not i2:
                 continue
-            if proxies[s][origin] > 0:
-                i2_acc.setdefault(origin, set()).update(i2)
+            offsets = off[s].tolist()
+            counts_of = proxy_rows[s]
             size = IDB + len(i2) * IDB + phase_bits + 1
             fwd = fwd_maps[s]
+            proxies_reached = {origin} if counts_of[origin] > 0 else set()
             forwarded = {origin}
-            frontier = [(distribute_start, origin)]
+            frontier = deque([(distribute_start, origin)])
+            reached = 0
             while frontier:
-                t_r, u = frontier.pop(0)
-                u_knows = knows(u, t_r)
-                for target in fwd.get(u, ()):
-                    metrics.record("distribute", size, t_r, u, target)
-                    a = t_r + 1
-                    if a > max_rounds:
-                        completed = False
-                        continue
+                t_r, u = frontier.popleft()
+                targets = fwd.get(u)
+                if not targets:
+                    continue
+                u_knows = learn[u] <= t_r
+                record("distribute", size, t_r, u, targets)
+                a = t_r + 1
+                if a > max_rounds:
+                    completed = False
+                    continue
+                for target in targets:
                     if crash[target] <= a:
                         if has_faults:
                             lost_to_crash += 1
                         continue
-                    act(a)
-                    if u_knows and int(learn[target]) > a:
+                    reached = a  # the frontier is in nondecreasing round order
+                    if u_knows and learn[target] > a:
                         learn[target] = a
-                    if off[s][target] >= 0:
-                        if proxies[s][target] > 0:
-                            i2_acc.setdefault(target, set()).update(i2)
+                    if offsets[target] >= 0:
+                        if counts_of[target] > 0:
+                            proxies_reached.add(target)
                         if target not in forwarded:
                             forwarded.add(target)
                             frontier.append((a, target))
+            act(reached)
+            for target in proxies_reached:
+                i2_acc.setdefault(target, set()).update(i2)
 
         # ------------------------------------------------------------ COLLECT
         for s, origin in enumerate(starters):
-            members = members_of[s]
-            offs = off[s][members]
-            order = np.lexsort((members, -offs))
+            ranked, delay = schedules[s]
+            if ranked:
+                tick(collect_start + delay[ranked[-1]])
+            counts_of = proxy_rows[s]
+            parents = parent_rows[s]
             cbuf: Dict[int, Set[int]] = {}
-            c_of: Dict[int, int] = {}
-            for m, o in zip(members.tolist(), offs.tolist()):
-                c_of[m] = collect_start + max(0, L - o)
             st = state[origin]
-            for idx in order.tolist():
-                v = int(members[idx])
-                if v == origin:
-                    continue
-                c_v = c_of[v]
-                tick(c_v)
+            reached = 0  # latest active round, as in REPORT
+            for v in ranked:
+                c_v = collect_start + delay[v]
                 if c_v > max_rounds:
                     completed = False
                     continue
                 if crash[v] <= c_v:
                     continue
-                act(c_v)
+                if c_v > reached:
+                    reached = c_v
                 payload = cbuf.get(v, set())
-                if proxies[s][v] > 0:
+                if counts_of[v] > 0:
                     payload = payload | i2_acc.get(v, set())
-                v_knows = knows(v, c_v)
+                v_knows = learn[v] <= c_v
                 if not payload and not v_knows:
                     continue
                 size = IDB + len(payload) * IDB + phase_bits + 1
-                parent = int(par[s][v])
-                metrics.record("collect", size, c_v, v, parent)
+                parent = parents[v]
+                record("collect", size, c_v, v, (parent,))
                 a = c_v + 1
                 if a > max_rounds:
                     completed = False
@@ -769,13 +845,14 @@ def _run_engine(
                     if has_faults:
                         lost_to_crash += 1
                     continue
-                act(a)
-                if v_knows and int(learn[parent]) > a:
+                reached = a
+                if v_knows and learn[parent] > a:
                     learn[parent] = a
                 if parent == origin:
                     st["i4"] |= payload
-                elif a <= c_of.get(parent, -1):
+                elif a <= collect_start + delay[parent]:
                     cbuf.setdefault(parent, set()).update(payload)
+            act(reached)
 
         # ------------------------------------------------------------- DECIDE
         tick(decide_round)
@@ -788,13 +865,14 @@ def _run_engine(
                 continue
             act(decide_round)
             st = state[origin]
-            idk = int(ids[origin])
-            if proxies[s][origin] > 0:
+            idk = ids[origin]
+            count = proxy_rows[s][origin]
+            if count > 0:
                 own_ids = {o for o in proxy_for[origin] if o != idk}
                 st["adjacency"] |= own_ids
-                if proxies[s][origin] == 1:
+                if count == 1:
                     st["distinct"] += 1
-            heard = knows(origin, decide_round)
+            heard = learn[origin] <= decide_round
             if decide_rule == "known_tmix":
                 st["stopped"] = True
                 st["sat_int"] = True
@@ -803,9 +881,9 @@ def _run_engine(
                 if all(idk >= other for other in competitors) and not heard:
                     st["leader"] = True
                     leaders.append(origin)
-                    if int(learn[origin]) > decide_round:
+                    if learn[origin] > decide_round:
                         learn[origin] = decide_round
-                    flood_down(origin, phase, origin, decide_round)
+                    flood_down(trees[(origin, phase)], origin, decide_round)
                 continue
             adjacency = len(st["adjacency"] - {idk})
             intersection_ok = adjacency >= params.intersection_threshold(n_eff)
@@ -829,11 +907,12 @@ def _run_engine(
             if may_elect and all(idk >= other for other in competitors) and not heard:
                 st["leader"] = True
                 leaders.append(origin)
-                if int(learn[origin]) > decide_round:
+                if learn[origin] > decide_round:
                     learn[origin] = decide_round
-                flood_down(origin, phase, origin, decide_round)
+                flood_down(trees[(origin, phase)], origin, decide_round)
 
         drain_events()
+        metrics.flush()
         if traced:
             tracer.event(
                 "vec.phase",
@@ -850,6 +929,7 @@ def _run_engine(
             break
         active = survivors
         phase += 1
+    metrics.flush()
 
     # -------------------------------------------------------------- outcome
     max_edge_bits = 0
