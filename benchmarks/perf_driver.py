@@ -16,7 +16,9 @@ cells that regressed by more than ``--fail-threshold`` (default 30%)
 *relative to that factor*.  A uniform slowdown -- slower machine -- moves
 the factor, not the verdict; a single cell falling behind its peers is a
 real regression.  Cells drifting beyond ``--warn-threshold`` (default 15%)
-are reported but do not fail the run.
+are reported but do not fail the run.  The quick subset drops cells only:
+each quick cell times the same seeds over the same number of passes as its
+baseline entry, so both sides of the diff measure the same work.
 
 Usage::
 
@@ -61,6 +63,18 @@ GRAPH_SEED = 20180723  # PODC'18
 #: trial count): sub-second cells would otherwise measure mostly noise.
 MIN_SECONDS = 1.0
 
+#: Timed trials per cell (seeds 0, 1, ...) in both modes.  Quick mode drops
+#: cells, never seeds: on cells slower than :data:`MIN_SECONDS` a smaller
+#: count would time only seed 0, whose cost differs from the mean over the
+#: seeds behind the committed baseline, and the diff would read that
+#: difference as a regression.
+DEFAULT_TRIALS = 3
+
+#: Passes over the grid, in quick and full mode alike.  One pass on a
+#: shared 2-CPU host moved a cell's rate by up to 2x between runs of the
+#: same code; the median of three passes is what the diff compares.
+REPEATS = 3
+
 #: Hard cap on timed trials per cell, so a fast cell cannot loop forever on
 #: a machine where the clock misbehaves.
 MAX_TRIALS = 64
@@ -71,31 +85,33 @@ def _grid(quick: bool) -> List[Dict[str, object]]:
 
     Both modes keep the ``n=512`` expander election cells (reference and
     vectorized): that pair carries the committed >=3x speedup claim, so
-    the trajectory job must keep watching it.
+    the trajectory job must keep watching it.  The two simulators of one
+    ``(algorithm, family, n)`` run back to back, so a machine whose speed
+    drifts during the run moves both halves of each speedup ratio alike.
     """
     cells: List[Dict[str, object]] = []
 
-    def cell(algorithm: str, family: str, n: int, simulator: str, quick_cell: bool) -> None:
-        cells.append(
-            {
-                "algorithm": algorithm,
-                "family": family,
-                "n": n,
-                "simulator": simulator,
-                "quick": quick_cell,
-            }
-        )
+    def cell(algorithm: str, family: str, n: int, quick_cell: bool) -> None:
+        for simulator in ("reference", "vectorized"):
+            cells.append(
+                {
+                    "algorithm": algorithm,
+                    "family": family,
+                    "n": n,
+                    "simulator": simulator,
+                    "quick": quick_cell,
+                }
+            )
 
-    for simulator in ("reference", "vectorized"):
-        cell("election", "expander", 64, simulator, True)
-        cell("election", "expander", 256, simulator, False)
-        cell("election", "expander", 512, simulator, True)
-        cell("election", "hypercube", 64, simulator, False)
-        cell("election", "hypercube", 256, simulator, False)
-        cell("election", "gilbert", 64, simulator, True)
-        cell("election", "gilbert", 256, simulator, False)
-        cell("known_tmix", "expander", 64, simulator, True)
-        cell("known_tmix", "expander", 256, simulator, False)
+    cell("election", "expander", 64, True)
+    cell("election", "expander", 256, False)
+    cell("election", "expander", 512, True)
+    cell("election", "hypercube", 64, False)
+    cell("election", "hypercube", 256, False)
+    cell("election", "gilbert", 64, True)
+    cell("election", "gilbert", 256, False)
+    cell("known_tmix", "expander", 64, True)
+    cell("known_tmix", "expander", 256, False)
     if quick:
         cells = [c for c in cells if c["quick"]]
     return cells
@@ -181,19 +197,34 @@ def _cell_key(cell: Dict[str, object]) -> Tuple[str, str, int, str]:
 
 
 def measure(quick: bool, trials: int) -> Dict[str, object]:
-    """Run the full grid and assemble the baseline document."""
+    """Run the grid :data:`REPEATS` times and assemble the baseline document.
+
+    Each repetition walks the whole grid before the next starts, so a slow
+    spell of the machine lands on different cells in different passes.  A
+    cell keeps the pass with its median rate (the lower middle one for an
+    even count) and lists every pass's rate under ``runs``, the spread the
+    diff's thresholds have to sit above.
+    """
+    grid = _grid(quick)
+    passes: List[List[Dict[str, object]]] = [[] for _ in grid]
+    for _ in range(REPEATS):
+        for index, cell in enumerate(grid):
+            passes[index].append(_run_cell(cell, trials))
     results = []
-    for cell in _grid(quick):
-        result = _run_cell(cell, trials)
+    for runs in passes:
+        rates = [run["trials_per_sec"] for run in runs]
+        result = dict(sorted(runs, key=lambda run: run["trials_per_sec"])[(len(runs) - 1) // 2])
+        result["runs"] = rates
         results.append(result)
         print(
-            "%-10s %-9s n=%-4d %-10s %8.3f trials/sec"
+            "%-10s %-9s n=%-4d %-10s %8.3f trials/sec (%s)"
             % (
                 result["algorithm"],
                 result["family"],
                 result["n"],
                 result["simulator"],
                 result["trials_per_sec"],
+                " ".join("%.3f" % rate for rate in rates),
             ),
             flush=True,
         )
@@ -275,7 +306,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quick", action="store_true", help="run the CI subset of the grid"
     )
     parser.add_argument(
-        "--trials", type=int, default=None, help="trials per cell (default: 1 quick, 3 full)"
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help="minimum timed trials per cell, in quick and full mode alike "
+        "(default %d)" % DEFAULT_TRIALS,
     )
     parser.add_argument(
         "--output", help="write the measured baseline document to this path"
@@ -301,9 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="normalised per-cell drift that warns (default 0.15)",
     )
     args = parser.parse_args(argv)
-    trials = args.trials if args.trials is not None else (1 if args.quick else 3)
-
-    document = measure(args.quick, trials)
+    document = measure(args.quick, args.trials)
     for line in speedup_summary(document):
         print(line)
 
