@@ -15,10 +15,9 @@ Cost model: the walk's per-round work is array operations, and the trees'
 forward edges are deduplicated as 1-D ``int64`` keys
 ``(tree * n + src) * n + dst``.  Converge-cast and cascade messages are
 tallied per ``(kind, size_bits)`` and folded into the metric totals once
-per phase.  The winner cascade is a round-ordered FIFO that queues a
-delivery only when it still has work to do, and the converge-casts read
-per-tree rows, crash rounds and heard-winner rounds as Python lists, built
-once per tree or run.
+per phase.  The winner cascade is a round-ordered FIFO, and the
+converge-casts read per-tree rows, crash rounds and heard-winner rounds as
+Python lists, built once per tree or run.
 
 Seed-stream contract
 --------------------
@@ -376,7 +375,6 @@ def _run_engine(
         np.random.PCG64(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
     )
     indptr, indices, degrees = graph_csr(graph)
-    isolated = bool((degrees == 0).any())  # tokens on isolated nodes never move
     WB = word_bits_for(n)
     IDB = id_bits(n_eff)
     metrics = _Metrics(WB, n, edge_capacity_words is not None)
@@ -443,10 +441,9 @@ def _run_engine(
     def flood_down(tree: _Tree, node: int, r: int) -> None:
         """Forward winner-down over ``node``'s forward edges of ``tree``."""
         nonlocal completed, lost_to_crash
-        flooded = tree.flooded
-        if node in flooded:
+        if node in tree.flooded:
             return
-        flooded.add(node)
+        tree.flooded.add(node)
         targets = tree.fwd.get(node)
         if not targets:
             return
@@ -465,10 +462,7 @@ def _run_engine(
             delivered = True
             if learn[target] > a:
                 learn[target] = a
-            # Delivery is a no-op for a node that already forwarded over
-            # this tree and fired its rules.
-            if target not in flooded or not rules_fired[target]:
-                queue.append((a, True, target, tree))
+            queue.append((a, True, target, tree))
         if delivered:
             act(a)
 
@@ -578,8 +572,6 @@ def _run_engine(
         # ---------------------------------------------------- WALK (vectorized)
         learn_np = np.array(learn, dtype=np.int64)
         phase_bits = counter_bits(max(1, phase))
-        # Winner flags ride on walk tokens only once some node has heard.
-        spreading = bool((learn_np < _NEVER).any())
         owners = np.repeat(np.arange(S, dtype=np.int64), walks_per)
         pos = np.repeat(starters_arr, walks_per)
         cap_hit_mid_walk = False
@@ -591,18 +583,16 @@ def _run_engine(
                 pos = pos[:0]
                 owners = owners[:0]
                 break
-            if crash_map:
-                alive_tok = crash_np[pos] > r
-                if not alive_tok.all():
-                    tick(r)
-                    pos = pos[alive_tok]
-                    owners = owners[alive_tok]
+            alive_tok = crash_np[pos] > r
+            if not alive_tok.all():
+                tick(r)
+                pos = pos[alive_tok]
+                owners = owners[alive_tok]
             if pos.size == 0:
                 break
             act(r)
             move = wrng.random(pos.size) >= 0.5
-            if isolated:
-                move &= degrees[pos] > 0
+            move &= degrees[pos] > 0  # tokens on isolated nodes never move
             moving = np.flatnonzero(move)
             staying = np.flatnonzero(~move)
             stay_pos = pos[staying]
@@ -634,21 +624,19 @@ def _run_engine(
                     mdst = mdst[:0]
                     mown = mown[:0]
                 else:
-                    if crash_map:
-                        g_alive = crash_np[g_dst] > r + 1
-                        lost_to_crash += int((~g_alive).sum())
-                        g_own = g_own[g_alive]
-                        g_src = g_src[g_alive]
-                        g_dst = g_dst[g_alive]
-                        delivered_tok = crash_np[mdst] > r + 1
-                        mdst = mdst[delivered_tok]
-                        mown = mown[delivered_tok]
+                    g_alive = crash_np[g_dst] > r + 1
+                    lost_to_crash += int((~g_alive).sum())
+                    g_own = g_own[g_alive]
+                    g_src = g_src[g_alive]
+                    g_dst = g_dst[g_alive]
+                    delivered_tok = crash_np[mdst] > r + 1
+                    mdst = mdst[delivered_tok]
+                    mown = mown[delivered_tok]
                     if g_dst.size:
                         act(r + 1)
-                        if spreading:
-                            flagged = learn_np[g_src] <= r
-                            if flagged.any():
-                                np.minimum.at(learn_np, g_dst[flagged], r + 1)
+                        flagged = learn_np[g_src] <= r
+                        if flagged.any():
+                            np.minimum.at(learn_np, g_dst[flagged], r + 1)
                         # A node joins a tree through its smallest-id sender
                         # of the first round a token of that tree reaches it.
                         joins = g_own * n + g_dst
