@@ -1,134 +1,63 @@
 #!/usr/bin/env python
-"""Throughput driver for the result-cache backends, with a committed baseline.
+"""Throughput grid of the result-cache backends: ``BENCH_cache.json``, run through :mod:`harness`.
 
-Measures **entries per second** for every cell of a fixed grid
-``backend x operation x entries`` -- the operations being ``put`` (store a
-campaign's worth of results), ``get`` (full-outcome fingerprint lookups),
-``merge`` (union a filled shard cache into a fresh one) and ``report``
-(fold the per-configuration summary aggregates a ``campaign_report`` is
-made of, config by config) -- and writes the result as
-``BENCH_cache.json`` (committed at the repository root).  CI's
-``perf-trajectory`` job re-runs the quick subset on every push and diffs the
-fresh numbers against the committed baseline, exactly like
-``perf_driver.py`` does for the simulator cores.
+Measures **entries per second** for every cell of ``backend x operation x entries`` -- the
+operations being ``put`` (store a campaign's worth of results), ``get`` (full-outcome fingerprint
+lookups), ``merge`` (union a filled shard cache into a fresh one) and ``report`` (fold the
+per-configuration summary aggregates a ``campaign_report`` is made of, config by config).  A rep
+that loses entries fails the run.
 
-The committed full-size cells carry the backend's acceptance claim: at 10^5
-entries the SQLite backend must merge and report at least 10x faster than
-the JSON tree (``tests/test_cache_bench_baseline.py`` pins this against the
-committed file).  The ``report`` cell times exactly the cache-side work of
-a report -- the per-configuration ``get_summary_aggregate`` calls the
-streaming report path issues -- because the spec-side work (expanding the
-sweep and fingerprinting every trial) is identical for both backends and
-would only dilute the comparison.  The diff is machine-speed-normalised --
-the median of
-``current / baseline`` over shared cells absorbs slower hardware, and only
-cells falling behind their peers fail the run.
-
-Usage::
-
-    python benchmarks/perf_cache.py --quick                 # measure only
-    python benchmarks/perf_cache.py --output BENCH_cache.json
-    python benchmarks/perf_cache.py --quick --baseline BENCH_cache.json
-
-Exit status: 0 on success (or measure-only), 1 when any cell regressed
-beyond the failure threshold.
+The committed full-size cells carry the backend's acceptance claim: at 10^5 entries the SQLite
+backend must merge and report at least 10x faster than the JSON tree
+(``tests/test_cache_bench_baseline.py`` pins this against the committed file, not the drift diff).
+The ``report`` cell times exactly the cache-side work of a report -- the per-configuration
+``get_summary_aggregate`` calls the streaming report path issues -- because the spec-side work
+(expanding the sweep and fingerprinting every trial) is identical for both backends and would only
+dilute the comparison.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import shutil
-import statistics
 import sys
 import tempfile
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+import harness
 
-from repro.campaign import CampaignSpec  # noqa: E402
-from repro.core import ElectionParameters  # noqa: E402
-from repro.exec import (  # noqa: E402
-    GraphSpec,
-    ResultCache,
-    SweepSpec,
-    TrialSpec,
-    execute_trial,
-    trial_fingerprint,
-)
-
-#: Baseline document schema version (bumped on incompatible changes).
-BASELINE_VERSION = 1
-
-#: Default committed baseline, relative to the repository root.
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_cache.json"
-)
+from repro.campaign import CampaignSpec
+from repro.core import ElectionParameters
+from repro.exec import GraphSpec, ResultCache, SweepSpec, TrialSpec, execute_trial
+from repro.exec.fingerprint import trial_fingerprint
 
 #: Cache backends under measurement and the operations timed per backend.
 BACKENDS = ("json", "sqlite")
 OPERATIONS = ("put", "get", "merge", "report")
 
-#: Entry counts: the quick cell CI re-measures on every push, and the full
-#: cell the committed >=10x merge/report claim is pinned at.
-QUICK_ENTRIES = 2000
-FULL_ENTRIES = 100_000
-
-#: At most this many fingerprints are looked up by the ``get`` cells (a
-#: stride-sampled subset, so the cell cost stays bounded at any size).
+#: At most this many fingerprints are looked up by the ``get`` cells (a stride-sampled subset, so
+#: the cell cost stays bounded at any size).
 GET_SAMPLE = 10_000
 
-#: Every cell is timed over at least this long; sub-second cells repeat
-#: (into fresh directories where the operation is a one-shot) so quick runs
-#: measure throughput, not scheduler noise.
-MIN_SECONDS = 1.0
-MAX_REPS = 32
+FAST = ElectionParameters(c1=3.0, c2=0.5)  # keeps the one real template trial fast
 
-#: Election parameters that keep the one real template trial fast.
-FAST = ElectionParameters(c1=3.0, c2=0.5)
-
-
-def _grid(quick: bool) -> List[Dict[str, object]]:
-    """The measurement grid; ``quick`` selects the CI subset.
-
-    The full grid keeps the quick cells, so a full baseline regeneration
-    still contains every cell the CI quick diff needs to compare.
-    """
-    cells: List[Dict[str, object]] = []
-    for backend in BACKENDS:
-        for operation in OPERATIONS:
-            cells.append(
-                {
-                    "backend": backend,
-                    "operation": operation,
-                    "entries": QUICK_ENTRIES,
-                    "quick": True,
-                }
-            )
-            if not quick:
-                cells.append(
-                    {
-                        "backend": backend,
-                        "operation": operation,
-                        "entries": FULL_ENTRIES,
-                        "quick": False,
-                    }
-                )
-    return cells
+#: Entry counts: the quick cell CI re-measures on every push, and the full cell the committed >=10x
+#: merge/report claim is pinned at.
+CELLS = [
+    {"backend": backend, "operation": operation, "entries": entries, "quick": quick}
+    for backend in BACKENDS
+    for operation in OPERATIONS
+    for entries, quick in ((2000, True), (100_000, False))
+]
 
 
 class Corpus:
-    """One synthetic campaign of ``entries`` trials plus a filled cache per
-    backend, shared by every cell of that size.
+    """A synthetic campaign of ``entries`` trials plus a filled cache per backend, shared by cells.
 
-    The campaign is real -- a sweep of clique-election configurations whose
-    expansion yields ``entries`` distinct fingerprints -- but only one trial
-    is ever executed; its outcome is stored under every fingerprint, because
-    the cache neither knows nor cares whether two entries hold equal
-    payloads.  That keeps corpus construction O(entries) cache writes rather
-    than O(entries) simulations.
+    The campaign is real -- a sweep of clique-election configurations whose expansion yields
+    ``entries`` distinct fingerprints -- but only one trial is ever executed; its outcome is stored
+    under every fingerprint, because the cache neither knows nor cares whether two entries hold
+    equal payloads.  That keeps corpus construction O(entries) cache writes rather than O(entries)
+    simulations.
     """
 
     def __init__(self, entries: int, workdir: str) -> None:
@@ -137,37 +66,20 @@ class Corpus:
         configs = 100 if entries >= 100 else 1
         trials = entries // configs
         assert configs * trials == entries, "grid sizes must divide evenly"
-        template = TrialSpec(
-            graph=GraphSpec("clique", (8,)), algorithm="election", params=FAST
-        )
-        self.campaign = CampaignSpec(
-            name="cache-bench-%d" % entries,
-            sweeps=(
-                SweepSpec(
-                    name="main",
-                    configs=(template,) * configs,
-                    trials=trials,
-                    base_seed=11,
-                ),
-            ),
-        )
-        expanded = [spec for _sweep, spec in self.campaign.expand()]
+        template = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="election", params=FAST)
+        sweep = SweepSpec(name="main", configs=(template,) * configs, trials=trials, base_seed=11)
+        campaign = CampaignSpec(name="cache-bench-%d" % entries, sweeps=(sweep,))
+        expanded = [spec for _sweep, spec in campaign.expand()]
         self.template = expanded[0]
-        self.fingerprints = [trial_fingerprint(spec) for spec in expanded]
-        # Config-major chunks: the exact per-configuration lookups the
-        # streaming report path issues (fingerprints precomputed, because
-        # deriving them is spec work, not cache work).
-        self.config_chunks = [
-            self.fingerprints[index * trials : (index + 1) * trials]
-            for index in range(configs)
-        ]
         self.outcome = execute_trial(self.template)
-        self._filled: Dict[str, ResultCache] = {}
-        self._scratch = 0
-
-    def scratch_root(self) -> str:
-        self._scratch += 1
-        return os.path.join(self.workdir, "scratch-%d" % self._scratch)
+        self.fingerprints = [trial_fingerprint(spec) for spec in expanded]
+        self.get_sample = self.fingerprints[:: max(1, entries // GET_SAMPLE)]
+        # Config-major chunks: the exact per-configuration lookups the streaming report path issues
+        # (fingerprints precomputed, because deriving them is spec work, not cache work).
+        self.config_chunks = [
+            self.fingerprints[index * trials : (index + 1) * trials] for index in range(configs)
+        ]
+        self.filled = {b: self.fill(os.path.join(workdir, "filled-" + b), b) for b in BACKENDS}
 
     def fill(self, root: str, backend: str) -> ResultCache:
         cache = ResultCache(root, backend=backend)
@@ -175,253 +87,62 @@ class Corpus:
             cache.put(fingerprint, self.template, self.outcome, 0.001)
         return cache
 
-    def filled(self, backend: str) -> ResultCache:
-        """The (lazily built) canonical filled cache for ``backend``."""
-        if backend not in self._filled:
-            root = os.path.join(self.workdir, "filled-%s" % backend)
-            self._filled[backend] = self.fill(root, backend)
-        return self._filled[backend]
-
-    def get_sample(self) -> List[str]:
-        stride = max(1, self.entries // GET_SAMPLE)
-        return self.fingerprints[::stride]
-
-
-def _run_cell(cell: Dict[str, object], corpus: Corpus) -> Dict[str, object]:
-    """Time one grid cell; returns the cell dict extended with measurements."""
-    backend = str(cell["backend"])
-    operation = str(cell["operation"])
-
-    def run_once() -> int:
+    def run_once(self, backend: str, operation: str) -> int:
+        """One rep of a cell; returns the entries it processed, all checked present."""
+        source = self.filled[backend]
+        expected = self.entries
         if operation == "put":
-            root = corpus.scratch_root()
-            cache = corpus.fill(root, backend)
-            cache.close()
-            return corpus.entries
+            self.fill(tempfile.mkdtemp(dir=self.workdir), backend).close()
+            return expected
         if operation == "get":
-            sample = corpus.get_sample()
-            hits = corpus.filled(backend).get_many(sample)
-            if any(cached is None for cached in hits):
-                raise RuntimeError("benchmark cache lost entries under %s" % backend)
-            return len(sample)
-        if operation == "merge":
-            target = ResultCache(corpus.scratch_root(), backend=backend)
-            merged = target.merge_from(corpus.filled(backend))
+            expected = len(self.get_sample)
+            found = sum(hit is not None for hit in source.get_many(self.get_sample))
+        elif operation == "merge":
+            target = ResultCache(tempfile.mkdtemp(dir=self.workdir), backend=backend)
+            found = target.merge_from(source)
             target.close()
-            if merged != corpus.entries:
-                raise RuntimeError(
-                    "merge moved %d of %d entries under %s"
-                    % (merged, corpus.entries, backend)
-                )
-            return corpus.entries
-        if operation == "report":
-            cache = corpus.filled(backend)
-            seen = 0
-            for chunk in corpus.config_chunks:
-                seen += cache.get_summary_aggregate(chunk).done
-            if seen != corpus.entries:
-                raise RuntimeError(
-                    "report saw %d of %d entries under %s"
-                    % (seen, corpus.entries, backend)
-                )
-            return corpus.entries
-        raise ValueError("unknown benchmark operation %r" % operation)
-
-    # Warm the canonical *source* cache (directory listings, SQLite page
-    # cache, WAL settling after the fill) outside the timed region for every
-    # operation that reads it.  Merge qualifies: each rep unions into a
-    # fresh target, so the warm-up rep only settles the shared source --
-    # symmetrically for both backends.  Only ``put`` is cold by nature.
-    if operation in ("get", "merge", "report"):
-        run_once()
-    processed = 0
-    reps = 0
-    start = time.perf_counter()
-    while True:
-        processed += run_once()
-        reps += 1
-        elapsed = time.perf_counter() - start
-        if reps >= MAX_REPS or elapsed >= MIN_SECONDS:
-            break
-    return {
-        "backend": backend,
-        "operation": operation,
-        "entries": int(cell["entries"]),
-        "quick": bool(cell["quick"]),
-        "reps": reps,
-        "seconds": round(elapsed, 4),
-        "entries_per_sec": round(processed / elapsed, 4) if elapsed > 0 else float("inf"),
-    }
+        else:
+            found = sum(source.get_summary_aggregate(chunk).done for chunk in self.config_chunks)
+        if found != expected:
+            raise RuntimeError(
+                "%s found %d of %d entries under %s" % (operation, found, expected, backend)
+            )
+        return found
 
 
-def _cell_key(cell: Dict[str, object]) -> Tuple[str, str, int]:
-    return (str(cell["backend"]), str(cell["operation"]), int(cell["entries"]))
-
-
-def measure(quick: bool) -> Dict[str, object]:
-    """Run the full grid and assemble the baseline document."""
-    results = []
+def _setup(workdir: str) -> Callable[[harness.Cell], harness.RunOnce]:
+    """Each corpus is built once per measurement and shared by its cells and passes."""
     corpora: Dict[int, Corpus] = {}
-    workdir = tempfile.mkdtemp(prefix="perf-cache-")
-    try:
-        for cell in _grid(quick):
-            entries = int(cell["entries"])
-            if entries not in corpora:
-                corpora[entries] = Corpus(
-                    entries, os.path.join(workdir, "n%d" % entries)
-                )
-            result = _run_cell(cell, corpora[entries])
-            results.append(result)
-            print(
-                "%-7s %-7s entries=%-7d %12.1f entries/sec  (%d rep(s))"
-                % (
-                    result["backend"],
-                    result["operation"],
-                    result["entries"],
-                    result["entries_per_sec"],
-                    result["reps"],
-                ),
-                flush=True,
-            )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return {
-        "version": BASELINE_VERSION,
-        "unit": "entries_per_sec",
-        "quick": quick,
-        "cells": results,
-    }
+
+    def prepare(cell: harness.Cell) -> harness.RunOnce:
+        entries = cell["entries"]
+        if entries not in corpora:
+            corpora[entries] = Corpus(entries, tempfile.mkdtemp(dir=workdir))
+        backend, operation = cell["backend"], cell["operation"]
+        return lambda rep: {"processed": corpora[entries].run_once(backend, operation)}
+
+    return prepare
 
 
-def speedup_summary(document: Dict[str, object]) -> List[str]:
-    """SQLite-over-JSON throughput ratios for every shared cell."""
-    by_key = {_cell_key(c): c for c in document["cells"]}
-    lines = []
-    for key, cell in sorted(by_key.items()):
-        if key[0] != "sqlite":
-            continue
-        json_cell = by_key.get(("json", key[1], key[2]))
-        if json_cell is None:
-            continue
-        ratio = cell["entries_per_sec"] / json_cell["entries_per_sec"]
-        lines.append(
-            "speedup %-7s entries=%-7d %6.1fx (sqlite over json)" % (key[1], key[2], ratio)
-        )
-    return lines
-
-
-def diff_against_baseline(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    fail_threshold: float,
-    warn_threshold: float,
-) -> Tuple[List[str], List[str]]:
-    """Machine-speed-normalised per-cell comparison (same scheme as
-    ``perf_driver.py``): cells present on only one side warn, shared cells
-    falling behind the median drift fail.  The write-heavy cells (``put``,
-    ``merge``) only ever warn: raw file/row creation throughput swings
-    several-fold with the state of the OS writeback queue, far beyond any
-    useful regression threshold, while the read-side cells (``get``,
-    ``report``) are stable enough to gate.  The committed >=10x
-    merge/report claim itself is pinned against the committed full-grid
-    numbers by ``tests/test_cache_bench_baseline.py``, not by this diff."""
-    current_by_key = {_cell_key(c): c for c in current["cells"]}
-    baseline_by_key = {_cell_key(c): c for c in baseline["cells"]}
-    shared = sorted(set(current_by_key) & set(baseline_by_key))
-    warnings: List[str] = []
-    failures: List[str] = []
-    for key in sorted(set(baseline_by_key) - set(current_by_key)):
-        warnings.append("cell %r is in the baseline but was not measured" % (key,))
-    for key in sorted(set(current_by_key) - set(baseline_by_key)):
-        warnings.append("cell %r was measured but has no baseline entry" % (key,))
-    if not shared:
-        failures.append("no cells shared with the baseline; nothing to diff")
-        return failures, warnings
-
-    ratios = [
-        current_by_key[key]["entries_per_sec"] / baseline_by_key[key]["entries_per_sec"]
-        for key in shared
-    ]
-    factor = statistics.median(ratios)
-    print("machine-speed factor (median current/baseline): %.3f" % factor)
-    for key, ratio in zip(shared, ratios):
-        relative = ratio / factor
-        line = "%-7s %-7s entries=%-7d %+6.1f%% vs baseline (normalised)" % (
-            key[0],
-            key[1],
-            key[2],
-            (relative - 1.0) * 100.0,
-        )
-        gated = key[1] in ("get", "report")
-        if gated and relative < 1.0 - fail_threshold:
-            failures.append(line)
-        elif abs(relative - 1.0) > warn_threshold:
-            warnings.append(line)
-    return failures, warnings
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="run the CI subset of the grid"
-    )
-    parser.add_argument(
-        "--output", help="write the measured baseline document to this path"
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        help="diff the fresh measurements against this committed baseline "
-        "(default when the flag is given without a value: BENCH_cache.json "
-        "at the repository root)",
-    )
-    parser.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.30,
-        help="normalised per-cell slowdown that fails the run (default 0.30)",
-    )
-    parser.add_argument(
-        "--warn-threshold",
-        type=float,
-        default=0.15,
-        help="normalised per-cell drift that warns (default 0.15)",
-    )
-    args = parser.parse_args(argv)
-
-    document = measure(args.quick)
-    for line in speedup_summary(document):
-        print(line)
-
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.output)
-
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        if baseline.get("version") != BASELINE_VERSION:
-            print(
-                "baseline version %r != driver version %d; regenerate it"
-                % (baseline.get("version"), BASELINE_VERSION),
-                file=sys.stderr,
-            )
-            return 1
-        failures, warnings = diff_against_baseline(
-            document, baseline, args.fail_threshold, args.warn_threshold
-        )
-        for line in warnings:
-            print("WARN %s" % line)
-        for line in failures:
-            print("FAIL %s" % line, file=sys.stderr)
-        if failures:
-            return 1
-        print("perf trajectory OK (%d cells compared)" % len(document["cells"]))
-    return 0
-
+#: Warm-up: the canonical *source* cache (directory listings, SQLite page cache, WAL settling after
+#: the fill) is warmed outside the timed region for every operation that reads it.  Merge
+#: qualifies: each rep unions into a fresh target, so the warm-up rep only settles the shared
+#: source -- symmetrically for both backends.  Only ``put`` is cold by nature.  Gating: the
+#: write-heavy cells (``put``, ``merge``) only ever warn.  Raw file/row creation throughput swings
+#: several-fold with the state of the OS writeback queue, far beyond any useful regression
+#: threshold, while the read-side cells (``get``, ``report``) are stable enough to gate.
+GRID = harness.Grid(
+    name="cache",
+    key=("backend", "operation", "entries"),
+    unit="entries_per_sec",
+    count="processed",
+    cells=CELLS,
+    setup=_setup,
+    max_reps=32,
+    warmup=lambda cell: cell["operation"] != "put",
+    gated=lambda cell: cell["operation"] in ("get", "report"),
+    pair=("backend", "json", "sqlite"),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(GRID))

@@ -1,116 +1,52 @@
 #!/usr/bin/env python
-"""Latency driver for the live networked deployment, with a committed baseline.
+"""Latency grid of the live networked deployment: ``BENCH_net.json``, run through :mod:`harness`.
 
-Measures what the ``repro.net`` coordinator *adds* on top of the simulator:
-every cell of a fixed ``family x n x transport`` grid runs one real
-deployment -- node processes, frames over a socket, a coordinator barrier per
-event round -- and records **rounds per second** (how fast the lock-step
-barrier turns over) plus the per-round latency and per-election wall time
-derived from it.  Each cell also cross-validates its live outcome against
-the simulator's before any number is recorded: a benchmark run that diverges
-from the model is a failed run, not a slow one.
-
-The result is written as ``BENCH_net.json`` (committed at the repository
-root).  CI's ``perf-trajectory`` job re-runs the quick subset on every push
-and diffs the fresh numbers against the committed baseline with the same
-machine-speed-normalised scheme as ``perf_driver.py``: the median of
-``current / baseline`` over shared cells absorbs slower hardware, and only
-cells falling behind their peers fail the run.
+Measures what the ``repro.net`` coordinator *adds* on top of the simulator: every cell of a fixed
+``family x n x transport`` grid runs one real deployment -- node processes, frames over a socket, a
+coordinator barrier per event round -- and records **rounds per second** (how fast the lock-step
+barrier turns over) plus the per-round latency and per-election wall time derived from it.  Each
+cell also cross-validates its live outcome against the simulator's before any number is recorded: a
+benchmark run that diverges from the model is a failed run, not a slow one.
 ``tests/test_net_baseline.py`` pins the committed file's structure.
-
-Usage::
-
-    python benchmarks/perf_net.py --quick                 # measure only
-    python benchmarks/perf_net.py --output BENCH_net.json
-    python benchmarks/perf_net.py --quick --baseline BENCH_net.json
-
-Exit status: 0 on success (or measure-only), 1 when any cell regressed
-beyond the failure threshold or a live outcome diverged from the simulator.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
 import sys
-import time
-from typing import Dict, List, Optional, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+import harness
 
-from repro.core import ElectionParameters  # noqa: E402
-from repro.exec import GraphSpec, TrialSpec  # noqa: E402
-from repro.net.coordinator import cross_validate  # noqa: E402
+from repro.core import ElectionParameters
+from repro.exec import GraphSpec, TrialSpec
+from repro.net.coordinator import cross_validate
 
-#: Baseline document schema version (bumped on incompatible changes).
-BASELINE_VERSION = 1
-
-#: Default committed baseline, relative to the repository root.
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_net.json"
-)
-
-#: Every cell is timed over at least this long; fast cells repeat whole
-#: elections so quick runs measure throughput, not scheduler noise.
-MIN_SECONDS = 1.0
-MAX_REPS = 8
-
-#: Election parameters that keep each election short enough to repeat.
-FAST = ElectionParameters(c1=3.0, c2=0.5)
-
-#: Deterministic graph construction across baseline regenerations.
-GRAPH_SEED = 20180723
-
-#: Trial seed every cell runs (the live/sim agreement is seed-exact).
-TRIAL_SEED = 42
+FAST = ElectionParameters(c1=3.0, c2=0.5)  # keeps each election short enough to repeat
+GRAPH_SEED = 20180723  # deterministic graph construction across baseline regenerations
+TRIAL_SEED = 42  # the seed every cell runs (the live/sim agreement is seed-exact)
 
 
-def _graph_spec(family: str, n: int) -> GraphSpec:
-    if family == "expander":
-        return GraphSpec("expander", (n,), {"degree": 4}, seed=GRAPH_SEED)
+def _graph(family: str, n: int) -> GraphSpec:
     if family == "hypercube":
         dimension = n.bit_length() - 1
         assert 2**dimension == n, "hypercube cells need a power-of-two n"
         return GraphSpec("hypercube", (dimension,))
-    raise ValueError("unknown benchmark family %r" % family)
+    return GraphSpec("expander", (n,), {"degree": 4}, seed=GRAPH_SEED)
 
 
-def _grid(quick: bool) -> List[Dict[str, object]]:
-    """The measurement grid; ``quick`` selects the CI subset.
-
-    The full grid keeps the quick cells, so a full baseline regeneration
-    still contains every cell the CI quick diff needs to compare.
-    """
-    cells = [
-        {"family": "expander", "n": 8, "transport": "uds", "quick": True},
-        {"family": "hypercube", "n": 8, "transport": "uds", "quick": True},
-    ]
-    if not quick:
-        cells.extend(
-            [
-                {"family": "expander", "n": 8, "transport": "tcp", "quick": False},
-                {"family": "expander", "n": 16, "transport": "uds", "quick": False},
-                {"family": "hypercube", "n": 16, "transport": "uds", "quick": False},
-            ]
-        )
-    return cells
+CELLS = [
+    {"family": "expander", "n": 8, "transport": "uds", "quick": True},
+    {"family": "hypercube", "n": 8, "transport": "uds", "quick": True},
+    {"family": "expander", "n": 8, "transport": "tcp", "quick": False},
+    {"family": "expander", "n": 16, "transport": "uds", "quick": False},
+    {"family": "hypercube", "n": 16, "transport": "uds", "quick": False},
+]
 
 
-def _run_cell(cell: Dict[str, object]) -> Dict[str, object]:
-    """Time one grid cell; returns the cell dict extended with measurements."""
-    family = str(cell["family"])
-    n = int(cell["n"])
-    transport = str(cell["transport"])
-    spec = TrialSpec(
-        graph=_graph_spec(family, n),
-        algorithm="election",
-        seed=TRIAL_SEED,
-        params=FAST,
-    )
+def _prepare(cell: harness.Cell) -> harness.RunOnce:
+    family, n, transport = cell["family"], cell["n"], cell["transport"]
+    spec = TrialSpec(graph=_graph(family, n), algorithm="election", seed=TRIAL_SEED, params=FAST)
 
-    def run_once() -> Tuple[int, int]:
+    def run_once(rep: int):
         agreement = cross_validate(spec, transport=transport)
         if not agreement.agrees:
             raise RuntimeError(
@@ -118,168 +54,28 @@ def _run_cell(cell: Dict[str, object]) -> Dict[str, object]:
                 % (family, n, transport, "\n".join(agreement.mismatches))
             )
         events = agreement.live.metrics.net_events
-        return int(events["barriers"]), int(events["frames"])
+        return {"barriers": int(events["barriers"]), "frames": int(events["frames"])}
 
-    barriers = frames = 0
-    reps = 0
-    start = time.perf_counter()
-    while True:
-        cell_barriers, cell_frames = run_once()
-        barriers += cell_barriers
-        frames += cell_frames
-        reps += 1
-        elapsed = time.perf_counter() - start
-        if reps >= MAX_REPS or elapsed >= MIN_SECONDS:
-            break
-    rounds_per_sec = barriers / elapsed if elapsed > 0 else float("inf")
+    return run_once
+
+
+def _derive(result: harness.Cell) -> harness.Cell:
     return {
-        "family": family,
-        "n": n,
-        "transport": transport,
-        "quick": bool(cell["quick"]),
-        "reps": reps,
-        "seconds": round(elapsed, 4),
-        "barriers": barriers,
-        "frames": frames,
-        "rounds_per_sec": round(rounds_per_sec, 4),
-        "round_latency_ms": round(1000.0 / rounds_per_sec, 4) if barriers else 0.0,
-        "elections_per_sec": round(reps / elapsed, 4) if elapsed > 0 else float("inf"),
+        "round_latency_ms": round(1000.0 * result["seconds"] / result["barriers"], 4),
+        "elections_per_sec": round(result["reps"] / result["seconds"], 4),
     }
 
 
-def _cell_key(cell: Dict[str, object]) -> Tuple[str, int, str]:
-    return (str(cell["family"]), int(cell["n"]), str(cell["transport"]))
-
-
-def measure(quick: bool) -> Dict[str, object]:
-    """Run the full grid and assemble the baseline document."""
-    results = []
-    for cell in _grid(quick):
-        result = _run_cell(cell)
-        results.append(result)
-        print(
-            "%-10s n=%-4d %-4s %8.1f rounds/sec  %7.2f ms/round  (%d election(s))"
-            % (
-                result["family"],
-                result["n"],
-                result["transport"],
-                result["rounds_per_sec"],
-                result["round_latency_ms"],
-                result["reps"],
-            ),
-            flush=True,
-        )
-    return {
-        "version": BASELINE_VERSION,
-        "unit": "rounds_per_sec",
-        "quick": quick,
-        "cells": results,
-    }
-
-
-def diff_against_baseline(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    fail_threshold: float,
-    warn_threshold: float,
-) -> Tuple[List[str], List[str]]:
-    """Machine-speed-normalised per-cell comparison (same scheme as
-    ``perf_driver.py``): cells present on only one side warn, shared cells
-    falling behind the median drift fail."""
-    current_by_key = {_cell_key(c): c for c in current["cells"]}
-    baseline_by_key = {_cell_key(c): c for c in baseline["cells"]}
-    shared = sorted(set(current_by_key) & set(baseline_by_key))
-    warnings: List[str] = []
-    failures: List[str] = []
-    for key in sorted(set(baseline_by_key) - set(current_by_key)):
-        warnings.append("cell %r is in the baseline but was not measured" % (key,))
-    for key in sorted(set(current_by_key) - set(baseline_by_key)):
-        warnings.append("cell %r was measured but has no baseline entry" % (key,))
-    if not shared:
-        failures.append("no cells shared with the baseline; nothing to diff")
-        return failures, warnings
-
-    ratios = [
-        current_by_key[key]["rounds_per_sec"] / baseline_by_key[key]["rounds_per_sec"]
-        for key in shared
-    ]
-    factor = statistics.median(ratios)
-    print("machine-speed factor (median current/baseline): %.3f" % factor)
-    for key, ratio in zip(shared, ratios):
-        relative = ratio / factor
-        line = "%-10s n=%-4d %-4s %+6.1f%% vs baseline (normalised)" % (
-            key[0],
-            key[1],
-            key[2],
-            (relative - 1.0) * 100.0,
-        )
-        if relative < 1.0 - fail_threshold:
-            failures.append(line)
-        elif abs(relative - 1.0) > warn_threshold:
-            warnings.append(line)
-    return failures, warnings
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="run the CI subset of the grid"
-    )
-    parser.add_argument(
-        "--output", help="write the measured baseline document to this path"
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        help="diff the fresh measurements against this committed baseline "
-        "(default when the flag is given without a value: BENCH_net.json "
-        "at the repository root)",
-    )
-    parser.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.30,
-        help="normalised per-cell slowdown that fails the run (default 0.30)",
-    )
-    parser.add_argument(
-        "--warn-threshold",
-        type=float,
-        default=0.15,
-        help="normalised per-cell drift that warns (default 0.15)",
-    )
-    args = parser.parse_args(argv)
-
-    document = measure(args.quick)
-
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.output)
-
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        if baseline.get("version") != BASELINE_VERSION:
-            print(
-                "baseline version %r != driver version %d; regenerate it"
-                % (baseline.get("version"), BASELINE_VERSION),
-                file=sys.stderr,
-            )
-            return 1
-        failures, warnings = diff_against_baseline(
-            document, baseline, args.fail_threshold, args.warn_threshold
-        )
-        for line in warnings:
-            print("WARN %s" % line)
-        for line in failures:
-            print("FAIL %s" % line, file=sys.stderr)
-        if failures:
-            return 1
-        print("perf trajectory OK (%d cells compared)" % len(document["cells"]))
-    return 0
-
+GRID = harness.Grid(
+    name="net",
+    key=("family", "n", "transport"),
+    unit="rounds_per_sec",
+    count="barriers",
+    cells=CELLS,
+    setup=lambda workdir: _prepare,
+    max_reps=8,  # fast cells repeat whole elections, at most this many
+    derive=_derive,
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(GRID))

@@ -10,8 +10,14 @@ committed.
 
 import json
 import os
+import statistics
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+
+from harness import REPEATS  # noqa: E402
+
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_cache.json")
 
 REQUIRED_CELL_KEYS = {
@@ -47,6 +53,9 @@ def test_baseline_structure():
     assert document["cells"], "baseline has no cells"
     for cell in document["cells"]:
         assert REQUIRED_CELL_KEYS <= set(cell), cell
+        # The harness walks the grid REPEATS times and keeps each cell's median pass.
+        runs = cell["runs"]
+        assert len(runs) == REPEATS and statistics.median_low(runs) == cell["entries_per_sec"], cell
         assert cell["entries_per_sec"] > 0, cell
         assert cell["reps"] >= 1, cell
         assert cell["backend"] in ("json", "sqlite"), cell

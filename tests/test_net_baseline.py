@@ -8,8 +8,14 @@ No live deployments run here -- the file is validated as committed.
 
 import json
 import os
+import statistics
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+
+from harness import REPEATS  # noqa: E402
+
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_net.json")
 
 REQUIRED_CELL_KEYS = {
@@ -44,6 +50,9 @@ def test_baseline_structure():
     assert document["cells"], "baseline has no cells"
     for cell in document["cells"]:
         assert REQUIRED_CELL_KEYS <= set(cell), cell
+        # The harness walks the grid REPEATS times and keeps each cell's median pass.
+        runs = cell["runs"]
+        assert len(runs) == REPEATS and statistics.median_low(runs) == cell["rounds_per_sec"], cell
         assert cell["rounds_per_sec"] > 0, cell
         assert cell["round_latency_ms"] > 0, cell
         assert cell["reps"] >= 1, cell

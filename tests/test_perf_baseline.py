@@ -8,8 +8,14 @@ No simulation runs here -- the file is validated as committed.
 
 import json
 import os
+import statistics
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+
+from harness import REPEATS  # noqa: E402
+
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_simcore.json")
 
 REQUIRED_CELL_KEYS = {
@@ -42,6 +48,9 @@ def test_baseline_structure():
     assert document["cells"], "baseline has no cells"
     for cell in document["cells"]:
         assert REQUIRED_CELL_KEYS <= set(cell), cell
+        # The harness walks the grid REPEATS times and keeps each cell's median pass.
+        runs = cell["runs"]
+        assert len(runs) == REPEATS and statistics.median_low(runs) == cell["trials_per_sec"], cell
         assert cell["trials_per_sec"] > 0, cell
         assert cell["trials"] >= 1, cell
         assert cell["simulator"] in ("reference", "vectorized"), cell
