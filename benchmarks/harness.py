@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -33,6 +34,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -113,7 +116,7 @@ def measure(grid: Grid, quick: bool) -> Dict[str, object]:
     Each pass walks the whole grid before the next starts, so a slow spell of the machine lands on
     different cells in different passes.  A cell keeps the pass with its median rate (the lower
     middle one for an even count) and lists every pass's rate under ``runs``, the spread the diff's
-    thresholds have to sit above.
+    thresholds have to sit above.  The document's ``environment`` records where it was measured.
     """
     cells = [cell for cell in grid.cells if cell["quick"] or not quick]
     passes: List[List[Cell]] = [[] for _ in cells]
@@ -128,7 +131,44 @@ def measure(grid: Grid, quick: bool) -> Dict[str, object]:
         median = sorted(runs, key=lambda run: run[grid.unit])[(len(runs) - 1) // 2]
         results.append(dict(median, runs=rates))
         print("%-44r %12.3f %s %s" % (cell_key(grid, median), median[grid.unit], grid.unit, rates))
-    return {"version": BASELINE_VERSION, "unit": grid.unit, "quick": quick, "cells": results}
+    return {
+        "version": BASELINE_VERSION,
+        "unit": grid.unit,
+        "quick": quick,
+        "environment": environment(),
+        "cells": results,
+    }
+
+
+def environment() -> Dict[str, object]:
+    """The machine and toolchain a document was measured on."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def compare_environments(current: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
+    """Print both documents' environment blocks; warn when they differ.
+
+    Baselines written before the block existed carry none: that prints one note, not a warning.
+    """
+    if "environment" not in baseline or "environment" not in current:
+        print("note: the baseline or the fresh run records no environment; not compared")
+        return []
+    print("baseline environment: %s" % json.dumps(baseline["environment"], sort_keys=True))
+    print("current environment:  %s" % json.dumps(current["environment"], sort_keys=True))
+    if baseline["environment"] == current["environment"]:
+        return []
+    return ["the environment differs from the baseline's; rates may not be comparable"]
+
+
+def pass_range(grid: Grid, cell: Cell) -> str:
+    """The min-max of a cell's passes, so a FAIL or WARN can be told from pass-to-pass noise."""
+    runs = cell.get("runs") or [cell[grid.unit]]
+    return "%g-%g" % (min(runs), max(runs))
 
 
 def speedup_summary(grid: Grid, document: Dict[str, object]) -> List[str]:
@@ -154,7 +194,8 @@ def diff_against_baseline(
     A baseline of another schema version fails outright.  A quick run skips the full-grid cells by
     design, so only two one-sided cases warn, and neither fails: a measured cell with no baseline
     entry, and a baseline cell the full grid no longer contains (the grid changed; regenerate the
-    baseline).
+    baseline).  Environments that differ warn too.  Each FAIL or WARN line about a cell carries the
+    min-max of its passes on both sides, so drift can be told from pass-to-pass noise.
     """
     if baseline.get("version") != BASELINE_VERSION:
         version = baseline.get("version")
@@ -162,7 +203,8 @@ def diff_against_baseline(
     current_by_key = {cell_key(grid, cell): cell for cell in current["cells"]}
     baseline_by_key = {cell_key(grid, cell): cell for cell in baseline["cells"]}
     dropped = baseline_by_key.keys() - {cell_key(grid, cell) for cell in grid.cells}
-    warnings = ["cell %r is in the baseline but not in the grid" % (k,) for k in sorted(dropped)]
+    warnings = compare_environments(current, baseline)
+    warnings += ["cell %r is in the baseline but not in the grid" % (k,) for k in sorted(dropped)]
     for key in sorted(current_by_key.keys() - baseline_by_key.keys()):
         warnings.append("cell %r was measured but has no baseline entry" % (key,))
     shared = [key for key in current_by_key if key in baseline_by_key]
@@ -174,7 +216,12 @@ def diff_against_baseline(
     failures: List[str] = []
     for key, ratio in zip(shared, ratios):
         relative = ratio / factor
-        line = "cell %r %+6.1f%% vs baseline (normalised)" % (key, (relative - 1) * 100)
+        line = "cell %r %+6.1f%% vs baseline (normalised; passes: baseline %s, current %s)" % (
+            key,
+            (relative - 1) * 100,
+            pass_range(grid, baseline_by_key[key]),
+            pass_range(grid, current_by_key[key]),
+        )
         if grid.gated(current_by_key[key]) and relative < 1.0 - FAIL_THRESHOLD:
             failures.append(line)
         elif abs(relative - 1.0) > WARN_THRESHOLD:

@@ -189,8 +189,8 @@ def scaling_sweep(
     ``graph_builder(n, seed)`` must return a connected graph on ``n`` nodes
     (lambdas are fine: graphs are built here, in the calling process, and the
     built instances are shipped to workers).  ``compute_mixing_time=False``
-    skips the exact mixing-time computation for sizes where the dense-matrix
-    power iteration would be too slow.  The whole sweep is one
+    skips the exact mixing-time computation for sizes where its dense
+    ``n x n`` matrix products would be too slow.  The whole sweep is one
     :class:`~repro.exec.spec.SweepSpec` executed by a single
     :class:`~repro.exec.runner.BatchRunner`, so with ``workers > 1`` *all*
     trials of *all* sizes run concurrently, not size by size.

@@ -122,8 +122,8 @@ def known_tmix_trial(
 
     ``mixing_time=None`` computes the exact ``t_mix`` of ``graph`` through
     :func:`~repro.graphs.mixing.cached_mixing_time`, so a sweep that reuses
-    one graph instance pays the dense-matrix power iteration once, not once
-    per trial.  A non-empty ``fault_plan`` runs the single oracle-length
+    one graph instance pays its dense ``n x n`` matrix products once, not
+    once per trial.  A non-empty ``fault_plan`` runs the single oracle-length
     phase against that adversary.  ``simulator="vectorized"`` runs the
     oracle-length phase on the numpy engine of :mod:`repro.sim.vectorized`
     (falling back to the reference simulator, with the reason recorded in

@@ -8,6 +8,8 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     expander_graph,
+    gilbert_connectivity_radius,
+    gilbert_graph,
     hypercube_graph,
     lazy_transition_matrix,
     linf_distance_to_stationary,
@@ -170,3 +172,86 @@ class TestLaziness:
         after = cached_mixing_time(graph)
         assert after == mixing_time(graph)
         assert after != before or graph._mixing_time_cache["version"] == graph._mutations
+
+
+def _stepwise_mixing_time(graph, laziness):
+    """The definition walked one step at a time: the oracle for the lifting."""
+    n = graph.num_nodes
+    transition = lazy_transition_matrix(graph, laziness=laziness)
+    stationary = stationary_distribution(graph)
+    powers = np.eye(n)
+    step = 0
+    while np.max(np.abs(powers - stationary)) > 1.0 / (2.0 * n):
+        powers = powers @ transition
+        step += 1
+    return step
+
+
+def _oracle_corpus():
+    # gilbert_graph returns its largest component, so every graph is connected.
+    for n in (128, 256):
+        for factor in (3.0, 1.5, 1.0):
+            radius = gilbert_connectivity_radius(n, factor)
+            for seed in range(3):
+                name = "gilbert(%d, %.1f, seed=%d)" % (n, factor, seed)
+                yield name, gilbert_graph(n, radius, seed=seed)
+    # Cycles and paths mix slowly, so the answer reaches the hundreds.
+    for n in range(8, 34):
+        yield "cycle(%d)" % n, cycle_graph(n)
+    for n in range(5, 21):
+        yield "path(%d)" % n, path_graph(n)
+    for dimension in (3, 5, 8):
+        yield "hypercube(%d)" % dimension, hypercube_graph(dimension)
+    yield "clique(16)", complete_graph(16)
+
+
+class TestBinaryLifting:
+    @pytest.mark.parametrize("laziness", [0.5, 0.25])
+    def test_matches_the_stepwise_oracle(self, laziness):
+        for name, graph in _oracle_corpus():
+            expected = _stepwise_mixing_time(graph, laziness)
+            assert mixing_time(graph, laziness=laziness) == expected, name
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph(12), path_graph(20), hypercube_graph(3), complete_graph(5)],
+        ids=["cycle", "path", "hypercube", "clique"],
+    )
+    def test_max_steps_boundary(self, graph):
+        # t is returned only when t < max_steps, whichever square the cap falls between.
+        t = mixing_time(graph)
+        for max_steps in range(t + 3):
+            if max_steps <= t:
+                with pytest.raises(RuntimeError):
+                    mixing_time(graph, max_steps=max_steps)
+            else:
+                assert mixing_time(graph, max_steps=max_steps) == t
+
+    def test_zero_step_threshold_respects_max_steps(self):
+        graph = cycle_graph(6)
+        assert mixing_time(graph, threshold=1.0) == 0
+        with pytest.raises(RuntimeError):
+            mixing_time(graph, threshold=1.0, max_steps=0)
+
+    def test_unreachable_threshold_raises_quickly(self):
+        with pytest.raises(RuntimeError):
+            mixing_time(cycle_graph(16), threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cycle_graph(15),
+            path_graph(10),
+            gilbert_graph(64, gilbert_connectivity_radius(64, 1.0), seed=2),
+        ],
+        ids=["cycle", "path", "gilbert"],
+    )
+    def test_distance_never_increases(self, graph):
+        # The lifting's premise: d(t) = max |P^t - Pi| is non-increasing in t.
+        transition = lazy_transition_matrix(graph)
+        powers = np.eye(graph.num_nodes)
+        distances = []
+        for _ in range(2 * mixing_time(graph) + 1):
+            distances.append(linf_distance_to_stationary(graph, powers))
+            powers = powers @ transition
+        assert all(later <= earlier for earlier, later in zip(distances, distances[1:]))

@@ -1,8 +1,8 @@
-"""Run the doctests of the orchestration packages as part of tier-1.
+"""Run the doctests of the graphs and orchestration packages as part of tier-1.
 
-The public API of ``repro.exec``, ``repro.faults``, ``repro.campaign`` and
-``repro.obs`` carries short runnable examples in its docstrings (the docs
-satellite of the campaign PR).  CI additionally runs ``pytest --doctest-modules`` over these
+The public API of ``repro.graphs``, ``repro.exec``, ``repro.faults``,
+``repro.campaign`` and ``repro.obs`` carries short runnable examples in its
+docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
 packages; this in-suite runner keeps the examples honest for anyone who only
 runs the plain tier-1 suite.
 """
@@ -16,9 +16,10 @@ import pytest
 import repro.campaign
 import repro.exec
 import repro.faults
+import repro.graphs
 import repro.obs
 
-PACKAGES = (repro.exec, repro.faults, repro.campaign, repro.obs)
+PACKAGES = (repro.graphs, repro.exec, repro.faults, repro.campaign, repro.obs)
 
 
 def _modules():

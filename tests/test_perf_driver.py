@@ -183,3 +183,57 @@ def test_main_quick_run_matching_the_baseline_exits_clean(name, clock, capsys, t
     written = json.loads(output.read_text())
     assert written["version"] == harness.BASELINE_VERSION and written["quick"] is True
     assert [harness.cell_key(grid, cell) for cell in written["cells"]] == _quick_keys(grid)
+
+
+def test_fail_and_warn_lines_print_both_pass_ranges(capsys):
+    grid = GRIDS["cache"]
+    committed = _committed(grid)
+    # A gated cell fails, an ungated one and one that sped up warn.
+    slow_keys = {
+        ("sqlite", "get", 2000): 0.6,
+        ("json", "put", 2000): 0.6,
+        ("json", "get", 2000): 1.2,
+    }
+    current = _quick_subset(grid, committed, scale=lambda key: slow_keys.get(key, 1.0))
+    for cell in current["cells"]:
+        cell["runs"] = [cell[grid.unit] * 0.9, cell[grid.unit], cell[grid.unit] * 1.1]
+    failures, warnings = harness.diff_against_baseline(grid, current, committed)
+    by_key = {harness.cell_key(grid, cell): cell for cell in committed["cells"]}
+    fresh = {harness.cell_key(grid, cell): cell for cell in current["cells"]}
+    assert len(failures) == 1 and len(warnings) == 2
+    for line in failures + warnings:
+        key = next(key for key in slow_keys if repr(key) in line)
+        base_runs, fresh_runs = by_key[key]["runs"], fresh[key]["runs"]
+        assert "baseline %g-%g" % (min(base_runs), max(base_runs)) in line
+        assert "current %g-%g" % (min(fresh_runs), max(fresh_runs)) in line
+
+
+def test_measure_records_the_environment(clock):
+    grid, _calls, _prepared = _stub(perf_cache.GRID, clock, lambda p, cell: 1)
+    document = harness.measure(grid, True)
+    environment = document["environment"]
+    assert set(environment) == {"cpu_count", "platform", "python", "numpy"}
+    assert environment == harness.environment()
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_environment_blocks_are_printed_and_compared(name, capsys):
+    grid = GRIDS[name]
+    committed = _committed(grid)
+    here = harness.environment()
+    quick_run = dict(_quick_subset(grid, committed), environment=here)
+    # A baseline without a block (every document written before it existed) notes, never warns.
+    assert "environment" not in committed
+    assert harness.diff_against_baseline(grid, quick_run, committed) == ([], [])
+    stdout = capsys.readouterr().out
+    assert stdout.count("note:") == 1 and "environment" in stdout
+    # Matching blocks print both sides and stay quiet.
+    baseline = dict(committed, environment=dict(here))
+    assert harness.diff_against_baseline(grid, quick_run, baseline) == ([], [])
+    stdout = capsys.readouterr().out
+    assert "baseline environment" in stdout and "current environment" in stdout
+    # A different machine warns, and the gate does not move.
+    baseline = dict(committed, environment=dict(here, cpu_count=1024))
+    failures, warnings = harness.diff_against_baseline(grid, quick_run, baseline)
+    assert failures == [] and len(warnings) == 1 and "environment" in warnings[0]
+    assert "1024" in capsys.readouterr().out
