@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.params import DEFAULT_PARAMETERS
 from repro.core.runner import run_leader_election
+from repro.core.schedule import PhaseSchedule
 from repro.exec import GraphSpec, TrialSpec, trial_fingerprint
 from repro.exec.execute import execute_trial
 from repro.exec.serialize import outcome_to_dict
@@ -140,11 +142,26 @@ class TestSmallAndDegenerateGraphs:
 
 
 _EXPANDER_64 = GraphSpec("expander", (64,), {"degree": 6}, seed=5)
+_EXPANDER_256 = GraphSpec("expander", (256,), {"degree": 8}, seed=7)
+_GILBERT_256 = GraphSpec("gilbert", (256, gilbert_connectivity_radius(256)), seed=8)
+#: Phase 3 of the default schedule: the ``cap-*`` pins stop the five-phase
+#: ``election-expander`` run inside each of its segments.
+_PHASE_3 = PhaseSchedule(DEFAULT_PARAMETERS).window(3)
+
+
+def _capped(max_rounds: int) -> TrialSpec:
+    return TrialSpec(
+        graph=_EXPANDER_64, seed=1, simulator="vectorized", algo_kwargs={"max_rounds": max_rounds}
+    )
+
 
 #: SHA-256 of ``json.dumps(outcome_to_dict(outcome))`` (insertion order, so
 #: ``messages_by_kind`` key order is pinned too), recorded before the engine's
 #: bookkeeping was vectorized.  Any change to RNG draws, rounds, message
-#: units, leaders or crash sets changes a digest.
+#: units, leaders or crash sets changes a digest.  The ``-256``/``-512``/``-8``
+#: shapes are ``vectorized-campaign``'s, and each ``cap-*`` pin ends the run
+#: (``completed=False``) inside one segment; both were recorded before the
+#: engine was split into one function per segment.
 _GOLDEN = {
     "election-expander": (
         TrialSpec(graph=_EXPANDER_64, seed=1, simulator="vectorized"),
@@ -184,6 +201,59 @@ _GOLDEN = {
         ),
         "26403c87302c8e577be4ecc026e744b445d9ece91f6eed373a40744db18ff219",
     ),
+    "election-expander-256": (
+        TrialSpec(graph=_EXPANDER_256, seed=7, simulator="vectorized"),
+        "f05cada85b36cece7a2d5de4e2fa83d2bd4a2419efd8658141daa85dc4aa4a0a",
+    ),
+    "election-expander-512": (
+        TrialSpec(
+            graph=GraphSpec("expander", (512,), {"degree": 8}, seed=9),
+            seed=8,
+            simulator="vectorized",
+        ),
+        "b993b07a41f44911730f4ac224fdbfe16c0f2364cfb261069a0d699f467a2f53",
+    ),
+    "election-hypercube-8": (
+        TrialSpec(graph=GraphSpec("hypercube", (8,)), seed=9, simulator="vectorized"),
+        "8e5eaf9c2cc08334693daa0ccbef19c5f1c3296df724f63ca4901a2ad7bcca50",
+    ),
+    "election-gilbert-256": (
+        TrialSpec(graph=_GILBERT_256, seed=10, simulator="vectorized"),
+        "ec362bd854d1a85beec3be4c023505ea035d9abd82ce7951f23d6519a16828d9",
+    ),
+    "election-expander-256-crash": (
+        TrialSpec(
+            graph=_EXPANDER_256,
+            seed=11,
+            simulator="vectorized",
+            fault_plan=FaultPlan(crashes=CrashFaults(count=2, at_phase=2)),
+        ),
+        "e3eee48269435d4fd7279cd0f77eabe5f920d12198f39b8074faee341baccd59",
+    ),
+    "known_tmix-gilbert-256": (
+        TrialSpec(graph=_GILBERT_256, seed=12, algorithm="known_tmix", simulator="vectorized"),
+        "c5f9028546143cae005814f64715de40ee57087d09fd8f63221707c0038c0491",
+    ),
+    "cap-mid-walk": (
+        _capped(_PHASE_3.walk_start + 4),
+        "390922d6f791ba290c4e29137e6a23bb11fe725f742c8e76b4c8b32f53850cbd",
+    ),
+    "cap-mid-report": (
+        _capped(_PHASE_3.report_start + 4),
+        "648fc1efad5639b6adcb63435e4abc6cc494ea1867ab90493a5447570167c7f2",
+    ),
+    "cap-mid-distribute": (
+        _capped(_PHASE_3.distribute_start + 2),
+        "f94052ebbc92029e7dee0b06e9a691a24bde7bd45ffa6deb70d11d3882ce0f3c",
+    ),
+    "cap-mid-collect": (
+        _capped(_PHASE_3.collect_start + 4),
+        "6223292fd12258c960e065e7b19370930b7ea18fe91a193b6529c89e5588e908",
+    ),
+    "cap-decide": (
+        _capped(_PHASE_3.decide_round),
+        "08f25f0ef35963069112b32b6af4c5c12c9f69aeca16089cf572b6ad10a06761",
+    ),
 }
 
 
@@ -199,11 +269,12 @@ class TestGoldenOutcomes:
         assert outcome.extras["simulator"] == "vectorized"
         assert _digest(outcome) == expected
         # The crash and congestion pins must keep exercising those paths.
-        if name == "election-expander-crash":
+        if name.endswith("-crash"):
             assert len(outcome.crashed_nodes) == 2
             assert outcome.metrics.fault_events["lost_to_crash"] > 0
         if name == "election-congestion":
             assert outcome.metrics.congestion_events > 0
+        assert outcome.metrics.completed is not name.startswith("cap-")
 
 
 class TestTracedRun:
