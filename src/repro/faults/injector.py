@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..sim.rng import derive_seed, fresh_master_seed
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "FAULT_EVENT_KINDS"]
+__all__ = ["FaultInjector", "FAULT_EVENT_KINDS", "crash_schedule"]
 
 #: Counter keys every injector reports (all start at zero).
 FAULT_EVENT_KINDS = (
@@ -48,6 +48,44 @@ _MESSAGE_STREAM = 1
 _CRASH_STREAM = 2
 _DELAY_STREAM = 3
 _EDGE_STREAM = 4
+
+
+def crash_schedule(
+    plan: FaultPlan, master_seed: int, n: int, phase_start_of: Optional[Callable[[int], int]] = None
+) -> Dict[int, int]:
+    """Node -> round from which ``plan`` crash-stops it, for an ``n``-node run.
+
+    Every simulator resolves crashes here, so all of them crash the same
+    nodes at the same rounds: random targets come from the plan's crash
+    stream under ``master_seed``, and ``phase_start_of`` (needed only for
+    ``CrashFaults.at_phase``) maps a phase index to its first round.
+    """
+    crashes = plan.crashes
+    if crashes.is_empty:
+        return {}
+    if crashes.targets:
+        targets = list(crashes.targets)
+        for node in targets:
+            if not 0 <= node < n:
+                raise ValueError("crash target %d outside the %d-node network" % (node, n))
+    else:
+        if crashes.count > n:
+            raise ValueError("cannot crash %d of %d nodes" % (crashes.count, n))
+        base = derive_seed(master_seed, plan.seed_stream())
+        crash_rng = random.Random(derive_seed(base, _CRASH_STREAM))
+        targets = sorted(crash_rng.sample(range(n), crashes.count))
+    if crashes.at_round is not None:
+        round_number = crashes.at_round
+    elif crashes.at_phase is not None:
+        if phase_start_of is None:
+            raise ValueError(
+                "plan crashes at phase %d but the injector has no "
+                "phase_start_of resolver" % crashes.at_phase
+            )
+        round_number = phase_start_of(crashes.at_phase)
+    else:
+        round_number = 0
+    return {node: round_number for node in targets}
 
 
 class FaultInjector:
@@ -78,7 +116,6 @@ class FaultInjector:
         self.master_seed = master_seed
         base = derive_seed(master_seed, plan.seed_stream())
         self._message_rng = random.Random(derive_seed(base, _MESSAGE_STREAM))
-        self._crash_rng = random.Random(derive_seed(base, _CRASH_STREAM))
         self._delay_rng = random.Random(derive_seed(base, _DELAY_STREAM))
         self._edge_rng = random.Random(derive_seed(base, _EDGE_STREAM))
         self._phase_start_of = phase_start_of
@@ -103,43 +140,11 @@ class FaultInjector:
         if self._attached:
             raise RuntimeError("a FaultInjector serves exactly one run")
         self._attached = True
-        n = port_graph.num_nodes
-        self._resolve_crashes(n)
+        self.crash_rounds = crash_schedule(
+            self.plan, self.master_seed, port_graph.num_nodes, self._phase_start_of
+        )
         self._resolve_edge_removals(port_graph.graph)
         self._resolve_delays(port_graph.graph)
-
-    def _crash_round_of_plan(self) -> int:
-        crashes = self.plan.crashes
-        if crashes.at_round is not None:
-            return crashes.at_round
-        if crashes.at_phase is not None:
-            if self._phase_start_of is None:
-                raise ValueError(
-                    "plan crashes at phase %d but the injector has no "
-                    "phase_start_of resolver" % crashes.at_phase
-                )
-            return self._phase_start_of(crashes.at_phase)
-        return 0
-
-    def _resolve_crashes(self, n: int) -> None:
-        crashes = self.plan.crashes
-        if crashes.is_empty:
-            return
-        if crashes.targets:
-            targets = list(crashes.targets)
-            for node in targets:
-                if not 0 <= node < n:
-                    raise ValueError(
-                        "crash target %d outside the %d-node network" % (node, n)
-                    )
-        else:
-            if crashes.count > n:
-                raise ValueError(
-                    "cannot crash %d of %d nodes" % (crashes.count, n)
-                )
-            targets = sorted(self._crash_rng.sample(range(n), crashes.count))
-        round_number = self._crash_round_of_plan()
-        self.crash_rounds = {node: round_number for node in targets}
 
     def _resolve_edge_removals(self, graph) -> None:
         edges = self.plan.edges

@@ -87,11 +87,15 @@ class MetricsCollector:
 
     def record_send(self, kind: str, size_bits: int) -> None:
         """Account for one physical message of ``size_bits`` bits."""
-        units = max(1, -(-size_bits // self.word_bits))
-        self.messages += 1
+        self.record_sends(kind, size_bits, 1)
+
+    def record_sends(self, kind: str, size_bits: int, count: int) -> None:
+        """Account for ``count`` physical messages of ``size_bits`` bits each."""
+        units = max(1, -(-size_bits // self.word_bits)) * count
+        self.messages += count
         self.message_units += units
-        self.bits += size_bits
-        self.messages_by_kind[kind] += 1
+        self.bits += size_bits * count
+        self.messages_by_kind[kind] += count
         self.units_by_kind[kind] += units
 
     def record_edge_load(self, edge_bits: int, capacity_bits: int) -> None:

@@ -11,21 +11,27 @@ an int vector, one CSR neighbour-table gather moves every walk of every
 contender per round, and coin flips come in bulk from a dedicated seed
 stream.
 
-Cost model: the walk's per-round work is array operations, and the trees'
-forward edges are deduplicated as 1-D ``int64`` keys
-``(tree * n + src) * n + dst``.  Converge-cast and cascade messages are
-tallied per ``(kind, size_bits)`` and folded into the metric totals once
-per phase.  The winner cascade is a round-ordered FIFO, and the
-converge-casts read per-tree rows, crash rounds and heard-winner rounds as
-Python lists, built once per tree or run.
+Cost model: a short phase loop (:func:`_simulate`) calls one function per
+protocol segment -- :func:`_walk`, :func:`_report`, :func:`_distribute`,
+:func:`_collect`, :func:`_decide` and :func:`_cascade` -- on one explicit
+run state, :class:`_Run`, and a :class:`_Phase` per phase.  The walk's
+per-round work is array operations, and the trees' forward edges are
+deduplicated as 1-D ``int64`` keys ``(tree * n + src) * n + dst``.  Every
+other message goes through one hop rule, :meth:`_Run.send`; REPORT and
+COLLECT are one converge-cast routine (:func:`_converge_cast`).  All sends
+are tallied per ``(kind, size_bits)`` and folded into a
+:class:`~repro.sim.metrics.MetricsCollector` once per phase.  The winner
+cascade is a round-ordered FIFO, and the segments read per-tree rows, crash
+rounds and heard-winner rounds as Python lists, built once per tree or run.
 
 Seed-stream contract
 --------------------
 Identities and contender nominations are drawn through the exact per-node
 ``random.Random`` streams the reference uses (``derive_seed(network_seed,
 node_index)``), so both simulators see byte-identical ids and contender
-sets.  Crash faults replicate the injector's stream chain, so both
-simulators crash the same nodes at the same rounds.  Walk randomness,
+sets.  Crash schedules come from the injector's own
+:func:`~repro.faults.injector.crash_schedule`, so both simulators crash the
+same nodes at the same rounds.  Walk randomness,
 however, comes from one ``numpy`` PCG64 generator seeded with
 ``derive_seed(network_seed, VECTORIZED_WALK_STREAM)`` -- a stream the
 reference never touches.  The two simulators therefore agree on *who runs*
@@ -55,17 +61,19 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..faults.injector import FAULT_EVENT_KINDS, crash_schedule
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..obs.tracer import current_tracer
 from .errors import ProtocolError
 from .harness import FAULT_SEED_STREAM
 from .message import counter_bits, id_bits, word_bits_for
-from .metrics import RunMetrics
+from .metrics import MetricsCollector
 from .rng import derive_seed, fresh_master_seed
 
 __all__ = [
@@ -81,15 +89,6 @@ __all__ = [
 VECTORIZED_WALK_STREAM = 0xA77A9
 
 _NEVER = 1 << 62
-
-_FAULT_EVENT_KINDS = (
-    "dropped",
-    "duplicated",
-    "delayed",
-    "delay_rounds",
-    "edge_dropped",
-    "lost_to_crash",
-)
 
 
 class VectorizedUnsupported(Exception):
@@ -131,6 +130,11 @@ def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     Memoised on the graph instance and keyed by its mutation counter, the
     same invalidation convention as the edge-digest and mixing-time caches.
     Neighbour lists are sorted, matching ``Graph.neighbors``.
+
+    >>> from repro.graphs import hypercube_graph
+    >>> indptr, indices, degrees = graph_csr(hypercube_graph(4))
+    >>> degrees.tolist() == [4] * 16, indices[indptr[0] : indptr[1]].tolist()
+    (True, [1, 2, 4, 8])
     """
     version = getattr(graph, "_mutations", None)
     cached = getattr(graph, "_csr_cache", None)
@@ -156,94 +160,43 @@ def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, degrees
 
 
-def _crash_rounds(
-    plan: Optional[FaultPlan],
-    seed: int,
-    n: int,
-    phase_start_of,
-) -> Dict[int, int]:
-    """Replicate the injector's crash resolution byte-for-byte."""
-    if plan is None or plan.is_empty or plan.crashes.is_empty:
-        return {}
-    crashes = plan.crashes
-    base = derive_seed(derive_seed(seed, FAULT_SEED_STREAM), plan.seed_stream())
-    crash_rng = random.Random(derive_seed(base, 2))
-    if crashes.targets:
-        targets = list(crashes.targets)
-        for node in targets:
-            if not 0 <= node < n:
-                raise ValueError(
-                    "crash target %d outside the %d-node network" % (node, n)
-                )
-    else:
-        if crashes.count > n:
-            raise ValueError("cannot crash %d of %d nodes" % (crashes.count, n))
-        targets = sorted(crash_rng.sample(range(n), crashes.count))
-    if crashes.at_round is not None:
-        round_number = crashes.at_round
-    elif crashes.at_phase is not None:
-        round_number = phase_start_of(crashes.at_phase)
-    else:
-        round_number = 0
-    return {node: round_number for node in targets}
+class _Metrics(MetricsCollector):
+    """A :class:`MetricsCollector` fed per ``(kind, size_bits)`` tally.
 
-
-class _Metrics:
-    """Bulk-friendly stand-in for the reference MetricsCollector.
-
-    Walk tokens arrive a round at a time as arrays (:meth:`record_bulk`).
-    Every other send is tallied per ``(kind, size_bits)`` by :meth:`record`
-    and folded into the totals by :meth:`flush`, once per phase; the tally
-    keeps first-seen order, so ``by_kind`` gains its keys in the order the
-    per-message accounting would give them.
+    Walk tokens are tallied a round at a time (:meth:`record_bulk`), every
+    other message by :meth:`_Run.send`, and :meth:`flush` folds the tallies
+    into the totals once per phase.  The tally keeps first-seen order, so
+    ``messages_by_kind`` gains its keys in the order per-message accounting
+    would give them.  Given an edge capacity, ``edge_bits`` sums the bits per
+    ``(round, src, dst)``.
     """
 
-    def __init__(self, word_bits: int, n: int, track_edges: bool) -> None:
-        self.word_bits = word_bits
+    def __init__(self, word_bits: int, n: int, capacity_words: Optional[int]) -> None:
+        super().__init__(word_bits)
         self.n = n
-        self.messages = 0
-        self.message_units = 0
-        self.bits = 0
-        self.by_kind: Dict[str, int] = {}
-        self.units_by_kind: Dict[str, int] = {}
+        self.capacity_words = capacity_words
         self.tally: Dict[Tuple[str, int], int] = {}
-        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = {} if track_edges else None
-
-    def _add(self, kind: str, count: int, units: int, bits: int) -> None:
-        self.messages += count
-        self.message_units += units
-        self.bits += bits
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-        self.units_by_kind[kind] = self.units_by_kind.get(kind, 0) + units
-
-    def record(self, kind: str, size_bits: int, rnd: int, u: int, targets: Sequence[int]) -> None:
-        """Tally one ``size_bits`` message from ``u`` to each of ``targets``."""
-        key = (kind, size_bits)
-        self.tally[key] = self.tally.get(key, 0) + len(targets)
-        edge_bits = self.edge_bits
-        if edge_bits is not None:
-            for v in targets:
-                edge = (rnd, u, v)
-                edge_bits[edge] = edge_bits.get(edge, 0) + size_bits
+        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = (
+            None if capacity_words is None else {}
+        )
 
     def flush(self) -> None:
         """Fold the pending tallies into the totals."""
         for (kind, size), count in self.tally.items():
-            self._add(kind, count, max(1, -(-size // self.word_bits)) * count, size * count)
+            self.record_sends(kind, size, count)
         self.tally.clear()
 
     def record_bulk(
-        self,
-        kind: str,
-        sizes: np.ndarray,
-        rnd: int,
-        src: np.ndarray,
-        dst: np.ndarray,
+        self, kind: str, sizes: np.ndarray, rnd: int, src: np.ndarray, dst: np.ndarray
     ) -> None:
-        """Account one round's messages: ``sizes[i]`` bits from ``src[i]``
+        """Tally one round's messages: ``sizes[i]`` bits from ``src[i]``
         to ``dst[i]``, with the loads summed per edge before they are kept."""
-        units = np.maximum(1, (sizes + self.word_bits - 1) // self.word_bits)
-        self._add(kind, int(sizes.size), int(units.sum()), int(sizes.sum()))
+        tally = self.tally
+        bins = np.bincount(sizes)
+        counts = bins.tolist()
+        for size in np.flatnonzero(bins).tolist():
+            key = (kind, size)
+            tally[key] = tally.get(key, 0) + counts[size]
         edge_bits = self.edge_bits
         if edge_bits is not None:
             edges, inverse = np.unique(src * self.n + dst, return_inverse=True)
@@ -285,20 +238,15 @@ def _forward_maps(move_keys: List[np.ndarray], n: int, trees: int) -> List[Dict[
     return maps
 
 
+@dataclass(slots=True)
 class _Tree:
     """One retained walk tree, as the winner cascade reads it."""
 
-    __slots__ = ("origin", "parent", "fwd", "winner_size", "flooded", "sent_up")
-
-    def __init__(
-        self, origin: int, parent: List[int], fwd: Dict[int, List[int]], winner_size: int
-    ) -> None:
-        self.origin = origin
-        self.parent = parent
-        self.fwd = fwd
-        self.winner_size = winner_size
-        self.flooded: Set[int] = set()  # nodes that forwarded winner-down
-        self.sent_up: Set[int] = set()  # nodes that relayed winner-up
+    parent: List[int]
+    fwd: Dict[int, List[int]]
+    winner_size: int
+    flooded: Set[int] = field(default_factory=set)  # nodes that forwarded winner-down
+    sent_up: Set[int] = field(default_factory=set)  # nodes that relayed winner-up
 
 
 def _convergecast_order(offsets: np.ndarray, L: int) -> Tuple[List[int], List[int]]:
@@ -317,656 +265,706 @@ def _convergecast_order(offsets: np.ndarray, L: int) -> Tuple[List[int], List[in
     return members[order].tolist(), delay.tolist()
 
 
-def _run_engine(
-    graph: Graph,
-    params,
-    seed: Optional[int],
-    known_n: Optional[int],
-    assumed_n: Optional[int],
-    max_rounds: int,
-    edge_capacity_words: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    network_stream: int,
-    decide_rule: str,
-):
-    from ..core.result import ElectionOutcome
-    from ..core.schedule import PhaseSchedule
+#: Counter-field widths of a message that carries no counters (COLLECT).
+_NO_COUNTERS = (0,)
 
-    n = graph.num_nodes
-    if seed is None:
-        seed = fresh_master_seed()
-    network_seed = derive_seed(seed, network_stream)
-    resolved = n if known_n == -1 else known_n
-    n_eff = resolved if resolved is not None else assumed_n
-    if n_eff is None:
-        raise ProtocolError(
-            "the algorithm requires knowledge of n (pass assumed_n to override)"
-        )
+#: What a converge-cast member holds before any child reported to it.
+_NOTHING: Tuple[FrozenSet[int], int, int] = (frozenset(), 0, 0)
 
-    schedule = PhaseSchedule(params)
-    crash_map = _crash_rounds(
-        fault_plan, seed, n, lambda index: schedule.window(index).start
+
+@dataclass(slots=True)
+class _Contender:
+    """Protocol state of one contender (the LeaderElectionNode fields the
+    decide rule and the outcome read)."""
+
+    adjacency: Set[int] = field(default_factory=set)  # ids heard through REPORT
+    i4: Set[int] = field(default_factory=set)  # ids heard through COLLECT
+    distinct: int = 0
+    forced_stop: bool = False
+
+
+class _Run:
+    """The state one engine run shares across its phases and segments.
+
+    Setup draws the byte-identical identities and nominations (Algorithm 1)
+    and the injector's crash schedule.  :meth:`send` is the one hop rule of
+    every message outside the walk.
+    """
+
+    # Slots: the per-message paths read these, and CPython's instance-dict reads
+    # slow down once an object has more than 30 attributes (this one has 29).
+    __slots__ = (
+        "n",
+        "params",
+        "schedule",
+        "max_rounds",
+        "ids",
+        "id_to_contender",
+        "state",
+        "crash",
+        "crash_np",
+        "has_faults",
+        "wrng",
+        "csr",
+        "id_bits",
+        "walks_per",
+        "walk_cap",
+        "thresholds",
+        "metrics",
+        "learn",
+        "proxy_for",
+        "latest_phase",
+        "rules_fired",
+        "trees",
+        "queue",
+        "leaders",
+        "phases",
+        "last_activity",
+        "clock",
+        "completed",
+        "lost_to_crash",
     )
-    # Crash rounds twice over: an array for the walk's bulk masks, a list for
-    # the scalar reads of the converge-casts and the cascade.
-    crash_np = np.full(n, _NEVER, dtype=np.int64)
-    for node, rnd in crash_map.items():
-        crash_np[node] = rnd
-    crash = crash_np.tolist()
-    has_faults = fault_plan is not None and not fault_plan.is_empty
 
-    # Algorithm 1: byte-identical identities and nominations.  Identifiers
-    # live in a plain list -- id_space is n^4 and overflows int64 past
-    # n ~ 55k, and the engine only ever reads them as Python scalars.
-    ids: List[int] = [0] * n
-    contender = [False] * n
-    for i in range(n):
-        rng = random.Random(derive_seed(network_seed, i))
-        ids[i] = rng.randint(1, params.id_space(n_eff))
-        contender[i] = rng.random() < params.contender_probability(n_eff)
-    contender_nodes = [v for v in range(n) if contender[v]]
-    if len({ids[v] for v in contender_nodes}) < len(contender_nodes):
-        raise VectorizedUnsupported(
-            "duplicate contender identifiers alias their walk trees"
+    def __init__(
+        self,
+        graph: Graph,
+        params,
+        seed: Optional[int],
+        fault_plan: Optional[FaultPlan],
+        max_rounds: int,
+        network_stream: int,
+        decide_rule: str,
+        known_n: Optional[int] = -1,
+        assumed_n: Optional[int] = None,
+        edge_capacity_words: Optional[int] = None,
+    ) -> None:
+        from ..core.schedule import PhaseSchedule
+
+        reason = vectorized_unsupported_reason(fault_plan=fault_plan)
+        if reason is not None:
+            raise VectorizedUnsupported(reason)
+        n = self.n = graph.num_nodes
+        if seed is None:
+            seed = fresh_master_seed()
+        network_seed = derive_seed(seed, network_stream)
+        resolved = n if known_n == -1 else known_n
+        n_eff = resolved if resolved is not None else assumed_n
+        if n_eff is None:
+            raise ProtocolError(
+                "the algorithm requires knowledge of n (pass assumed_n to override)"
+            )
+        self.params = params
+        self.schedule = schedule = PhaseSchedule(params)
+        self.max_rounds = max_rounds
+
+        # Algorithm 1: byte-identical identities and nominations.  Identifiers
+        # live in a plain list -- id_space is n^4 and overflows int64 past
+        # n ~ 55k, and the engine only ever reads them as Python scalars.
+        ids = self.ids = [0] * n
+        contender_nodes = []
+        for i in range(n):
+            rng = random.Random(derive_seed(network_seed, i))
+            ids[i] = rng.randint(1, params.id_space(n_eff))
+            if rng.random() < params.contender_probability(n_eff):
+                contender_nodes.append(i)
+        if len({ids[v] for v in contender_nodes}) < len(contender_nodes):
+            raise VectorizedUnsupported("duplicate contender identifiers alias their walk trees")
+        self.id_to_contender = {ids[v]: v for v in contender_nodes}
+        self.state = {v: _Contender() for v in contender_nodes}
+
+        crash_map = crash_schedule(
+            fault_plan or FaultPlan(),
+            derive_seed(seed, FAULT_SEED_STREAM),
+            n,
+            lambda index: schedule.window(index).start,
         )
-    id_to_contender = {ids[v]: v for v in contender_nodes}
+        # Crash rounds twice over: a list for the scalar reads of most
+        # segments, an array for the walk's bulk masks.
+        self.crash = [crash_map.get(v, _NEVER) for v in range(n)]
+        self.crash_np = np.array(self.crash, dtype=np.int64)
+        self.has_faults = fault_plan is not None and not fault_plan.is_empty
 
-    wrng = np.random.Generator(
-        np.random.PCG64(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
-    )
-    indptr, indices, degrees = graph_csr(graph)
-    WB = word_bits_for(n)
-    IDB = id_bits(n_eff)
-    metrics = _Metrics(WB, n, edge_capacity_words is not None)
-    record = metrics.record
-    walks_per = params.num_walks(n_eff)
+        self.wrng = np.random.default_rng(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
+        self.csr = graph_csr(graph)
+        self.id_bits = id_bits(n_eff)
+        self.walks_per = params.num_walks(n_eff)
+        self.walk_cap = params.walk_length_cap(n_eff)
+        # [25]'s rule has no thresholds: every contender that decides stops.
+        self.thresholds = (
+            (0, 0)
+            if decide_rule == "known_tmix"
+            else (params.intersection_threshold(n_eff), params.distinctness_threshold(n_eff))
+        )
+        self.metrics = _Metrics(word_bits_for(n), n, edge_capacity_words)
 
-    # Round each node heard a winner: a list for the scalar reads of the
-    # converge-casts and the cascade, copied to an array for each walk.
-    learn = [_NEVER] * n
-    proxy_for: List[Set[int]] = [set() for _ in range(n)]
-    latest_phase: List[Dict[int, int]] = [{} for _ in range(n)]
-    rules_fired = [False] * n
+        # Round each node heard a winner: a list for the scalar reads of the
+        # converge-casts and the cascade, copied to an array for each walk.
+        self.learn = [_NEVER] * n
+        self.proxy_for: List[Set[int]] = [set() for _ in range(n)]
+        self.latest_phase: List[Dict[int, int]] = [{} for _ in range(n)]
+        self.rules_fired = [False] * n
+        # Retained per-(contender node, phase) trees for the winner cascade.
+        self.trees: Dict[Tuple[int, int], _Tree] = {}
+        self.queue: Deque[Tuple[int, bool, int, _Tree]] = deque()
+        self.leaders: List[int] = []
+        self.phases = 0  # phases opened; every starter of one started all before it
+        self.last_activity = 0
+        self.clock = 0
+        self.completed = True
+        self.lost_to_crash = 0
 
-    # Per-contender protocol state (mirrors LeaderElectionNode fields).
-    state = {
-        v: {
-            "stopped": False,
-            "stopped_on_winner": False,
-            "forced_stop": False,
-            "leader": False,
-            "phases": 0,
-            "final_walk_length": 0,
-            "current_phase": -1,
-            "adjacency": set(),
-            "i4": set(),
-            "distinct": 0,
-            "sat_int": False,
-            "sat_dis": False,
+    def act(self, r: int) -> None:
+        """Some node was active in round ``r``."""
+        if r > self.last_activity:
+            self.last_activity = r
+        if r > self.clock:
+            self.clock = r
+
+    def tick(self, r: int) -> None:
+        """The run reached round ``r`` (capped), active or not."""
+        if r > self.clock:
+            self.clock = min(r, self.max_rounds)
+
+    def send(
+        self, kind: str, size: int, r: int, u: int, targets: Sequence[int], knows: bool
+    ) -> Sequence[int]:
+        """One hop: ``u`` sends a ``size``-bit message to each of ``targets`` in round ``r``.
+
+        Tallies the sends and returns the targets that receive them in round
+        ``r + 1``: none past the round cap, which marks the run incomplete,
+        and none that have crashed by then, each counted as lost.  A sender
+        that ``knows`` of a winner passes that round on to every receiver.
+        """
+        metrics = self.metrics
+        key = (kind, size)
+        tally = metrics.tally
+        tally[key] = tally.get(key, 0) + len(targets)
+        edge_bits = metrics.edge_bits
+        if edge_bits is not None:
+            for v in targets:
+                edge = (r, u, v)
+                edge_bits[edge] = edge_bits.get(edge, 0) + size
+        a = r + 1
+        if a > self.max_rounds:
+            self.completed = False
+            return ()
+        crash = self.crash
+        for v in targets:
+            if crash[v] <= a:  # rare: copy out the live targets only then
+                live = [v for v in targets if crash[v] > a]
+                self.lost_to_crash += len(targets) - len(live)
+                targets = live
+                break
+        if knows:
+            learn = self.learn
+            for v in targets:
+                if learn[v] > a:
+                    learn[v] = a
+        return targets
+
+
+class _Phase:
+    """One guess-and-double phase: its window, its starters and their walk trees.
+
+    Row ``s`` of every table belongs to the tree of ``starters[s]``.
+    """
+
+    def __init__(self, n: int, index: int, window, starters: List[int]) -> None:
+        self.index = index
+        self.window = window
+        self.starters = starters
+        self.phase_bits = counter_bits(max(1, index))
+        S = len(starters)
+        self.off = np.full((S, n), -1, dtype=np.int64)  # join offset, 0 at the origin
+        self.par = np.full((S, n), -1, dtype=np.int64)  # tree parent
+        self.proxies = np.zeros((S, n), dtype=np.int64)  # tokens ending at each node
+        self.off[np.arange(S), starters] = 0
+        self.move_keys: List[np.ndarray] = []  # each round's unique move keys
+        self.fwd: List[Dict[int, List[int]]] = []
+        self.parents: List[List[int]] = []
+        self.proxy_rows: List[List[int]] = []
+        self.proxy_nodes: List[List[int]] = []
+        self.schedules: List[Tuple[List[int], List[int]]] = []
+
+
+def _open_phase(run: _Run, index: int, active: List[int]) -> Optional[_Phase]:
+    """Start phase ``index`` for the live ``active`` contenders, or ``None``
+    when the round cap or the crashes leave nobody to start it."""
+    window = run.schedule.window(index)
+    begin = max(1, window.start)
+    run.tick(begin)
+    if begin > run.max_rounds:
+        run.completed = False
+        return None
+    crash = run.crash
+    starters = [v for v in active if crash[v] > begin]
+    if not starters:
+        return None
+    run.phases = index + 1
+    for v in starters:
+        run.state[v].distinct = 0
+    return _Phase(run.n, index, window, starters)
+
+
+def _walk(run: _Run, ph: _Phase) -> bool:
+    """WALK: every starter's lazy walks as token vectors, one CSR gather per round.
+
+    Grows the trees (join offsets, parents, forward-edge move keys) and the
+    proxy counts.  Returns ``False`` when the round cap cut the walk short.
+    """
+    n = run.n
+    crash_np = run.crash_np
+    indptr, indices, degrees = run.csr
+    coins = run.wrng.random
+    metrics = run.metrics
+    max_rounds = run.max_rounds
+    start = ph.window.start
+    begin = max(1, start)
+    L = ph.window.walk_length
+    off_flat = ph.off.reshape(-1)  # views indexed by tree * n + node
+    par_flat = ph.par.reshape(-1)
+    move_keys = ph.move_keys
+    base_bits = run.id_bits + ph.phase_bits + 1
+    learn_np = np.array(run.learn, dtype=np.int64)
+    owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
+    pos = np.repeat(np.asarray(ph.starters, dtype=np.int64), run.walks_per)
+    for t in range(1, L + 1):
+        r = begin + t - 1
+        if r > max_rounds:
+            run.completed = False
+            return False
+        alive_tok = crash_np[pos] > r
+        if not alive_tok.all():
+            run.tick(r)
+            pos = pos[alive_tok]
+            owners = owners[alive_tok]
+        if pos.size == 0:
+            break
+        run.act(r)
+        move = coins(pos.size) >= 0.5
+        move &= degrees[pos] > 0  # tokens on isolated nodes never move
+        moving = np.flatnonzero(move)
+        staying = np.flatnonzero(~move)
+        stay_pos = pos[staying]
+        stay_own = owners[staying]
+        if moving.size:
+            msrc = pos[moving]
+            mown = owners[moving]
+            degm = degrees[msrc]
+            ports = (coins(msrc.size) * degm).astype(np.int64)
+            np.minimum(ports, degm - 1, out=ports)
+            mdst = indices[indptr[msrc] + ports]
+            # One key per (tree, src, dst) move, in lexicographic order;
+            # the round's unique keys are also the tree's forward edges.
+            key = (mown * n + msrc) * n + mdst
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            first = _runs(sorted_key)
+            move_keys.append(sorted_key[first])
+            counts = np.diff(first, append=sorted_key.size)
+            head = order[first]
+            g_own = mown[head]
+            g_src = msrc[head]
+            g_dst = mdst[head]
+            sizes = base_bits + counter_bits(t) + _bit_lengths(counts)
+            metrics.record_bulk("walk_token", sizes, r, g_src, g_dst)
+            if r + 1 > max_rounds:
+                run.completed = False
+                return False
+            g_alive = crash_np[g_dst] > r + 1
+            run.lost_to_crash += int((~g_alive).sum())
+            g_own = g_own[g_alive]
+            g_src = g_src[g_alive]
+            g_dst = g_dst[g_alive]
+            delivered_tok = crash_np[mdst] > r + 1
+            mdst = mdst[delivered_tok]
+            mown = mown[delivered_tok]
+            if g_dst.size:
+                run.act(r + 1)
+                flagged = learn_np[g_src] <= r
+                if flagged.any():
+                    np.minimum.at(learn_np, g_dst[flagged], r + 1)
+                # A node joins a tree through its smallest-id sender of the
+                # first round a token of that tree reaches it.
+                joins = g_own * n + g_dst
+                fresh = off_flat[joins] == -1
+                if fresh.any():
+                    joins = joins[fresh]
+                    senders = g_src[fresh]
+                    order = np.argsort(joins * n + senders)
+                    joins = joins[order]
+                    senders = senders[order]
+                    first = _runs(joins)
+                    off_flat[joins[first]] = max(1, (r + 1) - start)
+                    par_flat[joins[first]] = senders[first]
+            pos = np.concatenate([stay_pos, mdst])
+            owners = np.concatenate([stay_own, mown])
+        else:
+            pos = stay_pos
+            owners = stay_own
+        if t == L and pos.size:
+            np.add.at(ph.proxies, (owners, pos), 1)
+    run.learn[:] = learn_np.tolist()
+    return True
+
+
+def _retain_trees(run: _Run, ph: _Phase) -> None:
+    """Keep the phase's walk trees for the exchange segments and the cascade,
+    and index every member and proxy under its origin's id for the winner rules."""
+    ids = run.ids
+    latest_phase = run.latest_phase
+    proxy_for = run.proxy_for
+    index = ph.index
+    ph.fwd = _forward_maps(ph.move_keys, run.n, len(ph.starters))
+    ph.parents = ph.par.tolist()
+    ph.proxy_rows = ph.proxies.tolist()
+    winner_size = 2 * run.id_bits + ph.phase_bits + 1
+    for s, v in enumerate(ph.starters):
+        idk = ids[v]
+        for m in np.flatnonzero(ph.off[s] >= 0).tolist():
+            latest_phase[m][idk] = index
+        proxy_nodes = np.flatnonzero(ph.proxies[s] > 0).tolist()
+        for m in proxy_nodes:
+            proxy_for[m].add(idk)
+        ph.proxy_nodes.append(proxy_nodes)
+        run.trees[(v, index)] = _Tree(ph.parents[s], ph.fwd[s], winner_size)
+        ph.schedules.append(_convergecast_order(ph.off[s], ph.window.walk_length))
+
+
+def _converge_cast(
+    run: _Run,
+    ph: _Phase,
+    s: int,
+    begin: int,
+    kind: str,
+    own: Dict[int, Tuple[Set[int], int, int]],
+    widths: Sequence[int],
+) -> Tuple[Set[int], int]:
+    """One tree's REPORT or COLLECT, starting in round ``begin``.
+
+    Members send deepest first, each once, to their parent: the ids and the
+    two counters ``(distinct, proxies)`` heard from their children, merged
+    with their ``own`` contribution.  A message is ``IDB + IDB * |ids| +
+    phase bits + 1`` bits plus ``widths[c]`` per counter ``c``.  Returns the
+    ids and the ``distinct`` count that reached the origin.
+    """
+    origin = ph.starters[s]
+    ranked, delay = ph.schedules[s]
+    parents = ph.parents[s]
+    crash = run.crash
+    learn = run.learn
+    send = run.send
+    max_rounds = run.max_rounds
+    IDB = run.id_bits
+    header = IDB + ph.phase_bits + 1
+    if ranked:
+        run.tick(begin + delay[ranked[-1]])
+    held: Dict[int, Tuple[Set[int], int, int]] = {}
+    got_ids: Set[int] = set()
+    got_distinct = 0
+    reached = 0  # latest active round (ranked is in nondecreasing send round)
+    for v in ranked:
+        r_v = begin + delay[v]
+        if r_v > max_rounds:
+            run.completed = False
+            continue
+        if crash[v] <= r_v:
+            continue
+        if r_v > reached:
+            reached = r_v
+        ids, distinct, proxies = held.get(v, _NOTHING)
+        mine = own.get(v)
+        if mine is not None:
+            ids = ids | mine[0]
+            distinct += mine[1]
+            proxies += mine[2]
+        knows = learn[v] <= r_v
+        if not (ids or distinct or knows):
+            continue
+        size = header + IDB * len(ids) + widths[distinct] + widths[proxies]
+        parent = parents[v]
+        if not send(kind, size, r_v, v, (parent,), knows):
+            continue
+        a = reached = r_v + 1
+        if parent == origin:
+            got_ids |= ids
+            got_distinct += distinct
+        elif a <= begin + delay[parent]:
+            theirs = held.get(parent)
+            held[parent] = (
+                (ids, distinct, proxies)
+                if theirs is None
+                else (theirs[0] | ids, theirs[1] + distinct, theirs[2] + proxies)
+            )
+    run.act(reached)
+    return got_ids, got_distinct
+
+
+def _report(run: _Run, ph: _Phase) -> None:
+    """REPORT: every proxy sends up the other origins it serves, whether it
+    holds exactly one token (distinct) and how many (proxies)."""
+    ids = run.ids
+    proxy_for = run.proxy_for
+    begin = ph.window.report_start
+    # Both counters (distinct proxies, tokens) are at most the tree's walk
+    # count; a counter c is counter_bits(max(1, c)) wide.
+    widths = [1] + [c.bit_length() for c in range(1, run.walks_per + 1)]
+    for s, origin in enumerate(ph.starters):
+        idk = ids[origin]
+        counts = ph.proxy_rows[s]
+        own = {
+            v: ({o for o in proxy_for[v] if o != idk}, int(counts[v] == 1), counts[v])
+            for v in ph.proxy_nodes[s]
         }
-        for v in contender_nodes
-    }
+        got_ids, got_distinct = _converge_cast(run, ph, s, begin, "report", own, widths)
+        contender = run.state[origin]
+        contender.adjacency |= got_ids
+        contender.distinct += got_distinct
 
-    # Retained per-(contender node, phase) trees for the winner cascade.
-    trees: Dict[Tuple[int, int], _Tree] = {}
 
-    last_activity = 0
-    clock = 0
-    completed = True
-    lost_to_crash = 0
-    leaders: List[int] = []
+def _distribute(run: _Run, ph: _Phase) -> Dict[int, Set[int]]:
+    """DISTRIBUTE: every origin floods its adjacency set down its tree.
 
-    def act(r: int) -> None:
-        nonlocal last_activity, clock
-        if r > last_activity:
-            last_activity = r
-        if r > clock:
-            clock = r
-
-    def tick(r: int) -> None:
-        nonlocal clock
-        if r > clock:
-            clock = min(r, max_rounds)
-
-    # ------------------------------------------------------------ winner cascade
-    # A winner message sent in round r is accounted (metrics, activity and
-    # the receiver's heard-winner round) when sent, and queued for delivery
-    # in round r + 1.  Events pop in round order and every send lands one
-    # round after its pop, so the FIFO stays sorted by round and pops in
-    # (round, send order) -- the order of a (round, sequence) heap.  The
-    # cascade never reads ``learn``, and the decide loop that starts it
-    # reads it only at the decide round, before any delivery lands.
-    queue: Deque[Tuple[int, bool, int, _Tree]] = deque()
-
-    def flood_down(tree: _Tree, node: int, r: int) -> None:
-        """Forward winner-down over ``node``'s forward edges of ``tree``."""
-        nonlocal completed, lost_to_crash
-        if node in tree.flooded:
-            return
-        tree.flooded.add(node)
-        targets = tree.fwd.get(node)
-        if not targets:
-            return
-        record("winner_down", tree.winner_size, r, node, targets)
-        a = r + 1
-        if a > max_rounds:
-            completed = False
-            return
-        assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
-        delivered = False
-        for target in targets:
-            if crash[target] <= a:
-                if has_faults:
-                    lost_to_crash += 1
+    Returns, per proxy, the union of the sets it received.
+    """
+    begin = ph.window.distribute_start
+    run.tick(begin)
+    received: Dict[int, Set[int]] = {}
+    if begin > run.max_rounds:
+        run.completed = False
+        return received
+    crash = run.crash
+    learn = run.learn
+    send = run.send
+    header = run.id_bits + ph.phase_bits + 1
+    for s, origin in enumerate(ph.starters):
+        if crash[origin] <= begin:
+            continue
+        run.act(begin)
+        i2 = run.state[origin].adjacency
+        if not i2:
+            continue
+        offsets = ph.off[s].tolist()
+        counts = ph.proxy_rows[s]
+        fwd = ph.fwd[s]
+        size = header + run.id_bits * len(i2)
+        proxies_reached = {origin} if counts[origin] > 0 else set()
+        forwarded = {origin}
+        frontier = deque([(begin, origin)])
+        reached = 0  # the frontier is in nondecreasing round order
+        while frontier:
+            t_r, u = frontier.popleft()
+            targets = fwd.get(u)
+            if not targets:
                 continue
-            delivered = True
-            if learn[target] > a:
-                learn[target] = a
-            queue.append((a, True, target, tree))
+            a = t_r + 1
+            for target in send("distribute", size, t_r, u, targets, learn[u] <= t_r):
+                reached = a
+                if offsets[target] >= 0:
+                    if counts[target] > 0:
+                        proxies_reached.add(target)
+                    if target not in forwarded:
+                        forwarded.add(target)
+                        frontier.append((a, target))
+        run.act(reached)
+        for target in proxies_reached:
+            received.setdefault(target, set()).update(i2)
+    return received
+
+
+def _collect(run: _Run, ph: _Phase, received: Dict[int, Set[int]]) -> None:
+    """COLLECT: every proxy sends up the sets DISTRIBUTE brought it."""
+    begin = ph.window.collect_start
+    for s, origin in enumerate(ph.starters):
+        own = {v: (received[v], 0, 0) for v in ph.proxy_nodes[s] if v in received}
+        got_ids, _ = _converge_cast(run, ph, s, begin, "collect", own, _NO_COUNTERS)
+        run.state[origin].i4 |= got_ids
+
+
+def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
+    """DECIDE: each live starter stops, elects itself or walks on.
+
+    Returns the contenders that run the next phase, or ``None`` when the
+    round cap falls before the decide round.
+    """
+    decide_round = ph.window.decide_round
+    run.tick(decide_round)
+    if decide_round > run.max_rounds:
+        run.completed = False
+        return None
+    crash = run.crash
+    learn = run.learn
+    ids = run.ids
+    proxy_for = run.proxy_for
+    intersection, distinctness = run.thresholds
+    may_grow = ph.window.walk_length < run.walk_cap
+    survivors: List[int] = []
+    for s, origin in enumerate(ph.starters):
+        if crash[origin] <= decide_round:
+            continue
+        run.act(decide_round)
+        contender = run.state[origin]
+        idk = ids[origin]
+        count = ph.proxy_rows[s][origin]
+        if count > 0:
+            contender.adjacency |= {o for o in proxy_for[origin] if o != idk}
+            if count == 1:
+                contender.distinct += 1
+        heard = learn[origin] <= decide_round
+        if not (len(contender.adjacency) >= intersection and contender.distinct >= distinctness):
+            if heard:
+                continue  # stopped on the winner's notification
+            if may_grow:
+                survivors.append(origin)
+                continue
+            contender.forced_stop = True
+            if not run.params.elect_on_forced_stop:
+                continue
+        if heard or any(idk < other for other in contender.i4 | contender.adjacency):
+            continue
+        run.leaders.append(origin)
+        learn[origin] = decide_round  # it had not heard of a winner before
+        _flood_down(run, run.trees[(origin, ph.index)], origin, decide_round)
+    return survivors
+
+
+# ---------------------------------------------------------------- winner cascade
+# A winner message sent in round r is accounted (metrics, activity and the
+# receiver's heard-winner round) when sent, and queued for delivery in round
+# r + 1.  Events pop in round order and every send lands one round after its
+# pop, so the FIFO stays sorted by round and pops in (round, send order) --
+# the order of a (round, sequence) heap.  The cascade never reads ``learn``,
+# and the decide segment that starts it reads it only at the decide round,
+# before any delivery lands.
+
+
+def _enqueue(run: _Run, a: int, down: bool, targets: Sequence[int], tree: _Tree) -> None:
+    queue = run.queue
+    assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
+    run.act(a)
+    for target in targets:
+        queue.append((a, down, target, tree))
+
+
+def _flood_down(run: _Run, tree: _Tree, node: int, r: int) -> None:
+    """Forward winner-down over ``node``'s forward edges of ``tree``."""
+    if node in tree.flooded:
+        return
+    tree.flooded.add(node)
+    targets = tree.fwd.get(node)
+    if targets:
+        delivered = run.send("winner_down", tree.winner_size, r, node, targets, True)
         if delivered:
-            act(a)
+            _enqueue(run, r + 1, True, delivered, tree)
 
-    def send_up(tree: _Tree, node: int, r: int) -> None:
-        """Relay winner-up one hop towards the origin of ``tree``."""
-        nonlocal completed, lost_to_crash
-        parent = tree.parent[node]
-        if parent < 0 or node in tree.sent_up:
-            return
-        tree.sent_up.add(node)
-        record("winner_up", tree.winner_size, r, node, (parent,))
-        a = r + 1
-        if a > max_rounds:
-            completed = False
-            return
-        if crash[parent] <= a:
-            if has_faults:
-                lost_to_crash += 1
-            return
-        act(a)
-        if learn[parent] > a:
-            learn[parent] = a
-        assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
-        queue.append((a, False, parent, tree))
 
-    def fire_rules(v: int, r: int) -> None:
-        """Algorithm 2 lines 6-7, once per node (reference _fire_winner_rules)."""
-        if rules_fired[v]:
-            return
-        rules_fired[v] = True
-        # Rule 6: a proxy notifies every contender it serves.
-        for origin_id in sorted(proxy_for[v]):
-            if origin_id == ids[v]:
-                continue
-            phase = latest_phase[v].get(origin_id)
-            if phase is None:
-                continue
-            origin = id_to_contender.get(origin_id)
-            if origin is None:
-                continue
-            tree = trees.get((origin, phase))
-            if tree is not None:
-                send_up(tree, v, r)
-        # Rule 7: a contender notifies all of its proxies.
-        if contender[v]:
-            tree = trees.get((v, state[v]["current_phase"]))
-            if tree is not None:
-                flood_down(tree, v, r)
+def _send_up(run: _Run, tree: _Tree, node: int, r: int) -> None:
+    """Relay winner-up one hop towards the origin of ``tree``."""
+    parent = tree.parent[node]
+    if parent < 0 or node in tree.sent_up:
+        return
+    tree.sent_up.add(node)
+    delivered = run.send("winner_up", tree.winner_size, r, node, (parent,), True)
+    if delivered:
+        _enqueue(run, r + 1, False, delivered, tree)
 
-    def drain_events() -> None:
-        while queue:
-            r, down, node, tree = queue.popleft()
-            if down:
-                flood_down(tree, node, r)
-            elif node != tree.origin:  # winner-up still travelling
-                send_up(tree, node, r)
-            fire_rules(node, r)
 
-    # ----------------------------------------------------------------- phases
-    active = [v for v in contender_nodes if crash[v] > 0]
-    phase = 0
-    max_walk_cap = params.walk_length_cap(n_eff)
+def _fire_rules(run: _Run, v: int, r: int) -> None:
+    """Algorithm 2 lines 6-7 at ``v`` (reference _fire_winner_rules)."""
+    latest_phase = run.latest_phase[v]
+    own_id = run.ids[v]
+    # Rule 6: a proxy notifies every contender it serves, over that
+    # contender's latest tree (every proxy of a tree is a member of it).
+    for origin_id in sorted(run.proxy_for[v]):
+        if origin_id != own_id:
+            origin = run.id_to_contender[origin_id]
+            _send_up(run, run.trees[(origin, latest_phase[origin_id])], v, r)
+    # Rule 7: a contender notifies all of its proxies over its latest tree.
+    if v in run.state:
+        _flood_down(run, run.trees[(v, latest_phase[own_id])], v, r)
+
+
+def _cascade(run: _Run) -> None:
+    """WINNER: deliver the queued notifications; each receiver fires its
+    winner rules the first time one reaches it."""
+    queue = run.queue
+    fired = run.rules_fired
+    while queue:
+        r, down, node, tree = queue.popleft()
+        if down:
+            _flood_down(run, tree, node, r)
+        else:  # winner-up travels on until the origin, which has no parent
+            _send_up(run, tree, node, r)
+        if not fired[node]:
+            fired[node] = True
+            _fire_rules(run, node, r)
+
+
+def _outcome(run: _Run):
+    """The run's :class:`~repro.core.result.ElectionOutcome`."""
+    from ..core.result import ElectionOutcome
+
+    metrics = run.metrics
+    metrics.flush()
+    if metrics.capacity_words is not None:
+        capacity_bits = metrics.capacity_words * metrics.word_bits
+        for load in metrics.edge_bits.values():
+            metrics.record_edge_load(load, capacity_bits)
+    crashed = [v for v, rnd in enumerate(run.crash) if rnd <= run.clock]
+    fault_events = None
+    if run.has_faults:
+        fault_events = dict.fromkeys(FAULT_EVENT_KINDS, 0)
+        fault_events["lost_to_crash"] = run.lost_to_crash
+        fault_events["crashed_nodes"] = len(crashed)
+    return ElectionOutcome(
+        num_nodes=run.n,
+        leaders=sorted(run.leaders),
+        contenders=list(run.state),
+        metrics=metrics.finalize(run.last_activity, run.completed, fault_events),
+        forced_stop=any(c.forced_stop for c in run.state.values()),
+        max_phases=run.phases,
+        final_walk_length=run.schedule.window(run.phases - 1).walk_length if run.phases else 0,
+        simulation=None,
+        crashed_nodes=crashed,
+        simulator="vectorized",
+    )
+
+
+def _simulate(run: _Run):
+    """The guess-and-double phase loop over the segment functions."""
     # Resolved once per run: tracing is write-only (bulk per-phase counters),
     # so the engine's seed streams and outputs are identical traced or not.
     tracer = current_tracer()
-    traced = tracer.enabled
-    if traced:
-        tracer.event(
-            "vec.run_started", n=n, contenders=len(active), faulty=has_faults
-        )
+    active = [v for v in run.state if run.crash[v] > 0]
+    if tracer.enabled:
+        tracer.event("vec.run_started", n=run.n, contenders=len(active), faulty=run.has_faults)
+    index = 0
     while active:
-        window = schedule.window(phase)
-        begin = max(1, window.start)
-        tick(begin)
-        if begin > max_rounds:
-            completed = False
+        ph = _open_phase(run, index, active)
+        if ph is None or not _walk(run, ph):
             break
-        starters = [v for v in active if crash[v] > begin]
-        active = starters
-        if not starters:
+        _retain_trees(run, ph)
+        _report(run, ph)
+        _collect(run, ph, _distribute(run, ph))
+        survivors = _decide(run, ph)
+        if survivors is None:
             break
-        L = window.walk_length
-        start = window.start
-        report_start = window.report_start
-        distribute_start = window.distribute_start
-        collect_start = window.collect_start
-        decide_round = window.decide_round
-
-        S = len(starters)
-        starters_arr = np.asarray(starters, dtype=np.int64)
-        off = np.full((S, n), -1, dtype=np.int64)
-        par = np.full((S, n), -1, dtype=np.int64)
-        proxies = np.zeros((S, n), dtype=np.int64)
-        off[np.arange(S), starters_arr] = 0
-        off_flat = off.reshape(-1)  # views indexed by tree * n + node
-        par_flat = par.reshape(-1)
-        move_keys: List[np.ndarray] = []  # each round's unique move keys
-
-        for s, v in enumerate(starters):
-            st = state[v]
-            st["phases"] += 1
-            st["final_walk_length"] = L
-            st["current_phase"] = phase
-            st["distinct"] = 0
-            latest_phase[v][ids[v]] = phase
-
-        # ---------------------------------------------------- WALK (vectorized)
-        learn_np = np.array(learn, dtype=np.int64)
-        phase_bits = counter_bits(max(1, phase))
-        owners = np.repeat(np.arange(S, dtype=np.int64), walks_per)
-        pos = np.repeat(starters_arr, walks_per)
-        cap_hit_mid_walk = False
-        for t in range(1, L + 1):
-            r = begin + t - 1
-            if r > max_rounds:
-                completed = False
-                cap_hit_mid_walk = True
-                pos = pos[:0]
-                owners = owners[:0]
-                break
-            alive_tok = crash_np[pos] > r
-            if not alive_tok.all():
-                tick(r)
-                pos = pos[alive_tok]
-                owners = owners[alive_tok]
-            if pos.size == 0:
-                break
-            act(r)
-            move = wrng.random(pos.size) >= 0.5
-            move &= degrees[pos] > 0  # tokens on isolated nodes never move
-            moving = np.flatnonzero(move)
-            staying = np.flatnonzero(~move)
-            stay_pos = pos[staying]
-            stay_own = owners[staying]
-            if moving.size:
-                msrc = pos[moving]
-                mown = owners[moving]
-                degm = degrees[msrc]
-                ports = (wrng.random(msrc.size) * degm).astype(np.int64)
-                np.minimum(ports, degm - 1, out=ports)
-                mdst = indices[indptr[msrc] + ports]
-                # One key per (tree, src, dst) move, in lexicographic order;
-                # the round's unique keys are also the tree's forward edges.
-                key = (mown * n + msrc) * n + mdst
-                order = np.argsort(key, kind="stable")
-                sorted_key = key[order]
-                first = _runs(sorted_key)
-                move_keys.append(sorted_key[first])
-                counts = np.diff(first, append=sorted_key.size)
-                head = order[first]
-                g_own = mown[head]
-                g_src = msrc[head]
-                g_dst = mdst[head]
-                sizes = IDB + counter_bits(t) + phase_bits + 1 + _bit_lengths(counts)
-                metrics.record_bulk("walk_token", sizes, r, g_src, g_dst)
-                if r + 1 > max_rounds:
-                    completed = False
-                    cap_hit_mid_walk = True
-                    mdst = mdst[:0]
-                    mown = mown[:0]
-                else:
-                    g_alive = crash_np[g_dst] > r + 1
-                    lost_to_crash += int((~g_alive).sum())
-                    g_own = g_own[g_alive]
-                    g_src = g_src[g_alive]
-                    g_dst = g_dst[g_alive]
-                    delivered_tok = crash_np[mdst] > r + 1
-                    mdst = mdst[delivered_tok]
-                    mown = mown[delivered_tok]
-                    if g_dst.size:
-                        act(r + 1)
-                        flagged = learn_np[g_src] <= r
-                        if flagged.any():
-                            np.minimum.at(learn_np, g_dst[flagged], r + 1)
-                        # A node joins a tree through its smallest-id sender
-                        # of the first round a token of that tree reaches it.
-                        joins = g_own * n + g_dst
-                        fresh = off_flat[joins] == -1
-                        if fresh.any():
-                            joins = joins[fresh]
-                            senders = g_src[fresh]
-                            order = np.argsort(joins * n + senders)
-                            joins = joins[order]
-                            senders = senders[order]
-                            first = _runs(joins)
-                            off_flat[joins[first]] = max(1, (r + 1) - start)
-                            par_flat[joins[first]] = senders[first]
-                pos = np.concatenate([stay_pos, mdst])
-                owners = np.concatenate([stay_own, mown])
-            else:
-                pos = stay_pos
-                owners = stay_own
-            if t == L:
-                if pos.size:
-                    np.add.at(proxies, (owners, pos), 1)
-                pos = pos[:0]
-                owners = owners[:0]
-                break
-            if cap_hit_mid_walk:
-                break
-        learn[:] = learn_np.tolist()
-
-        # Tree bookkeeping shared by the exchange segments and the cascade.
-        fwd_maps = _forward_maps(move_keys, n, S)
-        winner_size = 2 * IDB + phase_bits + 1
-        parent_rows = par.tolist()
-        proxy_rows = proxies.tolist()
-        schedules: List[Tuple[List[int], List[int]]] = []
-        for s, v in enumerate(starters):
-            idk = ids[v]
-            for m in np.flatnonzero(off[s] >= 0).tolist():
-                latest_phase[m][idk] = phase
-            for m in np.flatnonzero(proxies[s] > 0).tolist():
-                proxy_for[m].add(idk)
-            trees[(v, phase)] = _Tree(v, parent_rows[s], fwd_maps[s], winner_size)
-            schedules.append(_convergecast_order(off[s], L))
-
-        if cap_hit_mid_walk:
-            break
-
-        # ------------------------------------------------------------- REPORT
-        for s, origin in enumerate(starters):
-            idk = ids[origin]
-            ranked, delay = schedules[s]
-            if ranked:
-                tick(report_start + delay[ranked[-1]])
-            counts_of = proxy_rows[s]
-            parents = parent_rows[s]
-            buf_ids: Dict[int, Set[int]] = {}
-            buf_distinct: Dict[int, int] = {}
-            buf_proxies: Dict[int, int] = {}
-            st = state[origin]
-            reached = 0  # latest active round (ranked is in nondecreasing send round)
-            for v in ranked:
-                r_v = report_start + delay[v]
-                if r_v > max_rounds:
-                    completed = False
-                    continue
-                if crash[v] <= r_v:
-                    continue
-                if r_v > reached:
-                    reached = r_v
-                v_ids = buf_ids.get(v, set())
-                v_distinct = buf_distinct.get(v, 0)
-                v_proxies = buf_proxies.get(v, 0)
-                count = counts_of[v]
-                if count > 0:
-                    v_ids |= {o for o in proxy_for[v] if o != idk}
-                    if count == 1:
-                        v_distinct += 1
-                    v_proxies += count
-                v_knows = learn[v] <= r_v
-                if not v_ids and v_distinct == 0 and not v_knows:
-                    continue
-                # counter_bits(max(1, c)) for the counters c >= 0
-                size = (
-                    IDB
-                    + len(v_ids) * IDB
-                    + (v_distinct or 1).bit_length()
-                    + (v_proxies or 1).bit_length()
-                    + phase_bits
-                    + 1
-                )
-                parent = parents[v]
-                record("report", size, r_v, v, (parent,))
-                a = r_v + 1
-                if a > max_rounds:
-                    completed = False
-                    continue
-                if crash[parent] <= a:
-                    if has_faults:
-                        lost_to_crash += 1
-                    continue
-                reached = a
-                if v_knows and learn[parent] > a:
-                    learn[parent] = a
-                if parent == origin:
-                    st["adjacency"] |= v_ids
-                    st["distinct"] += v_distinct
-                elif a <= report_start + delay[parent]:
-                    buf_ids.setdefault(parent, set()).update(v_ids)
-                    buf_distinct[parent] = buf_distinct.get(parent, 0) + v_distinct
-                    buf_proxies[parent] = buf_proxies.get(parent, 0) + v_proxies
-            act(reached)
-
-        # --------------------------------------------------------- DISTRIBUTE
-        i2_acc: Dict[int, Set[int]] = {}
-        tick(distribute_start)
-        if distribute_start > max_rounds:
-            completed = False
-        for s, origin in enumerate(starters if distribute_start <= max_rounds else ()):
-            if crash[origin] <= distribute_start:
-                continue
-            act(distribute_start)
-            i2 = set(state[origin]["adjacency"])
-            if not i2:
-                continue
-            offsets = off[s].tolist()
-            counts_of = proxy_rows[s]
-            size = IDB + len(i2) * IDB + phase_bits + 1
-            fwd = fwd_maps[s]
-            proxies_reached = {origin} if counts_of[origin] > 0 else set()
-            forwarded = {origin}
-            frontier = deque([(distribute_start, origin)])
-            reached = 0
-            while frontier:
-                t_r, u = frontier.popleft()
-                targets = fwd.get(u)
-                if not targets:
-                    continue
-                u_knows = learn[u] <= t_r
-                record("distribute", size, t_r, u, targets)
-                a = t_r + 1
-                if a > max_rounds:
-                    completed = False
-                    continue
-                for target in targets:
-                    if crash[target] <= a:
-                        if has_faults:
-                            lost_to_crash += 1
-                        continue
-                    reached = a  # the frontier is in nondecreasing round order
-                    if u_knows and learn[target] > a:
-                        learn[target] = a
-                    if offsets[target] >= 0:
-                        if counts_of[target] > 0:
-                            proxies_reached.add(target)
-                        if target not in forwarded:
-                            forwarded.add(target)
-                            frontier.append((a, target))
-            act(reached)
-            for target in proxies_reached:
-                i2_acc.setdefault(target, set()).update(i2)
-
-        # ------------------------------------------------------------ COLLECT
-        for s, origin in enumerate(starters):
-            ranked, delay = schedules[s]
-            if ranked:
-                tick(collect_start + delay[ranked[-1]])
-            counts_of = proxy_rows[s]
-            parents = parent_rows[s]
-            cbuf: Dict[int, Set[int]] = {}
-            st = state[origin]
-            reached = 0  # latest active round, as in REPORT
-            for v in ranked:
-                c_v = collect_start + delay[v]
-                if c_v > max_rounds:
-                    completed = False
-                    continue
-                if crash[v] <= c_v:
-                    continue
-                if c_v > reached:
-                    reached = c_v
-                payload = cbuf.get(v, set())
-                if counts_of[v] > 0:
-                    payload = payload | i2_acc.get(v, set())
-                v_knows = learn[v] <= c_v
-                if not payload and not v_knows:
-                    continue
-                size = IDB + len(payload) * IDB + phase_bits + 1
-                parent = parents[v]
-                record("collect", size, c_v, v, (parent,))
-                a = c_v + 1
-                if a > max_rounds:
-                    completed = False
-                    continue
-                if crash[parent] <= a:
-                    if has_faults:
-                        lost_to_crash += 1
-                    continue
-                reached = a
-                if v_knows and learn[parent] > a:
-                    learn[parent] = a
-                if parent == origin:
-                    st["i4"] |= payload
-                elif a <= collect_start + delay[parent]:
-                    cbuf.setdefault(parent, set()).update(payload)
-            act(reached)
-
-        # ------------------------------------------------------------- DECIDE
-        tick(decide_round)
-        if decide_round > max_rounds:
-            completed = False
-            break
-        survivors: List[int] = []
-        for s, origin in enumerate(starters):
-            if crash[origin] <= decide_round:
-                continue
-            act(decide_round)
-            st = state[origin]
-            idk = ids[origin]
-            count = proxy_rows[s][origin]
-            if count > 0:
-                own_ids = {o for o in proxy_for[origin] if o != idk}
-                st["adjacency"] |= own_ids
-                if count == 1:
-                    st["distinct"] += 1
-            heard = learn[origin] <= decide_round
-            if decide_rule == "known_tmix":
-                st["stopped"] = True
-                st["sat_int"] = True
-                st["sat_dis"] = True
-                competitors = st["i4"] | st["adjacency"]
-                if all(idk >= other for other in competitors) and not heard:
-                    st["leader"] = True
-                    leaders.append(origin)
-                    if learn[origin] > decide_round:
-                        learn[origin] = decide_round
-                    flood_down(trees[(origin, phase)], origin, decide_round)
-                continue
-            adjacency = len(st["adjacency"] - {idk})
-            intersection_ok = adjacency >= params.intersection_threshold(n_eff)
-            distinctness_ok = st["distinct"] >= params.distinctness_threshold(n_eff)
-            st["sat_int"] = intersection_ok
-            st["sat_dis"] = distinctness_ok
-            hit_cap = L >= max_walk_cap
-            if heard and not (intersection_ok and distinctness_ok):
-                st["stopped"] = True
-                st["stopped_on_winner"] = True
-                continue
-            if not (intersection_ok and distinctness_ok) and not hit_cap:
-                survivors.append(origin)
-                continue
-            st["stopped"] = True
-            st["forced_stop"] = hit_cap and not (intersection_ok and distinctness_ok)
-            may_elect = (intersection_ok and distinctness_ok) or (
-                st["forced_stop"] and params.elect_on_forced_stop
-            )
-            competitors = st["i4"] | st["adjacency"]
-            if may_elect and all(idk >= other for other in competitors) and not heard:
-                st["leader"] = True
-                leaders.append(origin)
-                if learn[origin] > decide_round:
-                    learn[origin] = decide_round
-                flood_down(trees[(origin, phase)], origin, decide_round)
-
-        drain_events()
-        metrics.flush()
-        if traced:
+        _cascade(run)
+        run.metrics.flush()
+        if tracer.enabled:
             tracer.event(
                 "vec.phase",
-                phase=phase,
-                starters=S,
-                walk_length=int(L),
+                phase=index,
+                starters=len(ph.starters),
+                walk_length=int(ph.window.walk_length),
                 survivors=len(survivors),
-                leaders=len(leaders),
-                messages=metrics.messages,
-                message_units=metrics.message_units,
+                leaders=len(run.leaders),
+                messages=run.metrics.messages,
+                message_units=run.metrics.message_units,
             )
-        if decide_rule == "known_tmix":
-            active = []
-            break
         active = survivors
-        phase += 1
-    metrics.flush()
-
-    # -------------------------------------------------------------- outcome
-    max_edge_bits = 0
-    congestion_events = 0
-    if metrics.edge_bits is not None and edge_capacity_words is not None:
-        capacity_bits = edge_capacity_words * WB
-        for load in metrics.edge_bits.values():
-            if load > max_edge_bits:
-                max_edge_bits = load
-            if load > capacity_bits:
-                congestion_events += 1
-    fault_events: Dict[str, int] = {}
-    crashed_list: List[int] = []
-    if has_faults:
-        crashed_list = sorted(
-            node for node, rnd in crash_map.items() if rnd <= clock
-        )
-        fault_events = {kind: 0 for kind in _FAULT_EVENT_KINDS}
-        fault_events["lost_to_crash"] = lost_to_crash
-        fault_events["crashed_nodes"] = len(crashed_list)
-    run_metrics = RunMetrics(
-        rounds=last_activity,
-        messages=metrics.messages,
-        message_units=metrics.message_units,
-        bits=metrics.bits,
-        messages_by_kind=dict(metrics.by_kind),
-        units_by_kind=dict(metrics.units_by_kind),
-        max_edge_bits_in_round=max_edge_bits,
-        congestion_events=congestion_events,
-        completed=completed,
-        fault_events=fault_events,
-    )
-    forced = any(state[v]["forced_stop"] for v in contender_nodes)
-    max_phases = max((state[v]["phases"] for v in contender_nodes), default=0)
-    final_walk = max(
-        (state[v]["final_walk_length"] for v in contender_nodes), default=0
-    )
-    return ElectionOutcome(
-        num_nodes=n,
-        leaders=sorted(leaders),
-        contenders=contender_nodes,
-        metrics=run_metrics,
-        forced_stop=bool(forced),
-        max_phases=int(max_phases),
-        final_walk_length=int(final_walk),
-        simulation=None,
-        crashed_nodes=crashed_list,
-        simulator="vectorized",
-    )
+        index += 1
+    return _outcome(run)
 
 
 def run_vectorized_election(
@@ -984,25 +982,29 @@ def run_vectorized_election(
     Raises :class:`VectorizedUnsupported` for configurations outside the
     engine's contract (see module docstring); callers are expected to fall
     back to the reference simulator.
+
+    >>> from repro.graphs import hypercube_graph
+    >>> outcome = run_vectorized_election(hypercube_graph(4), seed=7)
+    >>> outcome.simulator, outcome.num_nodes, outcome.metrics.completed
+    ('vectorized', 16, True)
     """
     from ..core.params import DEFAULT_PARAMETERS
 
     if params is None:
         params = DEFAULT_PARAMETERS
-    reason = vectorized_unsupported_reason(fault_plan=fault_plan)
-    if reason is not None:
-        raise VectorizedUnsupported(reason)
-    return _run_engine(
-        graph,
-        params,
-        seed,
-        known_n,
-        assumed_n,
-        max_rounds,
-        edge_capacity_words,
-        fault_plan,
-        network_stream=0xA11CE,
-        decide_rule="election",
+    return _simulate(
+        _Run(
+            graph,
+            params,
+            seed,
+            fault_plan,
+            max_rounds,
+            network_stream=0xA11CE,
+            decide_rule="election",
+            known_n=known_n,
+            assumed_n=assumed_n,
+            edge_capacity_words=edge_capacity_words,
+        )
     )
 
 
@@ -1025,20 +1027,6 @@ def run_vectorized_known_tmix(
 
     if params is None:
         params = DEFAULT_PARAMETERS
-    reason = vectorized_unsupported_reason(fault_plan=fault_plan)
-    if reason is not None:
-        raise VectorizedUnsupported(reason)
     walk_length = max(1, round(safety_factor * mixing_time))
     pinned = params.with_overrides(initial_walk_length=walk_length)
-    return _run_engine(
-        graph,
-        pinned,
-        seed,
-        -1,
-        None,
-        max_rounds,
-        None,
-        fault_plan,
-        network_stream=0x42,
-        decide_rule="known_tmix",
-    )
+    return _simulate(_Run(graph, pinned, seed, fault_plan, max_rounds, 0x42, "known_tmix"))

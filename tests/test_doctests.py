@@ -1,7 +1,7 @@
 """Run the doctests of the graphs and orchestration packages as part of tier-1.
 
-The public API of ``repro.graphs``, ``repro.exec``, ``repro.faults``,
-``repro.campaign`` and ``repro.obs`` carries short runnable examples in its
+The public API of ``repro.graphs``, ``repro.sim``, ``repro.exec``,
+``repro.faults``, ``repro.campaign`` and ``repro.obs`` carries short runnable examples in its
 docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
 packages; this in-suite runner keeps the examples honest for anyone who only
 runs the plain tier-1 suite.
@@ -18,8 +18,9 @@ import repro.exec
 import repro.faults
 import repro.graphs
 import repro.obs
+import repro.sim
 
-PACKAGES = (repro.graphs, repro.exec, repro.faults, repro.campaign, repro.obs)
+PACKAGES = (repro.graphs, repro.sim, repro.exec, repro.faults, repro.campaign, repro.obs)
 
 
 def _modules():

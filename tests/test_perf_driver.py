@@ -222,9 +222,11 @@ def test_environment_blocks_are_printed_and_compared(name, capsys):
     committed = _committed(grid)
     here = harness.environment()
     quick_run = dict(_quick_subset(grid, committed), environment=here)
-    # A baseline without a block (every document written before it existed) notes, never warns.
-    assert "environment" not in committed
-    assert harness.diff_against_baseline(grid, quick_run, committed) == ([], [])
+    # The committed baselines carry the block; one without it (every document written before the
+    # block existed) notes, never warns.
+    assert "environment" in committed
+    legacy = {key: value for key, value in committed.items() if key != "environment"}
+    assert harness.diff_against_baseline(grid, quick_run, legacy) == ([], [])
     stdout = capsys.readouterr().out
     assert stdout.count("note:") == 1 and "environment" in stdout
     # Matching blocks print both sides and stay quiet.
