@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import ElectionParameters
 from repro.exec import GraphSpec, TrialSpec
-from repro.faults import CrashFaults, FaultPlan, MessageFaults
+from repro.faults import CrashFaults, DelayFaults, FaultPlan, MessageFaults
 from repro.net.coordinator import compare_outcomes, cross_validate, run_live_trial
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
@@ -29,11 +29,20 @@ FAULTY = FaultPlan(
     crashes=CrashFaults(count=2, at_round=20),
 )
 
+#: Loss, duplication and delay: the per-send fault paths besides drop.
+NOISY = FaultPlan(
+    messages=MessageFaults(drop_probability=0.05, duplicate_probability=0.05),
+    delays=DelayFaults(max_delay=2),
+)
+
 GRID = [
     pytest.param(algorithm, family, plan, id="%s-%s-%s" % (algorithm, family, label))
     for algorithm in ("election", "known_tmix")
     for family in GRAPHS
     for label, plan in (("faultfree", None), ("faulty", FAULTY))
+] + [
+    pytest.param(algorithm, "expander", NOISY, id="%s-expander-noisy" % algorithm)
+    for algorithm in ("election", "known_tmix")
 ]
 
 
@@ -53,7 +62,7 @@ def test_live_outcome_equals_simulated_outcome(algorithm, family, plan):
     assert agreement.live.metrics.fault_events == agreement.sim.metrics.fault_events
     assert agreement.live.metrics.net_events
     assert not agreement.sim.metrics.net_events
-    if plan is not None:
+    if plan is FAULTY:
         assert agreement.live.crashed_nodes == agreement.sim.crashed_nodes
         assert len(agreement.live.crashed_nodes) == 2
 
