@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from ..core.result import TrialOutcome, election_trial_outcome
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
@@ -108,15 +108,14 @@ def _simulate(
     max_rounds: int,
 ) -> SimulationResult:
     """One clique-sublinear run on the shared harness."""
-    return run_protocol(
+    return build_network(
         graph,
         clique_sublinear_factory(c1=c1, c2=c2),
         seed=seed,
         port_stream=0x51,
         network_stream=0x52,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def clique_sublinear_trial(

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from ..core.result import TrialOutcome, election_trial_outcome
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
@@ -88,15 +88,14 @@ def _simulate(
     max_rounds: int,
 ) -> SimulationResult:
     """One controlled-flooding run on the shared harness."""
-    return run_protocol(
+    return build_network(
         graph,
         controlled_flooding_factory(c1=c1),
         seed=seed,
         port_stream=0x31,
         network_stream=0x32,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def controlled_flooding_trial(

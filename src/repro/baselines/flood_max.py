@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from ..core.result import TrialOutcome, election_trial_outcome
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
 from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
@@ -83,15 +83,14 @@ def _simulate(
     max_rounds: int,
 ) -> SimulationResult:
     """One flood-max run on the shared harness (historical seed streams)."""
-    return run_protocol(
+    return build_network(
         graph,
         flood_max_factory(),
         seed=seed,
         port_stream=0x21,
         network_stream=0x22,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def flood_max_trial(

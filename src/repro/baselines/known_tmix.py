@@ -23,16 +23,24 @@ from ..core.schedule import PhaseSchedule
 from ..faults.plan import FaultPlan
 from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.network import MessageObserver, SimulationResult
 from ..sim.node import NodeContext
 
 __all__ = [
+    "KNOWN_TMIX_PORT_STREAM",
+    "KNOWN_TMIX_NETWORK_STREAM",
     "KnownTmixNode",
+    "pin_walk_length",
     "known_tmix_factory",
     "known_tmix_trial",
     "simulate_known_tmix",
 ]
+
+#: The baseline's historical seed streams: port numbering and per-node
+#: randomness.  Every engine and the live deployment draw from these.
+KNOWN_TMIX_PORT_STREAM = 0x41
+KNOWN_TMIX_NETWORK_STREAM = 0x42
 
 
 class KnownTmixNode(LeaderElectionNode):
@@ -60,14 +68,22 @@ class KnownTmixNode(LeaderElectionNode):
             self._announce_victory(window)
 
 
+def pin_walk_length(
+    params: ElectionParameters, mixing_time: int, safety_factor: float
+) -> ElectionParameters:
+    """``params`` with the walk length pinned to ``safety_factor * t_mix`` (at least 1)."""
+    return params.with_overrides(
+        initial_walk_length=max(1, round(safety_factor * mixing_time))
+    )
+
+
 def known_tmix_factory(
     mixing_time: int,
     params: ElectionParameters = DEFAULT_PARAMETERS,
     safety_factor: float = 1.0,
 ):
     """Protocol factory with the walk length pinned to ``safety_factor * t_mix``."""
-    walk_length = max(1, round(safety_factor * mixing_time))
-    pinned = params.with_overrides(initial_walk_length=walk_length)
+    pinned = pin_walk_length(params, mixing_time, safety_factor)
 
     def factory(ctx: NodeContext) -> KnownTmixNode:
         return KnownTmixNode(ctx, params=pinned)
@@ -90,20 +106,17 @@ def simulate_known_tmix(
     Phase-anchored crash plans resolve against the schedule of the *pinned*
     parameters -- the walk length every node actually runs with.
     """
-    walk_length = max(1, round(safety_factor * mixing_time))
-    pinned = params.with_overrides(initial_walk_length=walk_length)
-    schedule = PhaseSchedule(pinned)
-    return run_protocol(
+    pinned = pin_walk_length(params, mixing_time, safety_factor)
+    return build_network(
         graph,
         known_tmix_factory(mixing_time, params=params, safety_factor=safety_factor),
         seed=seed,
-        port_stream=0x41,
-        network_stream=0x42,
+        port_stream=KNOWN_TMIX_PORT_STREAM,
+        network_stream=KNOWN_TMIX_NETWORK_STREAM,
         fault_plan=fault_plan,
-        phase_start_of=lambda index: schedule.window(index).start,
+        phase_start_of=PhaseSchedule(pinned).phase_start,
         observers=observers,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def known_tmix_trial(

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Optional, Set
 from ..core.result import TrialOutcome, classify_broadcast
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
 from ..sim.metrics import RunMetrics
 from ..sim.network import SimulationResult
@@ -102,15 +102,14 @@ def _simulate(
     """One flooding run on the shared harness (historical seed streams)."""
     if not sources:
         raise ValueError("at least one source node is required")
-    return run_protocol(
+    return build_network(
         graph,
         flooding_factory(sources, rumor),
         seed=seed,
         port_stream=0x11,
         network_stream=0x12,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def flooding_trial(

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Optional, Set
 from ..core.result import TrialOutcome, classify_broadcast
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, counter_bits, id_bits
 from ..sim.metrics import RunMetrics
 from ..sim.network import SimulationResult
@@ -150,15 +150,14 @@ def _simulate(
     """One push-pull run on the shared harness (historical seed streams)."""
     if not sources:
         raise ValueError("at least one source node is required")
-    return run_protocol(
+    return build_network(
         graph,
         push_pull_factory(sources, rumor, push_rounds=push_rounds),
         seed=seed,
         port_stream=0x9,
         network_stream=0xA,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def push_pull_trial(

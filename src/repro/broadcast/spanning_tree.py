@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.result import TrialOutcome, classify_spanning_tree
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import run_protocol
+from ..sim.harness import build_network
 from ..sim.message import Message, counter_bits
 from ..sim.metrics import RunMetrics
 from ..sim.network import SimulationResult
@@ -121,15 +121,14 @@ def _simulate(
     """One spanning-tree run on the shared harness (historical seed streams)."""
     if not 0 <= root < graph.num_nodes:
         raise ValueError("root %d is not a node of the graph" % root)
-    return run_protocol(
+    return build_network(
         graph,
         spanning_tree_factory(root),
         seed=seed,
         port_stream=0x71,
         network_stream=0x72,
         fault_plan=fault_plan,
-        max_rounds=max_rounds,
-    )
+    ).run(max_rounds=max_rounds)
 
 
 def spanning_tree_trial(

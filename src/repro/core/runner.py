@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..graphs.ports import PortNumberedGraph
 from ..graphs.topology import Graph
-from ..sim.harness import FAULT_SEED_STREAM
+from ..sim.harness import FAULT_SEED_STREAM, build_network
 from ..sim.network import MessageObserver, Network
-from ..sim.rng import derive_seed
 from .leader_election import leader_election_factory
 from .params import DEFAULT_PARAMETERS, ElectionParameters
 from .result import ElectionOutcome, outcome_from_simulation
@@ -29,8 +26,15 @@ __all__ = [
     "run_leader_election",
     "build_election_network",
     "FAULT_SEED_STREAM",
+    "ELECTION_PORT_STREAM",
+    "ELECTION_NETWORK_STREAM",
     "KNOWN_SIMULATORS",
 ]
+
+#: The election's historical seed streams: port numbering and per-node
+#: randomness.  Every engine and the live deployment draw from these.
+ELECTION_PORT_STREAM = 0xB0B
+ELECTION_NETWORK_STREAM = 0xA11CE
 
 #: Simulator engines ``run_leader_election`` accepts (see docs/architecture.md).
 KNOWN_SIMULATORS = ("reference", "vectorized")
@@ -60,26 +64,18 @@ def build_election_network(
     exactly as before.  Crash models using ``at_phase`` resolve the phase
     boundary against this run's :class:`~repro.core.schedule.PhaseSchedule`.
     """
-    port_seed = None if seed is None else derive_seed(seed, 0xB0B)
-    network_seed = None if seed is None else derive_seed(seed, 0xA11CE)
-    port_graph = PortNumberedGraph(graph, seed=port_seed)
-    injector = None
-    if fault_plan is not None and not fault_plan.is_empty:
-        schedule = PhaseSchedule(params)
-        injector = FaultInjector(
-            fault_plan,
-            master_seed=None if seed is None else derive_seed(seed, FAULT_SEED_STREAM),
-            phase_start_of=lambda index: schedule.window(index).start,
-        )
-    return Network(
-        port_graph,
+    return build_network(
+        graph,
         leader_election_factory(params=params, assumed_n=assumed_n),
-        seed=network_seed,
+        seed=seed,
+        port_stream=ELECTION_PORT_STREAM,
+        network_stream=ELECTION_NETWORK_STREAM,
+        fault_plan=fault_plan,
+        phase_start_of=PhaseSchedule(params).phase_start,
         known_n=known_n,
         observers=observers,
         edge_capacity_words=edge_capacity_words,
         congest_mode=congest_mode,
-        fault_injector=injector,
     )
 
 

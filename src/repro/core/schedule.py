@@ -148,6 +148,10 @@ class PhaseSchedule:
             self._grow()
         return self._windows[phase_index]
 
+    def phase_start(self, phase_index: int) -> int:
+        """First round of phase ``phase_index``; resolves ``CrashFaults.at_phase``."""
+        return self.window(phase_index).start
+
     def windows(self) -> Iterator[PhaseWindow]:
         """Yield phase windows indefinitely (callers break out)."""
         index = 0

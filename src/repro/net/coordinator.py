@@ -1,34 +1,37 @@
-"""The live election coordinator: spawn nodes, route frames, mirror the model.
+"""The live election coordinator: spawn nodes, drive the model's event loop.
 
 ``python -m repro.net.coordinator`` turns one :class:`~repro.exec.spec.TrialSpec`
 into a *live* distributed run: one OS process per node (see
 :mod:`repro.net.node`), real sockets between them, and this module as the
 synchronous-round message router.
 
-The coordinator is a faithful re-implementation of the event loop of
-:class:`repro.sim.network.Network` with the protocol calls replaced by frame
-exchanges:
+The coordinator builds the same :class:`~repro.sim.network.Network` a
+simulated run of the spec builds (:func:`~repro.sim.harness.build_network`:
+same port numbering, seed streams and fault injector), with a stand-in
+protocol per node, and drives its event loop, :meth:`Network.rounds
+<repro.sim.network.Network.rounds>`, with frame exchanges in place of
+protocol calls:
 
-* per event round, every active non-halted node receives one ``round`` frame
+* per event round, every node the loop lists receives one ``round`` frame
   (its inbox) and answers one ``acted`` frame (its sends, wake-ups, halted
   flag and a result snapshot);
 * frame exchanges run concurrently -- node state is process-private, so
-  parallelism cannot race -- but replies are *absorbed in ascending node
-  order*, which reproduces the simulator's global outbox order and therefore
-  the exact per-send fault-stream consumption;
-* the same :class:`~repro.faults.injector.FaultInjector` (wrapped in
-  :class:`~repro.net.faults.LiveFaultEngine`) decides drops, duplicates and
-  delays on the relayed messages, and crash-stop faults become real
-  ``SIGKILL``\\ s delivered before the first event round at or past the
-  planned crash round.
+  parallelism cannot race -- but replies are *replayed in ascending node
+  order* through each stand-in's context, which reproduces the simulator's
+  outbox order and therefore the exact per-send fault-stream consumption;
+* the loop routes the replayed sends through the injector (drops, duplicates,
+  delays), and crash-stop faults become real ``SIGKILL``\\ s delivered before
+  the first event round at or past the planned crash round.  The simulator
+  never activates a crashed node again either, so the victim's last snapshot
+  is exactly the result its in-process protocol would report.
 
-Because topology, seed streams, activation order and fault decisions all
-match the simulator, a live run's :class:`~repro.core.result.TrialOutcome`
-equals the simulated outcome of the same spec -- winners, classification,
-crashed nodes, and every model-level metric.  The only difference is the
-extra ``metrics.net_events`` dict recording transport costs (barriers,
-frames, wall-clock, kills).  :func:`cross_validate` checks that contract in
-one call; the CLI exposes it as ``--verify``.
+Because the event loop *is* the simulator's, a live run's
+:class:`~repro.core.result.TrialOutcome` equals the simulated outcome of the
+same spec -- winners, classification, crashed nodes, and every model-level
+metric.  The only difference is the extra ``metrics.net_events`` dict
+recording transport costs (barriers, frames, wall-clock, kills).
+:func:`cross_validate` checks that contract in one call; the CLI exposes it
+as ``--verify``.
 """
 
 from __future__ import annotations
@@ -51,16 +54,14 @@ from ..core.result import TrialOutcome
 from ..exec.backends.workerpool import worker_environment
 from ..exec.serialize import outcome_to_dict
 from ..exec.spec import GraphSpec, TrialSpec
+from ..faults.injector import FaultInjector
 from ..graphs.generators import gilbert_connectivity_radius
-from ..graphs.ports import PortNumberedGraph
 from ..graphs.topology import Graph
 from ..obs.tracer import current_tracer
-from ..sim.message import Message, word_bits_for
-from ..sim.metrics import MetricsCollector
-from ..sim.network import SimulationResult
-from ..sim.node import Inbox
+from ..sim.harness import build_network
+from ..sim.node import Inbox, Protocol
 from ..sim.rng import derive_seed
-from .faults import LiveFaultEngine, plan_from_options
+from .faults import plan_from_options
 from .protocols import LIVE_ALGORITHMS, get_profile
 from .status import StatusBoard, StatusServer, write_snapshot
 from .transport import (
@@ -82,6 +83,40 @@ __all__ = [
 #: Per-frame-exchange timeout (seconds): generous, because one barrier only
 #: covers protocol work plus a socket round-trip, never a whole run.
 DEFAULT_NODE_TIMEOUT = 120.0
+
+
+class _RemoteNode(Protocol):
+    """A node process's stand-in inside the coordinator's :class:`Network`.
+
+    The event loop never calls it -- the real node acts in its own process.
+    :meth:`replay` feeds that node's ``acted`` reply through this stand-in's
+    context, so the loop routes the sends, schedules the wake-ups and records
+    the halt exactly as for an in-process protocol.  Its result is the node's
+    last snapshot.
+    """
+
+    def __init__(self, ctx) -> None:
+        super().__init__(ctx)
+        self.snapshot: Dict[str, object] = {}
+
+    def on_start(self) -> None:
+        raise RuntimeError("a remote node acts in its own process")
+
+    def on_round(self, inbox: Inbox) -> None:
+        raise RuntimeError("a remote node acts in its own process")
+
+    def replay(self, reply: Dict[str, object]) -> None:
+        """Apply one ``acted`` reply: sends in call order, wake-ups, halt."""
+        for port, document in reply["sends"]:
+            self.ctx.send(port, message_from_wire(document))
+        for round_number in reply["wakeups"]:
+            self.ctx.wake_at(round_number)
+        if reply["halted"]:
+            self.ctx.halt()
+        self.snapshot = reply["result"]
+
+    def result(self) -> Dict[str, object]:
+        return self.snapshot
 
 
 class LiveElection:
@@ -147,32 +182,32 @@ class LiveElection:
         proc = self._procs.get(node)
         return None if proc is None else proc.poll()
 
-    # ------------------------------------------------------------ the mirror
+    # --------------------------------------------------------------- the run
     async def _run(self) -> TrialOutcome:
         spec, graph, profile, config = self.spec, self.graph, self.profile, self.config
         n = graph.num_nodes
         tracer = current_tracer()
         started = time.monotonic()
 
-        port_graph = PortNumberedGraph(
-            graph, seed=derive_seed(spec.seed, profile.port_stream)
+        network = build_network(
+            graph,
+            _RemoteNode,
+            seed=spec.seed,
+            port_stream=profile.port_stream,
+            network_stream=profile.network_stream,
+            fault_plan=spec.effective_fault_plan,
+            phase_start_of=profile.phase_start_of(config),
+            known_n=config["known_n"],
         )
-        network_seed = derive_seed(spec.seed, profile.network_stream)
-        engine = LiveFaultEngine(
-            spec.effective_fault_plan, spec.seed, profile.phase_start_of(config)
-        )
-        engine.attach(port_graph)
-
-        word_bits = word_bits_for(n)
-        metrics = MetricsCollector(word_bits)
-        messages_by_node = [0] * n
+        remotes: List[_RemoteNode] = network.protocols
+        injector = network.fault_injector
         self.status.update(
             state="spawning",
             algorithm=spec.algorithm,
             n=n,
             transport=self.transport,
             seed=spec.seed,
-            faulty=engine.active,
+            faulty=injector is not None,
             round=0,
             messages=0,
             killed=0,
@@ -182,7 +217,7 @@ class LiveElection:
             n=n,
             algorithm=spec.algorithm,
             transport=self.transport,
-            faulty=engine.active,
+            faulty=injector is not None,
         )
 
         address = await self._start_server(n)
@@ -192,8 +227,8 @@ class LiveElection:
         # init / ready handshake; the ready snapshot doubles as the final
         # result of any node crash-stopped at round 0 (the simulator never
         # calls on_start on those either).
-        snapshots: List[Dict[str, object]] = [{} for _ in range(n)]
         self.status.update(state="handshake")
+        network_seed = derive_seed(spec.seed, profile.network_stream)
         init_replies = await asyncio.gather(
             *[
                 self._exchange(
@@ -202,7 +237,7 @@ class LiveElection:
                         "op": "init",
                         "version": NET_WIRE_VERSION,
                         "node": node,
-                        "degree": port_graph.degree(node),
+                        "degree": remotes[node].ctx.degree,
                         "known_n": config["known_n"],
                         "network_seed": network_seed,
                         "config": config,
@@ -212,126 +247,43 @@ class LiveElection:
                 for node in range(n)
             ]
         )
-        for node, reply in enumerate(init_replies):
-            snapshots[node] = reply["result"]
+        for remote, reply in zip(remotes, init_replies):
+            remote.snapshot = reply["result"]
 
-        # --- the Network.run mirror -------------------------------------
-        halted = [False] * n
-        outbox: List[Tuple[int, int, Message]] = []
-        future_inboxes: Dict[int, Dict[int, Inbox]] = {}
-        wakeup_rounds: Dict[int, Set[int]] = {}
-        current_round = 0
-        last_activity_round = 0
+        # One barrier per event round of the simulator's own loop: the nodes
+        # it lists act concurrently in their processes, and their replies are
+        # replayed in node order, which is the simulator's outbox order.
         barriers = 0
-        max_rounds = config["max_rounds"]
-
-        def absorb(node: int, reply: Dict[str, object]) -> None:
-            for port, document in reply["sends"]:
-                outbox.append((node, port, message_from_wire(document)))
-            for round_number in reply["wakeups"]:
-                wakeup_rounds.setdefault(round_number, set()).add(node)
-            halted[node] = bool(reply["halted"])
-            snapshots[node] = reply["result"]
-
-        def flush(delivery_round: int) -> None:
-            for sender, port, message in outbox:
-                receiver = port_graph.port_to_neighbor(sender, port)
-                arrival_port = port_graph.neighbor_to_port(receiver, sender)
-                # Accounting happens per physical send, whether or not the
-                # adversary lets the message through: the sender paid.
-                metrics.record_send(message.kind, message.size_bits)
-                messages_by_node[sender] += 1
-                for arrival_round in engine.deliveries(
-                    current_round, sender, receiver, delivery_round
-                ):
-                    future_inboxes.setdefault(arrival_round, {}).setdefault(
-                        receiver, {}
-                    ).setdefault(arrival_port, []).append(message)
-            outbox.clear()
-
-        self._kill_due(engine, 0, tracer)
-        starters = [node for node in range(n) if not engine.is_crashed(node, 0)]
-        self.status.update(state="running", live=n - len(self._killed))
-        for node, reply in await self._round_trip(
-            starters, lambda node: {"op": "start"}
-        ):
-            absorb(node, reply)
-        barriers += 1
-        flush(delivery_round=1)
-
-        completed = True
-        while True:
-            candidates = []
-            if future_inboxes:
-                candidates.append(min(future_inboxes))
-            if wakeup_rounds:
-                candidates.append(min(wakeup_rounds))
-            if not candidates:
-                break
-            next_round = min(candidates)
-            if next_round > max_rounds:
-                completed = False
-                break
-            self._kill_due(engine, next_round, tracer)
-            current_round = next_round
-            inboxes = future_inboxes.pop(next_round, {})
-            woken = wakeup_rounds.pop(next_round, set())
-            active = set(inboxes) | woken
-            active = {
-                node for node in active if not engine.is_crashed(node, next_round)
-            }
-            dispatch = [node for node in sorted(active) if not halted[node]]
-            for node, reply in await self._round_trip(
-                dispatch,
-                lambda node: {
+        for round_number, nodes, inboxes in network.rounds(config["max_rounds"]):
+            self._kill_due(injector, round_number, tracer)
+            self.status.update(
+                state="running",
+                round=round_number,
+                messages=network.messages,
+                live=n - len(self._killed),
+            )
+            replies = await self._round_trip(
+                nodes,
+                lambda node: {"op": "start"}
+                if inboxes is None
+                else {
                     "op": "round",
-                    "round": next_round,
+                    "round": round_number,
                     "inbox": inbox_to_wire(inboxes.get(node, {})),
                 },
-            ):
-                absorb(node, reply)
-            if active:
-                last_activity_round = next_round
+            )
+            for node, reply in replies:
+                remotes[node].replay(reply)
             barriers += 1
-            tracer.event(
-                "net.round",
-                round=next_round,
-                active=len(active),
-                messages=metrics.messages,
-            )
-            self.status.update(
-                round=next_round,
-                messages=metrics.messages,
-                live=n - len(self._killed),
-                killed=len(self._killed),
-            )
-            flush(delivery_round=next_round + 1)
 
-        # --- finalisation, exactly as the simulator --------------------
-        crashed_nodes = engine.crashed_as_of(current_round)
-        fault_events = engine.fault_events()
-        if fault_events is not None:
-            fault_events["crashed_nodes"] = len(crashed_nodes)
         net_events = {
             "barriers": barriers,
             "frames": self._frames,
             "killed": len(self._killed),
             "wall_ms": int((time.monotonic() - started) * 1000),
         }
-        run_metrics = metrics.finalize(
-            rounds=last_activity_round,
-            completed=completed,
-            fault_events=fault_events,
-            net_events=net_events,
-        )
-        result = SimulationResult(
-            metrics=run_metrics,
-            node_results=snapshots,
-            messages_by_node=messages_by_node,
-            protocols=[],
-            crashed_nodes=crashed_nodes,
-            port_graph=port_graph,
-        )
+        result = network.result(net_events=net_events)
+        run_metrics = result.metrics
         outcome = profile.finish(config, result)
         self.status.update(
             state="finished",
@@ -340,7 +292,7 @@ class LiveElection:
             killed=len(self._killed),
             classification=outcome.classification,
             winners=list(outcome.winners),
-            completed=completed,
+            completed=run_metrics.completed,
             wall_ms=net_events["wall_ms"],
         )
         tracer.event(
@@ -436,8 +388,14 @@ class LiveElection:
         )
         return list(zip(nodes, replies))
 
-    def _kill_due(self, engine: LiveFaultEngine, round_number: int, tracer) -> None:
-        for node in engine.due_kills(round_number):
+    def _kill_due(
+        self, injector: Optional[FaultInjector], round_number: int, tracer
+    ) -> None:
+        """SIGKILL every node whose planned crash fires by ``round_number``."""
+        crash_rounds = {} if injector is None else injector.crash_rounds
+        for node in sorted(crash_rounds):
+            if crash_rounds[node] > round_number or node in self._killed:
+                continue
             proc = self._procs.get(node)
             if proc is not None and proc.poll() is None:
                 proc.kill()

@@ -1,104 +1,19 @@
-"""Mapping a :class:`~repro.faults.plan.FaultPlan` onto a live deployment.
+"""The coordinator CLI's fault options as a :class:`~repro.faults.plan.FaultPlan`.
 
-The simulator consults a :class:`~repro.faults.injector.FaultInjector` at
-send and activation time; the live coordinator routes every message itself,
-so the *same* injector -- seeded from the same ``(seed, FAULT_SEED_STREAM)``
-derivation -- makes the same decisions in the same order.  Message faults
-(drop / duplicate / delay / edge removal) therefore need no translation:
-they are applied to the relayed frames exactly as they would have been
-applied to simulated deliveries.
-
-Crash-stop faults *do* need translation, and it is the honest one: a node
-planned to crash at round ``r`` has its process SIGKILLed before the first
-event round ``>= r`` is dispatched.  :meth:`LiveFaultEngine.due_kills` hands
-the coordinator that schedule.  Because the simulator never activates a
-crashed node at rounds ``>= r`` either, the last pre-kill result snapshot
-the coordinator holds is exactly the state the simulator's protocol instance
-would report at the end of the run.
+A live run needs no fault machinery of its own: the coordinator drives the
+simulator's event loop, so the plan reaches the same
+:class:`~repro.faults.injector.FaultInjector`, seeded and consulted exactly
+as in a simulated run.  This module only turns ``--drop``, ``--duplicate``,
+``--crash K@R`` and ``--delay`` into that plan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
-from ..faults.injector import FaultInjector
 from ..faults.plan import CrashFaults, DelayFaults, FaultPlan, MessageFaults
-from ..graphs.ports import PortNumberedGraph
-from ..sim.harness import FAULT_SEED_STREAM
-from ..sim.rng import derive_seed
 
-__all__ = ["LiveFaultEngine", "plan_from_options", "parse_crash_option"]
-
-
-class LiveFaultEngine:
-    """The coordinator's fault hook: one injector plus a kill schedule."""
-
-    def __init__(self, plan, master_seed: int, phase_start_of) -> None:
-        if plan is not None and plan.is_empty:
-            plan = None
-        self.plan = plan
-        self.injector: Optional[FaultInjector] = None
-        if plan is not None:
-            self.injector = FaultInjector(
-                plan,
-                master_seed=derive_seed(master_seed, FAULT_SEED_STREAM),
-                phase_start_of=phase_start_of,
-            )
-        self._killed: Set[int] = set()
-
-    @property
-    def active(self) -> bool:
-        """Whether a non-empty plan is in force."""
-        return self.injector is not None
-
-    def attach(self, port_graph: PortNumberedGraph) -> None:
-        """Precompute the run's structural fault decisions (once)."""
-        if self.injector is not None:
-            self.injector.attach(port_graph)
-
-    # ------------------------------------------------------------- decisions
-    def is_crashed(self, node: int, round_number: int) -> bool:
-        """Whether ``node`` is crash-stopped at ``round_number``."""
-        return self.injector is not None and self.injector.is_crashed(
-            node, round_number
-        )
-
-    def deliveries(
-        self, send_round: int, sender: int, receiver: int, delivery_round: int
-    ) -> List[int]:
-        """Delivery rounds the adversary grants one relayed message."""
-        if self.injector is None:
-            return [delivery_round]
-        return self.injector.deliveries(send_round, sender, receiver, delivery_round)
-
-    def due_kills(self, round_number: int) -> List[int]:
-        """Nodes whose planned crash fires at or before ``round_number``.
-
-        Each node is returned exactly once across the run; the coordinator
-        SIGKILLs the listed processes before dispatching the round.
-        """
-        if self.injector is None:
-            return []
-        due = sorted(
-            node
-            for node, crash_round in self.injector.crash_rounds.items()
-            if crash_round <= round_number and node not in self._killed
-        )
-        self._killed.update(due)
-        return due
-
-    # --------------------------------------------------------------- summary
-    def crashed_as_of(self, round_number: int) -> List[int]:
-        """Sorted nodes whose crash fired at or before ``round_number``."""
-        if self.injector is None:
-            return []
-        return self.injector.crashed_as_of(round_number)
-
-    def fault_events(self) -> Optional[Dict[str, int]]:
-        """The injector's per-fault counters, ``None`` without a plan."""
-        if self.injector is None:
-            return None
-        return dict(self.injector.events)
+__all__ = ["plan_from_options", "parse_crash_option"]
 
 
 # -------------------------------------------------------------- CLI parsing

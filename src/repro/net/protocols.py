@@ -26,10 +26,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Optional
 
-from ..baselines.known_tmix import known_tmix_factory
+from ..baselines.known_tmix import (
+    KNOWN_TMIX_NETWORK_STREAM,
+    KNOWN_TMIX_PORT_STREAM,
+    known_tmix_factory,
+    pin_walk_length,
+)
 from ..core.leader_election import LeaderElectionNode
 from ..core.params import ElectionParameters
 from ..core.result import TrialOutcome, outcome_from_simulation
+from ..core.runner import ELECTION_NETWORK_STREAM, ELECTION_PORT_STREAM
 from ..core.schedule import PhaseSchedule
 from ..exec.spec import TrialSpec
 from ..graphs.mixing import cached_mixing_time
@@ -98,8 +104,7 @@ def _resolve_election(spec: TrialSpec, graph: Graph) -> Dict[str, object]:
 
 
 def _election_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
-    schedule = PhaseSchedule(_params_of(config))
-    return lambda index: schedule.window(index).start
+    return PhaseSchedule(_params_of(config)).phase_start
 
 
 def _finish_election(
@@ -133,10 +138,10 @@ def _known_tmix_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
     # Phase-anchored crash plans resolve against the schedule of the *pinned*
     # parameters -- the walk length every node actually runs with (the same
     # convention as simulate_known_tmix).
-    walk_length = max(1, round(config["safety_factor"] * config["mixing_time"]))
-    pinned = _params_of(config).with_overrides(initial_walk_length=walk_length)
-    schedule = PhaseSchedule(pinned)
-    return lambda index: schedule.window(index).start
+    pinned = pin_walk_length(
+        _params_of(config), config["mixing_time"], config["safety_factor"]
+    )
+    return PhaseSchedule(pinned).phase_start
 
 
 def _finish_known_tmix(
@@ -151,16 +156,16 @@ def _finish_known_tmix(
 _PROFILES: Dict[str, NetProfile] = {
     "election": NetProfile(
         name="election",
-        port_stream=0xB0B,
-        network_stream=0xA11CE,
+        port_stream=ELECTION_PORT_STREAM,
+        network_stream=ELECTION_NETWORK_STREAM,
         resolve=_resolve_election,
         phase_start_of=_election_phase_start,
         finish=_finish_election,
     ),
     "known_tmix": NetProfile(
         name="known_tmix",
-        port_stream=0x41,
-        network_stream=0x42,
+        port_stream=KNOWN_TMIX_PORT_STREAM,
+        network_stream=KNOWN_TMIX_NETWORK_STREAM,
         resolve=_resolve_known_tmix,
         phase_start_of=_known_tmix_phase_start,
         finish=_finish_known_tmix,

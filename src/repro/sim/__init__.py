@@ -6,7 +6,7 @@ from .errors import (
     RoundLimitExceeded,
     SimulationError,
 )
-from .harness import FAULT_SEED_STREAM, run_protocol
+from .harness import FAULT_SEED_STREAM, build_network
 from .message import Message, counter_bits, id_bits, id_set_bits, word_bits_for
 from .metrics import MetricsCollector, RunMetrics
 from .network import MessageObserver, Network, SimulationResult
@@ -43,7 +43,7 @@ __all__ = [
     "derive_seed",
     "node_rng",
     "fresh_master_seed",
-    "run_protocol",
+    "build_network",
     "FAULT_SEED_STREAM",
     "VECTORIZED_WALK_STREAM",
     "VectorizedUnsupported",

@@ -32,6 +32,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -169,6 +170,7 @@ class Network:
         self._wakeups: Dict[int, Set[int]] = {}
         self._wakeup_heap: List[int] = []
         self._last_activity_round = 0
+        self._completed = True
 
         for index in range(n):
             ctx = NodeContext(
@@ -206,6 +208,34 @@ class Network:
         metrics carry ``completed=False`` (or :class:`RoundLimitExceeded` is
         raised when ``strict_round_limit`` is set).
         """
+        protocols = self._protocols
+        for _, nodes, inboxes in self.rounds(max_rounds, strict_round_limit):
+            if inboxes is None:
+                for node in nodes:
+                    protocols[node].on_start()
+            else:
+                for node in nodes:
+                    protocols[node].on_round(inboxes.get(node, {}))
+        return self.result()
+
+    def rounds(
+        self, max_rounds: int = 10_000_000, strict_round_limit: bool = False
+    ) -> Iterator[Tuple[int, List[int], Optional[Dict[int, Inbox]]]]:
+        """The event loop, one ``(round, nodes, inboxes)`` per event round.
+
+        The caller activates every listed node before resuming the loop:
+        ``on_start`` when ``inboxes is None`` (round 0), otherwise
+        ``on_round(inboxes.get(node, {}))``.  ``nodes`` is ascending and
+        already excludes crash-stopped and halted nodes, and each listed
+        node's context carries the yielded round.  Whatever the activations
+        sent through their contexts is flushed through the fault injector
+        when the loop resumes, so activating in the yielded order reproduces
+        the simulator's outbox order exactly.  :meth:`run` is this loop with
+        the protocols called in process; the live coordinator drives the same
+        loop with frame exchanges instead.  Call :meth:`result` once the loop
+        is exhausted; ``max_rounds`` and ``strict_round_limit`` are as in
+        :meth:`run`.
+        """
         injector = self._fault_injector
         # Tracing is a write-only side channel: the tracer is resolved once
         # per run, costs one branch per event round when disabled, and
@@ -220,19 +250,18 @@ class Network:
         self._current_round = 0
         for ctx in self._contexts:
             ctx._set_round(0)
-        for index, protocol in enumerate(self._protocols):
-            if injector is not None and injector.is_crashed(index, 0):
-                continue
-            protocol.on_start()
+        yield 0, [
+            node for node in range(self._n)
+            if injector is None or not injector.is_crashed(node, 0)
+        ], None
         self._flush_outbox(delivery_round=1)
 
-        completed = True
         while True:
             next_round = self._next_event_round()
             if next_round is None:
                 break
             if next_round > max_rounds:
-                completed = False
+                self._completed = False
                 if strict_round_limit:
                     raise RoundLimitExceeded(
                         "simulation exceeded max_rounds=%d" % max_rounds
@@ -240,7 +269,7 @@ class Network:
                 break
             self._current_round = next_round
             inboxes = self._future_inboxes.pop(next_round, {})
-            woken = self._pop_wakeups(next_round)
+            woken = self._wakeups.pop(next_round, set())
             active = set(inboxes) | woken
             if injector is not None:
                 alive = {
@@ -253,12 +282,13 @@ class Network:
                         suppressed=len(active) - len(alive),
                     )
                 active = alive
+            nodes = []
             for node in sorted(active):
                 ctx = self._contexts[node]
-                if ctx.halted:
-                    continue
-                ctx._set_round(next_round)
-                self._protocols[node].on_round(inboxes.get(node, {}))
+                if not ctx.halted:
+                    ctx._set_round(next_round)
+                    nodes.append(node)
+            yield next_round, nodes, inboxes
             if active:
                 self._last_activity_round = next_round
             if traced:
@@ -271,6 +301,13 @@ class Network:
                 )
             self._flush_outbox(delivery_round=next_round + 1)
 
+    def result(self, net_events: Optional[Dict[str, int]] = None) -> SimulationResult:
+        """Freeze the finished run of :meth:`rounds` into a :class:`SimulationResult`.
+
+        ``net_events`` carries a live deployment's transport counters into
+        the metrics; a simulated run leaves it empty.
+        """
+        injector = self._fault_injector
         crashed_nodes: List[int] = []
         fault_events: Optional[Dict[str, int]] = None
         if injector is not None:
@@ -279,8 +316,9 @@ class Network:
             fault_events["crashed_nodes"] = len(crashed_nodes)
         metrics = self._metrics.finalize(
             rounds=self._last_activity_round,
-            completed=completed,
+            completed=self._completed,
             fault_events=fault_events,
+            net_events=net_events,
         )
         node_results = [protocol.result() for protocol in self._protocols]
         return SimulationResult(
@@ -304,10 +342,6 @@ class Network:
         if not candidates:
             return None
         return min(candidates)
-
-    def _pop_wakeups(self, round_number: int) -> Set[int]:
-        woken = self._wakeups.pop(round_number, set())
-        return woken
 
     def _flush_outbox(self, delivery_round: int) -> None:
         if not self._outbox:
@@ -351,6 +385,16 @@ class Network:
     def num_nodes(self) -> int:
         """Number of nodes in the simulated network."""
         return self._n
+
+    @property
+    def protocols(self) -> List[Protocol]:
+        """The per-node protocol instances, in node order."""
+        return self._protocols
+
+    @property
+    def messages(self) -> int:
+        """Physical messages sent so far (final once the run has ended)."""
+        return self._metrics.messages
 
     @property
     def word_bits(self) -> int:

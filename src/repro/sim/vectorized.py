@@ -376,7 +376,7 @@ class _Run:
             fault_plan or FaultPlan(),
             derive_seed(seed, FAULT_SEED_STREAM),
             n,
-            lambda index: schedule.window(index).start,
+            schedule.phase_start,
         )
         # Crash rounds twice over: a list for the scalar reads of most
         # segments, an array for the walk's bulk masks.
@@ -989,6 +989,7 @@ def run_vectorized_election(
     ('vectorized', 16, True)
     """
     from ..core.params import DEFAULT_PARAMETERS
+    from ..core.runner import ELECTION_NETWORK_STREAM
 
     if params is None:
         params = DEFAULT_PARAMETERS
@@ -999,7 +1000,7 @@ def run_vectorized_election(
             seed,
             fault_plan,
             max_rounds,
-            network_stream=0xA11CE,
+            network_stream=ELECTION_NETWORK_STREAM,
             decide_rule="election",
             known_n=known_n,
             assumed_n=assumed_n,
@@ -1019,14 +1020,15 @@ def run_vectorized_known_tmix(
 ):
     """Vectorized counterpart of :func:`repro.baselines.known_tmix.simulate_known_tmix`.
 
-    Pins the walk length to ``max(1, round(safety_factor * mixing_time))``
-    and runs one oracle-length phase under the [25] decision rule, on the
-    baseline's historical network stream (``0x42``).
+    Pins the walk length as :func:`~repro.baselines.known_tmix.pin_walk_length`
+    does and runs one oracle-length phase under the [25] decision rule, on the
+    baseline's historical network stream.
     """
+    from ..baselines.known_tmix import KNOWN_TMIX_NETWORK_STREAM, pin_walk_length
     from ..core.params import DEFAULT_PARAMETERS
 
     if params is None:
         params = DEFAULT_PARAMETERS
-    walk_length = max(1, round(safety_factor * mixing_time))
-    pinned = params.with_overrides(initial_walk_length=walk_length)
-    return _simulate(_Run(graph, pinned, seed, fault_plan, max_rounds, 0x42, "known_tmix"))
+    pinned = pin_walk_length(params, mixing_time, safety_factor)
+    run = _Run(graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix")
+    return _simulate(run)
