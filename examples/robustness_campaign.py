@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.analysis import format_table, robustness_configs
+from repro.analysis import algorithm_robustness_configs, format_table
 from repro.campaign import CampaignRunner, CampaignSpec, campaign_report, write_report
 from repro.exec import (
     ExecutionProfile,
@@ -38,6 +38,8 @@ from repro.exec import (
 from repro.graphs import expander_graph, hypercube_graph
 
 BASE_SEED = 1107
+#: Crashes fire at the start of this guess-and-double phase.
+CRASH_PHASE = 2
 
 
 def build_campaign(quick: bool) -> CampaignSpec:
@@ -58,8 +60,12 @@ def build_campaign(quick: bool) -> CampaignSpec:
     )
     sweeps = []
     for name, graph in families:
-        _pairs, configs = robustness_configs(
-            graph, drop_rates=drop_rates, crash_counts=crash_counts
+        _triples, configs = algorithm_robustness_configs(
+            graph,
+            algorithms=("election",),
+            drop_rates=drop_rates,
+            crash_counts=crash_counts,
+            crash_phase=CRASH_PHASE,
         )
         sweeps.append(
             SweepSpec(name=name, configs=configs, trials=trials, base_seed=BASE_SEED)

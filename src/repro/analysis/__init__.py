@@ -1,4 +1,4 @@
-"""Analysis helpers: closed-form bounds, sweeps, statistics and scaling fits."""
+"""Analysis helpers: closed-form bounds, sweep aggregation, statistics and scaling fits."""
 
 from .bounds import (
     broadcast_lower_bound_messages,
@@ -15,16 +15,9 @@ from .bounds import (
     upper_bound_rounds_large,
 )
 from .experiments import (
-    RobustnessRecord,
-    ScalingRecord,
-    TrialSet,
     algorithm_robustness_configs,
     format_table,
     records_to_columns,
-    robustness_configs,
-    robustness_sweep,
-    run_election_trials,
-    scaling_sweep,
     sweep_summary,
 )
 from .fitting import PowerLawFit, fit_power_law, ratio_curve
@@ -51,13 +44,6 @@ __all__ = [
     "mixing_time_bounds_from_conductance",
     "expander_example_messages",
     "hypercube_example_messages",
-    "TrialSet",
-    "run_election_trials",
-    "ScalingRecord",
-    "scaling_sweep",
-    "RobustnessRecord",
-    "robustness_configs",
-    "robustness_sweep",
     "algorithm_robustness_configs",
     "sweep_summary",
     "format_table",

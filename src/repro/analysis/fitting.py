@@ -37,6 +37,10 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
 
     Requires at least two distinct positive ``x`` values and positive ``y``
     values (costs and sizes always are).
+
+    >>> fit = fit_power_law([16, 64, 256], [4, 8, 16])
+    >>> round(fit.exponent, 3), round(fit.coefficient, 3), round(fit.r_squared, 3)
+    (0.5, 1.0, 1.0)
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")

@@ -42,7 +42,15 @@ def confidence_interval(values: Sequence[float], z: float = 1.96) -> Tuple[float
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion (robust for small counts)."""
+    """Wilson score interval for a binomial proportion (robust for small counts).
+
+    Unlike the normal approximation it stays inside ``[0, 1]`` and does not
+    collapse to a point at 0 or ``trials`` successes:
+
+    >>> low, high = wilson_interval(10, 10)
+    >>> round(low, 3), high
+    (0.722, 1.0)
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:

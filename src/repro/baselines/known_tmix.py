@@ -148,50 +148,32 @@ def known_tmix_trial(
         )
     if mixing_time is None:
         mixing_time = cached_mixing_time(graph)
-    if simulator == "vectorized":
-        from ..sim.vectorized import (
-            VectorizedUnsupported,
-            run_vectorized_known_tmix,
-            vectorized_unsupported_reason,
-        )
 
-        reason = vectorized_unsupported_reason(
-            fault_plan=fault_plan, observers=tuple(observers)
+    def reference():
+        result = simulate_known_tmix(
+            graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
         )
-        outcome = None
-        if reason is None:
-            try:
-                outcome = run_vectorized_known_tmix(
-                    graph,
-                    mixing_time,
-                    params=params,
-                    safety_factor=safety_factor,
-                    seed=seed,
-                    fault_plan=fault_plan,
-                    max_rounds=max_rounds,
-                )
-            except VectorizedUnsupported as exc:
-                reason = str(exc)
-        if outcome is None:
-            result = simulate_known_tmix(
+        return outcome_from_simulation(result)
+
+    if simulator == "vectorized":
+        from ..sim.vectorized import run_vectorized_known_tmix, vectorized_or_reference
+
+        outcome = vectorized_or_reference(
+            lambda: run_vectorized_known_tmix(
                 graph,
                 mixing_time,
-                params,
-                safety_factor,
-                seed,
-                fault_plan,
-                max_rounds,
-                observers,
-            )
-            outcome = outcome_from_simulation(result)
-            outcome.simulator = "reference-fallback:%s" % reason
-        trial = TrialOutcome.from_election("known_tmix", outcome)
-        trial.extras["mixing_time"] = mixing_time
-        return trial
-    result = simulate_known_tmix(
-        graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
-    )
-    outcome = outcome_from_simulation(result)
+                params=params,
+                safety_factor=safety_factor,
+                seed=seed,
+                fault_plan=fault_plan,
+                max_rounds=max_rounds,
+            ),
+            reference,
+            fault_plan=fault_plan,
+            observers=tuple(observers),
+        )
+    else:
+        outcome = reference()
     trial = TrialOutcome.from_election("known_tmix", outcome)
     trial.extras["mixing_time"] = mixing_time
     return trial

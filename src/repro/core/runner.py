@@ -114,59 +114,40 @@ def run_leader_election(
             "unknown simulator %r; expected one of %s"
             % (simulator, ", ".join(KNOWN_SIMULATORS))
         )
-    if simulator == "vectorized":
-        from ..sim.vectorized import (
-            VectorizedUnsupported,
-            run_vectorized_election,
-            vectorized_unsupported_reason,
-        )
 
-        reason = vectorized_unsupported_reason(
-            fault_plan=fault_plan,
-            observers=tuple(observers),
-            keep_simulation=keep_simulation,
+    def reference() -> ElectionOutcome:
+        network = build_election_network(
+            graph,
+            params=params,
+            seed=seed,
+            known_n=known_n,
+            assumed_n=assumed_n,
+            observers=observers,
+            edge_capacity_words=edge_capacity_words,
             congest_mode=congest_mode,
+            fault_plan=fault_plan,
         )
-        if reason is None:
-            try:
-                return run_vectorized_election(
-                    graph,
-                    params=params,
-                    seed=seed,
-                    known_n=known_n,
-                    assumed_n=assumed_n,
-                    max_rounds=max_rounds,
-                    edge_capacity_words=edge_capacity_words,
-                    fault_plan=fault_plan,
-                )
-            except VectorizedUnsupported as exc:
-                reason = str(exc)
-        outcome = run_leader_election(
+        result = network.run(max_rounds=max_rounds)
+        return outcome_from_simulation(result, keep_simulation=keep_simulation)
+
+    if simulator == "reference":
+        return reference()
+    from ..sim.vectorized import run_vectorized_election, vectorized_or_reference
+
+    return vectorized_or_reference(
+        lambda: run_vectorized_election(
             graph,
             params=params,
             seed=seed,
             known_n=known_n,
             assumed_n=assumed_n,
             max_rounds=max_rounds,
-            observers=observers,
             edge_capacity_words=edge_capacity_words,
-            congest_mode=congest_mode,
-            keep_simulation=keep_simulation,
             fault_plan=fault_plan,
-            simulator="reference",
-        )
-        outcome.simulator = "reference-fallback:%s" % reason
-        return outcome
-    network = build_election_network(
-        graph,
-        params=params,
-        seed=seed,
-        known_n=known_n,
-        assumed_n=assumed_n,
-        observers=observers,
-        edge_capacity_words=edge_capacity_words,
-        congest_mode=congest_mode,
+        ),
+        reference,
         fault_plan=fault_plan,
+        observers=tuple(observers),
+        keep_simulation=keep_simulation,
+        congest_mode=congest_mode,
     )
-    result = network.run(max_rounds=max_rounds)
-    return outcome_from_simulation(result, keep_simulation=keep_simulation)

@@ -36,8 +36,8 @@ from ..sim.rng import derive_seed
 
 __all__ = ["GraphSpec", "TrialSpec", "SweepSpec", "build_graph"]
 
-#: Stream offset for per-configuration graph seeds (historical convention of
-#: ``scaling_sweep``, kept so refactored sweeps reproduce old numbers).
+#: Stream offset for per-configuration graph seeds (a historical convention,
+#: kept so every sweep reproduces the numbers of earlier versions).
 GRAPH_SEED_STREAM_OFFSET = 1000
 
 

@@ -310,6 +310,16 @@ def write_frame(stream: BinaryIO, document: Dict[str, object]) -> None:
     stream.flush()
 
 
+def _frame_length(header, limit: int) -> int:
+    """The body length a frame header announces, refused above ``limit``."""
+    (length,) = _LENGTH.unpack_from(header)
+    if length > limit:
+        raise ValueError(
+            "frame announces %d bytes (limit %d); stream is corrupt" % (length, limit)
+        )
+    return length
+
+
 class FrameDecoder:
     """Incremental frame decoder for byte streams that fragment arbitrarily.
 
@@ -341,12 +351,7 @@ class FrameDecoder:
         self._buffer.extend(data)
         frames = []
         while len(self._buffer) >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self._max_frame_bytes:
-                raise ValueError(
-                    "frame announces %d bytes (limit %d); stream is corrupt"
-                    % (length, self._max_frame_bytes)
-                )
+            length = _frame_length(self._buffer, self._max_frame_bytes)
             end = _LENGTH.size + length
             if len(self._buffer) < end:
                 break
@@ -374,11 +379,16 @@ def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
 
 
 def read_frame(stream: BinaryIO) -> Optional[Dict[str, object]]:
-    """Read one frame; ``None`` on clean EOF, ``EOFError`` on truncation."""
+    """Read one frame; ``None`` on clean EOF, ``EOFError`` on truncation.
+
+    A header announcing more than :data:`MAX_FRAME_BYTES` raises
+    ``ValueError`` at once instead of blocking until that many bytes (or EOF)
+    arrive -- a garbled peer must not outlive the caller's hang deadline.
+    """
     header = _read_exact(stream, _LENGTH.size)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
+    length = _frame_length(header, MAX_FRAME_BYTES)
     body = _read_exact(stream, length)
     if body is None:
         raise EOFError("stream ended after frame header")

@@ -62,7 +62,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -80,6 +80,7 @@ __all__ = [
     "VECTORIZED_WALK_STREAM",
     "VectorizedUnsupported",
     "vectorized_unsupported_reason",
+    "vectorized_or_reference",
     "graph_csr",
     "run_vectorized_election",
     "run_vectorized_known_tmix",
@@ -122,6 +123,25 @@ def vectorized_unsupported_reason(
         if not fault_plan.edges.is_empty:
             return "edge fault models require the reference simulator"
     return None
+
+
+def vectorized_or_reference(vectorized: Callable, reference: Callable, **signature):
+    """``vectorized()`` unless the engine declines, else ``reference()``.
+
+    The fallback contract of every vectorized entry point: a static refusal
+    (:func:`vectorized_unsupported_reason` over the call ``signature``) or a
+    run-time :class:`VectorizedUnsupported` runs ``reference()`` instead and
+    tags its outcome's ``simulator`` as ``"reference-fallback:<reason>"``.
+    """
+    reason = vectorized_unsupported_reason(**signature)
+    if reason is None:
+        try:
+            return vectorized()
+        except VectorizedUnsupported as exc:
+            reason = str(exc)
+    outcome = reference()
+    outcome.simulator = "reference-fallback:%s" % reason
+    return outcome
 
 
 def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

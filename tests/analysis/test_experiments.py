@@ -1,65 +1,51 @@
-"""Tests for the experiment harness (trials, sweeps, tables)."""
+"""Tests for the fault-grid builder and the experiment tables."""
 
-import pytest
-
-from repro.analysis import format_table, records_to_columns, run_election_trials, scaling_sweep
-from repro.core import ElectionParameters
+from repro.analysis import algorithm_robustness_configs, format_table, records_to_columns
+from repro.analysis.experiments import BROADCAST_FAULT_MAX_ROUNDS
+from repro.faults import CrashFaults
 from repro.graphs import complete_graph
 
 
-FAST = ElectionParameters(c1=3.0, c2=0.5)
-
-
-class TestTrials:
-    def test_run_trials_collects_outcomes(self):
-        trial_set = run_election_trials(complete_graph(24), num_trials=2, params=FAST, base_seed=1)
-        assert trial_set.num_trials == 2
-        assert 0.0 <= trial_set.success_rate <= 1.0
-        assert trial_set.mean_messages > 0
-        assert trial_set.elapsed_seconds > 0
-
-    def test_run_trials_requires_positive_count(self):
-        with pytest.raises(ValueError):
-            run_election_trials(complete_graph(8), num_trials=0)
-
-    def test_trials_are_independent(self):
-        trial_set = run_election_trials(complete_graph(24), num_trials=3, params=FAST, base_seed=2)
-        messages = [outcome.messages for outcome in trial_set.outcomes]
-        assert len(set(messages)) > 1
-
-    def test_record_shape(self):
-        trial_set = run_election_trials(
-            complete_graph(24), num_trials=1, params=FAST, base_seed=3, label="demo"
+class TestFaultGrid:
+    def test_fault_free_anchor_is_prepended_per_algorithm(self):
+        triples, configs = algorithm_robustness_configs(
+            complete_graph(8),
+            algorithms=("election", "flooding"),
+            drop_rates=(0.1,),
+            crash_counts=(2,),
         )
-        record = trial_set.as_record()
-        assert record["label"] == "demo"
-        assert record["trials"] == 1
-        assert "messages" in record and "rounds" in record
+        assert triples == [
+            ("election", 0.0, 0),
+            ("election", 0.1, 2),
+            ("flooding", 0.0, 0),
+            ("flooding", 0.1, 2),
+        ]
+        assert [config.label for config in configs] == [
+            "election drop=0 crashes=0",
+            "election drop=0.1 crashes=2",
+            "flooding drop=0 crashes=0",
+            "flooding drop=0.1 crashes=2",
+        ]
+        assert configs[0].fault_plan is None and configs[2].fault_plan is None
+        assert configs[0].algo_kwargs == {}
+        assert configs[2].algo_kwargs == {"max_rounds": BROADCAST_FAULT_MAX_ROUNDS}
 
-
-class TestSweep:
-    def test_scaling_sweep_rows(self):
-        records = scaling_sweep(
-            lambda n, seed: complete_graph(n),
-            sizes=[16, 24],
-            trials=1,
-            params=FAST,
-            base_seed=4,
+    def test_crash_anchor_is_a_round_or_a_phase(self):
+        graph = complete_graph(8)
+        _, by_round = algorithm_robustness_configs(
+            graph, algorithms=("election",), drop_rates=(0.0,), crash_counts=(3,)
         )
-        assert [record.num_nodes for record in records] == [16, 24]
-        assert all(record.mixing_time > 0 for record in records)
-        assert all(record.mean_messages > 0 for record in records)
-
-    def test_sweep_can_skip_mixing_time(self):
-        records = scaling_sweep(
-            lambda n, seed: complete_graph(n),
-            sizes=[16],
-            trials=1,
-            params=FAST,
-            base_seed=5,
-            compute_mixing_time=False,
+        _, by_phase = algorithm_robustness_configs(
+            graph, algorithms=("election",), drop_rates=(0.0,), crash_counts=(3,), crash_phase=2
         )
-        assert records[0].mixing_time == -1
+        assert by_round[1].fault_plan.crashes == CrashFaults(count=3, at_round=4)
+        assert by_phase[1].fault_plan.crashes == CrashFaults(count=3, at_phase=2)
+
+    def test_crash_free_points_carry_no_crash_model(self):
+        _, configs = algorithm_robustness_configs(
+            complete_graph(8), algorithms=("election",), drop_rates=(0.0, 0.1), crash_phase=2
+        )
+        assert configs[1].fault_plan.crashes == CrashFaults()
 
 
 class TestTables:

@@ -10,6 +10,7 @@ from repro.exec import GraphSpec, TrialSpec, execute_trial, outcome_to_dict
 from repro.exec.execute import TrialPayload, guarded_payload
 from repro.exec.fingerprint import trial_fingerprint
 from repro.exec.wire import (
+    MAX_FRAME_BYTES,
     FrameDecoder,
     encode_frame,
     payload_from_dict,
@@ -129,6 +130,19 @@ class TestFraming:
         truncated = io.BytesIO(stream.getvalue()[:-2])
         with pytest.raises(EOFError):
             read_frame(truncated)
+
+    def test_oversize_header_raises_without_reading_the_body(self):
+        """A garbled header must fail at once, not block waiting for ~4 GiB."""
+
+        class NoBodyStream(io.BytesIO):
+            def read(self, size=-1):
+                if self.tell() >= 4:
+                    raise AssertionError("read_frame tried to read the body")
+                return super().read(size)
+
+        stream = NoBodyStream(b"\xff\xff\xff\xf0{}")
+        with pytest.raises(ValueError, match="limit %d" % MAX_FRAME_BYTES):
+            read_frame(stream)
 
     def test_write_frame_emits_exactly_encode_frame(self):
         stream = io.BytesIO()

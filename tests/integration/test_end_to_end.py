@@ -17,12 +17,12 @@ from repro import (
 from repro.analysis import (
     fit_power_law,
     lower_bound_messages,
-    run_election_trials,
-    scaling_sweep,
+    sweep_summary,
     upper_bound_messages_congest,
 )
 from repro.baselines import flood_max_trial, known_tmix_trial
-from repro.core import ElectionParameters
+from repro.core import DEFAULT_PARAMETERS, ElectionParameters
+from repro.exec import BatchRunner, GraphSpec, SweepSpec, TrialSpec
 from repro.graphs import estimate_conductance, mixing_time
 from repro.lowerbound import build_lower_bound_graph, run_walk_budget_election
 
@@ -30,6 +30,20 @@ pytestmark = pytest.mark.slow
 
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
+
+
+def _clique_sweep(sizes, trials, base_seed, params=DEFAULT_PARAMETERS):
+    """``sweep_summary`` rows of the election on cliques of the given sizes."""
+    sweep = SweepSpec(
+        name="cliques",
+        configs=tuple(
+            TrialSpec(graph=GraphSpec("clique", (n,)), params=params) for n in sizes
+        ),
+        trials=trials,
+        base_seed=base_seed,
+    )
+    results = BatchRunner().run_sweep(sweep)
+    return sweep_summary(sweep, [result.outcome for result in results])
 
 
 class TestTheoremThirteenShape:
@@ -56,25 +70,15 @@ class TestTheoremThirteenShape:
         the intersection threshold and degrade to the walk-length cap (see
         EXPERIMENTS.md), which would distort a tiny unseeded sample.
         """
-        records = scaling_sweep(
-            lambda n, seed: complete_graph(n),
-            sizes=[32, 64, 128],
-            trials=2,
-            base_seed=13,
-        )
-        messages_fit = fit_power_law(
-            [r.num_nodes for r in records], [r.mean_messages for r in records]
-        )
-        edges_fit = fit_power_law(
-            [r.num_nodes for r in records], [r.num_edges for r in records]
-        )
+        sizes = [32, 64, 128]
+        rows = _clique_sweep(sizes, trials=2, base_seed=13)
+        messages_fit = fit_power_law(sizes, [row["messages"] for row in rows])
+        edges_fit = fit_power_law(sizes, [complete_graph(n).num_edges for n in sizes])
         assert messages_fit.exponent < edges_fit.exponent - 0.5
 
     def test_success_rate_is_high_on_well_connected_graphs(self):
-        trial_set = run_election_trials(
-            complete_graph(64), num_trials=4, params=FAST, base_seed=5
-        )
-        assert trial_set.success_rate >= 0.75
+        (row,) = _clique_sweep([64], trials=4, base_seed=5, params=FAST)
+        assert row["success_rate"] >= 0.75
 
 
 class TestCrossAlgorithmConsistency:

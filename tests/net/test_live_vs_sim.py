@@ -35,15 +35,35 @@ NOISY = FaultPlan(
     delays=DelayFaults(max_delay=2),
 )
 
-GRID = [
-    pytest.param(algorithm, family, plan, id="%s-%s-%s" % (algorithm, family, label))
-    for algorithm in ("election", "known_tmix")
-    for family in GRAPHS
-    for label, plan in (("faultfree", None), ("faulty", FAULTY))
-] + [
-    pytest.param(algorithm, "expander", NOISY, id="%s-expander-noisy" % algorithm)
-    for algorithm in ("election", "known_tmix")
-]
+#: Phase-anchored crash-stops.  Phase 1 resolves through the coordinator's
+#: ``phase_start_of`` (round 18 under FAST); phase 0 is round 0, where the
+#: ready snapshot doubles as the final result.
+PHASE_CRASHES = {
+    "election": FaultPlan(crashes=CrashFaults(count=2, at_phase=1)),
+    "known_tmix": FaultPlan(crashes=CrashFaults(count=2, at_phase=0)),
+}
+
+GRID = (
+    [
+        pytest.param(algorithm, family, plan, id="%s-%s-%s" % (algorithm, family, label))
+        for algorithm in ("election", "known_tmix")
+        for family in GRAPHS
+        for label, plan in (("faultfree", None), ("faulty", FAULTY))
+    ]
+    + [
+        pytest.param(algorithm, "expander", NOISY, id="%s-expander-noisy" % algorithm)
+        for algorithm in ("election", "known_tmix")
+    ]
+    + [
+        pytest.param(
+            algorithm,
+            "expander",
+            plan,
+            id="%s-expander-phase%d" % (algorithm, plan.crashes.at_phase),
+        )
+        for algorithm, plan in PHASE_CRASHES.items()
+    ]
+)
 
 
 @pytest.mark.parametrize("algorithm,family,plan", GRID)
@@ -62,7 +82,7 @@ def test_live_outcome_equals_simulated_outcome(algorithm, family, plan):
     assert agreement.live.metrics.fault_events == agreement.sim.metrics.fault_events
     assert agreement.live.metrics.net_events
     assert not agreement.sim.metrics.net_events
-    if plan is FAULTY:
+    if plan is not None and plan.crashes.count:
         assert agreement.live.crashed_nodes == agreement.sim.crashed_nodes
         assert len(agreement.live.crashed_nodes) == 2
 

@@ -1,8 +1,8 @@
-"""Run the doctests of the graphs and orchestration packages as part of tier-1.
+"""Run the doctests of the graphs, analysis and orchestration packages in tier-1.
 
-The public API of ``repro.graphs``, ``repro.sim``, ``repro.exec``,
-``repro.faults``, ``repro.campaign`` and ``repro.obs`` carries short runnable examples in its
-docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
+The public API of ``repro.graphs``, ``repro.sim``, ``repro.analysis``,
+``repro.exec``, ``repro.faults``, ``repro.campaign`` and ``repro.obs`` carries
+short runnable examples in its docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
 packages; this in-suite runner keeps the examples honest for anyone who only
 runs the plain tier-1 suite.
 """
@@ -13,6 +13,7 @@ import pkgutil
 
 import pytest
 
+import repro.analysis
 import repro.campaign
 import repro.exec
 import repro.faults
@@ -20,7 +21,15 @@ import repro.graphs
 import repro.obs
 import repro.sim
 
-PACKAGES = (repro.graphs, repro.sim, repro.exec, repro.faults, repro.campaign, repro.obs)
+PACKAGES = (
+    repro.graphs,
+    repro.sim,
+    repro.analysis,
+    repro.exec,
+    repro.faults,
+    repro.campaign,
+    repro.obs,
+)
 
 
 def _modules():
