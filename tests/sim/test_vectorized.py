@@ -155,13 +155,24 @@ def _capped(max_rounds: int) -> TrialSpec:
     )
 
 
+def _crashed_at(at_round: int) -> TrialSpec:
+    return TrialSpec(
+        graph=_EXPANDER_64,
+        seed=1,
+        simulator="vectorized",
+        fault_plan=FaultPlan(crashes=CrashFaults(count=6, at_round=at_round)),
+    )
+
+
 #: SHA-256 of ``json.dumps(outcome_to_dict(outcome))`` (insertion order, so
 #: ``messages_by_kind`` key order is pinned too), recorded before the engine's
 #: bookkeeping was vectorized.  Any change to RNG draws, rounds, message
 #: units, leaders or crash sets changes a digest.  The ``-256``/``-512``/``-8``
 #: shapes are ``vectorized-campaign``'s, and each ``cap-*`` pin ends the run
 #: (``completed=False``) inside one segment; both were recorded before the
-#: engine was split into one function per segment.
+#: engine was split into one function per segment.  The ``crash-mid-*`` pins
+#: lose converge-cast messages to crashed nodes; they were recorded before
+#: the exchange segments and the winner cascade became array programs.
 _GOLDEN = {
     "election-expander": (
         TrialSpec(graph=_EXPANDER_64, seed=1, simulator="vectorized"),
@@ -254,6 +265,16 @@ _GOLDEN = {
         _capped(_PHASE_3.decide_round),
         "08f25f0ef35963069112b32b6af4c5c12c9f69aeca16089cf572b6ad10a06761",
     ),
+    # Six crashes inside a converge-cast: REPORT, COLLECT, DISTRIBUTE and
+    # winner messages are lost to crashed parents and children.
+    "crash-mid-report": (
+        _crashed_at(_PHASE_3.report_start + 3),
+        "84ad70f1eed222d251621020aef73952eb4af31a5d6ea623ce6fa18f36e43db9",
+    ),
+    "crash-mid-collect": (
+        _crashed_at(_PHASE_3.collect_start + 3),
+        "b90a0dc5f5707d18d24ec73907df3862cfded6e83541b76df3e810426914dc5c",
+    ),
 }
 
 
@@ -272,6 +293,10 @@ class TestGoldenOutcomes:
         if name.endswith("-crash"):
             assert len(outcome.crashed_nodes) == 2
             assert outcome.metrics.fault_events["lost_to_crash"] > 0
+        if name.startswith("crash-"):
+            assert outcome.metrics.fault_events["lost_to_crash"] > 0
+        if name == "crash-mid-collect":
+            assert outcome.winners == []
         if name == "election-congestion":
             assert outcome.metrics.congestion_events > 0
         assert outcome.metrics.completed is not name.startswith("cap-")
