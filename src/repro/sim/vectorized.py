@@ -14,15 +14,18 @@ stream.
 Cost model: a short phase loop (:func:`_simulate`) calls one function per
 protocol segment -- :func:`_walk`, :func:`_report`, :func:`_distribute`,
 :func:`_collect`, :func:`_decide` and :func:`_cascade` -- on one explicit
-run state, :class:`_Run`, and a :class:`_Phase` per phase.  The walk's
-per-round work is array operations, and the trees' forward edges are
-deduplicated as 1-D ``int64`` keys ``(tree * n + src) * n + dst``.  Every
-other message goes through one hop rule, :meth:`_Run.send`; REPORT and
-COLLECT are one converge-cast routine (:func:`_converge_cast`).  All sends
-are tallied per ``(kind, size_bits)`` and folded into a
-:class:`~repro.sim.metrics.MetricsCollector` once per phase.  The winner
-cascade is a round-ordered FIFO, and the segments read per-tree rows, crash
-rounds and heard-winner rounds as Python lists, built once per tree or run.
+run state, :class:`_Run`, and a :class:`_Phase` per phase.  Every segment
+is a round-synchronous array program that advances all of a phase's trees
+at once over flattened ``tree * n + node`` indices, and every message of
+every segment goes through one bulk hop rule, :meth:`_Run.hop`: it tallies
+a round's sends per ``(kind, size_bits)``, applies the round cap, drops and
+counts crash losses and lowers heard-winner rounds.  REPORT and COLLECT are
+one converge-cast routine (:func:`_converge_cast`) that loops over the
+distinct send rounds; DISTRIBUTE and the winner cascade are breadth-first
+floods over a CSR of the trees' forward edges (deduplicated from the walk's
+``(tree * n + src) * n + dst`` move keys).  Id sets are packed bitmasks
+over the contenders, indexed by id rank.  The tallies are folded into a
+:class:`~repro.sim.metrics.MetricsCollector` once per phase.
 
 Seed-stream contract
 --------------------
@@ -54,15 +57,15 @@ equivalence suite pins: winner notifications are propagated against the
 completed walk trees of the phase in which they fire (the reference
 interleaves them with in-flight construction), and the heard-winner flag
 piggybacked on ordinary messages spreads segment-by-segment rather than
-round-interleaved across trees.
+round-interleaved across trees: within a segment, tree ``s`` sees the flag
+raised by trees before it in starter order, never by trees after it.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,9 +186,9 @@ def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Metrics(MetricsCollector):
     """A :class:`MetricsCollector` fed per ``(kind, size_bits)`` tally.
 
-    Walk tokens are tallied a round at a time (:meth:`record_bulk`), every
-    other message by :meth:`_Run.send`, and :meth:`flush` folds the tallies
-    into the totals once per phase.  The tally keeps first-seen order, so
+    :meth:`_Run.hop` tallies each round's sends of one kind
+    (:meth:`record_bulk`), and :meth:`flush` folds the tallies into the
+    totals once per phase.  The tally keeps first-seen order, so
     ``messages_by_kind`` gains its keys in the order per-message accounting
     would give them.  Given an edge capacity, ``edge_bits`` sums the bits per
     ``(round, src, dst)``.
@@ -213,18 +216,30 @@ class _Metrics(MetricsCollector):
         to ``dst[i]``, with the loads summed per edge before they are kept."""
         tally = self.tally
         bins = np.bincount(sizes)
-        counts = bins.tolist()
-        for size in np.flatnonzero(bins).tolist():
+        present = bins.nonzero()[0]
+        for size, count in zip(present.tolist(), bins[present].tolist()):
             key = (kind, size)
-            tally[key] = tally.get(key, 0) + counts[size]
+            tally[key] = tally.get(key, 0) + count
         edge_bits = self.edge_bits
         if edge_bits is not None:
-            edges, inverse = np.unique(src * self.n + dst, return_inverse=True)
-            loads = np.zeros(edges.size, dtype=np.int64)
-            np.add.at(loads, inverse, sizes)
-            for edge, load in zip(edges.tolist(), loads.tolist()):
+            edges = src * self.n + dst
+            order = np.argsort(edges, kind="stable")
+            edges = edges[order]
+            starts = _runs(edges)
+            loads = np.add.reduceat(sizes[order], starts)
+            for edge, load in zip(edges[starts].tolist(), loads.tolist()):
                 key = (rnd, *divmod(edge, self.n))
                 edge_bits[key] = edge_bits.get(key, 0) + load
+
+
+#: Set bits of every byte value: the popcount of a packed id set is the sum
+#: of its bytes' entries.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Ids in each row of packed id sets."""
+    return _POPCOUNT[masks].sum(axis=-1)
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -234,95 +249,71 @@ def _bit_lengths(values: np.ndarray) -> np.ndarray:
 
 def _runs(sorted_keys: np.ndarray) -> np.ndarray:
     """Start index of every run of equal values in ``sorted_keys``."""
-    starts = np.ones(sorted_keys.size, dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.flatnonzero(starts)
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts.nonzero()[0]
 
 
-def _forward_maps(move_keys: List[np.ndarray], n: int, trees: int) -> List[Dict[int, List[int]]]:
-    """Per-tree forward edges ``{src: [dst, ...]}``, sources and targets
-    ascending, from the walk's ``(tree * n + src) * n + dst`` move keys."""
-    maps: List[Dict[int, List[int]]] = [{} for _ in range(trees)]
-    if not move_keys:
-        return maps
-    keys = np.concatenate(move_keys)
-    keys.sort()
-    keys = keys[_runs(keys)]
-    heads = keys // n
-    dst = (keys % n).tolist()
-    starts = _runs(heads)
-    ends = starts[1:].tolist() + [keys.size]
-    for head, begin, end in zip(heads[starts].tolist(), starts.tolist(), ends):
-        tree, src = divmod(head, n)
-        maps[tree][src] = dst[begin:end]
-    return maps
+def _bounds(sorted_keys: np.ndarray) -> Tuple[List[int], List[int]]:
+    """``(starts, ends)`` of every run of equal values in ``sorted_keys``."""
+    starts = _runs(sorted_keys).tolist()
+    return starts, starts[1:] + [sorted_keys.size]
 
 
-@dataclass(slots=True)
-class _Tree:
-    """One retained walk tree, as the winner cascade reads it."""
-
-    parent: List[int]
-    fwd: Dict[int, List[int]]
-    winner_size: int
-    flooded: Set[int] = field(default_factory=set)  # nodes that forwarded winner-down
-    sent_up: Set[int] = field(default_factory=set)  # nodes that relayed winner-up
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sorting (numpy 2's hashing ``unique`` is slower here)."""
+    values = np.sort(values)
+    return values[_runs(values)]
 
 
-def _convergecast_order(offsets: np.ndarray, L: int) -> Tuple[List[int], List[int]]:
-    """One walk tree's converge-cast schedule.
-
-    Returns the tree's non-origin members deepest join offset first, ties by
-    node id -- the order their reports go out, in nondecreasing send round --
-    and every node's send delay after the segment start, ``max(0, L -
-    offset)`` (``-_NEVER`` off the tree and at the origin, whose offset is 0).
-    """
-    members = np.flatnonzero(offsets > 0)
-    offs = offsets[members]
-    order = np.lexsort((members, -offs))
-    delay = np.full(offsets.size, -_NEVER, dtype=np.int64)
-    delay[members] = np.maximum(0, L - offs)
-    return members[order].tolist(), delay.tolist()
+def _expand(indptr: np.ndarray, targets: np.ndarray, rows: np.ndarray):
+    """Every CSR edge out of ``rows``: ``(row, target)`` arrays, row-major."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - (ends - counts), counts)
+    return np.repeat(rows, counts), targets[at]
 
 
-#: Counter-field widths of a message that carries no counters (COLLECT).
-_NO_COUNTERS = (0,)
-
-#: What a converge-cast member holds before any child reported to it.
-_NOTHING: Tuple[FrozenSet[int], int, int] = (frozenset(), 0, 0)
-
-
-@dataclass(slots=True)
-class _Contender:
-    """Protocol state of one contender (the LeaderElectionNode fields the
-    decide rule and the outcome read)."""
-
-    adjacency: Set[int] = field(default_factory=set)  # ids heard through REPORT
-    i4: Set[int] = field(default_factory=set)  # ids heard through COLLECT
-    distinct: int = 0
-    forced_stop: bool = False
+def _scatter(rows: np.ndarray, ids: np.ndarray, counters, into_ids, into_counters) -> None:
+    """``into_ids[rows] |= ids`` and ``into_counters[k][rows] += counters[k]``,
+    for ``rows`` whose repeats are adjacent (e.g. sorted)."""
+    if not rows.size:
+        return
+    starts = _runs(rows)
+    targets = rows[starts]
+    into_ids[targets] |= np.bitwise_or.reduceat(ids, starts, axis=0)
+    for total, counter in zip(into_counters, counters):
+        total[targets] += np.add.reduceat(counter, starts)
 
 
 class _Run:
     """The state one engine run shares across its phases and segments.
 
     Setup draws the byte-identical identities and nominations (Algorithm 1)
-    and the injector's crash schedule.  :meth:`send` is the one hop rule of
-    every message outside the walk.
+    and the injector's crash schedule.  :meth:`hop` is the one hop rule of
+    every message.  Contender ``c`` is the one with the ``c``-th smallest id:
+    id sets are packed bitmasks over that index (``np.packbits`` rows), so
+    "some id above mine" is "some bit above mine".
     """
 
-    # Slots: the per-message paths read these, and CPython's instance-dict reads
-    # slow down once an object has more than 30 attributes (this one has 29).
+    # Slots: the segments read these, and CPython's instance-dict reads slow
+    # down once an object has more than 30 attributes (this one has 33).
     __slots__ = (
         "n",
         "params",
         "schedule",
         "max_rounds",
         "ids",
-        "id_to_contender",
-        "state",
+        "contenders",
+        "rank",
+        "own_bit",
+        "adjacency",
+        "i4",
+        "distinct",
+        "forced_stop",
         "crash",
-        "crash_np",
         "has_faults",
         "wrng",
         "csr",
@@ -333,10 +324,10 @@ class _Run:
         "metrics",
         "learn",
         "proxy_for",
-        "latest_phase",
-        "rules_fired",
-        "trees",
-        "queue",
+        "latest_tree",
+        "fired",
+        "retained",
+        "forest",
         "leaders",
         "phases",
         "last_activity",
@@ -379,18 +370,25 @@ class _Run:
 
         # Algorithm 1: byte-identical identities and nominations.  Identifiers
         # live in a plain list -- id_space is n^4 and overflows int64 past
-        # n ~ 55k, and the engine only ever reads them as Python scalars.
+        # n ~ 55k -- and the arrays index contenders by id rank instead.
         ids = self.ids = [0] * n
-        contender_nodes = []
+        contenders = self.contenders = []
         for i in range(n):
             rng = random.Random(derive_seed(network_seed, i))
             ids[i] = rng.randint(1, params.id_space(n_eff))
             if rng.random() < params.contender_probability(n_eff):
-                contender_nodes.append(i)
-        if len({ids[v] for v in contender_nodes}) < len(contender_nodes):
+                contenders.append(i)
+        if len({ids[v] for v in contenders}) < len(contenders):
             raise VectorizedUnsupported("duplicate contender identifiers alias their walk trees")
-        self.id_to_contender = {ids[v]: v for v in contender_nodes}
-        self.state = {v: _Contender() for v in contender_nodes}
+        C = len(contenders)
+        self.rank = np.full(n, -1, dtype=np.int64)
+        self.rank[sorted(contenders, key=ids.__getitem__)] = np.arange(C)
+        self.own_bit = np.packbits(np.eye(C, dtype=bool), axis=1)  # (C, bytes)
+        # Per contender: the ids heard through REPORT and through COLLECT.
+        self.adjacency = np.zeros_like(self.own_bit)
+        self.i4 = np.zeros_like(self.own_bit)
+        self.distinct = np.zeros(C, dtype=np.int64)
+        self.forced_stop = np.zeros(C, dtype=bool)
 
         crash_map = crash_schedule(
             fault_plan or FaultPlan(),
@@ -398,10 +396,7 @@ class _Run:
             n,
             schedule.phase_start,
         )
-        # Crash rounds twice over: a list for the scalar reads of most
-        # segments, an array for the walk's bulk masks.
-        self.crash = [crash_map.get(v, _NEVER) for v in range(n)]
-        self.crash_np = np.array(self.crash, dtype=np.int64)
+        self.crash = np.array([crash_map.get(v, _NEVER) for v in range(n)], dtype=np.int64)
         self.has_faults = fault_plan is not None and not fault_plan.is_empty
 
         self.wrng = np.random.default_rng(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
@@ -417,15 +412,15 @@ class _Run:
         )
         self.metrics = _Metrics(word_bits_for(n), n, edge_capacity_words)
 
-        # Round each node heard a winner: a list for the scalar reads of the
-        # converge-casts and the cascade, copied to an array for each walk.
-        self.learn = [_NEVER] * n
-        self.proxy_for: List[Set[int]] = [set() for _ in range(n)]
-        self.latest_phase: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.rules_fired = [False] * n
-        # Retained per-(contender node, phase) trees for the winner cascade.
-        self.trees: Dict[Tuple[int, int], _Tree] = {}
-        self.queue: Deque[Tuple[int, bool, int, _Tree]] = deque()
+        self.learn = np.full(n, _NEVER, dtype=np.int64)  # round each node heard a winner
+        self.proxy_for = np.zeros((n, C), dtype=bool)  # node served contender as a proxy
+        # Forest index of each contender's latest tree each node belongs to.
+        self.latest_tree = np.full((n, C), -1, dtype=np.int64)
+        self.fired = np.zeros(n, dtype=bool)  # node fired its winner rules
+        # Retained phases; their trees form the forest, numbered in phase then
+        # starter order.  ``forest`` is the cascade's flattened view of them.
+        self.retained: List[_Phase] = []
+        self.forest: Optional[_Forest] = None
         self.leaders: List[int] = []
         self.phases = 0  # phases opened; every starter of one started all before it
         self.last_activity = 0
@@ -445,48 +440,42 @@ class _Run:
         if r > self.clock:
             self.clock = min(r, self.max_rounds)
 
-    def send(
-        self, kind: str, size: int, r: int, u: int, targets: Sequence[int], knows: bool
-    ) -> Sequence[int]:
-        """One hop: ``u`` sends a ``size``-bit message to each of ``targets`` in round ``r``.
+    def hop(
+        self,
+        kind: str,
+        sizes: np.ndarray,
+        r: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        knows,
+    ) -> Optional[np.ndarray]:
+        """One round's hops: ``src[i]`` sends ``sizes[i]`` bits to ``dst[i]`` in round ``r``.
 
-        Tallies the sends and returns the targets that receive them in round
-        ``r + 1``: none past the round cap, which marks the run incomplete,
-        and none that have crashed by then, each counted as lost.  A sender
-        that ``knows`` of a winner passes that round on to every receiver.
+        Tallies the sends and returns the mask of those received in round
+        ``r + 1``: ``None`` past the round cap, which marks the run
+        incomplete, and false for receivers crashed by then, each counted as
+        lost.  A send whose sender ``knows`` (a mask, or ``True`` for all) of
+        a winner passes that round on to its receiver.  No sends, no checks.
         """
-        metrics = self.metrics
-        key = (kind, size)
-        tally = metrics.tally
-        tally[key] = tally.get(key, 0) + len(targets)
-        edge_bits = metrics.edge_bits
-        if edge_bits is not None:
-            for v in targets:
-                edge = (r, u, v)
-                edge_bits[edge] = edge_bits.get(edge, 0) + size
+        if not dst.size:
+            return np.zeros(0, dtype=bool)
+        self.metrics.record_bulk(kind, sizes, r, src, dst)
         a = r + 1
         if a > self.max_rounds:
             self.completed = False
-            return ()
-        crash = self.crash
-        for v in targets:
-            if crash[v] <= a:  # rare: copy out the live targets only then
-                live = [v for v in targets if crash[v] > a]
-                self.lost_to_crash += len(targets) - len(live)
-                targets = live
-                break
-        if knows:
-            learn = self.learn
-            for v in targets:
-                if learn[v] > a:
-                    learn[v] = a
-        return targets
+            return None
+        delivered = self.crash[dst] > a
+        self.lost_to_crash += dst.size - int(np.count_nonzero(delivered))
+        told = dst[delivered & knows]
+        self.learn[told] = np.minimum(self.learn[told], a)
+        return delivered
 
 
 class _Phase:
     """One guess-and-double phase: its window, its starters and their walk trees.
 
-    Row ``s`` of every table belongs to the tree of ``starters[s]``.
+    Row ``s`` of every table belongs to the tree of ``starters[s]``; the
+    flat tables index ``s * n + node``.
     """
 
     def __init__(self, n: int, index: int, window, starters: List[int]) -> None:
@@ -500,11 +489,38 @@ class _Phase:
         self.proxies = np.zeros((S, n), dtype=np.int64)  # tokens ending at each node
         self.off[np.arange(S), starters] = 0
         self.move_keys: List[np.ndarray] = []  # each round's unique move keys
-        self.fwd: List[Dict[int, List[int]]] = []
-        self.parents: List[List[int]] = []
-        self.proxy_rows: List[List[int]] = []
-        self.proxy_nodes: List[List[int]] = []
-        self.schedules: List[Tuple[List[int], List[int]]] = []
+        self.base = 0  # forest index of row 0
+        # Set by _retain_trees: the forward edges as a CSR over flat rows,
+        # each member's converge-cast send delay after a segment starts, and
+        # the non-origin members by delay, then parent row.
+        self.fwd_ptr = self.fwd_dst = self.delay = self.members = np.zeros(0, dtype=np.int64)
+        self.winners: List[int] = []  # forest rows of the leaders it elected
+
+
+class _Forest:
+    """Every retained tree of the run, flattened as ``tree * n + node``: the
+    tables of the winner cascade."""
+
+    __slots__ = ("phases", "par", "fwd_ptr", "fwd_dst", "bits", "flooded", "sent_up")
+
+    def __init__(self, phases: List[_Phase], run: _Run) -> None:
+        self.phases = len(phases)
+        self.par = np.concatenate([ph.par.reshape(-1) for ph in phases])
+        self.fwd_ptr = np.zeros(self.par.size + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(ph.fwd_ptr) for ph in phases]), out=self.fwd_ptr[1:])
+        self.fwd_dst = np.concatenate([ph.fwd_dst for ph in phases])
+        # A winner message carries two ids, the tree's phase and a flag.
+        self.bits = np.concatenate(
+            [np.full(len(ph.starters), 2 * run.id_bits + ph.phase_bits + 1) for ph in phases]
+        )
+        # Nodes that forwarded winner-down / relayed winner-up, per tree:
+        # kept from the previous forest, which covers a prefix of this one.
+        self.flooded = np.zeros(self.par.size, dtype=bool)
+        self.sent_up = np.zeros(self.par.size, dtype=bool)
+        if run.forest is not None:
+            kept = run.forest.par.size
+            self.flooded[:kept] = run.forest.flooded
+            self.sent_up[:kept] = run.forest.sent_up
 
 
 def _open_phase(run: _Run, index: int, active: List[int]) -> Optional[_Phase]:
@@ -516,13 +532,11 @@ def _open_phase(run: _Run, index: int, active: List[int]) -> Optional[_Phase]:
     if begin > run.max_rounds:
         run.completed = False
         return None
-    crash = run.crash
-    starters = [v for v in active if crash[v] > begin]
+    starters = [v for v in active if run.crash[v] > begin]
     if not starters:
         return None
     run.phases = index + 1
-    for v in starters:
-        run.state[v].distinct = 0
+    run.distinct[run.rank[starters]] = 0
     return _Phase(run.n, index, window, starters)
 
 
@@ -533,10 +547,10 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     proxy counts.  Returns ``False`` when the round cap cut the walk short.
     """
     n = run.n
-    crash_np = run.crash_np
+    crash = run.crash
+    learn = run.learn
     indptr, indices, degrees = run.csr
     coins = run.wrng.random
-    metrics = run.metrics
     max_rounds = run.max_rounds
     start = ph.window.start
     begin = max(1, start)
@@ -545,26 +559,27 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     par_flat = ph.par.reshape(-1)
     move_keys = ph.move_keys
     base_bits = run.id_bits + ph.phase_bits + 1
-    learn_np = np.array(run.learn, dtype=np.int64)
     owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
     pos = np.repeat(np.asarray(ph.starters, dtype=np.int64), run.walks_per)
+    crashing = run.has_faults  # else every token lives and every move lands
     for t in range(1, L + 1):
         r = begin + t - 1
         if r > max_rounds:
             run.completed = False
             return False
-        alive_tok = crash_np[pos] > r
-        if not alive_tok.all():
-            run.tick(r)
-            pos = pos[alive_tok]
-            owners = owners[alive_tok]
+        if crashing:
+            alive_tok = crash[pos] > r
+            if not alive_tok.all():
+                run.tick(r)
+                pos = pos[alive_tok]
+                owners = owners[alive_tok]
         if pos.size == 0:
             break
         run.act(r)
         move = coins(pos.size) >= 0.5
         move &= degrees[pos] > 0  # tokens on isolated nodes never move
-        moving = np.flatnonzero(move)
-        staying = np.flatnonzero(~move)
+        moving = move.nonzero()[0]
+        staying = (~move).nonzero()[0]
         stay_pos = pos[staying]
         stay_own = owners[staying]
         if moving.size:
@@ -576,44 +591,32 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             mdst = indices[indptr[msrc] + ports]
             # One key per (tree, src, dst) move, in lexicographic order;
             # the round's unique keys are also the tree's forward edges.
-            key = (mown * n + msrc) * n + mdst
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
+            sorted_key = np.sort((mown * n + msrc) * n + mdst)
             first = _runs(sorted_key)
-            move_keys.append(sorted_key[first])
-            counts = np.diff(first, append=sorted_key.size)
-            head = order[first]
-            g_own = mown[head]
-            g_src = msrc[head]
-            g_dst = mdst[head]
+            g_key = sorted_key[first]
+            move_keys.append(g_key)
+            counts = np.append(first[1:], sorted_key.size) - first
+            g_head, g_dst = np.divmod(g_key, n)
+            g_own, g_src = np.divmod(g_head, n)
             sizes = base_bits + counter_bits(t) + _bit_lengths(counts)
-            metrics.record_bulk("walk_token", sizes, r, g_src, g_dst)
-            if r + 1 > max_rounds:
-                run.completed = False
+            g_alive = run.hop("walk_token", sizes, r, g_src, g_dst, learn[g_src] <= r)
+            if g_alive is None:
                 return False
-            g_alive = crash_np[g_dst] > r + 1
-            run.lost_to_crash += int((~g_alive).sum())
-            g_own = g_own[g_alive]
-            g_src = g_src[g_alive]
-            g_dst = g_dst[g_alive]
-            delivered_tok = crash_np[mdst] > r + 1
-            mdst = mdst[delivered_tok]
-            mown = mown[delivered_tok]
+            if crashing:
+                g_own = g_own[g_alive]
+                g_src = g_src[g_alive]
+                g_dst = g_dst[g_alive]
+                delivered_tok = crash[mdst] > r + 1
+                mdst = mdst[delivered_tok]
+                mown = mown[delivered_tok]
             if g_dst.size:
                 run.act(r + 1)
-                flagged = learn_np[g_src] <= r
-                if flagged.any():
-                    np.minimum.at(learn_np, g_dst[flagged], r + 1)
                 # A node joins a tree through its smallest-id sender of the
                 # first round a token of that tree reaches it.
                 joins = g_own * n + g_dst
                 fresh = off_flat[joins] == -1
                 if fresh.any():
-                    joins = joins[fresh]
-                    senders = g_src[fresh]
-                    order = np.argsort(joins * n + senders)
-                    joins = joins[order]
-                    senders = senders[order]
+                    joins, senders = np.divmod(np.sort(joins[fresh] * n + g_src[fresh]), n)
                     first = _runs(joins)
                     off_flat[joins[first]] = max(1, (r + 1) - start)
                     par_flat[joins[first]] = senders[first]
@@ -624,188 +627,211 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             owners = stay_own
         if t == L and pos.size:
             np.add.at(ph.proxies, (owners, pos), 1)
-    run.learn[:] = learn_np.tolist()
     return True
 
 
 def _retain_trees(run: _Run, ph: _Phase) -> None:
     """Keep the phase's walk trees for the exchange segments and the cascade,
-    and index every member and proxy under its origin's id for the winner rules."""
-    ids = run.ids
-    latest_phase = run.latest_phase
-    proxy_for = run.proxy_for
-    index = ph.index
-    ph.fwd = _forward_maps(ph.move_keys, run.n, len(ph.starters))
-    ph.parents = ph.par.tolist()
-    ph.proxy_rows = ph.proxies.tolist()
-    winner_size = 2 * run.id_bits + ph.phase_bits + 1
-    for s, v in enumerate(ph.starters):
-        idk = ids[v]
-        for m in np.flatnonzero(ph.off[s] >= 0).tolist():
-            latest_phase[m][idk] = index
-        proxy_nodes = np.flatnonzero(ph.proxies[s] > 0).tolist()
-        for m in proxy_nodes:
-            proxy_for[m].add(idk)
-        ph.proxy_nodes.append(proxy_nodes)
-        run.trees[(v, index)] = _Tree(ph.parents[s], ph.fwd[s], winner_size)
-        ph.schedules.append(_convergecast_order(ph.off[s], ph.window.walk_length))
+    and index every member and proxy under its origin for the winner rules."""
+    n = run.n
+    S = len(ph.starters)
+    ranks = run.rank[ph.starters]
+    ph.base = sum(len(kept.starters) for kept in run.retained)
+    run.retained.append(ph)
+    rows = np.arange(ph.base, ph.base + S)
+    run.latest_tree[:, ranks] = np.where(ph.off.T >= 0, rows, run.latest_tree[:, ranks])
+    run.proxy_for[:, ranks] |= ph.proxies.T > 0
+    keys = _unique(np.concatenate(ph.move_keys)) if ph.move_keys else np.zeros(0, np.int64)
+    heads = keys // n
+    ph.fwd_dst = keys - heads * n
+    ph.fwd_ptr = np.zeros(S * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=S * n), out=ph.fwd_ptr[1:])
+    # A converge-cast member sends max(0, L - offset) rounds into the segment;
+    # each round's senders are kept in parent order, ready to be merged.
+    off = ph.off.reshape(-1)
+    members = np.flatnonzero(off > 0)
+    delay = np.maximum(0, ph.window.walk_length - off[members])
+    parent_rows = members - members % n + ph.par.reshape(-1)[members]
+    ph.members = members[np.lexsort((parent_rows, delay))]
+    ph.delay = np.full(S * n, -_NEVER, dtype=np.int64)
+    ph.delay[members] = delay
 
 
 def _converge_cast(
     run: _Run,
     ph: _Phase,
-    s: int,
     begin: int,
     kind: str,
-    own: Dict[int, Tuple[Set[int], int, int]],
-    widths: Sequence[int],
-) -> Tuple[Set[int], int]:
-    """One tree's REPORT or COLLECT, starting in round ``begin``.
+    held: np.ndarray,
+    counters: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """REPORT or COLLECT over every tree of the phase, starting in round ``begin``.
 
-    Members send deepest first, each once, to their parent: the ids and the
-    two counters ``(distinct, proxies)`` heard from their children, merged
-    with their ``own`` contribution.  A message is ``IDB + IDB * |ids| +
-    phase bits + 1`` bits plus ``widths[c]`` per counter ``c``.  Returns the
-    ids and the ``distinct`` count that reached the origin.
+    Members send once, in their send round, to their parent: the ids and
+    the counters (``distinct, proxies`` for REPORT, none for COLLECT) heard
+    from their children, merged with their own, which ``held`` and
+    ``counters`` (flat rows) hold on entry.  A live member sends when it
+    holds ids, a nonzero ``distinct`` or the heard-winner flag; the message
+    is ``IDB + IDB * |ids| + phase bits + 1`` bits plus ``bit_length(max(1,
+    c))`` per counter ``c``.  A parent keeps what arrives by its own send
+    round; the origin keeps everything.  Returns, per tree, the ids and the
+    ``distinct`` total that reached the origin.
     """
-    origin = ph.starters[s]
-    ranked, delay = ph.schedules[s]
-    parents = ph.parents[s]
+    n = run.n
+    S = len(ph.starters)
+    members = ph.members
+    if members.size:
+        run.tick(begin + int(ph.delay[members[-1]]))
     crash = run.crash
-    learn = run.learn
-    send = run.send
-    max_rounds = run.max_rounds
-    IDB = run.id_bits
-    header = IDB + ph.phase_bits + 1
-    if ranked:
-        run.tick(begin + delay[ranked[-1]])
-    held: Dict[int, Tuple[Set[int], int, int]] = {}
-    got_ids: Set[int] = set()
-    got_distinct = 0
-    reached = 0  # latest active round (ranked is in nondecreasing send round)
-    for v in ranked:
-        r_v = begin + delay[v]
-        if r_v > max_rounds:
+    learn = run.learn.copy()  # as the segment found it
+    # Lowest tree whose flagged message reached each node so far: tree s
+    # sees the flag raised by trees before it, and by its own children.
+    told_by = np.full(n, S, dtype=np.int64)
+    # The origins' rows gather what reaches them, from every round.
+    origins = np.arange(S) * n + ph.starters
+    deadline = begin + ph.delay
+    deadline[origins] = _NEVER
+    held[origins] = 0
+    for c in counters:
+        c[origins] = 0
+    holds = held.any(axis=1)
+    if counters:
+        holds |= counters[0] > 0
+    widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
+    header = run.id_bits + ph.phase_bits + 1
+    trees = members // n
+    nodes = members - trees * n
+    parents = ph.par.reshape(-1)[members]
+    send_rounds = deadline[members]
+    reached = 0
+    for lo, hi in zip(*_bounds(send_rounds)):
+        r = int(send_rounds[lo])
+        if r > run.max_rounds:
             run.completed = False
+            break
+        v = nodes[lo:hi]
+        live = crash[v] > r
+        if not live.any():
             continue
-        if crash[v] <= r_v:
+        reached = max(reached, r)
+        f = members[lo:hi]
+        s = trees[lo:hi]
+        knows = (learn[v] <= r) | (told_by[v] <= s)
+        send = (live & (knows | holds[f])).nonzero()[0]
+        if not send.size:
             continue
-        if r_v > reached:
-            reached = r_v
-        ids, distinct, proxies = held.get(v, _NOTHING)
-        mine = own.get(v)
-        if mine is not None:
-            ids = ids | mine[0]
-            distinct += mine[1]
-            proxies += mine[2]
-        knows = learn[v] <= r_v
-        if not (ids or distinct or knows):
+        f, s, v, knows = f[send], s[send], v[send], knows[send]
+        parent = parents[lo:hi][send]
+        ids = held[f]
+        counts = [c[f] for c in counters]
+        sizes = header + run.id_bits * _popcount(ids)
+        for c in counts:
+            sizes += widths[c]
+        delivered = run.hop(kind, sizes, r, v, parent, knows)
+        if delivered is None or not delivered.any():
             continue
-        size = header + IDB * len(ids) + widths[distinct] + widths[proxies]
-        parent = parents[v]
-        if not send(kind, size, r_v, v, (parent,), knows):
-            continue
-        a = reached = r_v + 1
-        if parent == origin:
-            got_ids |= ids
-            got_distinct += distinct
-        elif a <= begin + delay[parent]:
-            theirs = held.get(parent)
-            held[parent] = (
-                (ids, distinct, proxies)
-                if theirs is None
-                else (theirs[0] | ids, theirs[1] + distinct, theirs[2] + proxies)
-            )
+        reached = r + 1
+        rows = s * n + parent
+        keep = delivered & (r + 1 <= deadline[rows])
+        told = delivered & knows
+        if told.any():
+            np.minimum.at(told_by, parent[told], s[told])
+        _scatter(rows[keep], ids[keep], [c[keep] for c in counts], held, counters)
+        holds[rows[keep & holds[f]]] = True
     run.act(reached)
-    return got_ids, got_distinct
+    return held[origins], (counters[0][origins] if counters else None)
 
 
 def _report(run: _Run, ph: _Phase) -> None:
     """REPORT: every proxy sends up the other origins it serves, whether it
     holds exactly one token (distinct) and how many (proxies)."""
-    ids = run.ids
-    proxy_for = run.proxy_for
-    begin = ph.window.report_start
-    # Both counters (distinct proxies, tokens) are at most the tree's walk
-    # count; a counter c is counter_bits(max(1, c)) wide.
-    widths = [1] + [c.bit_length() for c in range(1, run.walks_per + 1)]
-    for s, origin in enumerate(ph.starters):
-        idk = ids[origin]
-        counts = ph.proxy_rows[s]
-        own = {
-            v: ({o for o in proxy_for[v] if o != idk}, int(counts[v] == 1), counts[v])
-            for v in ph.proxy_nodes[s]
-        }
-        got_ids, got_distinct = _converge_cast(run, ph, s, begin, "report", own, widths)
-        contender = run.state[origin]
-        contender.adjacency |= got_ids
-        contender.distinct += got_distinct
+    S, n = ph.proxies.shape
+    ranks = run.rank[ph.starters]
+    proxies = ph.proxies.reshape(-1)
+    serves = np.packbits(run.proxy_for, axis=1)  # (n, bytes)
+    held = (serves[None, :, :] & ~run.own_bit[ranks][:, None, :]).reshape(S * n, -1)
+    held[proxies == 0] = 0
+    counters = [(proxies == 1).astype(np.int64), proxies.copy()]
+    got_ids, got_distinct = _converge_cast(
+        run, ph, ph.window.report_start, "report", held, counters
+    )
+    run.adjacency[ranks] |= got_ids
+    run.distinct[ranks] += got_distinct
 
 
-def _distribute(run: _Run, ph: _Phase) -> Dict[int, Set[int]]:
-    """DISTRIBUTE: every origin floods its adjacency set down its tree.
+def _distribute(run: _Run, ph: _Phase) -> np.ndarray:
+    """DISTRIBUTE: every live origin floods its adjacency set down its tree,
+    all trees in step, one forward-edge hop per round.
 
-    Returns, per proxy, the union of the sets it received.
+    Returns, per node, the union of the sets it received as a proxy.
     """
+    n = run.n
+    S = len(ph.starters)
+    received = np.zeros((n, run.own_bit.shape[1]), dtype=np.uint8)
     begin = ph.window.distribute_start
     run.tick(begin)
-    received: Dict[int, Set[int]] = {}
     if begin > run.max_rounds:
         run.completed = False
         return received
-    crash = run.crash
-    learn = run.learn
-    send = run.send
-    header = run.id_bits + ph.phase_bits + 1
-    for s, origin in enumerate(ph.starters):
-        if crash[origin] <= begin:
-            continue
+    origins = np.asarray(ph.starters, dtype=np.int64)
+    live = run.crash[origins] > begin
+    if live.any():
         run.act(begin)
-        i2 = run.state[origin].adjacency
-        if not i2:
-            continue
-        offsets = ph.off[s].tolist()
-        counts = ph.proxy_rows[s]
-        fwd = ph.fwd[s]
-        size = header + run.id_bits * len(i2)
-        proxies_reached = {origin} if counts[origin] > 0 else set()
-        forwarded = {origin}
-        frontier = deque([(begin, origin)])
-        reached = 0  # the frontier is in nondecreasing round order
-        while frontier:
-            t_r, u = frontier.popleft()
-            targets = fwd.get(u)
-            if not targets:
-                continue
-            a = t_r + 1
-            for target in send("distribute", size, t_r, u, targets, learn[u] <= t_r):
-                reached = a
-                if offsets[target] >= 0:
-                    if counts[target] > 0:
-                        proxies_reached.add(target)
-                    if target not in forwarded:
-                        forwarded.add(target)
-                        frontier.append((a, target))
-        run.act(reached)
-        for target in proxies_reached:
-            received.setdefault(target, set()).update(i2)
+    i2 = run.adjacency[run.rank[ph.starters]]
+    i2_size = _popcount(i2)
+    sizes = run.id_bits * (1 + i2_size) + ph.phase_bits + 1
+    trees = np.flatnonzero(live & (i2_size > 0))
+    frontier = trees * n + origins[trees]
+    member = ph.off.reshape(-1) >= 0
+    proxy = ph.proxies.reshape(-1) > 0
+    seen = np.zeros(S * n, dtype=bool)
+    seen[frontier] = True
+    hits = [frontier[proxy[frontier]]]
+    learn = run.learn.copy()  # as the segment found it
+    told_by = np.full(n, S, dtype=np.int64)  # as in _converge_cast
+    t = begin
+    reached = 0
+    while frontier.size:
+        rows, dst = _expand(ph.fwd_ptr, ph.fwd_dst, frontier)
+        s = rows // n
+        u = rows - s * n
+        knows = (learn[u] <= t) | (told_by[u] <= s)
+        delivered = run.hop("distribute", sizes[s], t, u, dst, knows)
+        if delivered is None:
+            break
+        t += 1
+        s, dst, knows = s[delivered], dst[delivered], knows[delivered]
+        if dst.size:
+            reached = t
+        np.minimum.at(told_by, dst[knows], s[knows])
+        rows = s * n + dst
+        rows = rows[member[rows]]
+        hits.append(rows[proxy[rows]])
+        frontier = _unique(rows[~seen[rows]])
+        seen[frontier] = True
+    run.act(reached)
+    rows = np.concatenate(hits)
+    s = rows // n
+    v = rows - s * n
+    order = np.argsort(v, kind="stable")
+    _scatter(v[order], i2[s[order]], (), received, ())
     return received
 
 
-def _collect(run: _Run, ph: _Phase, received: Dict[int, Set[int]]) -> None:
+def _collect(run: _Run, ph: _Phase, received: np.ndarray) -> None:
     """COLLECT: every proxy sends up the sets DISTRIBUTE brought it."""
-    begin = ph.window.collect_start
-    for s, origin in enumerate(ph.starters):
-        own = {v: (received[v], 0, 0) for v in ph.proxy_nodes[s] if v in received}
-        got_ids, _ = _converge_cast(run, ph, s, begin, "collect", own, _NO_COUNTERS)
-        run.state[origin].i4 |= got_ids
+    S, n = ph.proxies.shape
+    held = (received[None, :, :] * (ph.proxies > 0)[:, :, None]).reshape(S * n, -1)
+    got_ids, _ = _converge_cast(run, ph, ph.window.collect_start, "collect", held, ())
+    run.i4[run.rank[ph.starters]] |= got_ids
 
 
 def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
     """DECIDE: each live starter stops, elects itself or walks on.
 
     Returns the contenders that run the next phase, or ``None`` when the
-    round cap falls before the decide round.
+    round cap falls before the decide round; the leaders it elects go to
+    ``ph.winners`` for the cascade.
     """
     decide_round = ph.window.decide_round
     run.tick(decide_round)
@@ -814,110 +840,95 @@ def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
         return None
     crash = run.crash
     learn = run.learn
-    ids = run.ids
-    proxy_for = run.proxy_for
     intersection, distinctness = run.thresholds
     may_grow = ph.window.walk_length < run.walk_cap
+    C = run.distinct.size
     survivors: List[int] = []
     for s, origin in enumerate(ph.starters):
         if crash[origin] <= decide_round:
             continue
         run.act(decide_round)
-        contender = run.state[origin]
-        idk = ids[origin]
-        count = ph.proxy_rows[s][origin]
+        c = int(run.rank[origin])
+        count = ph.proxies[s, origin]
         if count > 0:
-            contender.adjacency |= {o for o in proxy_for[origin] if o != idk}
+            run.adjacency[c] |= np.packbits(run.proxy_for[origin]) & ~run.own_bit[c]
             if count == 1:
-                contender.distinct += 1
+                run.distinct[c] += 1
         heard = learn[origin] <= decide_round
-        if not (len(contender.adjacency) >= intersection and contender.distinct >= distinctness):
+        if not (
+            _popcount(run.adjacency[c]) >= intersection and run.distinct[c] >= distinctness
+        ):
             if heard:
                 continue  # stopped on the winner's notification
             if may_grow:
                 survivors.append(origin)
                 continue
-            contender.forced_stop = True
+            run.forced_stop[c] = True
             if not run.params.elect_on_forced_stop:
                 continue
-        if heard or any(idk < other for other in contender.i4 | contender.adjacency):
+        heard_of = np.unpackbits(run.i4[c] | run.adjacency[c], count=C)
+        if heard or heard_of[c + 1 :].any():  # a larger id than its own
             continue
         run.leaders.append(origin)
         learn[origin] = decide_round  # it had not heard of a winner before
-        _flood_down(run, run.trees[(origin, ph.index)], origin, decide_round)
+        ph.winners.append((ph.base + s) * run.n + origin)
     return survivors
 
 
-# ---------------------------------------------------------------- winner cascade
-# A winner message sent in round r is accounted (metrics, activity and the
-# receiver's heard-winner round) when sent, and queued for delivery in round
-# r + 1.  Events pop in round order and every send lands one round after its
-# pop, so the FIFO stays sorted by round and pops in (round, send order) --
-# the order of a (round, sequence) heap.  The cascade never reads ``learn``,
-# and the decide segment that starts it reads it only at the decide round,
-# before any delivery lands.
+def _cascade(run: _Run, ph: _Phase) -> None:
+    """WINNER: the phase's leaders flood winner-down over their trees, and
+    every notification travels on over the retained trees, one hop a round.
 
-
-def _enqueue(run: _Run, a: int, down: bool, targets: Sequence[int], tree: _Tree) -> None:
-    queue = run.queue
-    assert not queue or queue[-1][0] <= a, "winner cascade out of round order"
-    run.act(a)
-    for target in targets:
-        queue.append((a, down, target, tree))
-
-
-def _flood_down(run: _Run, tree: _Tree, node: int, r: int) -> None:
-    """Forward winner-down over ``node``'s forward edges of ``tree``."""
-    if node in tree.flooded:
+    Each (tree, node) forwards winner-down at most once and relays winner-up
+    at most once.  A node fires its winner rules (Algorithm 2 lines 6-7, the
+    reference's _fire_winner_rules) at its first receipt: as a proxy it
+    relays winner-up over the latest tree of every other contender it
+    serves (every proxy of a tree is a member of it), and as a contender it
+    floods winner-down over its own latest tree.  The cascade never reads
+    heard-winner rounds, and lowers them only after the decide round.
+    """
+    if not ph.winners:
         return
-    tree.flooded.add(node)
-    targets = tree.fwd.get(node)
-    if targets:
-        delivered = run.send("winner_down", tree.winner_size, r, node, targets, True)
-        if delivered:
-            _enqueue(run, r + 1, True, delivered, tree)
-
-
-def _send_up(run: _Run, tree: _Tree, node: int, r: int) -> None:
-    """Relay winner-up one hop towards the origin of ``tree``."""
-    parent = tree.parent[node]
-    if parent < 0 or node in tree.sent_up:
-        return
-    tree.sent_up.add(node)
-    delivered = run.send("winner_up", tree.winner_size, r, node, (parent,), True)
-    if delivered:
-        _enqueue(run, r + 1, False, delivered, tree)
-
-
-def _fire_rules(run: _Run, v: int, r: int) -> None:
-    """Algorithm 2 lines 6-7 at ``v`` (reference _fire_winner_rules)."""
-    latest_phase = run.latest_phase[v]
-    own_id = run.ids[v]
-    # Rule 6: a proxy notifies every contender it serves, over that
-    # contender's latest tree (every proxy of a tree is a member of it).
-    for origin_id in sorted(run.proxy_for[v]):
-        if origin_id != own_id:
-            origin = run.id_to_contender[origin_id]
-            _send_up(run, run.trees[(origin, latest_phase[origin_id])], v, r)
-    # Rule 7: a contender notifies all of its proxies over its latest tree.
-    if v in run.state:
-        _flood_down(run, run.trees[(v, latest_phase[own_id])], v, r)
-
-
-def _cascade(run: _Run) -> None:
-    """WINNER: deliver the queued notifications; each receiver fires its
-    winner rules the first time one reaches it."""
-    queue = run.queue
-    fired = run.rules_fired
-    while queue:
-        r, down, node, tree = queue.popleft()
-        if down:
-            _flood_down(run, tree, node, r)
-        else:  # winner-up travels on until the origin, which has no parent
-            _send_up(run, tree, node, r)
-        if not fired[node]:
-            fired[node] = True
-            _fire_rules(run, node, r)
+    n = run.n
+    if run.forest is None or run.forest.phases < len(run.retained):
+        run.forest = _Forest(run.retained, run)
+    forest = run.forest
+    par = forest.par
+    r = ph.window.decide_round
+    down = np.asarray(ph.winners, dtype=np.int64)
+    up = np.zeros(0, dtype=np.int64)
+    while down.size or up.size:
+        down = _unique(down)
+        down = down[~forest.flooded[down]]
+        forest.flooded[down] = True
+        up = _unique(up)
+        up = up[(par[up] >= 0) & ~forest.sent_up[up]]
+        forest.sent_up[up] = True
+        down, targets = _expand(forest.fwd_ptr, forest.fwd_dst, down)
+        tree = down // n
+        flooded = run.hop("winner_down", forest.bits[tree], r, down - tree * n, targets, True)
+        up_tree = up // n
+        parents = par[up]
+        relayed = run.hop("winner_up", forest.bits[up_tree], r, up - up_tree * n, parents, True)
+        if flooded is None or relayed is None:
+            break
+        r += 1
+        down = tree[flooded] * n + targets[flooded]
+        up = up_tree[relayed] * n + parents[relayed]
+        receivers = _unique(np.concatenate([targets[flooded], parents[relayed]]))
+        if not receivers.size:
+            break
+        run.act(r)
+        fresh = receivers[~run.fired[receivers]]
+        run.fired[fresh] = True
+        ranks = run.rank[fresh]
+        contender = ranks >= 0
+        serves = run.proxy_for[fresh]
+        serves[np.flatnonzero(contender), ranks[contender]] = False
+        at, served = np.nonzero(serves)
+        up = np.concatenate([up, run.latest_tree[fresh[at], served] * n + fresh[at]])
+        mine = fresh[contender]
+        down = np.concatenate([down, run.latest_tree[mine, ranks[contender]] * n + mine])
 
 
 def _outcome(run: _Run):
@@ -930,7 +941,7 @@ def _outcome(run: _Run):
         capacity_bits = metrics.capacity_words * metrics.word_bits
         for load in metrics.edge_bits.values():
             metrics.record_edge_load(load, capacity_bits)
-    crashed = [v for v, rnd in enumerate(run.crash) if rnd <= run.clock]
+    crashed = np.flatnonzero(run.crash <= run.clock).tolist()
     fault_events = None
     if run.has_faults:
         fault_events = dict.fromkeys(FAULT_EVENT_KINDS, 0)
@@ -939,9 +950,9 @@ def _outcome(run: _Run):
     return ElectionOutcome(
         num_nodes=run.n,
         leaders=sorted(run.leaders),
-        contenders=list(run.state),
+        contenders=list(run.contenders),
         metrics=metrics.finalize(run.last_activity, run.completed, fault_events),
-        forced_stop=any(c.forced_stop for c in run.state.values()),
+        forced_stop=bool(run.forced_stop.any()),
         max_phases=run.phases,
         final_walk_length=run.schedule.window(run.phases - 1).walk_length if run.phases else 0,
         simulation=None,
@@ -950,26 +961,35 @@ def _outcome(run: _Run):
     )
 
 
+def _no_clock() -> float:
+    return 0.0
+
+
 def _simulate(run: _Run):
     """The guess-and-double phase loop over the segment functions."""
-    # Resolved once per run: tracing is write-only (bulk per-phase counters),
-    # so the engine's seed streams and outputs are identical traced or not.
+    # Resolved once per run: tracing is write-only (bulk per-phase counters
+    # and segment wall times), so the engine's seed streams and outputs are
+    # identical traced or not.
     tracer = current_tracer()
-    active = [v for v in run.state if run.crash[v] > 0]
+    stamp = time.perf_counter if tracer.enabled else _no_clock
+    active = [v for v in run.contenders if run.crash[v] > 0]
     if tracer.enabled:
         tracer.event("vec.run_started", n=run.n, contenders=len(active), faulty=run.has_faults)
     index = 0
     while active:
+        started = stamp()
         ph = _open_phase(run, index, active)
         if ph is None or not _walk(run, ph):
             break
         _retain_trees(run, ph)
+        walked = stamp()
         _report(run, ph)
         _collect(run, ph, _distribute(run, ph))
+        exchanged = stamp()
         survivors = _decide(run, ph)
         if survivors is None:
             break
-        _cascade(run)
+        _cascade(run, ph)
         run.metrics.flush()
         if tracer.enabled:
             tracer.event(
@@ -981,6 +1001,9 @@ def _simulate(run: _Run):
                 leaders=len(run.leaders),
                 messages=run.metrics.messages,
                 message_units=run.metrics.message_units,
+                walk_s=walked - started,
+                exchange_s=exchanged - walked,
+                cascade_s=stamp() - exchanged,
             )
         active = survivors
         index += 1

@@ -319,3 +319,7 @@ class TestTracedRun:
         last = phases[-1]["attrs"]
         assert last["messages"] == traced.metrics.messages
         assert last["message_units"] == traced.metrics.message_units
+        # Every phase splits its wall time into the engine's three parts.
+        for phase in phases:
+            for part in ("walk_s", "exchange_s", "cascade_s"):
+                assert phase["attrs"][part] >= 0.0

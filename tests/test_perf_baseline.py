@@ -86,3 +86,26 @@ def test_committed_speedup_claim():
             "committed speedup claim broken at %s: %.2fx"
             % (key, vectorized / reference)
         )
+
+
+def _speedups(by_key):
+    """Vectorized/reference trials-per-second ratio of every committed cell pair."""
+    return {
+        key[:3]: cell["trials_per_sec"] / by_key[key[:3] + ("reference",)]["trials_per_sec"]
+        for key, cell in by_key.items()
+        if key[3] == "vectorized"
+    }
+
+
+def test_docs_quote_the_committed_speedups():
+    """The docs restate the baseline's vectorized/reference range and its
+    n=512 expander ratio; a regenerated baseline must be restated with them."""
+    speedups = _speedups(_by_key(_load()))
+    quoted = "%.1f–%.1f" % (min(speedups.values()), max(speedups.values()))
+    docs = {}
+    for name in ("README.md", "docs/architecture.md", "docs/experiments.md"):
+        with open(os.path.join(REPO_ROOT, name), "r", encoding="utf-8") as handle:
+            docs[name] = handle.read()
+        assert quoted in docs[name], "%s does not quote the %s speedup range" % (name, quoted)
+    large = "%.1f×" % speedups[("election", "expander", 512)]
+    assert large in docs["docs/experiments.md"], "experiments.md does not quote %s" % large
