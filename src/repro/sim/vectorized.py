@@ -642,6 +642,7 @@ def _retain_trees(run: _Run, ph: _Phase) -> None:
     run.latest_tree[:, ranks] = np.where(ph.off.T >= 0, rows, run.latest_tree[:, ranks])
     run.proxy_for[:, ranks] |= ph.proxies.T > 0
     keys = _unique(np.concatenate(ph.move_keys)) if ph.move_keys else np.zeros(0, np.int64)
+    ph.move_keys.clear()  # the CSR below replaces them
     heads = keys // n
     ph.fwd_dst = keys - heads * n
     ph.fwd_ptr = np.zeros(S * n + 1, dtype=np.int64)
@@ -670,7 +671,7 @@ def _converge_cast(
     Members send once, in their send round, to their parent: the ids and
     the counters (``distinct, proxies`` for REPORT, none for COLLECT) heard
     from their children, merged with their own, which ``held`` and
-    ``counters`` (flat rows) hold on entry.  A live member sends when it
+    ``counters`` (flat rows, updated in place) hold on entry.  A live member sends when it
     holds ids, a nonzero ``distinct`` or the heard-winner flag; the message
     is ``IDB + IDB * |ids| + phase bits + 1`` bits plus ``bit_length(max(1,
     c))`` per counter ``c``.  A parent keeps what arrives by its own send
@@ -904,18 +905,18 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         up = _unique(up)
         up = up[(par[up] >= 0) & ~forest.sent_up[up]]
         forest.sent_up[up] = True
-        down, targets = _expand(forest.fwd_ptr, forest.fwd_dst, down)
-        tree = down // n
-        flooded = run.hop("winner_down", forest.bits[tree], r, down - tree * n, targets, True)
+        rows, targets = _expand(forest.fwd_ptr, forest.fwd_dst, down)
+        tree = rows // n
+        got_down = run.hop("winner_down", forest.bits[tree], r, rows - tree * n, targets, True)
         up_tree = up // n
         parents = par[up]
-        relayed = run.hop("winner_up", forest.bits[up_tree], r, up - up_tree * n, parents, True)
-        if flooded is None or relayed is None:
+        got_up = run.hop("winner_up", forest.bits[up_tree], r, up - up_tree * n, parents, True)
+        if got_down is None or got_up is None:
             break
         r += 1
-        down = tree[flooded] * n + targets[flooded]
-        up = up_tree[relayed] * n + parents[relayed]
-        receivers = _unique(np.concatenate([targets[flooded], parents[relayed]]))
+        down = tree[got_down] * n + targets[got_down]
+        up = up_tree[got_up] * n + parents[got_up]
+        receivers = _unique(np.concatenate([targets[got_down], parents[got_up]]))
         if not receivers.size:
             break
         run.act(r)
