@@ -7,13 +7,18 @@ and the number of crash-stopped nodes, on the two well-connected families the
 paper highlights (expanders and hypercubes).  Every configuration runs under a
 :class:`repro.faults.FaultPlan` through the batch executor, so the sweep is
 bit-for-bit replayable from its base seed, and its rows come from
-``sweep_summary`` -- the same table E13 and the campaign report render.
+``sweep_summary`` -- the same table E13 and the campaign report render.  The
+two full grids run on the vectorized engine, which executes every fault
+model; the smoke slice and the crash accounting stay on the reference
+simulator, so both engines' fault paths run here.
 
 The companion assertions pin the anchor of every curve -- the fault-free
 configuration must succeed with probability 1 and overhead exactly 1.0 -- and
 sanity-check the degraded rows (probabilities in range, classification tallies
 complete, fault counters actually firing once the drop rate is positive).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,9 +32,10 @@ CRASH_PHASE = 2
 _ROW_CACHE = {}
 
 
-def _sweep(key, graph, drop_rates, crash_counts, trials):
-    """The ``sweep_summary`` rows of one (drop, crash) grid, each row tagged
-    with its grid point and the fault events summed over its trials."""
+def _sweep(key, graph, drop_rates, crash_counts, trials, simulator="reference"):
+    """The ``sweep_summary`` rows of one (drop, crash) grid on ``simulator``,
+    each row tagged with its grid point and the fault events summed over its
+    trials."""
     if key not in _ROW_CACHE:
         triples, configs = algorithm_robustness_configs(
             graph,
@@ -38,6 +44,7 @@ def _sweep(key, graph, drop_rates, crash_counts, trials):
             crash_counts=crash_counts,
             crash_phase=CRASH_PHASE,
         )
+        configs = tuple(replace(config, simulator=simulator) for config in configs)
         sweep = SweepSpec(name="e11-" + key, configs=configs, trials=trials, base_seed=SEED)
         outcomes = [result.outcome for result in BatchRunner().run_sweep(sweep)]
         rows = sweep_summary(sweep, outcomes)
@@ -97,7 +104,7 @@ def test_e11_expander_drop_and_crash_grid(benchmark):
     """Success probability vs drop rate x crash count on a 64-node expander."""
     graph = expander_graph(64, degree=4, seed=SEED + 2)
     rows = benchmark.pedantic(
-        lambda: _sweep("expander", graph, (0.0, 0.05, 0.15), (0, 4), 2),
+        lambda: _sweep("expander", graph, (0.0, 0.05, 0.15), (0, 4), 2, "vectorized"),
         rounds=1,
         iterations=1,
     )
@@ -110,7 +117,7 @@ def test_e11_hypercube_drop_curve(benchmark):
     """The same drop-rate curve on the 6-dimensional hypercube (n=64)."""
     graph = hypercube_graph(6)
     rows = benchmark.pedantic(
-        lambda: _sweep("hypercube", graph, (0.0, 0.05, 0.15), (0,), 2),
+        lambda: _sweep("hypercube", graph, (0.0, 0.05, 0.15), (0,), 2, "vectorized"),
         rounds=1,
         iterations=1,
     )

@@ -169,7 +169,6 @@ def known_tmix_trial(
                 max_rounds=max_rounds,
             ),
             reference,
-            fault_plan=fault_plan,
             observers=tuple(observers),
         )
     else:

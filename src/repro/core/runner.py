@@ -146,7 +146,6 @@ def run_leader_election(
             fault_plan=fault_plan,
         ),
         reference,
-        fault_plan=fault_plan,
         observers=tuple(observers),
         keep_simulation=keep_simulation,
         congest_mode=congest_mode,

@@ -16,7 +16,10 @@ plan.seed_stream())``.  Because the network flushes sends in deterministic
 order and all per-edge/per-node draws happen up front in sorted order at
 :meth:`attach` time, a faulty run is bit-for-bit replayable from ``(master
 seed, plan)`` alone -- in-process, across processes and under the parallel
-:class:`~repro.exec.runner.BatchRunner`.
+:class:`~repro.exec.runner.BatchRunner`.  The per-graph draws are public --
+:func:`crash_schedule`, :func:`removed_edges` and :func:`delay_table` -- so the
+vectorized engine crashes the same nodes, removes the same edges and delays
+the same edges as the reference simulator.
 
 The injector also keeps per-fault event counters (``dropped``,
 ``duplicated``, ``delayed`` ...) which the network folds into
@@ -26,12 +29,18 @@ The injector also keeps per-fault event counters (``dropped``,
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..sim.rng import derive_seed, fresh_master_seed
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "FAULT_EVENT_KINDS", "crash_schedule"]
+__all__ = [
+    "FaultInjector",
+    "FAULT_EVENT_KINDS",
+    "crash_schedule",
+    "removed_edges",
+    "delay_table",
+]
 
 #: Counter keys every injector reports (all start at zero).
 FAULT_EVENT_KINDS = (
@@ -48,6 +57,11 @@ _MESSAGE_STREAM = 1
 _CRASH_STREAM = 2
 _DELAY_STREAM = 3
 _EDGE_STREAM = 4
+
+
+def _stream(plan: FaultPlan, master_seed: int, stream: int) -> random.Random:
+    """The plan's sub-stream ``stream`` under ``master_seed``."""
+    return random.Random(derive_seed(derive_seed(master_seed, plan.seed_stream()), stream))
 
 
 def crash_schedule(
@@ -71,8 +85,7 @@ def crash_schedule(
     else:
         if crashes.count > n:
             raise ValueError("cannot crash %d of %d nodes" % (crashes.count, n))
-        base = derive_seed(master_seed, plan.seed_stream())
-        crash_rng = random.Random(derive_seed(base, _CRASH_STREAM))
+        crash_rng = _stream(plan, master_seed, _CRASH_STREAM)
         targets = sorted(crash_rng.sample(range(n), crashes.count))
     if crashes.at_round is not None:
         round_number = crashes.at_round
@@ -86,6 +99,46 @@ def crash_schedule(
     else:
         round_number = 0
     return {node: round_number for node in targets}
+
+
+def removed_edges(plan: FaultPlan, master_seed: int, graph) -> FrozenSet[Tuple[int, int]]:
+    """Undirected edges ``(u, v)``, ``u < v``, that ``plan`` removes from ``graph``.
+
+    One draw per edge from the plan's edge stream under ``master_seed``, in
+    ``graph.edges()`` order, so every simulator removes the same edges; they
+    carry nothing from round ``plan.edges.at_round`` on.
+    """
+    edges = plan.edges
+    if edges.is_empty:
+        return frozenset()
+    edge_rng = _stream(plan, master_seed, _EDGE_STREAM)
+    return frozenset(
+        edge for edge in graph.edges() if edge_rng.random() < edges.removal_probability
+    )
+
+
+def delay_table(plan: FaultPlan, master_seed: int, graph) -> Dict[Tuple[int, int], int]:
+    """Directed edge ``(sender, receiver)`` -> extra delivery rounds under ``plan``.
+
+    Every directed edge of ``graph`` is listed (empty when the plan delays
+    nothing).  A uniform delay draws nothing; otherwise each edge ``(u, v)``
+    of ``graph.edges()`` draws its ``(u, v)`` then its ``(v, u)`` delay from
+    the plan's delay stream under ``master_seed``, so every simulator delays
+    the same edges alike.
+    """
+    delays = plan.delays
+    if delays.is_empty:
+        return {}
+    table: Dict[Tuple[int, int], int] = {}
+    if delays.is_uniform:
+        for u, v in graph.edges():
+            table[(u, v)] = table[(v, u)] = delays.max_delay
+        return table
+    delay_rng = _stream(plan, master_seed, _DELAY_STREAM)
+    for u, v in graph.edges():
+        table[(u, v)] = delay_rng.randint(delays.min_delay, delays.max_delay)
+        table[(v, u)] = delay_rng.randint(delays.min_delay, delays.max_delay)
+    return table
 
 
 class FaultInjector:
@@ -114,10 +167,7 @@ class FaultInjector:
         if master_seed is None:
             master_seed = fresh_master_seed()
         self.master_seed = master_seed
-        base = derive_seed(master_seed, plan.seed_stream())
-        self._message_rng = random.Random(derive_seed(base, _MESSAGE_STREAM))
-        self._delay_rng = random.Random(derive_seed(base, _DELAY_STREAM))
-        self._edge_rng = random.Random(derive_seed(base, _EDGE_STREAM))
+        self._message_rng = _stream(plan, master_seed, _MESSAGE_STREAM)
         self._phase_start_of = phase_start_of
         self._attached = False
         #: node index -> round from which the node is crash-stopped.
@@ -125,7 +175,6 @@ class FaultInjector:
         self._removed_edges: frozenset = frozenset()
         self._edge_removal_round = 0
         self._delays: Dict[Tuple[int, int], int] = {}
-        self._uniform_delay = 0
         self.events: Dict[str, int] = {kind: 0 for kind in FAULT_EVENT_KINDS}
 
     # ------------------------------------------------------------ attachment
@@ -143,33 +192,10 @@ class FaultInjector:
         self.crash_rounds = crash_schedule(
             self.plan, self.master_seed, port_graph.num_nodes, self._phase_start_of
         )
-        self._resolve_edge_removals(port_graph.graph)
-        self._resolve_delays(port_graph.graph)
-
-    def _resolve_edge_removals(self, graph) -> None:
-        edges = self.plan.edges
-        if edges.is_empty:
-            return
-        probability = edges.removal_probability
-        removed = set()
-        for u, v in graph.edges():
-            if self._edge_rng.random() < probability:
-                removed.add((u, v))
-        self._removed_edges = frozenset(removed)
-        self._edge_removal_round = edges.at_round
-
-    def _resolve_delays(self, graph) -> None:
-        delays = self.plan.delays
-        if delays.is_empty:
-            return
-        if delays.is_uniform:
-            self._uniform_delay = delays.max_delay
-            return
-        table: Dict[Tuple[int, int], int] = {}
-        for u, v in graph.edges():
-            table[(u, v)] = self._delay_rng.randint(delays.min_delay, delays.max_delay)
-            table[(v, u)] = self._delay_rng.randint(delays.min_delay, delays.max_delay)
-        self._delays = table
+        graph = port_graph.graph
+        self._removed_edges = removed_edges(self.plan, self.master_seed, graph)
+        self._edge_removal_round = self.plan.edges.at_round
+        self._delays = delay_table(self.plan, self.master_seed, graph)
 
     # --------------------------------------------------------------- queries
     def is_crashed(self, node: int, round_number: int) -> bool:
@@ -210,9 +236,7 @@ class FaultInjector:
             if self._message_rng.random() < messages.duplicate_probability:
                 copies = 2
                 self.events["duplicated"] += 1
-        delay = self._uniform_delay
-        if self._delays:
-            delay = self._delays.get((sender, receiver), 0)
+        delay = self._delays.get((sender, receiver), 0)
         if delay:
             self.events["delayed"] += 1
             self.events["delay_rounds"] += delay

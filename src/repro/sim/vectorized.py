@@ -18,47 +18,69 @@ run state, :class:`_Run`, and a :class:`_Phase` per phase.  Every segment
 is a round-synchronous array program that advances all of a phase's trees
 at once over flattened ``tree * n + node`` indices, and every message of
 every segment goes through one bulk hop rule, :meth:`_Run.hop`: it tallies
-a round's sends per ``(kind, size_bits)``, applies the round cap, drops and
-counts crash losses and lowers heard-winner rounds.  REPORT and COLLECT are
-one converge-cast routine (:func:`_converge_cast`) that loops over the
-distinct send rounds; DISTRIBUTE and the winner cascade are breadth-first
-floods over a CSR of the trees' forward edges (deduplicated from the walk's
-``(tree * n + src) * n + dst`` move keys).  Id sets are packed bitmasks
-over the contenders, indexed by id rank.  The tallies are folded into a
-:class:`~repro.sim.metrics.MetricsCollector` once per phase.
+a round's sends per ``(kind, size_bits)``, applies the round cap and the
+fault plan's message adversary (:class:`_Channel`: edge removal, drop,
+duplicate, delay), drops and counts crash losses, lowers heard-winner
+rounds and returns each message's arrival round and copy count.  REPORT
+and COLLECT are one converge-cast routine (:func:`_converge_cast`) that
+loops over the distinct send rounds; DISTRIBUTE and the winner cascade are
+floods, bucketed by arrival round, over a CSR of the trees' forward edges
+(deduplicated from the walk's ``(tree * n + src) * n + dst`` move keys).
+Id sets are packed bitmasks over the contenders, indexed by id rank.  The
+tallies are folded into a :class:`~repro.sim.metrics.MetricsCollector`
+once per phase.
+
+Faults follow the reference node's rules for a second and a late copy of
+each message (pinned in ``tests/core/test_copies_and_late_arrivals.py``):
+a duplicated walk token carries its walks twice, walks move only while the
+WALK segment is open but one that lands on its last step is a proxy however
+late, a converge-cast parent keeps what lands by its own send round (every
+copy: a second REPORT adds its counters twice), and the floods forward once,
+in the round a node's first copy lands.  A fault-free or crash-only run
+has no channel: it draws no coins, and every message it delivers arrives in
+the round after it was sent.
 
 Seed-stream contract
 --------------------
 Identities and contender nominations are drawn through the exact per-node
 ``random.Random`` streams the reference uses (``derive_seed(network_seed,
 node_index)``), so both simulators see byte-identical ids and contender
-sets.  Crash schedules come from the injector's own
-:func:`~repro.faults.injector.crash_schedule`, so both simulators crash the
-same nodes at the same rounds.  Walk randomness,
-however, comes from one ``numpy`` PCG64 generator seeded with
-``derive_seed(network_seed, VECTORIZED_WALK_STREAM)`` -- a stream the
-reference never touches.  The two simulators therefore agree on *who runs*
-and *who crashes* but sample independent walk trajectories: equivalence is
-at the outcome level (winners, classification, metric totals), never at the
-per-message level, and trial fingerprints must keep the two apart (see
+sets.  Crash schedules, removed edges and per-edge delays come from the
+injector's own :func:`~repro.faults.injector.crash_schedule`,
+:func:`~repro.faults.injector.removed_edges` and
+:func:`~repro.faults.injector.delay_table`, so both simulators crash the
+same nodes at the same rounds and cut and slow the same edges.  Walk
+randomness, however, comes from one ``numpy`` PCG64 generator seeded with
+``derive_seed(network_seed, VECTORIZED_WALK_STREAM)``, and the per-message
+drop and duplicate coins from one seeded with ``derive_seed(base,
+VECTORIZED_MESSAGE_STREAM)``, where ``base`` is the plan's base seed
+``derive_seed(derive_seed(seed, FAULT_SEED_STREAM), plan.seed_stream())`` --
+streams the reference never touches.  The two simulators therefore agree
+on *who runs*, *who crashes* and *which links fail* but sample independent
+walk trajectories and message losses: equivalence is at the outcome level
+(winners, classification, metric and fault-event distributions), never at
+the per-message level, and trial fingerprints must keep the two apart (see
 ``repro.exec.fingerprint``).
 
 Fallback rules
 --------------
 The engine refuses -- via :class:`VectorizedUnsupported` or the static
 :func:`vectorized_unsupported_reason` check -- anything it cannot replicate
-faithfully: message observers, retained simulations, strict congest mode,
-and non-crash fault models.  Callers (``repro.core.runner`` /
+faithfully: message observers, retained simulations and strict congest
+mode.  Every fault plan runs vectorized.  Callers (``repro.core.runner`` /
 ``repro.baselines.known_tmix``) fall back to the reference simulator and
 record the reason in the outcome's ``simulator`` tag.
 
-Two deliberate approximations, both invisible at the outcome level the
+Three deliberate approximations, all invisible at the outcome level the
 equivalence suite pins: winner notifications are propagated against the
 completed walk trees of the phase in which they fire (the reference
-interleaves them with in-flight construction), and the heard-winner flag
+interleaves them with in-flight construction); the heard-winner flag
 piggybacked on ordinary messages spreads segment-by-segment rather than
 round-interleaved across trees: within a segment, tree ``s`` sees the flag
-raised by trees before it in starter order, never by trees after it.
+raised by trees before it in starter order, never by trees after it; and
+under delays a segment runs to completion before the next one starts, so
+tree membership and proxy status are those at the end of the walk, and
+REPORT and COLLECT ids that reach an origin late still count.
 """
 
 from __future__ import annotations
@@ -69,7 +91,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..faults.injector import FAULT_EVENT_KINDS, crash_schedule
+from ..faults.injector import FAULT_EVENT_KINDS, crash_schedule, delay_table, removed_edges
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..obs.tracer import current_tracer
@@ -81,6 +103,7 @@ from .rng import derive_seed, fresh_master_seed
 
 __all__ = [
     "VECTORIZED_WALK_STREAM",
+    "VECTORIZED_MESSAGE_STREAM",
     "VectorizedUnsupported",
     "vectorized_unsupported_reason",
     "vectorized_or_reference",
@@ -91,8 +114,12 @@ __all__ = [
 
 #: Stream id of the bulk walk generator (never drawn by the reference).
 VECTORIZED_WALK_STREAM = 0xA77A9
+#: Stream id, under a fault plan's base seed, of the drop and duplicate coins
+#: (never drawn by the reference).
+VECTORIZED_MESSAGE_STREAM = 0xD50C5
 
 _NEVER = 1 << 62
+_NONE = np.zeros(0, dtype=np.int64)
 
 
 class VectorizedUnsupported(Exception):
@@ -100,7 +127,6 @@ class VectorizedUnsupported(Exception):
 
 
 def vectorized_unsupported_reason(
-    fault_plan: Optional[FaultPlan] = None,
     observers: Tuple = (),
     keep_simulation: bool = False,
     congest_mode: str = "count",
@@ -110,7 +136,7 @@ def vectorized_unsupported_reason(
     The static half of the fallback contract: anything detectable from the
     call signature alone is rejected here; data-dependent refusals (e.g.
     duplicate contender ids) surface as :class:`VectorizedUnsupported` at
-    run time.
+    run time.  Every :class:`~repro.faults.plan.FaultPlan` runs vectorized.
     """
     if observers:
         return "message observers require the reference simulator"
@@ -118,13 +144,6 @@ def vectorized_unsupported_reason(
         return "keep_simulation retains per-node transcripts"
     if congest_mode != "count":
         return "strict congest mode requires the reference simulator"
-    if fault_plan is not None and not fault_plan.is_empty:
-        if not fault_plan.messages.is_empty:
-            return "message fault models require the reference simulator"
-        if not fault_plan.delays.is_empty:
-            return "delay fault models require the reference simulator"
-        if not fault_plan.edges.is_empty:
-            return "edge fault models require the reference simulator"
     return None
 
 
@@ -288,18 +307,111 @@ def _scatter(rows: np.ndarray, ids: np.ndarray, counters, into_ids, into_counter
         total[targets] += np.add.reduceat(counter, starts)
 
 
+def _at(arrive, mask):
+    """``arrive[mask]``: per-message arrival rounds, or the one shared round."""
+    return arrive if type(arrive) is int else arrive[mask]
+
+
+def _last(arrive, mask) -> int:
+    """The latest of the rounds ``arrive[mask]`` (``mask`` selects some)."""
+    return arrive if type(arrive) is int else int(arrive[mask].max())
+
+
+def _by_round(arrive, *columns: np.ndarray):
+    """``(round, *columns)`` for every distinct arrival round, in round order;
+    one unfiltered bucket when everything arrives together."""
+    if not columns[0].size:
+        return
+    if type(arrive) is int:
+        yield (arrive, *columns)
+        return
+    first, last = int(arrive.min()), int(arrive.max())
+    if first == last:
+        yield (first, *columns)
+        return
+    for a in range(first, last + 1):  # delays span a few rounds
+        at = arrive == a
+        if at.any():
+            yield (a, *(column[at] for column in columns))
+
+
+class _Channel:
+    """The message adversary of a fault plan: edge removal, drop, duplicate, delay.
+
+    Removed edges and per-edge delays are the injector's own draws
+    (:func:`~repro.faults.injector.removed_edges`,
+    :func:`~repro.faults.injector.delay_table`), laid out over the CSR
+    entries, whose ``src * n + dst`` keys are sorted.  Drop and duplicate
+    coins come from the :data:`VECTORIZED_MESSAGE_STREAM` generator under the
+    plan's base seed, one coin per message and decision.
+    """
+
+    __slots__ = ("n", "keys", "removed", "removal_round", "delay", "drop", "duplicate", "coins")
+
+    def __init__(self, plan: FaultPlan, fault_seed: int, graph: Graph, csr) -> None:
+        _indptr, indices, degrees = csr
+        n = self.n = graph.num_nodes
+        self.keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + indices
+        cut = removed_edges(plan, fault_seed, graph)
+        self.removed = None
+        if cut:
+            u, v = np.array(sorted(cut), dtype=np.int64).T
+            self.removed = np.isin(self.keys, np.concatenate([u * n + v, v * n + u]))
+        self.removal_round = plan.edges.at_round
+        table = delay_table(plan, fault_seed, graph)
+        self.delay = None
+        if table:
+            src, dst = np.divmod(self.keys, n)
+            self.delay = np.array([table[e] for e in zip(src.tolist(), dst.tolist())])
+        self.drop = plan.messages.drop_probability
+        self.duplicate = plan.messages.duplicate_probability
+        self.coins = None
+        if not plan.messages.is_empty:
+            base = derive_seed(fault_seed, plan.seed_stream())
+            self.coins = np.random.default_rng(derive_seed(base, VECTORIZED_MESSAGE_STREAM)).random
+
+    def deliver(self, events: Dict[str, int], r: int, src: np.ndarray, dst: np.ndarray):
+        """``(delay, copies)`` of the messages ``src[i] -> dst[i]`` sent in
+        round ``r``: the injector's decisions in its order -- edge removal,
+        drop, duplicate, delay -- each counted in ``events``."""
+        copies = np.ones(dst.size, dtype=np.int64)
+        if self.removed is not None or self.delay is not None:
+            edge = np.searchsorted(self.keys, src * self.n + dst)
+        if self.removed is not None and r >= self.removal_round:
+            cut = self.removed[edge]
+            events["edge_dropped"] += int(np.count_nonzero(cut))
+            copies[cut] = 0
+        if self.drop:
+            sent = copies.nonzero()[0]
+            lost = sent[self.coins(sent.size) < self.drop]
+            events["dropped"] += lost.size
+            copies[lost] = 0
+        if self.duplicate:
+            sent = copies.nonzero()[0]
+            twice = sent[self.coins(sent.size) < self.duplicate]
+            events["duplicated"] += twice.size
+            copies[twice] = 2
+        if self.delay is None:
+            return 0, copies
+        delay = np.where(copies > 0, self.delay[edge], 0)
+        events["delayed"] += int(np.count_nonzero(delay))
+        events["delay_rounds"] += int(delay.sum())
+        return delay, copies
+
+
 class _Run:
     """The state one engine run shares across its phases and segments.
 
-    Setup draws the byte-identical identities and nominations (Algorithm 1)
-    and the injector's crash schedule.  :meth:`hop` is the one hop rule of
-    every message.  Contender ``c`` is the one with the ``c``-th smallest id:
+    Setup draws the byte-identical identities and nominations (Algorithm 1),
+    the injector's crash schedule and, under message, delay or edge faults,
+    the plan's :class:`_Channel`.  :meth:`hop` is the one hop rule of every
+    message.  Contender ``c`` is the one with the ``c``-th smallest id:
     id sets are packed bitmasks over that index (``np.packbits`` rows), so
     "some id above mine" is "some bit above mine".
     """
 
     # Slots: the segments read these, and CPython's instance-dict reads slow
-    # down once an object has more than 30 attributes (this one has 33).
+    # down once an object has more than 30 attributes (this one has 34).
     __slots__ = (
         "n",
         "params",
@@ -315,6 +427,7 @@ class _Run:
         "forced_stop",
         "crash",
         "has_faults",
+        "channel",
         "wrng",
         "csr",
         "id_bits",
@@ -333,7 +446,7 @@ class _Run:
         "last_activity",
         "clock",
         "completed",
-        "lost_to_crash",
+        "events",
     )
 
     def __init__(
@@ -351,9 +464,6 @@ class _Run:
     ) -> None:
         from ..core.schedule import PhaseSchedule
 
-        reason = vectorized_unsupported_reason(fault_plan=fault_plan)
-        if reason is not None:
-            raise VectorizedUnsupported(reason)
         n = self.n = graph.num_nodes
         if seed is None:
             seed = fresh_master_seed()
@@ -390,17 +500,20 @@ class _Run:
         self.distinct = np.zeros(C, dtype=np.int64)
         self.forced_stop = np.zeros(C, dtype=bool)
 
-        crash_map = crash_schedule(
-            fault_plan or FaultPlan(),
-            derive_seed(seed, FAULT_SEED_STREAM),
-            n,
-            schedule.phase_start,
-        )
+        plan = fault_plan or FaultPlan()
+        fault_seed = derive_seed(seed, FAULT_SEED_STREAM)
+        crash_map = crash_schedule(plan, fault_seed, n, schedule.phase_start)
         self.crash = np.array([crash_map.get(v, _NEVER) for v in range(n)], dtype=np.int64)
-        self.has_faults = fault_plan is not None and not fault_plan.is_empty
+        self.has_faults = not plan.is_empty
+        self.events = dict.fromkeys(FAULT_EVENT_KINDS, 0)
 
         self.wrng = np.random.default_rng(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
         self.csr = graph_csr(graph)
+        self.channel = (
+            None
+            if plan.messages.is_empty and plan.delays.is_empty and plan.edges.is_empty
+            else _Channel(plan, fault_seed, graph, self.csr)
+        )
         self.id_bits = id_bits(n_eff)
         self.walks_per = params.num_walks(n_eff)
         self.walk_cap = params.walk_length_cap(n_eff)
@@ -426,7 +539,6 @@ class _Run:
         self.last_activity = 0
         self.clock = 0
         self.completed = True
-        self.lost_to_crash = 0
 
     def act(self, r: int) -> None:
         """Some node was active in round ``r``."""
@@ -448,27 +560,46 @@ class _Run:
         src: np.ndarray,
         dst: np.ndarray,
         knows,
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """One round's hops: ``src[i]`` sends ``sizes[i]`` bits to ``dst[i]`` in round ``r``.
 
-        Tallies the sends and returns the mask of those received in round
-        ``r + 1``: ``None`` past the round cap, which marks the run
-        incomplete, and false for receivers crashed by then, each counted as
-        lost.  A send whose sender ``knows`` (a mask, or ``True`` for all) of
-        a winner passes that round on to its receiver.  No sends, no checks.
+        Tallies the sends and returns ``(arrive, copies)``: the round each
+        message arrives in (``r + 1`` plus its edge's delay; one int when
+        nothing is delayed) and how many copies of it do (0, 1, or 2 when
+        duplicated; a bool mask without a channel).  ``None`` past the
+        round cap, which marks the run incomplete, as does a copy arriving
+        past it.  The channel's edge removal, drop, duplicate and delay come
+        first; then a copy to a receiver crashed by its arrival round is lost
+        and counted.  A delivered send whose sender ``knows`` (a mask, or
+        ``True`` for all) of a winner passes that on to its receiver.  No
+        sends, no checks.
         """
         if not dst.size:
-            return np.zeros(0, dtype=bool)
+            return _NONE, _NONE
         self.metrics.record_bulk(kind, sizes, r, src, dst)
         a = r + 1
         if a > self.max_rounds:
             self.completed = False
             return None
-        delivered = self.crash[dst] > a
-        self.lost_to_crash += dst.size - int(np.count_nonzero(delivered))
-        told = dst[delivered & knows]
-        self.learn[told] = np.minimum(self.learn[told], a)
-        return delivered
+        if self.channel is None:
+            delivered = self.crash[dst] > a
+            self.events["lost_to_crash"] += dst.size - int(np.count_nonzero(delivered))
+            told = dst[delivered & knows]
+            self.learn[told] = np.minimum(self.learn[told], a)
+            return a, delivered
+        delay, copies = self.channel.deliver(self.events, r, src, dst)
+        arrive = a + delay
+        crashed = self.crash[dst] <= arrive
+        self.events["lost_to_crash"] += int(copies[crashed].sum())
+        copies[crashed] = 0
+        if type(arrive) is not int:
+            capped = arrive > self.max_rounds
+            if capped.any():
+                self.completed = False
+                copies[capped] = 0
+        told = (copies > 0) & knows
+        np.minimum.at(self.learn, dst[told], _at(arrive, told))
+        return arrive, copies
 
 
 class _Phase:
@@ -544,7 +675,13 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     """WALK: every starter's lazy walks as token vectors, one CSR gather per round.
 
     Grows the trees (join offsets, parents, forward-edge move keys) and the
-    proxy counts.  Returns ``False`` when the round cap cut the walk short.
+    proxy counts.  A round's moves go through the hop rule as one message per
+    ``(tree, src, dst, steps)``, and every copy lands, with the walks it
+    carries, in an in-flight buffer under its arrival round.  Walks move while
+    the WALK segment is open; an unfinished walk that lands after it closed
+    never moves again.  Without delays every walk takes its ``t``-th step in
+    round ``begin + t - 1``, so steps are not tracked per walk.  Returns
+    ``False`` when the round cap cut the walk short.
     """
     n = run.n
     crash = run.crash
@@ -552,36 +689,46 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     indptr, indices, degrees = run.csr
     coins = run.wrng.random
     max_rounds = run.max_rounds
-    start = ph.window.start
-    begin = max(1, start)
+    begin = max(1, ph.window.start)
+    close = ph.window.report_start
     L = ph.window.walk_length
-    off_flat = ph.off.reshape(-1)  # views indexed by tree * n + node
-    par_flat = ph.par.reshape(-1)
+    channel = run.channel
+    delayed = channel is not None and channel.delay is not None
     move_keys = ph.move_keys
     base_bits = run.id_bits + ph.phase_bits + 1
     owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
     pos = np.repeat(np.asarray(ph.starters, dtype=np.int64), run.walks_per)
-    crashing = run.has_faults  # else every token lives and every move lands
-    for t in range(1, L + 1):
-        r = begin + t - 1
-        if r > max_rounds:
-            run.completed = False
-            return False
-        if crashing:
-            alive_tok = crash[pos] > r
-            if not alive_tok.all():
-                run.tick(r)
-                pos = pos[alive_tok]
-                owners = owners[alive_tok]
-        if pos.size == 0:
-            break
+    steps = np.zeros(pos.size, dtype=np.int64) if delayed else None
+    crashing = run.has_faults  # else every walk lives and every move lands
+    flight: Dict[int, list] = {}  # arrival round -> landing batches
+    r = begin
+    while True:
+        batches = flight.pop(r, None)
+        if batches is not None:
+            owners, pos, steps = _land(run, ph, r, batches, owners, pos, steps)
+        if pos.size and r < close:
+            if r > max_rounds:
+                run.completed = False
+                return False
+            if crashing:
+                alive = crash[pos] > r
+                if not alive.all():
+                    run.tick(r)
+                    pos, owners = pos[alive], owners[alive]
+                    steps = None if steps is None else steps[alive]
+        if not pos.size or r >= close:  # nothing moves this round
+            if not flight:
+                return True
+            pos, owners = pos[:0], owners[:0]
+            steps = None if steps is None else steps[:0]
+            r = min(flight)
+            continue
         run.act(r)
         move = coins(pos.size) >= 0.5
         move &= degrees[pos] > 0  # tokens on isolated nodes never move
         moving = move.nonzero()[0]
         staying = (~move).nonzero()[0]
-        stay_pos = pos[staying]
-        stay_own = owners[staying]
+        stay_pos, stay_own = pos[staying], owners[staying]
         if moving.size:
             msrc = pos[moving]
             mown = owners[moving]
@@ -589,45 +736,107 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             ports = (coins(msrc.size) * degm).astype(np.int64)
             np.minimum(ports, degm - 1, out=ports)
             mdst = indices[indptr[msrc] + ports]
-            # One key per (tree, src, dst) move, in lexicographic order;
-            # the round's unique keys are also the tree's forward edges.
-            sorted_key = np.sort((mown * n + msrc) * n + mdst)
+            # One message per (tree, src, dst[, steps]) move, in lexicographic
+            # order; the moves' (tree, src, dst) keys are the tree's forward edges.
+            key = (mown * n + msrc) * n + mdst
+            if delayed:
+                msteps = steps[moving] + 1
+                key = key * (L + 1) + msteps
+            sorted_key = np.sort(key)
             first = _runs(sorted_key)
             g_key = sorted_key[first]
-            move_keys.append(g_key)
             counts = np.append(first[1:], sorted_key.size) - first
-            g_head, g_dst = np.divmod(g_key, n)
+            if delayed:
+                g_move, g_steps = np.divmod(g_key, L + 1)
+                step_bits = _bit_lengths(g_steps)
+            else:
+                g_move, step_bits = g_key, counter_bits(r - begin + 1)
+            move_keys.append(g_move)
+            g_head, g_dst = np.divmod(g_move, n)
             g_own, g_src = np.divmod(g_head, n)
-            sizes = base_bits + counter_bits(t) + _bit_lengths(counts)
-            g_alive = run.hop("walk_token", sizes, r, g_src, g_dst, learn[g_src] <= r)
-            if g_alive is None:
+            sizes = base_bits + step_bits + _bit_lengths(counts)
+            got = run.hop("walk_token", sizes, r, g_src, g_dst, learn[g_src] <= r)
+            if got is None:
                 return False
+            arrive, copies = got
+            if channel is not None:  # each walk lands once per copy of its message
+                group = np.searchsorted(g_key, key)
+                per_walk = copies[group]
+                mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
+                if delayed:
+                    msteps = np.repeat(msteps, per_walk)
+                    landing = np.repeat(arrive[group], per_walk)
+            elif crashing:
+                delivered = crash[mdst] > r + 1
+                mown, mdst = mown[delivered], mdst[delivered]
             if crashing:
-                g_own = g_own[g_alive]
-                g_src = g_src[g_alive]
-                g_dst = g_dst[g_alive]
-                delivered_tok = crash[mdst] > r + 1
-                mdst = mdst[delivered_tok]
-                mown = mown[delivered_tok]
-            if g_dst.size:
-                run.act(r + 1)
-                # A node joins a tree through its smallest-id sender of the
-                # first round a token of that tree reaches it.
-                joins = g_own * n + g_dst
-                fresh = off_flat[joins] == -1
-                if fresh.any():
-                    joins, senders = np.divmod(np.sort(joins[fresh] * n + g_src[fresh]), n)
-                    first = _runs(joins)
-                    off_flat[joins[first]] = max(1, (r + 1) - start)
-                    par_flat[joins[first]] = senders[first]
-            pos = np.concatenate([stay_pos, mdst])
-            owners = np.concatenate([stay_own, mown])
+                sent = copies.astype(bool, copy=False)
+                g_own, g_src, g_dst = g_own[sent], g_src[sent], g_dst[sent]
+                arrive = _at(arrive, sent)
+            joins = g_own * n + g_dst
+            if not delayed:
+                if joins.size:
+                    flight[r + 1] = [(joins, g_src, mown, mdst, None)]
+            else:
+                for a, a_joins, a_src in _by_round(arrive, joins, g_src):
+                    at = landing == a
+                    batch = (a_joins, a_src, mown[at], mdst[at], msteps[at])
+                    flight.setdefault(a, []).append(batch)
+        # Walks that stayed took their step in place; finished ones are proxies.
+        if delayed:
+            steps = steps[staying] + 1
+            done = steps == L
+            np.add.at(ph.proxies, (stay_own[done], stay_pos[done]), 1)
+            going = ~done
+            owners, pos, steps = stay_own[going], stay_pos[going], steps[going]
+        elif r - begin + 1 == L:
+            np.add.at(ph.proxies, (stay_own, stay_pos), 1)
+            owners, pos = stay_own[:0], stay_pos[:0]
         else:
-            pos = stay_pos
-            owners = stay_own
-        if t == L and pos.size:
-            np.add.at(ph.proxies, (owners, pos), 1)
-    return True
+            owners, pos = stay_own, stay_pos
+        if not pos.size and not flight:
+            return True
+        r += 1
+
+
+def _land(run: _Run, ph: _Phase, r: int, batches, owners, pos, steps):
+    """Walks landing in round ``r``: the trees they join, the proxies they
+    finish at, and the residents with the unfinished ones appended (only
+    while the WALK segment is open).
+
+    A node joins a tree in the round its first walks of that tree land,
+    through the earliest-sent, then smallest-id, of their senders (the
+    batches are in send order).
+    """
+    run.act(r)
+    n = run.n
+    off = ph.off.reshape(-1)
+    par = ph.par.reshape(-1)
+    for joins, senders, *_walks in batches:
+        fresh = off[joins] == -1
+        if fresh.any():
+            joins, senders = np.divmod(np.sort(joins[fresh] * n + senders[fresh]), n)
+            first = _runs(joins)
+            off[joins[first]] = max(1, r - ph.window.start)
+            par[joins[first]] = senders[first]
+    if len(batches) == 1:
+        l_own, l_pos, l_steps = batches[0][2:]
+    else:
+        l_own, l_pos, l_steps = (np.concatenate(parts) for parts in list(zip(*batches))[2:])
+    L = ph.window.walk_length
+    if l_steps is None:  # walks in step: all landed walks took r - begin steps
+        if r - max(1, ph.window.start) == L:
+            np.add.at(ph.proxies, (l_own, l_pos), 1)
+            return owners, pos, steps
+        return np.concatenate([owners, l_own]), np.concatenate([pos, l_pos]), steps
+    done = l_steps == L
+    np.add.at(ph.proxies, (l_own[done], l_pos[done]), 1)
+    going = ~done & (r < ph.window.report_start)
+    return (
+        np.concatenate([owners, l_own[going]]),
+        np.concatenate([pos, l_pos[going]]),
+        np.concatenate([steps, l_steps[going]]),
+    )
 
 
 def _retain_trees(run: _Run, ph: _Phase) -> None:
@@ -658,31 +867,49 @@ def _retain_trees(run: _Run, ph: _Phase) -> None:
     ph.delay[members] = delay
 
 
+def _slots(ph: _Phase, begin: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The send slots of a converge-cast starting in round ``begin``: the
+    members in send order (send round, then parent row) and every row's send
+    round.  A member sends ``max(0, L - offset)`` rounds into the segment, or
+    in the round it joined when that is later (walks that landed late)."""
+    deadline = begin + ph.delay
+    members = ph.members
+    joined = ph.window.start + ph.off.reshape(-1)[members]
+    late = joined > deadline[members]
+    if late.any():
+        deadline[members[late]] = joined[late]
+        n = ph.off.shape[1]
+        parent_rows = members - members % n + ph.par.reshape(-1)[members]
+        members = members[np.lexsort((parent_rows, deadline[members]))]
+    return members, deadline
+
+
 def _converge_cast(
     run: _Run,
     ph: _Phase,
     begin: int,
+    end: int,
     kind: str,
     held: np.ndarray,
     counters: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """REPORT or COLLECT over every tree of the phase, starting in round ``begin``.
+    """REPORT or COLLECT over every tree of the phase, in rounds ``[begin, end)``.
 
-    Members send once, in their send round, to their parent: the ids and
-    the counters (``distinct, proxies`` for REPORT, none for COLLECT) heard
-    from their children, merged with their own, which ``held`` and
+    Members send once, in their slot (:func:`_slots`), to their parent: the
+    ids and the counters (``distinct, proxies`` for REPORT, none for COLLECT)
+    heard from their children, merged with their own, which ``held`` and
     ``counters`` (flat rows, updated in place) hold on entry.  A live member sends when it
     holds ids, a nonzero ``distinct`` or the heard-winner flag; the message
     is ``IDB + IDB * |ids| + phase bits + 1`` bits plus ``bit_length(max(1,
     c))`` per counter ``c``.  A parent keeps what arrives by its own send
-    round; the origin keeps everything.  Returns, per tree, the ids and the
-    ``distinct`` total that reached the origin.
+    round, every copy of it; the origin keeps everything.  Returns, per tree,
+    the ids and the ``distinct`` total that reached the origin.
     """
     n = run.n
     S = len(ph.starters)
-    members = ph.members
+    members, deadline = _slots(ph, begin)
     if members.size:
-        run.tick(begin + int(ph.delay[members[-1]]))
+        run.tick(int(deadline[members[-1]]))
     crash = run.crash
     learn = run.learn.copy()  # as the segment found it
     # Lowest tree whose flagged message reached each node so far: tree s
@@ -690,7 +917,6 @@ def _converge_cast(
     told_by = np.full(n, S, dtype=np.int64)
     # The origins' rows gather what reaches them, from every round.
     origins = np.arange(S) * n + ph.starters
-    deadline = begin + ph.delay
     deadline[origins] = _NEVER
     held[origins] = 0
     for c in counters:
@@ -698,8 +924,11 @@ def _converge_cast(
     holds = held.any(axis=1)
     if counters:
         holds |= counters[0] > 0
-    widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
     header = run.id_bits + ph.phase_bits + 1
+    # A second copy counts twice; without copies counters stay within a
+    # phase's walks.
+    doubles = run.channel is not None and run.channel.duplicate > 0
+    widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
     trees = members // n
     nodes = members - trees * n
     parents = ph.par.reshape(-1)[members]
@@ -709,6 +938,8 @@ def _converge_cast(
         r = int(send_rounds[lo])
         if r > run.max_rounds:
             run.completed = False
+            break
+        if r >= end:  # a slot after the segment sends nothing
             break
         v = nodes[lo:hi]
         live = crash[v] > r
@@ -727,17 +958,22 @@ def _converge_cast(
         counts = [c[f] for c in counters]
         sizes = header + run.id_bits * _popcount(ids)
         for c in counts:
-            sizes += widths[c]
-        delivered = run.hop(kind, sizes, r, v, parent, knows)
-        if delivered is None or not delivered.any():
+            sizes += _bit_lengths(np.maximum(c, 1)) if doubles else widths[c]
+        got = run.hop(kind, sizes, r, v, parent, knows)
+        if got is None:
             continue
-        reached = r + 1
+        arrive, copies = got
+        delivered = copies.astype(bool, copy=False)
+        if not delivered.any():
+            continue
+        reached = max(reached, _last(arrive, delivered))
         rows = s * n + parent
-        keep = delivered & (r + 1 <= deadline[rows])
+        keep = delivered & (arrive <= deadline[rows])
         told = delivered & knows
         if told.any():
             np.minimum.at(told_by, parent[told], s[told])
-        _scatter(rows[keep], ids[keep], [c[keep] for c in counts], held, counters)
+        every = np.repeat(np.flatnonzero(keep), copies[keep]) if doubles else keep
+        _scatter(rows[every], ids[every], [c[every] for c in counts], held, counters)
         holds[rows[keep & holds[f]]] = True
     run.act(reached)
     return held[origins], (counters[0][origins] if counters else None)
@@ -753,77 +989,108 @@ def _report(run: _Run, ph: _Phase) -> None:
     held = (serves[None, :, :] & ~run.own_bit[ranks][:, None, :]).reshape(S * n, -1)
     held[proxies == 0] = 0
     counters = [(proxies == 1).astype(np.int64), proxies.copy()]
+    window = ph.window
     got_ids, got_distinct = _converge_cast(
-        run, ph, ph.window.report_start, "report", held, counters
+        run, ph, window.report_start, window.distribute_start, "report", held, counters
     )
     run.adjacency[ranks] |= got_ids
     run.distinct[ranks] += got_distinct
 
 
-def _distribute(run: _Run, ph: _Phase) -> np.ndarray:
+def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
     """DISTRIBUTE: every live origin floods its adjacency set down its tree,
-    all trees in step, one forward-edge hop per round.
+    all trees at once, round by round; a member forwards it once, in the
+    round its first copy lands.
 
-    Returns, per node, the union of the sets it received as a proxy.
+    Returns the proxy rows it reached and the round it reached each in.
     """
     n = run.n
     S = len(ph.starters)
-    received = np.zeros((n, run.own_bit.shape[1]), dtype=np.uint8)
     begin = ph.window.distribute_start
     run.tick(begin)
     if begin > run.max_rounds:
         run.completed = False
-        return received
+        return _NONE, _NONE
     origins = np.asarray(ph.starters, dtype=np.int64)
     live = run.crash[origins] > begin
     if live.any():
         run.act(begin)
-    i2 = run.adjacency[run.rank[ph.starters]]
-    i2_size = _popcount(i2)
+    i2_size = _popcount(run.adjacency[run.rank[ph.starters]])
     sizes = run.id_bits * (1 + i2_size) + ph.phase_bits + 1
     trees = np.flatnonzero(live & (i2_size > 0))
-    frontier = trees * n + origins[trees]
+    rows = trees * n + origins[trees]
     member = ph.off.reshape(-1) >= 0
     proxy = ph.proxies.reshape(-1) > 0
-    seen = np.zeros(S * n, dtype=bool)
-    seen[frontier] = True
-    hits = [frontier[proxy[frontier]]]
+    first = np.full(S * n, _NEVER, dtype=np.int64)  # round each row's first copy landed
+    first[rows] = begin
+    hits = [rows[proxy[rows]]]
+    hit_rounds = [begin]  # per hop, the one round its hits landed in, or theirs
     learn = run.learn.copy()  # as the segment found it
     told_by = np.full(n, S, dtype=np.int64)  # as in _converge_cast
-    t = begin
+    due = {begin: [rows]}  # round -> rows that may forward then
     reached = 0
-    while frontier.size:
+    while due:
+        t = min(due)
+        landed = due.pop(t)
+        frontier = _unique(landed[0] if len(landed) == 1 else np.concatenate(landed))
+        frontier = frontier[first[frontier] == t]
         rows, dst = _expand(ph.fwd_ptr, ph.fwd_dst, frontier)
         s = rows // n
         u = rows - s * n
         knows = (learn[u] <= t) | (told_by[u] <= s)
-        delivered = run.hop("distribute", sizes[s], t, u, dst, knows)
-        if delivered is None:
+        got = run.hop("distribute", sizes[s], t, u, dst, knows)
+        if got is None:
             break
-        t += 1
-        s, dst, knows = s[delivered], dst[delivered], knows[delivered]
-        if dst.size:
-            reached = t
+        arrive, copies = got
+        sent = copies.astype(bool, copy=False)
+        s, dst, knows, arrive = s[sent], dst[sent], knows[sent], _at(arrive, sent)
+        if not dst.size:
+            continue
+        reached = max(reached, _last(arrive, slice(None)))
         np.minimum.at(told_by, dst[knows], s[knows])
         rows = s * n + dst
-        rows = rows[member[rows]]
-        hits.append(rows[proxy[rows]])
-        frontier = _unique(rows[~seen[rows]])
-        seen[frontier] = True
+        joined = member[rows]
+        rows, arrive = rows[joined], _at(arrive, joined)
+        reaches = proxy[rows]
+        hits.append(rows[reaches])
+        hit_rounds.append(_at(arrive, reaches))
+        for a, landed in _by_round(arrive, rows):
+            first[landed] = np.minimum(first[landed], a)
+            due.setdefault(a, []).append(landed)
     run.act(reached)
-    rows = np.concatenate(hits)
-    s = rows // n
-    v = rows - s * n
-    order = np.argsort(v, kind="stable")
-    _scatter(v[order], i2[s[order]], (), received, ())
-    return received
+    rounds = [np.full(h.size, a) if type(a) is int else a for h, a in zip(hits, hit_rounds)]
+    return np.concatenate(hits), np.concatenate(rounds)
 
 
-def _collect(run: _Run, ph: _Phase, received: np.ndarray) -> None:
-    """COLLECT: every proxy sends up the sets DISTRIBUTE brought it."""
+def _collect(run: _Run, ph: _Phase, hits: np.ndarray, rounds: np.ndarray) -> None:
+    """COLLECT: every proxy sends up the sets DISTRIBUTE brought it (to any
+    of its trees of the phase) by its own send slot."""
     S, n = ph.proxies.shape
-    held = (received[None, :, :] * (ph.proxies > 0)[:, :, None]).reshape(S * n, -1)
-    got_ids, _ = _converge_cast(run, ph, ph.window.collect_start, "collect", held, ())
+    window = ph.window
+    i2 = run.adjacency[run.rank[ph.starters]]
+    s = hits // n
+    v = hits - s * n
+
+    def union(at) -> np.ndarray:
+        """Per node, the union of the sets of the hits ``at``."""
+        received = np.zeros((n, i2.shape[1]), dtype=np.uint8)
+        order = np.argsort(v[at], kind="stable")
+        _scatter(v[at][order], i2[s[at][order]], (), received, ())
+        return received
+
+    late = np.flatnonzero(rounds > window.collect_start)  # after some slots
+    on_time = np.flatnonzero(rounds <= window.collect_start) if late.size else slice(None)
+    proxy = ph.proxies > 0
+    held = (union(on_time)[None, :, :] * proxy[:, :, None]).reshape(S * n, -1)
+    if late.size:
+        _members, deadline = _slots(ph, window.collect_start)
+        proxy_rows = np.flatnonzero(proxy.reshape(-1))
+        for a, at in _by_round(rounds[late], late):
+            rows = proxy_rows[deadline[proxy_rows] >= a]
+            held[rows] |= union(at)[rows % n]
+    got_ids, _ = _converge_cast(
+        run, ph, window.collect_start, window.decide_round, "collect", held, ()
+    )
     run.i4[run.rank[ph.starters]] |= got_ids
 
 
@@ -878,15 +1145,16 @@ def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
 
 def _cascade(run: _Run, ph: _Phase) -> None:
     """WINNER: the phase's leaders flood winner-down over their trees, and
-    every notification travels on over the retained trees, one hop a round.
+    every notification travels on over the retained trees, round by round.
 
     Each (tree, node) forwards winner-down at most once and relays winner-up
-    at most once.  A node fires its winner rules (Algorithm 2 lines 6-7, the
-    reference's _fire_winner_rules) at its first receipt: as a proxy it
-    relays winner-up over the latest tree of every other contender it
-    serves (every proxy of a tree is a member of it), and as a contender it
-    floods winner-down over its own latest tree.  The cascade never reads
-    heard-winner rounds, and lowers them only after the decide round.
+    at most once, in the round its first copy lands.  A node fires its
+    winner rules (Algorithm 2 lines 6-7, the reference's _fire_winner_rules)
+    at its first receipt: as a proxy it relays winner-up over the latest
+    tree of every other contender it serves (every proxy of a tree is a
+    member of it), and as a contender it floods winner-down over its own
+    latest tree.  The cascade never reads heard-winner rounds, and lowers
+    them only after the decide round.
     """
     if not ph.winners:
         return
@@ -895,14 +1163,28 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         run.forest = _Forest(run.retained, run)
     forest = run.forest
     par = forest.par
-    r = ph.window.decide_round
-    down = np.asarray(ph.winners, dtype=np.int64)
-    up = np.zeros(0, dtype=np.int64)
-    while down.size or up.size:
-        down = _unique(down)
+    # Round -> the winner-down rows, winner-up rows and receivers due then.
+    due = {ph.window.decide_round: ([np.asarray(ph.winners, dtype=np.int64)], [], [])}
+    while due:
+        r = min(due)
+        downs, ups, receivers = due.pop(r)
+        if receivers:
+            receivers = _unique(np.concatenate(receivers))
+            run.act(r)
+            fresh = receivers[~run.fired[receivers]]
+            run.fired[fresh] = True
+            ranks = run.rank[fresh]
+            contender = ranks >= 0
+            serves = run.proxy_for[fresh]
+            serves[np.flatnonzero(contender), ranks[contender]] = False
+            at, served = np.nonzero(serves)
+            ups.append(run.latest_tree[fresh[at], served] * n + fresh[at])
+            mine = fresh[contender]
+            downs.append(run.latest_tree[mine, ranks[contender]] * n + mine)
+        down = _unique(np.concatenate(downs))
         down = down[~forest.flooded[down]]
         forest.flooded[down] = True
-        up = _unique(up)
+        up = _unique(np.concatenate(ups)) if ups else _NONE
         up = up[(par[up] >= 0) & ~forest.sent_up[up]]
         forest.sent_up[up] = True
         rows, targets = _expand(forest.fwd_ptr, forest.fwd_dst, down)
@@ -913,23 +1195,15 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         got_up = run.hop("winner_up", forest.bits[up_tree], r, up - up_tree * n, parents, True)
         if got_down is None or got_up is None:
             break
-        r += 1
-        down = tree[got_down] * n + targets[got_down]
-        up = up_tree[got_up] * n + parents[got_up]
-        receivers = _unique(np.concatenate([targets[got_down], parents[got_up]]))
-        if not receivers.size:
-            break
-        run.act(r)
-        fresh = receivers[~run.fired[receivers]]
-        run.fired[fresh] = True
-        ranks = run.rank[fresh]
-        contender = ranks >= 0
-        serves = run.proxy_for[fresh]
-        serves[np.flatnonzero(contender), ranks[contender]] = False
-        at, served = np.nonzero(serves)
-        up = np.concatenate([up, run.latest_tree[fresh[at], served] * n + fresh[at]])
-        mine = fresh[contender]
-        down = np.concatenate([down, run.latest_tree[mine, ranks[contender]] * n + mine])
+        for slot, (arrive, copies), trees, dst in (
+            (0, got_down, tree, targets),
+            (1, got_up, up_tree, parents),
+        ):
+            sent = copies.astype(bool, copy=False)
+            for a, a_tree, a_dst in _by_round(_at(arrive, sent), trees[sent], dst[sent]):
+                bucket = due.setdefault(a, ([], [], []))
+                bucket[slot].append(a_tree * n + a_dst)
+                bucket[2].append(a_dst)
 
 
 def _outcome(run: _Run):
@@ -945,9 +1219,7 @@ def _outcome(run: _Run):
     crashed = np.flatnonzero(run.crash <= run.clock).tolist()
     fault_events = None
     if run.has_faults:
-        fault_events = dict.fromkeys(FAULT_EVENT_KINDS, 0)
-        fault_events["lost_to_crash"] = run.lost_to_crash
-        fault_events["crashed_nodes"] = len(crashed)
+        fault_events = dict(run.events, crashed_nodes=len(crashed))
     return ElectionOutcome(
         num_nodes=run.n,
         leaders=sorted(run.leaders),
@@ -985,7 +1257,7 @@ def _simulate(run: _Run):
         _retain_trees(run, ph)
         walked = stamp()
         _report(run, ph)
-        _collect(run, ph, _distribute(run, ph))
+        _collect(run, ph, *_distribute(run, ph))
         exchanged = stamp()
         survivors = _decide(run, ph)
         if survivors is None:

@@ -12,7 +12,7 @@ from repro.core.schedule import PhaseSchedule
 from repro.exec import GraphSpec, TrialSpec, trial_fingerprint
 from repro.exec.execute import execute_trial
 from repro.exec.serialize import outcome_to_dict
-from repro.faults import CrashFaults, FaultPlan, MessageFaults
+from repro.faults import CrashFaults, DelayFaults, EdgeFaults, FaultPlan, MessageFaults
 from repro.graphs import expander_graph
 from repro.graphs.generators import gilbert_connectivity_radius
 from repro.graphs.topology import Graph
@@ -56,31 +56,47 @@ class TestSeedContract:
 
 class TestFallback:
     def test_static_reasons(self):
+        # The three configurations the engine declines up front; every
+        # fault plan runs vectorized.
         assert vectorized_unsupported_reason() is None
         assert "observers" in vectorized_unsupported_reason(observers=(object(),))
         assert "keep_simulation" in vectorized_unsupported_reason(keep_simulation=True)
         assert "congest" in vectorized_unsupported_reason(congest_mode="strict")
-        crash_only = FaultPlan(crashes=CrashFaults(count=2, at_round=1))
-        assert vectorized_unsupported_reason(fault_plan=crash_only) is None
-        dropping = FaultPlan(messages=MessageFaults(drop_probability=0.1))
-        assert "message fault" in vectorized_unsupported_reason(fault_plan=dropping)
 
-    def test_unsupported_plan_raises_on_direct_call(self):
+    def test_unsupported_run_raises_on_direct_call(self):
+        # A believed n of 2 draws ids from [1, 16]: 16 contenders collide.
+        with pytest.raises(VectorizedUnsupported, match="duplicate contender"):
+            run_vectorized_election(expander_graph(16, seed=1), seed=1, known_n=2)
+
+    @pytest.mark.parametrize(
+        "plan, event",
+        [
+            (FaultPlan(messages=MessageFaults(drop_probability=0.1)), "dropped"),
+            (FaultPlan(messages=MessageFaults(duplicate_probability=0.1)), "duplicated"),
+            (FaultPlan(delays=DelayFaults(max_delay=1)), "delayed"),
+            (FaultPlan(edges=EdgeFaults(removal_probability=0.1)), "edge_dropped"),
+        ],
+        ids=["drop", "duplicate", "delay", "edge"],
+    )
+    def test_every_fault_model_runs_vectorized(self, plan, event):
         graph = expander_graph(16, seed=1)
-        plan = FaultPlan(messages=MessageFaults(drop_probability=0.1))
-        with pytest.raises(VectorizedUnsupported):
-            run_vectorized_election(graph, seed=1, fault_plan=plan)
+        outcome = run_leader_election(graph, seed=1, fault_plan=plan, simulator="vectorized")
+        assert outcome.simulator == "vectorized"
+        assert outcome.metrics.fault_events[event] > 0
+        again = run_vectorized_election(graph, seed=1, fault_plan=plan)
+        assert (again.leaders, again.metrics) == (outcome.leaders, outcome.metrics)
 
     def test_runner_falls_back_with_reason(self):
         graph = expander_graph(16, seed=1)
-        plan = FaultPlan(messages=MessageFaults(drop_probability=0.1))
+        seen = []
         outcome = run_leader_election(
-            graph, seed=1, fault_plan=plan, simulator="vectorized"
+            graph, seed=1, observers=(lambda *send: seen.append(send),), simulator="vectorized"
         )
         assert outcome.simulator.startswith("reference-fallback:")
-        assert "message fault" in outcome.simulator
+        assert "observers" in outcome.simulator
+        assert len(seen) == outcome.metrics.messages
         # ... and the fallback result equals a plain reference run.
-        reference = run_leader_election(graph, seed=1, fault_plan=plan)
+        reference = run_leader_election(graph, seed=1)
         assert outcome.leaders == reference.leaders
         assert outcome.metrics.messages == reference.metrics.messages
 
