@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Throughput grid of the simulator cores: ``BENCH_simcore.json``, run through :mod:`harness`.
 
-Measures **trials per second** for every cell of ``algorithm x graph family x n x simulator``.
-Every timed trial must elect a leader, and a ``vectorized`` cell must not fall back to the
-reference engine, or the measurement would be mislabelled.
+Measures **trials per second** for every cell of ``algorithm x graph family x n x faults x
+simulator``.  Every timed fault-free trial must elect a leader and every faulty one must finish
+inside the round cap (an adversary may leave no leader, or several), and a ``vectorized`` cell
+must not fall back to the reference engine, or the measurement would be mislabelled.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import harness
 
 from repro.baselines.known_tmix import known_tmix_trial
 from repro.core.runner import run_leader_election
+from repro.faults import DelayFaults, FaultPlan, MessageFaults
 from repro.graphs.generators import get_family, gilbert_connectivity_radius
 from repro.graphs.mixing import cached_mixing_time
 from repro.graphs.topology import Graph
@@ -26,22 +28,45 @@ GRAPH_SEED = 20180723  # PODC'18; seeds every cell's graph build (trial seeds ar
 #: difference as a regression.
 DEFAULT_TRIALS = 3
 
+#: The fault plans a cell's trials run under, by the label its ``faults`` field carries.
+FAULTS = {
+    "none": None,
+    "drop 0.05": FaultPlan(messages=MessageFaults(drop_probability=0.05)),
+    "delay<=1": FaultPlan(delays=DelayFaults(max_delay=1)),
+}
+
 #: Both modes keep the ``n=512`` expander election cells: that pair carries the committed >=3x
 #: speedup claim, so the trajectory job must keep watching it.  The two simulators of one
-#: ``(algorithm, family, n)`` run back to back, so a machine whose speed drifts during the run
-#: moves both halves of each speedup ratio alike.
+#: ``(algorithm, family, n, faults)`` run back to back, so a machine whose speed drifts during the
+#: run moves both halves of each speedup ratio alike.  The faulty cells time the election under
+#: 5% message drop and under per-edge delays of up to one round.
 CELLS = [
-    {"algorithm": algorithm, "family": family, "n": n, "simulator": simulator, "quick": quick}
-    for algorithm, family, n, quick in [
-        ("election", "expander", 64, True),
-        ("election", "expander", 256, False),
-        ("election", "expander", 512, True),
-        ("election", "hypercube", 64, False),
-        ("election", "hypercube", 256, False),
-        ("election", "gilbert", 64, True),
-        ("election", "gilbert", 256, False),
-        ("known_tmix", "expander", 64, True),
-        ("known_tmix", "expander", 256, False),
+    {
+        "algorithm": algorithm,
+        "family": family,
+        "n": n,
+        "faults": faults,
+        "simulator": simulator,
+        "quick": quick,
+    }
+    for algorithm, family, n, faults, quick in [
+        ("election", "expander", 64, "none", True),
+        ("election", "expander", 256, "none", False),
+        ("election", "expander", 512, "none", True),
+        ("election", "hypercube", 64, "none", False),
+        ("election", "hypercube", 256, "none", False),
+        ("election", "gilbert", 64, "none", True),
+        ("election", "gilbert", 256, "none", False),
+        ("known_tmix", "expander", 64, "none", True),
+        ("known_tmix", "expander", 256, "none", False),
+        ("election", "expander", 64, "drop 0.05", True),
+        ("election", "expander", 64, "delay<=1", True),
+        ("election", "expander", 256, "drop 0.05", False),
+        ("election", "expander", 256, "delay<=1", False),
+        ("election", "gilbert", 64, "drop 0.05", False),
+        ("election", "gilbert", 64, "delay<=1", False),
+        ("election", "gilbert", 256, "drop 0.05", False),
+        ("election", "gilbert", 256, "delay<=1", False),
     ]
     for simulator in ("reference", "vectorized")
 ]
@@ -58,19 +83,22 @@ def _build_graph(family: str, n: int) -> Graph:
 def _prepare(cell: harness.Cell) -> harness.RunOnce:
     graph = _build_graph(cell["family"], cell["n"])
     simulator = cell["simulator"]
+    plan = FAULTS[cell["faults"]]
     # Computed outside the timed region: the oracle input is an input, not part of the simulator
     # work being measured.
     mixing_time = cached_mixing_time(graph) if cell["algorithm"] == "known_tmix" else None
 
     def run_once(seed: int):
         if mixing_time is None:
-            outcome = run_leader_election(graph, seed=seed, simulator=simulator)
+            outcome = run_leader_election(graph, seed=seed, simulator=simulator, fault_plan=plan)
             label = outcome.simulator
         else:
             outcome = known_tmix_trial(graph, mixing_time, seed=seed, simulator=simulator)
             label = outcome.extras.get("simulator", "reference")
-        if outcome.classification != "elected":
+        if plan is None and outcome.classification != "elected":
             raise RuntimeError("benchmark cell %r failed to elect" % (cell,))
+        if not outcome.metrics.completed:
+            raise RuntimeError("benchmark cell %r hit the round cap" % (cell,))
         if simulator == "vectorized" and label != "vectorized":
             raise RuntimeError(
                 "benchmark cell %r fell back to %r; the measurement would be "
@@ -83,7 +111,7 @@ def _prepare(cell: harness.Cell) -> harness.RunOnce:
 
 GRID = harness.Grid(
     name="simcore",
-    key=("algorithm", "family", "n", "simulator"),
+    key=("algorithm", "family", "n", "faults", "simulator"),
     unit="trials_per_sec",
     count="trials",
     cells=CELLS,

@@ -13,6 +13,7 @@ from .network import MessageObserver, Network, SimulationResult
 from .node import Inbox, NodeContext, Protocol, ProtocolFactory
 from .rng import derive_seed, fresh_master_seed, node_rng
 from .vectorized import (
+    VECTORIZED_MESSAGE_STREAM,
     VECTORIZED_WALK_STREAM,
     VectorizedUnsupported,
     graph_csr,
@@ -46,6 +47,7 @@ __all__ = [
     "build_network",
     "FAULT_SEED_STREAM",
     "VECTORIZED_WALK_STREAM",
+    "VECTORIZED_MESSAGE_STREAM",
     "VectorizedUnsupported",
     "graph_csr",
     "run_vectorized_election",

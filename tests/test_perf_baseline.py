@@ -22,6 +22,7 @@ REQUIRED_CELL_KEYS = {
     "algorithm",
     "family",
     "n",
+    "faults",
     "simulator",
     "trials",
     "seconds",
@@ -36,7 +37,7 @@ def _load():
 
 def _by_key(document):
     return {
-        (c["algorithm"], c["family"], c["n"], c["simulator"]): c
+        (c["algorithm"], c["family"], c["n"], c["faults"], c["simulator"]): c
         for c in document["cells"]
     }
 
@@ -58,11 +59,11 @@ def test_baseline_structure():
 
 def test_baseline_covers_both_simulators_per_cell():
     by_key = _by_key(_load())
-    for algorithm, family, n, simulator in by_key:
+    for algorithm, family, n, faults, simulator in by_key:
         other = "vectorized" if simulator == "reference" else "reference"
-        assert (algorithm, family, n, other) in by_key, (
-            "cell (%s, %s, %d) measured only under %s"
-            % (algorithm, family, n, simulator)
+        assert (algorithm, family, n, faults, other) in by_key, (
+            "cell (%s, %s, %d, %s) measured only under %s"
+            % (algorithm, family, n, faults, simulator)
         )
 
 
@@ -76,36 +77,50 @@ def test_committed_speedup_claim():
         if key[0] == "election"
         and key[1] == "expander"
         and key[2] >= 512
-        and key[3] == "vectorized"
+        and key[4] == "vectorized"
     ]
     assert large_expander, "baseline lost its n>=512 expander election cells"
     for key in large_expander:
         vectorized = by_key[key]["trials_per_sec"]
-        reference = by_key[(key[0], key[1], key[2], "reference")]["trials_per_sec"]
+        reference = by_key[key[:4] + ("reference",)]["trials_per_sec"]
         assert vectorized >= 3 * reference, (
             "committed speedup claim broken at %s: %.2fx"
             % (key, vectorized / reference)
         )
 
 
-def _speedups(by_key):
-    """Vectorized/reference trials-per-second ratio of every committed cell pair."""
+def _speedups(by_key, faulty):
+    """Vectorized/reference trials-per-second ratio of every committed cell
+    pair, of the faulty cells or of the fault-free ones."""
     return {
-        key[:3]: cell["trials_per_sec"] / by_key[key[:3] + ("reference",)]["trials_per_sec"]
+        key[:4]: cell["trials_per_sec"] / by_key[key[:4] + ("reference",)]["trials_per_sec"]
         for key, cell in by_key.items()
-        if key[3] == "vectorized"
+        if key[4] == "vectorized" and (key[3] != "none") == faulty
     }
 
 
+def test_faulty_cells_keep_the_vectorized_engine_ten_times_faster():
+    """Under message drop and delay the vectorized engine runs the faults
+    itself; every faulty cell pair shows it >=10x the reference engine."""
+    speedups = _speedups(_by_key(_load()), faulty=True)
+    assert speedups, "baseline lost its faulty cells"
+    for key, ratio in speedups.items():
+        assert ratio >= 10, "faulty cell %s: vectorized only %.1fx the reference" % (key, ratio)
+
+
 def test_docs_quote_the_committed_speedups():
-    """The docs restate the baseline's vectorized/reference range and its
-    n=512 expander ratio; a regenerated baseline must be restated with them."""
-    speedups = _speedups(_by_key(_load()))
-    quoted = "%.1f–%.1f" % (min(speedups.values()), max(speedups.values()))
+    """The docs restate the baseline's fault-free and faulty vectorized/reference
+    ranges and its n=512 expander ratio; a regenerated baseline must be
+    restated with them."""
+    by_key = _by_key(_load())
     docs = {}
     for name in ("README.md", "docs/architecture.md", "docs/experiments.md"):
         with open(os.path.join(REPO_ROOT, name), "r", encoding="utf-8") as handle:
             docs[name] = handle.read()
-        assert quoted in docs[name], "%s does not quote the %s speedup range" % (name, quoted)
-    large = "%.1f×" % speedups[("election", "expander", 512)]
+    for faulty in (False, True):
+        speedups = _speedups(by_key, faulty)
+        quoted = "%.1f–%.1f" % (min(speedups.values()), max(speedups.values()))
+        for name, text in docs.items():
+            assert quoted in text, "%s does not quote the %s speedup range" % (name, quoted)
+    large = "%.1f×" % _speedups(by_key, False)[("election", "expander", 512, "none")]
     assert large in docs["docs/experiments.md"], "experiments.md does not quote %s" % large
