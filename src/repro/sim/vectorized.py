@@ -759,17 +759,17 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             if got is None:
                 return False
             arrive, copies = got
-            if channel is not None:  # each walk lands once per copy of its message
-                group = np.searchsorted(g_key, key)
-                per_walk = copies[group]
-                mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
-                if delayed:
-                    msteps = np.repeat(msteps, per_walk)
-                    landing = np.repeat(arrive[group], per_walk)
-            elif crashing:
-                delivered = crash[mdst] > r + 1
-                mown, mdst = mown[delivered], mdst[delivered]
-            if crashing:
+            if crashing:  # keep what lands: each walk once per copy of its message
+                if channel is None:
+                    delivered = crash[mdst] > r + 1
+                    mown, mdst = mown[delivered], mdst[delivered]
+                else:
+                    group = np.searchsorted(g_key, key)
+                    per_walk = copies[group]
+                    mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
+                    if delayed:
+                        msteps = np.repeat(msteps, per_walk)
+                        landing = np.repeat(arrive[group], per_walk)
                 sent = copies.astype(bool, copy=False)
                 g_own, g_src, g_dst = g_own[sent], g_src[sent], g_dst[sent]
                 arrive = _at(arrive, sent)
