@@ -2,9 +2,9 @@
 """Throughput grid of the simulator cores: ``BENCH_simcore.json``, run through :mod:`harness`.
 
 Measures **trials per second** for every cell of ``algorithm x graph family x n x faults x
-simulator``.  Every timed fault-free trial must elect a leader and every faulty one must finish
-inside the round cap (an adversary may leave no leader, or several), and a ``vectorized`` cell
-must not fall back to the reference engine, or the measurement would be mislabelled.
+simulator``.  Every timed trial must finish inside the round cap and every fault-free one must
+elect a leader (an adversary may leave no leader, or several), and a ``vectorized`` cell must not
+fall back to the reference engine, or the measurement would be mislabelled.
 """
 
 from __future__ import annotations
