@@ -2,27 +2,27 @@
 """Distributed campaign over a host fleet (the ``repro.fleet`` quickstart).
 
 Runs a small election-scaling campaign across several hosts at once: the
-campaign's deterministic ``Shard(k, m)`` partitions are placed onto a host
-inventory by the :class:`repro.fleet.FleetDispatcher`, supervised by
-heartbeats, with straggler and dead-host shards re-placed by work stealing.
-Every host executes into its own cache; the dispatcher merges them and the
-final ``report.md`` / ``report.json`` are byte-identical to a
-single-machine run of the same campaign.
+ordinary :class:`repro.campaign.CampaignRunner` executes it on a
+:class:`repro.fleet.FleetBackend`, whose slots are ``--workers`` serve
+processes per host, supervised by heartbeats.  A host that dies stays dead
+and its in-flight trial is retried on a survivor.  Results land in the one
+campaign cache, so the final ``report.md`` / ``report.json`` are
+byte-identical to a single-machine run of the same campaign.
 
 By default the fleet is ``--hosts N`` local process groups -- each "host" a
 ``python -m repro.exec.worker --serve`` subprocess (the same serve-mode
 worker the ``workerpool`` backend runs), which is also what the chaos tests
-and CI's fleet-smoke job drive.  Point ``--inventory`` at a
-JSON file to run the same campaign over SSH or k8s command templates
-instead (see docs/architecture.md "Fleet dispatch" for the format and
-recipes).
+and CI's fleet-smoke job drive.  Point ``--inventory`` at a JSON file to run
+the same campaign over SSH or k8s command templates instead (see
+docs/architecture.md "Fleet dispatch" for the format and recipes).
 
 Run with::
 
     python examples/fleet_campaign.py [--quick] [--hosts N]
         [--inventory FILE] [--dir DIR]
 
-Watch it live from another terminal (per-host health panel included)::
+Watch it live from another terminal (``--trace`` on; worker health on the
+``workers:`` line)::
 
     python -m repro.obs.watch .campaign/fleet
 """
@@ -30,9 +30,10 @@ Watch it live from another terminal (per-host health panel included)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignRunner, CampaignSpec, write_report
 from repro.exec import (
     ExecutionProfile,
     GraphSpec,
@@ -40,7 +41,7 @@ from repro.exec import (
     TrialSpec,
     add_execution_arguments,
 )
-from repro.fleet import FleetDispatcher, load_inventory, local_inventory
+from repro.fleet import FleetBackend, load_inventory, local_inventory
 
 BASE_SEED = 23
 
@@ -80,17 +81,19 @@ def main(
         if inventory
         else local_inventory(hosts, workers=profile.effective_workers(default=1))
     )
-    dispatcher = FleetDispatcher(
-        spec=campaign,
-        hosts=fleet,
-        directory=directory,
-        profile=profile,
-    )
-    result = dispatcher.run()
+    cache = profile.open_cache(os.path.join(directory, "cache"))
+    with FleetBackend(fleet) as backend:
+        fleet_profile = dataclasses.replace(profile, backend=backend)
+        result = CampaignRunner(campaign, cache, directory=directory, profile=fleet_profile).run()
+    write_report(campaign, cache, directory, profile=fleet_profile)
     print(result.describe())
     print(
+        "fleet: %d host(s), %d serve process(es), %d died, %d hung"
+        % (len(fleet), backend.workers, backend.deaths, backend.hangs)
+    )
+    print(
         "\nreport written to %s (byte-identical to a single-machine run; "
-        "re-running resumes from the merged cache for free)"
+        "re-running resumes from the campaign cache for free)"
         % os.path.join(directory, "report.md")
     )
 
@@ -114,10 +117,12 @@ if __name__ == "__main__":
         "--dir",
         default=os.path.join(".campaign", "fleet"),
         metavar="DIR",
-        help="campaign directory: merged cache, manifest.json, fleet.json, report.md/json",
+        help="campaign directory: cache, manifest.json, report.md/json",
     )
     add_execution_arguments(parser, workers_default=1)
     arguments = parser.parse_args()
+    if arguments.backend:
+        parser.error("the fleet is the execution backend; --backend does not apply")
     main(
         quick=arguments.quick,
         hosts=arguments.hosts,

@@ -165,7 +165,7 @@ def expand_trials(
 ) -> Iterator[Tuple[str, int, TrialSpec, str]]:
     """The campaign's trials as ``(sweep name, index, spec, fingerprint)``.
 
-    The one expansion every runner, dispatcher and report shares, in
+    The one expansion every runner and report shares, in
     :meth:`CampaignSpec.expand` order.  ``profile``'s run-wide simulator is
     applied *before* fingerprinting, so each fingerprint names what actually
     runs (and what the cache holds); each fingerprint is computed once.

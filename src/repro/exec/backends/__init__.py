@@ -1,9 +1,10 @@
 """Pluggable execution backends for the batch runner.
 
-Three implementations of one :class:`ExecutionBackend` protocol decide where
-trials run; the :class:`~repro.exec.runner.BatchRunner` stays the single
-deterministic orchestrator on top, so every backend replays bit-identically
-to serial for a fixed master seed:
+Three registered implementations of one :class:`ExecutionBackend` protocol
+decide where trials run, plus the fleet, which needs a host inventory and
+so is built by hand; the :class:`~repro.exec.runner.BatchRunner` stays the
+single deterministic orchestrator on top, so every backend replays
+bit-identically to serial for a fixed master seed:
 
 ========== ===================================================== ==========
 name       execution                                             survives
@@ -15,12 +16,15 @@ process    ``ProcessPoolExecutor`` (specs travel by pickle)       no
 workerpool persistent ``python -m repro.exec.worker --serve``     yes
            subprocesses over length-prefixed JSON stdio,
            respawned on death
+fleet      :class:`repro.fleet.FleetBackend`: the worker pool     yes
+           with ``HostSpec.workers`` serve processes per host
+           (local, SSH or ``kubectl`` command templates); a
+           dead host stays dead and its trial is retried
+           elsewhere by the campaign
 ========== ===================================================== ==========
 
-Remote execution goes through the fleet (:mod:`repro.fleet`), whose
-``HostSpec`` command templates start the same serve-mode worker behind SSH
-or ``kubectl``; both reach their subprocesses through one
-:class:`~repro.exec.backends.workerpool.WorkerChannel`.
+Every out-of-process slot, local or remote, reaches its subprocess through
+one :class:`~repro.exec.backends.workerpool.WorkerChannel`.
 
 Backends are picked three ways, strongest first: put an instance in the
 profile (``BatchRunner(profile=ExecutionProfile(backend=WorkerPoolBackend(

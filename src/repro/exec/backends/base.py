@@ -27,7 +27,8 @@ The contract:
   at all.  In-process and pickle transports take everything; the JSON-wire
   worker pool refuses specs that cannot cross (see
   :func:`repro.exec.wire.spec_wire_error`), and the runner transparently
-  executes those in-process instead;
+  executes those in-process instead -- except on the fleet, which has no
+  in-process fallback and raises :class:`ValueError`;
 * :attr:`survives_worker_death` declares the recovery capability: ``True``
   when a dying worker process costs only its in-flight trial (captured as an
   ``on_error="capture"`` failure) while the batch keeps going.

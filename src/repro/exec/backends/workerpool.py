@@ -6,7 +6,13 @@ the process-pool backend, a worker the OS kills mid-trial does not break the
 batch: the in-flight trial comes back as an ``on_error="capture"`` failure
 ("worker died ..."), a fresh worker is spawned in its slot, and every other
 trial keeps going -- resume then re-executes only the lost trials, because
-everything that finished is already in the result cache.
+everything that finished is already in the result cache.  A slot whose
+worker died more often than ``max_respawns_per_slot`` retires and stops
+pulling trials while the other slots keep serving; when the last slot
+retires, whatever is still queued (and anything submitted later) fails with
+an error naming the budget.  The fleet backend
+(:class:`repro.fleet.FleetBackend`) is this pool with its slots launched
+from a host inventory and a respawn budget of 0.
 
 Workers are fresh interpreters, so trials reach them as versioned JSON
 documents, not pickles: algorithms registered outside the ``repro`` package
@@ -55,6 +61,11 @@ _SHUTDOWN = object()
 #: then SIGTERM) before escalating.
 _CLOSE_GRACE_SECONDS = 2.0
 
+#: The least time a fresh worker gets to answer its startup ping when a
+#: hang deadline is set: interpreter boot plus imports (plus an SSH or pod
+#: attach for remote hosts) can far exceed the steady-state deadline.
+_STARTUP_SECONDS = 30.0
+
 
 class WorkerHungError(RuntimeError):
     """A worker stopped emitting frames (heartbeats included) before its
@@ -92,8 +103,8 @@ def worker_environment(extra_paths: Sequence[str] = ()) -> dict:
 class WorkerChannel:
     """One supervised subprocess speaking length-prefixed JSON frames on stdio.
 
-    The parent side of every out-of-process path: a worker-pool slot and a
-    fleet host (:mod:`repro.fleet.dispatcher`) are both one channel to a
+    The parent side of every out-of-process path: each worker-pool slot,
+    local or on a fleet host, is one channel to a
     ``repro.exec.worker --serve`` process, started from an argv and an
     environment.  Pipes are unbuffered and stderr is inherited, so child
     tracebacks stay visible.
@@ -166,6 +177,7 @@ class WorkerChannel:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
+        self.process.stdout.close()
 
 
 class WorkerPoolBackend(ExecutionBackend):
@@ -177,7 +189,8 @@ class WorkerPoolBackend(ExecutionBackend):
     worker that goes silent past ``hang_deadline_seconds`` (default: four
     heartbeat periods) is declared *hung*: killed, respawned, and its
     in-flight trial captured as a failure -- the same recovery a worker
-    death gets, but for processes that are alive and stuck.
+    death gets, but for processes that are alive and stuck.  Hangs count
+    against the slot's respawn budget like deaths do.
     """
 
     name = "workerpool"
@@ -236,6 +249,10 @@ class WorkerPoolBackend(ExecutionBackend):
         self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: List[threading.Thread] = []
         self._slots: List[Optional[WorkerChannel]] = []
+        # Slots of the current generation still pulling trials, and the
+        # error every trial gets once none is left.
+        self._live = 0
+        self._exhausted: Optional[str] = None
         self._closed = False
         self._lock = threading.Lock()
         # Hands the partition pass's wire document to the dispatch pass (see
@@ -251,6 +268,8 @@ class WorkerPoolBackend(ExecutionBackend):
             self._generation += 1
             self._tasks = queue.SimpleQueue()
             self._slots = [None] * self.workers
+            self._live = self.workers
+            self._exhausted = None
             for slot in range(self.workers):
                 thread = threading.Thread(
                     target=self._serve,
@@ -286,18 +305,39 @@ class WorkerPoolBackend(ExecutionBackend):
     # -------------------------------------------------------------- dispatch
     def wire_safe(self, spec: TrialSpec) -> bool:
         """Strict JSON-wire check; a safe spec's document is memoised."""
-        document, error = spec_wire_document(spec, extra_modules=self.preload)
-        if error is None:
-            self._prepared.put(spec, document)
-        return error is None
+        return self._prepare(spec) is None
 
     def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
         self.start()
         future: "Future[TrialPayload]" = Future()
-        self._tasks.put((spec, future))
+        # Checked and enqueued under the lock: the last slot to retire
+        # drains the queue under the same lock's verdict, so a trial is
+        # either drained by it or refused here, never stranded.
+        with self._lock:
+            exhausted = self._exhausted
+            if exhausted is None:
+                self._tasks.put((spec, future))
+        if exhausted is not None:
+            future.set_result(TrialPayload(outcome=None, error=exhausted, elapsed_seconds=0.0))
         return future
 
     # ------------------------------------------------------------- internals
+    def _prepare(self, spec: TrialSpec) -> Optional[str]:
+        """Memoise ``spec``'s wire document; returns why it cannot cross."""
+        document, error = spec_wire_document(spec, extra_modules=self.preload)
+        if error is None:
+            self._prepared.put(spec, document)
+        return error
+
+    def _launch(self, slot: int) -> Tuple[List[str], dict, Optional[str]]:
+        """The argv, environment and host name (``None``: this machine) a
+        slot's worker starts with."""
+        return (
+            worker_command(preload=self.preload, python=self.python),
+            worker_environment(self.extra_paths),
+            None,
+        )
+
     def _wire_document(
         self, spec: TrialSpec
     ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
@@ -350,9 +390,39 @@ class WorkerPoolBackend(ExecutionBackend):
             except Exception as exc:  # noqa: BLE001 -- a future must resolve
                 payload = TrialPayload(outcome=None, error=format_error(exc), elapsed_seconds=0.0)
             future.set_result(payload)
+            if deaths > self.max_respawns_per_slot:
+                self._retire(slot, generation, deaths, tasks)
+                break
         self._publish_slot(slot, generation, None)
         if worker is not None:
             worker.close()
+
+    def _retire(self, slot: int, generation: int, deaths: int, tasks: "queue.SimpleQueue") -> None:
+        """Stop a slot past its respawn budget; the last one out fails the rest.
+
+        A retired slot pulls nothing more, so the live slots keep the queue.
+        When no live slot remains, every queued trial resolves at once with
+        an error naming the budget, and :meth:`submit` refuses later ones
+        the same way until the pool is closed and restarted.
+        """
+        error = (
+            "worker slot %d exceeded its respawn budget (%d deaths) and no live "
+            "worker remains" % (slot, deaths)
+        )
+        with self._lock:
+            if generation != self._generation:
+                return
+            self._live -= 1
+            if self._live:
+                return
+            self._exhausted = error
+        while True:
+            try:
+                task = tasks.get_nowait()
+            except queue.Empty:
+                return
+            if task is not _SHUTDOWN:
+                task[1].set_result(TrialPayload(outcome=None, error=error, elapsed_seconds=0.0))
 
     def _forward_progress(self, slot: int, frame: dict) -> None:
         """Relay one worker progress frame into the current tracer."""
@@ -375,21 +445,15 @@ class WorkerPoolBackend(ExecutionBackend):
         if unsafe is not None:
             return worker, deaths, TrialPayload(outcome=None, error=unsafe, elapsed_seconds=0.0)
         tracer = current_tracer()
-        if worker is None:
-            if deaths > self.max_respawns_per_slot:
-                return worker, deaths, TrialPayload(
-                    outcome=None,
-                    error="worker slot %d exceeded its respawn budget (%d deaths)"
-                    % (slot, deaths),
-                    elapsed_seconds=0.0,
-                )
+        fresh = worker is None
+        if fresh:
+            argv, env, host = self._launch(slot)
             try:
-                worker = WorkerChannel(
-                    worker_command(preload=self.preload, python=self.python),
-                    worker_environment(self.extra_paths),
-                )
+                worker = WorkerChannel(argv, env)
             except OSError as exc:
-                return None, deaths, TrialPayload(
+                # A slot that cannot start its worker spends its budget the
+                # way one whose worker dies does.
+                return None, deaths + 1, TrialPayload(
                     outcome=None,
                     error="could not spawn worker: %s" % format_error(exc),
                     elapsed_seconds=0.0,
@@ -400,6 +464,7 @@ class WorkerPoolBackend(ExecutionBackend):
                     "worker.spawned",
                     slot=slot,
                     pid=worker.pid,
+                    host=host,
                     respawn=deaths > 0,
                     metrics={"respawns": int(deaths > 0)},
                 )
@@ -410,6 +475,12 @@ class WorkerPoolBackend(ExecutionBackend):
         if self.heartbeat_seconds is not None:
             request["progress"] = {"heartbeat_seconds": self.heartbeat_seconds}
         try:
+            if fresh and self.hang_deadline_seconds is not None:
+                # Startup handshake: silence is judged by heartbeats only
+                # once the fresh worker has answered a ping.
+                worker.request(
+                    {"op": "ping"}, deadline=max(_STARTUP_SECONDS, self.hang_deadline_seconds)
+                )
             response = worker.request(
                 request,
                 deadline=self.hang_deadline_seconds,

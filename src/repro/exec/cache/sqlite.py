@@ -26,19 +26,9 @@ Concurrency and crash safety:
   runner recorded it -- resuming after a kill re-executes nothing that
   finished), while bulk operations (merge, migration, benchmarks) batch
   inside :meth:`batch` transactions;
-* ``merge_from`` another SQLite cache is a single attached-database
-  ``INSERT OR IGNORE ... SELECT``, i.e. O(new entries), not O(files);
-* repeated merges from the same source (the fleet dispatcher's collection
-  loop) are incremental: each database carries a random ``store_uid`` in
-  ``meta``, and the target remembers ``merge_seen_rowid:<source_uid>`` --
-  the highest source rowid it has ingested -- so later passes only scan
-  rows past that watermark.  Operations that can reissue rowids
-  (``delete``, ``compact``) rotate the store's uid, which safely
-  invalidates every watermark other stores hold against it (their next
-  merge falls back to a full scan).  One deliberate consequence: entries
-  deleted from the *target* are not resurrected by re-merging an
-  already-seen source -- call :meth:`reset_merge_watermarks` first to
-  force a full rescan.
+* ``merge_from`` another SQLite cache is a C-level page copy into an empty
+  store, else a single attached-database ``INSERT OR IGNORE ... SELECT``,
+  i.e. O(source entries), not O(files).
 
 Opening a cache root that holds a historical JSON tree imports every
 readable entry once (``INSERT OR IGNORE`` under their stored fingerprints;
@@ -53,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import uuid
 import zlib
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -154,14 +143,6 @@ class SqliteBackend(CacheBackend):
         cursor.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
             (str(CACHE_SCHEMA_VERSION),),
-        )
-        # Identity of this database's rowid history.  Merge watermarks are
-        # keyed by it, so rotating the uid (on delete/compact, which may
-        # reissue rowids) atomically invalidates every watermark other
-        # stores hold against this one.
-        cursor.execute(
-            "INSERT OR IGNORE INTO meta (key, value) VALUES ('store_uid', ?)",
-            (uuid.uuid4().hex,),
         )
         self._import_json_tree_once()
 
@@ -414,43 +395,6 @@ class SqliteBackend(CacheBackend):
             )
         ]
 
-    # -------------------------------------------------------------- identity
-    @property
-    def store_uid(self) -> str:
-        """Identity of this database's rowid history (merge watermark key)."""
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = 'store_uid'"
-        ).fetchone()
-        return str(row[0])
-
-    def _rotate_store_uid(self) -> None:
-        """Give the store a fresh identity after its rowids became unstable."""
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('store_uid', ?)",
-            (uuid.uuid4().hex,),
-        )
-
-    def merge_watermark(self, source: "SqliteBackend") -> int:
-        """Highest ``source`` rowid this store has already ingested (0 = none)."""
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?",
-            ("merge_seen_rowid:%s" % source.store_uid,),
-        ).fetchone()
-        return int(row[0]) if row is not None else 0
-
-    def reset_merge_watermarks(self) -> int:
-        """Forget all source watermarks so the next merge rescans fully.
-
-        The escape hatch for the one behaviour the watermark changes: after
-        deleting entries *here*, re-merging an already-seen source will not
-        restore them unless its watermark is dropped first.
-        """
-        before = self._connection.total_changes
-        self._connection.execute(
-            "DELETE FROM meta WHERE key LIKE 'merge_seen_rowid:%'"
-        )
-        return self._connection.total_changes - before
-
     # ----------------------------------------------------------- maintenance
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -472,7 +416,6 @@ class SqliteBackend(CacheBackend):
     def delete(self, fingerprints: Iterable[str]) -> int:
         doomed = list(fingerprints)
         before = self._connection.total_changes
-        removed = 0
         with self.batch():
             for start in range(0, len(doomed), _SELECT_CHUNK):
                 chunk = doomed[start : start + _SELECT_CHUNK]
@@ -481,14 +424,7 @@ class SqliteBackend(CacheBackend):
                     "DELETE FROM entries WHERE fingerprint IN (%s)" % placeholders,
                     chunk,
                 )
-            removed = self._connection.total_changes - before
-            if removed:
-                # Freed rowids may be reissued to future entries, so merge
-                # watermarks other stores hold against this one are no
-                # longer safe -- rotating the uid sends their next merge
-                # back to a full scan.
-                self._rotate_store_uid()
-        return removed
+        return self._connection.total_changes - before
 
     def merge_from(self, other: CacheBackend) -> int:
         """Union in ``other``'s entries; SQLite sources merge at page speed.
@@ -499,57 +435,23 @@ class SqliteBackend(CacheBackend):
         rebuild whatsoever.  Into a non-empty store it is attached and
         imported with a single ``INSERT OR IGNORE ... SELECT`` -- entries
         already present locally are kept untouched, and the count of new
-        rows comes from the connection's change counter.  Repeated merges
-        from the same SQLite source are incremental: a per-source rowid
-        watermark (``merge_seen_rowid:<store_uid>`` in ``meta``) restricts
-        each pass to rows the last pass had not seen, so the fleet's
-        collection loop pays O(new trials), not O(source).  Non-SQLite
+        rows comes from the connection's change counter.  Non-SQLite
         sources stream through their entry documents inside one batched
-        transaction (no watermark: a file tree has no stable row order).
+        transaction.
         """
         if isinstance(other, SqliteBackend):
-            source_uid = other.store_uid
-            watermark_key = "merge_seen_rowid:%s" % source_uid
-            source_max = int(
-                other._connection.execute(
-                    "SELECT COALESCE(MAX(rowid), 0) FROM entries"
-                ).fetchone()[0]
-            )
             if not self._in_batch and self.count() == 0:
                 other._connection.backup(self._connection)
-                # The page copy inherited the source's identity (and its
-                # own watermarks, which stay valid: this copy has ingested
-                # exactly what the source had).  From here the two rowid
-                # histories diverge, so the copy needs a uid of its own --
-                # and it has, by construction, seen every source row.
-                self._rotate_store_uid()
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                    (watermark_key, str(source_max)),
-                )
                 return self.count()
-            watermark = self.merge_watermark(other)
-            if source_max < watermark:
-                # The source shrank since we last looked: it was pruned or
-                # rebuilt without rotating its uid (an older build, or a
-                # hand-edited file), so the watermark means nothing --
-                # fall back to a full scan.
-                watermark = 0
             before = self._connection.total_changes
-            # When the unseen slice outweighs what is already here, one
-            # sorted re-build of the summary index after the bulk insert
-            # beats maintaining it through that many random-order
-            # insertions; for small incremental merges into a big store the
-            # re-build (O(existing + new)) would dominate, so the index is
-            # left in place.  Both paths run inside one transaction -- a
-            # crash mid-merge rolls back to the pre-merge store, index and
-            # watermark included.
-            unseen = int(
-                other._connection.execute(
-                    "SELECT COUNT(*) FROM entries WHERE rowid > ?", (watermark,)
-                ).fetchone()[0]
-            )
-            rebuild_index = unseen > self.count()
+            # When the source outweighs what is already here, one sorted
+            # re-build of the summary index after the bulk insert beats
+            # maintaining it through that many random-order insertions; for
+            # small merges into a big store the re-build (O(existing + new))
+            # would dominate, so the index is left in place.  Both paths run
+            # inside one transaction -- a crash mid-merge rolls back to the
+            # pre-merge store, index included.
+            rebuild_index = other.count() > self.count()
             self._connection.execute(
                 "ATTACH DATABASE ? AS merge_source", (other.database_path,)
             )
@@ -562,19 +464,13 @@ class SqliteBackend(CacheBackend):
                         "SELECT fingerprint, payload, s_algorithm, s_kind,"
                         " s_classification, s_success, s_messages,"
                         " s_message_units, s_rounds, created, nbytes "
-                        "FROM merge_source.entries WHERE rowid > ?",
-                        (watermark,),
+                        "FROM merge_source.entries"
                     )
                     if rebuild_index:
                         self._connection.execute(_SUMMARY_INDEX_SQL)
-                    merged = self._connection.total_changes - before
-                    self._connection.execute(
-                        "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                        (watermark_key, str(source_max)),
-                    )
             finally:
                 self._connection.execute("DETACH DATABASE merge_source")
-            return merged
+            return self._connection.total_changes - before
         merged = 0
         with self.batch():
             for document in other.documents():
@@ -598,9 +494,6 @@ class SqliteBackend(CacheBackend):
 
     def compact(self) -> None:
         """Reclaim the space deleted entries held (SQLite ``VACUUM``)."""
-        # VACUUM may renumber the hidden rowids of a TEXT-keyed table, so
-        # watermarks other stores hold against this one go stale with it.
-        self._rotate_store_uid()
         self._connection.execute("VACUUM")
 
     def close(self) -> None:

@@ -1,4 +1,4 @@
-"""One execution-configuration object for runners, campaigns and fleets.
+"""One execution-configuration object for runners and campaigns.
 
 Four selection mechanisms accreted across the execution stack, each with its
 own spelling and its own override chain:
@@ -29,9 +29,10 @@ non-default engine on a spec always wins over the profile -- a spec is the
 most explicit statement there is.
 
 :func:`add_execution_arguments` is the one CLI helper every campaign example
-(and the fleet CLI) attaches instead of hand-rolling the five flags, and
-``BatchRunner(profile=...)`` / ``CampaignRunner(profile=...)`` /
-``FleetDispatcher(profile=...)`` all accept the resulting object.
+attaches instead of hand-rolling the five flags, and
+``BatchRunner(profile=...)`` / ``CampaignRunner(profile=...)`` both accept
+the resulting object (a fleet run is a campaign whose profile carries a
+:class:`~repro.fleet.FleetBackend` instance).
 
 >>> profile = ExecutionProfile(backend="serial", trace=True)
 >>> profile.effective_backend()
@@ -188,41 +189,6 @@ class ExecutionProfile:
     def open_cache(self, root: Union[str, os.PathLike]) -> ResultCache:
         """Open ``root`` as a :class:`ResultCache` under this profile's rule."""
         return ResultCache(root, backend=self.effective_cache_backend())
-
-    # ----------------------------------------------------------------- wire
-    def to_document(self) -> dict:
-        """JSON-able form (names only) for crossing a process boundary.
-
-        Backend *instances* are process-local (they hold subprocesses and
-        database handles) and cannot travel; profiles carrying one are
-        rejected so a fleet host never silently drops its caller's choice.
-        """
-        for field_name in ("backend", "cache_backend"):
-            value = getattr(self, field_name)
-            if value is not None and not isinstance(value, str):
-                raise TypeError(
-                    "ExecutionProfile.%s holds a live instance (%r), which "
-                    "cannot cross a process boundary; pass a registry name "
-                    "instead" % (field_name, type(value).__name__)
-                )
-        return {
-            "backend": self.backend,
-            "cache_backend": self.cache_backend,
-            "simulator": self.simulator,
-            "trace": self.trace,
-            "workers": self.workers,
-        }
-
-    @classmethod
-    def from_document(cls, document: dict) -> "ExecutionProfile":
-        """Rebuild a profile from its :meth:`to_document` form."""
-        return cls(
-            backend=document.get("backend") or None,
-            cache_backend=document.get("cache_backend") or None,
-            simulator=document.get("simulator") or None,
-            trace=document.get("trace"),
-            workers=document.get("workers"),
-        )
 
     # ------------------------------------------------------------------- cli
     @classmethod

@@ -1,10 +1,11 @@
 """Wire-protocol worker: the process side of every out-of-process path.
 
 ``python -m repro.exec.worker --serve`` speaks length-prefixed JSON frames
-over stdio until EOF, one request per frame.  It is both the persistent
-worker the :class:`~repro.exec.backends.workerpool.WorkerPoolBackend` keeps
-a pool of and the host process a :class:`~repro.fleet.inventory.HostSpec`
-command template starts for the fleet dispatcher:
+over stdio until EOF, one request per frame.  It is the persistent worker
+the :class:`~repro.exec.backends.workerpool.WorkerPoolBackend` keeps a pool
+of -- on this machine, or, for the :class:`~repro.fleet.FleetBackend`, on
+the hosts whose :class:`~repro.fleet.inventory.HostSpec` command templates
+start it:
 
 * ``{"op": "run", "version": 3, "trial": <doc>}`` executes one trial and
   answers a payload frame.  A request carrying
@@ -13,24 +14,15 @@ command template starts for the fleet dispatcher:
   ``heartbeat`` every ``h`` seconds while the trial executes, and
   ``trial_finished`` -- before the final payload frame, so the pool can
   tell a *hung* worker (alive but silent) from a merely slow trial;
-* ``{"op": "run_shard", "version": 3, "shard": "k/m", "trials": [...],
-  "cache_root": ..., ...}`` executes a fleet shard's trials through a local
-  :class:`~repro.exec.runner.BatchRunner` writing into the host's own
-  :class:`~repro.exec.cache.ResultCache`, then answers one
-  ``{"op": "shard_result", "results": [...]}`` frame.  Meanwhile it streams
-  the same progress vocabulary: ``trial_started`` once for the shard, a
-  ``heartbeat`` every ``heartbeat_seconds``, a ``trial_finished`` per
-  completed trial and one for the shard -- which is what the dispatcher's
-  hang deadline and per-host health panel consume;
 * ``{"op": "ping"}`` answers ``{"ok": true, "pid": ...}`` and
   ``{"op": "shutdown"}`` acknowledges and exits; EOF on stdin is a clean
   shutdown too.
 
-Trial failures are *data* (a payload with ``error`` set, a ``failed`` shard
-entry); the process only exits non-zero for protocol errors -- a frame that
-does not decode.  ``--preload MODULE`` imports extension modules before
-serving so that algorithms registered outside the built-in registry become
-executable on the worker side too.
+Trial failures are *data* (a payload with ``error`` set); the process only
+exits non-zero for protocol errors -- a frame that does not decode.
+``--preload MODULE`` imports extension modules before serving so that
+algorithms registered outside the built-in registry become executable on
+the worker side too.
 
 Stdout is reserved for the protocol; anything the worker wants to say lands
 on stderr.
@@ -47,7 +39,6 @@ import threading
 import time
 from typing import Dict, Iterator, Optional, Sequence
 
-from ..obs.tracer import TraceSink
 from .execute import TrialPayload, format_error, guarded_payload
 from .wire import (
     WIRE_VERSION,
@@ -57,7 +48,7 @@ from .wire import (
     write_frame,
 )
 
-__all__ = ["main", "run_shard_request", "run_trial_document"]
+__all__ = ["main", "run_trial_document"]
 
 
 def run_trial_document(document: Dict[str, object]) -> Dict[str, object]:
@@ -116,7 +107,7 @@ def _heartbeat_seconds(request: Dict[str, object]) -> Optional[float]:
 
 @contextlib.contextmanager
 def _progress(writer: _FrameWriter, label: object, heartbeat: Optional[float]) -> Iterator[None]:
-    """Bracket one unit of work (a trial, a shard) in progress frames.
+    """Bracket one trial in progress frames.
 
     ``trial_started`` now, a ``heartbeat`` every ``heartbeat`` seconds while
     the body runs (none when ``None``), ``trial_finished`` after it.
@@ -146,139 +137,8 @@ def _progress(writer: _FrameWriter, label: object, heartbeat: Optional[float]) -
     writer.write(frame("trial_finished"))
 
 
-class _TrialFinishedForwarder(TraceSink):
-    """Forward a shard's ``trial.finished`` events as progress frames.
-
-    The frames reuse the progress vocabulary (event/pid/label), so the
-    dispatcher supervises a fleet host exactly like a pool worker: any
-    frame resets the hang deadline.
-    """
-
-    def __init__(self, writer: _FrameWriter) -> None:
-        self._writer = writer
-        self._pid = os.getpid()
-
-    def emit(self, record: Dict[str, object]) -> None:
-        if record.get("name") != "trial.finished":
-            return
-        attrs = record.get("attrs") or {}
-        self._writer.write(
-            {
-                "op": "progress",
-                "event": "trial_finished",
-                "pid": self._pid,
-                "label": attrs.get("label"),
-                "cached": bool(attrs.get("cached")),
-                "failed": bool(attrs.get("failed")),
-            }
-        )
-
-
-def run_shard_request(request: Dict[str, object], writer: _FrameWriter) -> Dict[str, object]:
-    """Execute one ``run_shard`` request; returns the ``shard_result`` frame.
-
-    Every failure mode that is *about a trial* (an undecodable document, an
-    algorithm raising) comes back as a ``failed`` entry; only a request
-    without a usable cache root is a request-level error.
-    """
-    # Imported here so pool workers, which never run shards, start no slower.
-    from .config import ExecutionProfile
-    from .runner import BatchRunner
-
-    shard_label = str(request.get("shard") or "?")
-    cache_root = request.get("cache_root")
-    if not cache_root:
-        return {
-            "op": "shard_result",
-            "shard": shard_label,
-            "error": "run_shard request carries no cache_root",
-            "results": [],
-        }
-
-    raw_trials = request.get("trials") or []
-    entries = []  # (fingerprint, sweep, index, spec-or-None, decode_error)
-    for raw in raw_trials:
-        fingerprint = raw.get("fingerprint", "")
-        sweep = raw.get("sweep", "")
-        index = int(raw.get("index", 0))
-        try:
-            spec = spec_from_dict(raw["spec"])
-            entries.append((fingerprint, sweep, index, spec, None))
-        except Exception as exc:  # noqa: BLE001 -- protocol boundary, captured
-            entries.append(
-                (fingerprint, sweep, index, None, "undecodable trial document: %s" % exc)
-            )
-
-    heartbeat = float(request.get("heartbeat_seconds") or 0) or None
-    decodable = [entry for entry in entries if entry[3] is not None]
-    results_by_fp: Dict[str, Dict[str, object]] = {}
-    with _progress(writer, shard_label, heartbeat):
-        if decodable:
-            profile = ExecutionProfile(
-                backend=request.get("backend") or None,
-                cache_backend=request.get("cache_backend") or None,
-            )
-            try:
-                cache = profile.open_cache(cache_root)
-                try:
-                    runner = BatchRunner(
-                        workers=int(request.get("workers") or 1),
-                        cache=cache,
-                        on_error="capture",
-                        sinks=(_TrialFinishedForwarder(writer),),
-                        profile=profile,
-                    )
-                    batch_results = runner.run(
-                        [spec for _, _, _, spec, _ in decodable],
-                        fingerprints=[fp for fp, _, _, _, _ in decodable],
-                    )
-                finally:
-                    cache.close()
-            except Exception as exc:  # noqa: BLE001 -- failures are data here:
-                # a validation or setup error must not kill the host process
-                # (the dispatcher would treat that as a machine death and
-                # re-place the shard on a host that would fail identically).
-                for fingerprint, _, _, _, _ in decodable:
-                    results_by_fp[fingerprint] = {
-                        "status": "failed",
-                        "error": "shard execution failed: %s" % exc,
-                        "elapsed_seconds": 0.0,
-                    }
-            else:
-                for (fingerprint, _, _, _, _), result in zip(decodable, batch_results):
-                    if result.failed:
-                        status = "failed"
-                    elif result.from_cache:
-                        status = "cached"
-                    else:
-                        status = "executed"
-                    results_by_fp[fingerprint] = {
-                        "status": status,
-                        "error": result.error,
-                        "elapsed_seconds": result.elapsed_seconds,
-                    }
-
-    results = []
-    for fingerprint, sweep, index, _, decode_error in entries:
-        entry = results_by_fp.get(
-            fingerprint,
-            {"status": "failed", "error": decode_error, "elapsed_seconds": 0.0},
-        )
-        results.append(
-            {
-                "fingerprint": fingerprint,
-                "sweep": sweep,
-                "index": index,
-                "status": entry["status"],
-                "error": entry["error"],
-                "elapsed_seconds": entry["elapsed_seconds"],
-            }
-        )
-    return {"op": "shard_result", "shard": shard_label, "results": results}
-
-
 def _serve(stdin, stdout) -> int:
-    """Frame loop of a pool worker or fleet host; returns the exit status."""
+    """Frame loop of a pool worker, local or on a fleet host; returns the exit status."""
     writer = _FrameWriter(stdout)
     while True:
         try:
@@ -303,21 +163,6 @@ def _serve(stdin, stdout) -> int:
                     with _progress(writer, label, heartbeat):
                         response = run_trial_document(trial)
             writer.write(response)
-        elif op == "run_shard":
-            mismatch = _check_version(request.get("version"))
-            if mismatch is not None:
-                writer.write(
-                    {
-                        "op": "shard_result",
-                        "shard": request.get("shard"),
-                        "error": mismatch,
-                        "results": [],
-                    }
-                )
-                continue
-            for module in request.get("preload") or []:
-                importlib.import_module(module)
-            writer.write(run_shard_request(request, writer))
         elif op == "ping":
             writer.write({"ok": True, "pid": os.getpid(), "version": WIRE_VERSION})
         elif op == "shutdown":
@@ -337,7 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro.exec.worker``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.worker",
-        description="execute repro trials and campaign shards from framed stdin "
+        description="execute repro trials from framed stdin "
         "(see repro.exec.backends and repro.fleet)",
     )
     parser.add_argument(

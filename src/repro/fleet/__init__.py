@@ -1,47 +1,36 @@
-"""repro.fleet -- distributed campaign dispatch over a host inventory.
+"""repro.fleet -- campaigns over a host inventory.
 
-The fleet layer is the last rung of the scaling ladder: a campaign's
-deterministic ``Shard(k, m)`` partitions, the serve-mode wire workers and
-``ResultCache.merge_from`` already existed -- this package wires them
-together into one supervised distributed run:
+The fleet is an execution backend, not a second campaign path:
 
 * :class:`HostSpec` / :func:`local_inventory` / :func:`load_inventory` --
   the declarative inventory (:mod:`repro.fleet.inventory`): each host is an
   argv template (local process groups by default; SSH and k8s are template
   recipes, see docs/architecture.md "Fleet dispatch");
-* the host side is the pool's own serve-mode worker
-  (``python -m repro.exec.worker --serve``): it executes ``run_shard``
-  frames through a local batch runner into the host's own cache, streaming
-  worker-vocabulary progress frames;
-* :class:`FleetDispatcher` (:mod:`repro.fleet.dispatcher`) -- placement,
-  heartbeat supervision, work-stealing reassignment of straggler and
-  dead-host shards, cache collection and live ``fleet.json`` health
-  snapshots for :mod:`repro.obs.watch`.
+* :class:`FleetBackend` (:mod:`repro.fleet.backend`) -- the worker pool
+  with ``workers`` serve processes per host, heartbeat supervision, and a
+  respawn budget of 0, so a dead or hung host stays dead and its in-flight
+  trial is retried on a survivor by the campaign's retry policy.
 
 Quickstart::
 
+    from repro.campaign import CampaignRunner, write_report
     from repro.exec import ExecutionProfile
-    from repro.fleet import FleetDispatcher, local_inventory
+    from repro.fleet import FleetBackend, local_inventory
 
-    result = FleetDispatcher(
-        spec=campaign,                      # a repro.campaign CampaignSpec
-        hosts=local_inventory(3, workers=2),
-        directory="runs/fleet-demo",
-        profile=ExecutionProfile(cache_backend="sqlite"),
-    ).run()
-    print(result.describe())
+    with FleetBackend(local_inventory(3, workers=2)) as backend:
+        profile = ExecutionProfile(backend=backend)
+        CampaignRunner(campaign, cache, directory=d, profile=profile).run()
+    write_report(campaign, cache, d, profile=profile)
 
-The merged ``report.md``/``report.json`` under ``directory`` are
-byte-identical to the same campaign run on a single machine -- the property
-the chaos tests pin, SIGKILLed hosts included.
+The campaign's own cache is the only writer, so the ``report.md`` /
+``report.json`` under ``d`` are byte-identical to the same campaign run on
+a single machine -- the property the chaos tests pin, SIGKILLed hosts
+included.  For manual multi-machine runs without a shared parent process,
+``CampaignRunner(shard=Shard(k, m))`` plus ``ResultCache.merge_from``
+remain the recipe.
 """
 
-from .dispatcher import (
-    FLEET_STATUS_NAME,
-    FLEET_STATUS_SCHEMA,
-    FleetDispatcher,
-    FleetResult,
-)
+from .backend import FleetBackend
 from .inventory import (
     INVENTORY_VERSION,
     HostSpec,
@@ -52,10 +41,7 @@ from .inventory import (
 )
 
 __all__ = [
-    "FleetDispatcher",
-    "FleetResult",
-    "FLEET_STATUS_NAME",
-    "FLEET_STATUS_SCHEMA",
+    "FleetBackend",
     "HostSpec",
     "INVENTORY_VERSION",
     "inventory_to_document",

@@ -4,8 +4,10 @@ A fleet is described by a sequence of :class:`HostSpec` values -- plain data,
 serialisable as JSON, with **no transport code of their own**: each host
 carries a *command template* whose expansion must start a
 ``python -m repro.exec.worker --serve`` process speaking length-prefixed
-JSON frames on stdio (see :mod:`repro.exec.worker`).  Because the transport
-is just an argv, the same dispatcher drives:
+JSON frames on stdio (see :mod:`repro.exec.worker`); the fleet backend
+appends ``--preload`` flags to it, so the template must end with the worker
+command.  Because the transport is just an argv, the same
+:class:`~repro.fleet.backend.FleetBackend` drives:
 
 * **local process groups** (the default, ``command=None``) -- the testable
   backbone of the chaos suite and CI's fleet-smoke job;
@@ -55,17 +57,19 @@ INVENTORY_VERSION = 1
 class HostSpec:
     """One machine of the fleet, as plain declarative data.
 
-    ``name`` doubles as the host's directory name under the campaign
-    directory (``<dir>/hosts/<name>/``), so it must be filesystem-safe.
-    ``env`` entries overlay the spawned process's environment (stored as a
-    sorted tuple of pairs so specs stay hashable and order-independent).
+    ``name`` labels the host's processes in ``worker.spawned`` trace events
+    and fills the ``{host}`` placeholder, so it is restricted to characters
+    that expand safely into a command line.  ``env`` entries overlay the
+    spawned process's environment (stored as a sorted tuple of pairs so
+    specs stay hashable and order-independent).
     """
 
     name: str
     #: Command template whose expansion starts the host process; ``None``
     #: spawns ``{python} -m repro.exec.worker --serve`` locally.
     command: Optional[str] = None
-    #: Worker budget of this host's batch runner (its local parallelism).
+    #: Serve processes started on this host, each one slot of the fleet
+    #: backend (the host's parallelism).
     workers: int = 1
     #: Extra environment variables for the host process.
     env: Tuple[Tuple[str, str], ...] = ()
@@ -76,7 +80,7 @@ class HostSpec:
         if not self.name or not all(c.isalnum() or c in "-._" for c in self.name):
             raise ValueError(
                 "host name %r must be non-empty and contain only letters, "
-                "digits, '-', '.' or '_' (it names a directory)" % (self.name,)
+                "digits, '-', '.' or '_'" % (self.name,)
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1, got %d" % self.workers)
@@ -92,7 +96,7 @@ class HostSpec:
 
     # ------------------------------------------------------------- transport
     def command_argv(self) -> List[str]:
-        """The argv that starts this host's serve-mode process."""
+        """The argv that starts one of this host's serve-mode processes."""
         python = self.python or sys.executable
         if self.command is None:
             return worker_command(python=python)

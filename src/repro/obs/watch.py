@@ -1,13 +1,12 @@
 """Live terminal dashboard for a running (or finished) campaign directory.
 
 ``python -m repro.obs.watch <campaign_dir>`` tails the artefacts a campaign
-drops into its directory -- the ``manifest.json`` ledger, any ``*.jsonl``
+drops into its directory -- the ``manifest.json`` ledger and any ``*.jsonl``
 trace files (``--trace`` on the campaign examples, or
-:func:`repro.obs.report.campaign_telemetry`) and, for fleet runs, the
-``fleet.json`` health snapshot :class:`~repro.fleet.dispatcher.FleetDispatcher`
-keeps current -- and re-renders a one-screen summary every ``--interval``
-seconds: completion percentage, trials per second, per-sweep outcome
-tallies, failure hotspots, worker health and a per-host fleet panel.
+:func:`repro.obs.report.campaign_telemetry`) -- and re-renders a one-screen
+summary every ``--interval`` seconds: completion percentage, trials per
+second, per-sweep outcome tallies, failure hotspots and worker health (the
+worker pool's and the fleet's ``worker.*`` events).
 ``--once`` renders a single frame and exits, which is what the CI smoke run
 asserts against; it renders cleanly on a freshly created (still empty)
 campaign directory -- every artefact is optional and every tally guards the
@@ -189,27 +188,13 @@ def _cache_summary(directory: str) -> Optional[Dict[str, object]]:
     return None
 
 
-def _fleet_status(directory: str) -> Optional[Dict[str, object]]:
-    """The ``fleet.json`` health snapshot, when this is a fleet campaign.
-
-    Only documents carrying the fleet schema tag are surfaced -- an
-    unrelated ``fleet.json`` someone dropped into the directory is ignored
-    rather than misrendered.
-    """
-    document = _load_json(os.path.join(directory, "fleet.json"))
-    if document is None or document.get("schema") != "repro.fleet/status":
-        return None
-    return document
-
-
 def campaign_snapshot(directory: str, tail: Optional[TraceTail] = None) -> Dict[str, object]:
     """Read one render-ready snapshot of a campaign directory.
 
     Combines the manifest ledger (authoritative per-trial statuses once a
     run has written it) with whatever the trace tail has seen (live batch
-    progress, rates, worker health) and the fleet health snapshot when one
-    exists.  Every part is optional: an empty directory snapshots to a
-    "waiting for artefacts" frame.
+    progress, rates, worker health).  Every part is optional: an empty
+    directory snapshots to a "waiting for artefacts" frame.
     """
     if tail is not None:
         tail.poll(_trace_paths(directory))
@@ -219,7 +204,6 @@ def campaign_snapshot(directory: str, tail: Optional[TraceTail] = None) -> Dict[
         "manifest": manifest,
         "telemetry": _load_json(os.path.join(directory, "telemetry.json")),
         "cache": _cache_summary(directory),
-        "fleet": _fleet_status(directory),
         "tail": tail,
     }
     return snapshot
@@ -300,58 +284,6 @@ def _failure_hotspots(
     return lines
 
 
-def _fleet_panel(fleet: Dict[str, object]) -> List[str]:
-    """Per-host health lines from a ``fleet.json`` snapshot.
-
-    Frame ages are *stored* by the dispatcher at write time, so the panel
-    never does clock math of its own -- a snapshot from another machine (or
-    a stale one) renders exactly what the dispatcher last knew.
-    """
-    hosts = fleet.get("hosts")
-    if not isinstance(hosts, list) or not hosts:
-        return []
-    trials = fleet.get("trials")
-    lines = []
-    summary = "fleet: %d host(s)" % len(hosts)
-    dead = sum(1 for host in hosts if isinstance(host, dict) and host.get("status") == "dead")
-    if dead:
-        summary += ", %d dead" % dead
-    if isinstance(trials, dict):
-        summary += " -- %d/%d trial(s) done (%d cached, %d failed)" % (
-            _int(trials.get("done")),
-            _int(trials.get("total")),
-            _int(trials.get("cached")),
-            _int(trials.get("failed")),
-        )
-    lines.append(summary)
-    width = max(
-        [len("host")]
-        + [len(str(host.get("name", "?"))) for host in hosts if isinstance(host, dict)]
-    )
-    lines.append(
-        "  %-*s %-8s %-7s %7s %7s %11s %10s"
-        % (width, "host", "status", "shard", "shards", "trials", "heartbeats", "last frame")
-    )
-    for host in hosts:
-        if not isinstance(host, dict):
-            continue
-        age = host.get("last_frame_age_s")
-        lines.append(
-            "  %-*s %-8s %-7s %7d %7d %11d %10s"
-            % (
-                width,
-                str(host.get("name", "?")),
-                str(host.get("status", "?")),
-                str(host.get("shard") or "-"),
-                _int(host.get("shards_done")),
-                _int(host.get("trials_done")),
-                _int(host.get("heartbeats")),
-                "%.1fs ago" % age if isinstance(age, (int, float)) else "never",
-            )
-        )
-    return lines
-
-
 def render_snapshot(snapshot: Dict[str, object]) -> str:
     """Render one snapshot as the plain-text dashboard frame."""
     directory = snapshot.get("directory", "?")
@@ -414,10 +346,6 @@ def render_snapshot(snapshot: Dict[str, object]) -> str:
                 else "",
             )
         )
-
-    fleet = snapshot.get("fleet")
-    if isinstance(fleet, dict):
-        lines.extend(_fleet_panel(fleet))
 
     if isinstance(tail, TraceTail):
         aggregator = tail.aggregator

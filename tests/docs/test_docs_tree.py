@@ -241,19 +241,21 @@ def test_fleet_dispatch_is_documented():
     """The fleet subsystem is documented end to end: the architecture
     section exists and covers the inventory/supervision surface, the
     experiment catalog walks through a distributed run and names CI's
-    fleet-smoke job, and the README quick-starts the dispatcher."""
+    fleet-smoke job, and the README quick-starts the fleet backend."""
     architecture = _read("docs", "architecture.md")
     assert "## Fleet dispatch" in architecture
     for reference in (
         "repro.fleet",
-        "FleetDispatcher",
+        "FleetBackend",
+        "CampaignRunner",
         "HostSpec",
         "local_inventory",
         "load_inventory",
         "repro.exec.worker --serve",
         "{python}",
-        "fleet.json",
-        "work stealing",
+        "RetryPolicy",
+        "no live worker remains",
+        "worker.spawned",
         "SIGKILL",
         "merge_from",
     ):
@@ -289,11 +291,3 @@ def test_execution_profile_is_documented():
     readme = _read("README.md")
     assert "ExecutionProfile" in readme
     assert "docs/architecture.md#the-execution-profile" in readme
-
-
-def test_sqlite_merge_watermarks_are_documented():
-    """The incremental-merge contract ships with its docs: store_uid,
-    the per-source watermark, and the reset escape hatch."""
-    architecture = _read("docs", "architecture.md")
-    for reference in ("store_uid", "merge_seen_rowid", "reset_merge_watermarks"):
-        assert reference in architecture, reference

@@ -194,11 +194,9 @@ class TestCrossBackendMerge:
 
 
 class TestSqliteMergeWatermarks:
-    """SQLite-to-SQLite merges are incremental: each database carries a
-    ``store_uid`` and the target remembers, per source uid, the highest
-    source rowid it has ingested.  Re-merging an unchanged source scans
-    nothing; operations that can reissue rowids (delete, compact) rotate
-    the uid and safely force the next merge back to a full scan.
+    """SQLite-to-SQLite merges: a page copy into an empty target, otherwise
+    one ``INSERT OR IGNORE ... SELECT`` over the whole source, so
+    re-merging a source adds exactly the rows the target lacks.
     """
 
     def _sqlite(self, tmp_path, name, specs=()):
@@ -211,65 +209,32 @@ class TestSqliteMergeWatermarks:
         source = self._sqlite(tmp_path, "source", [_trial("election")])
         target = self._sqlite(tmp_path, "target", [_trial("flooding")])
         assert target.merge_from(source) == 1
-        assert target.merge_from(source) == 0, "unchanged source: nothing scanned"
+        assert target.merge_from(source) == 0, "unchanged source: nothing new"
         BatchRunner(workers=1, cache=source).run([_trial("flood_max")])
-        assert target.merge_from(source) == 1, "only the row past the watermark"
-        # The watermark now sits at the source's newest rowid.
-        watermark = target._backend.merge_watermark(source._backend)
-        (source_max,) = source._backend._connection.execute(
-            "SELECT MAX(rowid) FROM entries"
-        ).fetchone()
-        assert watermark == source_max
+        assert target.merge_from(source) == 1, "only the row the target lacks"
 
-    def test_target_prune_is_not_undone_by_remerging_a_seen_source(self, tmp_path):
-        """The one deliberate semantic change: entries pruned from the
-        *target* stay pruned when an already-seen source is merged again;
-        ``reset_merge_watermarks`` is the explicit escape hatch."""
-        spec = _trial("election")
-        source = self._sqlite(tmp_path, "source", [spec])
-        target = self._sqlite(tmp_path, "target", [_trial("flooding")])
-        assert target.merge_from(source) == 1
-        assert target._backend.delete([trial_fingerprint(spec)]) == 1
-        assert target.merge_from(source) == 0, "seen rows are not rescanned"
-        assert target.get(trial_fingerprint(spec)) is None
-        assert target._backend.reset_merge_watermarks() == 1
-        assert target.merge_from(source) == 1, "after the reset, a full rescan"
-        assert target.get(trial_fingerprint(spec)) is not None
-
-    def test_source_delete_rotates_its_uid_and_forces_a_full_rescan(self, tmp_path):
+    def test_source_delete_then_remerge(self, tmp_path):
         dropped = _trial("election")
         source = self._sqlite(tmp_path, "source", [dropped, _trial("flooding")])
         target = self._sqlite(tmp_path, "target", [_trial("spanning_tree")])
         assert target.merge_from(source) == 2
-        uid_before = source._backend.store_uid
         assert source._backend.delete([trial_fingerprint(dropped)]) == 1
-        assert source._backend.store_uid != uid_before, "delete reissues rowids"
         BatchRunner(workers=1, cache=source).run([_trial("flood_max")])
-        # The old watermark is keyed by the old uid, so the merge rescans
-        # the whole source: the new row lands, the seen ones are skipped.
+        # The new row lands; the rows the target already holds are skipped.
         assert target.merge_from(source) == 1
         assert len(target) == 4
 
-    def test_source_compact_rotates_its_uid(self, tmp_path):
-        source = self._sqlite(tmp_path, "source", [_trial("election")])
-        uid_before = source._backend.store_uid
-        source.compact()
-        assert source._backend.store_uid != uid_before
-
-    def test_backup_fast_path_into_an_empty_target_sets_the_watermark(self, tmp_path):
+    def test_backup_fast_path_into_an_empty_target(self, tmp_path):
         source = self._sqlite(
             tmp_path, "source", [_trial("election"), _trial("flooding")]
         )
         target = self._sqlite(tmp_path, "target")
         assert target.merge_from(source) == 2
-        # The page-level copy duplicated the source's meta table; the target
-        # must end up with an identity of its own, already caught up.
-        assert target._backend.store_uid != source._backend.store_uid
         assert target.merge_from(source) == 0
 
     def test_json_sources_merge_without_watermarks(self, tmp_path):
-        """A file tree has no stable row order: JSON-source merges stay
-        full-scan (and stay idempotent through INSERT OR IGNORE)."""
+        """A file-tree source streams its documents; the merge stays
+        idempotent through INSERT OR IGNORE."""
         source = ResultCache(tmp_path / "source", backend="json")
         BatchRunner(workers=1, cache=source).run([_trial("election")])
         target = self._sqlite(tmp_path, "target")

@@ -221,7 +221,7 @@ class TestShardedRun:
         sweep = _sweep()
         assert len(BatchRunner().run_sweep(sweep, shard=Shard(0, 1))) == sweep.num_trials
 
-    def test_shard_results_carry_fingerprints_without_cache(self):
+    def test_sharded_results_carry_fingerprints_without_cache(self):
         results = BatchRunner().run_sweep(_sweep(), shard=Shard(0, 2))
         assert all(len(result.fingerprint) == 64 for result in results)
 

@@ -170,25 +170,6 @@ class TestApplyToSpec:
         assert ExecutionProfile().apply_to_spec(spec) is spec
 
 
-class TestDocumentRoundTrip:
-    def test_round_trip_preserves_every_field(self):
-        profile = ExecutionProfile(
-            backend="serial",
-            cache_backend="sqlite",
-            simulator="vectorized",
-            trace=False,
-            workers=2,
-        )
-        assert ExecutionProfile.from_document(profile.to_document()) == profile
-        empty = ExecutionProfile()
-        assert ExecutionProfile.from_document(empty.to_document()) == empty
-
-    def test_live_instances_cannot_cross_a_process_boundary(self, tmp_path):
-        live = ExecutionProfile(cache_backend=ResultCache(tmp_path / "c")._backend)
-        with pytest.raises(TypeError, match="live instance"):
-            live.to_document()
-
-
 class TestFromArguments:
     def _parse(self, argv, workers_default=None):
         parser = argparse.ArgumentParser()

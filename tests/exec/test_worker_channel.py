@@ -1,11 +1,10 @@
 """The one parent-side channel of every out-of-process path.
 
-``WorkerChannel`` is what a worker-pool slot and a fleet host both talk
-through, so its three failure modes are pinned here directly: a silent
-child (hang deadline), a child that exits (EOF), and a child that ignores
-EOF at shutdown (escalation to terminate).  The last case drives a real
-``repro.exec.worker --serve`` subprocess through the channel with both the
-pool's and the fleet's requests.
+``WorkerChannel`` is what every worker-pool slot, local or on a fleet
+host, talks through, so its three failure modes are pinned here directly: a
+silent child (hang deadline), a child that exits (EOF), and a child that
+ignores EOF at shutdown (escalation to terminate).  The last case drives a
+real ``repro.exec.worker --serve`` subprocess through the channel.
 """
 
 import sys
@@ -20,7 +19,6 @@ from repro.exec.backends.workerpool import (
     worker_command,
     worker_environment,
 )
-from repro.exec.fingerprint import trial_fingerprint
 from repro.exec.wire import WIRE_VERSION, spec_to_dict
 
 
@@ -55,7 +53,7 @@ def test_close_reaps_a_child_that_ignores_eof():
     assert channel.process.poll() is not None
 
 
-def test_one_serve_process_answers_run_then_run_shard_then_ping(tmp_path):
+def test_one_serve_process_answers_run_then_ping():
     spec = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flood_max", seed=5)
     channel = WorkerChannel(worker_command(), worker_environment())
     progress = []
@@ -70,36 +68,11 @@ def test_one_serve_process_answers_run_then_run_shard_then_ping(tmp_path):
             deadline=30.0,
             on_progress=progress.append,
         )
-        shard = channel.request(
-            {
-                "op": "run_shard",
-                "version": WIRE_VERSION,
-                "shard": "0/1",
-                "cache_root": str(tmp_path / "cache"),
-                "trials": [
-                    {
-                        "fingerprint": trial_fingerprint(spec),
-                        "sweep": "s",
-                        "index": 0,
-                        "spec": spec_to_dict(spec),
-                    }
-                ],
-            },
-            on_progress=progress.append,
-        )
         pong = channel.request({"op": "ping"})
     finally:
         channel.close()
     assert run["error"] is None and run["outcome"] is not None
-    assert shard["op"] == "shard_result"
-    assert [entry["status"] for entry in shard["results"]] == ["executed"]
     assert pong["ok"] is True and pong["pid"] == channel.pid
     assert channel.process.returncode == 0, "EOF is a clean shutdown"
-    events = [frame["event"] for frame in progress]
-    # run: started/finished around the trial; run_shard: started for the
-    # shard, one per finished trial, finished for the shard.
-    assert events == ["trial_started", "trial_finished"] + [
-        "trial_started",
-        "trial_finished",
-        "trial_finished",
-    ]
+    # run: started/finished around the trial.
+    assert [frame["event"] for frame in progress] == ["trial_started", "trial_finished"]

@@ -5,7 +5,9 @@ in-flight trial (recaptured as an ``on_error="capture"`` failure), the slot
 respawns, the batch completes -- and a resume against the same cache
 re-executes only the lost trials.  With heartbeats enabled the same holds
 for a worker that is alive but *stuck*: a SIGSTOPped process stops emitting
-frames, trips the hang deadline, and is killed and replaced.
+frames, trips the hang deadline, and is killed and replaced.  A slot past its
+respawn budget retires while the others keep serving, and the last one to
+retire fails whatever is left instead of leaving it queued.
 
 The chaos agents are *deterministic*: test-only algorithms, preloaded into
 the workers from a module this test writes to disk, that SIGKILL (or
@@ -221,6 +223,95 @@ class TestWorkerDeath:
         assert "worker died" in results[0].error
         assert "worker died" in results[1].error
         assert "respawn budget" in results[2].error
+
+    def test_exhausted_slot_retires_while_the_others_keep_serving(self, chaos_module, tmp_path):
+        """A slot past its respawn budget stops pulling trials instead of
+        failing each one it pulls: the healthy slot runs the whole rest of
+        the queue."""
+        killer = TrialSpec(
+            graph=GraphSpec("clique", (10,)),
+            algorithm="_die_once_test_only",
+            seed=9,
+            algo_kwargs={"marker": str(tmp_path / "marker")},
+        )
+        floods = [
+            TrialSpec(graph=GraphSpec("clique", (40,)), algorithm="flood_max", seed=seed)
+            for seed in range(12)
+        ]
+        backend = WorkerPoolBackend(
+            workers=2,
+            preload=(CHAOS_MODULE,),
+            extra_paths=(chaos_module,),
+            max_respawns_per_slot=0,
+        )
+        with backend:
+            results = BatchRunner(
+                on_error="capture", profile=ExecutionProfile(backend=backend)
+            ).run([killer] + floods)
+            assert backend.deaths == 1
+            assert len(backend.worker_pids()) == 1, "the retired slot stays empty"
+        assert "worker died" in results[0].error
+        assert [result.error for result in results[1:]] == [None] * 12
+
+    def test_last_retired_slot_fails_the_rest_of_the_queue(self, chaos_module, tmp_path):
+        """With no live slot left, queued and later trials fail at once with
+        an error naming the budget, instead of waiting forever."""
+        killer = TrialSpec(
+            graph=GraphSpec("clique", (10,)),
+            algorithm="_die_once_test_only",
+            seed=9,
+            algo_kwargs={"marker": str(tmp_path / "marker")},
+        )
+        floods = [
+            TrialSpec(graph=GraphSpec("clique", (10,)), algorithm="flood_max", seed=seed)
+            for seed in range(3)
+        ]
+        backend = WorkerPoolBackend(
+            workers=1,
+            preload=(CHAOS_MODULE,),
+            extra_paths=(chaos_module,),
+            max_respawns_per_slot=0,
+        )
+        with backend:
+            runner = BatchRunner(on_error="capture", profile=ExecutionProfile(backend=backend))
+            results = runner.run([killer] + floods)
+            later = runner.run(floods[:1])
+        assert "worker died" in results[0].error
+        for result in results[1:] + later:
+            assert "respawn budget" in result.error
+            assert "no live worker remains" in result.error
+
+    def test_slots_retiring_together_strand_no_trial(self, chaos_module, tmp_path):
+        """More slots than cores retire at once while trials are still being
+        submitted: every future resolves, none waits forever."""
+        killers = [
+            TrialSpec(
+                graph=GraphSpec("clique", (10,)),
+                algorithm="_die_once_test_only",
+                seed=9,
+                algo_kwargs={"marker": str(tmp_path / ("marker-%d" % i))},
+            )
+            for i in range(4)
+        ]
+        flood = TrialSpec(graph=GraphSpec("clique", (10,)), algorithm="flood_max", seed=1)
+        backend = WorkerPoolBackend(
+            workers=4,
+            preload=(CHAOS_MODULE,),
+            extra_paths=(chaos_module,),
+            max_respawns_per_slot=0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with backend:
+                futures = [backend.submit(spec) for spec in killers]
+                futures += [backend.submit(flood) for _ in range(200)]
+                payloads = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.deaths == 4
+        assert all("worker died" in payload.error for payload in payloads[:4])
+        assert all("no live worker remains" in payload.error for payload in payloads[4:])
 
 
 class TestWorkerHang:

@@ -1,11 +1,12 @@
-"""Fleet dispatcher tests: placement, resume, and single-machine equivalence.
+"""Fleet campaign tests: ``CampaignRunner`` driving a ``FleetBackend``.
 
-The load-bearing property: a campaign dispatched over ``m`` hosts produces a
-merged ``report.json``/``report.md`` byte-identical to the same campaign run
-on a single machine, and re-running the fleet serves every trial from the
-merged cache without placing anything.
+The load-bearing property: a campaign run over ``m`` hosts produces a
+``report.json``/``report.md`` byte-identical to the same campaign run on a
+single machine, and re-running it serves every trial from the campaign's
+cache without starting a single host process.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -15,18 +16,45 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec, write_report
 from repro.core import ElectionParameters
 from repro.exec import ExecutionProfile, GraphSpec, ResultCache, SweepSpec, TrialSpec
-from repro.exec.wire import WIRE_VERSION, read_frame, spec_to_dict, write_frame
-from repro.exec.fingerprint import trial_fingerprint
-from repro.fleet import (
-    FLEET_STATUS_SCHEMA,
-    FleetDispatcher,
-    HostSpec,
-    local_inventory,
-)
 from repro.exec import worker as serve_loop
+from repro.exec.wire import WIRE_VERSION, read_frame, write_frame
+from repro.fleet import FleetBackend, HostSpec, local_inventory
+from repro.obs import TraceSink
 
 #: Fast fleet supervision cadence for tests (hosts answer in well under 2 s).
 FLEET_KWARGS = dict(heartbeat_seconds=0.5, hang_deadline_seconds=10.0)
+
+
+class WorkerEvents(TraceSink):
+    """Collects the pool's ``worker.*`` trace events, the fleet's health record."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        if record["name"].startswith("worker."):
+            self.records.append(record)
+
+    def named(self, name):
+        return [record["attrs"] for record in self.records if record["name"] == name]
+
+
+def fleet_run(campaign, directory, hosts, profile=ExecutionProfile(), **kwargs):
+    """Run ``campaign`` over ``hosts`` into ``directory`` and write its report.
+
+    Returns ``(result, backend, events)``: the campaign result, the closed
+    fleet backend (for its death and hang counters) and the ``worker.*``
+    events the run traced.
+    """
+    events = WorkerEvents()
+    cache = ResultCache(os.path.join(directory, "cache"))
+    with FleetBackend(hosts, **{**FLEET_KWARGS, **kwargs}) as backend:
+        fleet_profile = dataclasses.replace(profile, backend=backend)
+        result = CampaignRunner(
+            campaign, cache, directory=directory, sinks=(events,), profile=fleet_profile
+        ).run()
+    write_report(campaign, cache, directory, profile=fleet_profile)
+    return result, backend, events
 
 
 def _campaign(trials=2, name="fleet-test", sizes=(8, 10)):
@@ -47,46 +75,33 @@ def _campaign(trials=2, name="fleet-test", sizes=(8, 10)):
 
 
 class TestConstructorValidation:
-    def test_needs_hosts_with_unique_names(self, tmp_path):
+    def test_needs_hosts_with_unique_names(self):
         with pytest.raises(ValueError, match="at least one host"):
-            FleetDispatcher(_campaign(), (), tmp_path)
+            FleetBackend(())
         twins = (HostSpec(name="a"), HostSpec(name="a"))
         with pytest.raises(ValueError, match="unique"):
-            FleetDispatcher(_campaign(), twins, tmp_path)
+            FleetBackend(twins)
 
-    def test_profile_must_be_a_profile_of_names(self, tmp_path):
-        hosts = local_inventory(1)
-        with pytest.raises(TypeError, match="ExecutionProfile"):
-            FleetDispatcher(_campaign(), hosts, tmp_path, profile="sqlite")
-        live = ExecutionProfile(cache_backend=ResultCache(tmp_path / "c")._backend)
-        with pytest.raises(TypeError, match="live instance"):
-            FleetDispatcher(_campaign(), hosts, tmp_path, profile=live)
-
-    def test_supervision_parameters_are_validated(self, tmp_path):
+    def test_supervision_parameters_are_validated(self):
         hosts = local_inventory(1)
         with pytest.raises(ValueError, match="heartbeat_seconds"):
-            FleetDispatcher(_campaign(), hosts, tmp_path, heartbeat_seconds=0)
+            FleetBackend(hosts, heartbeat_seconds=0)
         with pytest.raises(ValueError, match="exceed"):
-            FleetDispatcher(
-                _campaign(), hosts, tmp_path, heartbeat_seconds=2.0, hang_deadline_seconds=1.0
-            )
-        with pytest.raises(ValueError, match="shards"):
-            FleetDispatcher(_campaign(), hosts, tmp_path, shards=0)
-        with pytest.raises(ValueError, match="max_placements"):
-            FleetDispatcher(_campaign(), hosts, tmp_path, max_placements_per_shard=0)
+            FleetBackend(hosts, heartbeat_seconds=2.0, hang_deadline_seconds=1.0)
 
-    def test_default_shards_oversubscribe_the_fleet(self, tmp_path):
-        dispatcher = FleetDispatcher(_campaign(), local_inventory(3), tmp_path)
-        assert dispatcher.shards == 6, "2x hosts so fast hosts can steal work"
+    def test_each_host_contributes_its_workers_as_slots(self):
+        backend = FleetBackend((HostSpec(name="a", workers=2), HostSpec(name="b")))
+        assert backend.workers == 3
+        assert [host.name for host in backend.slot_hosts] == ["a", "a", "b"]
+        assert backend.max_respawns_per_slot == 0, "a dead host stays dead"
+        assert backend.hang_deadline_seconds == 20.0, "four 5 s heartbeats"
 
 
 class TestFleetRun:
     def test_fleet_executes_campaign_and_writes_all_artifacts(self, tmp_path):
         campaign = _campaign()
         directory = str(tmp_path / "run")
-        result = FleetDispatcher(
-            campaign, local_inventory(2), directory, **FLEET_KWARGS
-        ).run()
+        result, backend, events = fleet_run(campaign, directory, local_inventory(2))
 
         counts = result.manifest.counts()
         assert counts["executed"] == campaign.num_trials
@@ -94,18 +109,16 @@ class TestFleetRun:
         assert counts["cached"] == 0
         assert os.path.exists(os.path.join(directory, "manifest.json"))
         assert os.path.exists(os.path.join(directory, "report.json"))
-        assert result.status["schema"] == FLEET_STATUS_SCHEMA
-        assert result.status["trials"]["done"] == campaign.num_trials
-        statuses = {host["name"]: host["status"] for host in result.status["hosts"]}
-        assert statuses == {"host-0": "done", "host-1": "done"}
-        assert "0 died" in result.describe()
-        # The per-host trial tallies cover the whole campaign: work stealing
-        # split the shards, nothing ran twice.
-        assert sum(h["trials_done"] for h in result.status["hosts"]) == campaign.num_trials
+        assert (backend.deaths, backend.hangs) == (0, 0)
+        spawned = events.named("worker.spawned")
+        assert {event["host"] for event in spawned} <= {"host-0", "host-1"}
+        assert len({event["pid"] for event in spawned}) == len(spawned)
+        # Every trial ran on some host exactly once: nothing ran twice.
+        assert len(events.named("worker.trial_finished")) == campaign.num_trials
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fleet_report_is_byte_identical_to_single_machine(self, tmp_path, m):
-        """The acceptance property: merged fleet report == single-machine
+        """The acceptance property: the fleet's report == single-machine
         report, byte for byte, for m hosts."""
         campaign = _campaign(name="fleet-equiv")
         single_dir = str(tmp_path / "single")
@@ -114,9 +127,7 @@ class TestFleetRun:
         write_report(campaign, cache, single_dir)
 
         fleet_dir = str(tmp_path / ("fleet-%d" % m))
-        FleetDispatcher(
-            campaign, local_inventory(m), fleet_dir, **FLEET_KWARGS
-        ).run()
+        fleet_run(campaign, fleet_dir, local_inventory(m))
 
         for artifact in ("report.json", "report.md"):
             with open(os.path.join(single_dir, artifact), "rb") as handle:
@@ -150,13 +161,12 @@ class TestFleetRun:
         write_report(named, cache, single_dir)
 
         fleet_dir = str(tmp_path / "fleet")
-        FleetDispatcher(
+        fleet_run(
             campaign,
-            local_inventory(2),
             fleet_dir,
+            local_inventory(2),
             profile=ExecutionProfile(simulator="vectorized"),
-            **FLEET_KWARGS,
-        ).run()
+        )
         with open(os.path.join(single_dir, "report.json"), "rb") as handle:
             expected = handle.read()
         with open(os.path.join(fleet_dir, "report.json"), "rb") as handle:
@@ -167,15 +177,13 @@ class TestFleetRun:
     def test_rerun_resumes_fully_from_the_merged_cache(self, tmp_path):
         campaign = _campaign()
         directory = str(tmp_path / "run")
-        FleetDispatcher(campaign, local_inventory(2), directory, **FLEET_KWARGS).run()
-        resumed = FleetDispatcher(
-            campaign, local_inventory(2), directory, **FLEET_KWARGS
-        ).run()
+        fleet_run(campaign, directory, local_inventory(2))
+        resumed, _, events = fleet_run(campaign, directory, local_inventory(2))
         counts = resumed.manifest.counts()
         assert counts["cached"] == campaign.num_trials
         assert counts["executed"] == 0
         # Nothing was pending, so no host process was ever spawned.
-        assert all(host["pid"] is None for host in resumed.status["hosts"])
+        assert events.named("worker.spawned") == []
 
     def test_undispatchable_spec_fails_fast(self, tmp_path):
         from repro.exec.algorithms import ALGORITHMS, register_algorithm
@@ -201,11 +209,8 @@ class TestFleetRun:
                     ),
                 ),
             )
-            dispatcher = FleetDispatcher(
-                campaign, local_inventory(1), tmp_path / "run", **FLEET_KWARGS
-            )
             with pytest.raises(ValueError, match="cannot be dispatched"):
-                dispatcher.run()
+                fleet_run(campaign, str(tmp_path / "run"), local_inventory(1))
         finally:
             del ALGORITHMS["_fleet_local_only_test"]
 
@@ -245,77 +250,3 @@ class TestHostServeLoop:
     def test_unknown_op_answers_an_error_frame(self):
         _, replies = _drive_host({"op": "launch_missiles"})
         assert "unknown op" in replies[0]["error"]
-
-    def test_version_mismatch_is_a_request_level_error(self):
-        _, replies = _drive_host(
-            {"op": "run_shard", "version": WIRE_VERSION + 1, "shard": "0/1", "trials": []}
-        )
-        assert "wire version" in replies[0]["error"]
-        assert replies[0]["results"] == []
-
-    def test_missing_cache_root_is_a_request_level_error(self):
-        _, replies = _drive_host(
-            {"op": "run_shard", "version": WIRE_VERSION, "shard": "0/1", "trials": []}
-        )
-        assert "cache_root" in replies[0]["error"]
-
-    def test_run_shard_executes_and_reports_per_trial_statuses(self, tmp_path):
-        spec = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flood_max", seed=5)
-        fingerprint = trial_fingerprint(spec)
-        request = {
-            "op": "run_shard",
-            "version": WIRE_VERSION,
-            "shard": "0/1",
-            "cache_root": str(tmp_path / "cache"),
-            "workers": 1,
-            "heartbeat_seconds": 0,
-            "trials": [
-                {
-                    "fingerprint": fingerprint,
-                    "sweep": "s",
-                    "index": 0,
-                    "spec": spec_to_dict(spec),
-                },
-                {"fingerprint": "bogus", "sweep": "s", "index": 1, "spec": {"junk": 1}},
-            ],
-        }
-        _, replies = _drive_host(request)
-        progress = [frame for frame in replies if frame.get("op") == "progress"]
-        assert progress[0]["event"] == "trial_started"
-        assert progress[-1]["event"] == "trial_finished"
-        result = [frame for frame in replies if frame.get("op") == "shard_result"][0]
-        by_fingerprint = {entry["fingerprint"]: entry for entry in result["results"]}
-        assert by_fingerprint[fingerprint]["status"] == "executed"
-        assert by_fingerprint["bogus"]["status"] == "failed"
-        assert "undecodable" in by_fingerprint["bogus"]["error"]
-        # The executed trial landed in the host's cache...
-        assert ResultCache(tmp_path / "cache").get(fingerprint) is not None
-        # ...so the same request again is served as "cached".
-        _, replies = _drive_host(request)
-        result = [frame for frame in replies if frame.get("op") == "shard_result"][0]
-        by_fingerprint = {entry["fingerprint"]: entry for entry in result["results"]}
-        assert by_fingerprint[fingerprint]["status"] == "cached"
-
-
-class TestFleetStatusFile:
-    def test_fleet_json_is_valid_and_schema_tagged(self, tmp_path):
-        directory = str(tmp_path / "run")
-        FleetDispatcher(
-            _campaign(), local_inventory(2), directory, **FLEET_KWARGS
-        ).run()
-        with open(os.path.join(directory, "fleet.json"), "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert document["schema"] == FLEET_STATUS_SCHEMA
-        assert document["version"] == 1
-        assert document["campaign"] == "fleet-test"
-        for host in document["hosts"]:
-            assert set(host) == {
-                "name",
-                "status",
-                "pid",
-                "shard",
-                "shards_done",
-                "trials_done",
-                "heartbeats",
-                "last_frame_age_s",
-            }

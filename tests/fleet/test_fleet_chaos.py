@@ -1,12 +1,12 @@
-"""Host-death chaos tests for the fleet dispatcher.
+"""Host-death chaos tests for campaigns on a ``FleetBackend``.
 
 The fleet's contract under fire: SIGKILL any one host mid-campaign and the
-run still completes -- the dead host's cache is salvaged, only its genuinely
-unfinished trials are re-placed on survivors via work stealing, and not one
-completed trial ever executes twice (asserted from an execution log the
-chaos algorithms write, and from the resume manifest).  A SIGSTOPped host --
-alive but frozen, heartbeats included -- trips the hang deadline and is
-treated exactly like a death.
+run still completes -- the dead host stays dead, its one in-flight trial is
+a captured failure that the campaign's retry policy re-runs on a survivor,
+and not one completed trial ever executes twice (asserted from an execution
+log the chaos algorithms write, and from the resume manifest).  A
+SIGSTOPped host -- alive but frozen, heartbeats included -- trips the hang
+deadline and is treated exactly like a death.
 
 The chaos agents are deterministic: test-only algorithms, preloaded into the
 hosts from a module this test writes to disk, that SIGKILL (or SIGSTOP) their
@@ -14,8 +14,8 @@ own host process the first time they run (leaving a marker file) and succeed
 on every run after.  No timing, no races.
 
 CI's fleet-smoke job runs this file with ``FLEET_SMOKE_DIR`` pointing at a
-workspace directory; the campaign artifacts (``fleet.json``, ``manifest.json``,
-reports, traces) then land there for artifact upload instead of in tmp_path.
+workspace directory; the campaign artifacts (``manifest.json``, the cache)
+then land there for artifact upload instead of in tmp_path.
 """
 
 import os
@@ -24,9 +24,10 @@ import textwrap
 
 import pytest
 
-from repro.campaign import CampaignSpec
-from repro.exec import GraphSpec, SweepSpec, TrialSpec
-from repro.fleet import FleetDispatcher, local_inventory
+from repro.campaign import CampaignRunner, CampaignSpec
+from repro.exec import ExecutionProfile, GraphSpec, ResultCache, SweepSpec, TrialSpec
+from repro.fleet import FleetBackend, local_inventory
+from repro.obs import TraceSink
 
 CHAOS_MODULE = "repro_fleet_chaos_algos_test_only"
 
@@ -123,17 +124,41 @@ def _chaos_campaign(killer_algorithm, marker, log, name, trials=6):
     )
 
 
-def _dispatcher(campaign, directory, chaos_module, hosts=3, **kwargs):
+class WorkerEvents(TraceSink):
+    """Collects the pool's ``worker.*`` trace events, the fleet's health record."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        if record["name"].startswith("worker."):
+            self.records.append(record)
+
+    def named(self, name):
+        return [record["attrs"] for record in self.records if record["name"] == name]
+
+
+def _fleet_run(campaign, directory, chaos_module, hosts=3, **kwargs):
+    """Run ``campaign`` on a local fleet; returns (result, backend, events)."""
     kwargs.setdefault("heartbeat_seconds", 0.1)
     kwargs.setdefault("hang_deadline_seconds", 2.0)
-    return FleetDispatcher(
-        campaign,
+    events = WorkerEvents()
+    cache = ResultCache(os.path.join(directory, "cache"))
+    backend = FleetBackend(
         local_inventory(hosts),
-        directory,
         preload=(CHAOS_MODULE,),
         extra_paths=(chaos_module,),
         **kwargs,
     )
+    with backend:
+        result = CampaignRunner(
+            campaign,
+            cache,
+            directory=directory,
+            sinks=(events,),
+            profile=ExecutionProfile(backend=backend),
+        ).run()
+    return result, backend, events
 
 
 def _execution_log(log):
@@ -145,9 +170,9 @@ def _execution_log(log):
 
 class TestHostSigkill:
     def test_killed_host_shard_is_stolen_and_nothing_reruns(self, chaos_module, tmp_path):
-        """The acceptance scenario: SIGKILL one host mid-campaign.  The dead
-        host's shard is re-placed by work stealing, the campaign completes
-        with zero failures, and a resume re-executes nothing."""
+        """The acceptance scenario: SIGKILL one host mid-campaign.  The lost
+        trial is retried on a surviving host, the campaign completes with
+        zero failures, and a resume re-executes nothing."""
         directory = _smoke_dir(tmp_path, "sigkill")
         marker = os.path.join(directory, "killed.marker")
         log = os.path.join(directory, "executions.log")
@@ -155,7 +180,7 @@ class TestHostSigkill:
             "_fleet_die_once_test_only", marker, log, "fleet-sigkill"
         )
 
-        result = _dispatcher(campaign, directory, chaos_module).run()
+        result, backend, events = _fleet_run(campaign, directory, chaos_module)
 
         assert os.path.exists(marker), "the chaos trial ran on a host"
         counts = result.manifest.counts()
@@ -163,29 +188,32 @@ class TestHostSigkill:
             entry.error for entry in result.manifest.entries if entry.status == "failed"
         ]
         assert counts["executed"] == campaign.num_trials
-        dead = [h["name"] for h in result.status["hosts"] if h["status"] == "dead"]
+        assert (backend.deaths, backend.hangs) == (1, 0)
+        host_of = {event["pid"]: event["host"] for event in events.named("worker.spawned")}
+        dead = [host_of[event["pid"]] for event in events.named("worker.death")]
         assert len(dead) == 1, "exactly the SIGKILLed host is marked dead"
-        survivors = [h for h in result.status["hosts"] if h["status"] == "done"]
-        assert len(survivors) == 2
+        respawned = [event for event in events.named("worker.spawned") if event["respawn"]]
+        assert respawned == [], "a dead host stays dead"
 
         # Every counted trial executed exactly once across the whole fleet,
-        # salvage and re-placement included.
+        # the retry of the lost trial included.
         executions = _execution_log(log)
         assert len(executions) == len(set(executions)) == 6
 
-        # Resume in the same directory: everything is served from the merged
-        # campaign cache -- zero re-executions, straight from the manifest.
-        resumed = _dispatcher(campaign, directory, chaos_module).run()
+        # Resume in the same directory: everything is served from the
+        # campaign cache -- zero re-executions, no host process started.
+        resumed, _, resumed_events = _fleet_run(campaign, directory, chaos_module)
         resumed_counts = resumed.manifest.counts()
         assert resumed_counts["cached"] == campaign.num_trials
         assert resumed_counts["executed"] == 0
         assert _execution_log(log) == executions, "resume re-ran nothing"
+        assert resumed_events.named("worker.spawned") == []
 
     def test_single_host_fleet_fails_the_lost_shard_but_survives(
         self, chaos_module, tmp_path
     ):
-        """With no survivor to steal the work, the dead host's unfinished
-        trials are recorded as failures -- the dispatcher itself returns."""
+        """With no survivor to retry on, the dead host's trial is recorded
+        as a failure -- the campaign itself returns."""
         directory = str(tmp_path / "lonely")
         marker = os.path.join(directory, "killed.marker")
         log = os.path.join(directory, "executions.log")
@@ -193,13 +221,14 @@ class TestHostSigkill:
         campaign = _chaos_campaign(
             "_fleet_die_once_test_only", marker, log, "fleet-lonely", trials=2
         )
-        result = _dispatcher(campaign, directory, chaos_module, hosts=1).run()
+        result, backend, _ = _fleet_run(campaign, directory, chaos_module, hosts=1)
         counts = result.manifest.counts()
         assert counts["failed"] >= 1
-        assert "no live host" in [
+        assert "no live worker remains" in [
             entry.error for entry in result.manifest.entries if entry.status == "failed"
         ][0]
-        # What the host finished before dying was salvaged from its cache.
+        assert backend.deaths == 1
+        # What the host finished before dying is in the campaign cache.
         assert counts["executed"] == len(_execution_log(log))
 
 
@@ -208,7 +237,7 @@ class TestHostSigstop:
         self, chaos_module, tmp_path
     ):
         """A SIGSTOPped host emits no frames; the hang deadline marks it
-        dead, SIGKILLs it, and its shard completes on a surviving host."""
+        dead, SIGKILLs it, and its trial completes on a surviving host."""
         directory = str(tmp_path / "sigstop")
         marker = os.path.join(directory, "stalled.marker")
         log = os.path.join(directory, "executions.log")
@@ -217,15 +246,15 @@ class TestHostSigstop:
             "_fleet_stall_once_test_only", marker, log, "fleet-sigstop", trials=4
         )
 
-        result = _dispatcher(campaign, directory, chaos_module).run()
+        result, backend, events = _fleet_run(campaign, directory, chaos_module)
 
         assert os.path.exists(marker), "the stall trial ran on a host"
         counts = result.manifest.counts()
         assert counts["failed"] == 0
         assert counts["executed"] == campaign.num_trials
-        dead = [h for h in result.status["hosts"] if h["status"] == "dead"]
-        assert len(dead) == 1, "the frozen host is marked dead, not hung forever"
+        assert (backend.deaths, backend.hangs) == (0, 1)
+        hung = events.named("worker.hung")
+        assert len(hung) == 1, "the frozen host is marked dead, not hung forever"
         # The frozen host was SIGKILLed: no process with its pid remains.
-        for host in dead:
-            with pytest.raises(OSError):
-                os.kill(host["pid"], 0)
+        with pytest.raises(OSError):
+            os.kill(hung[0]["pid"], 0)

@@ -105,6 +105,6 @@ class TestInventory:
             HostSpec(name="n1", command="ssh n1 {python} -m repro.exec.worker --serve"),
             HostSpec(name="n2", workers=8),
         )
-        path = tmp_path / "fleet.json"
+        path = tmp_path / "hosts.json"
         path.write_text(json.dumps(inventory_to_document(hosts)))
         assert load_inventory(path) == hosts

@@ -168,73 +168,6 @@ class TestRenderSnapshot:
         assert "workers: 1 spawned, 0 deaths, 0 hangs, 1 heartbeats" in frame
 
 
-def _fleet_document(**overrides):
-    document = {
-        "schema": "repro.fleet/status",
-        "version": 1,
-        "campaign": "demo",
-        "trials": {"done": 3, "total": 8, "cached": 1, "failed": 0},
-        "hosts": [
-            {
-                "name": "host-0",
-                "status": "running",
-                "pid": 1234,
-                "shard": "0/4",
-                "shards_done": 1,
-                "trials_done": 3,
-                "heartbeats": 7,
-                "last_frame_age_s": 0.4,
-            },
-            {
-                "name": "host-1",
-                "status": "dead",
-                "pid": 1235,
-                "shard": None,
-                "shards_done": 0,
-                "trials_done": 0,
-                "heartbeats": 2,
-                "last_frame_age_s": None,
-            },
-        ],
-    }
-    document.update(overrides)
-    return document
-
-
-class TestFleetPanel:
-    def test_fleet_json_renders_the_per_host_panel(self, tmp_path):
-        _manifest(tmp_path)
-        (tmp_path / "fleet.json").write_text(json.dumps(_fleet_document()))
-        frame = render_snapshot(campaign_snapshot(str(tmp_path), TraceTail()))
-        assert "fleet: 2 host(s), 1 dead -- 3/8 trial(s) done (1 cached, 0 failed)" in frame
-        assert "host-0" in frame and "running" in frame
-        assert "host-1" in frame and "dead" in frame
-        assert "0.4s ago" in frame
-        assert "never" in frame, "a host that never framed renders 'never'"
-
-    def test_unrelated_fleet_json_is_ignored(self, tmp_path):
-        """Only documents carrying the fleet schema tag are surfaced."""
-        _manifest(tmp_path)
-        (tmp_path / "fleet.json").write_text(json.dumps({"hosts": [{"name": "x"}]}))
-        frame = render_snapshot(campaign_snapshot(str(tmp_path), TraceTail()))
-        assert "fleet:" not in frame
-
-    def test_garbage_fleet_json_is_tolerated(self, tmp_path):
-        _manifest(tmp_path)
-        (tmp_path / "fleet.json").write_text("{broken")
-        frame = render_snapshot(campaign_snapshot(str(tmp_path), TraceTail()))
-        assert "fleet:" not in frame
-        assert "campaign 'demo'" in frame
-
-    def test_fleet_document_with_no_hosts_renders_nothing(self, tmp_path):
-        _manifest(tmp_path)
-        (tmp_path / "fleet.json").write_text(
-            json.dumps(_fleet_document(hosts=[], trials=None))
-        )
-        frame = render_snapshot(campaign_snapshot(str(tmp_path), TraceTail()))
-        assert "fleet:" not in frame
-
-
 class TestWatchEntryPoint:
     def test_once_renders_single_frame_and_exits_zero(self, tmp_path):
         _manifest(tmp_path)
