@@ -6,7 +6,7 @@ Two claims about ``repro.exec`` back the whole benchmark suite:
   master seed, because every trial's randomness is derived from its spec and
   never from worker state -- so parallelising a campaign cannot change any
   reported number;
-* on a multi-core machine the process pool turns that free determinism into
+* on a multi-core machine the worker pool turns that free determinism into
   real wall-clock speedup on an E1-style expander campaign (n up to 1024,
   >= 8 trials), which is what makes large-n sweeps practical.
 

@@ -10,7 +10,7 @@ cost of flooding-based algorithms.
 The whole run is a ``repro.campaign`` campaign: two named sweeps executed by
 a ``CampaignRunner`` against an on-disk result cache, with a per-trial
 manifest and a cache-backed Markdown + JSON report in the campaign
-directory.  That buys, on top of ``--workers N`` process parallelism:
+directory.  That buys, on top of ``--workers N`` worker-pool parallelism:
 
 * **resume** -- re-running after an interruption only executes missing
   trials (a completed campaign re-runs for free);

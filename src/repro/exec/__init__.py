@@ -13,7 +13,7 @@ shape first-class support:
   ``fault_aware``/``needs_params``/``outcome_kind`` capabilities validated
   before execution;
 * :class:`BatchRunner` -- the deterministic orchestrator over pluggable
-  :class:`ExecutionBackend` implementations (``serial``, ``process``,
+  :class:`ExecutionBackend` implementations (``serial`` and
   ``workerpool`` -- see :mod:`repro.exec.backends`); every
   backend is bit-identical to serial for a fixed master seed, and the
   ``REPRO_EXEC_BACKEND`` environment override re-routes runs that did not
@@ -60,7 +60,6 @@ from .algorithms import (
 from .backends import (
     BACKEND_ENV_VAR,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     TrialExecutionError,
     WorkerPoolBackend,
@@ -133,7 +132,6 @@ __all__ = [
     "ExecutionBackend",
     "TrialExecutionError",
     "SerialBackend",
-    "ProcessPoolBackend",
     "WorkerPoolBackend",
     "add_backend_argument",
     "backend_names",

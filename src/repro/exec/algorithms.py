@@ -25,7 +25,7 @@ executor validates against:
   them on the reference engine would cache mislabelled results.
 
 Adapters are module-level so a worker process can resolve the algorithm from
-the spec's string name -- specs stay picklable and fingerprintable precisely
+the spec's string name -- specs stay wire-safe and fingerprintable precisely
 because they never carry callables.  All randomness comes from ``spec.seed``;
 adapters must not draw from any other source, which is what makes serial and
 parallel execution bit-identical.  Names starting with ``_`` are reserved for

@@ -1,27 +1,25 @@
 """Pluggable execution backends for the batch runner.
 
-Three registered implementations of one :class:`ExecutionBackend` protocol
+Two registered implementations of one :class:`ExecutionBackend` protocol
 decide where trials run, plus the fleet, which needs a host inventory and
 so is built by hand; the :class:`~repro.exec.runner.BatchRunner` stays the
 single deterministic orchestrator on top, so every backend replays
 bit-identically to serial for a fixed master seed:
 
-========== ===================================================== ==========
-name       execution                                             survives
-                                                                 worker
-                                                                 death
-========== ===================================================== ==========
-serial     in the submitting process, no pickling                 no
-process    ``ProcessPoolExecutor`` (specs travel by pickle)       no
-workerpool persistent ``python -m repro.exec.worker --serve``     yes
+========== =====================================================
+name       execution
+========== =====================================================
+serial     in the submitting process; the default for one
+           worker or a single pending trial
+workerpool persistent ``python -m repro.exec.worker --serve``
            subprocesses over length-prefixed JSON stdio,
-           respawned on death
-fleet      :class:`repro.fleet.FleetBackend`: the worker pool     yes
+           respawned on death; the default for ``workers > 1``
+fleet      :class:`repro.fleet.FleetBackend`: the worker pool
            with ``HostSpec.workers`` serve processes per host
            (local, SSH or ``kubectl`` command templates); a
            dead host stays dead and its trial is retried
            elsewhere by the campaign
-========== ===================================================== ==========
+========== =====================================================
 
 Every out-of-process slot, local or remote, reaches its subprocess through
 one :class:`~repro.exec.backends.workerpool.WorkerChannel`.
@@ -41,7 +39,6 @@ from typing import Optional
 
 from ..execute import default_worker_count
 from .base import ExecutionBackend, TrialExecutionError
-from .process import ProcessPoolBackend
 from .serial import SerialBackend
 from .workerpool import WorkerPoolBackend, worker_command, worker_environment
 
@@ -50,7 +47,6 @@ __all__ = [
     "ExecutionBackend",
     "TrialExecutionError",
     "SerialBackend",
-    "ProcessPoolBackend",
     "WorkerPoolBackend",
     "add_backend_argument",
     "backend_names",
@@ -65,7 +61,6 @@ BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 
 _FACTORIES = {
     "serial": lambda workers: SerialBackend(),
-    "process": lambda workers: ProcessPoolBackend(workers=workers),
     "workerpool": lambda workers: WorkerPoolBackend(workers=workers),
 }
 
@@ -74,7 +69,7 @@ def backend_names() -> tuple:
     """The registered backend names, sorted.
 
     >>> backend_names()
-    ('process', 'serial', 'workerpool')
+    ('serial', 'workerpool')
     """
     return tuple(sorted(_FACTORIES))
 
@@ -103,6 +98,6 @@ def add_backend_argument(parser) -> None:
         "--backend",
         default="",
         choices=("",) + backend_names(),
-        help="execution backend (default: serial/process by --workers; "
-        "workerpool survives worker deaths)",
+        help="execution backend (default: serial for one worker, "
+        "workerpool otherwise)",
     )

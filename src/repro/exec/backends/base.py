@@ -1,7 +1,8 @@
 """The execution-backend protocol the batch runner orchestrates over.
 
-An :class:`ExecutionBackend` owns *where* trials run -- in-process, in a
-process pool, on a pool of persistent wire workers -- and nothing else.
+An :class:`ExecutionBackend` owns *where* trials run -- in-process or on a
+pool of persistent wire workers, local or on fleet hosts -- and nothing
+else.
 The :class:`~repro.exec.runner.BatchRunner` stays the single deterministic
 orchestrator: it validates specs, consults
 the cache, derives nothing from dispatch order, and re-assembles results in
@@ -24,14 +25,11 @@ The contract:
   backend itself closes it after the batch; a backend instance passed in by
   the caller is left running so its pool can serve the next batch;
 * :meth:`wire_safe` reports whether a spec can reach this backend's workers
-  at all.  In-process and pickle transports take everything; the JSON-wire
-  worker pool refuses specs that cannot cross (see
+  at all.  The in-process backend takes everything; the JSON-wire worker
+  pool refuses specs that cannot cross (see
   :func:`repro.exec.wire.spec_wire_error`), and the runner transparently
   executes those in-process instead -- except on the fleet, which has no
-  in-process fallback and raises :class:`ValueError`;
-* :attr:`survives_worker_death` declares the recovery capability: ``True``
-  when a dying worker process costs only its in-flight trial (captured as an
-  ``on_error="capture"`` failure) while the batch keeps going.
+  in-process fallback and raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -47,12 +45,12 @@ __all__ = ["ExecutionBackend", "TrialExecutionError"]
 
 
 class TrialExecutionError(RuntimeError):
-    """A trial failed behind a wire that cannot ship exception objects.
+    """A trial failed behind a wire with an exception type it cannot rebuild.
 
-    Raised by ``on_error="raise"`` runs over the worker-pool backend,
-    carrying the worker-side one-line error description; the
-    in-process and process-pool backends re-raise the original exception
-    instead.
+    Raised by ``on_error="raise"`` runs over the worker pool when the
+    worker-side exception is neither a builtin nor a ``repro`` exception
+    class (or the worker itself died), carrying the worker-side one-line
+    error description; every other failure re-raises its own type.
     """
 
 
@@ -61,10 +59,6 @@ class ExecutionBackend(abc.ABC):
 
     #: Registry name of the backend (``ExecutionProfile(backend=<name>)``).
     name: str = "abstract"
-
-    #: Whether a dying worker process costs only its in-flight trials
-    #: (recaptured as failures) instead of the whole batch.
-    survives_worker_death: bool = False
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:

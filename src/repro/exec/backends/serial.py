@@ -15,14 +15,10 @@ __all__ = ["SerialBackend"]
 class SerialBackend(ExecutionBackend):
     """Execute every trial in the submitting process, one after the other.
 
-    The reference backend: everything else must match it bit for bit.  With
-    no worker processes there is nothing to survive the death of --
-    ``survives_worker_death`` is ``False`` because the "worker" is the
-    orchestrating process itself.
+    The reference backend: everything else must match it bit for bit.
     """
 
     name = "serial"
-    survives_worker_death = False
 
     def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
         """Execute immediately; the returned future is already resolved."""

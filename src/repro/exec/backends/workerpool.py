@@ -1,9 +1,9 @@
 """A resilient pool of persistent wire workers, respawned on death.
 
 Each worker is a ``python -m repro.exec.worker --serve`` subprocess speaking
-length-prefixed JSON frames over stdio (see :mod:`repro.exec.wire`).  Unlike
-the process-pool backend, a worker the OS kills mid-trial does not break the
-batch: the in-flight trial comes back as an ``on_error="capture"`` failure
+length-prefixed JSON frames over stdio (see :mod:`repro.exec.wire`).  A
+worker the OS kills mid-trial does not break the batch: the in-flight trial
+comes back as an ``on_error="capture"`` failure
 ("worker died ..."), a fresh worker is spawned in its slot, and every other
 trial keeps going -- resume then re-executes only the lost trials, because
 everything that finished is already in the result cache.  A slot whose
@@ -194,7 +194,6 @@ class WorkerPoolBackend(ExecutionBackend):
     """
 
     name = "workerpool"
-    survives_worker_death = True
 
     def __init__(
         self,

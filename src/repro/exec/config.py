@@ -131,7 +131,7 @@ class ExecutionProfile:
         """Explicit backend choice, else the environment name, else ``None``.
 
         ``None`` means "let the runner apply its workers-derived default"
-        (serial for one worker or a single pending trial, a process pool
+        (serial for one worker or a single pending trial, the worker pool
         otherwise) -- the default tier of the precedence rule.
         """
         if self.backend is not None:

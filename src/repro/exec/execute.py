@@ -4,10 +4,10 @@
 :class:`~repro.exec.spec.TrialSpec` into a
 :class:`~repro.core.result.TrialOutcome`; it is module-level and
 deterministic in the spec alone, so any execution backend -- in-process,
-process pool, persistent wire worker, remote command -- produces the same
-outcome for the same spec.  :class:`TrialPayload` is the uniform envelope a
-backend hands back per trial: outcome or one-line error, plus timing, plus
-(for in-process and pickle transports only) the original exception object so
+local wire worker, fleet host -- produces the same outcome for the same
+spec.  :class:`TrialPayload` is the uniform envelope a backend hands back
+per trial: outcome or one-line error, plus timing, plus the exception object
+(the original in-process, rebuilt from its type name behind the wire) so
 ``on_error="raise"`` callers see the real exception type.
 """
 
@@ -17,7 +17,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.params import DEFAULT_PARAMETERS
 from ..core.result import TrialOutcome
@@ -50,10 +50,11 @@ class TrialPayload:
 
     ``error`` is ``None`` for successful trials; when set, ``outcome`` is
     ``None`` and ``error`` holds the failure's one-line description (the only
-    form that crosses a JSON wire).  ``exception`` additionally carries the
-    original exception object when the transport can ship it (in-process
-    execution, pickle-based pools) so ``on_error="raise"`` re-raises the real
-    type; wire backends leave it ``None``.
+    form that crosses a JSON wire).  ``exception`` additionally carries an
+    exception object so ``on_error="raise"`` re-raises the real type: the
+    original one in-process, one rebuilt from the shipped type name behind a
+    wire (see :func:`repro.exec.wire.payload_from_dict`), ``None`` when the
+    type cannot be rebuilt.
     """
 
     outcome: Optional[TrialOutcome]
@@ -97,10 +98,9 @@ def _check_capabilities(spec: TrialSpec) -> None:
 def execute_trial(spec: TrialSpec) -> TrialOutcome:
     """Run one trial exactly as described (graph build + algorithm run).
 
-    Module-level so it can be pickled to worker processes; deterministic in
-    ``spec`` alone.  Every registered algorithm must return the unified
-    :class:`~repro.core.result.TrialOutcome`; anything else is a registration
-    bug surfaced here rather than at cache-serialisation time.
+    Deterministic in ``spec`` alone.  Every registered algorithm must return
+    the unified :class:`~repro.core.result.TrialOutcome`; anything else is a
+    registration bug surfaced here rather than at cache-serialisation time.
     """
     _check_capabilities(spec)
     tracer = current_tracer()
@@ -148,20 +148,3 @@ def guarded_payload(spec: TrialSpec) -> TrialPayload:
         elapsed_seconds=time.perf_counter() - start,
     )
 
-
-def pool_execute(
-    spec: TrialSpec,
-) -> Tuple[Optional[TrialOutcome], Optional[BaseException], float]:
-    """Worker-side entry of the process-pool backend.
-
-    Returns the exception *object* (pickled back to the parent) instead of
-    raising, so the parent can choose between re-raising the original type
-    (``on_error="raise"``) and flattening it to data (``"capture"``) without
-    a second round trip.
-    """
-    start = time.perf_counter()
-    try:
-        outcome = execute_trial(spec)
-    except Exception as exc:  # noqa: BLE001 -- shipped to the parent as data
-        return None, exc, time.perf_counter() - start
-    return outcome, None, time.perf_counter() - start

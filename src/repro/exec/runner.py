@@ -2,9 +2,8 @@
 
 ``BatchRunner`` executes :class:`~repro.exec.spec.TrialSpec` lists through a
 pluggable :class:`~repro.exec.backends.ExecutionBackend` -- in-process
-(``serial``), process pool (``process``) or persistent wire workers
-(``workerpool``).  The runner itself stays the single deterministic
-orchestrator: every bit of randomness
+(``serial``) or persistent wire workers (``workerpool``).  The runner itself
+stays the single deterministic orchestrator: every bit of randomness
 a trial consumes is derived from fields of its spec -- never from worker
 identity, dispatch order or shared state -- and results always come back in
 submission order, so **all backends are bit-identical** for a fixed master
@@ -13,11 +12,11 @@ seed (pinned registry-wide by ``tests/exec/test_algorithm_registry.py``).
 The backend is chosen per run, strongest selector first: an
 :class:`ExecutionBackend` instance (caller owns its lifecycle), a registry
 name string, the ``REPRO_EXEC_BACKEND`` environment override, and finally
-the historical default -- serial for ``workers=1`` (or single-trial
-batches), a process pool otherwise.  That chain is the
+the workers-derived default -- serial for ``workers=1`` (or single-trial
+batches), the worker pool otherwise.  That chain is the
 :class:`~repro.exec.config.ExecutionProfile`'s precedence rule (explicit >
 CLI > env > default): ``BatchRunner(profile=...)`` is the configuration
-surface.  Trials that cannot reach a wire backend's fresh worker
+surface.  Trials that cannot reach the worker pool's fresh worker
 interpreters (locally registered algorithms,
 ``keep_simulation`` transcripts, non-JSON kwargs) transparently execute
 in-process instead: the backend never changes *what* a run returns, only
@@ -48,8 +47,6 @@ from ..obs.tracer import Tracer, TraceSink, current_tracer
 from .algorithms import get_algorithm
 from .backends import (
     ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     TrialExecutionError,
     make_backend,
 )
@@ -315,17 +312,15 @@ class BatchRunner:
         Selection order (the profile's precedence rule): explicit instance
         (caller-owned, left running for the next batch), explicit name, the
         ``REPRO_EXEC_BACKEND`` environment override, then the
-        workers-derived historical default -- in-process for ``workers=1``
-        and single-trial batches, a process pool otherwise.
+        workers-derived default -- in-process for ``workers=1`` and
+        single-trial batches, the worker pool otherwise.
         """
         choice = self.profile.effective_backend()
         if isinstance(choice, ExecutionBackend):
             return choice, False
-        if isinstance(choice, str):
-            return make_backend(choice, workers=self.workers), True
-        if self.workers == 1 or pending_count == 1:
-            return SerialBackend(), True
-        return ProcessPoolBackend(workers=min(self.workers, pending_count)), True
+        if choice is None:
+            choice = "serial" if self.workers == 1 or pending_count == 1 else "workerpool"
+        return make_backend(choice, workers=min(self.workers, pending_count)), True
 
     def _execute_pending(
         self, pending: List[Tuple[int, str, TrialSpec]]

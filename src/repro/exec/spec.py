@@ -3,15 +3,15 @@
 A :class:`TrialSpec` is a complete, self-contained description of one
 simulation trial: which graph, which algorithm, which parameters, which seed.
 Because the description is plain data (no callables, no open handles) it can
-be pickled to a worker process, hashed into a stable cache fingerprint and
-replayed bit-identically on any machine -- the executor never consults worker
-state for randomness.
+cross the JSON wire to a worker process, hash into a stable cache
+fingerprint and replay bit-identically on any machine -- the executor never
+consults worker state for randomness.
 
 Graphs are described either by a :class:`GraphSpec` (a named family from
 ``repro.graphs.FAMILIES`` plus arguments, built inside the worker) or by an
 inline :class:`~repro.graphs.topology.Graph` instance (built by the caller,
-shipped to the worker by pickle).  Inline graphs keep lambda-based sweep
-builders working; family specs keep large campaigns cheap to enqueue.
+shipped to the worker as an edge list).  Inline graphs keep lambda-based
+sweep builders working; family specs keep large campaigns cheap to enqueue.
 
 A :class:`SweepSpec` is the batch shape every experiment in the paper's
 evaluation reduces to: a list of configurations, each run for ``trials``

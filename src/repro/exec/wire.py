@@ -12,7 +12,8 @@ job queue), so everything crossing the boundary is plain, versioned JSON:
   executed behind the wire replays identically to an in-process run;
 * **result payloads** -- :func:`payload_to_dict` / :func:`payload_from_dict`
   carry the :class:`~repro.exec.execute.TrialPayload` envelope (outcome via
-  the cache's versioned serialisation, or a one-line error, plus timing);
+  the cache's versioned serialisation, or a one-line error and its exception
+  type name, plus timing);
 * **frames** -- :func:`read_frame` / :func:`write_frame` implement the
   length-prefixed framing persistent workers speak over stdio (4-byte
   big-endian length, then UTF-8 JSON).
@@ -36,6 +37,7 @@ import builtins
 import dataclasses
 import json
 import struct
+import sys
 from typing import BinaryIO, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.params import ElectionParameters
@@ -237,25 +239,42 @@ class PreparedDocuments:
 # -------------------------------------------------------------- result docs
 def payload_to_dict(payload: TrialPayload) -> Dict[str, object]:
     """Flatten an executed trial's payload (worker side of the protocol)."""
+    exception = payload.exception
     return {
         "outcome": None if payload.outcome is None else outcome_to_dict(payload.outcome),
         "error": payload.error,
-        "error_type": None if payload.exception is None else type(payload.exception).__name__,
+        "error_type": None if exception is None else _type_name(type(exception)),
         "elapsed_seconds": payload.elapsed_seconds,
     }
+
+
+def _type_name(exc_type: type) -> str:
+    """An exception type's name as its one-line error starts with it: bare
+    for builtins, module-qualified otherwise."""
+    if exc_type.__module__ == "builtins":
+        return exc_type.__qualname__
+    return "%s.%s" % (exc_type.__module__, exc_type.__qualname__)
 
 
 def _rebuild_exception(error: Optional[str], type_name: Optional[str]) -> Optional[BaseException]:
     """Best-effort reconstruction of a worker-side exception.
 
-    Only builtin exception types cross the wire (anything else stays a
-    string, surfaced as ``TrialExecutionError``), and the rebuilt instance
-    carries the one-line description, not the original arguments -- enough
-    for ``on_error="raise"`` callers to catch the type they expect.
+    Builtin exception types and exception classes of ``repro`` modules the
+    receiving process has already imported cross the wire; a module named in
+    wire text is never imported.  Anything else stays a string, surfaced as
+    ``TrialExecutionError``.  The rebuilt instance carries the one-line
+    description, not the original arguments -- enough for
+    ``on_error="raise"`` callers to catch the type they expect.
     """
     if error is None or not type_name:
         return None
-    exc_type = getattr(builtins, type_name, None)
+    module_name, _, name = type_name.rpartition(".")
+    if not module_name:
+        exc_type = getattr(builtins, name, None)
+    elif module_name == "repro" or module_name.startswith("repro."):
+        exc_type = getattr(sys.modules.get(module_name), name, None)
+    else:
+        return None
     if not (isinstance(exc_type, type) and issubclass(exc_type, BaseException)):
         return None
     prefix = "%s: " % type_name

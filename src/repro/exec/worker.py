@@ -80,20 +80,6 @@ def _check_version(version: object) -> Optional[str]:
     return None
 
 
-class _FrameWriter:
-    """Serialises frame writes: the heartbeat thread and the serve loop share
-    one stdout, and interleaved *bytes* (as opposed to interleaved whole
-    frames, which the protocol allows) would corrupt the stream."""
-
-    def __init__(self, stream) -> None:
-        self._stream = stream
-        self._lock = threading.Lock()
-
-    def write(self, document: Dict[str, object]) -> None:
-        with self._lock:
-            write_frame(self._stream, document)
-
-
 def _heartbeat_seconds(request: Dict[str, object]) -> Optional[float]:
     """The requested heartbeat period, or ``None`` for the plain exchange."""
     progress = request.get("progress")
@@ -105,36 +91,69 @@ def _heartbeat_seconds(request: Dict[str, object]) -> Optional[float]:
     return None
 
 
-@contextlib.contextmanager
-def _progress(writer: _FrameWriter, label: object, heartbeat: Optional[float]) -> Iterator[None]:
-    """Bracket one trial in progress frames.
+class _FrameWriter:
+    """The serve process's stdout, and its one heartbeat thread.
 
-    ``trial_started`` now, a ``heartbeat`` every ``heartbeat`` seconds while
-    the body runs (none when ``None``), ``trial_finished`` after it.
+    The heartbeat thread and the serve loop share one stdout, so every frame
+    is written whole under one lock: interleaved *bytes* (as opposed to
+    interleaved whole frames, which the protocol allows) would corrupt the
+    stream.  The thread starts with the first trial that asks for heartbeats,
+    lives as long as the process and beats only while such a trial is in
+    flight; it writes under the same lock that arms and disarms it, so no
+    heartbeat of a trial can follow the trial's ``trial_finished`` frame.
     """
-    pid = os.getpid()
 
-    def frame(event: str) -> Dict[str, object]:
-        return {"op": "progress", "event": event, "pid": pid, "label": label}
+    def __init__(self, stream) -> None:
+        self._stream = stream
+        self._lock = threading.Condition()
+        #: ``(heartbeat frame, period)`` of the in-flight trial, fresh per trial.
+        self._beat: Optional[tuple] = None
+        self._thread: Optional[threading.Thread] = None
 
-    writer.write(frame("trial_started"))
-    stop = threading.Event()
-    thread = None
-    if heartbeat is not None:
+    def write(self, document: Dict[str, object]) -> None:
+        with self._lock:
+            write_frame(self._stream, document)
 
-        def beat() -> None:
-            while not stop.wait(heartbeat):
-                writer.write(frame("heartbeat"))
+    @contextlib.contextmanager
+    def progress(self, label: object, period: float) -> Iterator[None]:
+        """Bracket one trial in progress frames.
 
-        thread = threading.Thread(target=beat, name="repro-worker-heartbeat", daemon=True)
-        thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        if thread is not None:
-            thread.join(timeout=heartbeat + 1.0)
-    writer.write(frame("trial_finished"))
+        ``trial_started`` now, a ``heartbeat`` every ``period`` seconds while
+        the body runs, ``trial_finished`` after it.
+        """
+        pid = os.getpid()
+
+        def frame(event: str) -> Dict[str, object]:
+            return {"op": "progress", "event": event, "pid": pid, "label": label}
+
+        with self._lock:
+            write_frame(self._stream, frame("trial_started"))
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._heartbeats, name="repro-worker-heartbeat", daemon=True
+                )
+                self._thread.start()
+            self._beat = (frame("heartbeat"), period)
+            self._lock.notify()
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._beat = None
+        self.write(frame("trial_finished"))
+
+    def _heartbeats(self) -> None:
+        with self._lock:
+            while True:
+                beat = self._beat
+
+                def rearmed() -> bool:
+                    return self._beat is not beat
+
+                if beat is None:
+                    self._lock.wait_for(rearmed)
+                elif not self._lock.wait_for(rearmed, timeout=beat[1]):
+                    write_frame(self._stream, beat[0])
 
 
 def _serve(stdin, stdout) -> int:
@@ -155,12 +174,12 @@ def _serve(stdin, stdout) -> int:
                 response = {"outcome": None, "error": mismatch, "elapsed_seconds": 0.0}
             else:
                 trial = request.get("trial", {})
-                heartbeat = _heartbeat_seconds(request)
-                if heartbeat is None:
+                period = _heartbeat_seconds(request)
+                if period is None:
                     response = run_trial_document(trial)
                 else:
                     label = trial.get("label") if isinstance(trial, dict) else None
-                    with _progress(writer, label, heartbeat):
+                    with writer.progress(label, period):
                         response = run_trial_document(trial)
             writer.write(response)
         elif op == "ping":

@@ -5,8 +5,8 @@ asks what happens when it is not.  It has exactly two halves:
 
 * :class:`FaultPlan` and its component models (:class:`MessageFaults`,
   :class:`CrashFaults`, :class:`DelayFaults`, :class:`EdgeFaults`) -- plain
-  data describing a composable adversary, fingerprintable and picklable so
-  fault parameters participate in executor caching and process parallelism;
+  data describing a composable adversary, fingerprintable and wire-safe so
+  fault parameters participate in executor caching and worker parallelism;
 * :class:`FaultInjector` -- the runtime object the simulator consults at
   send and activation time, drawing every decision from SplitMix64 streams
   derived from ``(master seed, plan fingerprint)`` so faulty runs replay

@@ -5,14 +5,14 @@ simulation runs against.  Like :class:`~repro.exec.spec.TrialSpec` it is plain
 data: no callables, no open handles, no hidden randomness.  That buys the same
 three properties the executor already relies on:
 
-* the plan can be pickled to a :class:`~repro.exec.runner.BatchRunner` worker
-  process unchanged;
+* the plan crosses the JSON wire to a
+  :class:`~repro.exec.runner.BatchRunner` worker process unchanged;
 * the plan has a stable :meth:`fingerprint` that participates in result-cache
   keys, so a faulty campaign never collides with a fault-free one;
 * every random decision the :class:`~repro.faults.injector.FaultInjector`
   makes is drawn from SplitMix64 streams derived from ``(master seed, plan
   fingerprint)``, which makes faulty runs bit-for-bit replayable serially and
-  under process parallelism.
+  on worker processes.
 
 The adversary models compose; each is independently inert at its default:
 

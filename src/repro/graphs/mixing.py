@@ -168,7 +168,7 @@ def cached_mixing_time(graph: Graph, laziness: float = 0.5) -> int:
     sensitivity sweep the first laziness value's answer for every query.
     Topology edits invalidate all entries, and a serial sweep computes each
     ``(topology, laziness)`` mixing time once instead of once per trial.
-    Worker processes receive pickled copies, so parallel runs still pay once
+    Worker processes build their own copies, so parallel runs still pay once
     per task -- exactly the cost the fault-free code always had, never more.
     """
     version = graph._mutations

@@ -126,8 +126,9 @@ def test_perf_baseline_is_documented():
 
 def test_every_execution_backend_is_catalogued():
     """Backend-registry consistency: each backend name appears in the
-    docs/architecture.md "Execution backends" section, and the section
-    itself exists (the new-subsystem analogue of the algorithm catalog)."""
+    docs/architecture.md "Execution backends" section, the section itself
+    exists (the new-subsystem analogue of the algorithm catalog), and its
+    backend table has no row for a backend that no longer exists."""
     from repro.exec import backend_names
 
     architecture = _read("docs", "architecture.md")
@@ -138,6 +139,21 @@ def test_every_execution_backend_is_catalogued():
     assert not missing, (
         "registered execution backends missing from docs/architecture.md: %s"
         % missing
+    )
+    section = architecture.split("## Execution backends", 1)[1].split("\n## ", 1)[0]
+    rows = section.split("| Name | Execution |", 1)[1].split("\n\n", 1)[0]
+    documented = [
+        line.split("|")[1].strip().strip("`")
+        for line in rows.splitlines()[2:]
+        if line.startswith("|")
+    ]
+    assert "workerpool" in documented, "backend table not found"
+    retired = [
+        name for name in documented if name not in backend_names() + ("fleet",)
+    ]
+    assert not retired, (
+        "docs/architecture.md backend table documents unknown backends: %s"
+        % retired
     )
 
 

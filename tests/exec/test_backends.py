@@ -10,7 +10,6 @@ from repro.exec import (
     ExecutionBackend,
     ExecutionProfile,
     GraphSpec,
-    ProcessPoolBackend,
     SerialBackend,
     SweepSpec,
     TrialSpec,
@@ -39,8 +38,8 @@ def _signature(results):
 
 
 class TestRegistry:
-    def test_three_backends_are_registered(self):
-        assert backend_names() == ("process", "serial", "workerpool")
+    def test_two_backends_are_registered(self):
+        assert backend_names() == ("serial", "workerpool")
 
     def test_factory_builds_each(self):
         for name in backend_names():
@@ -52,11 +51,6 @@ class TestRegistry:
     def test_unknown_name_lists_known_ones(self):
         with pytest.raises(KeyError, match="workerpool"):
             make_backend("nope")
-
-    def test_declared_death_survival(self):
-        assert WorkerPoolBackend(workers=1).survives_worker_death
-        assert not SerialBackend().survives_worker_death
-        assert not ProcessPoolBackend(workers=1).survives_worker_death
 
     def test_runner_rejects_a_non_backend(self):
         with pytest.raises(TypeError, match="backend"):
@@ -103,7 +97,7 @@ class TestEnvOverride:
         assert serial.last_backend_name == "serial"
         parallel = BatchRunner(workers=2)
         parallel.run_sweep(_sweep(trials=2))
-        assert parallel.last_backend_name == "process"
+        assert parallel.last_backend_name == "workerpool"
 
 
 class TestCallerOwnedLifecycle:
@@ -117,17 +111,6 @@ class TestCallerOwnedLifecycle:
             assert set(backend.worker_pids()) == pids, "workers were recycled"
         assert _signature(first) == _signature(second)
         assert backend.worker_pids() == []
-
-    def test_process_pool_grows_for_later_larger_batches(self):
-        """A caller-owned pool that first served a tiny batch must not stay
-        pinned at that size for the rest of its life."""
-        single = _sweep(trials=1).expand()[:1]
-        with ProcessPoolBackend(workers=2) as backend:
-            runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
-            runner.run(single)  # a 1-trial batch only needs 1 process
-            assert backend._pool_size == 1
-            runner.run_sweep(_sweep(trials=2))
-            assert backend._pool_size == 2
 
     def test_submit_returns_future_like(self):
         spec = _sweep(trials=1).expand()[0]

@@ -1,18 +1,26 @@
 """Tests for the batch executor: determinism, parallelism, reporting."""
 
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.core import ElectionParameters
 from repro.exec import (
     BatchRunner,
+    ExecutionProfile,
     GraphSpec,
     ProgressSink,
     ResultCache,
     Shard,
     SweepSpec,
     TrialSpec,
+    backend_names,
     execute_trial,
 )
+from repro.obs import Tracer, TraceSink, use_tracer
+from repro.sim.errors import CongestViolationError
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
 
@@ -137,6 +145,29 @@ class TestRunnerBehaviour:
         with pytest.raises(ValueError):
             BatchRunner(workers=2).run([bad, bad])
 
+    @pytest.mark.parametrize("backend", backend_names())
+    @pytest.mark.parametrize(
+        "spec, exc_type",
+        [
+            (TrialSpec(graph=GraphSpec("cycle", (1,)), params=FAST), ValueError),
+            (
+                TrialSpec(
+                    graph=GraphSpec("clique", (12,)),
+                    params=FAST,
+                    algo_kwargs={"congest_mode": "strict", "edge_capacity_words": 1},
+                ),
+                CongestViolationError,
+            ),
+        ],
+        ids=["ValueError", "CongestViolationError"],
+    )
+    def test_raise_mode_keeps_the_exception_type(self, backend, spec, exc_type):
+        """Every backend re-raises what serial raises, wire included."""
+        runner = BatchRunner(workers=2, profile=ExecutionProfile(backend=backend))
+        with pytest.raises(exc_type) as caught:
+            runner.run([spec, spec])
+        assert type(caught.value) is exc_type
+
 
 class TestErrorCapture:
     def test_capture_mode_returns_failures_as_results(self):
@@ -171,33 +202,44 @@ class TestErrorCapture:
         with pytest.raises(ValueError):
             BatchRunner(on_error="ignore")
 
-    def test_capture_mode_survives_worker_death(self):
+    def test_capture_mode_survives_worker_death(self, monkeypatch):
         """A worker process dying (the OS-kill scenario the campaign retry
-        policy exists for) must come back as captured failures, not abort
-        the batch with BrokenProcessPool."""
+        policy exists for) costs only its in-flight trial, captured as a
+        failure, on the default ``workers=2`` path: the first worker the pool
+        spawns is SIGKILLed before its first trial reaches it."""
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         specs = [
-            TrialSpec(
-                graph=GraphSpec("clique", (12,)),
-                params=FAST,
-                algo_kwargs={"bomb": _WorkerKiller()},
-                label="killer-%d" % i,
-            )
-            for i in range(2)
+            TrialSpec(graph=GraphSpec("clique", (12,)), params=FAST, label="t%d" % i)
+            for i in range(4)
         ]
-        results = BatchRunner(workers=2, on_error="capture").run(specs)
-        assert len(results) == 2
-        assert all(result.failed for result in results)
-        assert all(result.outcome is None for result in results)
-        assert all(result.error for result in results)
+        killer = _KillFirstSpawnedWorker()
+        runner = BatchRunner(workers=2, on_error="capture")
+        with use_tracer(Tracer(killer)):
+            results = runner.run(specs)
+        assert runner.last_backend_name == "workerpool"
+        assert killer.pid is not None
+        assert len(results) == 4
+        failed = [result for result in results if result.failed]
+        assert len(failed) == 1
+        assert "worker died" in failed[0].error and failed[0].outcome is None
+        assert all(result.outcome.num_leaders == 1 for result in results if not result.failed)
 
 
-class _WorkerKiller:
-    """Pickles to a call of ``os._exit(1)``: unpickling in a worker kills it."""
+class _KillFirstSpawnedWorker(TraceSink):
+    """SIGKILLs the worker named by the first ``worker.spawned`` event."""
 
-    def __reduce__(self):
-        import os
+    def __init__(self):
+        self.pid = None
+        self._lock = threading.Lock()
 
-        return (os._exit, (1,))
+    def emit(self, record):
+        if record["name"] != "worker.spawned":
+            return
+        with self._lock:
+            if self.pid is not None:
+                return
+            self.pid = record["attrs"]["pid"]
+        os.kill(self.pid, signal.SIGKILL)
 
 
 class TestShardedRun:

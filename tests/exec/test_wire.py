@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.exec.wire import (
 )
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
 from repro.graphs import Graph
+from repro.sim.errors import CongestViolationError
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
 
@@ -101,6 +103,30 @@ class TestPayloadRoundTrip:
         assert rebuilt.outcome is None
         assert rebuilt.error == payload.error
         assert isinstance(rebuilt.exception, ValueError)
+
+    def test_failure_payload_rebuilds_repro_exception(self):
+        spec = TrialSpec(
+            graph=GraphSpec("clique", (12,)),
+            params=FAST,
+            algo_kwargs={"congest_mode": "strict", "edge_capacity_words": 1},
+        )
+        payload = guarded_payload(spec)
+        document = json.loads(json.dumps(payload_to_dict(payload)))
+        assert document["error_type"] == "repro.sim.errors.CongestViolationError"
+        rebuilt = payload_from_dict(document)
+        assert type(rebuilt.exception) is CongestViolationError
+        assert str(rebuilt.exception) == str(payload.exception)
+
+    def test_modules_named_on_the_wire_are_never_imported(self):
+        for type_name in ("repro.not_a_module_test_only.Boom", "json.JSONDecodeError"):
+            document = {
+                "outcome": None,
+                "error": "%s: boom" % type_name,
+                "error_type": type_name,
+                "elapsed_seconds": 0.0,
+            }
+            assert payload_from_dict(document).exception is None
+        assert "repro.not_a_module_test_only" not in sys.modules
 
     def test_unknown_exception_type_stays_a_string(self):
         document = {
