@@ -294,6 +294,53 @@ _GOLDEN = {
 }
 
 
+_EXPANDER_16 = GraphSpec("expander", (16,), {"degree": 4}, seed=13)
+_HYPERCUBE_4 = GraphSpec("hypercube", (4,))
+_DROP = MessageFaults(drop_probability=0.05)
+#: The message, delay and edge adversaries on ``faulty-fallback-campaign``'s
+#: shapes and on one n=64 expander, keyed ``<plan>-<graph>`` and pinned as
+#: ``faulty-<plan>-<graph>``; recorded before same-shape trials ran as one batch.
+_FAULTY_PLANS = {
+    "drop": FaultPlan(messages=_DROP),
+    "duplicate": FaultPlan(messages=MessageFaults(duplicate_probability=0.05)),
+    "delay1": FaultPlan(delays=DelayFaults(max_delay=1)),
+    "delay3": FaultPlan(delays=DelayFaults(max_delay=3)),
+    "edges": FaultPlan(edges=EdgeFaults(removal_probability=0.1, at_round=20)),
+    "drop-crash": FaultPlan(messages=_DROP, crashes=CrashFaults(count=2, at_phase=2)),
+}
+_FAULTY_GRAPHS = {"expander16": _EXPANDER_16, "hypercube4": _HYPERCUBE_4, "expander64": _EXPANDER_64}
+_FAULTY_SPECS = {
+    "%s-%s" % (plan_name, graph_name): TrialSpec(
+        graph=graph, seed=20 + seed, simulator="vectorized", fault_plan=plan
+    )
+    for seed, (plan_name, plan) in enumerate(_FAULTY_PLANS.items())
+    for graph_name, graph in _FAULTY_GRAPHS.items()
+}
+_FAULTY_DIGESTS = {
+    "drop-expander16": "d70c6393fc8e0c560e404ff2379e27e63269bd1ec930e0366eb04c94f67b2753",
+    "drop-hypercube4": "c7212b180bb2070a8ced9a56d91ece42597d8f3f8e7542be2cd8957b9ebd5905",
+    "drop-expander64": "9933de6d6d0b394f07cf19925284898fe0d90ccaaa802e0aa6bf31117b2f1aa5",
+    "duplicate-expander16": "b4d6416c26a9cfa8fae5a3c386ff745fea16955c62f460297388a87d64dff794",
+    "duplicate-hypercube4": "d3e470ac13ce0a367a36efa990f190af3d63e13cebbfe2b12579c061cc7a4f0a",
+    "duplicate-expander64": "013bc3ae48cf710786abeae6b34c2c16e77990e085a2470beeb662d0edd97464",
+    "delay1-expander16": "673dfcffe0f8b7ae76b262d83d8a9c77d836daee2413e9f1ba9388eb9516090e",
+    "delay1-hypercube4": "a7712699e2bbe5690c503b564b11871e069566df189e33ef7f6f84a26f45c4c3",
+    "delay1-expander64": "a0e0aaf8a1ca424dfcf7964f5a1f78a63b4d50da6cdfe5de38f40e73d19d28e1",
+    "delay3-expander16": "ce1e9093639f3058e7065d083c9507036cada174350acbf3cac111aed9bf47dc",
+    "delay3-hypercube4": "71f688cd5e7fa4d2d876def8764415adec0eee461dd1ccd952859625d8710683",
+    "delay3-expander64": "d6c35c23de35d7e364175b3913ef44490ce101f62b787a74a9aa52d96c5aeb7e",
+    "edges-expander16": "1dde466e8a98c21e7a7640c3d29a2127921c7a2059f264688bcb31d2d2d31276",
+    "edges-hypercube4": "34c7908c0f63678aaf9204f873cc248a6505e6eac70f0e6e47fe8e8950f08f2f",
+    "edges-expander64": "260eb968c9332c9b95c330be07954631280bb8f945fb10476acb4e9ad2e261a0",
+    "drop-crash-expander16": "dc3c2aadb17b660f5d9a0a510c82dcc2c7b7f153301d14985b371e20028d3281",
+    "drop-crash-hypercube4": "8ac8b1f1a7a0e1ee8ba3d4bdd9246e8ceab533255a288eedc280bdc96a18f7de",
+    "drop-crash-expander64": "ff2e55a05decf7d837aaeaecd04d10564884696cc8778b5a870ce019976ccd64",
+}
+_GOLDEN.update(
+    ("faulty-" + name, (spec, _FAULTY_DIGESTS[name])) for name, spec in _FAULTY_SPECS.items()
+)
+
+
 def _digest(outcome) -> str:
     return hashlib.sha256(json.dumps(outcome_to_dict(outcome)).encode()).hexdigest()
 
@@ -315,6 +362,11 @@ class TestGoldenOutcomes:
             assert outcome.winners == []
         if name == "election-congestion":
             assert outcome.metrics.congestion_events > 0
+        if name.startswith("faulty-"):  # the adversary acted
+            events = outcome.metrics.fault_events
+            assert events["dropped"] + events["duplicated"] + events["delayed"] > 0 or (
+                events["edge_dropped"] > 0
+            )
         assert outcome.metrics.completed is not name.startswith("cap-")
 
 
