@@ -203,14 +203,19 @@ class CampaignRunner:
             ]
         assigned_set = set(assigned)
 
-        # A backend named by string (or the env override, both resolved by
-        # the profile) is instantiated once around the whole attempt loop:
-        # retry rounds then reuse one worker pool instead of paying its
-        # startup per round.  A backend *instance* stays caller-owned,
-        # exactly as in BatchRunner.
+        # The backend -- named by string, by the env override (both resolved
+        # by the profile) or the workers-derived default -- is instantiated
+        # once around the whole attempt loop: retry rounds then reuse one
+        # worker pool instead of paying its startup per round.  A backend
+        # *instance* stays caller-owned, exactly as in BatchRunner.
         backend = self.profile.effective_backend()
         backend_owned = False
-        if isinstance(backend, str):
+        if backend is None:
+            # BatchRunner's default over the assigned trials.
+            default = "serial" if self.workers == 1 or len(assigned) <= 1 else "workerpool"
+            backend = make_backend(default, workers=min(self.workers, max(1, len(assigned))))
+            backend_owned = True
+        elif isinstance(backend, str):
             backend = make_backend(backend, workers=self.workers)
             backend_owned = True
 

@@ -17,6 +17,7 @@ from repro.campaign import (
 from repro.core import ElectionParameters
 from repro.exec import GraphSpec, ResultCache, Shard, SweepSpec, TrialSpec
 from repro.exec.algorithms import ALGORITHMS, register_algorithm
+from repro.obs.tracer import TraceSink
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
 
@@ -145,6 +146,38 @@ class TestRetry:
         second = CampaignRunner(campaign, cache).run()
         assert second.failed == 0
         assert second.executed == 1
+
+
+class _Counter(TraceSink):
+    def __init__(self):
+        self.names = []
+
+    def emit(self, record):
+        self.names.append(record["name"])
+
+
+class TestDefaultBackendAcrossRetries:
+    def test_retry_rounds_reuse_one_worker_pool(self, tmp_path):
+        # Three configs of two trials each; one config (an election that may
+        # not learn n) fails on every attempt, so each retry round has two
+        # trials pending.  The rounds must not start new worker interpreters.
+        failing = TrialSpec(
+            graph=GraphSpec("clique", (8,)), params=FAST, algo_kwargs={"known_n": None}
+        )
+        healthy = tuple(TrialSpec(graph=GraphSpec("clique", (n,)), params=FAST) for n in (6, 9))
+        campaign = CampaignSpec(
+            name="retry-pool",
+            sweeps=(
+                SweepSpec(name="mixed", configs=(failing, *healthy), trials=2, base_seed=5),
+            ),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        counter = _Counter()
+        result = CampaignRunner(
+            campaign, ResultCache(tmp_path), workers=2, sinks=(counter,)
+        ).run()
+        assert (result.failed, result.executed) == (2, 4)
+        assert counter.names.count("worker.spawned") == 2
 
 
 class TestSharding:
