@@ -173,6 +173,11 @@ def known_tmix_trial(
         )
     else:
         outcome = reference()
+    return known_tmix_outcome(outcome, mixing_time)
+
+
+def known_tmix_outcome(outcome, mixing_time: int) -> TrialOutcome:
+    """The unified trial outcome of one [25]-baseline election run."""
     trial = TrialOutcome.from_election("known_tmix", outcome)
     trial.extras["mixing_time"] = mixing_time
     return trial

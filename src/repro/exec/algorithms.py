@@ -16,6 +16,12 @@ executor validates against:
 * ``outcome_kind`` -- which classification family the returned
   :class:`~repro.core.result.TrialOutcome` draws from (one of
   :data:`~repro.core.result.TRIAL_KINDS`).
+* ``batch`` -- for walk-phase algorithms, ``(graph, spec)`` ->
+  ``(VectorizedTrial, finish)`` or ``None``: the trial as a member of a
+  same-shape vectorized batch (:func:`repro.sim.vectorized.run_vectorized_batch`)
+  and how its election outcome becomes the adapter's ``TrialOutcome``.
+  ``None`` -- another simulator, or a configuration the engine refuses
+  statically -- runs the trial alone through ``runner``.
 * ``simulators`` -- which execution engines the adapter can run on
   (a subset of :data:`~repro.core.runner.KNOWN_SIMULATORS`).  Every
   algorithm supports the ``"reference"`` object simulator; walk-phase
@@ -35,18 +41,24 @@ private/test registrations and are excluded from the public catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..baselines.clique_sublinear import clique_sublinear_trial
 from ..baselines.controlled_flooding import controlled_flooding_trial
 from ..baselines.flood_max import flood_max_trial
-from ..baselines.known_tmix import known_tmix_trial
+from ..baselines.known_tmix import known_tmix_outcome, known_tmix_trial
 from ..broadcast.flooding import flooding_trial
 from ..broadcast.push_pull import push_pull_trial
 from ..broadcast.spanning_tree import spanning_tree_trial
 from ..core.result import TRIAL_KINDS, TrialOutcome
 from ..core.runner import KNOWN_SIMULATORS, run_leader_election
+from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
+from ..sim.vectorized import (
+    vectorized_election_trial,
+    vectorized_known_tmix_trial,
+    vectorized_unsupported_reason,
+)
 from .spec import TrialSpec
 
 __all__ = [
@@ -59,6 +71,7 @@ __all__ = [
 ]
 
 AlgorithmRunner = Callable[[Graph, TrialSpec], TrialOutcome]
+BatchAdapter = Callable[[Graph, TrialSpec], Optional[Tuple[object, Callable]]]
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,7 @@ class Algorithm:
     outcome_kind: str = "election"
     description: str = ""
     simulators: Tuple[str, ...] = ("reference",)
+    batch: Optional[BatchAdapter] = None
 
     def __post_init__(self) -> None:
         if self.outcome_kind not in TRIAL_KINDS:
@@ -112,6 +126,7 @@ def register_algorithm(
     outcome_kind: str = "election",
     description: str = "",
     simulators: Tuple[str, ...] = ("reference",),
+    batch: Optional[BatchAdapter] = None,
 ) -> Callable[[AlgorithmRunner], AlgorithmRunner]:
     """Register a runner under ``name`` with its capabilities (decorator form)."""
 
@@ -126,6 +141,7 @@ def register_algorithm(
             outcome_kind=outcome_kind,
             description=description,
             simulators=tuple(simulators),
+            batch=batch,
         )
         return runner
 
@@ -162,6 +178,29 @@ def fault_aware_algorithms() -> FrozenSet[str]:
 
 
 # --------------------------------------------------------------------- paper
+def _vectorized_kwargs(spec: TrialSpec, signature: Tuple[str, ...]) -> Optional[dict]:
+    """``spec.algo_kwargs`` without the ``signature`` keys the engine's
+    static refusal reads, or ``None`` when the spec does not run on the
+    vectorized engine."""
+    kwargs = dict(spec.algo_kwargs)
+    refusal = {key: kwargs.pop(key) for key in signature if key in kwargs}
+    if "observers" in refusal:
+        refusal["observers"] = tuple(refusal["observers"])
+    if spec.simulator != "vectorized" or vectorized_unsupported_reason(**refusal):
+        return None
+    return kwargs
+
+
+def _paper_election_batch(graph: Graph, spec: TrialSpec):
+    kwargs = _vectorized_kwargs(spec, ("observers", "keep_simulation", "congest_mode"))
+    if kwargs is None:
+        return None
+    trial = vectorized_election_trial(
+        graph, params=spec.params, seed=spec.seed, fault_plan=spec.effective_fault_plan, **kwargs
+    )
+    return trial, lambda outcome: TrialOutcome.from_election("election", outcome)
+
+
 @register_algorithm(
     "election",
     fault_aware=True,
@@ -169,6 +208,7 @@ def fault_aware_algorithms() -> FrozenSet[str]:
     outcome_kind="election",
     description="the paper's Theorem 13 guess-and-double random-walk election",
     simulators=("reference", "vectorized"),
+    batch=_paper_election_batch,
 )
 def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
     """The paper's Theorem 13 election; ``algo_kwargs`` may set ``known_n`` etc."""
@@ -184,6 +224,24 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
 
 
 # ----------------------------------------------------------------- baselines
+def _known_tmix_batch(graph: Graph, spec: TrialSpec):
+    kwargs = _vectorized_kwargs(spec, ("observers",))
+    if kwargs is None:
+        return None
+    t_mix = kwargs.pop("mixing_time", None)
+    if t_mix is None:
+        t_mix = cached_mixing_time(graph)
+    trial = vectorized_known_tmix_trial(
+        graph,
+        t_mix,
+        params=spec.params,
+        seed=spec.seed,
+        fault_plan=spec.effective_fault_plan,
+        **kwargs,
+    )
+    return trial, lambda outcome: known_tmix_outcome(outcome, t_mix)
+
+
 @register_algorithm(
     "known_tmix",
     fault_aware=True,
@@ -191,6 +249,7 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
     outcome_kind="election",
     description="Kutten et al. [25]: one oracle-length walk phase (t_mix known)",
     simulators=("reference", "vectorized"),
+    batch=_known_tmix_batch,
 )
 def _run_known_tmix(graph: Graph, spec: TrialSpec) -> TrialOutcome:
     """The Kutten et al. [25] baseline.

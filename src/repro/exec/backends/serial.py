@@ -5,7 +5,7 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Iterator, Sequence, Tuple
 
-from ..execute import TrialPayload, guarded_payload
+from ..execute import TrialPayload, batched_payloads, guarded_payload
 from ..spec import TrialSpec
 from .base import ExecutionBackend
 
@@ -27,11 +27,12 @@ class SerialBackend(ExecutionBackend):
         return future
 
     def map(self, specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPayload]]:
-        """Execute lazily in submission order.
+        """Execute lazily, same-shape vectorized trials as one batch each
+        (:func:`~repro.exec.execute.batched_payloads`), everything else in
+        submission order.
 
         Laziness matters for ``on_error="raise"``: the runner stops
-        consuming at the first failure, so trials after it never execute --
-        the historical serial semantics.
+        consuming at the first failure, so trials after it -- beyond the
+        failed trial's own batch -- never execute.
         """
-        for index, spec in enumerate(specs):
-            yield index, guarded_payload(spec)
+        return batched_payloads(specs)

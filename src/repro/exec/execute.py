@@ -17,18 +17,20 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.params import DEFAULT_PARAMETERS
 from ..core.result import TrialOutcome
 from ..obs.tracer import current_tracer
-from .algorithms import fault_aware_algorithms, get_algorithm
+from .algorithms import ALGORITHMS, fault_aware_algorithms, get_algorithm
 from .spec import TrialSpec
 
 __all__ = [
     "TrialPayload",
     "execute_trial",
     "guarded_payload",
+    "batched_payloads",
+    "BATCH_TRIALS",
     "format_error",
     "default_worker_count",
 ]
@@ -95,32 +97,24 @@ def _check_capabilities(spec: TrialSpec) -> None:
         )
 
 
-def execute_trial(spec: TrialSpec) -> TrialOutcome:
-    """Run one trial exactly as described (graph build + algorithm run).
+def _build_graph(spec: TrialSpec):
+    """The first half of :func:`execute_trial`: capability checks and the
+    graph build, under a ``trial.build_graph`` span when traced.
 
-    Deterministic in ``spec`` alone.  Every registered algorithm must return
-    the unified :class:`~repro.core.result.TrialOutcome`; anything else is a
-    registration bug surfaced here rather than at cache-serialisation time.
+    Setup (graph build) and run timings are separate spans so a trace can
+    show where a trial's wall time went; timestamps never feed back into
+    seeds or fingerprints, so outcomes are bit-identical traced or not
+    (tests/obs/test_trace_determinism.py).
     """
     _check_capabilities(spec)
     tracer = current_tracer()
-    if tracer.enabled:
-        # Setup (graph build) and run timings are separate spans so a trace
-        # can show where a trial's wall time went; timestamps never feed back
-        # into seeds or fingerprints, so outcomes are bit-identical traced or
-        # not (tests/obs/test_trace_determinism.py).
-        label = spec.describe()
-        with tracer.span("trial.build_graph", label=label):
-            graph = spec.build_graph()
-        algorithm = get_algorithm(spec.algorithm)
-        with tracer.span(
-            "trial.run", label=label, algorithm=spec.algorithm, simulator=spec.simulator
-        ):
-            outcome = algorithm.run(graph, spec)
-    else:
-        graph = spec.build_graph()
-        algorithm = get_algorithm(spec.algorithm)
-        outcome = algorithm.run(graph, spec)
+    if not tracer.enabled:
+        return spec.build_graph()
+    with tracer.span("trial.build_graph", label=spec.describe()):
+        return spec.build_graph()
+
+
+def _checked(spec: TrialSpec, outcome) -> TrialOutcome:
     if not isinstance(outcome, TrialOutcome):
         raise TypeError(
             "algorithm %r returned %s instead of a TrialOutcome; registry "
@@ -130,11 +124,33 @@ def execute_trial(spec: TrialSpec) -> TrialOutcome:
     return outcome
 
 
-def guarded_payload(spec: TrialSpec) -> TrialPayload:
-    """Execute one trial in-process; failures come back as payload data."""
-    start = time.perf_counter()
+def _run_on(spec: TrialSpec, graph) -> TrialOutcome:
+    """The second half of :func:`execute_trial`: the algorithm run on the
+    built ``graph``, under a ``trial.run`` span when traced."""
+    algorithm = get_algorithm(spec.algorithm)
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return _checked(spec, algorithm.run(graph, spec))
+    with tracer.span(
+        "trial.run", label=spec.describe(), algorithm=spec.algorithm, simulator=spec.simulator
+    ):
+        return _checked(spec, algorithm.run(graph, spec))
+
+
+def execute_trial(spec: TrialSpec) -> TrialOutcome:
+    """Run one trial exactly as described (graph build + algorithm run).
+
+    Deterministic in ``spec`` alone.  Every registered algorithm must return
+    the unified :class:`~repro.core.result.TrialOutcome`; anything else is a
+    registration bug surfaced here rather than at cache-serialisation time.
+    """
+    return _run_on(spec, _build_graph(spec))
+
+
+def _captured(start: float, run: Callable[[], TrialOutcome]) -> TrialPayload:
+    """``run()``'s outcome, or its failure as payload data, timed from ``start``."""
     try:
-        outcome = execute_trial(spec)
+        outcome = run()
     except Exception as exc:  # noqa: BLE001 -- captured by design
         return TrialPayload(
             outcome=None,
@@ -147,4 +163,109 @@ def guarded_payload(spec: TrialSpec) -> TrialPayload:
         error=None,
         elapsed_seconds=time.perf_counter() - start,
     )
+
+
+def guarded_payload(spec: TrialSpec) -> TrialPayload:
+    """Execute one trial in-process; failures come back as payload data."""
+    return _captured(time.perf_counter(), lambda: execute_trial(spec))
+
+
+#: Same-shape vectorized trials per batch: enough to spread the phase loop's
+#: per-call cost over many trials, few enough that a batch's tables stay
+#: small and its trials report back in step with the rest.
+BATCH_TRIALS = 8
+
+
+@dataclass
+class _Member:
+    """One trial waiting in a batch: its built graph, engine inputs and
+    outcome adapter, and what its graph build cost."""
+
+    index: int
+    spec: TrialSpec
+    graph: object
+    trial: object
+    finish: Callable
+    build_seconds: float
+
+
+def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPayload]]:
+    """Execute ``specs`` in-process, running same-shape vectorized trials as
+    batches; yields ``(index, payload)`` in completion order.
+
+    A spec whose algorithm declares a ``batch`` adapter, and which the
+    vectorized engine accepts, waits -- graph built -- with the others of
+    its :attr:`~repro.sim.vectorized.VectorizedTrial.shape` until
+    :data:`BATCH_TRIALS` of them run as one engine call; the rest of a shape
+    run together at the end.  Every other spec runs alone, at once.  Each
+    member's outcome is the one it has alone; see :func:`_run_batch` for
+    fallbacks, failures and timing.
+    """
+    waiting: Dict[tuple, List[_Member]] = {}
+    for index, spec in enumerate(specs):
+        start = time.perf_counter()
+        algorithm = ALGORITHMS.get(spec.algorithm)
+        batch = algorithm.batch if algorithm is not None else None
+        if batch is None or spec.simulator != "vectorized":
+            yield index, _captured(start, lambda: execute_trial(spec))
+            continue
+        try:
+            graph = _build_graph(spec)
+        except Exception:  # noqa: BLE001 -- the trial fails alone, as it would
+            yield index, _captured(start, lambda: execute_trial(spec))
+            continue
+        try:
+            prepared = batch(graph, spec)
+        except Exception:  # noqa: BLE001 -- alone, the runner raises it again
+            prepared = None
+        if prepared is None:
+            yield index, _captured(start, lambda: _run_on(spec, graph))
+            continue
+        trial, finish = prepared
+        member = _Member(index, spec, graph, trial, finish, time.perf_counter() - start)
+        chunk = waiting.setdefault(trial.shape, [])
+        chunk.append(member)
+        if len(chunk) == BATCH_TRIALS:
+            del waiting[trial.shape]
+            yield from _run_batch(chunk)
+    for chunk in waiting.values():
+        yield from _run_batch(chunk)
+
+
+def _run_batch(chunk: List[_Member]) -> Iterator[Tuple[int, TrialPayload]]:
+    """One engine call for the chunk's trials.
+
+    Every member records the chunk's wall time (graph builds included)
+    divided by its size as its ``elapsed_seconds``.  A member whose setup
+    raised -- :class:`~repro.sim.vectorized.VectorizedUnsupported`, which
+    falls back to the reference engine, or any other failure -- runs again
+    alone through its algorithm's runner, and so ends exactly as it would
+    alone; a fault inside the batched run sends every member there.
+    """
+    from ..sim.vectorized import run_vectorized_batch
+
+    start = time.perf_counter()
+    tracer = current_tracer()
+    lead = chunk[0].spec
+    try:
+        with tracer.span(
+            "trial.run",
+            label=lead.describe(),
+            algorithm=lead.algorithm,
+            simulator=lead.simulator,
+            trials=len(chunk),
+        ):
+            results = run_vectorized_batch([member.trial for member in chunk])
+    except Exception:  # noqa: BLE001 -- each member alone fails, or not, by itself
+        results = [None] * len(chunk)
+    share = (time.perf_counter() - start + sum(m.build_seconds for m in chunk)) / len(chunk)
+    for member, result in zip(chunk, results):
+        if result is None or isinstance(result, BaseException):
+            yield member.index, _captured(
+                time.perf_counter(), lambda: _run_on(member.spec, member.graph)
+            )
+        else:
+            payload = _captured(start, lambda: _checked(member.spec, member.finish(result)))
+            payload.elapsed_seconds = share
+            yield member.index, payload
 

@@ -108,6 +108,10 @@ __all__ = [
     "vectorized_unsupported_reason",
     "vectorized_or_reference",
     "graph_csr",
+    "VectorizedTrial",
+    "run_vectorized_batch",
+    "vectorized_election_trial",
+    "vectorized_known_tmix_trial",
     "run_vectorized_election",
     "run_vectorized_known_tmix",
 ]
@@ -120,6 +124,8 @@ VECTORIZED_MESSAGE_STREAM = 0xD50C5
 
 _NEVER = 1 << 62
 _NONE = np.zeros(0, dtype=np.int64)
+#: Every trial of a batch, and none of them, as an index.
+_ALL, _NOTHING = slice(None), slice(0, 0)
 
 
 class VectorizedUnsupported(Exception):
@@ -200,55 +206,6 @@ def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     except AttributeError:  # pragma: no cover - exotic graph wrappers
         pass
     return indptr, indices, degrees
-
-
-class _Metrics(MetricsCollector):
-    """A :class:`MetricsCollector` fed per ``(kind, size_bits)`` tally.
-
-    :meth:`_Run.hop` tallies each round's sends of one kind
-    (:meth:`record_bulk`), and :meth:`flush` folds the tallies into the
-    totals once per phase.  The tally keeps first-seen order, so
-    ``messages_by_kind`` gains its keys in the order per-message accounting
-    would give them.  Given an edge capacity, ``edge_bits`` sums the bits per
-    ``(round, src, dst)``.
-    """
-
-    def __init__(self, word_bits: int, n: int, capacity_words: Optional[int]) -> None:
-        super().__init__(word_bits)
-        self.n = n
-        self.capacity_words = capacity_words
-        self.tally: Dict[Tuple[str, int], int] = {}
-        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = (
-            None if capacity_words is None else {}
-        )
-
-    def flush(self) -> None:
-        """Fold the pending tallies into the totals."""
-        for (kind, size), count in self.tally.items():
-            self.record_sends(kind, size, count)
-        self.tally.clear()
-
-    def record_bulk(
-        self, kind: str, sizes: np.ndarray, rnd: int, src: np.ndarray, dst: np.ndarray
-    ) -> None:
-        """Tally one round's messages: ``sizes[i]`` bits from ``src[i]``
-        to ``dst[i]``, with the loads summed per edge before they are kept."""
-        tally = self.tally
-        bins = np.bincount(sizes)
-        present = bins.nonzero()[0]
-        for size, count in zip(present.tolist(), bins[present].tolist()):
-            key = (kind, size)
-            tally[key] = tally.get(key, 0) + count
-        edge_bits = self.edge_bits
-        if edge_bits is not None:
-            edges = src * self.n + dst
-            order = np.argsort(edges, kind="stable")
-            edges = edges[order]
-            starts = _runs(edges)
-            loads = np.add.reduceat(sizes[order], starts)
-            for edge, load in zip(edges[starts].tolist(), loads.tolist()):
-                key = (rnd, *divmod(edge, self.n))
-                edge_bits[key] = edge_bits.get(key, 0) + load
 
 
 #: Set bits of every byte value: the popcount of a packed id set is the sum
@@ -335,98 +292,376 @@ def _by_round(arrive, *columns: np.ndarray):
             yield (a, *(column[at] for column in columns))
 
 
+class VectorizedTrial:
+    """The inputs of one engine run, before any of its seed streams is drawn.
+
+    Runs with equal :attr:`shape` -- node count, the ``n`` the protocol
+    assumes, parameters (a pinned walk length included), network stream,
+    decide rule, round cap and edge capacity -- share every phase window and
+    message width, so :func:`run_vectorized_batch` can run them as one batch.
+    Everything else (graph, seed, fault plan) stays per trial.
+    """
+
+    __slots__ = (
+        "graph",
+        "params",
+        "seed",
+        "fault_plan",
+        "max_rounds",
+        "network_stream",
+        "decide_rule",
+        "n_eff",
+        "edge_capacity_words",
+    )
+
+    def __init__(
+        self,
+        graph: Graph,
+        params,
+        seed: Optional[int],
+        fault_plan: Optional[FaultPlan],
+        max_rounds: int,
+        network_stream: int,
+        decide_rule: str,
+        known_n: Optional[int] = -1,
+        assumed_n: Optional[int] = None,
+        edge_capacity_words: Optional[int] = None,
+    ) -> None:
+        self.graph = graph
+        self.params = params
+        self.seed = seed
+        self.fault_plan = fault_plan
+        self.max_rounds = max_rounds
+        self.network_stream = network_stream
+        self.decide_rule = decide_rule
+        resolved = graph.num_nodes if known_n == -1 else known_n
+        self.n_eff = resolved if resolved is not None else assumed_n
+        self.edge_capacity_words = edge_capacity_words
+
+    @property
+    def shape(self) -> tuple:
+        """What every member of one batch shares."""
+        return (
+            self.graph.num_nodes,
+            self.n_eff,
+            self.params,
+            self.network_stream,
+            self.decide_rule,
+            self.max_rounds,
+            self.edge_capacity_words,
+        )
+
+
+class _Member:
+    """One trial's setup draws: Algorithm 1's identities and nominations, the
+    injector's crash schedule, cut edges and delays, and its generators."""
+
+    __slots__ = ("contenders", "rank", "crash", "has_faults", "wrng", "csr", "channel")
+
+    def __init__(self, trial: VectorizedTrial, schedule) -> None:
+        graph, params = trial.graph, trial.params
+        n = graph.num_nodes
+        seed = trial.seed if trial.seed is not None else fresh_master_seed()
+        network_seed = derive_seed(seed, trial.network_stream)
+        n_eff = trial.n_eff
+        if n_eff is None:
+            raise ProtocolError(
+                "the algorithm requires knowledge of n (pass assumed_n to override)"
+            )
+        # Algorithm 1: byte-identical identities and nominations.  Identifiers
+        # live in a plain list -- id_space is n^4 and overflows int64 past
+        # n ~ 55k -- and the arrays index contenders by id rank instead.
+        ids = [0] * n
+        contenders = self.contenders = []
+        for i in range(n):
+            rng = random.Random(derive_seed(network_seed, i))
+            ids[i] = rng.randint(1, params.id_space(n_eff))
+            if rng.random() < params.contender_probability(n_eff):
+                contenders.append(i)
+        if len({ids[v] for v in contenders}) < len(contenders):
+            raise VectorizedUnsupported("duplicate contender identifiers alias their walk trees")
+        self.rank = np.full(n, -1, dtype=np.int64)
+        self.rank[sorted(contenders, key=ids.__getitem__)] = np.arange(len(contenders))
+
+        plan = trial.fault_plan or FaultPlan()
+        fault_seed = derive_seed(seed, FAULT_SEED_STREAM)
+        crash_map = crash_schedule(plan, fault_seed, n, schedule.phase_start)
+        self.crash = np.array([crash_map.get(v, _NEVER) for v in range(n)], dtype=np.int64)
+        self.has_faults = not plan.is_empty
+        self.wrng = np.random.default_rng(derive_seed(network_seed, VECTORIZED_WALK_STREAM)).random
+        self.csr = graph_csr(graph)
+        self.channel = None
+        if not (plan.messages.is_empty and plan.delays.is_empty and plan.edges.is_empty):
+            coins = None
+            if not plan.messages.is_empty:
+                base = derive_seed(fault_seed, plan.seed_stream())
+                coins = np.random.default_rng(derive_seed(base, VECTORIZED_MESSAGE_STREAM)).random
+            self.channel = (
+                removed_edges(plan, fault_seed, graph),
+                plan.edges.at_round,
+                delay_table(plan, fault_seed, graph),
+                plan.messages.drop_probability,
+                plan.messages.duplicate_probability,
+                coins,
+            )
+
+
+class _Metrics:
+    """Per-trial message tallies: count, units and bits per kind.
+
+    :meth:`_Run.hop` hands every round's sends of one kind to
+    :meth:`record_bulk`, which keeps them until :meth:`flush` sums them per
+    trial, once per phase.  Each trial keeps its kinds in first-seen order,
+    so its ``messages_by_kind`` gains its keys in the order per-message
+    accounting would give them.  Given an edge capacity, ``edge_bits`` sums
+    the bits per ``(round, src, dst)`` over the batch's node numbering.
+    """
+
+    def __init__(
+        self, word_bits: int, trials: int, trial_of: np.ndarray, capacity_words: Optional[int]
+    ) -> None:
+        self.word_bits = word_bits
+        self.trials = trials
+        self.trial_of = trial_of
+        self.N = trial_of.size
+        self.capacity_words = capacity_words
+        #: kind -> (3, trials) int64: messages, units and bits of each trial.
+        self.kinds: Dict[str, np.ndarray] = {}
+        #: kind -> the sizes and receivers of its sends since the last flush.
+        self.pending: Dict[str, Tuple[list, list]] = {}
+        #: kind -> the trials that sent it so far (a mask).
+        self.seen: Dict[str, np.ndarray] = {}
+        self.order: List[List[str]] = [[] for _ in range(trials)]
+        self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = (
+            None if capacity_words is None else {}
+        )
+
+    def record_bulk(
+        self,
+        kind: str,
+        sizes: np.ndarray,
+        rnd: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+    ) -> None:
+        """Keep one round's messages: ``sizes[i]`` (at least 1) bits from
+        ``src[i]`` to ``dst[i]`` (some), with the loads summed per edge
+        before they are kept."""
+        pending = self.pending.get(kind)
+        if pending is None:
+            pending = self.pending[kind] = ([], [])
+        pending[0].append(sizes)
+        seen = self.seen.get(kind)
+        if self.trials == 1:
+            if seen is None:
+                self.seen[kind] = seen = np.ones(1, dtype=bool)
+                self.order[0].append(kind)
+        else:
+            pending[1].append(dst)
+            if seen is None:
+                seen = self.seen[kind] = np.zeros(self.trials, dtype=bool)
+            if not seen.all():
+                sent = np.zeros(self.trials, dtype=bool)
+                sent[self.trial_of[dst]] = True
+                for t in (sent & ~seen).nonzero()[0].tolist():
+                    self.order[t].append(kind)
+                seen |= sent
+        edge_bits = self.edge_bits
+        if edge_bits is not None:
+            N = self.N
+            edges = src * N + dst
+            order = np.argsort(edges, kind="stable")
+            edges = edges[order]
+            starts = _runs(edges)
+            loads = np.add.reduceat(sizes[order], starts)
+            for edge, load in zip(edges[starts].tolist(), loads.tolist()):
+                key = (rnd, *divmod(edge, N))
+                edge_bits[key] = edge_bits.get(key, 0) + load
+
+    def flush(self) -> None:
+        """Sum the kept messages into every trial's tallies."""
+        B = self.trials
+        for kind, (sizes, receivers) in self.pending.items():
+            sizes = sizes[0] if len(sizes) == 1 else np.concatenate(sizes)
+            units = (sizes + (self.word_bits - 1)) // self.word_bits
+            tally = self.kinds.get(kind)
+            if tally is None:
+                tally = self.kinds[kind] = np.zeros((3, B), dtype=np.int64)
+            if B == 1:
+                tally[:, 0] += (sizes.size, int(units.sum()), int(sizes.sum()))
+            else:
+                trials = self.trial_of[np.concatenate(receivers)]
+                tally[0] += np.bincount(trials, minlength=B)
+                tally[1] += np.bincount(trials, units, minlength=B).astype(np.int64)
+                tally[2] += np.bincount(trials, sizes, minlength=B).astype(np.int64)
+        self.pending.clear()
+
+    def totals(self) -> Tuple[int, int]:
+        """Messages and message units over the whole batch so far."""
+        messages = units = 0
+        for tally in self.kinds.values():
+            messages += int(tally[0].sum())
+            units += int(tally[1].sum())
+        return messages, units
+
+    def collector(self, t: int, n: int) -> MetricsCollector:
+        """Trial ``t``'s tallies as a :class:`MetricsCollector` (``n`` nodes
+        per trial)."""
+        self.flush()
+        metrics = MetricsCollector(self.word_bits)
+        for kind in self.order[t]:
+            count, units, bits = self.kinds[kind][:, t].tolist()
+            metrics.messages += count
+            metrics.message_units += units
+            metrics.bits += bits
+            metrics.messages_by_kind[kind] = count
+            metrics.units_by_kind[kind] = units
+        if self.capacity_words is not None:
+            capacity_bits = self.capacity_words * self.word_bits
+            lo, hi = t * n, (t + 1) * n
+            for (_rnd, src, _dst), load in self.edge_bits.items():
+                if lo <= src < hi:
+                    metrics.record_edge_load(load, capacity_bits)
+        return metrics
+
+
+def _draw(generators, trials: np.ndarray, B: int) -> np.ndarray:
+    """One uniform coin per entry of ``trials`` (each entry's trial index):
+    every trial's coins come from its own generator, in entry order, so a
+    trial draws exactly what it would draw alone."""
+    if B == 1:
+        return generators[0](trials.size)
+    counts = np.bincount(trials, minlength=B).tolist()
+    coins = np.concatenate([generators[t](c) for t, c in enumerate(counts) if c])
+    if (trials[1:] >= trials[:-1]).all():  # already trial by trial
+        return coins
+    scattered = np.empty(trials.size)
+    scattered[np.argsort(trials, kind="stable")] = coins
+    return scattered
+
+
 class _Channel:
-    """The message adversary of a fault plan: edge removal, drop, duplicate, delay.
+    """The message adversary of every faulty trial: edge removal, drop,
+    duplicate, delay.
 
     Removed edges and per-edge delays are the injector's own draws
     (:func:`~repro.faults.injector.removed_edges`,
-    :func:`~repro.faults.injector.delay_table`), laid out over the CSR
-    entries, whose ``src * n + dst`` keys are sorted.  Drop and duplicate
-    coins come from the :data:`VECTORIZED_MESSAGE_STREAM` generator under the
-    plan's base seed, one coin per message and decision.
+    :func:`~repro.faults.injector.delay_table`), laid out over the batch's
+    CSR entries, whose ``src * N + dst`` keys are sorted.  Drop and duplicate
+    coins come from each trial's :data:`VECTORIZED_MESSAGE_STREAM` generator
+    under its plan's base seed, one coin per message and decision.  A trial
+    without a plan, or without one of the faults, cuts, drops, duplicates
+    and delays nothing, and draws no coins.
     """
 
-    __slots__ = ("n", "keys", "removed", "removal_round", "delay", "drop", "duplicate", "coins")
+    __slots__ = ("N", "keys", "removed", "removal_round", "delay", "drop", "duplicate", "coins")
 
-    def __init__(self, plan: FaultPlan, fault_seed: int, graph: Graph, csr) -> None:
+    def __init__(self, members: List[_Member], csr, n: int) -> None:
         _indptr, indices, degrees = csr
-        n = self.n = graph.num_nodes
-        self.keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + indices
-        cut = removed_edges(plan, fault_seed, graph)
-        self.removed = None
-        if cut:
-            u, v = np.array(sorted(cut), dtype=np.int64).T
-            self.removed = np.isin(self.keys, np.concatenate([u * n + v, v * n + u]))
-        self.removal_round = plan.edges.at_round
-        table = delay_table(plan, fault_seed, graph)
+        B = len(members)
+        N = self.N = B * n
+        self.keys = np.repeat(np.arange(N, dtype=np.int64), degrees) * N + indices
+        cut_keys, delays = [], []
+        self.removal_round = np.zeros(B, dtype=np.int64)
+        self.drop = np.zeros(B)
+        self.duplicate = np.zeros(B)
+        self.coins = [None] * B
+        for t, member in enumerate(members):
+            if member.channel is None:
+                continue
+            cut, at_round, table, drop, duplicate, coins = member.channel
+            if cut:
+                u, v = np.array(sorted(cut), dtype=np.int64).T + t * n
+                cut_keys += [u * N + v, v * N + u]
+            self.removal_round[t] = at_round
+            if table:
+                delays.append((t, table))
+            self.drop[t], self.duplicate[t], self.coins[t] = drop, duplicate, coins
+        self.removed = np.isin(self.keys, np.concatenate(cut_keys)) if cut_keys else None
         self.delay = None
-        if table:
-            src, dst = np.divmod(self.keys, n)
-            self.delay = np.array([table[e] for e in zip(src.tolist(), dst.tolist())])
-        self.drop = plan.messages.drop_probability
-        self.duplicate = plan.messages.duplicate_probability
-        self.coins = None
-        if not plan.messages.is_empty:
-            base = derive_seed(fault_seed, plan.seed_stream())
-            self.coins = np.random.default_rng(derive_seed(base, VECTORIZED_MESSAGE_STREAM)).random
+        if delays:
+            self.delay = np.zeros(self.keys.size, dtype=np.int64)
+            src, dst = np.divmod(self.keys, N)
+            for t, table in delays:
+                lo, hi = np.searchsorted(src, [t * n, (t + 1) * n])
+                pairs = zip((src[lo:hi] - t * n).tolist(), (dst[lo:hi] - t * n).tolist())
+                self.delay[lo:hi] = [table[e] for e in pairs]
 
-    def deliver(self, events: Dict[str, int], r: int, src: np.ndarray, dst: np.ndarray):
+    def _flip(self, run: "_Run", probability: np.ndarray, copies: np.ndarray, trials):
+        """The sent messages whose trial's coin comes up under ``probability``."""
+        sent = copies.nonzero()[0]
+        sent = sent[probability[trials[sent]] > 0]
+        if not sent.size:
+            return sent
+        owners = trials[sent]
+        return sent[_draw(self.coins, owners, run.B) < probability[owners]]
+
+    def deliver(self, run: "_Run", r: int, src: np.ndarray, dst: np.ndarray):
         """``(delay, copies)`` of the messages ``src[i] -> dst[i]`` sent in
         round ``r``: the injector's decisions in its order -- edge removal,
-        drop, duplicate, delay -- each counted in ``events``."""
+        drop, duplicate, delay -- each counted in the trial's events."""
+        trials = run.trial_of[dst]
         copies = np.ones(dst.size, dtype=np.int64)
         if self.removed is not None or self.delay is not None:
-            edge = np.searchsorted(self.keys, src * self.n + dst)
-        if self.removed is not None and r >= self.removal_round:
-            cut = self.removed[edge]
-            events["edge_dropped"] += int(np.count_nonzero(cut))
+            edge = np.searchsorted(self.keys, src * self.N + dst)
+        if self.removed is not None:
+            cut = self.removed[edge] & (r >= self.removal_round[trials])
+            run.count("edge_dropped", dst[cut])
             copies[cut] = 0
-        if self.drop:
-            sent = copies.nonzero()[0]
-            lost = sent[self.coins(sent.size) < self.drop]
-            events["dropped"] += lost.size
+        if self.drop.any():
+            lost = self._flip(run, self.drop, copies, trials)
+            run.count("dropped", dst[lost])
             copies[lost] = 0
-        if self.duplicate:
-            sent = copies.nonzero()[0]
-            twice = sent[self.coins(sent.size) < self.duplicate]
-            events["duplicated"] += twice.size
+        if self.duplicate.any():
+            twice = self._flip(run, self.duplicate, copies, trials)
+            run.count("duplicated", dst[twice])
             copies[twice] = 2
         if self.delay is None:
             return 0, copies
         delay = np.where(copies > 0, self.delay[edge], 0)
-        events["delayed"] += int(np.count_nonzero(delay))
-        events["delay_rounds"] += int(delay.sum())
+        slowed = delay.nonzero()[0]
+        run.count("delayed", dst[slowed])
+        run.count("delay_rounds", dst[slowed], delay[slowed])
         return delay, copies
 
 
 class _Run:
-    """The state one engine run shares across its phases and segments.
+    """The state one batched engine run shares across its phases and segments.
 
-    Setup draws the byte-identical identities and nominations (Algorithm 1),
-    the injector's crash schedule and, under message, delay or edge faults,
-    the plan's :class:`_Channel`.  :meth:`hop` is the one hop rule of every
-    message.  Contender ``c`` is the one with the ``c``-th smallest id:
-    id sets are packed bitmasks over that index (``np.packbits`` rows), so
-    "some id above mine" is "some bit above mine".
+    The batch is the disjoint union of its trials' graphs: trial ``t``'s node
+    ``v`` is node ``t * n + v``, and its CSR rows follow one another.  Setup
+    draws every trial's byte-identical identities and nominations
+    (Algorithm 1), the injector's crash schedule and, under message, delay
+    or edge faults, the batch's :class:`_Channel`.  :meth:`hop` is the one
+    hop rule of every message.  A trial's contender ``c`` is the one with its
+    ``c``-th smallest id: id sets are packed bitmasks over that index
+    (``np.packbits`` rows), so "some id above mine" is "some bit above mine";
+    per-contender rows are numbered trial by trial (``cidx``).  Rounds,
+    activity, completion and fault events are kept per trial.
     """
 
     # Slots: the segments read these, and CPython's instance-dict reads slow
-    # down once an object has more than 30 attributes (this one has 34).
+    # down once an object has more than 30 attributes.
     __slots__ = (
+        "B",
         "n",
         "params",
         "schedule",
         "max_rounds",
-        "ids",
+        "trial_of",
+        "local",
         "contenders",
         "rank",
+        "cidx",
         "own_bit",
+        "above_bit",
         "adjacency",
         "i4",
         "distinct",
         "forced_stop",
         "crash",
         "has_faults",
+        "crashing",
         "channel",
         "wrng",
         "csr",
@@ -447,72 +682,57 @@ class _Run:
         "clock",
         "completed",
         "events",
+        "members",
+        "trial_starts",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        params,
-        seed: Optional[int],
-        fault_plan: Optional[FaultPlan],
-        max_rounds: int,
-        network_stream: int,
-        decide_rule: str,
-        known_n: Optional[int] = -1,
-        assumed_n: Optional[int] = None,
-        edge_capacity_words: Optional[int] = None,
-    ) -> None:
-        from ..core.schedule import PhaseSchedule
-
-        n = self.n = graph.num_nodes
-        if seed is None:
-            seed = fresh_master_seed()
-        network_seed = derive_seed(seed, network_stream)
-        resolved = n if known_n == -1 else known_n
-        n_eff = resolved if resolved is not None else assumed_n
-        if n_eff is None:
-            raise ProtocolError(
-                "the algorithm requires knowledge of n (pass assumed_n to override)"
-            )
+    def __init__(self, trial: VectorizedTrial, members: List[_Member], schedule) -> None:
+        params = trial.params
+        B = self.B = len(members)
+        n = self.n = trial.graph.num_nodes
+        N = B * n
+        n_eff = trial.n_eff
         self.params = params
-        self.schedule = schedule = PhaseSchedule(params)
-        self.max_rounds = max_rounds
+        self.schedule = schedule
+        self.max_rounds = trial.max_rounds
+        self.members = members
+        self.trial_of = np.repeat(np.arange(B, dtype=np.int64), n)
+        self.local = np.tile(np.arange(n, dtype=np.int64), B)
+        self.trial_starts = np.arange(B + 1, dtype=np.int64) * n
 
-        # Algorithm 1: byte-identical identities and nominations.  Identifiers
-        # live in a plain list -- id_space is n^4 and overflows int64 past
-        # n ~ 55k -- and the arrays index contenders by id rank instead.
-        ids = self.ids = [0] * n
-        contenders = self.contenders = []
-        for i in range(n):
-            rng = random.Random(derive_seed(network_seed, i))
-            ids[i] = rng.randint(1, params.id_space(n_eff))
-            if rng.random() < params.contender_probability(n_eff):
-                contenders.append(i)
-        if len({ids[v] for v in contenders}) < len(contenders):
-            raise VectorizedUnsupported("duplicate contender identifiers alias their walk trees")
-        C = len(contenders)
-        self.rank = np.full(n, -1, dtype=np.int64)
-        self.rank[sorted(contenders, key=ids.__getitem__)] = np.arange(C)
-        self.own_bit = np.packbits(np.eye(C, dtype=bool), axis=1)  # (C, bytes)
+        counts = [len(m.contenders) for m in members]
+        self.contenders = np.concatenate(
+            [np.asarray(m.contenders, dtype=np.int64) + t * n for t, m in enumerate(members)]
+        )
+        self.rank = np.concatenate([m.rank for m in members])
+        first = np.zeros(B, dtype=np.int64)
+        np.cumsum(counts[:-1], out=first[1:])
+        self.cidx = np.where(self.rank >= 0, first[self.trial_of] + self.rank, -1)
+        C, width = sum(counts), max(counts)
+        self.own_bit = np.packbits(np.eye(width, dtype=bool), axis=1)  # (width, bytes)
+        bits = np.arange(width)
+        self.above_bit = np.packbits(bits[None, :] > bits[:, None], axis=1)
         # Per contender: the ids heard through REPORT and through COLLECT.
-        self.adjacency = np.zeros_like(self.own_bit)
-        self.i4 = np.zeros_like(self.own_bit)
+        self.adjacency = np.zeros((C, self.own_bit.shape[1]), dtype=np.uint8)
+        self.i4 = np.zeros_like(self.adjacency)
         self.distinct = np.zeros(C, dtype=np.int64)
         self.forced_stop = np.zeros(C, dtype=bool)
 
-        plan = fault_plan or FaultPlan()
-        fault_seed = derive_seed(seed, FAULT_SEED_STREAM)
-        crash_map = crash_schedule(plan, fault_seed, n, schedule.phase_start)
-        self.crash = np.array([crash_map.get(v, _NEVER) for v in range(n)], dtype=np.int64)
-        self.has_faults = not plan.is_empty
-        self.events = dict.fromkeys(FAULT_EVENT_KINDS, 0)
+        self.crash = np.concatenate([m.crash for m in members])
+        self.has_faults = np.array([m.has_faults for m in members])
+        self.crashing = bool(self.has_faults.any())  # else every walk lives and every move lands
+        self.events = np.zeros((B, len(FAULT_EVENT_KINDS)), dtype=np.int64)
 
-        self.wrng = np.random.default_rng(derive_seed(network_seed, VECTORIZED_WALK_STREAM))
-        self.csr = graph_csr(graph)
+        self.wrng = [m.wrng for m in members]
+        degrees = np.concatenate([m.csr[2] for m in members])
+        indptr = np.zeros(N + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        indices = np.concatenate([m.csr[1] + t * n for t, m in enumerate(members)])
+        self.csr = (indptr, indices, degrees)
         self.channel = (
             None
-            if plan.messages.is_empty and plan.delays.is_empty and plan.edges.is_empty
-            else _Channel(plan, fault_seed, graph, self.csr)
+            if all(m.channel is None for m in members)
+            else _Channel(members, self.csr, n)
         )
         self.id_bits = id_bits(n_eff)
         self.walks_per = params.num_walks(n_eff)
@@ -520,37 +740,93 @@ class _Run:
         # [25]'s rule has no thresholds: every contender that decides stops.
         self.thresholds = (
             (0, 0)
-            if decide_rule == "known_tmix"
+            if trial.decide_rule == "known_tmix"
             else (params.intersection_threshold(n_eff), params.distinctness_threshold(n_eff))
         )
-        self.metrics = _Metrics(word_bits_for(n), n, edge_capacity_words)
+        self.metrics = _Metrics(word_bits_for(n), B, self.trial_of, trial.edge_capacity_words)
 
-        self.learn = np.full(n, _NEVER, dtype=np.int64)  # round each node heard a winner
-        self.proxy_for = np.zeros((n, C), dtype=bool)  # node served contender as a proxy
+        self.learn = np.full(N, _NEVER, dtype=np.int64)  # round each node heard a winner
+        # Node served contender (by rank in its trial) as a proxy.
+        self.proxy_for = np.zeros((N, width), dtype=bool)
         # Forest index of each contender's latest tree each node belongs to.
-        self.latest_tree = np.full((n, C), -1, dtype=np.int64)
-        self.fired = np.zeros(n, dtype=bool)  # node fired its winner rules
+        self.latest_tree = np.full((N, width), -1, dtype=np.int64)
+        self.fired = np.zeros(N, dtype=bool)  # node fired its winner rules
         # Retained phases; their trees form the forest, numbered in phase then
         # starter order.  ``forest`` is the cascade's flattened view of them.
         self.retained: List[_Phase] = []
         self.forest: Optional[_Forest] = None
         self.leaders: List[int] = []
-        self.phases = 0  # phases opened; every starter of one started all before it
-        self.last_activity = 0
-        self.clock = 0
-        self.completed = True
+        # Per trial: phases opened (every starter of one started all before
+        # it), the last active round, the round reached, and completion.
+        self.phases = np.zeros(B, dtype=np.int64)
+        self.last_activity = np.zeros(B, dtype=np.int64)
+        self.clock = np.zeros(B, dtype=np.int64)
+        self.completed = np.ones(B, dtype=bool)
 
-    def act(self, r: int) -> None:
-        """Some node was active in round ``r``."""
-        if r > self.last_activity:
-            self.last_activity = r
-        if r > self.clock:
-            self.clock = r
+    # Per-trial bookkeeping takes batch nodes and charges their trials; a
+    # batch of one skips the node -> trial lookups.
+    def _trials(self, nodes: np.ndarray):
+        """The trials (a mask) some of ``nodes`` belong to."""
+        if self.B == 1:
+            return _ALL if nodes.size else _NOTHING
+        trials = np.zeros(self.B, dtype=bool)
+        trials[self.trial_of[nodes]] = True
+        return trials
 
-    def tick(self, r: int) -> None:
-        """The run reached round ``r`` (capped), active or not."""
-        if r > self.clock:
-            self.clock = min(r, self.max_rounds)
+    def count(self, kind: str, nodes: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
+        """Add fault events of ``kind`` to the trial of each of ``nodes``:
+        one each, or ``weights[i]``."""
+        if not nodes.size:
+            return
+        column = _EVENT_COLUMN[kind]
+        if self.B == 1:
+            self.events[0, column] += nodes.size if weights is None else int(weights.sum())
+        else:
+            tally = np.bincount(self.trial_of[nodes], weights, minlength=self.B)
+            self.events[:, column] += tally.astype(np.int64)
+
+    def act(self, r: int, nodes: np.ndarray) -> None:
+        """Some of ``nodes`` was active in round ``r``: so was its trial."""
+        trials = self._trials(nodes)
+        self.last_activity[trials] = np.maximum(self.last_activity[trials], r)
+        self.clock[trials] = np.maximum(self.clock[trials], r)
+
+    def reach(self, rounds: np.ndarray) -> None:
+        """Each trial was active in round ``rounds[t]`` (0: not at all)."""
+        np.maximum(self.last_activity, rounds, out=self.last_activity)
+        np.maximum(self.clock, rounds, out=self.clock)
+
+    def tick(self, r, nodes: Optional[np.ndarray] = None) -> None:
+        """The trials of ``nodes`` reached round ``r`` (capped), active or
+        not; without ``nodes``, trial ``t`` reached ``r[t]``."""
+        trials = _ALL if nodes is None else self._trials(nodes)
+        self.clock[trials] = np.maximum(self.clock[trials], np.minimum(r, self.max_rounds))
+
+    def stop(self, nodes: np.ndarray) -> None:
+        """The trials of ``nodes`` ran into the round cap: incomplete."""
+        self.completed[self.trial_of[nodes]] = False
+
+    def coins(self, nodes: np.ndarray) -> np.ndarray:
+        """Walk coins, one per walk at ``nodes`` (trial by trial)."""
+        if self.B == 1:
+            return self.wrng[0](nodes.size)
+        bounds = self.bounds(nodes)
+        return np.concatenate(
+            [
+                self.wrng[t](hi - lo)
+                for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                if hi > lo
+            ]
+        )
+
+    def bounds(self, nodes: np.ndarray) -> List[int]:
+        """Where each trial's run starts in ``nodes`` (trial by trial), and
+        the end."""
+        return np.searchsorted(nodes, self.trial_starts).tolist()
+
+    def local_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Each batch node's number within its trial."""
+        return nodes if self.B == 1 else self.local[nodes]
 
     def hop(
         self,
@@ -567,58 +843,70 @@ class _Run:
         message arrives in (``r + 1`` plus its edge's delay; one int when
         nothing is delayed) and how many copies of it do (0, 1, or 2 when
         duplicated; a bool mask without a channel).  ``None`` past the
-        round cap, which marks the run incomplete, as does a copy arriving
-        past it.  The channel's edge removal, drop, duplicate and delay come
-        first; then a copy to a receiver crashed by its arrival round is lost
-        and counted.  A delivered send whose sender ``knows`` (a mask, or
-        ``True`` for all) of a winner passes that on to its receiver.  No
-        sends, no checks.
+        round cap, which marks every sending trial incomplete, as does a copy
+        arriving past it.  The channel's edge removal, drop, duplicate and
+        delay come first; then a copy to a receiver crashed by its arrival
+        round is lost and counted.  A delivered send whose sender ``knows``
+        (a mask, or ``True`` for all) of a winner passes that on to its
+        receiver.  No sends, no checks.
         """
         if not dst.size:
             return _NONE, _NONE
         self.metrics.record_bulk(kind, sizes, r, src, dst)
         a = r + 1
         if a > self.max_rounds:
-            self.completed = False
+            self.stop(dst)
             return None
         if self.channel is None:
             delivered = self.crash[dst] > a
-            self.events["lost_to_crash"] += dst.size - int(np.count_nonzero(delivered))
+            if self.crashing:
+                self.count("lost_to_crash", dst[~delivered])
             told = dst[delivered & knows]
             self.learn[told] = np.minimum(self.learn[told], a)
             return a, delivered
-        delay, copies = self.channel.deliver(self.events, r, src, dst)
+        delay, copies = self.channel.deliver(self, r, src, dst)
         arrive = a + delay
-        crashed = self.crash[dst] <= arrive
-        self.events["lost_to_crash"] += int(copies[crashed].sum())
+        crashed = (self.crash[dst] <= arrive).nonzero()[0]
+        self.count("lost_to_crash", dst[crashed], copies[crashed])
         copies[crashed] = 0
         if type(arrive) is not int:
             capped = arrive > self.max_rounds
             if capped.any():
-                self.completed = False
+                self.stop(dst[capped])
                 copies[capped] = 0
         told = (copies > 0) & knows
         np.minimum.at(self.learn, dst[told], _at(arrive, told))
         return arrive, copies
 
 
+_EVENT_COLUMN = {kind: column for column, kind in enumerate(FAULT_EVENT_KINDS)}
+
+
 class _Phase:
     """One guess-and-double phase: its window, its starters and their walk trees.
 
-    Row ``s`` of every table belongs to the tree of ``starters[s]``; the
-    flat tables index ``s * n + node``.
+    Starters are batch nodes in trial order; row ``s`` of every table
+    belongs to the tree of ``starters[s]``, and the flat tables index
+    ``s * n + node`` by the node's number within its trial, so a trial's
+    rows follow one another: ``(trial * S + tree) * n + node`` when every
+    trial starts ``S`` trees.  ``node_base[s]`` turns a tree's node numbers
+    into batch nodes.
     """
 
-    def __init__(self, n: int, index: int, window, starters: List[int]) -> None:
+    def __init__(self, run: _Run, index: int, window, starters: np.ndarray) -> None:
+        n = run.n
         self.index = index
         self.window = window
         self.starters = starters
+        self.single = run.B == 1
+        self.trial = run.trial_of[starters]
+        self.node_base = self.trial * n
         self.phase_bits = counter_bits(max(1, index))
-        S = len(starters)
+        S = starters.size
         self.off = np.full((S, n), -1, dtype=np.int64)  # join offset, 0 at the origin
         self.par = np.full((S, n), -1, dtype=np.int64)  # tree parent
         self.proxies = np.zeros((S, n), dtype=np.int64)  # tokens ending at each node
-        self.off[np.arange(S), starters] = 0
+        self.off[np.arange(S), starters - self.node_base] = 0
         self.move_keys: List[np.ndarray] = []  # each round's unique move keys
         self.base = 0  # forest index of row 0
         # Set by _retain_trees: the forward edges as a CSR over flat rows,
@@ -627,16 +915,39 @@ class _Phase:
         self.fwd_ptr = self.fwd_dst = self.delay = self.members = np.zeros(0, dtype=np.int64)
         self.winners: List[int] = []  # forest rows of the leaders it elected
 
+    def nodes(self, trees: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """The batch nodes of node numbers ``local`` in trees ``trees``."""
+        return local if self.single else self.node_base[trees] + local
+
+    def keep(self, run: _Run, trees: np.ndarray) -> "_Phase":
+        """This phase with only the walk trees ``trees`` (a mask), before
+        they are retained."""
+        kept = np.flatnonzero(trees)
+        renumber = np.cumsum(trees) - 1
+        n = run.n
+        self.starters = self.starters[kept]
+        self.trial = self.trial[kept]
+        self.node_base = self.node_base[kept]
+        self.off, self.par, self.proxies = self.off[kept], self.par[kept], self.proxies[kept]
+        moves = []
+        for keys in self.move_keys:
+            tree, edge = np.divmod(keys, n * n)
+            mine = trees[tree]
+            moves.append(renumber[tree[mine]] * n * n + edge[mine])
+        self.move_keys = moves
+        return self
+
 
 class _Forest:
     """Every retained tree of the run, flattened as ``tree * n + node``: the
     tables of the winner cascade."""
 
-    __slots__ = ("phases", "par", "fwd_ptr", "fwd_dst", "bits", "flooded", "sent_up")
+    __slots__ = ("phases", "par", "node_base", "fwd_ptr", "fwd_dst", "bits", "flooded", "sent_up")
 
     def __init__(self, phases: List[_Phase], run: _Run) -> None:
         self.phases = len(phases)
         self.par = np.concatenate([ph.par.reshape(-1) for ph in phases])
+        self.node_base = np.concatenate([ph.node_base for ph in phases])
         self.fwd_ptr = np.zeros(self.par.size + 1, dtype=np.int64)
         np.cumsum(np.concatenate([np.diff(ph.fwd_ptr) for ph in phases]), out=self.fwd_ptr[1:])
         self.fwd_dst = np.concatenate([ph.fwd_dst for ph in phases])
@@ -654,24 +965,24 @@ class _Forest:
             self.sent_up[:kept] = run.forest.sent_up
 
 
-def _open_phase(run: _Run, index: int, active: List[int]) -> Optional[_Phase]:
+def _open_phase(run: _Run, index: int, active: np.ndarray) -> Optional[_Phase]:
     """Start phase ``index`` for the live ``active`` contenders, or ``None``
     when the round cap or the crashes leave nobody to start it."""
     window = run.schedule.window(index)
     begin = max(1, window.start)
-    run.tick(begin)
+    run.tick(begin, active)
     if begin > run.max_rounds:
-        run.completed = False
+        run.stop(active)
         return None
-    starters = [v for v in active if run.crash[v] > begin]
-    if not starters:
+    starters = active[run.crash[active] > begin]
+    if not starters.size:
         return None
-    run.phases = index + 1
-    run.distinct[run.rank[starters]] = 0
-    return _Phase(run.n, index, window, starters)
+    run.phases[run.trial_of[starters]] = index + 1
+    run.distinct[run.cidx[starters]] = 0
+    return _Phase(run, index, window, starters)
 
 
-def _walk(run: _Run, ph: _Phase) -> bool:
+def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     """WALK: every starter's lazy walks as token vectors, one CSR gather per round.
 
     Grows the trees (join offsets, parents, forward-edge move keys) and the
@@ -680,14 +991,15 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     carries, in an in-flight buffer under its arrival round.  Walks move while
     the WALK segment is open; an unfinished walk that lands after it closed
     never moves again.  Without delays every walk takes its ``t``-th step in
-    round ``begin + t - 1``, so steps are not tracked per walk.  Returns
-    ``False`` when the round cap cut the walk short.
+    round ``begin + t - 1``, so steps are not tracked per walk.  Returns the
+    trials (a mask) whose walk the round cap cut short, or ``None``: a cut
+    trial's walk ends where it would end alone, and the others walk on.
     """
     n = run.n
     crash = run.crash
     learn = run.learn
+    trial_of = run.trial_of
     indptr, indices, degrees = run.csr
-    coins = run.wrng.random
     max_rounds = run.max_rounds
     begin = max(1, ph.window.start)
     close = ph.window.report_start
@@ -697,10 +1009,11 @@ def _walk(run: _Run, ph: _Phase) -> bool:
     move_keys = ph.move_keys
     base_bits = run.id_bits + ph.phase_bits + 1
     owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
-    pos = np.repeat(np.asarray(ph.starters, dtype=np.int64), run.walks_per)
+    pos = np.repeat(ph.starters, run.walks_per)
     steps = np.zeros(pos.size, dtype=np.int64) if delayed else None
-    crashing = run.has_faults  # else every walk lives and every move lands
+    crashing = run.crashing
     flight: Dict[int, list] = {}  # arrival round -> landing batches
+    cut = None  # trials the round cap stopped
     r = begin
     while True:
         batches = flight.pop(r, None)
@@ -708,37 +1021,43 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             owners, pos, steps = _land(run, ph, r, batches, owners, pos, steps)
         if pos.size and r < close:
             if r > max_rounds:
-                run.completed = False
-                return False
+                # Every walk still in flight landed by the cap: this ends the
+                # walk of every trial that still has one.
+                if cut is None:
+                    cut = np.zeros(run.B, dtype=bool)
+                cut[trial_of[pos]] = True
+                run.stop(pos)
+                return cut
             if crashing:
                 alive = crash[pos] > r
                 if not alive.all():
-                    run.tick(r)
+                    run.tick(r, pos[~alive])
                     pos, owners = pos[alive], owners[alive]
                     steps = None if steps is None else steps[alive]
         if not pos.size or r >= close:  # nothing moves this round
             if not flight:
-                return True
+                return cut
             pos, owners = pos[:0], owners[:0]
             steps = None if steps is None else steps[:0]
             r = min(flight)
             continue
-        run.act(r)
-        move = coins(pos.size) >= 0.5
+        run.act(r, pos)
+        move = run.coins(pos) >= 0.5
         move &= degrees[pos] > 0  # tokens on isolated nodes never move
         moving = move.nonzero()[0]
         staying = (~move).nonzero()[0]
         stay_pos, stay_own = pos[staying], owners[staying]
+        stay_steps = None if steps is None else steps[staying]
         if moving.size:
             msrc = pos[moving]
             mown = owners[moving]
             degm = degrees[msrc]
-            ports = (coins(msrc.size) * degm).astype(np.int64)
+            ports = (run.coins(msrc) * degm).astype(np.int64)
             np.minimum(ports, degm - 1, out=ports)
             mdst = indices[indptr[msrc] + ports]
             # One message per (tree, src, dst[, steps]) move, in lexicographic
             # order; the moves' (tree, src, dst) keys are the tree's forward edges.
-            key = (mown * n + msrc) * n + mdst
+            key = (mown * n + run.local_of(msrc)) * n + run.local_of(mdst)
             if delayed:
                 msteps = steps[moving] + 1
                 key = key * (L + 1) + msteps
@@ -755,47 +1074,56 @@ def _walk(run: _Run, ph: _Phase) -> bool:
             g_head, g_dst = np.divmod(g_move, n)
             g_own, g_src = np.divmod(g_head, n)
             sizes = base_bits + step_bits + _bit_lengths(counts)
-            got = run.hop("walk_token", sizes, r, g_src, g_dst, learn[g_src] <= r)
+            senders = ph.nodes(g_own, g_src)
+            receivers = ph.nodes(g_own, g_dst)
+            got = run.hop("walk_token", sizes, r, senders, receivers, learn[senders] <= r)
             if got is None:
-                return False
-            arrive, copies = got
-            if crashing:  # keep what lands: each walk once per copy of its message
-                if channel is None:
-                    delivered = crash[mdst] > r + 1
-                    mown, mdst = mown[delivered], mdst[delivered]
-                else:
-                    group = np.searchsorted(g_key, key)
-                    per_walk = copies[group]
-                    mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
-                    if delayed:
-                        msteps = np.repeat(msteps, per_walk)
-                        landing = np.repeat(arrive[group], per_walk)
-                sent = copies.astype(bool, copy=False)
-                g_own, g_src, g_dst = g_own[sent], g_src[sent], g_dst[sent]
-                arrive = _at(arrive, sent)
-            joins = g_own * n + g_dst
-            if not delayed:
-                if joins.size:
-                    flight[r + 1] = [(joins, g_src, mown, mdst, None)]
+                # Past the cap: the sending trials stop here, the rest walk on.
+                if cut is None:
+                    cut = np.zeros(run.B, dtype=bool)
+                cut[trial_of[senders]] = True
+                going = ~cut[trial_of[stay_pos]]
+                stay_pos, stay_own = stay_pos[going], stay_own[going]
+                stay_steps = None if stay_steps is None else stay_steps[going]
             else:
-                for a, a_joins, a_src in _by_round(arrive, joins, g_src):
-                    at = landing == a
-                    batch = (a_joins, a_src, mown[at], mdst[at], msteps[at])
-                    flight.setdefault(a, []).append(batch)
+                arrive, copies = got
+                if crashing:  # keep what lands: each walk once per copy of its message
+                    if channel is None:
+                        delivered = crash[mdst] > r + 1
+                        mown, mdst = mown[delivered], mdst[delivered]
+                    else:
+                        group = np.searchsorted(g_key, key)
+                        per_walk = copies[group]
+                        mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
+                        if delayed:
+                            msteps = np.repeat(msteps, per_walk)
+                            landing = np.repeat(arrive[group], per_walk)
+                    sent = copies.astype(bool, copy=False)
+                    g_own, g_src, g_dst = g_own[sent], g_src[sent], g_dst[sent]
+                    arrive = _at(arrive, sent)
+                joins = g_own * n + g_dst
+                if not delayed:
+                    if joins.size:
+                        flight[r + 1] = [(joins, g_src, mown, mdst, None)]
+                else:
+                    for a, a_joins, a_src in _by_round(arrive, joins, g_src):
+                        at = landing == a
+                        batch = (a_joins, a_src, mown[at], mdst[at], msteps[at])
+                        flight.setdefault(a, []).append(batch)
         # Walks that stayed took their step in place; finished ones are proxies.
         if delayed:
-            steps = steps[staying] + 1
+            steps = stay_steps + 1
             done = steps == L
-            np.add.at(ph.proxies, (stay_own[done], stay_pos[done]), 1)
+            np.add.at(ph.proxies, (stay_own[done], run.local_of(stay_pos[done])), 1)
             going = ~done
             owners, pos, steps = stay_own[going], stay_pos[going], steps[going]
         elif r - begin + 1 == L:
-            np.add.at(ph.proxies, (stay_own, stay_pos), 1)
+            np.add.at(ph.proxies, (stay_own, run.local_of(stay_pos)), 1)
             owners, pos = stay_own[:0], stay_pos[:0]
         else:
             owners, pos = stay_own, stay_pos
         if not pos.size and not flight:
-            return True
+            return cut
         r += 1
 
 
@@ -808,7 +1136,6 @@ def _land(run: _Run, ph: _Phase, r: int, batches, owners, pos, steps):
     through the earliest-sent, then smallest-id, of their senders (the
     batches are in send order).
     """
-    run.act(r)
     n = run.n
     off = ph.off.reshape(-1)
     par = ph.par.reshape(-1)
@@ -823,20 +1150,46 @@ def _land(run: _Run, ph: _Phase, r: int, batches, owners, pos, steps):
         l_own, l_pos, l_steps = batches[0][2:]
     else:
         l_own, l_pos, l_steps = (np.concatenate(parts) for parts in list(zip(*batches))[2:])
+        if run.B > 1:  # each batch runs trial by trial; so must their union
+            order = np.argsort(run.trial_of[l_pos], kind="stable")
+            l_own, l_pos, l_steps = l_own[order], l_pos[order], l_steps[order]
+    run.act(r, l_pos)
     L = ph.window.walk_length
     if l_steps is None:  # walks in step: all landed walks took r - begin steps
         if r - max(1, ph.window.start) == L:
-            np.add.at(ph.proxies, (l_own, l_pos), 1)
+            np.add.at(ph.proxies, (l_own, run.local_of(l_pos)), 1)
             return owners, pos, steps
-        return np.concatenate([owners, l_own]), np.concatenate([pos, l_pos]), steps
+        pos, owners = _append(run, (pos, owners), (l_pos, l_own))
+        return owners, pos, steps
     done = l_steps == L
-    np.add.at(ph.proxies, (l_own[done], l_pos[done]), 1)
+    np.add.at(ph.proxies, (l_own[done], run.local_of(l_pos[done])), 1)
     going = ~done & (r < ph.window.report_start)
-    return (
-        np.concatenate([owners, l_own[going]]),
-        np.concatenate([pos, l_pos[going]]),
-        np.concatenate([steps, l_steps[going]]),
+    pos, owners, steps = _append(
+        run, (pos, owners, steps), (l_pos[going], l_own[going], l_steps[going])
     )
+    return owners, pos, steps
+
+
+def _append(run: _Run, residents: tuple, landed: tuple) -> tuple:
+    """The walk columns ``residents`` with ``landed`` appended trial by
+    trial (positions first in each): the walks of every trial stay
+    together, its landed ones after its residents, so the order within a
+    trial -- the order of its coins -- is the one it has alone."""
+    if run.B == 1 or not residents[0].size or not landed[0].size:
+        return tuple(np.concatenate(pair) for pair in zip(residents, landed))
+    r_bounds = np.array(run.bounds(residents[0]))
+    l_bounds = np.array(run.bounds(landed[0]))
+    # Trial t's residents shift past the landed walks of the trials before
+    # it; its landed walks past every resident up to its own.
+    r_at = np.arange(residents[0].size) + np.repeat(l_bounds[:-1], np.diff(r_bounds))
+    l_at = np.arange(landed[0].size) + np.repeat(r_bounds[1:], np.diff(l_bounds))
+    merged = []
+    for resident, land in zip(residents, landed):
+        column = np.empty(resident.size + land.size, dtype=resident.dtype)
+        column[r_at] = resident
+        column[l_at] = land
+        merged.append(column)
+    return tuple(merged)
 
 
 def _retain_trees(run: _Run, ph: _Phase) -> None:
@@ -844,12 +1197,13 @@ def _retain_trees(run: _Run, ph: _Phase) -> None:
     and index every member and proxy under its origin for the winner rules."""
     n = run.n
     S = len(ph.starters)
-    ranks = run.rank[ph.starters]
     ph.base = sum(len(kept.starters) for kept in run.retained)
     run.retained.append(ph)
-    rows = np.arange(ph.base, ph.base + S)
-    run.latest_tree[:, ranks] = np.where(ph.off.T >= 0, rows, run.latest_tree[:, ranks])
-    run.proxy_for[:, ranks] |= ph.proxies.T > 0
+    nodes = ph.node_base[:, None] + np.arange(n)  # (S, n) batch nodes
+    ranks = run.rank[ph.starters][:, None]
+    rows = np.arange(ph.base, ph.base + S)[:, None]
+    run.latest_tree[nodes, ranks] = np.where(ph.off >= 0, rows, run.latest_tree[nodes, ranks])
+    run.proxy_for[nodes, ranks] |= ph.proxies > 0
     keys = _unique(np.concatenate(ph.move_keys)) if ph.move_keys else np.zeros(0, np.int64)
     ph.move_keys.clear()  # the CSR below replaces them
     heads = keys // n
@@ -884,6 +1238,20 @@ def _slots(ph: _Phase, begin: int) -> Tuple[np.ndarray, np.ndarray]:
     return members, deadline
 
 
+def _reach(run: _Run, reached: np.ndarray, nodes: np.ndarray, rounds) -> None:
+    """Raise ``reached[t]``, per trial ``t``, to the round the messages of
+    ``nodes`` (some) reached: one round, or one per node."""
+    if run.B == 1:
+        last = rounds if type(rounds) is int else int(rounds.max())
+        if last > reached[0]:
+            reached[0] = last
+    elif type(rounds) is int:
+        trials = run.trial_of[nodes]
+        reached[trials] = np.maximum(reached[trials], rounds)
+    else:
+        np.maximum.at(reached, run.trial_of[nodes], rounds)
+
+
 def _converge_cast(
     run: _Run,
     ph: _Phase,
@@ -908,15 +1276,18 @@ def _converge_cast(
     n = run.n
     S = len(ph.starters)
     members, deadline = _slots(ph, begin)
+    trees = members // n
     if members.size:
-        run.tick(int(deadline[members[-1]]))
+        last = np.zeros(run.B, dtype=np.int64)
+        np.maximum.at(last, ph.trial[trees], deadline[members])
+        run.tick(last)
     crash = run.crash
     learn = run.learn.copy()  # as the segment found it
     # Lowest tree whose flagged message reached each node so far: tree s
     # sees the flag raised by trees before it, and by its own children.
-    told_by = np.full(n, S, dtype=np.int64)
+    told_by = np.full(run.learn.size, S, dtype=np.int64)
     # The origins' rows gather what reaches them, from every round.
-    origins = np.arange(S) * n + ph.starters
+    origins = np.arange(S) * n + (ph.starters - ph.node_base)
     deadline[origins] = _NEVER
     held[origins] = 0
     for c in counters:
@@ -927,25 +1298,25 @@ def _converge_cast(
     header = run.id_bits + ph.phase_bits + 1
     # A second copy counts twice; without copies counters stay within a
     # phase's walks.
-    doubles = run.channel is not None and run.channel.duplicate > 0
+    doubles = run.channel is not None and bool(run.channel.duplicate.any())
     widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
-    trees = members // n
-    nodes = members - trees * n
+    nodes = ph.nodes(trees, members - trees * n)
     parents = ph.par.reshape(-1)[members]
     send_rounds = deadline[members]
-    reached = 0
+    reached = np.zeros(run.B, dtype=np.int64)
     for lo, hi in zip(*_bounds(send_rounds)):
         r = int(send_rounds[lo])
-        if r > run.max_rounds:
-            run.completed = False
-            break
-        if r >= end:  # a slot after the segment sends nothing
+        if r > run.max_rounds or r >= end:
+            # A slot after the segment sends nothing; a trial whose next slot
+            # falls past the cap stops incomplete.
+            trials, first = np.unique(ph.trial[trees[lo:]], return_index=True)
+            run.completed[trials[send_rounds[lo:][first] > run.max_rounds]] = False
             break
         v = nodes[lo:hi]
         live = crash[v] > r
         if not live.any():
             continue
-        reached = max(reached, r)
+        _reach(run, reached, v[live], r)
         f = members[lo:hi]
         s = trees[lo:hi]
         knows = (learn[v] <= r) | (told_by[v] <= s)
@@ -954,28 +1325,29 @@ def _converge_cast(
             continue
         f, s, v, knows = f[send], s[send], v[send], knows[send]
         parent = parents[lo:hi][send]
+        receivers = ph.nodes(s, parent)
         ids = held[f]
         counts = [c[f] for c in counters]
         sizes = header + run.id_bits * _popcount(ids)
         for c in counts:
             sizes += _bit_lengths(np.maximum(c, 1)) if doubles else widths[c]
-        got = run.hop(kind, sizes, r, v, parent, knows)
+        got = run.hop(kind, sizes, r, v, receivers, knows)
         if got is None:
             continue
         arrive, copies = got
         delivered = copies.astype(bool, copy=False)
         if not delivered.any():
             continue
-        reached = max(reached, _last(arrive, delivered))
+        _reach(run, reached, v[delivered], _at(arrive, delivered))
         rows = s * n + parent
         keep = delivered & (arrive <= deadline[rows])
         told = delivered & knows
         if told.any():
-            np.minimum.at(told_by, parent[told], s[told])
+            np.minimum.at(told_by, receivers[told], s[told])
         every = np.repeat(np.flatnonzero(keep), copies[keep]) if doubles else keep
         _scatter(rows[every], ids[every], [c[every] for c in counts], held, counters)
         holds[rows[keep & holds[f]]] = True
-    run.act(reached)
+    run.reach(reached)
     return held[origins], (counters[0][origins] if counters else None)
 
 
@@ -984,17 +1356,19 @@ def _report(run: _Run, ph: _Phase) -> None:
     holds exactly one token (distinct) and how many (proxies)."""
     S, n = ph.proxies.shape
     ranks = run.rank[ph.starters]
+    contenders = run.cidx[ph.starters]
     proxies = ph.proxies.reshape(-1)
-    serves = np.packbits(run.proxy_for, axis=1)  # (n, bytes)
-    held = (serves[None, :, :] & ~run.own_bit[ranks][:, None, :]).reshape(S * n, -1)
+    serves = np.packbits(run.proxy_for, axis=1)  # (N, bytes)
+    serves = serves.reshape(run.B, n, -1)[ph.trial]  # (S, n, bytes)
+    held = (serves & ~run.own_bit[ranks][:, None, :]).reshape(S * n, -1)
     held[proxies == 0] = 0
     counters = [(proxies == 1).astype(np.int64), proxies.copy()]
     window = ph.window
     got_ids, got_distinct = _converge_cast(
         run, ph, window.report_start, window.distribute_start, "report", held, counters
     )
-    run.adjacency[ranks] |= got_ids
-    run.distinct[ranks] += got_distinct
+    run.adjacency[contenders] |= got_ids
+    run.distinct[contenders] += got_distinct
 
 
 def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
@@ -1007,18 +1381,17 @@ def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
     n = run.n
     S = len(ph.starters)
     begin = ph.window.distribute_start
-    run.tick(begin)
+    origins = ph.starters
+    run.tick(begin, origins)
     if begin > run.max_rounds:
-        run.completed = False
+        run.stop(origins)
         return _NONE, _NONE
-    origins = np.asarray(ph.starters, dtype=np.int64)
     live = run.crash[origins] > begin
-    if live.any():
-        run.act(begin)
-    i2_size = _popcount(run.adjacency[run.rank[ph.starters]])
+    run.act(begin, origins[live])
+    i2_size = _popcount(run.adjacency[run.cidx[origins]])
     sizes = run.id_bits * (1 + i2_size) + ph.phase_bits + 1
     trees = np.flatnonzero(live & (i2_size > 0))
-    rows = trees * n + origins[trees]
+    rows = trees * n + (origins - ph.node_base)[trees]
     member = ph.off.reshape(-1) >= 0
     proxy = ph.proxies.reshape(-1) > 0
     first = np.full(S * n, _NEVER, dtype=np.int64)  # round each row's first copy landed
@@ -1026,9 +1399,9 @@ def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
     hits = [rows[proxy[rows]]]
     hit_rounds = [begin]  # per hop, the one round its hits landed in, or theirs
     learn = run.learn.copy()  # as the segment found it
-    told_by = np.full(n, S, dtype=np.int64)  # as in _converge_cast
+    told_by = np.full(learn.size, S, dtype=np.int64)  # as in _converge_cast
     due = {begin: [rows]}  # round -> rows that may forward then
-    reached = 0
+    reached = np.zeros(run.B, dtype=np.int64)
     while due:
         t = min(due)
         landed = due.pop(t)
@@ -1036,18 +1409,20 @@ def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
         frontier = frontier[first[frontier] == t]
         rows, dst = _expand(ph.fwd_ptr, ph.fwd_dst, frontier)
         s = rows // n
-        u = rows - s * n
+        u = ph.nodes(s, rows - s * n)
+        receivers = ph.nodes(s, dst)
         knows = (learn[u] <= t) | (told_by[u] <= s)
-        got = run.hop("distribute", sizes[s], t, u, dst, knows)
+        got = run.hop("distribute", sizes[s], t, u, receivers, knows)
         if got is None:
             break
         arrive, copies = got
         sent = copies.astype(bool, copy=False)
-        s, dst, knows, arrive = s[sent], dst[sent], knows[sent], _at(arrive, sent)
+        s, dst, receivers = s[sent], dst[sent], receivers[sent]
+        knows, arrive = knows[sent], _at(arrive, sent)
         if not dst.size:
             continue
-        reached = max(reached, _last(arrive, slice(None)))
-        np.minimum.at(told_by, dst[knows], s[knows])
+        _reach(run, reached, receivers, arrive)
+        np.minimum.at(told_by, receivers[knows], s[knows])
         rows = s * n + dst
         joined = member[rows]
         rows, arrive = rows[joined], _at(arrive, joined)
@@ -1057,7 +1432,7 @@ def _distribute(run: _Run, ph: _Phase) -> Tuple[np.ndarray, np.ndarray]:
         for a, landed in _by_round(arrive, rows):
             first[landed] = np.minimum(first[landed], a)
             due.setdefault(a, []).append(landed)
-    run.act(reached)
+    run.reach(reached)
     rounds = [np.full(h.size, a) if type(a) is int else a for h, a in zip(hits, hit_rounds)]
     return np.concatenate(hits), np.concatenate(rounds)
 
@@ -1067,13 +1442,13 @@ def _collect(run: _Run, ph: _Phase, hits: np.ndarray, rounds: np.ndarray) -> Non
     of its trees of the phase) by its own send slot."""
     S, n = ph.proxies.shape
     window = ph.window
-    i2 = run.adjacency[run.rank[ph.starters]]
+    i2 = run.adjacency[run.cidx[ph.starters]]
     s = hits // n
-    v = hits - s * n
+    v = ph.node_base[s] + hits - s * n  # batch nodes
 
     def union(at) -> np.ndarray:
-        """Per node, the union of the sets of the hits ``at``."""
-        received = np.zeros((n, i2.shape[1]), dtype=np.uint8)
+        """Per batch node, the union of the sets of the hits ``at``."""
+        received = np.zeros((run.learn.size, i2.shape[1]), dtype=np.uint8)
         order = np.argsort(v[at], kind="stable")
         _scatter(v[at][order], i2[s[at][order]], (), received, ())
         return received
@@ -1081,20 +1456,22 @@ def _collect(run: _Run, ph: _Phase, hits: np.ndarray, rounds: np.ndarray) -> Non
     late = np.flatnonzero(rounds > window.collect_start)  # after some slots
     on_time = np.flatnonzero(rounds <= window.collect_start) if late.size else slice(None)
     proxy = ph.proxies > 0
-    held = (union(on_time)[None, :, :] * proxy[:, :, None]).reshape(S * n, -1)
+    received = union(on_time).reshape(run.B, n, -1)[ph.trial]  # (S, n, bytes)
+    held = (received * proxy[:, :, None]).reshape(S * n, -1)
     if late.size:
         _members, deadline = _slots(ph, window.collect_start)
         proxy_rows = np.flatnonzero(proxy.reshape(-1))
         for a, at in _by_round(rounds[late], late):
             rows = proxy_rows[deadline[proxy_rows] >= a]
-            held[rows] |= union(at)[rows % n]
+            trees = rows // n
+            held[rows] |= union(at)[ph.node_base[trees] + rows - trees * n]
     got_ids, _ = _converge_cast(
         run, ph, window.collect_start, window.decide_round, "collect", held, ()
     )
-    run.i4[run.rank[ph.starters]] |= got_ids
+    run.i4[run.cidx[ph.starters]] |= got_ids
 
 
-def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
+def _decide(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     """DECIDE: each live starter stops, elects itself or walks on.
 
     Returns the contenders that run the next phase, or ``None`` when the
@@ -1102,44 +1479,43 @@ def _decide(run: _Run, ph: _Phase) -> Optional[List[int]]:
     ``ph.winners`` for the cascade.
     """
     decide_round = ph.window.decide_round
-    run.tick(decide_round)
+    origins = ph.starters
+    run.tick(decide_round, origins)
     if decide_round > run.max_rounds:
-        run.completed = False
+        run.stop(origins)
         return None
-    crash = run.crash
-    learn = run.learn
+    local = origins - ph.node_base
+    alive = run.crash[origins] > decide_round
+    run.act(decide_round, origins[alive])
+    ranks = run.rank[origins]
+    contenders = run.cidx[origins]
+    count = ph.proxies[np.arange(origins.size), local]
+    serving = alive & (count > 0)
+    run.adjacency[contenders[serving]] |= np.packbits(
+        run.proxy_for[origins[serving]], axis=1
+    ) & ~run.own_bit[ranks[serving]]
+    run.distinct[contenders[alive & (count == 1)]] += 1
     intersection, distinctness = run.thresholds
-    may_grow = ph.window.walk_length < run.walk_cap
-    C = run.distinct.size
-    survivors: List[int] = []
-    for s, origin in enumerate(ph.starters):
-        if crash[origin] <= decide_round:
-            continue
-        run.act(decide_round)
-        c = int(run.rank[origin])
-        count = ph.proxies[s, origin]
-        if count > 0:
-            run.adjacency[c] |= np.packbits(run.proxy_for[origin]) & ~run.own_bit[c]
-            if count == 1:
-                run.distinct[c] += 1
-        heard = learn[origin] <= decide_round
-        if not (
-            _popcount(run.adjacency[c]) >= intersection and run.distinct[c] >= distinctness
-        ):
-            if heard:
-                continue  # stopped on the winner's notification
-            if may_grow:
-                survivors.append(origin)
-                continue
-            run.forced_stop[c] = True
-            if not run.params.elect_on_forced_stop:
-                continue
-        heard_of = np.unpackbits(run.i4[c] | run.adjacency[c], count=C)
-        if heard or heard_of[c + 1 :].any():  # a larger id than its own
-            continue
-        run.leaders.append(origin)
-        learn[origin] = decide_round  # it had not heard of a winner before
-        ph.winners.append((ph.base + s) * run.n + origin)
+    satisfied = (_popcount(run.adjacency[contenders]) >= intersection) & (
+        run.distinct[contenders] >= distinctness
+    )
+    heard = run.learn[origins] <= decide_round
+    unsatisfied = alive & ~satisfied & ~heard  # not stopped by a winner's notification
+    if ph.window.walk_length < run.walk_cap:
+        survivors = origins[unsatisfied]
+        candidates = alive & satisfied
+    else:
+        run.forced_stop[contenders[unsatisfied]] = True
+        survivors = origins[:0]
+        candidates = alive & (satisfied | (unsatisfied & run.params.elect_on_forced_stop))
+    # A candidate wins unless it heard of a winner or of a larger id than its own.
+    heard_of = run.i4[contenders] | run.adjacency[contenders]
+    larger = (heard_of & run.above_bit[ranks]).any(axis=1)
+    won = np.flatnonzero(candidates & ~heard & ~larger)
+    if won.size:
+        run.leaders.extend(origins[won].tolist())
+        run.learn[origins[won]] = decide_round  # it had not heard of a winner before
+        ph.winners = ((ph.base + won) * run.n + local[won]).tolist()
     return survivors
 
 
@@ -1163,6 +1539,7 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         run.forest = _Forest(run.retained, run)
     forest = run.forest
     par = forest.par
+    local = run.local_of
     # Round -> the winner-down rows, winner-up rows and receivers due then.
     due = {ph.window.decide_round: ([np.asarray(ph.winners, dtype=np.int64)], [], [])}
     while due:
@@ -1170,7 +1547,7 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         downs, ups, receivers = due.pop(r)
         if receivers:
             receivers = _unique(np.concatenate(receivers))
-            run.act(r)
+            run.act(r, receivers)
             fresh = receivers[~run.fired[receivers]]
             run.fired[fresh] = True
             ranks = run.rank[fresh]
@@ -1178,9 +1555,9 @@ def _cascade(run: _Run, ph: _Phase) -> None:
             serves = run.proxy_for[fresh]
             serves[np.flatnonzero(contender), ranks[contender]] = False
             at, served = np.nonzero(serves)
-            ups.append(run.latest_tree[fresh[at], served] * n + fresh[at])
+            ups.append(run.latest_tree[fresh[at], served] * n + local(fresh[at]))
             mine = fresh[contender]
-            downs.append(run.latest_tree[mine, ranks[contender]] * n + mine)
+            downs.append(run.latest_tree[mine, ranks[contender]] * n + local(mine))
         down = _unique(np.concatenate(downs))
         down = down[~forest.flooded[down]]
         forest.flooded[down] = True
@@ -1189,10 +1566,16 @@ def _cascade(run: _Run, ph: _Phase) -> None:
         forest.sent_up[up] = True
         rows, targets = _expand(forest.fwd_ptr, forest.fwd_dst, down)
         tree = rows // n
-        got_down = run.hop("winner_down", forest.bits[tree], r, rows - tree * n, targets, True)
+        base = forest.node_base[tree]
+        got_down = run.hop(
+            "winner_down", forest.bits[tree], r, base + rows - tree * n, base + targets, True
+        )
         up_tree = up // n
         parents = par[up]
-        got_up = run.hop("winner_up", forest.bits[up_tree], r, up - up_tree * n, parents, True)
+        base = forest.node_base[up_tree]
+        got_up = run.hop(
+            "winner_up", forest.bits[up_tree], r, base + up - up_tree * n, base + parents, True
+        )
         if got_down is None or got_up is None:
             break
         for slot, (arrive, copies), trees, dst in (
@@ -1203,31 +1586,34 @@ def _cascade(run: _Run, ph: _Phase) -> None:
             for a, a_tree, a_dst in _by_round(_at(arrive, sent), trees[sent], dst[sent]):
                 bucket = due.setdefault(a, ([], [], []))
                 bucket[slot].append(a_tree * n + a_dst)
-                bucket[2].append(a_dst)
+                bucket[2].append(forest.node_base[a_tree] + a_dst)
 
 
-def _outcome(run: _Run):
-    """The run's :class:`~repro.core.result.ElectionOutcome`."""
+def _outcome(run: _Run, t: int):
+    """Trial ``t``'s :class:`~repro.core.result.ElectionOutcome`."""
     from ..core.result import ElectionOutcome
 
-    metrics = run.metrics
-    metrics.flush()
-    if metrics.capacity_words is not None:
-        capacity_bits = metrics.capacity_words * metrics.word_bits
-        for load in metrics.edge_bits.values():
-            metrics.record_edge_load(load, capacity_bits)
-    crashed = np.flatnonzero(run.crash <= run.clock).tolist()
+    n = run.n
+    lo = t * n
+    clock = int(run.clock[t])
+    crashed = np.flatnonzero(run.crash[lo : lo + n] <= clock).tolist()
     fault_events = None
-    if run.has_faults:
-        fault_events = dict(run.events, crashed_nodes=len(crashed))
+    if run.has_faults[t]:
+        fault_events = dict(zip(FAULT_EVENT_KINDS, run.events[t].tolist()))
+        fault_events["crashed_nodes"] = len(crashed)
+    mine = run.trial_of[run.contenders] == t
+    phases = int(run.phases[t])
+    metrics = run.metrics.collector(t, n)
     return ElectionOutcome(
-        num_nodes=run.n,
-        leaders=sorted(run.leaders),
-        contenders=list(run.contenders),
-        metrics=metrics.finalize(run.last_activity, run.completed, fault_events),
-        forced_stop=bool(run.forced_stop.any()),
-        max_phases=run.phases,
-        final_walk_length=run.schedule.window(run.phases - 1).walk_length if run.phases else 0,
+        num_nodes=n,
+        leaders=sorted(v - lo for v in run.leaders if lo <= v < lo + n),
+        contenders=(run.contenders[mine] - lo).tolist(),
+        metrics=metrics.finalize(
+            int(run.last_activity[t]), bool(run.completed[t]), fault_events
+        ),
+        forced_stop=bool(run.forced_stop[run.cidx[run.contenders[mine]]].any()),
+        max_phases=phases,
+        final_walk_length=run.schedule.window(phases - 1).walk_length if phases else 0,
         simulation=None,
         crashed_nodes=crashed,
         simulator="vectorized",
@@ -1238,22 +1624,36 @@ def _no_clock() -> float:
     return 0.0
 
 
-def _simulate(run: _Run):
-    """The guess-and-double phase loop over the segment functions."""
+def _simulate(run: _Run) -> list:
+    """The guess-and-double phase loop over the segment functions: every
+    trial of the batch runs each phase it reaches, and leaves the batch
+    when it stops."""
     # Resolved once per run: tracing is write-only (bulk per-phase counters
     # and segment wall times), so the engine's seed streams and outputs are
     # identical traced or not.
     tracer = current_tracer()
     stamp = time.perf_counter if tracer.enabled else _no_clock
-    active = [v for v in run.contenders if run.crash[v] > 0]
+    active = run.contenders[run.crash[run.contenders] > 0]
     if tracer.enabled:
-        tracer.event("vec.run_started", n=run.n, contenders=len(active), faulty=run.has_faults)
+        tracer.event(
+            "vec.run_started",
+            n=run.n,
+            trials=run.B,
+            contenders=int(active.size),
+            faulty=run.crashing,
+        )
     index = 0
-    while active:
+    while active.size:
         started = stamp()
         ph = _open_phase(run, index, active)
-        if ph is None or not _walk(run, ph):
+        if ph is None:
             break
+        cut = _walk(run, ph)
+        if cut is not None:
+            trees = ~cut[ph.trial]
+            if not trees.any():
+                break
+            ph = ph.keep(run, trees)
         _retain_trees(run, ph)
         walked = stamp()
         _report(run, ph)
@@ -1265,22 +1665,94 @@ def _simulate(run: _Run):
         _cascade(run, ph)
         run.metrics.flush()
         if tracer.enabled:
+            messages, units = run.metrics.totals()
             tracer.event(
                 "vec.phase",
                 phase=index,
                 starters=len(ph.starters),
                 walk_length=int(ph.window.walk_length),
-                survivors=len(survivors),
+                survivors=int(survivors.size),
                 leaders=len(run.leaders),
-                messages=run.metrics.messages,
-                message_units=run.metrics.message_units,
+                messages=messages,
+                message_units=units,
                 walk_s=walked - started,
                 exchange_s=exchanged - walked,
                 cascade_s=stamp() - exchanged,
             )
         active = survivors
         index += 1
-    return _outcome(run)
+    return [_outcome(run, t) for t in range(run.B)]
+
+
+def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
+    """Run same-shape trials as one batch: one phase loop over the disjoint
+    union of their graphs.
+
+    Returns, per trial and in order, its
+    :class:`~repro.core.result.ElectionOutcome` -- byte-identical to the
+    trial run alone -- or the exception its setup raised (e.g.
+    :class:`VectorizedUnsupported` for duplicate contender ids), which
+    fails that trial only.  Raises :class:`ValueError` for trials of
+    different :attr:`VectorizedTrial.shape`.
+    """
+    from ..core.schedule import PhaseSchedule
+
+    if not trials:
+        return []
+    lead = trials[0]
+    if any(trial.shape != lead.shape for trial in trials):
+        raise ValueError("a vectorized batch runs trials of one shape only")
+    schedule = PhaseSchedule(lead.params)
+    results: list = [None] * len(trials)
+    members: List[_Member] = []
+    slots: List[int] = []
+    for slot, trial in enumerate(trials):
+        try:
+            members.append(_Member(trial, schedule))
+        except Exception as exc:  # noqa: BLE001 -- fails this trial alone
+            results[slot] = exc
+        else:
+            slots.append(slot)
+    if members:
+        for slot, outcome in zip(slots, _simulate(_Run(lead, members, schedule))):
+            results[slot] = outcome
+    return results
+
+
+def _run_alone(trial: VectorizedTrial):
+    """One trial as a batch of one; its setup's exception propagates."""
+    (result,) = run_vectorized_batch([trial])
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def vectorized_election_trial(
+    graph: Graph,
+    params=None,
+    seed: Optional[int] = None,
+    known_n: Optional[int] = -1,
+    assumed_n: Optional[int] = None,
+    max_rounds: int = 10_000_000,
+    edge_capacity_words: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
+) -> VectorizedTrial:
+    """The :class:`VectorizedTrial` of :func:`run_vectorized_election`."""
+    from ..core.params import DEFAULT_PARAMETERS
+    from ..core.runner import ELECTION_NETWORK_STREAM
+
+    return VectorizedTrial(
+        graph,
+        DEFAULT_PARAMETERS if params is None else params,
+        seed,
+        fault_plan,
+        max_rounds,
+        network_stream=ELECTION_NETWORK_STREAM,
+        decide_rule="election",
+        known_n=known_n,
+        assumed_n=assumed_n,
+        edge_capacity_words=edge_capacity_words,
+    )
 
 
 def run_vectorized_election(
@@ -1304,24 +1776,31 @@ def run_vectorized_election(
     >>> outcome.simulator, outcome.num_nodes, outcome.metrics.completed
     ('vectorized', 16, True)
     """
+    return _run_alone(
+        vectorized_election_trial(
+            graph, params, seed, known_n, assumed_n, max_rounds, edge_capacity_words, fault_plan
+        )
+    )
+
+
+def vectorized_known_tmix_trial(
+    graph: Graph,
+    mixing_time: int,
+    params=None,
+    safety_factor: float = 1.0,
+    seed: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    max_rounds: int = 1_000_000,
+) -> VectorizedTrial:
+    """The :class:`VectorizedTrial` of :func:`run_vectorized_known_tmix`."""
+    from ..baselines.known_tmix import KNOWN_TMIX_NETWORK_STREAM, pin_walk_length
     from ..core.params import DEFAULT_PARAMETERS
-    from ..core.runner import ELECTION_NETWORK_STREAM
 
     if params is None:
         params = DEFAULT_PARAMETERS
-    return _simulate(
-        _Run(
-            graph,
-            params,
-            seed,
-            fault_plan,
-            max_rounds,
-            network_stream=ELECTION_NETWORK_STREAM,
-            decide_rule="election",
-            known_n=known_n,
-            assumed_n=assumed_n,
-            edge_capacity_words=edge_capacity_words,
-        )
+    pinned = pin_walk_length(params, mixing_time, safety_factor)
+    return VectorizedTrial(
+        graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix"
     )
 
 
@@ -1340,11 +1819,8 @@ def run_vectorized_known_tmix(
     does and runs one oracle-length phase under the [25] decision rule, on the
     baseline's historical network stream.
     """
-    from ..baselines.known_tmix import KNOWN_TMIX_NETWORK_STREAM, pin_walk_length
-    from ..core.params import DEFAULT_PARAMETERS
-
-    if params is None:
-        params = DEFAULT_PARAMETERS
-    pinned = pin_walk_length(params, mixing_time, safety_factor)
-    run = _Run(graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix")
-    return _simulate(run)
+    return _run_alone(
+        vectorized_known_tmix_trial(
+            graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds
+        )
+    )
