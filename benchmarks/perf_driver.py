@@ -2,9 +2,11 @@
 """Throughput grid of the simulator cores: ``BENCH_simcore.json``, run through :mod:`harness`.
 
 Measures **trials per second** for every cell of ``algorithm x graph family x n x faults x
-simulator``.  Every timed trial must finish inside the round cap and every fault-free one must
-elect a leader (an adversary may leave no leader, or several), and a ``vectorized`` cell must not
-fall back to the reference engine, or the measurement would be mislabelled.
+simulator x batch``.  Every timed trial must finish inside the round cap and every fault-free one
+must elect a leader (an adversary may leave no leader, or several), and a ``vectorized`` cell must
+not fall back to the reference engine, or the measurement would be mislabelled.  A cell of
+``batch`` 1 runs one trial per engine call; a batched cell hands the serial backend chunks of
+:data:`~repro.exec.execute.BATCH_TRIALS` same-shape trials, which it runs as one engine call each.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import harness
 
 from repro.baselines.known_tmix import known_tmix_trial
 from repro.core.runner import run_leader_election
+from repro.exec import TrialSpec
+from repro.exec.backends import SerialBackend
+from repro.exec.execute import BATCH_TRIALS
 from repro.faults import DelayFaults, FaultPlan, MessageFaults
 from repro.graphs.generators import get_family, gilbert_connectivity_radius
 from repro.graphs.mixing import cached_mixing_time
@@ -37,9 +42,20 @@ FAULTS = {
 
 #: Both modes keep the ``n=512`` expander election cells: that pair carries the committed >=3x
 #: speedup claim, so the trajectory job must keep watching it.  The two simulators of one
-#: ``(algorithm, family, n, faults)`` run back to back, so a machine whose speed drifts during the
-#: run moves both halves of each speedup ratio alike.  The faulty cells time the election under
-#: 5% message drop and under per-edge delays of up to one round.
+#: ``(algorithm, family, n, faults)`` run back to back, then its batched cell where it has one, so a
+#: machine whose speed drifts during the run moves both halves of each ratio alike.  The faulty
+#: cells time the election under 5% message drop and under per-edge delays of up to one round.
+#: The batched cells time expander elections at n = 16, 64 and 256, fault-free and under drop;
+#: the quick subset keeps the fault-free n=64 one.
+BATCHED = {
+    ("election", "expander", 16, "none"): False,
+    ("election", "expander", 16, "drop 0.05"): False,
+    ("election", "expander", 64, "none"): True,
+    ("election", "expander", 64, "drop 0.05"): False,
+    ("election", "expander", 256, "none"): False,
+    ("election", "expander", 256, "drop 0.05"): False,
+}
+
 CELLS = [
     {
         "algorithm": algorithm,
@@ -47,9 +63,12 @@ CELLS = [
         "n": n,
         "faults": faults,
         "simulator": simulator,
-        "quick": quick,
+        "batch": batch,
+        "quick": quick if batch == 1 else BATCHED[algorithm, family, n, faults],
     }
     for algorithm, family, n, faults, quick in [
+        ("election", "expander", 16, "none", False),
+        ("election", "expander", 16, "drop 0.05", False),
         ("election", "expander", 64, "none", True),
         ("election", "expander", 256, "none", False),
         ("election", "expander", 512, "none", True),
@@ -68,7 +87,8 @@ CELLS = [
         ("election", "gilbert", 256, "drop 0.05", False),
         ("election", "gilbert", 256, "delay<=1", False),
     ]
-    for simulator in ("reference", "vectorized")
+    for simulator, batch in (("reference", 1), ("vectorized", 1), ("vectorized", BATCH_TRIALS))
+    if batch == 1 or (algorithm, family, n, faults) in BATCHED
 ]
 
 
@@ -80,8 +100,43 @@ def _build_graph(family: str, n: int) -> Graph:
     return get_family("expander").build(n, degree=8, seed=GRAPH_SEED)
 
 
+def _check(cell: harness.Cell, outcome, simulator: str, label: str) -> None:
+    if FAULTS[cell["faults"]] is None and outcome.classification != "elected":
+        raise RuntimeError("benchmark cell %r failed to elect" % (cell,))
+    if not outcome.metrics.completed:
+        raise RuntimeError("benchmark cell %r hit the round cap" % (cell,))
+    if simulator == "vectorized" and label != "vectorized":
+        raise RuntimeError(
+            "benchmark cell %r fell back to %r; the measurement would be "
+            "mislabelled" % (cell, label)
+        )
+
+
+def _prepare_batched(cell: harness.Cell, graph: Graph) -> harness.RunOnce:
+    """Rep ``r`` runs seeds ``r * batch`` onwards as one chunk of the serial backend."""
+    plan = FAULTS[cell["faults"]]
+    backend = SerialBackend()
+    batch = cell["batch"]
+
+    def run_once(rep: int):
+        specs = [
+            TrialSpec(graph=graph, seed=seed, simulator="vectorized", fault_plan=plan)
+            for seed in range(rep * batch, (rep + 1) * batch)
+        ]
+        for _index, payload in backend.map(specs):
+            if payload.error is not None:
+                raise RuntimeError("benchmark cell %r: %s" % (cell, payload.error))
+            outcome = payload.outcome
+            _check(cell, outcome, "vectorized", outcome.extras.get("simulator", "reference"))
+        return {"trials": batch}
+
+    return run_once
+
+
 def _prepare(cell: harness.Cell) -> harness.RunOnce:
     graph = _build_graph(cell["family"], cell["n"])
+    if cell["batch"] > 1:
+        return _prepare_batched(cell, graph)
     simulator = cell["simulator"]
     plan = FAULTS[cell["faults"]]
     # Computed outside the timed region: the oracle input is an input, not part of the simulator
@@ -95,15 +150,7 @@ def _prepare(cell: harness.Cell) -> harness.RunOnce:
         else:
             outcome = known_tmix_trial(graph, mixing_time, seed=seed, simulator=simulator)
             label = outcome.extras.get("simulator", "reference")
-        if plan is None and outcome.classification != "elected":
-            raise RuntimeError("benchmark cell %r failed to elect" % (cell,))
-        if not outcome.metrics.completed:
-            raise RuntimeError("benchmark cell %r hit the round cap" % (cell,))
-        if simulator == "vectorized" and label != "vectorized":
-            raise RuntimeError(
-                "benchmark cell %r fell back to %r; the measurement would be "
-                "mislabelled" % (cell, label)
-            )
+        _check(cell, outcome, simulator, label)
         return {"trials": 1}
 
     return run_once
@@ -111,7 +158,7 @@ def _prepare(cell: harness.Cell) -> harness.RunOnce:
 
 GRID = harness.Grid(
     name="simcore",
-    key=("algorithm", "family", "n", "faults", "simulator"),
+    key=("algorithm", "family", "n", "faults", "simulator", "batch"),
     unit="trials_per_sec",
     count="trials",
     cells=CELLS,

@@ -11,24 +11,35 @@ an int vector, one CSR neighbour-table gather moves every walk of every
 contender per round, and coin flips come in bulk from a dedicated seed
 stream.
 
-Cost model: a short phase loop (:func:`_simulate`) calls one function per
-protocol segment -- :func:`_walk`, :func:`_report`, :func:`_distribute`,
-:func:`_collect`, :func:`_decide` and :func:`_cascade` -- on one explicit
-run state, :class:`_Run`, and a :class:`_Phase` per phase.  Every segment
-is a round-synchronous array program that advances all of a phase's trees
-at once over flattened ``tree * n + node`` indices, and every message of
-every segment goes through one bulk hop rule, :meth:`_Run.hop`: it tallies
-a round's sends per ``(kind, size_bits)``, applies the round cap and the
-fault plan's message adversary (:class:`_Channel`: edge removal, drop,
-duplicate, delay), drops and counts crash losses, lowers heard-winner
-rounds and returns each message's arrival round and copy count.  REPORT
-and COLLECT are one converge-cast routine (:func:`_converge_cast`) that
-loops over the distinct send rounds; DISTRIBUTE and the winner cascade are
-floods, bucketed by arrival round, over a CSR of the trees' forward edges
-(deduplicated from the walk's ``(tree * n + src) * n + dst`` move keys).
-Id sets are packed bitmasks over the contenders, indexed by id rank.  The
-tallies are folded into a :class:`~repro.sim.metrics.MetricsCollector`
-once per phase.
+Cost model: one engine run is a *batch* of trials that share a shape
+(:class:`VectorizedTrial`: node count, assumed ``n``, parameters, decide
+rule, round cap, edge capacity), run as one phase loop over the disjoint
+union of their graphs -- :func:`run_vectorized_batch`; a single trial is a
+batch of one.  Small trials cost mostly per-call Python overhead, which a
+batch pays once for all its trials.  The phase loop (:func:`_simulate`)
+calls one function per protocol segment -- :func:`_walk`, :func:`_report`,
+:func:`_distribute`, :func:`_collect`, :func:`_decide` and :func:`_cascade`
+-- on one explicit run state, :class:`_Run`, and a :class:`_Phase` per
+phase.  Trial ``t``'s node ``v`` is batch node ``t * n + v``; the CSRs of
+the trials follow one another.  Every segment is a round-synchronous array
+program that advances all of a phase's trees, of every trial, at once over
+flattened ``tree * n + node`` rows, with each trial's trees consecutive
+(``(trial * S + tree) * n + node`` when every trial starts ``S``).  Every
+message of every segment goes through one bulk hop rule,
+:meth:`_Run.hop`: it keeps a round's sends for the per-trial tallies,
+applies the round cap and the fault plans' message adversary
+(:class:`_Channel`: edge removal, drop, duplicate, delay), drops and counts
+crash losses, lowers heard-winner rounds and returns each message's arrival
+round and copy count.  REPORT and COLLECT are one converge-cast routine
+(:func:`_converge_cast`) that loops over the distinct send rounds;
+DISTRIBUTE and the winner cascade are floods, bucketed by arrival round,
+over a CSR of the trees' forward edges (deduplicated from the walk's
+``(tree * n + src) * n + dst`` move keys).  Id sets are packed bitmasks over
+each trial's contenders, indexed by id rank.  What stays per trial: its
+clock, last active round, completion flag, phase count, fault events and
+message tallies (summed per trial once per phase); a trial that stops --
+no survivors, or the round cap -- leaves the batch where it would stop
+alone.
 
 Faults follow the reference node's rules for a second and a late copy of
 each message (pinned in ``tests/core/test_copies_and_late_arrivals.py``):
@@ -36,9 +47,9 @@ a duplicated walk token carries its walks twice, walks move only while the
 WALK segment is open but one that lands on its last step is a proxy however
 late, a converge-cast parent keeps what lands by its own send round (every
 copy: a second REPORT adds its counters twice), and the floods forward once,
-in the round a node's first copy lands.  A fault-free or crash-only run
-has no channel: it draws no coins, and every message it delivers arrives in
-the round after it was sent.
+in the round a node's first copy lands.  A fault-free or crash-only trial
+draws no coins, and every message it delivers arrives in the round after it
+was sent; a batch of such trials has no channel at all.
 
 Seed-stream contract
 --------------------
@@ -55,7 +66,11 @@ randomness, however, comes from one ``numpy`` PCG64 generator seeded with
 drop and duplicate coins from one seeded with ``derive_seed(base,
 VECTORIZED_MESSAGE_STREAM)``, where ``base`` is the plan's base seed
 ``derive_seed(derive_seed(seed, FAULT_SEED_STREAM), plan.seed_stream())`` --
-streams the reference never touches.  The two simulators therefore agree
+streams the reference never touches.  Both streams stay per trial in a
+batch: each trial draws from its own generators, in the order of its own
+walks and messages (a batch keeps every trial's walks together, in the
+order they have alone), so a trial's outcome is byte-identical whatever
+batch it runs in.  The two simulators therefore agree
 on *who runs*, *who crashes* and *which links fail* but sample independent
 walk trajectories and message losses: equivalence is at the outcome level
 (winners, classification, metric and fault-event distributions), never at
@@ -69,7 +84,9 @@ The engine refuses -- via :class:`VectorizedUnsupported` or the static
 faithfully: message observers, retained simulations and strict congest
 mode.  Every fault plan runs vectorized.  Callers (``repro.core.runner`` /
 ``repro.baselines.known_tmix``) fall back to the reference simulator and
-record the reason in the outcome's ``simulator`` tag.
+record the reason in the outcome's ``simulator`` tag.  In a batch, a trial
+whose setup raises -- :class:`VectorizedUnsupported` or anything else --
+gets its exception back in its slot and leaves the others running.
 
 Three deliberate approximations, all invisible at the outcome level the
 equivalence suite pins: winner notifications are propagated against the
@@ -99,7 +116,7 @@ from .errors import ProtocolError
 from .harness import FAULT_SEED_STREAM
 from .message import counter_bits, id_bits, word_bits_for
 from .metrics import MetricsCollector
-from .rng import derive_seed, fresh_master_seed
+from .rng import derive_seed, derive_seeds, fresh_master_seed
 
 __all__ = [
     "VECTORIZED_WALK_STREAM",
@@ -373,10 +390,12 @@ class _Member:
         # n ~ 55k -- and the arrays index contenders by id rank instead.
         ids = [0] * n
         contenders = self.contenders = []
-        for i in range(n):
-            rng = random.Random(derive_seed(network_seed, i))
-            ids[i] = rng.randint(1, params.id_space(n_eff))
-            if rng.random() < params.contender_probability(n_eff):
+        id_space = params.id_space(n_eff)
+        nominate = params.contender_probability(n_eff)
+        for i, node_seed in enumerate(derive_seeds(network_seed, n)):
+            rng = random.Random(node_seed)
+            ids[i] = rng.randint(1, id_space)
+            if rng.random() < nominate:
                 contenders.append(i)
         if len({ids[v] for v in contenders}) < len(contenders):
             raise VectorizedUnsupported("duplicate contender identifiers alias their walk trees")
@@ -1199,11 +1218,11 @@ def _retain_trees(run: _Run, ph: _Phase) -> None:
     S = len(ph.starters)
     ph.base = sum(len(kept.starters) for kept in run.retained)
     run.retained.append(ph)
-    nodes = ph.node_base[:, None] + np.arange(n)  # (S, n) batch nodes
-    ranks = run.rank[ph.starters][:, None]
-    rows = np.arange(ph.base, ph.base + S)[:, None]
-    run.latest_tree[nodes, ranks] = np.where(ph.off >= 0, rows, run.latest_tree[nodes, ranks])
-    run.proxy_for[nodes, ranks] |= ph.proxies > 0
+    ranks = run.rank[ph.starters]
+    trees, members = np.nonzero(ph.off >= 0)
+    run.latest_tree[ph.node_base[trees] + members, ranks[trees]] = ph.base + trees
+    trees, proxies = np.nonzero(ph.proxies)
+    run.proxy_for[ph.node_base[trees] + proxies, ranks[trees]] = True
     keys = _unique(np.concatenate(ph.move_keys)) if ph.move_keys else np.zeros(0, np.int64)
     ph.move_keys.clear()  # the CSR below replaces them
     heads = keys // n

@@ -1,6 +1,7 @@
 """Unit tests for deterministic per-node randomness."""
 
 from repro.sim import derive_seed, fresh_master_seed, node_rng
+from repro.sim.rng import derive_seeds
 
 
 class TestDeriveSeed:
@@ -35,3 +36,8 @@ class TestNodeRng:
     def test_fresh_master_seed_range(self):
         seed = fresh_master_seed()
         assert 0 <= seed < 2**63
+
+    def test_bulk_node_seeds_match_one_at_a_time(self):
+        for master in (0, 1, 7, 2**63 + 5, 2**64 + 3, -9, 0xDEADBEEFCAFEF00D):
+            assert derive_seeds(master, 40) == [derive_seed(master, i) for i in range(40)]
+        assert derive_seeds(3, 0) == []

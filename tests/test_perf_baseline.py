@@ -24,6 +24,7 @@ REQUIRED_CELL_KEYS = {
     "n",
     "faults",
     "simulator",
+    "batch",
     "trials",
     "seconds",
     "trials_per_sec",
@@ -35,10 +36,12 @@ def _load():
         return json.load(handle)
 
 
-def _by_key(document):
+def _by_key(document, batch=1):
+    """The cells of one ``batch`` size by ``(algorithm, family, n, faults, simulator)``."""
     return {
         (c["algorithm"], c["family"], c["n"], c["faults"], c["simulator"]): c
         for c in document["cells"]
+        if c["batch"] == batch
     }
 
 
@@ -55,6 +58,7 @@ def test_baseline_structure():
         assert cell["trials_per_sec"] > 0, cell
         assert cell["trials"] >= 1, cell
         assert cell["simulator"] in ("reference", "vectorized"), cell
+        assert cell["batch"] == 1 or cell["simulator"] == "vectorized", cell
 
 
 def test_baseline_covers_both_simulators_per_cell():
@@ -65,6 +69,23 @@ def test_baseline_covers_both_simulators_per_cell():
             "cell (%s, %s, %d, %s) measured only under %s"
             % (algorithm, family, n, faults, simulator)
         )
+
+
+def test_batched_cells_keep_up_with_unbatched():
+    """Every batched cell runs at least as many trials per second as the
+    vectorized cell that runs the same trials one engine call at a time."""
+    document = _load()
+    unbatched = _by_key(document)
+    batch_sizes = {cell["batch"] for cell in document["cells"]} - {1}
+    assert batch_sizes, "baseline lost its batched cells"
+    for batch in batch_sizes:
+        for key, cell in _by_key(document, batch).items():
+            assert key in unbatched, "batched cell %s has no unbatched partner" % (key,)
+            single = unbatched[key]["trials_per_sec"]
+            assert cell["trials_per_sec"] >= single, (
+                "batched cell %s: %.2f trials/s, below the unbatched %.2f"
+                % (key, cell["trials_per_sec"], single)
+            )
 
 
 def test_committed_speedup_claim():

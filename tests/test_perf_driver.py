@@ -78,13 +78,25 @@ def _quick_subset(grid, document, scale=None):
 
 @pytest.mark.parametrize("quick", [True, False])
 def test_grid_runs_each_simulator_pair_back_to_back(quick):
+    # Each reference cell is followed by its vectorized partner, and then by
+    # the batched vectorized cell of the same row where the row has one.
     cells = [cell for cell in perf_driver.GRID.cells if cell["quick"] or not quick]
-    assert len(cells) % 2 == 0
-    for reference, vectorized in zip(cells[::2], cells[1::2]):
-        assert reference["simulator"] == "reference"
-        assert vectorized["simulator"] == "vectorized"
-        key = harness.cell_key(perf_driver.GRID, reference)
-        assert key[:-1] == harness.cell_key(perf_driver.GRID, vectorized)[:-1]
+    rows = []
+    for cell in cells:
+        key = harness.cell_key(perf_driver.GRID, cell)
+        if cell["simulator"] == "reference":
+            assert cell["batch"] == 1
+            rows.append([key])
+        else:
+            assert key[:4] == rows[-1][0][:4]
+            rows[-1].append(key)
+    for row in rows:
+        assert [key[4:] for key in row][:2] == [("reference", 1), ("vectorized", 1)]
+        assert [key[4:] for key in row][2:] in ([], [("vectorized", perf_driver.BATCH_TRIALS)])
+    batched = [row[0][:4] for row in rows if len(row) == 3]
+    assert sorted(batched) == sorted(
+        key for key, quick_cell in perf_driver.BATCHED.items() if quick_cell or not quick
+    )
 
 
 def test_quick_and_full_mode_time_the_same_work(clock):
@@ -154,7 +166,7 @@ def test_uniform_slowdown_passes(name, capsys):
 @pytest.mark.parametrize(
     "name, slow_cell, fails",
     [
-        ("simcore", ("election", "gilbert", 64, "none", "vectorized"), True),
+        ("simcore", ("election", "gilbert", 64, "none", "vectorized", 1), True),
         ("cache", ("sqlite", "get", 2000), True),
         ("cache", ("json", "put", 2000), False),
     ],
