@@ -143,6 +143,8 @@ _NEVER = 1 << 62
 _NONE = np.zeros(0, dtype=np.int64)
 #: Every trial of a batch, and none of them, as an index.
 _ALL, _NOTHING = slice(None), slice(0, 0)
+#: Messages the tallies keep before summing them (a phase sums at its end).
+_FLUSH_AT = 1 << 13
 
 
 class VectorizedUnsupported(Exception):
@@ -446,10 +448,11 @@ class _Metrics:
         self.capacity_words = capacity_words
         #: kind -> (3, trials) int64: messages, units and bits of each trial.
         self.kinds: Dict[str, np.ndarray] = {}
-        #: kind -> the sizes and receivers of its sends since the last flush.
-        self.pending: Dict[str, Tuple[list, list]] = {}
-        #: kind -> the trials that sent it so far (a mask).
-        self.seen: Dict[str, np.ndarray] = {}
+        #: kind -> its sends since the last flush: sizes, receivers and the
+        #: number of each call.
+        self.pending: Dict[str, Tuple[list, list, list]] = {}
+        self.calls = 0
+        self.kept = 0  # messages pending
         self.order: List[List[str]] = [[] for _ in range(trials)]
         self.edge_bits: Optional[Dict[Tuple[int, int, int], int]] = (
             None if capacity_words is None else {}
@@ -468,23 +471,12 @@ class _Metrics:
         before they are kept."""
         pending = self.pending.get(kind)
         if pending is None:
-            pending = self.pending[kind] = ([], [])
+            pending = self.pending[kind] = ([], [], [])
         pending[0].append(sizes)
-        seen = self.seen.get(kind)
-        if self.trials == 1:
-            if seen is None:
-                self.seen[kind] = seen = np.ones(1, dtype=bool)
-                self.order[0].append(kind)
-        else:
-            pending[1].append(dst)
-            if seen is None:
-                seen = self.seen[kind] = np.zeros(self.trials, dtype=bool)
-            if not seen.all():
-                sent = np.zeros(self.trials, dtype=bool)
-                sent[self.trial_of[dst]] = True
-                for t in (sent & ~seen).nonzero()[0].tolist():
-                    self.order[t].append(kind)
-                seen |= sent
+        pending[1].append(dst)
+        pending[2].append(self.calls)
+        self.calls += 1
+        self.kept += sizes.size
         edge_bits = self.edge_bits
         if edge_bits is not None:
             N = self.N
@@ -496,24 +488,39 @@ class _Metrics:
             for edge, load in zip(edges[starts].tolist(), loads.tolist()):
                 key = (rnd, *divmod(edge, N))
                 edge_bits[key] = edge_bits.get(key, 0) + load
+        if self.kept > _FLUSH_AT:
+            self.flush()
 
     def flush(self) -> None:
-        """Sum the kept messages into every trial's tallies."""
+        """Sum the kept messages into every trial's tallies, and append the
+        kinds a trial sent for the first time to its order, by first call."""
         B = self.trials
-        for kind, (sizes, receivers) in self.pending.items():
+        firsts = []  # (trial, call, kind) of every kind new to a trial
+        for kind, (sizes, receivers, calls) in self.pending.items():
             sizes = sizes[0] if len(sizes) == 1 else np.concatenate(sizes)
             units = (sizes + (self.word_bits - 1)) // self.word_bits
             tally = self.kinds.get(kind)
             if tally is None:
                 tally = self.kinds[kind] = np.zeros((3, B), dtype=np.int64)
             if B == 1:
+                if not tally[0, 0]:
+                    firsts.append((0, calls[0], kind))
                 tally[:, 0] += (sizes.size, int(units.sum()), int(sizes.sum()))
-            else:
-                trials = self.trial_of[np.concatenate(receivers)]
-                tally[0] += np.bincount(trials, minlength=B)
-                tally[1] += np.bincount(trials, units, minlength=B).astype(np.int64)
-                tally[2] += np.bincount(trials, sizes, minlength=B).astype(np.int64)
+                continue
+            trials = self.trial_of[np.concatenate(receivers)]
+            messages = np.bincount(trials, minlength=B)
+            fresh = np.flatnonzero((tally[0] == 0) & (messages > 0))
+            if fresh.size:
+                first = np.full(B, self.calls, dtype=np.int64)
+                np.minimum.at(first, trials, np.repeat(calls, [r.size for r in receivers]))
+                firsts += [(t, int(first[t]), kind) for t in fresh.tolist()]
+            tally[0] += messages
+            tally[1] += np.bincount(trials, units, minlength=B).astype(np.int64)
+            tally[2] += np.bincount(trials, sizes, minlength=B).astype(np.int64)
+        for t, _call, kind in sorted(firsts):
+            self.order[t].append(kind)
         self.pending.clear()
+        self.kept = 0
 
     def totals(self) -> Tuple[int, int]:
         """Messages and message units over the whole batch so far."""
@@ -825,23 +832,37 @@ class _Run:
         """The trials of ``nodes`` ran into the round cap: incomplete."""
         self.completed[self.trial_of[nodes]] = False
 
-    def coins(self, nodes: np.ndarray) -> np.ndarray:
-        """Walk coins, one per walk at ``nodes`` (trial by trial)."""
+    def step(self, r: int, nodes: np.ndarray) -> np.ndarray:
+        """The walks at ``nodes`` (trial by trial) step in round ``r``: their
+        trials are active.  Returns one walk coin per walk."""
         if self.B == 1:
+            self.act(r, nodes)
             return self.wrng[0](nodes.size)
         bounds = self.bounds(nodes)
+        trials = np.diff(bounds) > 0
+        self.last_activity[trials] = np.maximum(self.last_activity[trials], r)
+        self.clock[trials] = np.maximum(self.clock[trials], r)
+        return self.coins(nodes, bounds)
+
+    def coins(self, nodes: np.ndarray, bounds: Optional[List[int]] = None) -> np.ndarray:
+        """Walk coins, one per walk at ``nodes`` (trial by trial; ``bounds``
+        as :meth:`bounds` gives them)."""
+        if self.B == 1:
+            return self.wrng[0](nodes.size)
+        if bounds is None:
+            bounds = self.bounds(nodes)
         return np.concatenate(
             [
-                self.wrng[t](hi - lo)
-                for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-                if hi > lo
+                self.wrng[t](count)
+                for t, count in enumerate(np.diff(bounds).tolist())
+                if count
             ]
         )
 
-    def bounds(self, nodes: np.ndarray) -> List[int]:
+    def bounds(self, nodes: np.ndarray) -> np.ndarray:
         """Where each trial's run starts in ``nodes`` (trial by trial), and
         the end."""
-        return np.searchsorted(nodes, self.trial_starts).tolist()
+        return np.searchsorted(nodes, self.trial_starts)
 
     def local_of(self, nodes: np.ndarray) -> np.ndarray:
         """Each batch node's number within its trial."""
@@ -933,6 +954,11 @@ class _Phase:
         # the non-origin members by delay, then parent row.
         self.fwd_ptr = self.fwd_dst = self.delay = self.members = np.zeros(0, dtype=np.int64)
         self.winners: List[int] = []  # forest rows of the leaders it elected
+
+    def release(self) -> None:
+        """Drop what only the phase's own segments read; the forest keeps
+        the parents and forward edges."""
+        self.off = self.proxies = self.delay = self.members = None
 
     def nodes(self, trees: np.ndarray, local: np.ndarray) -> np.ndarray:
         """The batch nodes of node numbers ``local`` in trees ``trees``."""
@@ -1060,8 +1086,7 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
             steps = None if steps is None else steps[:0]
             r = min(flight)
             continue
-        run.act(r, pos)
-        move = run.coins(pos) >= 0.5
+        move = run.step(r, pos) >= 0.5
         move &= degrees[pos] > 0  # tokens on isolated nodes never move
         moving = move.nonzero()[0]
         staying = (~move).nonzero()[0]
@@ -1194,10 +1219,15 @@ def _append(run: _Run, residents: tuple, landed: tuple) -> tuple:
     trial (positions first in each): the walks of every trial stay
     together, its landed ones after its residents, so the order within a
     trial -- the order of its coins -- is the one it has alone."""
-    if run.B == 1 or not residents[0].size or not landed[0].size:
+    if (
+        run.B == 1
+        or not residents[0].size
+        or not landed[0].size
+        or run.trial_of[residents[0][-1]] <= run.trial_of[landed[0][0]]
+    ):
         return tuple(np.concatenate(pair) for pair in zip(residents, landed))
-    r_bounds = np.array(run.bounds(residents[0]))
-    l_bounds = np.array(run.bounds(landed[0]))
+    r_bounds = run.bounds(residents[0])
+    l_bounds = run.bounds(landed[0])
     # Trial t's residents shift past the landed walks of the trials before
     # it; its landed walks past every resident up to its own.
     r_at = np.arange(residents[0].size) + np.repeat(l_bounds[:-1], np.diff(r_bounds))
@@ -1682,6 +1712,7 @@ def _simulate(run: _Run) -> list:
         if survivors is None:
             break
         _cascade(run, ph)
+        ph.release()
         run.metrics.flush()
         if tracer.enabled:
             messages, units = run.metrics.totals()
