@@ -22,6 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.params import DEFAULT_PARAMETERS
 from ..core.result import TrialOutcome
 from ..obs.tracer import current_tracer
+from ..sim.vectorized import run_vectorized_batch
 from .algorithms import ALGORITHMS, fault_aware_algorithms, get_algorithm
 from .spec import TrialSpec
 
@@ -177,7 +178,7 @@ BATCH_TRIALS = 8
 
 
 @dataclass
-class _Member:
+class _Waiting:
     """One trial waiting in a batch: its built graph, engine inputs and
     outcome adapter, and what its graph build cost."""
 
@@ -201,7 +202,7 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
     member's outcome is the one it has alone; see :func:`_run_batch` for
     fallbacks, failures and timing.
     """
-    waiting: Dict[tuple, List[_Member]] = {}
+    waiting: Dict[tuple, List[_Waiting]] = {}
     for index, spec in enumerate(specs):
         start = time.perf_counter()
         algorithm = ALGORITHMS.get(spec.algorithm)
@@ -222,7 +223,7 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
             yield index, _captured(start, lambda: _run_on(spec, graph))
             continue
         trial, finish = prepared
-        member = _Member(index, spec, graph, trial, finish, time.perf_counter() - start)
+        member = _Waiting(index, spec, graph, trial, finish, time.perf_counter() - start)
         chunk = waiting.setdefault(trial.shape, [])
         chunk.append(member)
         if len(chunk) == BATCH_TRIALS:
@@ -232,7 +233,7 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
         yield from _run_batch(chunk)
 
 
-def _run_batch(chunk: List[_Member]) -> Iterator[Tuple[int, TrialPayload]]:
+def _run_batch(chunk: List[_Waiting]) -> Iterator[Tuple[int, TrialPayload]]:
     """One engine call for the chunk's trials.
 
     Every member records the chunk's wall time (graph builds included)
@@ -242,8 +243,6 @@ def _run_batch(chunk: List[_Member]) -> Iterator[Tuple[int, TrialPayload]]:
     alone through its algorithm's runner, and so ends exactly as it would
     alone; a fault inside the batched run sends every member there.
     """
-    from ..sim.vectorized import run_vectorized_batch
-
     start = time.perf_counter()
     tracer = current_tracer()
     lead = chunk[0].spec

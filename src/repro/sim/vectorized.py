@@ -288,11 +288,6 @@ def _at(arrive, mask):
     return arrive if type(arrive) is int else arrive[mask]
 
 
-def _last(arrive, mask) -> int:
-    """The latest of the rounds ``arrive[mask]`` (``mask`` selects some)."""
-    return arrive if type(arrive) is int else int(arrive[mask].max())
-
-
 def _by_round(arrive, *columns: np.ndarray):
     """``(round, *columns)`` for every distinct arrival round, in round order;
     one unfiltered bucket when everything arrives together."""
@@ -708,7 +703,6 @@ class _Run:
         "clock",
         "completed",
         "events",
-        "members",
         "trial_starts",
     )
 
@@ -721,7 +715,6 @@ class _Run:
         self.params = params
         self.schedule = schedule
         self.max_rounds = trial.max_rounds
-        self.members = members
         self.trial_of = np.repeat(np.arange(B, dtype=np.int64), n)
         self.local = np.tile(np.arange(n, dtype=np.int64), B)
         self.trial_starts = np.arange(B + 1, dtype=np.int64) * n
