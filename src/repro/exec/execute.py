@@ -194,8 +194,8 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
     """Execute ``specs`` in-process, running same-shape vectorized trials as
     batches; yields ``(index, payload)`` in completion order.
 
-    A spec whose algorithm declares a ``batch`` adapter, and which the
-    vectorized engine accepts, waits -- graph built -- with the others of
+    A spec whose algorithm's ``batch`` adapter makes it a vectorized batch
+    member waits -- graph built -- with the others of
     its :attr:`~repro.sim.vectorized.VectorizedTrial.shape` until
     :data:`BATCH_TRIALS` of them run as one engine call; the rest of a shape
     run together at the end.  Every other spec runs alone, at once.  Each
@@ -207,7 +207,7 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
         start = time.perf_counter()
         algorithm = ALGORITHMS.get(spec.algorithm)
         batch = algorithm.batch if algorithm is not None else None
-        if batch is None or spec.simulator != "vectorized":
+        if batch is None:
             yield index, _captured(start, lambda: execute_trial(spec))
             continue
         try:

@@ -427,7 +427,7 @@ class _Metrics:
 
     :meth:`_Run.hop` hands every round's sends of one kind to
     :meth:`record_bulk`, which keeps them until :meth:`flush` sums them per
-    trial, once per phase.  Each trial keeps its kinds in first-seen order,
+    trial: once per phase, or sooner when :data:`_FLUSH_AT` messages wait.  Each trial keeps its kinds in first-seen order,
     so its ``messages_by_kind`` gains its keys in the order per-message
     accounting would give them.  Given an edge capacity, ``edge_bits`` sums
     the bits per ``(round, src, dst)`` over the batch's node numbering.
