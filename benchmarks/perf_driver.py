@@ -2,15 +2,18 @@
 """Throughput grid of the simulator cores: ``BENCH_simcore.json``, run through :mod:`harness`.
 
 Measures **trials per second** for every cell of ``algorithm x graph family x n x faults x
-simulator x batch``.  Every timed trial must finish inside the round cap and every fault-free one
-must elect a leader (an adversary may leave no leader, or several), and a ``vectorized`` cell must
-not fall back to the reference engine, or the measurement would be mislabelled.  A cell of
-``batch`` 1 runs one trial per engine call; a batched cell hands the serial backend chunks of
-:data:`~repro.exec.execute.BATCH_TRIALS` same-shape trials, which it runs as one engine call each.
+simulator x batch x workers``.  Every timed trial must finish inside the round cap and every
+fault-free one must elect a leader (an adversary may leave no leader, or several), and a
+``vectorized`` cell must not fall back to the reference engine, or the measurement would be
+mislabelled.  A cell of ``batch`` 1 runs one trial per engine call; a batched cell hands the serial
+backend chunks of :data:`~repro.exec.execute.BATCH_TRIALS` same-shape trials, which it runs as one
+engine call each.  A batched cell of ``workers`` 2 sends the same chunks as work units to a
+2-worker :class:`~repro.exec.backends.workerpool.WorkerPoolBackend`, one unit per worker.
 """
 
 from __future__ import annotations
 
+import atexit
 import sys
 
 import harness
@@ -18,7 +21,7 @@ import harness
 from repro.baselines.known_tmix import known_tmix_trial
 from repro.core.runner import run_leader_election
 from repro.exec import TrialSpec
-from repro.exec.backends import SerialBackend
+from repro.exec.backends import SerialBackend, WorkerPoolBackend
 from repro.exec.execute import BATCH_TRIALS
 from repro.faults import DelayFaults, FaultPlan, MessageFaults
 from repro.graphs.generators import get_family, gilbert_connectivity_radius
@@ -46,7 +49,8 @@ FAULTS = {
 #: machine whose speed drifts during the run moves both halves of each ratio alike.  The faulty
 #: cells time the election under 5% message drop and under per-edge delays of up to one round.
 #: The batched cells time expander elections at n = 16, 64 and 256, fault-free and under drop;
-#: the quick subset keeps the fault-free n=64 one.
+#: the quick subset keeps the fault-free n=64 one.  That row also has a worker-pool cell, in the
+#: quick subset too, timed right after its serial batched partner.
 BATCHED = {
     ("election", "expander", 16, "none"): False,
     ("election", "expander", 16, "drop 0.05"): False,
@@ -56,6 +60,10 @@ BATCHED = {
     ("election", "expander", 256, "drop 0.05"): False,
 }
 
+#: Workers of the pool cells, and the rows that have one.
+POOL_WORKERS = 2
+POOLED = {("election", "expander", 64, "none")}
+
 CELLS = [
     {
         "algorithm": algorithm,
@@ -64,6 +72,7 @@ CELLS = [
         "faults": faults,
         "simulator": simulator,
         "batch": batch,
+        "workers": workers,
         "quick": quick if batch == 1 else BATCHED[algorithm, family, n, faults],
     }
     for algorithm, family, n, faults, quick in [
@@ -87,8 +96,15 @@ CELLS = [
         ("election", "gilbert", 256, "drop 0.05", False),
         ("election", "gilbert", 256, "delay<=1", False),
     ]
-    for simulator, batch in (("reference", 1), ("vectorized", 1), ("vectorized", BATCH_TRIALS))
-    if batch == 1 or (algorithm, family, n, faults) in BATCHED
+    for simulator, batch, workers in (
+        ("reference", 1, 1),
+        ("vectorized", 1, 1),
+        ("vectorized", BATCH_TRIALS, 1),
+        ("vectorized", BATCH_TRIALS, POOL_WORKERS),
+    )
+    if batch == 1
+    or (workers == 1 and (algorithm, family, n, faults) in BATCHED)
+    or (algorithm, family, n, faults) in POOLED
 ]
 
 
@@ -112,23 +128,37 @@ def _check(cell: harness.Cell, outcome, simulator: str, label: str) -> None:
         )
 
 
+_POOLS = {}
+
+
+def _pool(workers: int) -> WorkerPoolBackend:
+    """One started pool per size, shared by every pass and closed at exit: worker startup is
+    setup, not part of the measured work."""
+    if workers not in _POOLS:
+        _POOLS[workers] = WorkerPoolBackend(workers=workers)
+        _POOLS[workers].start()
+        atexit.register(_POOLS[workers].close)
+    return _POOLS[workers]
+
+
 def _prepare_batched(cell: harness.Cell, graph: Graph) -> harness.RunOnce:
-    """Rep ``r`` runs seeds ``r * batch`` onwards as one chunk of the serial backend."""
+    """Rep ``r`` runs the ``batch * workers`` seeds from ``r * batch * workers`` on: one chunk of
+    the serial backend, or one work unit per pool worker."""
     plan = FAULTS[cell["faults"]]
-    backend = SerialBackend()
-    batch = cell["batch"]
+    backend = SerialBackend() if cell["workers"] == 1 else _pool(cell["workers"])
+    trials = cell["batch"] * cell["workers"]
 
     def run_once(rep: int):
         specs = [
             TrialSpec(graph=graph, seed=seed, simulator="vectorized", fault_plan=plan)
-            for seed in range(rep * batch, (rep + 1) * batch)
+            for seed in range(rep * trials, (rep + 1) * trials)
         ]
         for _index, payload in backend.map(specs):
             if payload.error is not None:
                 raise RuntimeError("benchmark cell %r: %s" % (cell, payload.error))
             outcome = payload.outcome
             _check(cell, outcome, "vectorized", outcome.extras.get("simulator", "reference"))
-        return {"trials": batch}
+        return {"trials": trials}
 
     return run_once
 
@@ -158,7 +188,7 @@ def _prepare(cell: harness.Cell) -> harness.RunOnce:
 
 GRID = harness.Grid(
     name="simcore",
-    key=("algorithm", "family", "n", "faults", "simulator", "batch"),
+    key=("algorithm", "family", "n", "faults", "simulator", "batch", "workers"),
     unit="trials_per_sec",
     count="trials",
     cells=CELLS,

@@ -5,7 +5,8 @@ Runs a small election-scaling campaign across several hosts at once: the
 ordinary :class:`repro.campaign.CampaignRunner` executes it on a
 :class:`repro.fleet.FleetBackend`, whose slots are ``--workers`` serve
 processes per host, supervised by heartbeats.  A host that dies stays dead
-and its in-flight trial is retried on a survivor.  Results land in the one
+and the unanswered trials of its in-flight work unit are retried on a
+survivor.  Results land in the one
 campaign cache, so the final ``report.md`` / ``report.json`` are
 byte-identical to a single-machine run of the same campaign.
 

@@ -12,8 +12,8 @@ statistical tests quantify the success probability empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Optional
 
 __all__ = ["ElectionParameters", "DEFAULT_PARAMETERS", "paper_parameters"]
 
@@ -88,6 +88,21 @@ class ElectionParameters:
             raise ValueError("segment_margin must be at least 1")
         if self.id_space_exponent < 2:
             raise ValueError("id_space_exponent must be at least 2")
+
+    def document(self) -> Dict[str, object]:
+        """The parameters as a JSON-pure mapping (``dataclasses.asdict``).
+
+        Built once per instance and shared -- every trial of a sweep config
+        holds the same parameter object, and each trial's fingerprint and
+        wire document embed this mapping -- so treat it as read-only.
+        Memoised per instance, not per value: ``c1=5`` and ``c1=5.0`` are
+        equal but encode differently.
+        """
+        document = self.__dict__.get("_document")
+        if document is None:
+            document = asdict(self)
+            object.__setattr__(self, "_document", document)
+        return document
 
     # ----------------------------------------------------------- derived knobs
     def contender_probability(self, n: int) -> float:

@@ -1,18 +1,22 @@
 """A resilient pool of persistent wire workers, respawned on death.
 
 Each worker is a ``python -m repro.exec.worker --serve`` subprocess speaking
-length-prefixed JSON frames over stdio (see :mod:`repro.exec.wire`).  A
-worker the OS kills mid-trial does not break the batch: the in-flight trial
-comes back as an ``on_error="capture"`` failure
-("worker died ..."), a fresh worker is spawned in its slot, and every other
-trial keeps going -- resume then re-executes only the lost trials, because
-everything that finished is already in the result cache.  A slot whose
-worker died more often than ``max_respawns_per_slot`` retires and stops
-pulling trials while the other slots keep serving; when the last slot
-retires, whatever is still queued (and anything submitted later) fails with
-an error naming the budget.  The fleet backend
-(:class:`repro.fleet.FleetBackend`) is this pool with its slots launched
-from a host inventory and a respawn budget of 0.
+length-prefixed JSON frames over stdio (see :mod:`repro.exec.wire`).  Trials
+travel in *work units*: :meth:`WorkerPoolBackend.map` cuts a batch with
+:func:`~repro.exec.execute.work_units` (same-configuration specs together,
+at most ``min(BATCH_TRIALS, ceil(pending / workers))`` per unit),
+:meth:`~WorkerPoolBackend.submit` sends a unit of one, and a worker answers
+each member as soon as it finishes.  A worker the OS kills mid-unit does not
+break the batch: exactly the members it had not answered come back as
+``on_error="capture"`` failures ("worker died ..."), a fresh worker is
+spawned in its slot, and every other unit keeps going -- resume then
+re-executes only the lost trials, because everything that finished is
+already in the result cache.  A slot whose worker died more often than
+``max_respawns_per_slot`` retires and stops pulling units while the other
+slots keep serving; when the last slot retires, whatever is still queued
+(and anything submitted later) fails with an error naming the budget.  The
+fleet backend (:class:`repro.fleet.FleetBackend`) is this pool with its
+slots launched from a host inventory and a respawn budget of 0.
 
 Workers are fresh interpreters, so trials reach them as versioned JSON
 documents, not pickles: algorithms registered outside the ``repro`` package
@@ -24,6 +28,7 @@ extension file).
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import select
@@ -31,18 +36,19 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ...obs.tracer import current_tracer
-from ..execute import TrialPayload, default_worker_count, format_error
+from ..execute import TrialPayload, default_worker_count, format_error, work_units
 from ..spec import TrialSpec
 from ..wire import (
-    WIRE_VERSION,
     PreparedDocuments,
+    encode_frame,
+    encode_run_request,
     payload_from_dict,
     read_frame,
-    spec_wire_document,
-    write_frame,
+    spec_wire_text,
+    write_encoded_frame,
 )
 from .base import ExecutionBackend
 
@@ -130,15 +136,27 @@ class WorkerChannel:
         deadline: Optional[float] = None,
         on_progress: Optional[Callable[[dict], None]] = None,
     ) -> dict:
-        """Write one request frame; return the first non-progress frame.
+        """Write one request frame; return the first non-progress frame."""
+        self.send(encode_frame(document))
+        return self.receive(deadline=deadline, on_progress=on_progress)
+
+    def send(self, frame: bytes) -> None:
+        """Write one encoded request frame."""
+        write_encoded_frame(self.process.stdin, frame)
+
+    def receive(
+        self,
+        deadline: Optional[float] = None,
+        on_progress: Optional[Callable[[dict], None]] = None,
+    ) -> dict:
+        """Return the next non-progress frame.
 
         ``{"op": "progress"}`` frames arriving first are handed to
         ``on_progress``.  ``deadline`` bounds the wait for *any* next frame:
         a child alive but silent past it raises :class:`WorkerHungError`.  A
         closed stream raises :class:`EOFError`.  Without a deadline the
-        exchange is one write and blocking reads -- no ``select``, no lock.
+        exchange is blocking reads -- no ``select``, no lock.
         """
-        write_frame(self.process.stdin, document)
         stdout = self.process.stdout
         while True:
             if deadline is not None:
@@ -183,14 +201,15 @@ class WorkerChannel:
 class WorkerPoolBackend(ExecutionBackend):
     """Persistent worker subprocesses with per-slot respawn on death.
 
-    With ``heartbeat_seconds`` set, workers stream progress frames
-    (trial started / heartbeat / trial finished) that are forwarded into
-    the current :mod:`repro.obs` tracer as ``worker.*`` events, and a
-    worker that goes silent past ``hang_deadline_seconds`` (default: four
-    heartbeat periods) is declared *hung*: killed, respawned, and its
-    in-flight trial captured as a failure -- the same recovery a worker
-    death gets, but for processes that are alive and stuck.  Hangs count
-    against the slot's respawn budget like deaths do.
+    With ``heartbeat_seconds`` set, workers bracket each unit in progress
+    frames (unit started, then heartbeats) that are forwarded into the
+    current :mod:`repro.obs` tracer as ``worker.*`` events, together with
+    one ``worker.trial_finished`` per answered member, and a worker that
+    goes silent past ``hang_deadline_seconds`` (default: four heartbeat
+    periods) is declared *hung*: killed, respawned, and the members of its
+    unit it had not answered captured as failures -- the same recovery a
+    worker death gets, but for processes that are alive and stuck.  Hangs
+    count against the slot's respawn budget like deaths do.
     """
 
     name = "workerpool"
@@ -254,7 +273,7 @@ class WorkerPoolBackend(ExecutionBackend):
         self._exhausted: Optional[str] = None
         self._closed = False
         self._lock = threading.Lock()
-        # Hands the partition pass's wire document to the dispatch pass (see
+        # Hands the partition pass's wire text to the dispatch pass (see
         # PreparedDocuments for the aliasing and size-cap arguments).
         self._prepared = PreparedDocuments()
 
@@ -282,7 +301,7 @@ class WorkerPoolBackend(ExecutionBackend):
     def close(self) -> None:
         """Shut the pool down, *aborting* still-queued trials.
 
-        An ``on_error="raise"`` abort closes the backend with tasks still
+        An ``on_error="raise"`` abort closes the backend with units still
         queued behind the failure; those must not keep executing after the
         exception propagated, so serve threads drain them as "backend
         closed" error payloads instead of running them.
@@ -307,25 +326,44 @@ class WorkerPoolBackend(ExecutionBackend):
         return self._prepare(spec) is None
 
     def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
-        self.start()
+        """Dispatch ``spec`` as a unit of one."""
         future: "Future[TrialPayload]" = Future()
+        self._enqueue([_Member(spec, future.set_result)])
+        return future
+
+    def map(self, specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPayload]]:
+        """Dispatch ``specs`` as work units (:func:`~repro.exec.execute.work_units`
+        over this pool's workers), yielding ``(index, payload)`` as members
+        are answered."""
+        answered: "queue.SimpleQueue" = queue.SimpleQueue()
+        for unit in work_units(specs, self.workers):
+            self._enqueue(
+                [
+                    _Member(specs[index], functools.partial(_answer, answered, index))
+                    for index in unit
+                ]
+            )
+        for _ in range(len(specs)):
+            yield answered.get()
+
+    # ------------------------------------------------------------- internals
+    def _enqueue(self, unit: List["_Member"]) -> None:
+        self.start()
         # Checked and enqueued under the lock: the last slot to retire
-        # drains the queue under the same lock's verdict, so a trial is
+        # drains the queue under the same lock's verdict, so a unit is
         # either drained by it or refused here, never stranded.
         with self._lock:
             exhausted = self._exhausted
             if exhausted is None:
-                self._tasks.put((spec, future))
+                self._tasks.put(unit)
         if exhausted is not None:
-            future.set_result(TrialPayload(outcome=None, error=exhausted, elapsed_seconds=0.0))
-        return future
+            _settle(unit, exhausted)
 
-    # ------------------------------------------------------------- internals
     def _prepare(self, spec: TrialSpec) -> Optional[str]:
-        """Memoise ``spec``'s wire document; returns why it cannot cross."""
-        document, error = spec_wire_document(spec, extra_modules=self.preload)
+        """Memoise ``spec``'s wire text; returns why it cannot cross."""
+        text, error = spec_wire_text(spec, extra_modules=self.preload)
         if error is None:
-            self._prepared.put(spec, document)
+            self._prepared.put(spec, text)
         return error
 
     def _launch(self, slot: int) -> Tuple[List[str], dict, Optional[str]]:
@@ -337,14 +375,12 @@ class WorkerPoolBackend(ExecutionBackend):
             None,
         )
 
-    def _wire_document(
-        self, spec: TrialSpec
-    ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
-        """The (document, error) for a spec, served from the memo if fresh."""
-        document = self._prepared.take(spec)
-        if document is not None:
-            return document, None
-        return spec_wire_document(spec, extra_modules=self.preload)
+    def _wire_text(self, spec: TrialSpec) -> Tuple[Optional[str], Optional[str]]:
+        """The (text, error) for a spec, served from the memo if fresh."""
+        text = self._prepared.take(spec)
+        if text is not None:
+            return text, None
+        return spec_wire_text(spec, extra_modules=self.preload)
 
     def _stale(self, generation: int) -> bool:
         """Whether this serve thread belongs to a closed/superseded pool."""
@@ -361,7 +397,7 @@ class WorkerPoolBackend(ExecutionBackend):
                 self._slots[slot] = worker
 
     def _serve(self, slot: int, generation: int, tasks: "queue.SimpleQueue") -> None:
-        """One slot's loop: pull tasks, keep exactly one (thread-local) worker.
+        """One slot's loop: pull units, keep exactly one (thread-local) worker.
 
         The worker handle and death count live on the thread, never shared:
         two generations of slot-``k`` threads can overlap after a timed-out
@@ -371,24 +407,16 @@ class WorkerPoolBackend(ExecutionBackend):
         worker: Optional[WorkerChannel] = None
         deaths = 0
         while True:
-            task = tasks.get()
-            if task is _SHUTDOWN:
+            unit = tasks.get()
+            if unit is _SHUTDOWN:
                 break
-            spec, future = task
             if self._stale(generation):
-                future.set_result(
-                    TrialPayload(
-                        outcome=None,
-                        error="backend closed before the trial was dispatched",
-                        elapsed_seconds=0.0,
-                    )
-                )
+                _settle(unit, "backend closed before the trial was dispatched")
                 continue
             try:
-                worker, deaths, payload = self._execute(slot, generation, worker, deaths, spec)
-            except Exception as exc:  # noqa: BLE001 -- a future must resolve
-                payload = TrialPayload(outcome=None, error=format_error(exc), elapsed_seconds=0.0)
-            future.set_result(payload)
+                worker, deaths = self._execute(slot, generation, worker, deaths, unit)
+            except Exception as exc:  # noqa: BLE001 -- every member must resolve
+                _settle(unit, format_error(exc))
             if deaths > self.max_respawns_per_slot:
                 self._retire(slot, generation, deaths, tasks)
                 break
@@ -400,7 +428,7 @@ class WorkerPoolBackend(ExecutionBackend):
         """Stop a slot past its respawn budget; the last one out fails the rest.
 
         A retired slot pulls nothing more, so the live slots keep the queue.
-        When no live slot remains, every queued trial resolves at once with
+        When no live slot remains, every queued unit resolves at once with
         an error naming the budget, and :meth:`submit` refuses later ones
         the same way until the pool is closed and restarted.
         """
@@ -417,11 +445,11 @@ class WorkerPoolBackend(ExecutionBackend):
             self._exhausted = error
         while True:
             try:
-                task = tasks.get_nowait()
+                unit = tasks.get_nowait()
             except queue.Empty:
                 return
-            if task is not _SHUTDOWN:
-                task[1].set_result(TrialPayload(outcome=None, error=error, elapsed_seconds=0.0))
+            if unit is not _SHUTDOWN:
+                _settle(unit, error)
 
     def _forward_progress(self, slot: int, frame: dict) -> None:
         """Relay one worker progress frame into the current tracer."""
@@ -429,20 +457,35 @@ class WorkerPoolBackend(ExecutionBackend):
         if not tracer.enabled:
             return
         event = frame.get("event")
-        if event not in ("trial_started", "heartbeat", "trial_finished"):
+        if event not in ("unit_started", "heartbeat"):
             return
         tracer.event(
             "worker.%s" % event,
             slot=slot,
             pid=frame.get("pid"),
             label=frame.get("label"),
+            trials=frame.get("trials"),
         )
 
-    def _execute(self, slot, generation, worker, deaths, spec):
-        """Run one trial on this thread's worker; returns (worker, deaths, payload)."""
-        document, unsafe = self._wire_document(spec)
-        if unsafe is not None:
-            return worker, deaths, TrialPayload(outcome=None, error=unsafe, elapsed_seconds=0.0)
+    def _execute(self, slot, generation, worker, deaths, unit):
+        """Run one unit on this thread's worker; returns (worker, deaths).
+
+        Every member is settled on return: answered by the worker, refused
+        before sending (a spec that cannot cross the wire fails alone), or --
+        when the worker dies or hangs mid-unit -- captured as a failure,
+        exactly the members it had not answered.
+        """
+        sent: List[_Member] = []
+        texts = []
+        for member in unit:
+            text, unsafe = self._wire_text(member.spec)
+            if unsafe is not None:
+                member.settle(_failure(unsafe))
+            else:
+                sent.append(member)
+                texts.append(text)
+        if not sent:
+            return worker, deaths
         tracer = current_tracer()
         fresh = worker is None
         if fresh:
@@ -452,11 +495,8 @@ class WorkerPoolBackend(ExecutionBackend):
             except OSError as exc:
                 # A slot that cannot start its worker spends its budget the
                 # way one whose worker dies does.
-                return None, deaths + 1, TrialPayload(
-                    outcome=None,
-                    error="could not spawn worker: %s" % format_error(exc),
-                    elapsed_seconds=0.0,
-                )
+                _settle(sent, "could not spawn worker: %s" % format_error(exc))
+                return None, deaths + 1
             self._publish_slot(slot, generation, worker)
             if tracer.enabled:
                 tracer.event(
@@ -467,12 +507,10 @@ class WorkerPoolBackend(ExecutionBackend):
                     respawn=deaths > 0,
                     metrics={"respawns": int(deaths > 0)},
                 )
-        # With heartbeats on, the worker interleaves progress frames before
-        # the payload frame, and the hang deadline bounds the wait for any
-        # next frame; without them this is wire version 2's plain exchange.
-        request = {"op": "run", "version": WIRE_VERSION, "trial": document}
-        if self.heartbeat_seconds is not None:
-            request["progress"] = {"heartbeat_seconds": self.heartbeat_seconds}
+        # With heartbeats on, the worker brackets the unit in progress
+        # frames, and the hang deadline bounds the wait for any next frame.
+        watched = self.heartbeat_seconds is not None
+        progress = {"heartbeat_seconds": self.heartbeat_seconds} if watched else None
         try:
             if fresh and self.hang_deadline_seconds is not None:
                 # Startup handshake: silence is judged by heartbeats only
@@ -480,15 +518,12 @@ class WorkerPoolBackend(ExecutionBackend):
                 worker.request(
                     {"op": "ping"}, deadline=max(_STARTUP_SECONDS, self.hang_deadline_seconds)
                 )
-            response = worker.request(
-                request,
-                deadline=self.hang_deadline_seconds,
-                on_progress=lambda frame: self._forward_progress(slot, frame),
-            )
+            worker.send(encode_run_request(texts, progress))
+            self._collect(slot, worker, sent, watched and tracer.enabled)
         except WorkerHungError as exc:
             # The worker is alive but silent past the deadline (stalled I/O,
             # a stopped process, a wedged extension): SIGKILL it and respawn
-            # the slot, capturing the in-flight trial as a failure.
+            # the slot, capturing the unanswered members as failures.
             with self._lock:
                 self.hangs += 1
             self._publish_slot(slot, generation, None)
@@ -497,16 +532,18 @@ class WorkerPoolBackend(ExecutionBackend):
             worker.close()
             if tracer.enabled:
                 tracer.event("worker.hung", slot=slot, pid=pid, metrics={"hangs": 1})
-            return None, deaths + 1, TrialPayload(
-                outcome=None,
-                error="worker hung (pid %s killed) while executing %r: %s"
-                % (pid, spec.describe(), format_error(exc)),
-                elapsed_seconds=0.0,
-            )
+            for member in sent:
+                member.settle(
+                    _failure(
+                        "worker hung (pid %s killed) while executing %r: %s"
+                        % (pid, member.spec.describe(), format_error(exc))
+                    )
+                )
+            return None, deaths + 1
         except (OSError, EOFError, ValueError) as exc:
-            # The worker died (or garbled its stream) mid-trial: recapture
-            # the in-flight trial as a failure and retire the subprocess; the
-            # next task on this thread spawns a fresh one.
+            # The worker died (or garbled its stream) mid-unit: capture the
+            # unanswered members as failures and retire the subprocess; the
+            # next unit on this thread spawns a fresh one.
             with self._lock:  # serve threads can observe deaths concurrently
                 self.deaths += 1
             self._publish_slot(slot, generation, None)
@@ -521,22 +558,98 @@ class WorkerPoolBackend(ExecutionBackend):
                     exit_code=code,
                     metrics={"deaths": 1},
                 )
-            return None, deaths + 1, TrialPayload(
-                outcome=None,
-                error="worker died (exit %s) while executing %r: %s"
-                % (code, spec.describe(), format_error(exc)),
-                elapsed_seconds=0.0,
-            )
-        try:
-            return worker, deaths, payload_from_dict(response)
-        except (KeyError, TypeError, ValueError) as exc:
-            # The frame arrived intact but its payload does not decode (for
-            # example an outcome schema from a mismatched repro version on
-            # the worker side).  That is a protocol problem, not a death:
-            # the worker stays up and the trial is captured as a failure.
-            return worker, deaths, TrialPayload(
-                outcome=None,
-                error="undecodable worker response for %r: %s"
-                % (spec.describe(), format_error(exc)),
-                elapsed_seconds=0.0,
-            )
+            for member in sent:
+                member.settle(
+                    _failure(
+                        "worker died (exit %s) while executing %r: %s"
+                        % (code, member.spec.describe(), format_error(exc))
+                    )
+                )
+            return None, deaths + 1
+        except Exception as exc:  # noqa: BLE001 -- e.g. a trace sink that raised
+            # The exchange broke off on this side with answers possibly still
+            # in flight: retire the worker, so that no later unit can read
+            # them as its own.  The worker did nothing wrong; no budget spent.
+            self._publish_slot(slot, generation, None)
+            worker.kill()
+            worker.close()
+            _settle(sent, format_error(exc))
+            return None, deaths
+        return worker, deaths
+
+    def _collect(
+        self, slot: int, worker: WorkerChannel, sent: List["_Member"], watched: bool
+    ) -> None:
+        """Settle each member of a sent unit from its answer frame, as it arrives.
+
+        A frame without a ``member`` tag answers for the whole unit (a
+        worker that could not serve the request at all) and settles every
+        member still open; a tag that names no open member is a garbled
+        stream.
+        """
+        tracer = current_tracer()
+        on_progress = lambda frame: self._forward_progress(slot, frame)  # noqa: E731
+        remaining = len(sent)
+        while remaining:
+            frame = worker.receive(deadline=self.hang_deadline_seconds, on_progress=on_progress)
+            if "member" not in frame:
+                for member in sent:
+                    member.settle(_decoded(frame, member.spec))
+                return
+            index = frame["member"]
+            if not (type(index) is int and 0 <= index < len(sent)) or sent[index].settled:
+                raise ValueError("answer for member %r, which is not open" % (index,))
+            member = sent[index]
+            member.settle(_decoded(frame, member.spec))
+            remaining -= 1
+            if watched:
+                tracer.event(
+                    "worker.trial_finished", slot=slot, pid=worker.pid, label=member.spec.label
+                )
+
+
+class _Member:
+    """One trial of a queued unit, and where its payload goes once settled."""
+
+    __slots__ = ("spec", "resolve", "settled")
+
+    def __init__(self, spec: TrialSpec, resolve: Callable[[TrialPayload], None]) -> None:
+        self.spec = spec
+        self.resolve = resolve
+        self.settled = False
+
+    def settle(self, payload: TrialPayload) -> None:
+        """Hand over the payload; a member settles once, later calls are no-ops."""
+        if not self.settled:
+            self.settled = True
+            self.resolve(payload)
+
+
+def _answer(answered: "queue.SimpleQueue", index: int, payload: TrialPayload) -> None:
+    answered.put((index, payload))
+
+
+def _failure(error: str) -> TrialPayload:
+    return TrialPayload(outcome=None, error=error, elapsed_seconds=0.0)
+
+
+def _settle(members: Sequence[_Member], error: str) -> None:
+    """Fail every member of ``members`` not settled yet with ``error``."""
+    for member in members:
+        member.settle(_failure(error))
+
+
+def _decoded(frame: dict, spec: TrialSpec) -> TrialPayload:
+    """A member's payload from its answer frame.
+
+    A frame that arrived intact but does not decode (for example an outcome
+    schema from a mismatched repro version on the worker side) is a protocol
+    problem, not a death: the worker stays up and the trial is captured as a
+    failure.
+    """
+    try:
+        return payload_from_dict(frame)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _failure(
+            "undecodable worker response for %r: %s" % (spec.describe(), format_error(exc))
+        )

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
 
 from ...core.result import TrialOutcome
-from ..fingerprint import canonical_trial_document
+from ..fingerprint import release_trial_document
 from ..serialize import outcome_from_dict, outcome_to_dict
 from ..spec import TrialSpec
 from .base import (
@@ -298,7 +298,7 @@ class ResultCache:
         """Persist one trial result atomically."""
         payload = {
             "fingerprint": fingerprint,
-            "trial": canonical_trial_document(spec),
+            "trial": release_trial_document(spec),
             "label": spec.label,
             "outcome": outcome_to_dict(outcome),
             "elapsed_seconds": elapsed_seconds,

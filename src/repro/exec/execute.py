@@ -13,6 +13,7 @@ per trial: outcome or one-line error, plus timing, plus the exception object
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -24,13 +25,14 @@ from ..core.result import TrialOutcome
 from ..obs.tracer import current_tracer
 from ..sim.vectorized import run_vectorized_batch
 from .algorithms import ALGORITHMS, fault_aware_algorithms, get_algorithm
-from .spec import TrialSpec
+from .spec import GraphSpec, TrialSpec
 
 __all__ = [
     "TrialPayload",
     "execute_trial",
     "guarded_payload",
     "batched_payloads",
+    "work_units",
     "BATCH_TRIALS",
     "format_error",
     "default_worker_count",
@@ -175,6 +177,44 @@ def guarded_payload(spec: TrialSpec) -> TrialPayload:
 #: per-call cost over many trials, few enough that a batch's tables stay
 #: small and its trials report back in step with the rest.
 BATCH_TRIALS = 8
+
+
+def _configuration(spec: TrialSpec) -> tuple:
+    """What :func:`work_units` places together: algorithm, graph family and
+    arguments, algorithm arguments, parameters and simulator -- everything
+    but the seeds and the fault plan."""
+    graph = spec.graph
+    if isinstance(graph, GraphSpec):
+        shape = (graph.family, repr(graph.args), repr(graph.kwargs))
+    else:
+        shape = ("inline", graph.num_nodes)
+    return (spec.algorithm, shape, repr(spec.algo_kwargs), spec.params, spec.simulator)
+
+
+def work_units(specs: Sequence[TrialSpec], workers: int) -> List[List[int]]:
+    """Cut ``specs`` into work units for a pool of ``workers``: lists of positions.
+
+    Specs of one configuration (see :func:`_configuration`) are placed next
+    to each other first -- configurations in order of first appearance,
+    members in submission order -- so same-shape vectorized trials meet in
+    one unit, where :func:`batched_payloads` runs them as one engine call.
+    The order is then cut into units of at most
+    ``min(BATCH_TRIALS, ceil(len(specs) / workers))`` specs, so every worker
+    gets work.  Dispatch order never changes an outcome: the runner
+    restores submission order.
+
+    >>> from repro.exec.spec import GraphSpec, TrialSpec
+    >>> a = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flood_max")
+    >>> b = TrialSpec(graph=GraphSpec("cycle", (8,)), algorithm="flood_max")
+    >>> work_units([a, b, a, b, a], workers=2)
+    [[0, 2, 4], [1, 3]]
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for position, spec in enumerate(specs):
+        groups.setdefault(_configuration(spec), []).append(position)
+    order = [position for group in groups.values() for position in group]
+    size = max(1, min(BATCH_TRIALS, math.ceil(len(order) / workers)))
+    return [order[start : start + size] for start in range(0, len(order), size)]
 
 
 @dataclass

@@ -15,17 +15,21 @@ entries while any topology difference invalidates them.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
 import os
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from ..graphs.topology import Graph
 from .spec import GraphSpec, TrialSpec
 
-__all__ = ["trial_fingerprint", "code_version_tag", "canonical_trial_document"]
+__all__ = [
+    "trial_fingerprint",
+    "code_version_tag",
+    "canonical_trial_document",
+    "release_trial_document",
+]
 
 #: Bumped whenever the cached result schema changes incompatibly.
 #: 2: outcomes carry ``crashed_nodes`` and ``metrics.fault_events``; the trial
@@ -116,24 +120,56 @@ def _inline_edge_digest(graph: Graph) -> str:
     return digest
 
 
+def _memo_version(spec: TrialSpec) -> Optional[int]:
+    """What a memoised document must match: an inline graph's mutation counter."""
+    return spec.graph._mutations if isinstance(spec.graph, Graph) else None
+
+
 def canonical_trial_document(spec: TrialSpec) -> Dict[str, object]:
     """The exact JSON-serialisable document that gets hashed (label excluded).
 
     An empty fault plan canonicalises to ``None`` -- running under "no
     faults" and under ``FaultPlan()`` is the same trial, so both share one
     cache entry.
+
+    The document is memoised on the (frozen) spec until
+    :func:`release_trial_document` takes it: a campaign fingerprints every
+    trial when it expands, and the result cache stores the same document
+    beside each executed trial's outcome, so each executed trial's document
+    is built once.  An inline graph's memo is keyed by its mutation counter,
+    so an edited graph gets a fresh document.  Treat the returned mapping as
+    read-only -- it is shared.
     """
+    version = _memo_version(spec)
+    memo = spec.__dict__.get("_canonical_document")
+    if memo is not None and memo[0] == version:
+        return memo[1]
     plan = spec.effective_fault_plan
-    return {
+    document = {
         "code_version": code_version_tag(),
         "graph": _canonical_graph(spec.graph),
         "algorithm": spec.algorithm,
         "algo_kwargs": {str(k): v for k, v in spec.algo_kwargs.items()},
-        "params": dataclasses.asdict(spec.params),
+        "params": spec.params.document(),
         "seed": spec.seed,
         "fault_plan": None if plan is None else plan.document(),
         "simulator": spec.simulator,
     }
+    object.__setattr__(spec, "_canonical_document", (version, document))
+    return document
+
+
+def release_trial_document(spec: TrialSpec) -> Dict[str, object]:
+    """The spec's canonical document, dropping its memo.
+
+    For the document's last use -- the result cache's ``put`` -- and for
+    trials served from the cache, which never need it again: a campaign
+    holds its specs to the end, and memos kept that long would cost a
+    document per trial of memory.
+    """
+    document = canonical_trial_document(spec)
+    del spec.__dict__["_canonical_document"]
+    return document
 
 
 def trial_fingerprint(spec: TrialSpec) -> str:

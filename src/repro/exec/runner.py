@@ -59,7 +59,7 @@ from .execute import (
     execute_trial,
     guarded_payload,
 )
-from .fingerprint import trial_fingerprint
+from .fingerprint import release_trial_document, trial_fingerprint
 from .report import BatchSummary
 from .shard import Shard
 from .spec import GraphSpec, SweepSpec, TrialSpec
@@ -221,6 +221,7 @@ class BatchRunner:
                     fingerprint=fingerprint,
                 )
             if cached is not None:
+                release_trial_document(spec)  # a hit never stores it
                 results[index] = TrialResult(
                     spec=spec,
                     fingerprint=fingerprint,

@@ -53,12 +53,15 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
     "spec_wire_document",
+    "spec_wire_text",
     "spec_wire_error",
     "payload_to_dict",
     "payload_from_dict",
     "read_frame",
     "write_frame",
+    "write_encoded_frame",
     "encode_frame",
+    "encode_run_request",
     "FrameDecoder",
 ]
 
@@ -72,7 +75,12 @@ __all__ = [
 #: trial_finished, each with its pid and the in-flight trial's label)
 #: before the final payload frame.  Requests without ``progress`` get
 #: exactly the version-2 single-response exchange.
-WIRE_VERSION = 3
+#: 4: a run request carries a work unit, ``"trials": [<doc>, ...]``, and the
+#: worker answers one payload frame per member, tagged ``"member"`` (its
+#: position in the unit), in completion order; progress frames bracket the
+#: unit (``unit_started``, then heartbeats until its last answer).  The
+#: single-trial ``"trial"`` request is gone: one trial is a unit of one.
+WIRE_VERSION = 4
 
 _LENGTH = struct.Struct(">I")
 
@@ -117,7 +125,7 @@ def spec_to_dict(spec: TrialSpec) -> Dict[str, object]:
         "graph": _graph_to_dict(spec.graph),
         "algorithm": spec.algorithm,
         "seed": spec.seed,
-        "params": dataclasses.asdict(spec.params),
+        "params": dict(spec.params.document()),
         "algo_kwargs": dict(spec.algo_kwargs),
         "label": spec.label,
         "fault_plan": None if plan is None else plan.document(),
@@ -140,11 +148,11 @@ def spec_from_dict(document: Dict[str, object]) -> TrialSpec:
     )
 
 
-def spec_wire_document(
+def spec_wire_text(
     spec: TrialSpec, extra_modules: Sequence[str] = ()
-) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
-    """``(document, None)`` when the spec crosses a JSON wire exactly, else
-    ``(None, reason)``.
+) -> Tuple[Optional[str], Optional[str]]:
+    """``(text, None)`` when the spec crosses a JSON wire exactly, else
+    ``(None, reason)``; ``text`` is the trial document as compact JSON.
 
     Three things pin a trial to the submitting process: an algorithm
     registered from outside the ``repro`` package (a fresh worker interpreter
@@ -154,8 +162,9 @@ def spec_wire_document(
     JSON round trip **exactly** -- not merely one that fails to serialise:
     tuple-valued ``algo_kwargs`` would silently come back as lists and could
     change what the worker computes, so the check decodes the encoded
-    document and demands equality with the original spec.  Backends dispatch
-    the returned document, so the bytes checked are the bytes sent.
+    document and demands equality with the original spec.  Backends splice
+    the returned text into their requests (:func:`encode_run_request`), so
+    the bytes checked are the bytes sent.
     """
     try:
         algorithm = get_algorithm(spec.algorithm)
@@ -175,12 +184,11 @@ def spec_wire_document(
             "never crosses the wire; use an in-process backend"
         )
     try:
-        encoded = json.dumps(spec_to_dict(spec))
+        text = json.dumps(spec_to_dict(spec), separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         return None, "trial spec does not JSON-serialise: %s" % exc
-    document = json.loads(encoded)
     try:
-        rebuilt = spec_from_dict(document)
+        rebuilt = spec_from_dict(json.loads(text))
     except Exception as exc:  # noqa: BLE001 -- any decode failure pins the spec
         return None, "trial spec does not decode from its wire form: %s" % exc
     # The wire deliberately canonicalises an explicit empty FaultPlan() to
@@ -193,25 +201,35 @@ def spec_wire_document(
             "(tuple-valued or non-string-keyed algo_kwargs?); executing it "
             "remotely could compute something else than in-process"
         )
-    return document, None
+    return text, None
+
+
+def spec_wire_document(
+    spec: TrialSpec, extra_modules: Sequence[str] = ()
+) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+    """:func:`spec_wire_text`'s check, answering the decoded document."""
+    text, error = spec_wire_text(spec, extra_modules=extra_modules)
+    return (None if text is None else json.loads(text)), error
 
 
 def spec_wire_error(spec: TrialSpec, extra_modules: Sequence[str] = ()) -> Optional[str]:
     """Why this spec cannot cross a JSON wire, or ``None`` when it can."""
-    return spec_wire_document(spec, extra_modules=extra_modules)[1]
+    return spec_wire_text(spec, extra_modules=extra_modules)[1]
 
 
 class PreparedDocuments:
-    """Wire documents prepared by ``wire_safe``, consumed once at dispatch.
+    """Wire texts prepared by ``wire_safe``, consumed once at dispatch.
 
     The runner's partition pass and a backend's dispatch pass each need the
-    ``spec_wire_document`` result (encode + decode + compare), but should
-    pay for it once; this memo hands the partition pass's document to the
-    dispatch pass.  Entries are keyed by ``id`` with the spec kept alive
+    :func:`spec_wire_text` result (encode + decode + compare), but should
+    pay for it once; this memo hands the partition pass's text to the
+    dispatch pass.  It keeps the compact JSON text, not the decoded
+    document: a fraction of the memory, and what the request splices in.
+    Entries are keyed by ``id`` with the spec kept alive
     alongside, so a recycled id can never alias a different spec, and only
     dispatchable specs are stored (unsafe ones fall back in-process and
     would never be consumed).  The size cap guards callers that probe
-    without dispatching -- recomputing a document is cheaper than unbounded
+    without dispatching -- recomputing a text is cheaper than unbounded
     growth.  ``pop``/assignment are single bytecode-level dict operations,
     so producer (submitting thread) and consumers (serve threads) need no
     further locking.
@@ -221,12 +239,12 @@ class PreparedDocuments:
         self._limit = limit
         self._entries: Dict[int, tuple] = {}
 
-    def put(self, spec: TrialSpec, document: Dict[str, object]) -> None:
+    def put(self, spec: TrialSpec, text: str) -> None:
         if len(self._entries) > self._limit:
             self._entries.clear()
-        self._entries[id(spec)] = (spec, document)
+        self._entries[id(spec)] = (spec, text)
 
-    def take(self, spec: TrialSpec) -> Optional[Dict[str, object]]:
+    def take(self, spec: TrialSpec) -> Optional[str]:
         entry = self._entries.pop(id(spec), None)
         if entry is not None and entry[0] is spec:
             return entry[1]
@@ -309,15 +327,36 @@ def encode_frame(document: Dict[str, object]) -> bytes:
     return _LENGTH.pack(len(encoded)) + encoded
 
 
+def encode_run_request(
+    trials: Sequence[str], progress: Optional[Dict[str, object]] = None
+) -> bytes:
+    """The ``run`` request frame of a work unit, from its members' wire texts.
+
+    ``trials`` are :func:`spec_wire_text` results, spliced in as they are, so
+    a trial is encoded once, by the check that cleared it for the wire.
+    """
+    head: Dict[str, object] = {"op": "run", "version": WIRE_VERSION}
+    if progress is not None:
+        head["progress"] = progress
+    opening = json.dumps(head, separators=(",", ":"))[:-1]
+    encoded = ('%s,"trials":[%s]}' % (opening, ",".join(trials))).encode("utf-8")
+    return _LENGTH.pack(len(encoded)) + encoded
+
+
 def write_frame(stream: BinaryIO, document: Dict[str, object]) -> None:
-    """Write one length-prefixed JSON frame and flush it.
+    """Write one length-prefixed JSON frame and flush it."""
+    write_encoded_frame(stream, encode_frame(document))
+
+
+def write_encoded_frame(stream: BinaryIO, frame: bytes) -> None:
+    """Write one already-encoded frame whole and flush it.
 
     Header and body go out as a single buffer, and the write loops until the
     stream has accepted every byte: sockets (unlike the stdio pipes the
     original workers spoke over) may accept a *partial* write, and a frame
     split across two ``write`` calls from two threads would interleave.
     """
-    data = memoryview(encode_frame(document))
+    data = memoryview(frame)
     while data:
         written = stream.write(data)
         if written is None:

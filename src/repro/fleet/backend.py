@@ -4,8 +4,8 @@ A :class:`FleetBackend` is a
 :class:`~repro.exec.backends.workerpool.WorkerPoolBackend` whose slots come
 from a host inventory: a host with ``workers=k`` is ``k`` slots, each one
 ``repro.exec.worker --serve`` process started from the host's command
-template and environment, speaking the pool's own ``run`` op with
-heartbeats.  Everything campaign-level -- resume, retries, the manifest,
+template and environment, speaking the pool's own ``run`` op (one work
+unit per request) with heartbeats.  Everything campaign-level -- resume, retries, the manifest,
 the single result cache and the report -- stays with
 :class:`~repro.campaign.runner.CampaignRunner`, which drives the fleet like
 any other backend::
@@ -16,10 +16,11 @@ any other backend::
     write_report(spec, cache, d, profile=profile)
 
 The respawn budget is 0: a host process that dies or misses its hang
-deadline stays dead, its in-flight trial comes back as a captured failure
-that the campaign's :class:`~repro.campaign.spec.RetryPolicy` re-runs on a
-surviving slot, and once every slot is gone the remaining trials fail with
-"no live worker remains".  A fleet has no in-process fallback, so a spec
+deadline stays dead, the members of its in-flight work unit it had not
+answered come back as captured failures that the campaign's
+:class:`~repro.campaign.spec.RetryPolicy` re-runs on a surviving slot, and
+once every slot is gone the remaining trials fail with "no live worker
+remains".  A fleet has no in-process fallback, so a spec
 that cannot cross the wire is an error rather than a local execution.
 """
 

@@ -15,7 +15,7 @@ from repro.campaign import (
     TrialEntry,
 )
 from repro.core import ElectionParameters
-from repro.exec import GraphSpec, ResultCache, Shard, SweepSpec, TrialSpec
+from repro.exec import GraphSpec, ResultCache, Shard, SweepSpec, TrialSpec, trial_fingerprint
 from repro.exec.algorithms import ALGORITHMS, register_algorithm
 from repro.obs.tracer import TraceSink
 
@@ -234,3 +234,63 @@ class TestManifest:
             TrialEntry(
                 sweep="s", index=0, fingerprint="ab", label="", status="bogus"
             )
+
+
+class TestTrialDocuments:
+    """Each executed trial's canonical trial document is built once: the
+    campaign's expansion builds it for the fingerprint and the result cache
+    stores that same document."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts canonical trial documents built (one graph entry each)."""
+        from repro.exec import fingerprint
+
+        counted = []
+        original = fingerprint._canonical_graph
+
+        def counting(graph):
+            counted.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(fingerprint, "_canonical_graph", counting)
+        return counted
+
+    @pytest.mark.parametrize("cache_backend", ["json", "sqlite"])
+    def test_one_document_per_executed_trial(self, builds, tmp_path, cache_backend):
+        campaign = _campaign(trials=3)
+        cache = ResultCache(tmp_path / "cache", backend=cache_backend)
+        result = CampaignRunner(campaign, cache, directory=tmp_path).run()
+        assert result.manifest.counts()["executed"] == campaign.num_trials == 6
+        assert len(builds) == campaign.num_trials
+        # A resume fingerprints every trial again and stores nothing.
+        del builds[:]
+        resumed = CampaignRunner(campaign, cache, directory=tmp_path).run()
+        assert resumed.manifest.counts()["cached"] == campaign.num_trials
+        assert len(builds) == campaign.num_trials
+
+    def test_entries_match_documents_built_afresh(self, tmp_path):
+        """The stored entries are exactly what a put of fresh, never
+        fingerprinted specs writes, apart from the timestamps."""
+        campaign = _campaign(trials=3)
+        cache = ResultCache(tmp_path / "campaign")
+        CampaignRunner(campaign, cache, directory=tmp_path).run()
+        fresh = ResultCache(tmp_path / "fresh")
+        for sweep in campaign.sweeps:
+            for spec, twin in zip(sweep.expand(), sweep.expand()):
+                fingerprint = trial_fingerprint(spec)
+                stored = cache.get(fingerprint)
+                # The twin was never fingerprinted: put builds its document.
+                fresh.put(fingerprint, twin, stored.outcome, stored.elapsed_seconds)
+
+        def timeless(entries):
+            return sorted(
+                (
+                    {k: v for k, v in entry.items() if k not in ("created", "elapsed_seconds")}
+                    for entry in entries
+                ),
+                key=lambda entry: entry["fingerprint"],
+            )
+
+        assert timeless(cache.entries()) == timeless(fresh.entries())
+        assert len(list(fresh.entries())) == campaign.num_trials

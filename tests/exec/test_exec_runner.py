@@ -19,6 +19,7 @@ from repro.exec import (
     backend_names,
     execute_trial,
 )
+from repro.exec.execute import work_units
 from repro.obs import Tracer, TraceSink, use_tracer
 from repro.sim.errors import CongestViolationError
 
@@ -204,9 +205,9 @@ class TestErrorCapture:
 
     def test_capture_mode_survives_worker_death(self, monkeypatch):
         """A worker process dying (the OS-kill scenario the campaign retry
-        policy exists for) costs only its in-flight trial, captured as a
-        failure, on the default ``workers=2`` path: the first worker the pool
-        spawns is SIGKILLed before its first trial reaches it."""
+        policy exists for) costs only its in-flight work unit, captured as
+        failures, on the default ``workers=2`` path: the first worker the pool
+        spawns is SIGKILLed before its first unit reaches it."""
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         specs = [
             TrialSpec(graph=GraphSpec("clique", (12,)), params=FAST, label="t%d" % i)
@@ -219,9 +220,10 @@ class TestErrorCapture:
         assert runner.last_backend_name == "workerpool"
         assert killer.pid is not None
         assert len(results) == 4
-        failed = [result for result in results if result.failed]
-        assert len(failed) == 1
-        assert "worker died" in failed[0].error and failed[0].outcome is None
+        failed = [index for index, result in enumerate(results) if result.failed]
+        assert failed in work_units(specs, 2), "exactly the killed worker's unit"
+        for index in failed:
+            assert "worker died" in results[index].error and results[index].outcome is None
         assert all(result.outcome.num_leaders == 1 for result in results if not result.failed)
 
 

@@ -12,8 +12,10 @@ from repro.exec.execute import TrialPayload, guarded_payload
 from repro.exec.fingerprint import trial_fingerprint
 from repro.exec.wire import (
     MAX_FRAME_BYTES,
+    WIRE_VERSION,
     FrameDecoder,
     encode_frame,
+    encode_run_request,
     payload_from_dict,
     payload_to_dict,
     read_frame,
@@ -21,6 +23,7 @@ from repro.exec.wire import (
     spec_to_dict,
     spec_wire_document,
     spec_wire_error,
+    spec_wire_text,
     write_frame,
 )
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
@@ -318,3 +321,14 @@ class TestWireSafety:
 def test_trial_payload_failed_property():
     assert TrialPayload(outcome=None, error="x", elapsed_seconds=0.0).failed
     assert not TrialPayload(outcome=None, error=None, elapsed_seconds=0.0).failed
+
+
+def test_run_request_splices_the_wire_texts():
+    """A unit's request carries each member's checked wire text verbatim."""
+    texts = [spec_wire_text(spec)[0] for spec in SPECS[:2]]
+    frame = encode_run_request(texts, progress={"heartbeat_seconds": 1.0})
+    request = read_frame(io.BytesIO(frame))
+    assert request["op"] == "run" and request["version"] == WIRE_VERSION
+    assert request["progress"] == {"heartbeat_seconds": 1.0}
+    assert [spec_from_dict(document) for document in request["trials"]] == SPECS[:2]
+    assert "progress" not in read_frame(io.BytesIO(encode_run_request(texts)))

@@ -19,7 +19,7 @@ from repro.exec.backends.workerpool import (
     worker_command,
     worker_environment,
 )
-from repro.exec.wire import WIRE_VERSION, spec_to_dict
+from repro.exec.wire import encode_run_request, spec_wire_text
 
 
 def _python(code):
@@ -54,25 +54,25 @@ def test_close_reaps_a_child_that_ignores_eof():
 
 
 def test_one_serve_process_answers_run_then_ping():
-    spec = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flood_max", seed=5)
+    specs = [
+        TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flood_max", seed=seed)
+        for seed in (5, 6)
+    ]
     channel = WorkerChannel(worker_command(), worker_environment())
     progress = []
     try:
-        run = channel.request(
-            {
-                "op": "run",
-                "version": WIRE_VERSION,
-                "trial": spec_to_dict(spec),
-                "progress": {"heartbeat_seconds": 5.0},
-            },
-            deadline=30.0,
-            on_progress=progress.append,
-        )
+        texts = [spec_wire_text(spec)[0] for spec in specs]
+        channel.send(encode_run_request(texts, progress={"heartbeat_seconds": 5.0}))
+        answers = [
+            channel.receive(deadline=30.0, on_progress=progress.append) for _ in specs
+        ]
         pong = channel.request({"op": "ping"})
     finally:
         channel.close()
-    assert run["error"] is None and run["outcome"] is not None
+    assert sorted(answer["member"] for answer in answers) == [0, 1]
+    assert all(answer["error"] is None and answer["outcome"] for answer in answers)
     assert pong["ok"] is True and pong["pid"] == channel.pid
     assert channel.process.returncode == 0, "EOF is a clean shutdown"
-    # run: started/finished around the trial.
-    assert [frame["event"] for frame in progress] == ["trial_started", "trial_finished"]
+    # run: one bracket for the whole unit, opened before its answers.
+    assert [frame["event"] for frame in progress] == ["unit_started"]
+    assert progress[0]["trials"] == 2

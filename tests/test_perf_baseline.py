@@ -25,6 +25,7 @@ REQUIRED_CELL_KEYS = {
     "faults",
     "simulator",
     "batch",
+    "workers",
     "trials",
     "seconds",
     "trials_per_sec",
@@ -36,12 +37,13 @@ def _load():
         return json.load(handle)
 
 
-def _by_key(document, batch=1):
-    """The cells of one ``batch`` size by ``(algorithm, family, n, faults, simulator)``."""
+def _by_key(document, batch=1, workers=1):
+    """The cells of one ``batch`` size and worker count by ``(algorithm, family, n, faults,
+    simulator)``."""
     return {
         (c["algorithm"], c["family"], c["n"], c["faults"], c["simulator"]): c
         for c in document["cells"]
-        if c["batch"] == batch
+        if c["batch"] == batch and c["workers"] == workers
     }
 
 
@@ -59,6 +61,7 @@ def test_baseline_structure():
         assert cell["trials"] >= 1, cell
         assert cell["simulator"] in ("reference", "vectorized"), cell
         assert cell["batch"] == 1 or cell["simulator"] == "vectorized", cell
+        assert cell["workers"] == 1 or cell["batch"] > 1, cell
 
 
 def test_baseline_covers_both_simulators_per_cell():
@@ -86,6 +89,18 @@ def test_batched_cells_keep_up_with_unbatched():
                 "batched cell %s: %.2f trials/s, below the unbatched %.2f"
                 % (key, cell["trials_per_sec"], single)
             )
+
+
+def test_pool_cells_pair_with_serial_batched_cells():
+    """Every worker-pool cell times the units of a serial batched cell, which the baseline
+    holds too."""
+    document = _load()
+    pooled = [cell for cell in document["cells"] if cell["workers"] > 1]
+    assert pooled, "baseline lost its worker-pool cell"
+    for cell in pooled:
+        serial = _by_key(document, cell["batch"])
+        key = (cell["algorithm"], cell["family"], cell["n"], cell["faults"], cell["simulator"])
+        assert key in serial, "pool cell %s has no serial batched partner" % (key,)
 
 
 def test_committed_speedup_claim():

@@ -78,8 +78,9 @@ def _quick_subset(grid, document, scale=None):
 
 @pytest.mark.parametrize("quick", [True, False])
 def test_grid_runs_each_simulator_pair_back_to_back(quick):
-    # Each reference cell is followed by its vectorized partner, and then by
-    # the batched vectorized cell of the same row where the row has one.
+    # Each reference cell is followed by its vectorized partner, then by the
+    # batched vectorized cell of the same row where the row has one, then by
+    # the row's worker-pool cell where it has one.
     cells = [cell for cell in perf_driver.GRID.cells if cell["quick"] or not quick]
     rows = []
     for cell in cells:
@@ -90,13 +91,20 @@ def test_grid_runs_each_simulator_pair_back_to_back(quick):
         else:
             assert key[:4] == rows[-1][0][:4]
             rows[-1].append(key)
+    batch, pool = perf_driver.BATCH_TRIALS, perf_driver.POOL_WORKERS
     for row in rows:
-        assert [key[4:] for key in row][:2] == [("reference", 1), ("vectorized", 1)]
-        assert [key[4:] for key in row][2:] in ([], [("vectorized", perf_driver.BATCH_TRIALS)])
-    batched = [row[0][:4] for row in rows if len(row) == 3]
+        assert [key[4:] for key in row][:2] == [("reference", 1, 1), ("vectorized", 1, 1)]
+        assert [key[4:] for key in row][2:] in (
+            [],
+            [("vectorized", batch, 1)],
+            [("vectorized", batch, 1), ("vectorized", batch, pool)],
+        )
+    batched = [row[0][:4] for row in rows if len(row) >= 3]
     assert sorted(batched) == sorted(
         key for key, quick_cell in perf_driver.BATCHED.items() if quick_cell or not quick
     )
+    pooled = [row[0][:4] for row in rows if len(row) == 4]
+    assert sorted(pooled) == sorted(perf_driver.POOLED), "the pool cell is in the quick grid"
 
 
 def test_quick_and_full_mode_time_the_same_work(clock):
@@ -166,7 +174,7 @@ def test_uniform_slowdown_passes(name, capsys):
 @pytest.mark.parametrize(
     "name, slow_cell, fails",
     [
-        ("simcore", ("election", "gilbert", 64, "none", "vectorized", 1), True),
+        ("simcore", ("election", "gilbert", 64, "none", "vectorized", 1, 1), True),
         ("cache", ("sqlite", "get", 2000), True),
         ("cache", ("json", "put", 2000), False),
     ],
