@@ -588,7 +588,7 @@ class WorkerPoolBackend(ExecutionBackend):
         stream.
         """
         tracer = current_tracer()
-        on_progress = lambda frame: self._forward_progress(slot, frame)  # noqa: E731
+        on_progress = functools.partial(self._forward_progress, slot)
         remaining = len(sent)
         while remaining:
             frame = worker.receive(deadline=self.hang_deadline_seconds, on_progress=on_progress)
