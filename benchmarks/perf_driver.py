@@ -18,9 +18,7 @@ import sys
 
 import harness
 
-from repro.baselines.known_tmix import known_tmix_trial
-from repro.core.runner import run_leader_election
-from repro.exec import TrialSpec
+from repro.exec import TrialSpec, get_algorithm
 from repro.exec.backends import SerialBackend, WorkerPoolBackend
 from repro.exec.execute import BATCH_TRIALS
 from repro.faults import DelayFaults, FaultPlan, MessageFaults
@@ -169,18 +167,24 @@ def _prepare(cell: harness.Cell) -> harness.RunOnce:
         return _prepare_batched(cell, graph)
     simulator = cell["simulator"]
     plan = FAULTS[cell["faults"]]
+    algorithm = get_algorithm(cell["algorithm"])
     # Computed outside the timed region: the oracle input is an input, not part of the simulator
     # work being measured.
-    mixing_time = cached_mixing_time(graph) if cell["algorithm"] == "known_tmix" else None
+    algo_kwargs = {}
+    if algorithm.name == "known_tmix":
+        algo_kwargs["mixing_time"] = cached_mixing_time(graph)
 
     def run_once(seed: int):
-        if mixing_time is None:
-            outcome = run_leader_election(graph, seed=seed, simulator=simulator, fault_plan=plan)
-            label = outcome.simulator
-        else:
-            outcome = known_tmix_trial(graph, mixing_time, seed=seed, simulator=simulator)
-            label = outcome.extras.get("simulator", "reference")
-        _check(cell, outcome, simulator, label)
+        spec = TrialSpec(
+            graph=graph,
+            algorithm=algorithm.name,
+            seed=seed,
+            algo_kwargs=algo_kwargs,
+            fault_plan=plan,
+            simulator=simulator,
+        )
+        outcome = algorithm.run(graph, spec)
+        _check(cell, outcome, simulator, outcome.extras.get("simulator", "reference"))
         return {"trials": 1}
 
     return run_once

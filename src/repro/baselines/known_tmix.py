@@ -129,7 +129,6 @@ def known_tmix_trial(
     fault_plan: Optional[FaultPlan] = None,
     max_rounds: int = 1_000_000,
     observers: Sequence[MessageObserver] = (),
-    simulator: str = "reference",
 ) -> TrialOutcome:
     """Run the [25] baseline and return the unified trial outcome.
 
@@ -137,43 +136,14 @@ def known_tmix_trial(
     :func:`~repro.graphs.mixing.cached_mixing_time`, so a sweep that reuses
     one graph instance pays its dense ``n x n`` matrix products once, not
     once per trial.  A non-empty ``fault_plan`` runs the single oracle-length
-    phase against that adversary.  ``simulator="vectorized"`` runs the
-    oracle-length phase on the numpy engine of :mod:`repro.sim.vectorized`
-    (falling back to the reference simulator, with the reason recorded in
-    ``extras["simulator"]``, when the engine declines the configuration).
+    phase against that adversary.
     """
-    if simulator not in ("reference", "vectorized"):
-        raise ValueError(
-            "unknown simulator %r; expected 'reference' or 'vectorized'" % simulator
-        )
     if mixing_time is None:
         mixing_time = cached_mixing_time(graph)
-
-    def reference():
-        result = simulate_known_tmix(
-            graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
-        )
-        return outcome_from_simulation(result)
-
-    if simulator == "vectorized":
-        from ..sim.vectorized import run_vectorized_known_tmix, vectorized_or_reference
-
-        outcome = vectorized_or_reference(
-            lambda: run_vectorized_known_tmix(
-                graph,
-                mixing_time,
-                params=params,
-                safety_factor=safety_factor,
-                seed=seed,
-                fault_plan=fault_plan,
-                max_rounds=max_rounds,
-            ),
-            reference,
-            observers=tuple(observers),
-        )
-    else:
-        outcome = reference()
-    return known_tmix_outcome(outcome, mixing_time)
+    result = simulate_known_tmix(
+        graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
+    )
+    return known_tmix_outcome(outcome_from_simulation(result), mixing_time)
 
 
 def known_tmix_outcome(outcome, mixing_time: int) -> TrialOutcome:

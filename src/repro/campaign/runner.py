@@ -30,10 +30,9 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..exec.backends import make_backend
 from ..exec.cache import ResultCache
 from ..exec.config import ExecutionProfile
-from ..exec.runner import BatchRunner, TrialResult
+from ..exec.runner import BatchRunner, TrialResult, resolve_backend, runner_options
 from ..exec.shard import Shard
 from ..obs.report import campaign_telemetry
 from ..obs.tracer import TraceSink, current_tracer, use_tracer
@@ -149,26 +148,11 @@ class CampaignRunner:
                 "a campaign needs a ResultCache (resume and reporting are "
                 "cache-backed); got %r" % type(cache).__name__
             )
-        if profile is not None and not isinstance(profile, ExecutionProfile):
-            raise TypeError(
-                "profile must be an ExecutionProfile; got %r" % type(profile).__name__
-            )
         self.spec = spec
         self.cache = cache
-        self.profile = profile if profile is not None else ExecutionProfile()
-        self.workers = (
-            workers if workers is not None else self.profile.effective_workers(default=1)
-        )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1; got %d" % self.workers)
+        self.profile, self.workers, self.sinks = runner_options(profile, workers, sinks)
         self.shard = shard
         self.directory = os.fspath(directory) if directory is not None else None
-        self.sinks = tuple(sinks)
-        for sink in self.sinks:
-            if not isinstance(sink, TraceSink):
-                raise TypeError(
-                    "sinks must be TraceSink instances; got %r" % type(sink).__name__
-                )
 
     @property
     def manifest_path(self) -> Optional[str]:
@@ -203,21 +187,11 @@ class CampaignRunner:
             ]
         assigned_set = set(assigned)
 
-        # The backend -- named by string, by the env override (both resolved
-        # by the profile) or the workers-derived default -- is instantiated
-        # once around the whole attempt loop: retry rounds then reuse one
-        # worker pool instead of paying its startup per round.  A backend
-        # *instance* stays caller-owned, exactly as in BatchRunner.
-        backend = self.profile.effective_backend()
-        backend_owned = False
-        if backend is None:
-            # BatchRunner's default over the assigned trials.
-            default = "serial" if self.workers == 1 or len(assigned) <= 1 else "workerpool"
-            backend = make_backend(default, workers=min(self.workers, max(1, len(assigned))))
-            backend_owned = True
-        elif isinstance(backend, str):
-            backend = make_backend(backend, workers=self.workers)
-            backend_owned = True
+        # The backend is resolved once around the whole attempt loop: retry
+        # rounds then reuse one worker pool instead of paying its startup per
+        # round.  A backend *instance* stays caller-owned, exactly as in
+        # BatchRunner.
+        backend, backend_owned = resolve_backend(self.profile, self.workers, len(assigned))
 
         # Campaign-level sinks are installed as the current tracer around the
         # attempt loop, so one subscription observes every nested layer: the

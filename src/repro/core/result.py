@@ -133,9 +133,9 @@ class ElectionOutcome:
     final_walk_length: int
     simulation: Optional[SimulationResult] = None
     crashed_nodes: List[int] = field(default_factory=list)
-    #: Which engine produced this outcome: ``"reference"``, ``"vectorized"``,
-    #: or ``"reference-fallback:<reason>"`` when a vectorized request had to
-    #: fall back (see :mod:`repro.sim.vectorized`).
+    #: Which engine produced this outcome: ``"reference"`` or
+    #: ``"vectorized"`` (the registry tags a vectorized trial that fell back
+    #: ``"reference-fallback:<reason>"``; see :mod:`repro.exec.algorithms`).
     simulator: str = "reference"
 
     @property

@@ -36,7 +36,7 @@ __all__ = [
 ELECTION_PORT_STREAM = 0xB0B
 ELECTION_NETWORK_STREAM = 0xA11CE
 
-#: Simulator engines ``run_leader_election`` accepts (see docs/architecture.md).
+#: Simulator engines a trial may name (see docs/architecture.md).
 KNOWN_SIMULATORS = ("reference", "vectorized")
 
 
@@ -91,7 +91,6 @@ def run_leader_election(
     congest_mode: str = "count",
     keep_simulation: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    simulator: str = "reference",
 ) -> ElectionOutcome:
     """Run implicit leader election (Theorem 13) on ``graph`` and return the outcome.
 
@@ -102,51 +101,20 @@ def run_leader_election(
     additionally carries ``crashed_nodes``, a degraded-outcome
     ``classification`` and per-fault counters in ``metrics.fault_events``.
 
-    ``simulator`` selects the engine: ``"reference"`` (the per-message object
-    simulator, the bit-exactness oracle) or ``"vectorized"`` (the numpy
-    walk-phase engine of :mod:`repro.sim.vectorized`, with its own
-    walk-randomness seed stream).  A vectorized request the engine cannot
-    honour falls back to the reference simulator; the outcome's ``simulator``
-    field then reads ``"reference-fallback:<reason>"``.
+    The election runs on the reference simulator, the bit-exactness oracle;
+    a :class:`~repro.exec.spec.TrialSpec` with ``simulator="vectorized"``
+    runs it on the numpy walk-phase engine instead (``repro.exec.algorithms``).
     """
-    if simulator not in KNOWN_SIMULATORS:
-        raise ValueError(
-            "unknown simulator %r; expected one of %s"
-            % (simulator, ", ".join(KNOWN_SIMULATORS))
-        )
-
-    def reference() -> ElectionOutcome:
-        network = build_election_network(
-            graph,
-            params=params,
-            seed=seed,
-            known_n=known_n,
-            assumed_n=assumed_n,
-            observers=observers,
-            edge_capacity_words=edge_capacity_words,
-            congest_mode=congest_mode,
-            fault_plan=fault_plan,
-        )
-        result = network.run(max_rounds=max_rounds)
-        return outcome_from_simulation(result, keep_simulation=keep_simulation)
-
-    if simulator == "reference":
-        return reference()
-    from ..sim.vectorized import run_vectorized_election, vectorized_or_reference
-
-    return vectorized_or_reference(
-        lambda: run_vectorized_election(
-            graph,
-            params=params,
-            seed=seed,
-            known_n=known_n,
-            assumed_n=assumed_n,
-            max_rounds=max_rounds,
-            edge_capacity_words=edge_capacity_words,
-            fault_plan=fault_plan,
-        ),
-        reference,
-        observers=tuple(observers),
-        keep_simulation=keep_simulation,
+    network = build_election_network(
+        graph,
+        params=params,
+        seed=seed,
+        known_n=known_n,
+        assumed_n=assumed_n,
+        observers=observers,
+        edge_capacity_words=edge_capacity_words,
         congest_mode=congest_mode,
+        fault_plan=fault_plan,
     )
+    result = network.run(max_rounds=max_rounds)
+    return outcome_from_simulation(result, keep_simulation=keep_simulation)

@@ -17,18 +17,25 @@ executor validates against:
   :class:`~repro.core.result.TrialOutcome` draws from (one of
   :data:`~repro.core.result.TRIAL_KINDS`).
 * ``batch`` -- for walk-phase algorithms, ``(graph, spec)`` ->
-  ``(VectorizedTrial, finish)`` or ``None``: the trial as a member of a
-  same-shape vectorized batch (:func:`repro.sim.vectorized.run_vectorized_batch`)
-  and how its election outcome becomes the adapter's ``TrialOutcome``.
-  ``None`` -- another simulator, or a configuration the engine refuses
-  statically -- runs the trial alone through ``runner``.
-* ``simulators`` -- which execution engines the adapter can run on
-  (a subset of :data:`~repro.core.runner.KNOWN_SIMULATORS`).  Every
-  algorithm supports the ``"reference"`` object simulator; walk-phase
-  algorithms additionally support the numpy ``"vectorized"`` engine.
-  Specs naming an undeclared simulator are rejected up front -- the
-  simulator participates in the cache fingerprint, so silently running
-  them on the reference engine would cache mislabelled results.
+  ``(VectorizedTrial, finish)``: the trial as a member of a same-shape
+  vectorized batch (:func:`repro.sim.vectorized.run_vectorized_batch`) and
+  how its election outcome becomes the adapter's ``TrialOutcome``.  A
+  configuration the engine refuses statically raises
+  :class:`~repro.sim.vectorized.VectorizedUnsupported`.
+* ``simulators`` -- which execution engines the adapter can run on, derived
+  from ``batch``: every algorithm runs on the ``"reference"`` object
+  simulator, and one with a ``batch`` adapter also on the numpy
+  ``"vectorized"`` engine.  Specs naming an undeclared simulator are
+  rejected up front -- the simulator participates in the cache fingerprint,
+  so silently running them on the reference engine would cache mislabelled
+  results.
+
+:meth:`Algorithm.run` is the one way into the vectorized engine: a lone
+vectorized trial runs as a batch of one, settled by :meth:`Algorithm.settle`
+exactly as a member of a larger batch
+(:func:`repro.exec.execute.batched_payloads`) is.  A trial the engine
+refuses -- statically or at setup -- runs once on the reference engine,
+tagged ``"reference-fallback:<reason>"`` by :meth:`Algorithm.fall_back`.
 
 Adapters are module-level so a worker process can resolve the algorithm from
 the spec's string name -- specs stay wire-safe and fingerprintable precisely
@@ -55,6 +62,9 @@ from ..core.runner import KNOWN_SIMULATORS, run_leader_election
 from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
 from ..sim.vectorized import (
+    VectorizedTrial,
+    VectorizedUnsupported,
+    run_vectorized_batch,
     vectorized_election_trial,
     vectorized_known_tmix_trial,
     vectorized_unsupported_reason,
@@ -71,7 +81,7 @@ __all__ = [
 ]
 
 AlgorithmRunner = Callable[[Graph, TrialSpec], TrialOutcome]
-BatchAdapter = Callable[[Graph, TrialSpec], Optional[Tuple[object, Callable]]]
+BatchAdapter = Callable[[Graph, TrialSpec], Tuple[VectorizedTrial, Callable]]
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,6 @@ class Algorithm:
     needs_params: bool = False
     outcome_kind: str = "election"
     description: str = ""
-    simulators: Tuple[str, ...] = ("reference",)
     batch: Optional[BatchAdapter] = None
 
     def __post_init__(self) -> None:
@@ -93,26 +102,41 @@ class Algorithm:
                 "algorithm %r declares unknown outcome kind %r; expected one of %s"
                 % (self.name, self.outcome_kind, ", ".join(TRIAL_KINDS))
             )
-        if "reference" not in self.simulators:
-            raise ValueError(
-                "algorithm %r must support the 'reference' simulator (the "
-                "bit-exactness oracle); declared %r" % (self.name, self.simulators)
-            )
-        for simulator in self.simulators:
-            if simulator not in KNOWN_SIMULATORS:
-                raise ValueError(
-                    "algorithm %r declares unknown simulator %r; expected a "
-                    "subset of %s"
-                    % (self.name, simulator, ", ".join(KNOWN_SIMULATORS))
-                )
+
+    @property
+    def simulators(self) -> Tuple[str, ...]:
+        """The engines this algorithm runs on: the vectorized one needs ``batch``."""
+        return KNOWN_SIMULATORS if self.batch is not None else ("reference",)
 
     def run(self, graph: Graph, spec: TrialSpec) -> TrialOutcome:
         """Execute this algorithm on ``graph`` as described by ``spec``."""
-        return self.runner(graph, spec)
+        if spec.simulator != "vectorized" or self.batch is None:
+            return self.runner(graph, spec)
+        try:
+            trial, finish = self.batch(graph, spec)
+        except VectorizedUnsupported as refusal:
+            return self.fall_back(graph, spec, refusal)
+        (result,) = run_vectorized_batch([trial])
+        return self.settle(graph, spec, finish, result)
 
-    # ``get_algorithm`` used to return the bare runner callable; keeping the
-    # entry itself callable preserves that calling convention for old code.
-    __call__ = run
+    def settle(self, graph: Graph, spec: TrialSpec, finish: Callable, result) -> TrialOutcome:
+        """A vectorized batch member's outcome from its slot of
+        :func:`~repro.sim.vectorized.run_vectorized_batch`: ``finish`` of
+        its election outcome, the reference fallback when its setup raised
+        :class:`~repro.sim.vectorized.VectorizedUnsupported`, or the
+        exception any other setup failure raised."""
+        if isinstance(result, VectorizedUnsupported):
+            return self.fall_back(graph, spec, result)
+        if isinstance(result, BaseException):
+            raise result
+        return finish(result)
+
+    def fall_back(self, graph: Graph, spec: TrialSpec, refusal: Exception) -> TrialOutcome:
+        """The trial on the reference engine, tagged with why the vectorized
+        engine refused it."""
+        outcome = self.runner(graph, spec)
+        outcome.extras["simulator"] = "reference-fallback:%s" % refusal
+        return outcome
 
 
 ALGORITHMS: Dict[str, Algorithm] = {}
@@ -125,7 +149,6 @@ def register_algorithm(
     needs_params: bool = False,
     outcome_kind: str = "election",
     description: str = "",
-    simulators: Tuple[str, ...] = ("reference",),
     batch: Optional[BatchAdapter] = None,
 ) -> Callable[[AlgorithmRunner], AlgorithmRunner]:
     """Register a runner under ``name`` with its capabilities (decorator form)."""
@@ -140,7 +163,6 @@ def register_algorithm(
             needs_params=needs_params,
             outcome_kind=outcome_kind,
             description=description,
-            simulators=tuple(simulators),
             batch=batch,
         )
         return runner
@@ -178,23 +200,21 @@ def fault_aware_algorithms() -> FrozenSet[str]:
 
 
 # --------------------------------------------------------------------- paper
-def _vectorized_kwargs(spec: TrialSpec, signature: Tuple[str, ...]) -> Optional[dict]:
+def _vectorized_kwargs(spec: TrialSpec, signature: Tuple[str, ...]) -> dict:
     """``spec.algo_kwargs`` without the ``signature`` keys the engine's
-    static refusal reads, or ``None`` when the spec does not run on the
-    vectorized engine."""
+    static refusal reads; raises :class:`VectorizedUnsupported` when they
+    refuse the engine."""
     kwargs = dict(spec.algo_kwargs)
-    refusal = {key: kwargs.pop(key) for key in signature if key in kwargs}
-    if "observers" in refusal:
-        refusal["observers"] = tuple(refusal["observers"])
-    if spec.simulator != "vectorized" or vectorized_unsupported_reason(**refusal):
-        return None
+    reason = vectorized_unsupported_reason(
+        **{key: kwargs.pop(key) for key in signature if key in kwargs}
+    )
+    if reason is not None:
+        raise VectorizedUnsupported(reason)
     return kwargs
 
 
 def _paper_election_batch(graph: Graph, spec: TrialSpec):
     kwargs = _vectorized_kwargs(spec, ("observers", "keep_simulation", "congest_mode"))
-    if kwargs is None:
-        return None
     trial = vectorized_election_trial(
         graph, params=spec.params, seed=spec.seed, fault_plan=spec.effective_fault_plan, **kwargs
     )
@@ -207,7 +227,6 @@ def _paper_election_batch(graph: Graph, spec: TrialSpec):
     needs_params=True,
     outcome_kind="election",
     description="the paper's Theorem 13 guess-and-double random-walk election",
-    simulators=("reference", "vectorized"),
     batch=_paper_election_batch,
 )
 def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
@@ -217,7 +236,6 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
         params=spec.params,
         seed=spec.seed,
         fault_plan=spec.effective_fault_plan,
-        simulator=spec.simulator,
         **spec.algo_kwargs,
     )
     return TrialOutcome.from_election("election", outcome)
@@ -226,8 +244,6 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
 # ----------------------------------------------------------------- baselines
 def _known_tmix_batch(graph: Graph, spec: TrialSpec):
     kwargs = _vectorized_kwargs(spec, ("observers",))
-    if kwargs is None:
-        return None
     t_mix = kwargs.pop("mixing_time", None)
     if t_mix is None:
         t_mix = cached_mixing_time(graph)
@@ -248,7 +264,6 @@ def _known_tmix_batch(graph: Graph, spec: TrialSpec):
     needs_params=True,
     outcome_kind="election",
     description="Kutten et al. [25]: one oracle-length walk phase (t_mix known)",
-    simulators=("reference", "vectorized"),
     batch=_known_tmix_batch,
 )
 def _run_known_tmix(graph: Graph, spec: TrialSpec) -> TrialOutcome:
@@ -266,7 +281,6 @@ def _run_known_tmix(graph: Graph, spec: TrialSpec) -> TrialOutcome:
         params=spec.params,
         seed=spec.seed,
         fault_plan=spec.effective_fault_plan,
-        simulator=spec.simulator,
         **kwargs,
     )
 

@@ -18,6 +18,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.params import DEFAULT_PARAMETERS
@@ -129,15 +130,20 @@ def _checked(spec: TrialSpec, outcome) -> TrialOutcome:
 
 def _run_on(spec: TrialSpec, graph) -> TrialOutcome:
     """The second half of :func:`execute_trial`: the algorithm run on the
-    built ``graph``, under a ``trial.run`` span when traced."""
+    built ``graph``."""
     algorithm = get_algorithm(spec.algorithm)
+    return _traced_run(spec, lambda: algorithm.run(graph, spec))
+
+
+def _traced_run(spec: TrialSpec, run: Callable[[], TrialOutcome]) -> TrialOutcome:
+    """``run()``'s checked outcome, under a ``trial.run`` span when traced."""
     tracer = current_tracer()
     if not tracer.enabled:
-        return _checked(spec, algorithm.run(graph, spec))
+        return _checked(spec, run())
     with tracer.span(
         "trial.run", label=spec.describe(), algorithm=spec.algorithm, simulator=spec.simulator
     ):
-        return _checked(spec, algorithm.run(graph, spec))
+        return _checked(spec, run())
 
 
 def execute_trial(spec: TrialSpec) -> TrialOutcome:
@@ -246,8 +252,7 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
     for index, spec in enumerate(specs):
         start = time.perf_counter()
         algorithm = ALGORITHMS.get(spec.algorithm)
-        batch = algorithm.batch if algorithm is not None else None
-        if batch is None:
+        if algorithm is None or algorithm.batch is None or spec.simulator != "vectorized":
             yield index, _captured(start, lambda: execute_trial(spec))
             continue
         try:
@@ -256,13 +261,10 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
             yield index, _captured(start, lambda: execute_trial(spec))
             continue
         try:
-            prepared = batch(graph, spec)
-        except Exception:  # noqa: BLE001 -- alone, the runner raises it again
-            prepared = None
-        if prepared is None:
+            trial, finish = algorithm.batch(graph, spec)
+        except Exception:  # noqa: BLE001 -- alone, it falls back or fails the same way
             yield index, _captured(start, lambda: _run_on(spec, graph))
             continue
-        trial, finish = prepared
         member = _Waiting(index, spec, graph, trial, finish, time.perf_counter() - start)
         chunk = waiting.setdefault(trial.shape, [])
         chunk.append(member)
@@ -276,12 +278,13 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
 def _run_batch(chunk: List[_Waiting]) -> Iterator[Tuple[int, TrialPayload]]:
     """One engine call for the chunk's trials.
 
-    Every member records the chunk's wall time (graph builds included)
-    divided by its size as its ``elapsed_seconds``.  A member whose setup
-    raised -- :class:`~repro.sim.vectorized.VectorizedUnsupported`, which
-    falls back to the reference engine, or any other failure -- runs again
-    alone through its algorithm's runner, and so ends exactly as it would
-    alone; a fault inside the batched run sends every member there.
+    Every member that runs on the engine records the chunk's wall time
+    (graph builds included) divided by the chunk's size as its
+    ``elapsed_seconds``.  A member whose setup raised is settled by
+    :meth:`~repro.exec.algorithms.Algorithm.settle` as it would be alone --
+    :class:`~repro.sim.vectorized.VectorizedUnsupported` runs it once on the
+    reference engine, anything else fails it -- and times only that; a
+    fault inside the batched run sends every member to run alone.
     """
     start = time.perf_counter()
     tracer = current_tracer()
@@ -298,13 +301,18 @@ def _run_batch(chunk: List[_Waiting]) -> Iterator[Tuple[int, TrialPayload]]:
     except Exception:  # noqa: BLE001 -- each member alone fails, or not, by itself
         results = [None] * len(chunk)
     share = (time.perf_counter() - start + sum(m.build_seconds for m in chunk)) / len(chunk)
+    algorithm = ALGORITHMS[lead.algorithm]
     for member, result in zip(chunk, results):
-        if result is None or isinstance(result, BaseException):
+        settle = partial(algorithm.settle, member.graph, member.spec, member.finish, result)
+        if result is None:
             yield member.index, _captured(
                 time.perf_counter(), lambda: _run_on(member.spec, member.graph)
             )
+        elif isinstance(result, BaseException):
+            yield member.index, _captured(
+                time.perf_counter(), lambda: _traced_run(member.spec, settle)
+            )
         else:
-            payload = _captured(start, lambda: _checked(member.spec, member.finish(result)))
+            payload = _captured(start, lambda: _checked(member.spec, settle()))
             payload.elapsed_seconds = share
             yield member.index, payload
-

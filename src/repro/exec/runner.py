@@ -67,6 +67,46 @@ from .spec import GraphSpec, SweepSpec, TrialSpec
 __all__ = ["BatchRunner", "TrialResult", "execute_trial", "default_worker_count"]
 
 
+def runner_options(
+    profile: Optional[ExecutionProfile], workers: Optional[int], sinks: Sequence[TraceSink]
+) -> Tuple[ExecutionProfile, int, Tuple[TraceSink, ...]]:
+    """A runner's checked profile (default: the default one), worker count
+    (default: the profile's, else 1) and trace sinks."""
+    if profile is not None and not isinstance(profile, ExecutionProfile):
+        raise TypeError(
+            "profile must be an ExecutionProfile or None; got %r" % type(profile).__name__
+        )
+    profile = profile if profile is not None else ExecutionProfile()
+    workers = workers if workers is not None else profile.effective_workers(default=1)
+    if workers < 1:
+        raise ValueError("workers must be at least 1, got %d" % workers)
+    for sink in sinks:
+        if not isinstance(sink, TraceSink):
+            raise TypeError("sinks must be TraceSink instances; got %r" % type(sink).__name__)
+    return profile, workers, tuple(sinks)
+
+
+def resolve_backend(
+    profile: ExecutionProfile, workers: int, trials: int
+) -> Tuple[ExecutionBackend, bool]:
+    """The backend a run of ``trials`` trials dispatches to, plus whether
+    the run owns it.
+
+    Selection order (the profile's precedence rule): explicit instance
+    (caller-owned, left running for the next batch), explicit name, the
+    ``REPRO_EXEC_BACKEND`` environment override, then the workers-derived
+    default -- in-process for ``workers=1`` and runs of at most one trial,
+    the worker pool otherwise.  A backend the run makes gets at most one
+    worker per trial.
+    """
+    choice = profile.effective_backend()
+    if isinstance(choice, ExecutionBackend):
+        return choice, False
+    if choice is None:
+        choice = "serial" if workers == 1 or trials <= 1 else "workerpool"
+    return make_backend(choice, workers=min(workers, max(1, trials))), True
+
+
 @dataclass
 class TrialResult:
     """One executed (or cache-served, or failed-and-captured) trial.
@@ -104,22 +144,7 @@ class BatchRunner:
     ) -> None:
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture', got %r" % on_error)
-        if profile is not None and not isinstance(profile, ExecutionProfile):
-            raise TypeError(
-                "profile must be an ExecutionProfile or None; got %r"
-                % type(profile).__name__
-            )
-        self.profile = profile if profile is not None else ExecutionProfile()
-        workers = workers if workers is not None else self.profile.effective_workers(default=1)
-        if workers < 1:
-            raise ValueError("workers must be at least 1, got %d" % workers)
-        self.sinks: Tuple[TraceSink, ...] = tuple(sinks)
-        for sink in self.sinks:
-            if not isinstance(sink, TraceSink):
-                raise TypeError(
-                    "sinks must be TraceSink instances; got %r" % type(sink).__name__
-                )
-        self.workers = workers
+        self.profile, self.workers, self.sinks = runner_options(profile, workers, sinks)
         self.cache = cache
         self.on_error = on_error
         self.last_summary: Optional[BatchSummary] = None
@@ -307,26 +332,10 @@ class BatchRunner:
         return self.run(sweep.expand(), shard=shard)
 
     # ------------------------------------------------------------- execution
-    def _resolve_backend(self, pending_count: int) -> Tuple[ExecutionBackend, bool]:
-        """The backend this run dispatches to, plus whether this run owns it.
-
-        Selection order (the profile's precedence rule): explicit instance
-        (caller-owned, left running for the next batch), explicit name, the
-        ``REPRO_EXEC_BACKEND`` environment override, then the
-        workers-derived default -- in-process for ``workers=1`` and
-        single-trial batches, the worker pool otherwise.
-        """
-        choice = self.profile.effective_backend()
-        if isinstance(choice, ExecutionBackend):
-            return choice, False
-        if choice is None:
-            choice = "serial" if self.workers == 1 or pending_count == 1 else "workerpool"
-        return make_backend(choice, workers=min(self.workers, pending_count)), True
-
     def _execute_pending(
         self, pending: List[Tuple[int, str, TrialSpec]]
     ) -> Iterable[Tuple[int, TrialResult]]:
-        backend, owned = self._resolve_backend(len(pending))
+        backend, owned = resolve_backend(self.profile, self.workers, len(pending))
         self.last_backend_name = backend.name
         wired, inline = [], []
         for entry in pending:

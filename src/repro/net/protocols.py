@@ -30,6 +30,7 @@ from ..baselines.known_tmix import (
     KNOWN_TMIX_NETWORK_STREAM,
     KNOWN_TMIX_PORT_STREAM,
     known_tmix_factory,
+    known_tmix_outcome,
     pin_walk_length,
 )
 from ..core.leader_election import LeaderElectionNode
@@ -147,9 +148,7 @@ def _known_tmix_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
 def _finish_known_tmix(
     config: Dict[str, object], result: SimulationResult
 ) -> TrialOutcome:
-    trial = TrialOutcome.from_election("known_tmix", outcome_from_simulation(result))
-    trial.extras["mixing_time"] = config["mixing_time"]
-    return trial
+    return known_tmix_outcome(outcome_from_simulation(result), config["mixing_time"])
 
 
 # ------------------------------------------------------------------ registry

@@ -17,8 +17,6 @@ from .vectorized import (
     VECTORIZED_WALK_STREAM,
     VectorizedUnsupported,
     graph_csr,
-    run_vectorized_election,
-    run_vectorized_known_tmix,
     vectorized_unsupported_reason,
 )
 
@@ -50,7 +48,5 @@ __all__ = [
     "VECTORIZED_MESSAGE_STREAM",
     "VectorizedUnsupported",
     "graph_csr",
-    "run_vectorized_election",
-    "run_vectorized_known_tmix",
     "vectorized_unsupported_reason",
 ]

@@ -82,11 +82,11 @@ Fallback rules
 The engine refuses -- via :class:`VectorizedUnsupported` or the static
 :func:`vectorized_unsupported_reason` check -- anything it cannot replicate
 faithfully: message observers, retained simulations and strict congest
-mode.  Every fault plan runs vectorized.  Callers (``repro.core.runner`` /
-``repro.baselines.known_tmix``) fall back to the reference simulator and
-record the reason in the outcome's ``simulator`` tag.  In a batch, a trial
-whose setup raises -- :class:`VectorizedUnsupported` or anything else --
-gets its exception back in its slot and leaves the others running.
+mode.  Every fault plan runs vectorized.  A trial whose setup raises --
+:class:`VectorizedUnsupported` or anything else -- gets its exception back
+in its slot of the batch and leaves the others running.  The one caller,
+the algorithm registry (``repro.exec.algorithms``), runs a refused trial on
+the reference simulator and records the reason in its ``simulator`` tag.
 
 Three deliberate approximations, all invisible at the outcome level the
 equivalence suite pins: winner notifications are propagated against the
@@ -104,7 +104,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,14 +123,11 @@ __all__ = [
     "VECTORIZED_MESSAGE_STREAM",
     "VectorizedUnsupported",
     "vectorized_unsupported_reason",
-    "vectorized_or_reference",
     "graph_csr",
     "VectorizedTrial",
     "run_vectorized_batch",
     "vectorized_election_trial",
     "vectorized_known_tmix_trial",
-    "run_vectorized_election",
-    "run_vectorized_known_tmix",
 ]
 
 #: Stream id of the bulk walk generator (never drawn by the reference).
@@ -170,25 +167,6 @@ def vectorized_unsupported_reason(
     if congest_mode != "count":
         return "strict congest mode requires the reference simulator"
     return None
-
-
-def vectorized_or_reference(vectorized: Callable, reference: Callable, **signature):
-    """``vectorized()`` unless the engine declines, else ``reference()``.
-
-    The fallback contract of every vectorized entry point: a static refusal
-    (:func:`vectorized_unsupported_reason` over the call ``signature``) or a
-    run-time :class:`VectorizedUnsupported` runs ``reference()`` instead and
-    tags its outcome's ``simulator`` as ``"reference-fallback:<reason>"``.
-    """
-    reason = vectorized_unsupported_reason(**signature)
-    if reason is None:
-        try:
-            return vectorized()
-        except VectorizedUnsupported as exc:
-            reason = str(exc)
-    outcome = reference()
-    outcome.simulator = "reference-fallback:%s" % reason
-    return outcome
 
 
 def graph_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,9 +405,10 @@ class _Metrics:
 
     :meth:`_Run.hop` hands every round's sends of one kind to
     :meth:`record_bulk`, which keeps them until :meth:`flush` sums them per
-    trial: once per phase, or sooner when :data:`_FLUSH_AT` messages wait.  Each trial keeps its kinds in first-seen order,
-    so its ``messages_by_kind`` gains its keys in the order per-message
-    accounting would give them.  Given an edge capacity, ``edge_bits`` sums
+    trial: once per phase, or sooner when :data:`_FLUSH_AT` messages wait.
+    Each trial keeps its kinds in first-seen order, so its
+    ``messages_by_kind`` gains its keys in the order per-message accounting
+    would give them.  Given an edge capacity, ``edge_bits`` sums
     the bits per ``(round, src, dst)`` over the batch's node numbering.
     """
 
@@ -1762,14 +1741,6 @@ def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
     return results
 
 
-def _run_alone(trial: VectorizedTrial):
-    """One trial as a batch of one; its setup's exception propagates."""
-    (result,) = run_vectorized_batch([trial])
-    if isinstance(result, BaseException):
-        raise result
-    return result
-
-
 def vectorized_election_trial(
     graph: Graph,
     params=None,
@@ -1780,7 +1751,14 @@ def vectorized_election_trial(
     edge_capacity_words: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> VectorizedTrial:
-    """The :class:`VectorizedTrial` of :func:`run_vectorized_election`."""
+    """An election on ``graph`` for :func:`run_vectorized_batch`; the
+    arguments are :func:`~repro.core.runner.run_leader_election`'s.
+
+    >>> from repro.graphs import hypercube_graph
+    >>> (outcome,) = run_vectorized_batch([vectorized_election_trial(hypercube_graph(4), seed=7)])
+    >>> outcome.simulator, outcome.num_nodes, outcome.metrics.completed
+    ('vectorized', 16, True)
+    """
     from ..core.params import DEFAULT_PARAMETERS
     from ..core.runner import ELECTION_NETWORK_STREAM
 
@@ -1798,34 +1776,6 @@ def vectorized_election_trial(
     )
 
 
-def run_vectorized_election(
-    graph: Graph,
-    params=None,
-    seed: Optional[int] = None,
-    known_n: Optional[int] = -1,
-    assumed_n: Optional[int] = None,
-    max_rounds: int = 10_000_000,
-    edge_capacity_words: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-):
-    """Vectorized counterpart of :func:`repro.core.runner.run_leader_election`.
-
-    Raises :class:`VectorizedUnsupported` for configurations outside the
-    engine's contract (see module docstring); callers are expected to fall
-    back to the reference simulator.
-
-    >>> from repro.graphs import hypercube_graph
-    >>> outcome = run_vectorized_election(hypercube_graph(4), seed=7)
-    >>> outcome.simulator, outcome.num_nodes, outcome.metrics.completed
-    ('vectorized', 16, True)
-    """
-    return _run_alone(
-        vectorized_election_trial(
-            graph, params, seed, known_n, assumed_n, max_rounds, edge_capacity_words, fault_plan
-        )
-    )
-
-
 def vectorized_known_tmix_trial(
     graph: Graph,
     mixing_time: int,
@@ -1835,7 +1785,10 @@ def vectorized_known_tmix_trial(
     fault_plan: Optional[FaultPlan] = None,
     max_rounds: int = 1_000_000,
 ) -> VectorizedTrial:
-    """The :class:`VectorizedTrial` of :func:`run_vectorized_known_tmix`."""
+    """A [25]-baseline run for :func:`run_vectorized_batch`: the walk length
+    pinned as :func:`~repro.baselines.known_tmix.pin_walk_length` pins it,
+    one oracle-length phase under the [25] decision rule, on the baseline's
+    historical network stream."""
     from ..baselines.known_tmix import KNOWN_TMIX_NETWORK_STREAM, pin_walk_length
     from ..core.params import DEFAULT_PARAMETERS
 
@@ -1844,26 +1797,4 @@ def vectorized_known_tmix_trial(
     pinned = pin_walk_length(params, mixing_time, safety_factor)
     return VectorizedTrial(
         graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix"
-    )
-
-
-def run_vectorized_known_tmix(
-    graph: Graph,
-    mixing_time: int,
-    params=None,
-    safety_factor: float = 1.0,
-    seed: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    max_rounds: int = 1_000_000,
-):
-    """Vectorized counterpart of :func:`repro.baselines.known_tmix.simulate_known_tmix`.
-
-    Pins the walk length as :func:`~repro.baselines.known_tmix.pin_walk_length`
-    does and runs one oracle-length phase under the [25] decision rule, on the
-    baseline's historical network stream.
-    """
-    return _run_alone(
-        vectorized_known_tmix_trial(
-            graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds
-        )
     )

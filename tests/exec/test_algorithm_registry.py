@@ -219,12 +219,10 @@ class TestDeclaredCapabilitiesMatchBehaviour:
         with pytest.raises(ValueError, match="does not support simulator"):
             execute_trial(spec)
 
-    def test_registration_validates_simulator_names(self):
+    def test_simulators_follow_the_batch_adapter(self):
         from repro.exec.algorithms import Algorithm
 
-        with pytest.raises(ValueError, match="must support the 'reference'"):
-            Algorithm(name="_x", runner=lambda g, s: None, simulators=("vectorized",))
-        with pytest.raises(ValueError, match="unknown simulator"):
-            Algorithm(
-                name="_x", runner=lambda g, s: None, simulators=("reference", "warp")
-            )
+        plain = Algorithm(name="_x", runner=lambda g, s: None)
+        assert plain.simulators == ("reference",)
+        batched = Algorithm(name="_x", runner=lambda g, s: None, batch=lambda g, s: None)
+        assert batched.simulators == ("reference", "vectorized")

@@ -18,6 +18,7 @@ from repro.core.params import ElectionParameters
 from repro.exec import GraphSpec, TrialSpec, get_algorithm
 from repro.exec.execute import batched_payloads, execute_trial
 from repro.exec.serialize import outcome_to_dict
+from repro.sim import vectorized
 
 
 def _ignore(*send):
@@ -107,3 +108,24 @@ def test_the_fallback_equals_a_reference_run_but_for_its_tag():
         fallback["extras"].pop("simulator")
         reference = outcome_to_dict(execute_trial(replace(refused, simulator="reference")))
         assert fallback == reference, name
+
+
+@pytest.mark.parametrize("name", ["election-setup", "known_tmix-setup"])
+def test_a_member_refused_at_setup_is_set_up_once(name, monkeypatch):
+    refused, neighbours, _tag, _pinned = _CASES[name]
+    setups = []
+
+    class Counted(vectorized._Member):
+        def __init__(self, trial, schedule):
+            setups.append(trial.seed)
+            super().__init__(trial, schedule)
+
+    monkeypatch.setattr(vectorized, "_Member", Counted)
+    routes = {
+        "execute_trial": lambda: execute_trial(refused),
+        "batched_payloads": lambda: list(batched_payloads([neighbours[0], refused, neighbours[1]])),
+    }
+    for route, run in routes.items():
+        setups.clear()
+        run()
+        assert setups.count(refused.seed) == 1, route

@@ -3,7 +3,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.params import DEFAULT_PARAMETERS
@@ -21,23 +20,30 @@ from repro.sim import (
     VECTORIZED_WALK_STREAM,
     VectorizedUnsupported,
     graph_csr,
-    run_vectorized_election,
     vectorized_unsupported_reason,
 )
+from repro.sim.vectorized import run_vectorized_batch, vectorized_election_trial
+
+
+def _alone(graph, **kwargs):
+    """One election on the vectorized engine, as a batch of one: its
+    outcome, or the exception its setup raised."""
+    (result,) = run_vectorized_batch([vectorized_election_trial(graph, **kwargs)])
+    return result
 
 
 class TestSeedContract:
     def test_same_seed_same_outcome(self):
         graph = expander_graph(32, seed=1)
-        first = run_vectorized_election(graph, seed=9)
-        second = run_vectorized_election(graph, seed=9)
+        first = _alone(graph, seed=9)
+        second = _alone(graph, seed=9)
         assert first.leaders == second.leaders
         assert first.metrics.rounds == second.metrics.rounds
         assert first.metrics.messages == second.metrics.messages
 
     def test_different_seeds_vary_walks(self):
         graph = expander_graph(32, seed=1)
-        outcomes = [run_vectorized_election(graph, seed=s) for s in range(6)]
+        outcomes = [_alone(graph, seed=s) for s in range(6)]
         assert len({o.metrics.messages for o in outcomes}) > 1
 
     def test_dedicated_walk_stream_constant(self):
@@ -48,7 +54,7 @@ class TestSeedContract:
 
     def test_outcome_is_tagged(self):
         graph = expander_graph(32, seed=1)
-        outcome = run_vectorized_election(graph, seed=3)
+        outcome = _alone(graph, seed=3)
         assert outcome.simulator == "vectorized"
         reference = run_leader_election(graph, seed=3)
         assert reference.simulator == "reference"
@@ -63,10 +69,11 @@ class TestFallback:
         assert "keep_simulation" in vectorized_unsupported_reason(keep_simulation=True)
         assert "congest" in vectorized_unsupported_reason(congest_mode="strict")
 
-    def test_unsupported_run_raises_on_direct_call(self):
+    def test_unsupported_setup_is_returned_in_its_slot(self):
         # A believed n of 2 draws ids from [1, 16]: 16 contenders collide.
-        with pytest.raises(VectorizedUnsupported, match="duplicate contender"):
-            run_vectorized_election(expander_graph(16, seed=1), seed=1, known_n=2)
+        result = _alone(expander_graph(16, seed=1), seed=1, known_n=2)
+        assert isinstance(result, VectorizedUnsupported)
+        assert "duplicate contender" in str(result)
 
     @pytest.mark.parametrize(
         "plan, event",
@@ -80,30 +87,35 @@ class TestFallback:
     )
     def test_every_fault_model_runs_vectorized(self, plan, event):
         graph = expander_graph(16, seed=1)
-        outcome = run_leader_election(graph, seed=1, fault_plan=plan, simulator="vectorized")
-        assert outcome.simulator == "vectorized"
+        outcome = execute_trial(
+            TrialSpec(graph=graph, seed=1, fault_plan=plan, simulator="vectorized")
+        )
+        assert outcome.extras["simulator"] == "vectorized"
         assert outcome.metrics.fault_events[event] > 0
-        again = run_vectorized_election(graph, seed=1, fault_plan=plan)
-        assert (again.leaders, again.metrics) == (outcome.leaders, outcome.metrics)
+        again = _alone(graph, seed=1, fault_plan=plan)
+        assert (again.leaders, again.metrics) == (outcome.winners, outcome.metrics)
 
     def test_runner_falls_back_with_reason(self):
         graph = expander_graph(16, seed=1)
         seen = []
-        outcome = run_leader_election(
-            graph, seed=1, observers=(lambda *send: seen.append(send),), simulator="vectorized"
+        observers = (lambda *send: seen.append(send),)
+        outcome = execute_trial(
+            TrialSpec(
+                graph=graph, seed=1, algo_kwargs={"observers": observers}, simulator="vectorized"
+            )
         )
-        assert outcome.simulator.startswith("reference-fallback:")
-        assert "observers" in outcome.simulator
+        assert outcome.extras["simulator"].startswith("reference-fallback:")
+        assert "observers" in outcome.extras["simulator"]
         assert len(seen) == outcome.metrics.messages
         # ... and the fallback result equals a plain reference run.
         reference = run_leader_election(graph, seed=1)
-        assert outcome.leaders == reference.leaders
+        assert outcome.winners == reference.leaders
         assert outcome.metrics.messages == reference.metrics.messages
 
     def test_unknown_simulator_name_rejected(self):
-        graph = expander_graph(16, seed=1)
-        with pytest.raises(ValueError, match="unknown simulator"):
-            run_leader_election(graph, seed=1, simulator="warp-drive")
+        spec = TrialSpec(graph=GraphSpec("clique", (4,)), seed=1, simulator="warp-drive")
+        with pytest.raises(ValueError, match="does not support simulator 'warp-drive'"):
+            execute_trial(spec)
 
 
 class TestFingerprint:
@@ -138,22 +150,22 @@ class TestGraphCsr:
 
 class TestSmallAndDegenerateGraphs:
     def test_single_node(self):
-        outcome = run_vectorized_election(Graph.from_edges(1, []), seed=4)
+        outcome = _alone(Graph.from_edges(1, []), seed=4)
         assert outcome.leaders == [0]
         assert outcome.classification == "elected"
 
     def test_two_isolated_nodes(self):
         # Lazy walks on isolated nodes self-loop; every contender becomes
         # its own proxy and elects within its singleton component.
-        outcome = run_vectorized_election(Graph.from_edges(2, []), seed=4)
+        outcome = _alone(Graph.from_edges(2, []), seed=4)
         assert outcome.classification in ("elected", "multiple_leaders")
         assert outcome.leaders
 
     def test_congestion_accounting_present(self):
         graph = expander_graph(32, seed=1)
-        outcome = run_vectorized_election(graph, seed=2, edge_capacity_words=4)
+        outcome = _alone(graph, seed=2, edge_capacity_words=4)
         assert outcome.metrics.max_edge_bits_in_round > 0
-        no_cap = run_vectorized_election(graph, seed=2)
+        no_cap = _alone(graph, seed=2)
         assert no_cap.metrics.messages == outcome.metrics.messages
 
 
@@ -308,7 +320,11 @@ _FAULTY_PLANS = {
     "edges": FaultPlan(edges=EdgeFaults(removal_probability=0.1, at_round=20)),
     "drop-crash": FaultPlan(messages=_DROP, crashes=CrashFaults(count=2, at_phase=2)),
 }
-_FAULTY_GRAPHS = {"expander16": _EXPANDER_16, "hypercube4": _HYPERCUBE_4, "expander64": _EXPANDER_64}
+_FAULTY_GRAPHS = {
+    "expander16": _EXPANDER_16,
+    "hypercube4": _HYPERCUBE_4,
+    "expander64": _EXPANDER_64,
+}
 _FAULTY_SPECS = {
     "%s-%s" % (plan_name, graph_name): TrialSpec(
         graph=graph, seed=20 + seed, simulator="vectorized", fault_plan=plan

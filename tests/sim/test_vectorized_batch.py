@@ -22,7 +22,6 @@ from repro.faults import CrashFaults, DelayFaults, FaultPlan, MessageFaults
 from repro.graphs import hypercube_graph
 from repro.obs import Tracer, use_tracer
 from repro.obs.tracer import TraceSink
-from repro.sim import run_vectorized_election
 from repro.sim.vectorized import run_vectorized_batch, vectorized_election_trial
 from test_vectorized import _GOLDEN, _digest
 
@@ -186,10 +185,11 @@ def test_only_same_shape_trials_share_a_batch():
     ]
     with pytest.raises(ValueError, match="one shape"):
         run_vectorized_batch(trials)
-    # Alone, each is the run the single-trial entry point gives.
+    # Alone, each is the run its trial spec gives.
     (alone,) = run_vectorized_batch(trials[1:])
-    again = run_vectorized_election(graph, seed=2, max_rounds=500)
-    assert (alone.leaders, alone.metrics) == (again.leaders, again.metrics)
+    spec = TrialSpec(graph=graph, seed=2, simulator="vectorized", algo_kwargs={"max_rounds": 500})
+    again = execute_trial(spec)
+    assert (alone.leaders, alone.metrics) == (again.winners, again.metrics)
 
 
 class _Records(TraceSink):

@@ -1,8 +1,9 @@
-"""Run the doctests of the graphs, analysis and orchestration packages in tier-1.
+"""Run the doctests of the core, graphs, analysis and orchestration packages in tier-1.
 
-The public API of ``repro.graphs``, ``repro.sim``, ``repro.analysis``,
-``repro.exec``, ``repro.faults``, ``repro.campaign`` and ``repro.obs`` carries
-short runnable examples in its docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
+The public API of ``repro.core``, ``repro.graphs``, ``repro.sim``,
+``repro.analysis``, ``repro.exec``, ``repro.faults``, ``repro.campaign``,
+``repro.obs`` and ``repro.fleet`` carries short runnable examples in its
+docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
 packages; this in-suite runner keeps the examples honest for anyone who only
 runs the plain tier-1 suite.
 """
@@ -15,13 +16,16 @@ import pytest
 
 import repro.analysis
 import repro.campaign
+import repro.core
 import repro.exec
 import repro.faults
+import repro.fleet
 import repro.graphs
 import repro.obs
 import repro.sim
 
 PACKAGES = (
+    repro.core,
     repro.graphs,
     repro.sim,
     repro.analysis,
@@ -29,6 +33,7 @@ PACKAGES = (
     repro.faults,
     repro.campaign,
     repro.obs,
+    repro.fleet,
 )
 
 
