@@ -5,7 +5,10 @@ tests compare backends with each other; neither notices a change that moves
 every engine and backend together.  This file pins the reference engine's
 paper metrics -- winners, classification, crash set, rounds, messages,
 message units and fault counters -- on a small fixed grid, so an
-optimisation of the oracle must reproduce them exactly.
+optimisation of the oracle must reproduce them exactly.  The baselines and
+broadcast substrates pin their ``extras`` too (contender count, informed or
+joined nodes, tree depth); they have no guess-and-double schedule, so their
+crash plan is anchored at a round instead of a phase.
 
 Regenerate ``reference_golden.json`` only for a deliberate behaviour change::
 
@@ -20,7 +23,13 @@ from typing import Dict
 
 import pytest
 
+from repro.baselines import (
+    clique_sublinear_trial,
+    controlled_flooding_trial,
+    flood_max_trial,
+)
 from repro.baselines.known_tmix import known_tmix_trial
+from repro.broadcast import flooding_trial, push_pull_trial, spanning_tree_trial
 from repro.core import run_leader_election
 from repro.core.result import TrialOutcome
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
@@ -42,7 +51,22 @@ PLANS = {
         crashes=CrashFaults(count=2, at_phase=2),
     ),
     "delay1": FaultPlan.delaying(1),
+    "drop5-crash2@r2": FaultPlan(
+        messages=MessageFaults(drop_probability=0.05),
+        crashes=CrashFaults(count=2, at_round=2),
+    ),
 }
+
+#: Protocols without a phase schedule, pinned with the round-anchored crash.
+BASELINES = {
+    "flood_max": flood_max_trial,
+    "controlled_flooding": controlled_flooding_trial,
+    "clique_sublinear": clique_sublinear_trial,
+    "flooding": flooding_trial,
+    "push_pull": push_pull_trial,
+    "spanning_tree": spanning_tree_trial,
+}
+BASELINE_PLANS = ("none", "drop5", "drop5-crash2@r2", "delay1")
 
 GRAPHS = {
     "expander16": lambda: expander_graph(16, degree=4, seed=7),
@@ -57,7 +81,13 @@ CASES = [
     for algorithm in ("election", "known_tmix")
     for graph_name in ("expander16", "hypercube4")
     for plan_name in PLANS
-] + ["election/gilbert64/none"]
+    if plan_name != "drop5-crash2@r2"
+] + ["election/gilbert64/none"] + [
+    "%s/%s/%s" % (algorithm, graph_name, plan_name)
+    for algorithm in BASELINES
+    for graph_name in ("expander16", "hypercube4")
+    for plan_name in BASELINE_PLANS
+]
 
 
 def compute(case: str) -> Dict[str, object]:
@@ -69,9 +99,11 @@ def compute(case: str) -> Dict[str, object]:
         outcome = TrialOutcome.from_election(
             "election", run_leader_election(graph, seed=SEED, fault_plan=plan)
         )
-    else:
+    elif algorithm == "known_tmix":
         outcome = known_tmix_trial(graph, seed=SEED, fault_plan=plan)
-    return {
+    else:
+        outcome = BASELINES[algorithm](graph, seed=SEED, fault_plan=plan)
+    pinned = {
         "winners": list(outcome.winners),
         "classification": outcome.classification,
         "crashed_nodes": list(outcome.crashed_nodes),
@@ -80,6 +112,9 @@ def compute(case: str) -> Dict[str, object]:
         "message_units": outcome.message_units,
         "fault_events": dict(sorted(outcome.metrics.fault_events.items())),
     }
+    if algorithm in BASELINES:
+        pinned["extras"] = dict(sorted(outcome.extras.items()))
+    return pinned
 
 
 @pytest.fixture(scope="module")
