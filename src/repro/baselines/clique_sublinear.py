@@ -14,6 +14,7 @@ to arbitrary well-connected graphs.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..core.result import TrialOutcome, election_trial_outcome
@@ -21,12 +22,10 @@ from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
-from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
 
 __all__ = [
     "CliqueSublinearNode",
-    "clique_sublinear_factory",
     "clique_sublinear_trial",
 ]
 
@@ -90,34 +89,6 @@ class CliqueSublinearNode(Protocol):
         }
 
 
-def clique_sublinear_factory(c1: float = 2.0, c2: float = 1.0):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> CliqueSublinearNode:
-        return CliqueSublinearNode(ctx, c1=c1, c2=c2)
-
-    return factory
-
-
-def _simulate(
-    graph: Graph,
-    c1: float,
-    c2: float,
-    seed: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    max_rounds: int,
-) -> SimulationResult:
-    """One clique-sublinear run on the shared harness."""
-    return build_network(
-        graph,
-        clique_sublinear_factory(c1=c1, c2=c2),
-        seed=seed,
-        port_stream=0x51,
-        network_stream=0x52,
-        fault_plan=fault_plan,
-    ).run(max_rounds=max_rounds)
-
-
 def clique_sublinear_trial(
     graph: Graph,
     c1: float = 2.0,
@@ -134,5 +105,12 @@ def clique_sublinear_trial(
     over-eager contenders elect themselves, which the classification
     reports as ``"multiple_leaders"``).
     """
-    result = _simulate(graph, c1, c2, seed, fault_plan, max_rounds)
+    result = build_network(
+        graph,
+        partial(CliqueSublinearNode, c1=c1, c2=c2),
+        seed=seed,
+        port_stream=0x51,
+        network_stream=0x52,
+        fault_plan=fault_plan,
+    ).run(max_rounds=max_rounds)
     return election_trial_outcome("clique_sublinear", result)

@@ -1,15 +1,32 @@
-"""Controlled-flooding election: the ``O(m log n)``-message randomised baseline.
+"""Flooding elections: flood-max and controlled flooding, one protocol.
 
-This is the natural simplification of the Kutten et al. [24] message-optimal
-algorithm: only ``Theta(log n)`` randomly self-nominated candidates flood
-their ids (with improvement-only forwarding), so the expected message cost is
-``O(m log n)`` rather than flood-max's ``O(m D)``.  It still pays ``Omega(m)``
-on every graph, which is exactly the regime the paper's algorithm escapes on
-well-connected topologies.
+Every node draws a random id; *candidates* flood the largest id they have
+seen, and a node forwards only when its known maximum improves, so the
+message cost is at most ``m`` per improvement wave.  The candidate holding
+the global maximum elects itself.
+
+* **Flood-max** (``c1=None``) makes every node a candidate: the classic
+  ``O(D)``-time, ``O(m D)``-message baseline (``O(m log n)`` in the typical
+  random-id case).  This is the Peleg-style time-optimal baseline the paper
+  contrasts with; on well-connected graphs its message cost is ``Theta(m)``
+  or worse, which is what the E3 comparison shows.
+* **Controlled flooding** (``c1`` a float) nominates each node with
+  probability ``c1 ln n / n``.  This is the natural simplification of the
+  Kutten et al. [24] message-optimal algorithm: only ``Theta(log n)``
+  candidates flood, so the expected cost is ``O(m log n)``.  It still pays
+  ``Omega(m)`` on every graph, which is exactly the regime the paper's
+  algorithm escapes on well-connected topologies.
+
+>>> from repro.graphs import complete_graph
+>>> outcome = flood_max_trial(complete_graph(8), seed=1)
+>>> outcome.classification, outcome.extras["num_contenders"]
+('elected', 8)
 """
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Dict, Optional
 
 from ..core.result import TrialOutcome, election_trial_outcome
@@ -17,30 +34,38 @@ from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
-from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
 
 __all__ = [
     "ControlledFloodingNode",
-    "controlled_flooding_factory",
     "controlled_flooding_trial",
+    "flood_max_trial",
 ]
 
+MAX_ID = "max_id"
 CANDIDATE_ID = "candidate_id"
 
 
 class ControlledFloodingNode(Protocol):
-    """Randomly self-nominated candidates flood their ids; the maximum wins."""
+    """Candidates flood the maximum id; the candidate holding it wins.
 
-    def __init__(self, ctx: NodeContext, c1: float = 2.0) -> None:
+    ``c1=None`` makes every node a candidate (flood-max) and draws no
+    nomination coin; ``kind`` names the flooded messages.
+    """
+
+    def __init__(
+        self, ctx: NodeContext, c1: Optional[float] = 2.0, kind: str = CANDIDATE_ID
+    ) -> None:
         super().__init__(ctx)
-        import math
-
         n = ctx.known_n if ctx.known_n is not None else 2
         self.identifier = ctx.rng.randint(1, max(4, n**4))
-        probability = min(1.0, c1 * math.log(max(2, n)) / max(2, n))
-        self.is_candidate = ctx.rng.random() < probability
+        if c1 is None:
+            self.is_candidate = True
+        else:
+            probability = min(1.0, c1 * math.log(max(2, n)) / max(2, n))
+            self.is_candidate = ctx.rng.random() < probability
         self.best_seen = self.identifier if self.is_candidate else 0
+        self._kind = kind
         self._id_bits = id_bits(max(2, n))
 
     def on_start(self) -> None:
@@ -66,36 +91,35 @@ class ControlledFloodingNode(Protocol):
         }
 
     def _broadcast(self, value: int) -> None:
-        message = Message(kind=CANDIDATE_ID, payload={"value": value}, size_bits=self._id_bits)
+        message = Message(kind=self._kind, payload={"value": value}, size_bits=self._id_bits)
         for port in self.ctx.ports:
             self.ctx.send(port, message)
 
 
-def controlled_flooding_factory(c1: float = 2.0):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> ControlledFloodingNode:
-        return ControlledFloodingNode(ctx, c1=c1)
-
-    return factory
-
-
-def _simulate(
+def flood_max_trial(
     graph: Graph,
-    c1: float,
-    seed: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    max_rounds: int,
-) -> SimulationResult:
-    """One controlled-flooding run on the shared harness."""
-    return build_network(
+    *,
+    seed: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    max_rounds: int = 1_000_000,
+) -> TrialOutcome:
+    """Run the flood-max baseline and return the unified trial outcome.
+
+    A non-empty ``fault_plan`` runs the flood against that adversary (drop /
+    duplicate / delay / crash-stop at a round); every node contends
+    implicitly, so ``extras['num_contenders']`` is always ``n``.
+    """
+    result = build_network(
         graph,
-        controlled_flooding_factory(c1=c1),
+        partial(ControlledFloodingNode, c1=None, kind=MAX_ID),
         seed=seed,
-        port_stream=0x31,
-        network_stream=0x32,
+        port_stream=0x21,
+        network_stream=0x22,
         fault_plan=fault_plan,
     ).run(max_rounds=max_rounds)
+    return election_trial_outcome(
+        "flood_max", result, num_contenders=graph.num_nodes
+    )
 
 
 def controlled_flooding_trial(
@@ -112,5 +136,12 @@ def controlled_flooding_trial(
     ``"no_leader"``, mirroring the randomised guarantee; a non-empty
     ``fault_plan`` runs the flood against that adversary.
     """
-    result = _simulate(graph, c1, seed, fault_plan, max_rounds)
+    result = build_network(
+        graph,
+        partial(ControlledFloodingNode, c1=c1),
+        seed=seed,
+        port_stream=0x31,
+        network_stream=0x32,
+        fault_plan=fault_plan,
+    ).run(max_rounds=max_rounds)
     return election_trial_outcome("controlled_flooding", result)

@@ -3,45 +3,27 @@
 Each substrate exposes a ``*_trial`` function returning the unified
 :class:`~repro.core.result.TrialOutcome` (fault-aware via the shared
 ``fault_plan`` hook) and is registered with the :mod:`repro.exec` algorithm
-registry; the ``run_*`` entry points keep their substrate-specific outcome
-shapes and gained the same ``fault_plan`` parameter.
+registry.  A broadcast's coverage is its classification and
+``extras["informed"]``.  :func:`run_spanning_tree_construction` alone keeps
+a substrate-specific outcome, because only it reports the constructed tree
+(parent edges and depths).
 """
 
-from .flooding import (
-    FloodingNode,
-    FloodingOutcome,
-    flooding_factory,
-    flooding_trial,
-    run_flooding_broadcast,
-)
-from .push_pull import (
-    BroadcastOutcome,
-    PushPullNode,
-    push_pull_factory,
-    push_pull_trial,
-    run_push_pull_broadcast,
-)
+from .flooding import FloodingNode, flooding_trial
+from .push_pull import PushPullNode, push_pull_trial
 from .spanning_tree import (
     SpanningTreeNode,
     SpanningTreeOutcome,
     run_spanning_tree_construction,
-    spanning_tree_factory,
     spanning_tree_trial,
 )
 
 __all__ = [
     "PushPullNode",
-    "push_pull_factory",
-    "BroadcastOutcome",
     "push_pull_trial",
-    "run_push_pull_broadcast",
     "FloodingNode",
-    "flooding_factory",
-    "FloodingOutcome",
     "flooding_trial",
-    "run_flooding_broadcast",
     "SpanningTreeNode",
-    "spanning_tree_factory",
     "SpanningTreeOutcome",
     "spanning_tree_trial",
     "run_spanning_tree_construction",

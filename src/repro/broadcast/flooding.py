@@ -2,29 +2,26 @@
 
 Used by the Corollary 26 experiment (broadcast lower bound on the Section 4.1
 graphs) and as the dissemination step of the flood-max election baselines.
+
+>>> from repro.graphs import cycle_graph
+>>> outcome = flooding_trial(cycle_graph(8), sources=(0,), seed=1)
+>>> outcome.classification, outcome.extras["informed"], outcome.messages
+('informed_all', 8, 16)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Optional, Set
 
-from ..core.result import TrialOutcome, classify_broadcast
+from ..core.result import TrialOutcome, broadcast_trial_outcome
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
-from ..sim.metrics import RunMetrics
-from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
 
-__all__ = [
-    "FloodingNode",
-    "flooding_factory",
-    "FloodingOutcome",
-    "flooding_trial",
-    "run_flooding_broadcast",
-]
+__all__ = ["FloodingNode", "flooding_trial"]
 
 FLOOD = "flood"
 
@@ -61,57 +58,6 @@ class FloodingNode(Protocol):
             self.ctx.send(port, message)
 
 
-def flooding_factory(sources: Set[int], rumor: int):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> FloodingNode:
-        return FloodingNode(ctx, sources=sources, rumor=rumor)
-
-    return factory
-
-
-@dataclass
-class FloodingOutcome:
-    """Result of a flooding broadcast run."""
-
-    num_nodes: int
-    informed: int
-    metrics: RunMetrics
-
-    @property
-    def all_informed(self) -> bool:
-        return self.informed == self.num_nodes
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-
-def _simulate(
-    graph: Graph,
-    sources: Set[int],
-    rumor: int,
-    seed: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    max_rounds: int,
-) -> SimulationResult:
-    """One flooding run on the shared harness (historical seed streams)."""
-    if not sources:
-        raise ValueError("at least one source node is required")
-    return build_network(
-        graph,
-        flooding_factory(sources, rumor),
-        seed=seed,
-        port_stream=0x11,
-        network_stream=0x12,
-        fault_plan=fault_plan,
-    ).run(max_rounds=max_rounds)
-
-
 def flooding_trial(
     graph: Graph,
     sources: Iterable[int] = (0,),
@@ -129,30 +75,14 @@ def flooding_trial(
     :data:`~repro.core.result.BROADCAST_CLASSIFICATIONS`.
     """
     source_set = set(sources)
-    result = _simulate(graph, source_set, rumor, seed, fault_plan, max_rounds)
-    informed = result.nodes_with("informed", True)
-    uninformed = sorted(set(range(graph.num_nodes)) - set(informed))
-    return TrialOutcome(
-        algorithm="flooding",
-        kind="broadcast",
-        num_nodes=graph.num_nodes,
-        winners=sorted(source_set),
-        classification=classify_broadcast(uninformed, result.crashed_nodes),
-        metrics=result.metrics,
-        crashed_nodes=list(result.crashed_nodes),
-        extras={"informed": len(informed), "rumor": rumor},
-    )
-
-
-def run_flooding_broadcast(
-    graph: Graph,
-    sources: Set[int],
-    rumor: int = 1,
-    seed: Optional[int] = None,
-    max_rounds: int = 1_000_000,
-    fault_plan: Optional[FaultPlan] = None,
-) -> FloodingOutcome:
-    """Flood ``rumor`` from ``sources`` and report coverage plus message cost."""
-    result = _simulate(graph, set(sources), rumor, seed, fault_plan, max_rounds)
-    informed = len(result.nodes_with("informed", True))
-    return FloodingOutcome(num_nodes=graph.num_nodes, informed=informed, metrics=result.metrics)
+    if not source_set:
+        raise ValueError("at least one source node is required")
+    result = build_network(
+        graph,
+        partial(FloodingNode, sources=source_set, rumor=rumor),
+        seed=seed,
+        port_stream=0x11,
+        network_stream=0x12,
+        fault_plan=fault_plan,
+    ).run(max_rounds=max_rounds)
+    return broadcast_trial_outcome("flooding", result, source_set, rumor)

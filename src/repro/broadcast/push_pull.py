@@ -20,25 +20,17 @@ needs global knowledge to terminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Optional, Set
 
-from ..core.result import TrialOutcome, classify_broadcast
+from ..core.result import TrialOutcome, broadcast_trial_outcome
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.message import Message, counter_bits, id_bits
-from ..sim.metrics import RunMetrics
-from ..sim.network import SimulationResult
 from ..sim.node import Inbox, NodeContext, Protocol
 
-__all__ = [
-    "PushPullNode",
-    "push_pull_factory",
-    "BroadcastOutcome",
-    "push_pull_trial",
-    "run_push_pull_broadcast",
-]
+__all__ = ["PushPullNode", "push_pull_trial"]
 
 PUSH = "push"
 PULL_REQUEST = "pull_request"
@@ -107,59 +99,6 @@ class PushPullNode(Protocol):
         return Message(kind=kind, payload={"rumor": self.rumor}, size_bits=self._rumor_bits)
 
 
-def push_pull_factory(sources: Set[int], rumor: int, push_rounds: Optional[int] = None):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> PushPullNode:
-        return PushPullNode(ctx, sources=sources, rumor=rumor, push_rounds=push_rounds)
-
-    return factory
-
-
-@dataclass
-class BroadcastOutcome:
-    """Result of a broadcast run."""
-
-    num_nodes: int
-    informed: int
-    metrics: RunMetrics
-
-    @property
-    def all_informed(self) -> bool:
-        """Did the rumor reach every node?"""
-        return self.informed == self.num_nodes
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-
-def _simulate(
-    graph: Graph,
-    sources: Set[int],
-    rumor: int,
-    seed: Optional[int],
-    push_rounds: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    max_rounds: int,
-) -> SimulationResult:
-    """One push-pull run on the shared harness (historical seed streams)."""
-    if not sources:
-        raise ValueError("at least one source node is required")
-    return build_network(
-        graph,
-        push_pull_factory(sources, rumor, push_rounds=push_rounds),
-        seed=seed,
-        port_stream=0x9,
-        network_stream=0xA,
-        fault_plan=fault_plan,
-    ).run(max_rounds=max_rounds)
-
-
 def push_pull_trial(
     graph: Graph,
     sources: Iterable[int] = (0,),
@@ -184,35 +123,14 @@ def push_pull_trial(
     ceiling.
     """
     source_set = set(sources)
-    result = _simulate(
-        graph, source_set, rumor, seed, push_rounds, fault_plan, max_rounds
-    )
-    informed = result.nodes_with("informed", True)
-    uninformed = sorted(set(range(graph.num_nodes)) - set(informed))
-    return TrialOutcome(
-        algorithm="push_pull",
-        kind="broadcast",
-        num_nodes=graph.num_nodes,
-        winners=sorted(source_set),
-        classification=classify_broadcast(uninformed, result.crashed_nodes),
-        metrics=result.metrics,
-        crashed_nodes=list(result.crashed_nodes),
-        extras={"informed": len(informed), "rumor": rumor},
-    )
-
-
-def run_push_pull_broadcast(
-    graph: Graph,
-    sources: Set[int],
-    rumor: int = 1,
-    seed: Optional[int] = None,
-    push_rounds: Optional[int] = None,
-    max_rounds: int = 1_000_000,
-    fault_plan: Optional[FaultPlan] = None,
-) -> BroadcastOutcome:
-    """Run push-pull rumor spreading from ``sources`` until the network goes quiet."""
-    result = _simulate(
-        graph, set(sources), rumor, seed, push_rounds, fault_plan, max_rounds
-    )
-    informed = len(result.nodes_with("informed", True))
-    return BroadcastOutcome(num_nodes=graph.num_nodes, informed=informed, metrics=result.metrics)
+    if not source_set:
+        raise ValueError("at least one source node is required")
+    result = build_network(
+        graph,
+        partial(PushPullNode, sources=source_set, rumor=rumor, push_rounds=push_rounds),
+        seed=seed,
+        port_stream=0x9,
+        network_stream=0xA,
+        fault_plan=fault_plan,
+    ).run(max_rounds=max_rounds)
+    return broadcast_trial_outcome("push_pull", result, source_set, rumor)

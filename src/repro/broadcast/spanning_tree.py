@@ -12,6 +12,7 @@ constants on the lower-bound graphs (where `m = Theta(n / sqrt(phi))`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..core.result import TrialOutcome, classify_spanning_tree
@@ -25,7 +26,6 @@ from ..sim.node import Inbox, NodeContext, Protocol
 
 __all__ = [
     "SpanningTreeNode",
-    "spanning_tree_factory",
     "SpanningTreeOutcome",
     "spanning_tree_trial",
     "run_spanning_tree_construction",
@@ -72,15 +72,6 @@ class SpanningTreeNode(Protocol):
             self.ctx.send(port, message)
 
 
-def spanning_tree_factory(root: int):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> SpanningTreeNode:
-        return SpanningTreeNode(ctx, root=root)
-
-    return factory
-
-
 @dataclass
 class SpanningTreeOutcome:
     """Result of one spanning-tree construction."""
@@ -123,7 +114,7 @@ def _simulate(
         raise ValueError("root %d is not a node of the graph" % root)
     return build_network(
         graph,
-        spanning_tree_factory(root),
+        partial(SpanningTreeNode, root=root),
         seed=seed,
         port_stream=0x71,
         network_stream=0x72,

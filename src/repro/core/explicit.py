@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..broadcast.push_pull import BroadcastOutcome, run_push_pull_broadcast
+from ..broadcast.push_pull import push_pull_trial
 from ..graphs.topology import Graph
 from ..sim.rng import derive_seed
 from .params import DEFAULT_PARAMETERS, ElectionParameters
-from .result import ElectionOutcome
+from .result import ElectionOutcome, TrialOutcome
 from .runner import run_leader_election
 
 __all__ = ["ExplicitElectionOutcome", "run_explicit_leader_election"]
@@ -29,14 +29,17 @@ class ExplicitElectionOutcome:
     """Combined outcome of the election phase and the broadcast phase."""
 
     election: ElectionOutcome
-    broadcast: Optional[BroadcastOutcome]
+    broadcast: Optional[TrialOutcome]
 
     @property
     def success(self) -> bool:
         """Exactly one leader was elected and every node learned its identity."""
         if not self.election.success:
             return False
-        return self.broadcast is not None and self.broadcast.all_informed
+        return (
+            self.broadcast is not None
+            and self.broadcast.classification == "informed_all"
+        )
 
     @property
     def election_messages(self) -> int:
@@ -94,10 +97,10 @@ def run_explicit_leader_election(
     if election.success and election.leader is not None:
         leader_index = election.leader
         leader_id = election.simulation.node_results[leader_index].get("id", leader_index)
-        broadcast = run_push_pull_broadcast(
+        broadcast = push_pull_trial(
             graph,
-            sources={leader_index},
-            rumor=leader_id,
+            (leader_index,),
+            leader_id,
             seed=None if seed is None else derive_seed(seed, 0xB0),
             push_rounds=push_rounds,
             max_rounds=max_rounds,

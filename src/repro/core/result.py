@@ -33,6 +33,7 @@ __all__ = [
     "TrialOutcome",
     "outcome_from_simulation",
     "election_trial_outcome",
+    "broadcast_trial_outcome",
     "classify_election",
     "classify_broadcast",
     "classify_spanning_tree",
@@ -388,6 +389,29 @@ def election_trial_outcome(
         metrics=result.metrics,
         crashed_nodes=list(result.crashed_nodes),
         extras={"num_contenders": num_contenders},
+    )
+
+
+def broadcast_trial_outcome(
+    algorithm: str, result: SimulationResult, sources: Iterable[int], rumor: int
+) -> TrialOutcome:
+    """Unified outcome of a rumor-spreading protocol's simulation.
+
+    Winners are the sources; ``extras`` counts the nodes whose result dict
+    set ``informed`` and records the rumor.
+    """
+    informed = result.nodes_with("informed", True)
+    num_nodes = len(result.node_results)
+    uninformed = sorted(set(range(num_nodes)) - set(informed))
+    return TrialOutcome(
+        algorithm=algorithm,
+        kind="broadcast",
+        num_nodes=num_nodes,
+        winners=sorted(sources),
+        classification=classify_broadcast(uninformed, result.crashed_nodes),
+        metrics=result.metrics,
+        crashed_nodes=list(result.crashed_nodes),
+        extras={"informed": len(informed), "rumor": rumor},
     )
 
 

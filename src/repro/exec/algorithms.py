@@ -51,8 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..baselines.clique_sublinear import clique_sublinear_trial
-from ..baselines.controlled_flooding import controlled_flooding_trial
-from ..baselines.flood_max import flood_max_trial
+from ..baselines.controlled_flooding import controlled_flooding_trial, flood_max_trial
 from ..baselines.known_tmix import known_tmix_outcome, known_tmix_trial
 from ..broadcast.flooding import flooding_trial
 from ..broadcast.push_pull import push_pull_trial

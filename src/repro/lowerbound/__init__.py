@@ -3,7 +3,6 @@
 from .budget import (
     ProbeElectionOutcome,
     RandomProbeNode,
-    random_probe_factory,
     run_budgeted_probe_election,
     run_walk_budget_election,
     sample_clique_discovery_messages,
@@ -33,7 +32,6 @@ __all__ = [
     "lemma18_expected_messages",
     "CliqueCommunicationTracker",
     "RandomProbeNode",
-    "random_probe_factory",
     "ProbeElectionOutcome",
     "run_budgeted_probe_election",
     "run_walk_budget_election",

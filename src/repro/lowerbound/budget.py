@@ -20,19 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from ..graphs.ports import PortNumberedGraph
 from ..graphs.topology import Graph
+from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
 from ..sim.metrics import RunMetrics
-from ..sim.network import MessageObserver, Network
+from ..sim.network import MessageObserver
 from ..sim.node import Inbox, NodeContext, Protocol
-from ..sim.rng import derive_seed
 
 __all__ = [
     "RandomProbeNode",
-    "random_probe_factory",
     "ProbeElectionOutcome",
     "run_budgeted_probe_election",
     "run_walk_budget_election",
@@ -109,24 +108,6 @@ class RandomProbeNode(Protocol):
         for _ in range(self.probes_per_candidate):
             port = self.ctx.rng.randrange(self.ctx.degree)
             self.ctx.send(port, message)
-
-
-def random_probe_factory(
-    probes_per_candidate: int,
-    candidate_probability: Optional[float] = None,
-    decision_round: int = 8,
-):
-    """Protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> RandomProbeNode:
-        return RandomProbeNode(
-            ctx,
-            probes_per_candidate=probes_per_candidate,
-            candidate_probability=candidate_probability,
-            decision_round=decision_round,
-        )
-
-    return factory
 
 
 @dataclass
@@ -224,17 +205,18 @@ def run_budgeted_probe_election(
     max_rounds: int = 10_000,
 ) -> ProbeElectionOutcome:
     """Run the budget-limited probe election and report how many leaders emerged."""
-    port_graph = PortNumberedGraph(graph, seed=None if seed is None else derive_seed(seed, 0x61))
-    network = Network(
-        port_graph,
-        random_probe_factory(
+    result = build_network(
+        graph,
+        partial(
+            RandomProbeNode,
             probes_per_candidate=probes_per_candidate,
             candidate_probability=candidate_probability,
         ),
-        seed=None if seed is None else derive_seed(seed, 0x62),
+        seed=seed,
+        port_stream=0x61,
+        network_stream=0x62,
         observers=observers,
-    )
-    result = network.run(max_rounds=max_rounds)
+    ).run(max_rounds=max_rounds)
     leaders = result.nodes_with("leader", True)
     candidates = len(result.nodes_with("contender", True))
     return ProbeElectionOutcome(

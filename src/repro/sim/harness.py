@@ -6,9 +6,11 @@ protocol factory into a :class:`~repro.sim.network.Network`, and -- when a
 :class:`~repro.faults.plan.FaultPlan` is present -- attach a
 :class:`~repro.faults.injector.FaultInjector` whose randomness derives from
 ``derive_seed(seed, FAULT_SEED_STREAM)``.  :func:`build_network` is that
-recipe as one function, so the paper's election, the four baselines, the
-three broadcast substrates and the live coordinator all thread the pluggable
-fault hook identically and therefore replay bit-for-bit from ``(seed, plan)``
+recipe as one function, so the paper's election, the election baselines
+(known-``t_mix``, flood-max and controlled flooding, clique-only), the
+broadcast substrates (flooding, push-pull, spanning tree), the budgeted
+probe election and the live coordinator all thread the pluggable fault hook
+identically and therefore replay bit-for-bit from ``(seed, plan)``
 under the parallel batch runner.
 
 Per-algorithm ``port_stream`` / ``network_stream`` ids keep the historical

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.baselines.flood_max import flood_max_trial
+from repro.baselines import flood_max_trial
 from repro.campaign import (
     MANIFEST_NAME,
     CampaignManifest,

@@ -15,7 +15,7 @@ class TestExplicitElection:
     def test_every_node_learns_the_leader(self, explicit_outcome):
         assert explicit_outcome.success
         assert explicit_outcome.broadcast is not None
-        assert explicit_outcome.broadcast.all_informed
+        assert explicit_outcome.broadcast.classification == "informed_all"
 
     def test_cost_split_adds_up(self, explicit_outcome):
         assert (

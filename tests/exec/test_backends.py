@@ -131,7 +131,7 @@ class TestInlineFallback:
 
             @register_algorithm("_inline_fallback_test_only")
             def _run_inline(graph, spec):
-                from repro.baselines.flood_max import flood_max_trial
+                from repro.baselines import flood_max_trial
 
                 return flood_max_trial(graph, seed=spec.seed)
 

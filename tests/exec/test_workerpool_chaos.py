@@ -45,7 +45,7 @@ CHAOS_SOURCE = textwrap.dedent(
     import os
     import signal
 
-    from repro.baselines.flood_max import flood_max_trial
+    from repro.baselines import flood_max_trial
     from repro.exec.algorithms import ALGORITHMS, register_algorithm
 
     if "_die_once_test_only" not in ALGORITHMS:

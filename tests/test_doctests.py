@@ -2,10 +2,10 @@
 
 The public API of ``repro.core``, ``repro.graphs``, ``repro.sim``,
 ``repro.analysis``, ``repro.exec``, ``repro.faults``, ``repro.campaign``,
-``repro.obs`` and ``repro.fleet`` carries short runnable examples in its
-docstrings.  CI additionally runs ``pytest --doctest-modules`` over these
-packages; this in-suite runner keeps the examples honest for anyone who only
-runs the plain tier-1 suite.
+``repro.obs``, ``repro.fleet``, ``repro.baselines`` and ``repro.broadcast``
+carries short runnable examples in its docstrings.  CI additionally runs
+``pytest --doctest-modules`` over these packages; this in-suite runner keeps
+the examples honest for anyone who only runs the plain tier-1 suite.
 """
 
 import doctest
@@ -15,6 +15,8 @@ import pkgutil
 import pytest
 
 import repro.analysis
+import repro.baselines
+import repro.broadcast
 import repro.campaign
 import repro.core
 import repro.exec
@@ -34,6 +36,8 @@ PACKAGES = (
     repro.campaign,
     repro.obs,
     repro.fleet,
+    repro.baselines,
+    repro.broadcast,
 )
 
 
