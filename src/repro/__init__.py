@@ -27,38 +27,7 @@ Quickstart::
     print(outcome.success, outcome.messages, outcome.rounds)
 """
 
-from .core import (
-    DEFAULT_PARAMETERS,
-    ElectionOutcome,
-    ElectionParameters,
-    ExplicitElectionOutcome,
-    LeaderElectionNode,
-    TrialOutcome,
-    leader_election_factory,
-    paper_parameters,
-    run_explicit_leader_election,
-    run_leader_election,
-)
-from .exec import (
-    BatchRunner,
-    GraphSpec,
-    ResultCache,
-    SweepSpec,
-    TrialSpec,
-)
-from .faults import FaultInjector, FaultPlan
-from .graphs import (
-    Graph,
-    PortNumberedGraph,
-    complete_graph,
-    cycle_graph,
-    expander_graph,
-    hypercube_graph,
-    mixing_time,
-    random_regular_graph,
-    torus_graph,
-)
-from .sim import Message, Network, Protocol, RunMetrics, SimulationResult
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -96,3 +65,37 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
 ]
+
+# Every subpackage loads on first use: ``import repro.exec.worker`` (a fresh
+# worker interpreter) pays only for the modules its trials run.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".core": (
+            "DEFAULT_PARAMETERS",
+            "ElectionOutcome",
+            "ElectionParameters",
+            "ExplicitElectionOutcome",
+            "LeaderElectionNode",
+            "TrialOutcome",
+            "leader_election_factory",
+            "paper_parameters",
+            "run_explicit_leader_election",
+            "run_leader_election",
+        ),
+        ".exec": ("BatchRunner", "GraphSpec", "ResultCache", "SweepSpec", "TrialSpec"),
+        ".faults": ("FaultInjector", "FaultPlan"),
+        ".graphs": (
+            "Graph",
+            "PortNumberedGraph",
+            "complete_graph",
+            "cycle_graph",
+            "expander_graph",
+            "hypercube_graph",
+            "mixing_time",
+            "random_regular_graph",
+            "torus_graph",
+        ),
+        ".sim": ("Message", "Network", "Protocol", "RunMetrics", "SimulationResult"),
+    },
+)

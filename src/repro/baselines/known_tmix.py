@@ -21,7 +21,6 @@ from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
 from ..core.result import TrialOutcome, outcome_from_simulation
 from ..core.schedule import PhaseSchedule
 from ..faults.plan import FaultPlan
-from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.network import MessageObserver, SimulationResult
@@ -139,6 +138,8 @@ def known_tmix_trial(
     phase against that adversary.
     """
     if mixing_time is None:
+        from ..graphs.mixing import cached_mixing_time
+
         mixing_time = cached_mixing_time(graph)
     result = simulate_known_tmix(
         graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers

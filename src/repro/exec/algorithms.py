@@ -48,7 +48,7 @@ private/test registrations and are excluded from the public catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..baselines.clique_sublinear import clique_sublinear_trial
 from ..baselines.controlled_flooding import controlled_flooding_trial, flood_max_trial
@@ -58,17 +58,11 @@ from ..broadcast.push_pull import push_pull_trial
 from ..broadcast.spanning_tree import spanning_tree_trial
 from ..core.result import TRIAL_KINDS, TrialOutcome
 from ..core.runner import KNOWN_SIMULATORS, run_leader_election
-from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
-from ..sim.vectorized import (
-    VectorizedTrial,
-    VectorizedUnsupported,
-    run_vectorized_batch,
-    vectorized_election_trial,
-    vectorized_known_tmix_trial,
-    vectorized_unsupported_reason,
-)
 from .spec import TrialSpec
+
+if TYPE_CHECKING:
+    from ..sim.vectorized import VectorizedTrial
 
 __all__ = [
     "Algorithm",
@@ -80,7 +74,7 @@ __all__ = [
 ]
 
 AlgorithmRunner = Callable[[Graph, TrialSpec], TrialOutcome]
-BatchAdapter = Callable[[Graph, TrialSpec], Tuple[VectorizedTrial, Callable]]
+BatchAdapter = Callable[[Graph, TrialSpec], Tuple["VectorizedTrial", Callable]]
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,8 @@ class Algorithm:
         """Execute this algorithm on ``graph`` as described by ``spec``."""
         if spec.simulator != "vectorized" or self.batch is None:
             return self.runner(graph, spec)
+        from ..sim.vectorized import VectorizedUnsupported, run_vectorized_batch
+
         try:
             trial, finish = self.batch(graph, spec)
         except VectorizedUnsupported as refusal:
@@ -124,6 +120,8 @@ class Algorithm:
         its election outcome, the reference fallback when its setup raised
         :class:`~repro.sim.vectorized.VectorizedUnsupported`, or the
         exception any other setup failure raised."""
+        from ..sim.vectorized import VectorizedUnsupported
+
         if isinstance(result, VectorizedUnsupported):
             return self.fall_back(graph, spec, result)
         if isinstance(result, BaseException):
@@ -203,6 +201,8 @@ def _vectorized_kwargs(spec: TrialSpec, signature: Tuple[str, ...]) -> dict:
     """``spec.algo_kwargs`` without the ``signature`` keys the engine's
     static refusal reads; raises :class:`VectorizedUnsupported` when they
     refuse the engine."""
+    from ..sim.vectorized import VectorizedUnsupported, vectorized_unsupported_reason
+
     kwargs = dict(spec.algo_kwargs)
     reason = vectorized_unsupported_reason(
         **{key: kwargs.pop(key) for key in signature if key in kwargs}
@@ -213,6 +213,8 @@ def _vectorized_kwargs(spec: TrialSpec, signature: Tuple[str, ...]) -> dict:
 
 
 def _paper_election_batch(graph: Graph, spec: TrialSpec):
+    from ..sim.vectorized import vectorized_election_trial
+
     kwargs = _vectorized_kwargs(spec, ("observers", "keep_simulation", "congest_mode"))
     trial = vectorized_election_trial(
         graph, params=spec.params, seed=spec.seed, fault_plan=spec.effective_fault_plan, **kwargs
@@ -242,6 +244,9 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
 
 # ----------------------------------------------------------------- baselines
 def _known_tmix_batch(graph: Graph, spec: TrialSpec):
+    from ..graphs.mixing import cached_mixing_time
+    from ..sim.vectorized import vectorized_known_tmix_trial
+
     kwargs = _vectorized_kwargs(spec, ("observers",))
     t_mix = kwargs.pop("mixing_time", None)
     if t_mix is None:

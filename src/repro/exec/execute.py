@@ -24,7 +24,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.params import DEFAULT_PARAMETERS
 from ..core.result import TrialOutcome
 from ..obs.tracer import current_tracer
-from ..sim.vectorized import run_vectorized_batch
 from .algorithms import ALGORITHMS, fault_aware_algorithms, get_algorithm
 from .spec import GraphSpec, TrialSpec
 
@@ -286,6 +285,8 @@ def _run_batch(chunk: List[_Waiting]) -> Iterator[Tuple[int, TrialPayload]]:
     reference engine, anything else fails it -- and times only that; a
     fault inside the batched run sends every member to run alone.
     """
+    from ..sim.vectorized import run_vectorized_batch
+
     start = time.perf_counter()
     tracer = current_tracer()
     lead = chunk[0].spec

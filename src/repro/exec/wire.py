@@ -38,6 +38,7 @@ import dataclasses
 import json
 import struct
 import sys
+import weakref
 from typing import BinaryIO, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.params import ElectionParameters
@@ -165,6 +166,13 @@ def spec_wire_text(
     document and demands equality with the original spec.  Backends splice
     the returned text into their requests (:func:`encode_run_request`), so
     the bytes checked are the bytes sent.
+
+    Every trial is encoded, but the decode-and-compare check runs once per
+    configuration: its verdict depends on everything but the seeds and the
+    label, and an ``int`` seed or ``str`` label always survives the round
+    trip, so a trial whose seeds and label have exactly those types reuses
+    the verdict of the first trial of its configuration
+    (:func:`_exactness_key`); any other trial is checked alone.
     """
     try:
         algorithm = get_algorithm(spec.algorithm)
@@ -187,21 +195,67 @@ def spec_wire_text(
         text = json.dumps(spec_to_dict(spec), separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         return None, "trial spec does not JSON-serialise: %s" % exc
+    key = _exactness_key(spec)
+    checked = None if key is None else _EXACTNESS.get(key)
+    if checked is not None and (checked[0] is None or checked[0]() is spec.graph):
+        refusal = checked[1]
+    else:
+        refusal = _round_trip_refusal(spec, text)
+        if key is not None:
+            if len(_EXACTNESS) >= _EXACTNESS_LIMIT:
+                _EXACTNESS.clear()
+            pin = None if key[0] is None else weakref.ref(spec.graph)
+            _EXACTNESS[key] = (pin, refusal)
+    return (None, refusal) if refusal is not None else (text, None)
+
+
+#: Verdicts of :func:`_round_trip_refusal` by :func:`_exactness_key`, each
+#: with a weak reference to its inline graph (``None`` for a family spec):
+#: a key holds the graph's ``id``, which a later graph may reuse once this
+#: one is gone.  Cleared when full; re-checking costs one decode.
+_EXACTNESS: Dict[tuple, Tuple[Optional[weakref.ref], Optional[str]]] = {}
+_EXACTNESS_LIMIT = 1024
+
+
+def _exactness_key(spec: TrialSpec) -> Optional[tuple]:
+    """What :func:`_round_trip_refusal`'s verdict depends on: the spec but
+    its seeds and label, by ``repr`` (which tells ``(1,)`` from ``[1]`` and
+    ``5`` from ``5.0``), and an inline graph by identity and mutation
+    counter.  ``None`` when a seed is not an ``int`` or the label not a
+    ``str``: such a trial is checked alone."""
+    graph = spec.graph
+    if type(spec.seed) is not int or type(spec.label) is not str:
+        return None
+    if isinstance(graph, GraphSpec):
+        if graph.seed is not None and type(graph.seed) is not int:
+            return None
+        identity = None
+        shape = (graph.family, graph.args, graph.kwargs)
+    else:
+        identity = (id(graph), graph._mutations)
+        shape = ()
+    rest = (spec.algorithm, spec.algo_kwargs, spec.params, spec.fault_plan, spec.simulator)
+    return identity, repr(shape + rest)
+
+
+def _round_trip_refusal(spec: TrialSpec, text: str) -> Optional[str]:
+    """Why ``spec`` does not come back from its wire ``text`` as itself, or
+    ``None`` when it does."""
     try:
         rebuilt = spec_from_dict(json.loads(text))
     except Exception as exc:  # noqa: BLE001 -- any decode failure pins the spec
-        return None, "trial spec does not decode from its wire form: %s" % exc
+        return "trial spec does not decode from its wire form: %s" % exc
     # The wire deliberately canonicalises an explicit empty FaultPlan() to
     # None (the two are the same trial and fingerprint identically), so the
     # equality check compares against the same canonical form.
     expected = dataclasses.replace(spec, fault_plan=spec.effective_fault_plan)
     if rebuilt != expected:
-        return None, (
+        return (
             "trial spec does not survive the JSON round trip exactly "
             "(tuple-valued or non-string-keyed algo_kwargs?); executing it "
             "remotely could compute something else than in-process"
         )
-    return text, None
+    return None
 
 
 def spec_wire_document(

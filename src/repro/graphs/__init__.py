@@ -1,13 +1,10 @@
-"""Graph substrate: topologies, generators, conductance, mixing times, ports."""
+"""Graph substrate: topologies, generators, conductance, mixing times, ports.
 
-from .conductance import (
-    ConductanceEstimate,
-    cheeger_bounds,
-    cut_conductance,
-    estimate_conductance,
-    exact_conductance,
-    sweep_cut_conductance,
-)
+The numpy-backed analysis names (conductance, mixing times, spectra) load
+on first use, so building and simulating graphs never imports numpy.
+"""
+
+from .._lazy import lazy_exports
 from .generators import (
     FAMILIES,
     GraphFamily,
@@ -30,25 +27,7 @@ from .generators import (
     star_graph,
     torus_graph,
 )
-from .mixing import (
-    MixingProfile,
-    cached_mixing_time,
-    lazy_transition_matrix,
-    linf_distance_to_stationary,
-    mixing_profile,
-    mixing_time,
-    spectral_mixing_time_estimate,
-    stationary_distribution,
-    walk_distribution,
-)
 from .ports import PortNumberedGraph
-from .spectra import (
-    lazy_walk_second_eigenvalue,
-    normalized_laplacian,
-    normalized_laplacian_second_eigenvalue,
-    normalized_laplacian_spectrum,
-    spectral_gap,
-)
 from .topology import Graph
 
 __all__ = [
@@ -95,3 +74,35 @@ __all__ = [
     "lazy_walk_second_eigenvalue",
     "spectral_gap",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".conductance": (
+            "ConductanceEstimate",
+            "cheeger_bounds",
+            "cut_conductance",
+            "estimate_conductance",
+            "exact_conductance",
+            "sweep_cut_conductance",
+        ),
+        ".mixing": (
+            "MixingProfile",
+            "cached_mixing_time",
+            "lazy_transition_matrix",
+            "linf_distance_to_stationary",
+            "mixing_profile",
+            "mixing_time",
+            "spectral_mixing_time_estimate",
+            "stationary_distribution",
+            "walk_distribution",
+        ),
+        ".spectra": (
+            "lazy_walk_second_eigenvalue",
+            "normalized_laplacian",
+            "normalized_laplacian_second_eigenvalue",
+            "normalized_laplacian_spectrum",
+            "spectral_gap",
+        ),
+    },
+)

@@ -9,9 +9,10 @@ plus conversions to ``networkx`` and ``numpy`` for the analysis helpers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Set, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Graph"]
 
@@ -213,7 +214,10 @@ class Graph:
 
     # ---------------------------------------------------------- conversions
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense ``n x n`` 0/1 adjacency matrix."""
+        """Dense ``n x n`` 0/1 adjacency matrix (numpy is imported here, on
+        first use, not with the graph)."""
+        import numpy as np
+
         matrix = np.zeros((self.num_nodes, self.num_nodes), dtype=float)
         for u, v in self.edges():
             matrix[u, v] = 1.0

@@ -1,5 +1,10 @@
-"""Synchronous CONGEST simulator: nodes, ports, messages, metrics."""
+"""Synchronous CONGEST simulator: nodes, ports, messages, metrics.
 
+The numpy vectorized engine's names load on first use, so running the
+reference simulator never imports numpy.
+"""
+
+from .._lazy import lazy_exports
 from .errors import (
     CongestViolationError,
     ProtocolError,
@@ -12,13 +17,6 @@ from .metrics import MetricsCollector, RunMetrics
 from .network import MessageObserver, Network, SimulationResult
 from .node import Inbox, NodeContext, Protocol, ProtocolFactory
 from .rng import derive_seed, fresh_master_seed, node_rng
-from .vectorized import (
-    VECTORIZED_MESSAGE_STREAM,
-    VECTORIZED_WALK_STREAM,
-    VectorizedUnsupported,
-    graph_csr,
-    vectorized_unsupported_reason,
-)
 
 __all__ = [
     "SimulationError",
@@ -50,3 +48,16 @@ __all__ = [
     "graph_csr",
     "vectorized_unsupported_reason",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".vectorized": (
+            "VECTORIZED_MESSAGE_STREAM",
+            "VECTORIZED_WALK_STREAM",
+            "VectorizedUnsupported",
+            "graph_csr",
+            "vectorized_unsupported_reason",
+        ),
+    },
+)

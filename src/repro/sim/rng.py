@@ -9,9 +9,10 @@ stable across Python processes -- unlike ``hash`` on strings.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["derive_seed", "derive_seeds", "node_rng", "fresh_master_seed"]
 
@@ -38,6 +39,8 @@ def derive_seed(master_seed: int, stream: int) -> int:
 def _splitmix64_array(values: np.ndarray) -> np.ndarray:
     """:func:`_splitmix64` of every ``uint64`` in ``values`` (arithmetic
     wraps modulo 2**64, as the masks do)."""
+    import numpy as np
+
     values = values + np.uint64(0x9E3779B97F4A7C15)
     values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -50,6 +53,8 @@ def derive_seeds(master_seed: int, count: int) -> List[int]:
     >>> derive_seeds(7, 3) == [derive_seed(7, i) for i in range(3)]
     True
     """
+    import numpy as np
+
     master = np.uint64(_splitmix64(master_seed & _MASK64))
     streams = _splitmix64_array(np.arange(count, dtype=np.uint64))
     return _splitmix64_array(streams ^ master).tolist()

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -17,9 +20,67 @@ from repro.campaign import (
 from repro.core import ElectionParameters
 from repro.exec import GraphSpec, ResultCache, Shard, SweepSpec, TrialSpec, trial_fingerprint
 from repro.exec.algorithms import ALGORITHMS, register_algorithm
+from repro.exec.backends import worker_environment
 from repro.obs.tracer import TraceSink
 
 FAST = ElectionParameters(c1=3.0, c2=0.5)
+
+#: A manifest as ``CampaignManifest.save`` wrote it with ``indent=2``.
+INDENTED_MANIFEST = """{
+  "campaign": "legacy",
+  "counts": {
+    "cached": 1,
+    "executed": 1,
+    "failed": 1,
+    "other_shard": 1
+  },
+  "created": 1760000000.5,
+  "fingerprint": "cd41a7e2",
+  "shard": "shard 0/2",
+  "trials": [
+    {
+      "attempts": 0,
+      "elapsed_seconds": 0.0,
+      "error": null,
+      "fingerprint": "0b1f9a3c",
+      "index": 0,
+      "label": "flood_max on cycle(16) seed=1",
+      "status": "cached",
+      "sweep": "baselines"
+    },
+    {
+      "attempts": 1,
+      "elapsed_seconds": 0.0012,
+      "error": null,
+      "fingerprint": "5e7c20d4",
+      "index": 1,
+      "label": "flooding on hypercube(4) seed=2",
+      "status": "executed",
+      "sweep": "baselines"
+    },
+    {
+      "attempts": 3,
+      "elapsed_seconds": 0.25,
+      "error": "ValueError: cycle too small",
+      "fingerprint": "9a0e6b71",
+      "index": 2,
+      "label": "flood_max on cycle(2) seed=3",
+      "status": "failed",
+      "sweep": "ring"
+    },
+    {
+      "attempts": 0,
+      "elapsed_seconds": 0.0,
+      "error": null,
+      "fingerprint": "e3d8c5f0",
+      "index": 3,
+      "label": "push_pull on clique(8) seed=4",
+      "status": "other_shard",
+      "sweep": "ring"
+    }
+  ]
+}
+"""
 
 # A test-only algorithm that fails a configurable number of times before
 # succeeding: attempts are counted in the file named by algo_kwargs, so the
@@ -228,6 +289,35 @@ class TestManifest:
             result = CampaignRunner(other, cache, directory=directory).run()
         assert result.cache_hits == 4  # same trials, so the cache still serves
         assert any("different fingerprint" in record.message for record in caplog.records)
+
+    def test_indented_manifest_still_loads_and_renders(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text(INDENTED_MANIFEST)
+        manifest = CampaignManifest.load(tmp_path / MANIFEST_NAME)
+        assert manifest.to_document() == json.loads(INDENTED_MANIFEST)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.obs.watch", str(tmp_path), "--once"],
+            env=worker_environment(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "campaign 'legacy'" in completed.stdout
+        assert "ValueError: cycle too small" in completed.stdout
+
+    def test_document_is_the_asdict_form_with_one_trial_per_line(self, tmp_path):
+        manifest = CampaignManifest.from_document(json.loads(INDENTED_MANIFEST))
+        document = manifest.to_document()
+        assert document["trials"] == [asdict(entry) for entry in manifest.entries]
+        for built, reference in zip(document["trials"], manifest.entries):
+            assert list(built) == list(asdict(reference))
+        path = tmp_path / MANIFEST_NAME
+        manifest.save(path)
+        assert CampaignManifest.load(path).to_document() == document
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 2 + len(manifest.entries)
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == document["trials"]
 
     def test_entry_validates_status(self):
         with pytest.raises(ValueError):

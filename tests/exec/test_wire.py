@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.core import ElectionParameters
-from repro.exec import GraphSpec, TrialSpec, execute_trial, outcome_to_dict
+from repro.exec import GraphSpec, SweepSpec, TrialSpec, execute_trial, outcome_to_dict, wire
 from repro.exec.execute import TrialPayload, guarded_payload
 from repro.exec.fingerprint import trial_fingerprint
 from repro.exec.wire import (
@@ -316,6 +316,88 @@ class TestWireSafety:
             TrialSpec(graph=GraphSpec("clique", (8,)), algo_kwargs={"t": (1,)})
         )
         assert document is None and error is not None
+
+
+class TestExactnessOncePerConfiguration:
+    """The decode-and-compare check runs once per configuration; every
+    trial is still encoded, and every refusal is the one a full check
+    gives."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Count the exactness check's decodes (``spec_from_dict`` calls)."""
+        wire._EXACTNESS.clear()
+        calls = []
+
+        def counted(document):
+            calls.append(document)
+            return spec_from_dict(document)
+
+        monkeypatch.setattr(wire, "spec_from_dict", counted)
+        yield calls
+        wire._EXACTNESS.clear()
+
+    def test_one_decode_per_configuration(self, decodes):
+        templates = (
+            TrialSpec(graph=GraphSpec("cycle", (16,)), algorithm="flood_max"),
+            TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="controlled_flooding"),
+            TrialSpec(graph=GraphSpec("hypercube", (4,)), algorithm="push_pull"),
+            TrialSpec(graph=GraphSpec("hypercube", (4,)), algorithm="flooding"),
+            TrialSpec(graph=GraphSpec("grid", (4, 4)), algorithm="spanning_tree"),
+            TrialSpec(graph=GraphSpec("clique", (16,)), algorithm="clique_sublinear"),
+        )
+        specs = SweepSpec(name="many-small", configs=templates, trials=20, base_seed=17).expand()
+        texts = [spec_wire_text(spec) for spec in specs]
+        assert len(decodes) == len(templates)
+        # Every trial still gets its own, exact text.
+        assert all(error is None for _, error in texts)
+        assert [spec_from_dict(json.loads(text)) for text, _ in texts] == specs
+
+    def test_tuple_kwargs_are_refused_after_their_list_twin_passed(self, decodes):
+        base = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="flooding")
+        listed = TrialSpec(base.graph, "flooding", seed=1, algo_kwargs={"sources": [0, 1]})
+        assert spec_wire_error(listed) is None
+        for seed in (2, 3):
+            tupled = TrialSpec(base.graph, "flooding", seed=seed, algo_kwargs={"sources": (0, 1)})
+            assert "round trip" in spec_wire_error(tupled)
+
+    def test_keep_simulation_and_unregistered_algorithms_stay_refused(self, decodes):
+        for seed in (1, 2):
+            kept = TrialSpec(
+                graph=GraphSpec("clique", (8,)), seed=seed, algo_kwargs={"keep_simulation": True}
+            )
+            assert "keep_simulation" in spec_wire_error(kept)
+            unknown = TrialSpec(graph=GraphSpec("clique", (8,)), algorithm="no_such", seed=seed)
+            assert "unknown algorithm" in spec_wire_error(unknown)
+        assert decodes == []
+
+    def test_non_int_seeds_are_checked_alone(self, decodes):
+        graph = GraphSpec("clique", (8,), seed=4)
+        assert spec_wire_error(TrialSpec(graph, "flood_max", seed=1)) is None
+        assert len(decodes) == 1
+        for seed in ((1, 2), float("nan")):
+            assert "round trip" in spec_wire_error(TrialSpec(graph, "flood_max", seed=seed))
+        seeded = GraphSpec("clique", (8,), seed=(4,))
+        assert "round trip" in spec_wire_error(TrialSpec(seeded, "flood_max", seed=1))
+        assert "JSON" in spec_wire_error(TrialSpec(graph, "flood_max", seed=object()))
+        assert len(decodes) == 4
+        # A bool seed round-trips exactly, as it always did; checked alone.
+        assert spec_wire_error(TrialSpec(graph, "flood_max", seed=True)) is None
+        assert len(decodes) == 5
+
+    def test_an_edited_inline_graph_is_checked_again(self, decodes):
+        graph = _inline_graph()
+        spec = TrialSpec(graph=graph, algorithm="flood_max", seed=1)
+        assert spec_wire_error(spec) is None
+        assert spec_wire_error(TrialSpec(graph=graph, algorithm="flood_max", seed=2)) is None
+        assert len(decodes) == 1
+        graph.add_edge(0, 2)
+        text, error = spec_wire_text(spec)
+        assert error is None and len(decodes) == 2
+        assert spec_from_dict(json.loads(text)).graph == graph
+        # An equal graph that is another object is checked too.
+        assert spec_wire_error(TrialSpec(graph=graph.copy(), algorithm="flood_max")) is None
+        assert len(decodes) == 3
 
 
 def test_trial_payload_failed_property():
