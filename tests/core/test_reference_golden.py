@@ -8,7 +8,10 @@ message units and fault counters -- on a small fixed grid, so an
 optimisation of the oracle must reproduce them exactly.  The baselines and
 broadcast substrates pin their ``extras`` too (contender count, informed or
 joined nodes, tree depth); they have no guess-and-double schedule, so their
-crash plan is anchored at a round instead of a phase.
+crash plan is anchored at a round instead of a phase.  The two
+message-budgeted elections of the lower bound (E5) pin their winners, costs
+and contender count on the E5 lower-bound graph, and the explicit election
+(Corollary 14) pins the cost of each of its two phases.
 
 Regenerate ``reference_golden.json`` only for a deliberate behaviour change::
 
@@ -30,7 +33,7 @@ from repro.baselines import (
 )
 from repro.baselines.known_tmix import known_tmix_trial
 from repro.broadcast import flooding_trial, push_pull_trial, spanning_tree_trial
-from repro.core import run_leader_election
+from repro.core import run_explicit_leader_election, run_leader_election
 from repro.core.result import TrialOutcome
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
 from repro.graphs import (
@@ -38,6 +41,11 @@ from repro.graphs import (
     gilbert_connectivity_radius,
     gilbert_graph,
     hypercube_graph,
+)
+from repro.lowerbound import (
+    build_lower_bound_graph,
+    run_budgeted_probe_election,
+    run_walk_budget_election,
 )
 
 GOLDEN_PATH = Path(__file__).with_name("reference_golden.json")
@@ -74,6 +82,23 @@ GRAPHS = {
     "gilbert64": lambda: gilbert_graph(
         64, gilbert_connectivity_radius(64, factor=2.0), seed=5
     ),
+    # E5's Section 4.1 graph: 30 cliques of 8 nodes.
+    "lb240": lambda: build_lower_bound_graph(240, clique_size=8, seed=55).graph,
+}
+
+#: The lower bound's budgeted elections, by budget: the walk length of the
+#: walk election and the probes per candidate of the probe election.
+BUDGETS = {
+    "walk_budget": (
+        lambda graph, budget: run_walk_budget_election(graph, walk_length=budget, seed=SEED),
+        (1, 32),
+    ),
+    "probe_budget": (
+        lambda graph, budget: run_budgeted_probe_election(
+            graph, probes_per_candidate=budget, seed=SEED
+        ),
+        (3, 40),
+    ),
 }
 
 CASES = [
@@ -87,13 +112,38 @@ CASES = [
     for algorithm in BASELINES
     for graph_name in ("expander16", "hypercube4")
     for plan_name in BASELINE_PLANS
-]
+] + [
+    "%s/lb240/%d" % (algorithm, budget)
+    for algorithm, (_, budgets) in BUDGETS.items()
+    for budget in budgets
+] + ["explicit/expander16/none", "explicit/hypercube4/none"]
 
 
 def compute(case: str) -> Dict[str, object]:
     """Run one grid case on the reference engine and keep the pinned fields."""
     algorithm, graph_name, plan_name = case.split("/")
     graph = GRAPHS[graph_name]()
+    if algorithm in BUDGETS:
+        outcome = BUDGETS[algorithm][0](graph, int(plan_name))
+        return {
+            "winners": list(outcome.leaders),
+            "rounds": outcome.metrics.rounds,
+            "messages": outcome.metrics.messages,
+            "message_units": outcome.metrics.message_units,
+            "num_contenders": (
+                outcome.candidates if algorithm == "probe_budget" else outcome.num_contenders
+            ),
+        }
+    if algorithm == "explicit":
+        explicit = run_explicit_leader_election(graph, seed=SEED)
+        return {
+            "leader": explicit.election.leader,
+            "election_messages": explicit.election_messages,
+            "election_rounds": explicit.election.rounds,
+            "broadcast_messages": explicit.broadcast_messages,
+            "broadcast_rounds": explicit.broadcast.rounds,
+            "success": explicit.success,
+        }
     plan = PLANS[plan_name]
     if algorithm == "election":
         outcome = TrialOutcome.from_election(
