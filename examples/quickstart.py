@@ -34,7 +34,7 @@ def main(n: int = 128, seed: int = 7) -> None:
     print("  rounds         :", outcome.rounds)
     print("  messages       :", outcome.messages)
     print("  message units  :", outcome.message_units)
-    print("  final walk len :", outcome.final_walk_length, "(t_mix = %d)" % t_mix)
+    print("  final walk len :", outcome.extras["final_walk_length"], "(t_mix = %d)" % t_mix)
     print("  reference      : O(sqrt(n) log^{3/2} n t_mix) ~ %.0f messages, O(t_mix) ~ %.0f rounds"
           % (upper_bound_messages_large(n, t_mix), upper_bound_rounds_large(n, t_mix)))
 

@@ -50,7 +50,6 @@ __all__ = [
     "ElectionParameters",
     "DEFAULT_PARAMETERS",
     "paper_parameters",
-    "ElectionOutcome",
     "TrialOutcome",
     "ExplicitElectionOutcome",
     "LeaderElectionNode",
@@ -73,7 +72,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".core": (
             "DEFAULT_PARAMETERS",
-            "ElectionOutcome",
             "ElectionParameters",
             "ExplicitElectionOutcome",
             "LeaderElectionNode",

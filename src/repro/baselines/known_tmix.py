@@ -144,11 +144,6 @@ def known_tmix_trial(
     result = simulate_known_tmix(
         graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
     )
-    return known_tmix_outcome(outcome_from_simulation(result), mixing_time)
-
-
-def known_tmix_outcome(outcome, mixing_time: int) -> TrialOutcome:
-    """The unified trial outcome of one [25]-baseline election run."""
-    trial = TrialOutcome.from_election("known_tmix", outcome)
-    trial.extras["mixing_time"] = mixing_time
-    return trial
+    outcome = outcome_from_simulation("known_tmix", result)
+    outcome.extras["mixing_time"] = mixing_time
+    return outcome

@@ -15,7 +15,6 @@ from .result import (
     CLASSIFICATIONS,
     KIND_CLASSIFICATIONS,
     SUCCESS_CLASSIFICATIONS,
-    ElectionOutcome,
     TrialOutcome,
     outcome_from_simulation,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "split_over_ports",
     "LeaderElectionNode",
     "leader_election_factory",
-    "ElectionOutcome",
     "TrialOutcome",
     "CLASSIFICATIONS",
     "KIND_CLASSIFICATIONS",

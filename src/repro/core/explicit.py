@@ -18,7 +18,7 @@ from ..broadcast.push_pull import push_pull_trial
 from ..graphs.topology import Graph
 from ..sim.rng import derive_seed
 from .params import DEFAULT_PARAMETERS, ElectionParameters
-from .result import ElectionOutcome, TrialOutcome
+from .result import TrialOutcome
 from .runner import run_leader_election
 
 __all__ = ["ExplicitElectionOutcome", "run_explicit_leader_election"]
@@ -28,7 +28,7 @@ __all__ = ["ExplicitElectionOutcome", "run_explicit_leader_election"]
 class ExplicitElectionOutcome:
     """Combined outcome of the election phase and the broadcast phase."""
 
-    election: ElectionOutcome
+    election: TrialOutcome
     broadcast: Optional[TrialOutcome]
 
     @property
@@ -94,7 +94,7 @@ def run_explicit_leader_election(
         keep_simulation=True,
     )
     broadcast = None
-    if election.success and election.leader is not None:
+    if election.success:
         leader_index = election.leader
         leader_id = election.simulation.node_results[leader_index].get("id", leader_index)
         broadcast = push_pull_trial(

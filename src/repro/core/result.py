@@ -1,4 +1,4 @@
-"""Outcomes of simulation trials: the paper's election and the unified envelope.
+"""Outcomes of simulation trials: one envelope for every algorithm.
 
 Runs executed under a :mod:`repro.faults` plan additionally carry the set of
 crash-stopped nodes and a degraded-outcome ``classification``: ``"elected"``
@@ -7,17 +7,15 @@ crash-stopped), ``"multiple_leaders"`` or ``"no_leader"``.  Fault-free runs
 classify as ``"elected"`` or the same failure labels, so the field is safe to
 aggregate across mixed campaigns.
 
-Two outcome shapes live here:
-
-* :class:`ElectionOutcome` -- the rich, election-specific result of
-  :func:`repro.core.runner.run_leader_election` (the paper's user-facing API);
-* :class:`TrialOutcome` -- the **unified envelope** every algorithm registered
-  with :mod:`repro.exec.algorithms` returns: winners, a per-kind
-  ``classification``, the full :class:`~repro.sim.metrics.RunMetrics`,
-  ``crashed_nodes`` and a JSON-pure ``extras`` dict for algorithm-specific
-  fields.  The batch runner, result cache, campaign reports and
-  ``analysis.sweep_summary`` all aggregate trial outcomes through this one
-  shape, whatever algorithm produced them.
+Every election, baseline and broadcast returns one outcome shape,
+:class:`TrialOutcome`: winners, a per-kind ``classification``, the full
+:class:`~repro.sim.metrics.RunMetrics`, ``crashed_nodes`` and a JSON-pure
+``extras`` dict for algorithm-specific fields (the paper's election records
+its contender count, forced stop, phase count and final walk length there).
+:func:`repro.core.runner.run_leader_election`, the batch runner, result
+cache, campaign reports and ``analysis.sweep_summary`` all speak this one
+shape, whatever algorithm produced it, so ``success`` means the same thing
+everywhere: a crashed unique leader is a ``"leader_crashed"`` failure.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from ..sim.metrics import RunMetrics
 from ..sim.network import SimulationResult
 
 __all__ = [
-    "ElectionOutcome",
     "TrialOutcome",
     "outcome_from_simulation",
     "election_trial_outcome",
@@ -45,7 +42,7 @@ __all__ = [
     "TRIAL_KINDS",
 ]
 
-#: Every value ``ElectionOutcome.classification`` can take.
+#: Every value an election-kind ``TrialOutcome.classification`` can take.
 CLASSIFICATIONS = ("elected", "leader_crashed", "multiple_leaders", "no_leader")
 
 #: Labels of broadcast-kind trials: every node informed, every *live* node
@@ -122,108 +119,12 @@ def classify_spanning_tree(unjoined: Iterable[int], crashed_nodes: Iterable[int]
 
 
 @dataclass
-class ElectionOutcome:
-    """What happened in one election: who won, how long it took, what it cost."""
-
-    num_nodes: int
-    leaders: List[int]
-    contenders: List[int]
-    metrics: RunMetrics
-    forced_stop: bool
-    max_phases: int
-    final_walk_length: int
-    simulation: Optional[SimulationResult] = None
-    crashed_nodes: List[int] = field(default_factory=list)
-    #: Which engine produced this outcome: ``"reference"`` or
-    #: ``"vectorized"`` (the registry tags a vectorized trial that fell back
-    #: ``"reference-fallback:<reason>"``; see :mod:`repro.exec.algorithms`).
-    simulator: str = "reference"
-
-    @property
-    def num_leaders(self) -> int:
-        """How many nodes elected themselves (the paper wants exactly one)."""
-        return len(self.leaders)
-
-    @property
-    def num_contenders(self) -> int:
-        """How many nodes nominated themselves in Algorithm 1."""
-        return len(self.contenders)
-
-    @property
-    def success(self) -> bool:
-        """Implicit leader election succeeded: exactly one leader."""
-        return self.num_leaders == 1
-
-    @property
-    def leader(self) -> Optional[int]:
-        """The unique leader's node index, or ``None`` if the run failed."""
-        if self.success:
-            return self.leaders[0]
-        return None
-
-    @property
-    def num_crashed(self) -> int:
-        """How many nodes were crash-stopped by the fault plan."""
-        return len(self.crashed_nodes)
-
-    @property
-    def classification(self) -> str:
-        """Degraded-outcome label (one of :data:`CLASSIFICATIONS`)."""
-        return classify_election(self.leaders, self.crashed_nodes)
-
-    @property
-    def rounds(self) -> int:
-        """Rounds until the network went quiet."""
-        return self.metrics.rounds
-
-    @property
-    def messages(self) -> int:
-        """Number of physical messages sent."""
-        return self.metrics.messages
-
-    @property
-    def message_units(self) -> int:
-        """Number of ``O(log n)``-bit message units (the paper's measure)."""
-        return self.metrics.message_units
-
-    def as_record(self) -> Dict[str, object]:
-        """Flat dictionary useful for sweep tables and CSV-ish output."""
-        return {
-            "num_nodes": self.num_nodes,
-            "num_leaders": self.num_leaders,
-            "num_contenders": self.num_contenders,
-            "success": self.success,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "message_units": self.message_units,
-            "forced_stop": self.forced_stop,
-            "max_phases": self.max_phases,
-            "final_walk_length": self.final_walk_length,
-            "classification": self.classification,
-            "num_crashed": self.num_crashed,
-        }
-
-    def __str__(self) -> str:
-        return (
-            "ElectionOutcome(n=%d, leaders=%d, contenders=%d, rounds=%d, messages=%d, success=%s)"
-            % (
-                self.num_nodes,
-                self.num_leaders,
-                self.num_contenders,
-                self.rounds,
-                self.messages,
-                self.success,
-            )
-        )
-
-
-@dataclass
 class TrialOutcome:
-    """The unified result envelope of one batch-executed trial.
+    """The unified result envelope of one trial.
 
-    Every algorithm in the :mod:`repro.exec.algorithms` registry returns this
-    one shape, so caches, campaign reports and sweep aggregation never branch
-    on the algorithm.  ``kind`` declares which label family
+    Every election, baseline and broadcast returns this one shape, so
+    caches, campaign reports and sweep aggregation never branch on the
+    algorithm.  ``kind`` declares which label family
     ``classification`` draws from (see :data:`KIND_CLASSIFICATIONS`);
     ``winners`` holds the election's leaders, the broadcast's sources or the
     tree's root; ``extras`` carries algorithm-specific fields and must stay
@@ -325,44 +226,16 @@ class TrialOutcome:
         }
 
     def __str__(self) -> str:
-        return "TrialOutcome(%s on n=%d: %s, rounds=%d, messages=%d)" % (
+        role = "leaders" if self.kind == "election" else "winners"
+        return "TrialOutcome(%s on n=%d: %s, %s=%d, rounds=%d, messages=%d, success=%s)" % (
             self.algorithm,
             self.num_nodes,
             self.classification,
+            role,
+            self.num_winners,
             self.rounds,
             self.messages,
-        )
-
-    # ------------------------------------------------------------ converters
-    @classmethod
-    def from_election(cls, algorithm: str, outcome: "ElectionOutcome") -> "TrialOutcome":
-        """Wrap an :class:`ElectionOutcome` into the unified envelope.
-
-        Election-specific fields (contender count, forced stop, phase count,
-        final walk length) land in ``extras``; a retained simulation
-        transcript is carried along un-serialised.  Outcomes from a
-        non-default simulator additionally record it in ``extras`` (plain
-        reference runs stay tag-free so historical cached outcomes compare
-        equal).
-        """
-        extras: Dict[str, object] = {
-            "num_contenders": outcome.num_contenders,
-            "forced_stop": outcome.forced_stop,
-            "max_phases": outcome.max_phases,
-            "final_walk_length": outcome.final_walk_length,
-        }
-        if outcome.simulator != "reference":
-            extras["simulator"] = outcome.simulator
-        return cls(
-            algorithm=algorithm,
-            kind="election",
-            num_nodes=outcome.num_nodes,
-            winners=list(outcome.leaders),
-            classification=outcome.classification,
-            metrics=outcome.metrics,
-            crashed_nodes=list(outcome.crashed_nodes),
-            extras=extras,
-            simulation=outcome.simulation,
+            self.success,
         )
 
 
@@ -416,22 +289,23 @@ def broadcast_trial_outcome(
 
 
 def outcome_from_simulation(
-    result: SimulationResult, keep_simulation: bool = False
-) -> ElectionOutcome:
-    """Aggregate a :class:`SimulationResult` of the election protocol."""
-    leaders = result.nodes_with("leader", True)
-    contenders = result.nodes_with("contender", True)
-    forced = any(res.get("forced_stop") for res in result.node_results)
-    max_phases = max((res.get("phases", 0) for res in result.node_results), default=0)
-    final_walk = max((res.get("final_walk_length", 0) for res in result.node_results), default=0)
-    return ElectionOutcome(
-        num_nodes=len(result.node_results),
-        leaders=leaders,
-        contenders=contenders,
-        metrics=result.metrics,
-        forced_stop=forced,
-        max_phases=max_phases,
-        final_walk_length=final_walk,
-        simulation=result if keep_simulation else None,
-        crashed_nodes=list(result.crashed_nodes),
+    algorithm: str, result: SimulationResult, keep_simulation: bool = False
+) -> TrialOutcome:
+    """Unified outcome of a random-walk election's simulation (the paper's
+    election or the [25] baseline).
+
+    On top of :func:`election_trial_outcome`, ``extras`` records whether a
+    contender was forced to stop at the walk-length cap (``forced_stop``),
+    the phases run (``max_phases``) and the last walk-length guess
+    (``final_walk_length``); ``keep_simulation`` retains the transcript.
+    """
+    outcome = election_trial_outcome(algorithm, result)
+    nodes = result.node_results
+    outcome.extras.update(
+        forced_stop=any(res.get("forced_stop") for res in nodes),
+        max_phases=max((res.get("phases", 0) for res in nodes), default=0),
+        final_walk_length=max((res.get("final_walk_length", 0) for res in nodes), default=0),
     )
+    if keep_simulation:
+        outcome.simulation = result
+    return outcome

@@ -19,7 +19,7 @@ from ..sim.harness import FAULT_SEED_STREAM, build_network
 from ..sim.network import MessageObserver, Network
 from .leader_election import leader_election_factory
 from .params import DEFAULT_PARAMETERS, ElectionParameters
-from .result import ElectionOutcome, outcome_from_simulation
+from .result import TrialOutcome, outcome_from_simulation
 from .schedule import PhaseSchedule
 
 __all__ = [
@@ -91,7 +91,7 @@ def run_leader_election(
     congest_mode: str = "count",
     keep_simulation: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-) -> ElectionOutcome:
+) -> TrialOutcome:
     """Run implicit leader election (Theorem 13) on ``graph`` and return the outcome.
 
     Parameters mirror :func:`build_election_network`; ``max_rounds`` caps the
@@ -117,4 +117,4 @@ def run_leader_election(
         fault_plan=fault_plan,
     )
     result = network.run(max_rounds=max_rounds)
-    return outcome_from_simulation(result, keep_simulation=keep_simulation)
+    return outcome_from_simulation("election", result, keep_simulation=keep_simulation)

@@ -17,10 +17,11 @@ executor validates against:
   :class:`~repro.core.result.TrialOutcome` draws from (one of
   :data:`~repro.core.result.TRIAL_KINDS`).
 * ``batch`` -- for walk-phase algorithms, ``(graph, spec)`` ->
-  ``(VectorizedTrial, finish)``: the trial as a member of a same-shape
-  vectorized batch (:func:`repro.sim.vectorized.run_vectorized_batch`) and
-  how its election outcome becomes the adapter's ``TrialOutcome``.  A
-  configuration the engine refuses statically raises
+  :class:`~repro.sim.vectorized.VectorizedTrial`: the trial as a member of
+  a same-shape vectorized batch
+  (:func:`repro.sim.vectorized.run_vectorized_batch`), whose slot of the
+  batch is its ``TrialOutcome``.  A configuration the engine refuses
+  statically raises
   :class:`~repro.sim.vectorized.VectorizedUnsupported`.
 * ``simulators`` -- which execution engines the adapter can run on, derived
   from ``batch``: every algorithm runs on the ``"reference"`` object
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tup
 
 from ..baselines.clique_sublinear import clique_sublinear_trial
 from ..baselines.controlled_flooding import controlled_flooding_trial, flood_max_trial
-from ..baselines.known_tmix import known_tmix_outcome, known_tmix_trial
+from ..baselines.known_tmix import known_tmix_trial
 from ..broadcast.flooding import flooding_trial
 from ..broadcast.push_pull import push_pull_trial
 from ..broadcast.spanning_tree import spanning_tree_trial
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 AlgorithmRunner = Callable[[Graph, TrialSpec], TrialOutcome]
-BatchAdapter = Callable[[Graph, TrialSpec], Tuple["VectorizedTrial", Callable]]
+BatchAdapter = Callable[[Graph, TrialSpec], "VectorizedTrial"]
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,16 @@ class Algorithm:
         from ..sim.vectorized import VectorizedUnsupported, run_vectorized_batch
 
         try:
-            trial, finish = self.batch(graph, spec)
+            trial = self.batch(graph, spec)
         except VectorizedUnsupported as refusal:
             return self.fall_back(graph, spec, refusal)
         (result,) = run_vectorized_batch([trial])
-        return self.settle(graph, spec, finish, result)
+        return self.settle(graph, spec, result)
 
-    def settle(self, graph: Graph, spec: TrialSpec, finish: Callable, result) -> TrialOutcome:
+    def settle(self, graph: Graph, spec: TrialSpec, result) -> TrialOutcome:
         """A vectorized batch member's outcome from its slot of
-        :func:`~repro.sim.vectorized.run_vectorized_batch`: ``finish`` of
-        its election outcome, the reference fallback when its setup raised
+        :func:`~repro.sim.vectorized.run_vectorized_batch`: the outcome
+        itself, the reference fallback when its setup raised
         :class:`~repro.sim.vectorized.VectorizedUnsupported`, or the
         exception any other setup failure raised."""
         from ..sim.vectorized import VectorizedUnsupported
@@ -126,7 +127,7 @@ class Algorithm:
             return self.fall_back(graph, spec, result)
         if isinstance(result, BaseException):
             raise result
-        return finish(result)
+        return result
 
     def fall_back(self, graph: Graph, spec: TrialSpec, refusal: Exception) -> TrialOutcome:
         """The trial on the reference engine, tagged with why the vectorized
@@ -216,10 +217,9 @@ def _paper_election_batch(graph: Graph, spec: TrialSpec):
     from ..sim.vectorized import vectorized_election_trial
 
     kwargs = _vectorized_kwargs(spec, ("observers", "keep_simulation", "congest_mode"))
-    trial = vectorized_election_trial(
+    return vectorized_election_trial(
         graph, params=spec.params, seed=spec.seed, fault_plan=spec.effective_fault_plan, **kwargs
     )
-    return trial, lambda outcome: TrialOutcome.from_election("election", outcome)
 
 
 @register_algorithm(
@@ -232,14 +232,13 @@ def _paper_election_batch(graph: Graph, spec: TrialSpec):
 )
 def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
     """The paper's Theorem 13 election; ``algo_kwargs`` may set ``known_n`` etc."""
-    outcome = run_leader_election(
+    return run_leader_election(
         graph,
         params=spec.params,
         seed=spec.seed,
         fault_plan=spec.effective_fault_plan,
         **spec.algo_kwargs,
     )
-    return TrialOutcome.from_election("election", outcome)
 
 
 # ----------------------------------------------------------------- baselines
@@ -251,7 +250,7 @@ def _known_tmix_batch(graph: Graph, spec: TrialSpec):
     t_mix = kwargs.pop("mixing_time", None)
     if t_mix is None:
         t_mix = cached_mixing_time(graph)
-    trial = vectorized_known_tmix_trial(
+    return vectorized_known_tmix_trial(
         graph,
         t_mix,
         params=spec.params,
@@ -259,7 +258,6 @@ def _known_tmix_batch(graph: Graph, spec: TrialSpec):
         fault_plan=spec.effective_fault_plan,
         **kwargs,
     )
-    return trial, lambda outcome: known_tmix_outcome(outcome, t_mix)
 
 
 @register_algorithm(

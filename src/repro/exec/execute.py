@@ -224,14 +224,13 @@ def work_units(specs: Sequence[TrialSpec], workers: int) -> List[List[int]]:
 
 @dataclass
 class _Waiting:
-    """One trial waiting in a batch: its built graph, engine inputs and
-    outcome adapter, and what its graph build cost."""
+    """One trial waiting in a batch: its built graph and engine inputs, and
+    what its graph build cost."""
 
     index: int
     spec: TrialSpec
     graph: object
     trial: object
-    finish: Callable
     build_seconds: float
 
 
@@ -260,11 +259,11 @@ def batched_payloads(specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPay
             yield index, _captured(start, lambda: execute_trial(spec))
             continue
         try:
-            trial, finish = algorithm.batch(graph, spec)
+            trial = algorithm.batch(graph, spec)
         except Exception:  # noqa: BLE001 -- alone, it falls back or fails the same way
             yield index, _captured(start, lambda: _run_on(spec, graph))
             continue
-        member = _Waiting(index, spec, graph, trial, finish, time.perf_counter() - start)
+        member = _Waiting(index, spec, graph, trial, time.perf_counter() - start)
         chunk = waiting.setdefault(trial.shape, [])
         chunk.append(member)
         if len(chunk) == BATCH_TRIALS:
@@ -304,7 +303,7 @@ def _run_batch(chunk: List[_Waiting]) -> Iterator[Tuple[int, TrialPayload]]:
     share = (time.perf_counter() - start + sum(m.build_seconds for m in chunk)) / len(chunk)
     algorithm = ALGORITHMS[lead.algorithm]
     for member, result in zip(chunk, results):
-        settle = partial(algorithm.settle, member.graph, member.spec, member.finish, result)
+        settle = partial(algorithm.settle, member.graph, member.spec, result)
         if result is None:
             yield member.index, _captured(
                 time.perf_counter(), lambda: _run_on(member.spec, member.graph)

@@ -1,7 +1,6 @@
 """Executable lower-bound harness: Section 4 constructions and Section 5 dumbbells."""
 
 from .budget import (
-    ProbeElectionOutcome,
     RandomProbeNode,
     run_budgeted_probe_election,
     run_walk_budget_election,
@@ -32,7 +31,6 @@ __all__ = [
     "lemma18_expected_messages",
     "CliqueCommunicationTracker",
     "RandomProbeNode",
-    "ProbeElectionOutcome",
     "run_budgeted_probe_election",
     "run_walk_budget_election",
     "sample_clique_discovery_messages",

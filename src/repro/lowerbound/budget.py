@@ -19,20 +19,20 @@ and several local winners emerge -- which is what the E5 experiment measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from ..baselines.known_tmix import known_tmix_trial
+from ..core.params import ElectionParameters
+from ..core.result import TrialOutcome, election_trial_outcome
 from ..graphs.topology import Graph
 from ..sim.harness import build_network
 from ..sim.message import Message, id_bits
-from ..sim.metrics import RunMetrics
 from ..sim.network import MessageObserver
 from ..sim.node import Inbox, NodeContext, Protocol
 
 __all__ = [
     "RandomProbeNode",
-    "ProbeElectionOutcome",
     "run_budgeted_probe_election",
     "run_walk_budget_election",
     "sample_clique_discovery_messages",
@@ -110,29 +110,6 @@ class RandomProbeNode(Protocol):
             self.ctx.send(port, message)
 
 
-@dataclass
-class ProbeElectionOutcome:
-    """Outcome of one budgeted probe election."""
-
-    num_nodes: int
-    leaders: List[int]
-    candidates: int
-    metrics: RunMetrics
-
-    @property
-    def num_leaders(self) -> int:
-        return len(self.leaders)
-
-    @property
-    def success(self) -> bool:
-        """Exactly one leader (what the lower bound says cannot reliably happen cheaply)."""
-        return self.num_leaders == 1
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-
 def run_walk_budget_election(
     graph: Graph,
     walk_length: int,
@@ -141,35 +118,34 @@ def run_walk_budget_election(
     c1: float = 3.0,
     c2: float = 1.0,
     max_rounds: int = 1_000_000,
-):
+) -> TrialOutcome:
     """Budget-limited election via bounded-length random walks.
 
     This is the natural "spend roughly ``#walks * walk_length`` messages"
     election: one phase of the [25]-style sampling election with the walk
-    length pinned to ``walk_length``.  On the lower-bound graph short walks
+    length pinned to ``walk_length`` -- the ``known_tmix`` baseline told
+    that ``t_mix = walk_length``.  On the lower-bound graph short walks
     stay inside their clique (each step leaves with probability about
     ``4 / clique_size^2``), so cliques decide independently and several
     leaders emerge -- the Theorem 15 failure mode.  Longer walks (and hence
     larger message budgets) restore a unique leader.
 
-    Returns the :class:`repro.core.ElectionOutcome` of the run.
+    >>> from repro.lowerbound import build_lower_bound_graph
+    >>> lb = build_lower_bound_graph(60, clique_size=5, seed=3)
+    >>> short = run_walk_budget_election(lb.graph, walk_length=1, seed=3)
+    >>> short.classification, short.num_leaders, short.success
+    ('multiple_leaders', 4, False)
+    >>> run_walk_budget_election(lb.graph, walk_length=8, seed=3).classification
+    'elected'
     """
-    from ..baselines.known_tmix import simulate_known_tmix
-    from ..core.params import ElectionParameters
-    from ..core.result import outcome_from_simulation
-
-    params = ElectionParameters(c1=c1, c2=c2)
-    result = simulate_known_tmix(
+    return known_tmix_trial(
         graph,
-        mixing_time=walk_length,
-        params=params,
-        safety_factor=1.0,
+        walk_length,
+        params=ElectionParameters(c1=c1, c2=c2),
         seed=seed,
-        fault_plan=None,
         max_rounds=max_rounds,
         observers=observers,
     )
-    return outcome_from_simulation(result)
 
 
 def sample_clique_discovery_messages(clique_size: int, rng) -> int:
@@ -203,8 +179,19 @@ def run_budgeted_probe_election(
     seed: Optional[int] = None,
     observers: Sequence[MessageObserver] = (),
     max_rounds: int = 10_000,
-) -> ProbeElectionOutcome:
-    """Run the budget-limited probe election and report how many leaders emerged."""
+) -> TrialOutcome:
+    """Run the budget-limited probe election and report how many leaders emerged.
+
+    On a clique a few dozen probes per candidate find the largest id; with
+    no probes every candidate elects itself:
+
+    >>> from repro.graphs import complete_graph
+    >>> run_budgeted_probe_election(complete_graph(64), 40, seed=8).classification
+    'elected'
+    >>> blind = run_budgeted_probe_election(complete_graph(64), 0, seed=9)
+    >>> blind.classification, blind.num_leaders, blind.num_contenders
+    ('multiple_leaders', 5, 5)
+    """
     result = build_network(
         graph,
         partial(
@@ -217,11 +204,4 @@ def run_budgeted_probe_election(
         network_stream=0x62,
         observers=observers,
     ).run(max_rounds=max_rounds)
-    leaders = result.nodes_with("leader", True)
-    candidates = len(result.nodes_with("contender", True))
-    return ProbeElectionOutcome(
-        num_nodes=graph.num_nodes,
-        leaders=leaders,
-        candidates=candidates,
-        metrics=result.metrics,
-    )
+    return election_trial_outcome("random_probe", result)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
-from ..core.result import ElectionOutcome
+from ..core.result import TrialOutcome
 from ..core.runner import run_leader_election
 from ..graphs.topology import Graph
 from ..sim.message import Message
@@ -139,7 +139,7 @@ class BridgeCrossingObserver:
 class UnknownSizeExperimentResult:
     """Outcome of running the algorithm with the wrong network size on a dumbbell."""
 
-    outcome: ElectionOutcome
+    outcome: TrialOutcome
     dumbbell: DumbbellGraph
     leaders_left: int
     leaders_right: int

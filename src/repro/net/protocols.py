@@ -30,7 +30,6 @@ from ..baselines.known_tmix import (
     KNOWN_TMIX_NETWORK_STREAM,
     KNOWN_TMIX_PORT_STREAM,
     known_tmix_factory,
-    known_tmix_outcome,
     pin_walk_length,
 )
 from ..core.leader_election import LeaderElectionNode
@@ -111,7 +110,7 @@ def _election_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
 def _finish_election(
     config: Dict[str, object], result: SimulationResult
 ) -> TrialOutcome:
-    return TrialOutcome.from_election("election", outcome_from_simulation(result))
+    return outcome_from_simulation("election", result)
 
 
 # ---------------------------------------------------------------- known_tmix
@@ -148,7 +147,9 @@ def _known_tmix_phase_start(config: Dict[str, object]) -> Callable[[int], int]:
 def _finish_known_tmix(
     config: Dict[str, object], result: SimulationResult
 ) -> TrialOutcome:
-    return known_tmix_outcome(outcome_from_simulation(result), config["mixing_time"])
+    outcome = outcome_from_simulation("known_tmix", result)
+    outcome.extras["mixing_time"] = config["mixing_time"]
+    return outcome
 
 
 # ------------------------------------------------------------------ registry

@@ -15,8 +15,11 @@ Cost model: one engine run is a *batch* of trials that share a shape
 (:class:`VectorizedTrial`: node count, assumed ``n``, parameters, decide
 rule, round cap, edge capacity), run as one phase loop over the disjoint
 union of their graphs -- :func:`run_vectorized_batch`; a single trial is a
-batch of one.  Small trials cost mostly per-call Python overhead, which a
-batch pays once for all its trials.  The phase loop (:func:`_simulate`)
+batch of one, and each trial's slot of the batch is its final
+:class:`~repro.core.result.TrialOutcome`, the reference election's shape
+tagged ``extras["simulator"] = "vectorized"``.  Small trials cost mostly
+per-call Python overhead, which a batch pays once for all its trials.  The
+phase loop (:func:`_simulate`)
 calls one function per protocol segment -- :func:`_walk`, :func:`_report`,
 :func:`_distribute`, :func:`_collect`, :func:`_decide` and :func:`_cascade`
 -- on one explicit run state, :class:`_Run`, and a :class:`_Phase` per
@@ -291,7 +294,8 @@ class VectorizedTrial:
     assumes, parameters (a pinned walk length included), network stream,
     decide rule, round cap and edge capacity -- share every phase window and
     message width, so :func:`run_vectorized_batch` can run them as one batch.
-    Everything else (graph, seed, fault plan) stays per trial.
+    Everything else (graph, seed, fault plan, a [25] trial's oracle mixing
+    time) stays per trial.
     """
 
     __slots__ = (
@@ -304,6 +308,7 @@ class VectorizedTrial:
         "decide_rule",
         "n_eff",
         "edge_capacity_words",
+        "mixing_time",
     )
 
     def __init__(
@@ -329,6 +334,8 @@ class VectorizedTrial:
         resolved = graph.num_nodes if known_n == -1 else known_n
         self.n_eff = resolved if resolved is not None else assumed_n
         self.edge_capacity_words = edge_capacity_words
+        #: The oracle ``t_mix`` of a [25] trial, recorded in its outcome.
+        self.mixing_time: Optional[int] = None
 
     @property
     def shape(self) -> tuple:
@@ -1610,9 +1617,10 @@ def _cascade(run: _Run, ph: _Phase) -> None:
                 bucket[2].append(forest.node_base[a_tree] + a_dst)
 
 
-def _outcome(run: _Run, t: int):
-    """Trial ``t``'s :class:`~repro.core.result.ElectionOutcome`."""
-    from ..core.result import ElectionOutcome
+def _outcome(run: _Run, t: int, trial: VectorizedTrial):
+    """Trial ``t``'s :class:`~repro.core.result.TrialOutcome`; ``trial`` is
+    its engine inputs."""
+    from ..core.result import TrialOutcome, classify_election
 
     n = run.n
     lo = t * n
@@ -1622,22 +1630,29 @@ def _outcome(run: _Run, t: int):
     if run.has_faults[t]:
         fault_events = dict(zip(FAULT_EVENT_KINDS, run.events[t].tolist()))
         fault_events["crashed_nodes"] = len(crashed)
-    mine = run.trial_of[run.contenders] == t
+    mine = run.contenders[run.trial_of[run.contenders] == t]
     phases = int(run.phases[t])
-    metrics = run.metrics.collector(t, n)
-    return ElectionOutcome(
+    leaders = sorted(v - lo for v in run.leaders if lo <= v < lo + n)
+    extras = {
+        "num_contenders": len(mine),
+        "forced_stop": bool(run.forced_stop[run.cidx[mine]].any()),
+        "max_phases": phases,
+        "final_walk_length": run.schedule.window(phases - 1).walk_length if phases else 0,
+        "simulator": "vectorized",
+    }
+    if trial.mixing_time is not None:
+        extras["mixing_time"] = trial.mixing_time
+    return TrialOutcome(
+        algorithm=trial.decide_rule,
+        kind="election",
         num_nodes=n,
-        leaders=sorted(v - lo for v in run.leaders if lo <= v < lo + n),
-        contenders=(run.contenders[mine] - lo).tolist(),
-        metrics=metrics.finalize(
+        winners=leaders,
+        classification=classify_election(leaders, crashed),
+        metrics=run.metrics.collector(t, n).finalize(
             int(run.last_activity[t]), bool(run.completed[t]), fault_events
         ),
-        forced_stop=bool(run.forced_stop[run.cidx[run.contenders[mine]]].any()),
-        max_phases=phases,
-        final_walk_length=run.schedule.window(phases - 1).walk_length if phases else 0,
-        simulation=None,
         crashed_nodes=crashed,
-        simulator="vectorized",
+        extras=extras,
     )
 
 
@@ -1645,7 +1660,7 @@ def _no_clock() -> float:
     return 0.0
 
 
-def _simulate(run: _Run) -> list:
+def _simulate(run: _Run) -> None:
     """The guess-and-double phase loop over the segment functions: every
     trial of the batch runs each phase it reaches, and leaves the batch
     when it stops."""
@@ -1703,7 +1718,6 @@ def _simulate(run: _Run) -> list:
             )
         active = survivors
         index += 1
-    return [_outcome(run, t) for t in range(run.B)]
 
 
 def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
@@ -1711,8 +1725,10 @@ def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
     union of their graphs.
 
     Returns, per trial and in order, its
-    :class:`~repro.core.result.ElectionOutcome` -- byte-identical to the
-    trial run alone -- or the exception its setup raised (e.g.
+    :class:`~repro.core.result.TrialOutcome` (``algorithm`` is the trial's
+    :attr:`~VectorizedTrial.decide_rule`, ``extras["simulator"]`` is
+    ``"vectorized"``) -- byte-identical to the trial run alone -- or the
+    exception its setup raised (e.g.
     :class:`VectorizedUnsupported` for duplicate contender ids), which
     fails that trial only.  Raises :class:`ValueError` for trials of
     different :attr:`VectorizedTrial.shape`.
@@ -1736,8 +1752,10 @@ def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
         else:
             slots.append(slot)
     if members:
-        for slot, outcome in zip(slots, _simulate(_Run(lead, members, schedule))):
-            results[slot] = outcome
+        run = _Run(lead, members, schedule)
+        _simulate(run)
+        for t, slot in enumerate(slots):
+            results[slot] = _outcome(run, t, trials[slot])
     return results
 
 
@@ -1756,8 +1774,8 @@ def vectorized_election_trial(
 
     >>> from repro.graphs import hypercube_graph
     >>> (outcome,) = run_vectorized_batch([vectorized_election_trial(hypercube_graph(4), seed=7)])
-    >>> outcome.simulator, outcome.num_nodes, outcome.metrics.completed
-    ('vectorized', 16, True)
+    >>> outcome.algorithm, outcome.extras["simulator"], outcome.classification
+    ('election', 'vectorized', 'elected')
     """
     from ..core.params import DEFAULT_PARAMETERS
     from ..core.runner import ELECTION_NETWORK_STREAM
@@ -1795,6 +1813,8 @@ def vectorized_known_tmix_trial(
     if params is None:
         params = DEFAULT_PARAMETERS
     pinned = pin_walk_length(params, mixing_time, safety_factor)
-    return VectorizedTrial(
+    trial = VectorizedTrial(
         graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix"
     )
+    trial.mixing_time = mixing_time
+    return trial

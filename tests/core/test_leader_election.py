@@ -33,7 +33,7 @@ class TestSharedExpanderRun:
 
     def test_leader_is_a_contender(self, small_expander_outcome):
         leader = small_expander_outcome.leader
-        assert leader in small_expander_outcome.contenders
+        assert small_expander_outcome.simulation.node_results[leader]["contender"]
 
     def test_leader_has_maximal_id_among_stopped_contenders(self, small_expander_outcome):
         results = small_expander_outcome.simulation.node_results
@@ -64,7 +64,7 @@ class TestSharedExpanderRun:
     def test_final_walk_length_close_to_mixing_time(self, small_expander, small_expander_outcome):
         t_mix = mixing_time(small_expander)
         # The guess-and-double loop stops within a small factor of t_mix (Lemma 6).
-        assert small_expander_outcome.final_walk_length <= 4 * t_mix
+        assert small_expander_outcome.extras["final_walk_length"] <= 4 * t_mix
 
     def test_message_cost_is_sublinear_in_edges_times_diameter(
         self, small_expander, small_expander_outcome
@@ -97,7 +97,7 @@ class TestOtherTopologies:
         outcome = run_leader_election(complete_graph(32), seed=11)
         assert outcome.success
         # The slowest contender may take a few extra doublings, but never past the cap.
-        assert outcome.final_walk_length <= DEFAULT_PARAMETERS.walk_length_cap(32)
+        assert outcome.extras["final_walk_length"] <= DEFAULT_PARAMETERS.walk_length_cap(32)
 
     def test_hypercube_election(self):
         outcome = run_leader_election(hypercube_graph(5), seed=12)
@@ -147,8 +147,8 @@ class TestParameterEffects:
         params = ElectionParameters(c1=1.0, intersection_fraction=1.25, max_walk_length=4)
         outcome = run_leader_election(complete_graph(16), params=params, seed=33)
         assert outcome.metrics.completed
-        assert outcome.final_walk_length <= 4
-        assert outcome.forced_stop or outcome.num_leaders <= 1
+        assert outcome.extras["final_walk_length"] <= 4
+        assert outcome.extras["forced_stop"] or outcome.num_leaders <= 1
 
     def test_forced_stop_can_be_disallowed(self):
         params = ElectionParameters(
@@ -160,7 +160,7 @@ class TestParameterEffects:
         outcome = run_leader_election(complete_graph(16), params=params, seed=34)
         # Without the graceful fallback a forced stop cannot produce a leader
         # unless the properties were in fact satisfied.
-        if outcome.forced_stop and outcome.num_leaders == 0:
+        if outcome.extras["forced_stop"] and outcome.num_leaders == 0:
             assert not outcome.success
 
     def test_congestion_slack_stretches_rounds(self):

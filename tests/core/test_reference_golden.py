@@ -34,7 +34,6 @@ from repro.baselines import (
 from repro.baselines.known_tmix import known_tmix_trial
 from repro.broadcast import flooding_trial, push_pull_trial, spanning_tree_trial
 from repro.core import run_explicit_leader_election, run_leader_election
-from repro.core.result import TrialOutcome
 from repro.faults import CrashFaults, FaultPlan, MessageFaults
 from repro.graphs import (
     expander_graph,
@@ -126,13 +125,11 @@ def compute(case: str) -> Dict[str, object]:
     if algorithm in BUDGETS:
         outcome = BUDGETS[algorithm][0](graph, int(plan_name))
         return {
-            "winners": list(outcome.leaders),
-            "rounds": outcome.metrics.rounds,
-            "messages": outcome.metrics.messages,
-            "message_units": outcome.metrics.message_units,
-            "num_contenders": (
-                outcome.candidates if algorithm == "probe_budget" else outcome.num_contenders
-            ),
+            "winners": list(outcome.winners),
+            "rounds": outcome.rounds,
+            "messages": outcome.messages,
+            "message_units": outcome.message_units,
+            "num_contenders": outcome.num_contenders,
         }
     if algorithm == "explicit":
         explicit = run_explicit_leader_election(graph, seed=SEED)
@@ -146,9 +143,7 @@ def compute(case: str) -> Dict[str, object]:
         }
     plan = PLANS[plan_name]
     if algorithm == "election":
-        outcome = TrialOutcome.from_election(
-            "election", run_leader_election(graph, seed=SEED, fault_plan=plan)
-        )
+        outcome = run_leader_election(graph, seed=SEED, fault_plan=plan)
     elif algorithm == "known_tmix":
         outcome = known_tmix_trial(graph, seed=SEED, fault_plan=plan)
     else:

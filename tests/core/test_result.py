@@ -1,6 +1,6 @@
 """Unit tests for the election outcome aggregation."""
 
-from repro.core.result import ElectionOutcome, outcome_from_simulation
+from repro.core.result import TrialOutcome, classify_election, outcome_from_simulation
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import SimulationResult
 
@@ -29,16 +29,16 @@ class TestOutcomeFromSimulation:
                 {"leader": False, "contender": False},
             ]
         )
-        outcome = outcome_from_simulation(sim)
+        outcome = outcome_from_simulation("election", sim)
         assert outcome.success
         assert outcome.leader == 0
         assert outcome.num_contenders == 2
-        assert outcome.max_phases == 3
-        assert outcome.final_walk_length == 4
+        assert outcome.extras["max_phases"] == 3
+        assert outcome.extras["final_walk_length"] == 4
 
     def test_zero_leaders_failure(self):
         sim = make_simulation([{"leader": False, "contender": False}] * 3)
-        outcome = outcome_from_simulation(sim)
+        outcome = outcome_from_simulation("election", sim)
         assert not outcome.success
         assert outcome.leader is None
         assert outcome.num_leaders == 0
@@ -47,7 +47,7 @@ class TestOutcomeFromSimulation:
         sim = make_simulation(
             [{"leader": True, "contender": True}, {"leader": True, "contender": True}]
         )
-        outcome = outcome_from_simulation(sim)
+        outcome = outcome_from_simulation("election", sim)
         assert not outcome.success
         assert outcome.num_leaders == 2
 
@@ -55,24 +55,29 @@ class TestOutcomeFromSimulation:
         sim = make_simulation(
             [{"leader": True, "contender": True, "forced_stop": True}, {"leader": False}]
         )
-        assert outcome_from_simulation(sim).forced_stop
+        assert outcome_from_simulation("election", sim).extras["forced_stop"]
 
     def test_simulation_not_kept_by_default(self):
         sim = make_simulation([{"leader": True, "contender": True}])
-        assert outcome_from_simulation(sim).simulation is None
-        assert outcome_from_simulation(sim, keep_simulation=True).simulation is sim
+        assert outcome_from_simulation("election", sim).simulation is None
+        assert outcome_from_simulation("election", sim, keep_simulation=True).simulation is sim
 
 
 class TestOutcomeAccessors:
     def make_outcome(self, leaders):
-        return ElectionOutcome(
+        return TrialOutcome(
+            algorithm="election",
+            kind="election",
             num_nodes=8,
-            leaders=leaders,
-            contenders=[0, 1, 2],
+            winners=leaders,
+            classification=classify_election(leaders, []),
             metrics=make_metrics(messages=20, rounds=9),
-            forced_stop=False,
-            max_phases=2,
-            final_walk_length=2,
+            extras={
+                "num_contenders": 3,
+                "forced_stop": False,
+                "max_phases": 2,
+                "final_walk_length": 2,
+            },
         )
 
     def test_metric_accessors(self):

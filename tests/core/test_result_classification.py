@@ -1,7 +1,7 @@
 """Degraded-outcome classification and fault-aware election runs."""
 
 from repro.core import run_leader_election
-from repro.core.result import CLASSIFICATIONS, ElectionOutcome
+from repro.core.result import CLASSIFICATIONS, TrialOutcome, classify_election
 from repro.faults import FaultPlan
 from repro.sim.metrics import RunMetrics
 
@@ -18,15 +18,15 @@ def make_outcome(leaders, crashed=()):
         congestion_events=0,
         completed=True,
     )
-    return ElectionOutcome(
+    return TrialOutcome(
+        algorithm="election",
+        kind="election",
         num_nodes=8,
-        leaders=list(leaders),
-        contenders=list(leaders),
+        winners=list(leaders),
+        classification=classify_election(leaders, crashed),
         metrics=metrics,
-        forced_stop=False,
-        max_phases=1,
-        final_walk_length=1,
         crashed_nodes=list(crashed),
+        extras={"num_contenders": len(leaders)},
     )
 
 
@@ -38,7 +38,10 @@ class TestClassification:
     def test_unique_crashed_leader(self):
         outcome = make_outcome([3], crashed=[3, 5])
         assert outcome.classification == "leader_crashed"
-        assert outcome.success  # one node did elect itself...
+        # One node did elect itself, but it is dead: the trial failed, as
+        # sweep_summary and every campaign report count it.
+        assert outcome.num_leaders == 1
+        assert outcome.success is False
         assert outcome.num_crashed == 2
 
     def test_no_leader(self):

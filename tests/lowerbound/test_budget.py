@@ -74,7 +74,7 @@ class TestProbeElection:
         graph = complete_graph(64)
         outcome = run_budgeted_probe_election(graph, probes_per_candidate=0, seed=9)
         # Candidates never learn of each other: every candidate self-elects.
-        assert outcome.num_leaders == outcome.candidates
+        assert outcome.num_leaders == outcome.num_contenders
 
     def test_probe_election_on_lb_graph_fragmented(self, lb_graph):
         outcome = run_budgeted_probe_election(lb_graph.graph, probes_per_candidate=3, seed=10)
