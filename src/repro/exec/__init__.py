@@ -49,6 +49,7 @@ Quickstart::
         print([r.outcome.messages for r in per_config])
 """
 
+from .._lazy import lazy_exports
 from .algorithms import (
     ALGORITHMS,
     Algorithm,
@@ -57,40 +58,9 @@ from .algorithms import (
     get_algorithm,
     register_algorithm,
 )
-from .backends import (
-    BACKEND_ENV_VAR,
-    ExecutionBackend,
-    SerialBackend,
-    TrialExecutionError,
-    WorkerPoolBackend,
-    add_backend_argument,
-    backend_names,
-    make_backend,
-)
-from .cache import (
-    CACHE_BACKEND_ENV_VAR,
-    CacheBackend,
-    CachedTrial,
-    CacheStats,
-    JsonDirBackend,
-    OutcomeSummary,
-    ResultCache,
-    SqliteBackend,
-    SummaryAggregate,
-    add_cache_backend_argument,
-    cache_backend_names,
-    make_cache_backend,
-)
-from .config import (
-    SIMULATOR_ENV_VAR,
-    TRACE_ENV_VAR,
-    ExecutionProfile,
-    add_execution_arguments,
-)
 from .execute import TrialPayload
 from .fingerprint import canonical_trial_document, code_version_tag, trial_fingerprint
 from .report import BatchSummary, ProgressSink
-from .runner import BatchRunner, TrialResult, default_worker_count, execute_trial
 from .serialize import outcome_from_dict, outcome_to_dict
 from .shard import Shard, shard_index_for
 from .spec import GraphSpec, SweepSpec, TrialSpec, build_graph
@@ -146,3 +116,41 @@ __all__ = [
     "build_graph",
 ]
 
+# A worker's serve loop uses none of the backends, caches, runner or
+# execution profile, so they load on first use.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".backends": (
+            "BACKEND_ENV_VAR",
+            "ExecutionBackend",
+            "SerialBackend",
+            "TrialExecutionError",
+            "WorkerPoolBackend",
+            "add_backend_argument",
+            "backend_names",
+            "make_backend",
+        ),
+        ".cache": (
+            "CACHE_BACKEND_ENV_VAR",
+            "CacheBackend",
+            "CachedTrial",
+            "CacheStats",
+            "JsonDirBackend",
+            "OutcomeSummary",
+            "ResultCache",
+            "SqliteBackend",
+            "SummaryAggregate",
+            "add_cache_backend_argument",
+            "cache_backend_names",
+            "make_cache_backend",
+        ),
+        ".config": (
+            "SIMULATOR_ENV_VAR",
+            "TRACE_ENV_VAR",
+            "ExecutionProfile",
+            "add_execution_arguments",
+        ),
+        ".runner": ("BatchRunner", "TrialResult", "default_worker_count", "execute_trial"),
+    },
+)

@@ -2,13 +2,14 @@
 
 A worker-pool worker runs reference-engine trials far more often than
 anything else, so its interpreter must not pay for numpy, the vectorized
-engine or the mixing-time analysis until a trial needs them: importing
-``repro.exec.worker`` and running the six small baselines of the
-``many-small-trials`` workload leave all three unloaded.  A vectorized
-trial run afterwards in the same process loads the engine then and still
-produces its pinned outcome.  The packages that export those names lazily
-(``repro``, ``repro.graphs``, ``repro.sim``) still resolve every ``__all__``
-name.
+engine or the mixing-time analysis until a trial needs them, nor ever for
+the parent side of ``repro.exec`` (backends, caches, runner, execution
+profile): importing ``repro.exec.worker`` and running the six small
+baselines of the ``many-small-trials`` workload leave all of them
+unloaded.  A vectorized trial run afterwards in the same process loads the
+engine then and still produces its pinned outcome.  The packages that
+export those names lazily (``repro``, ``repro.graphs``, ``repro.sim``,
+``repro.exec``) still resolve every ``__all__`` name.
 """
 
 from __future__ import annotations
@@ -26,8 +27,17 @@ from repro.exec.backends import worker_environment
 from repro.exec.spec import GraphSpec, TrialSpec
 from repro.exec.wire import spec_to_dict
 
-#: Modules only vectorized trials and graph analysis need.
-HEAVY = ("numpy", "repro.sim.vectorized", "repro.graphs.mixing")
+#: Modules only vectorized trials, graph analysis and the parent side of a
+#: campaign need.
+HEAVY = (
+    "numpy",
+    "repro.sim.vectorized",
+    "repro.graphs.mixing",
+    "repro.exec.cache",
+    "repro.exec.backends",
+    "repro.exec.runner",
+    "repro.exec.config",
+)
 
 #: The six reference-engine baselines of the ``many-small-trials`` workload.
 SMALL_TRIALS = (
@@ -98,7 +108,7 @@ class TestLazyExports:
     def test_every_public_name_resolves(self):
         code = (
             "import importlib\n"
-            "for package in ('repro', 'repro.graphs', 'repro.sim'):\n"
+            "for package in ('repro', 'repro.graphs', 'repro.sim', 'repro.exec'):\n"
             "    module = importlib.import_module(package)\n"
             "    for name in module.__all__:\n"
             "        namespace = {}\n"

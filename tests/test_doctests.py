@@ -2,10 +2,11 @@
 
 The public API of ``repro.core``, ``repro.graphs``, ``repro.sim``,
 ``repro.analysis``, ``repro.exec``, ``repro.faults``, ``repro.campaign``,
-``repro.obs``, ``repro.fleet``, ``repro.baselines`` and ``repro.broadcast``
-carries short runnable examples in its docstrings.  CI additionally runs
-``pytest --doctest-modules`` over these packages; this in-suite runner keeps
-the examples honest for anyone who only runs the plain tier-1 suite.
+``repro.obs``, ``repro.fleet``, ``repro.baselines``, ``repro.broadcast`` and
+``repro.lowerbound`` carries short runnable examples in its docstrings.  CI
+additionally runs ``pytest --doctest-modules`` over these packages; this
+in-suite runner keeps the examples honest for anyone who only runs the plain
+tier-1 suite.
 """
 
 import doctest
@@ -23,6 +24,7 @@ import repro.exec
 import repro.faults
 import repro.fleet
 import repro.graphs
+import repro.lowerbound
 import repro.obs
 import repro.sim
 
@@ -38,6 +40,7 @@ PACKAGES = (
     repro.fleet,
     repro.baselines,
     repro.broadcast,
+    repro.lowerbound,
 )
 
 
