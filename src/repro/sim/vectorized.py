@@ -19,18 +19,17 @@ batch of one, and each trial's slot of the batch is its final
 :class:`~repro.core.result.TrialOutcome`, the reference election's shape
 tagged ``extras["simulator"] = "vectorized"``.  Small trials cost mostly
 per-call Python overhead, which a batch pays once for all its trials.  The
-phase loop (:func:`_simulate`)
-calls one function per protocol segment -- :func:`_walk`, :func:`_report`,
-:func:`_distribute`, :func:`_collect`, :func:`_decide` and :func:`_cascade`
--- on one explicit run state, :class:`_Run`, and a :class:`_Phase` per
-phase.  Trial ``t``'s node ``v`` is batch node ``t * n + v``; the CSRs of
-the trials follow one another.  Every segment is a round-synchronous array
-program that advances all of a phase's trees, of every trial, at once over
-flattened ``tree * n + node`` rows, with each trial's trees consecutive
-(``(trial * S + tree) * n + node`` when every trial starts ``S``).  Every
-message of every segment goes through one bulk hop rule,
-:meth:`_Run.hop`: it keeps a round's sends for the per-trial tallies,
-applies the round cap and the fault plans' message adversary
+phase loop (:func:`_simulate`) calls one function per protocol segment --
+:func:`_walk`, :func:`_report`, :func:`_distribute`, :func:`_collect`,
+:func:`_decide` and :func:`_cascade` -- on one explicit run state,
+:class:`_Run`, and a :class:`_Phase` per phase.  Trial ``t``'s node ``v`` is
+batch node ``t * n + v``; the CSRs of the trials follow one another.  Every
+segment is a round-synchronous array program that advances all of a phase's
+trees, of every trial, at once over flattened ``tree * n + node`` rows, with
+each trial's trees consecutive (``(trial * S + tree) * n + node`` when every
+trial starts ``S``).  Every message of every segment goes through one bulk
+hop rule, :meth:`_Run.hop`: it keeps a round's sends for the per-trial
+tallies, applies the round cap and the fault plans' message adversary
 (:class:`_Channel`: edge removal, drop, duplicate, delay), drops and counts
 crash losses, lowers heard-winner rounds and returns each message's arrival
 round and copy count.  REPORT and COLLECT are one converge-cast routine
@@ -40,9 +39,8 @@ over a CSR of the trees' forward edges (deduplicated from the walk's
 ``(tree * n + src) * n + dst`` move keys).  Id sets are packed bitmasks over
 each trial's contenders, indexed by id rank.  What stays per trial: its
 clock, last active round, completion flag, phase count, fault events and
-message tallies (summed per trial once per phase); a trial that stops --
-no survivors, or the round cap -- leaves the batch where it would stop
-alone.
+message tallies (summed per trial once per phase); a trial that stops -- no
+survivors, or the round cap -- leaves the batch where it would stop alone.
 
 Faults follow the reference node's rules for a second and a late copy of
 each message (pinned in ``tests/core/test_copies_and_late_arrivals.py``):

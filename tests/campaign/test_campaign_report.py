@@ -18,7 +18,6 @@ from repro.exec import (
     ExecutionProfile,
     GraphSpec,
     ResultCache,
-    Shard,
     SweepSpec,
     TrialSpec,
 )
@@ -102,7 +101,11 @@ class TestCampaignReport:
     def test_partial_cache_reports_partial_coverage(self, tmp_path):
         campaign = _campaign()
         cache = ResultCache(tmp_path)
-        part = CampaignRunner(campaign, cache, shard=Shard(0, 2)).run()
+        # Cache the first sweep only.  A Shard(0, 2) run is not reliably
+        # partial: a shard owns trials by fingerprint, which folds in the
+        # source digest, so after some code edits one shard owns all eight.
+        first = dataclasses.replace(campaign, sweeps=campaign.sweeps[:1])
+        part = CampaignRunner(first, cache).run()
         report = campaign_report(campaign, cache)
         assert report["cached"] == part.assigned
         assert 0.0 < report["coverage"] < 1.0
