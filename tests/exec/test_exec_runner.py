@@ -50,7 +50,7 @@ def _signature(results):
 
 class TestDeterminism:
     def test_parallel_matches_serial_outcome_sequence(self):
-        """The tentpole guarantee: identical ElectionOutcome sequences."""
+        """The core guarantee: identical outcome sequences."""
         sweep = _sweep()
         serial = BatchRunner(workers=1).run_sweep(sweep)
         parallel = BatchRunner(workers=3).run_sweep(sweep)
