@@ -42,6 +42,24 @@ clock, last active round, completion flag, phase count, fault events and
 message tallies (summed per trial once per phase); a trial that stops -- no
 survivors, or the round cap -- leaves the batch where it would stop alone.
 
+A WALK, REPORT or COLLECT segment runs *still* (:func:`_still`) when nothing
+can act between its rounds: the batch has no channel, nobody in the phase's
+trials has heard of a winner, and the segment's last message arrives by its
+end and by the round cap.  Every message then arrives, once, in the round
+after it is sent, and none carries or raises the heard-winner flag, so
+nothing a round does changes what a later round sends, and the per-round
+work of the hop rule can go.  The still walk (:func:`_walk_still`) keeps
+only the coins, the moves (:func:`_move`, shared with the general walk) and
+the crash filters round by round, and settles the moves' messages, tallies
+and tree joins in chunks of rounds (:func:`_settle_moves`); a still
+converge-cast (:func:`_cast_still`) only merges each send round's live,
+holding, kept members into their parents -- a member's set is final when it
+sends -- and sizes and tallies the sends afterwards, one record per send
+round.  Tallies are sums and a join keeps its row's earliest, smallest-id
+landing, so a still segment's outcome is byte-identical to the general
+path's; what it skips is the flight buffer, the landings and, per message,
+the cap, channel and heard-winner checks.
+
 Faults follow the reference node's rules for a second and a late copy of
 each message (pinned in ``tests/core/test_copies_and_late_arrivals.py``):
 a duplicated walk token carries its walks twice, walks move only while the
@@ -143,6 +161,9 @@ _NONE = np.zeros(0, dtype=np.int64)
 _ALL, _NOTHING = slice(None), slice(0, 0)
 #: Messages the tallies keep before summing them (a phase sums at its end).
 _FLUSH_AT = 1 << 13
+#: Walk moves a still WALK keeps before settling their messages (in chunks
+#: that stay in cache).
+_SETTLE_AT = 1 << 13
 
 
 class VectorizedUnsupported(Exception):
@@ -670,6 +691,7 @@ class _Run:
         "channel",
         "wrng",
         "csr",
+        "isolated",
         "id_bits",
         "walks_per",
         "walk_cap",
@@ -732,6 +754,7 @@ class _Run:
         np.cumsum(degrees, out=indptr[1:])
         indices = np.concatenate([m.csr[1] + t * n for t, m in enumerate(members)])
         self.csr = (indptr, indices, degrees)
+        self.isolated = bool((degrees == 0).any())  # some walk may never move
         self.channel = (
             None
             if all(m.channel is None for m in members)
@@ -931,6 +954,7 @@ class _Phase:
         # the non-origin members by delay, then parent row.
         self.fwd_ptr = self.fwd_dst = self.delay = self.members = np.zeros(0, dtype=np.int64)
         self.winners: List[int] = []  # forest rows of the leaders it elected
+        self.still = 0  # segments that ran still (see _still)
 
     def release(self) -> None:
         """Drop what only the phase's own segments read; the forest keeps
@@ -1004,6 +1028,52 @@ def _open_phase(run: _Run, index: int, active: np.ndarray) -> Optional[_Phase]:
     return _Phase(run, index, window, starters)
 
 
+def _still(run: _Run, ph: _Phase, last_round: int, end: int) -> bool:
+    """Whether a segment of ``ph`` ending before round ``end``, whose last
+    message arrives in round ``last_round``, runs still: nothing can act
+    between its rounds.
+
+    That holds when the batch has no channel (every message arrives, once,
+    in the round after it is sent), no node of the phase's trials has heard
+    of a winner (so no message carries the flag, and none raises it) and the
+    last message arrives by ``end`` and by the round cap (so nothing is cut
+    short).  Trials that left the batch do not count.
+    """
+    if run.channel is not None or last_round > min(end, run.max_rounds):
+        return False
+    heard = (run.learn.reshape(run.B, run.n) != _NEVER).any(axis=1)
+    return not heard[ph.trial].any()
+
+
+def _move(run: _Run, pos: np.ndarray, coins: np.ndarray):
+    """The moves of one WALK round, both walks': a walk at ``pos`` stays when
+    its coin (``coins``, one per walk) is below one half or its node has no
+    neighbour, and a second coin per moving walk picks its port.  Returns
+    the staying and the moving walks, and the moving walks' sources and
+    destinations."""
+    indptr, indices, degrees = run.csr
+    move = coins >= 0.5
+    if run.isolated:
+        move &= degrees[pos] > 0  # tokens on isolated nodes never move
+    moving = move.nonzero()[0]
+    staying = (~move).nonzero()[0]
+    msrc = pos[moving]
+    if not moving.size:
+        return staying, moving, msrc, msrc
+    degm = degrees[msrc]
+    ports = (run.coins(msrc) * degm).astype(np.int64)
+    np.minimum(ports, degm - 1, out=ports)
+    return staying, moving, msrc, indices[indptr[msrc] + ports]
+
+
+def _group(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, sorted, and how often each occurs: the moves'
+    messages, one per distinct move key."""
+    keys = np.sort(keys)
+    first = _runs(keys)
+    return keys[first], np.append(first[1:], keys.size) - first
+
+
 def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     """WALK: every starter's lazy walks as token vectors, one CSR gather per round.
 
@@ -1017,15 +1087,18 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     trials (a mask) whose walk the round cap cut short, or ``None``: a cut
     trial's walk ends where it would end alone, and the others walk on.
     """
+    begin = max(1, ph.window.start)
+    close = ph.window.report_start
+    L = ph.window.walk_length
+    if _still(run, ph, begin + L, close):
+        ph.still += 1
+        _walk_still(run, ph)
+        return None
     n = run.n
     crash = run.crash
     learn = run.learn
     trial_of = run.trial_of
-    indptr, indices, degrees = run.csr
     max_rounds = run.max_rounds
-    begin = max(1, ph.window.start)
-    close = ph.window.report_start
-    L = ph.window.walk_length
     channel = run.channel
     delayed = channel is not None and channel.delay is not None
     move_keys = ph.move_keys
@@ -1063,29 +1136,18 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
             steps = None if steps is None else steps[:0]
             r = min(flight)
             continue
-        move = run.step(r, pos) >= 0.5
-        move &= degrees[pos] > 0  # tokens on isolated nodes never move
-        moving = move.nonzero()[0]
-        staying = (~move).nonzero()[0]
+        staying, moving, msrc, mdst = _move(run, pos, run.step(r, pos))
         stay_pos, stay_own = pos[staying], owners[staying]
         stay_steps = None if steps is None else steps[staying]
         if moving.size:
-            msrc = pos[moving]
             mown = owners[moving]
-            degm = degrees[msrc]
-            ports = (run.coins(msrc) * degm).astype(np.int64)
-            np.minimum(ports, degm - 1, out=ports)
-            mdst = indices[indptr[msrc] + ports]
             # One message per (tree, src, dst[, steps]) move, in lexicographic
             # order; the moves' (tree, src, dst) keys are the tree's forward edges.
             key = (mown * n + run.local_of(msrc)) * n + run.local_of(mdst)
             if delayed:
                 msteps = steps[moving] + 1
                 key = key * (L + 1) + msteps
-            sorted_key = np.sort(key)
-            first = _runs(sorted_key)
-            g_key = sorted_key[first]
-            counts = np.append(first[1:], sorted_key.size) - first
+            g_key, counts = _group(key)
             if delayed:
                 g_move, g_steps = np.divmod(g_key, L + 1)
                 step_bits = _bit_lengths(g_steps)
@@ -1146,6 +1208,119 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
         if not pos.size and not flight:
             return cut
         r += 1
+
+
+def _walk_still(run: _Run, ph: _Phase) -> None:
+    """WALK when nothing can act between its rounds (:func:`_still`).
+
+    Every walk then takes its ``t``-th step in round ``begin + t - 1``, and a
+    move lands, if at all, in the next round: its walk steps on from there
+    at once, whatever its message does.  So only the coins, the moves and
+    the crash filters run round by round; the moves' messages, tallies and
+    tree joins are settled in chunks of rounds (:func:`_settle_moves`), and
+    the trials' activity once, at the end.
+    """
+    crash = run.crash
+    crashing = run.crashing
+    begin = max(1, ph.window.start)
+    L = ph.window.walk_length
+    owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
+    pos = np.repeat(ph.starters, run.walks_per)
+    stepped = np.zeros(run.B, dtype=np.int64)  # last round each trial's walks stepped
+    moves: List[tuple] = []  # unsettled rounds: each round and its moves' trees and ends
+    kept = 0
+    for r in range(begin, begin + L):
+        if crashing:
+            alive = crash[pos] > r
+            if not alive.all():
+                run.tick(r, pos[~alive])
+                pos, owners = pos[alive], owners[alive]
+        if not pos.size:
+            break
+        if run.B == 1:
+            stepped[0] = r
+            coins = run.coins(pos)
+        else:
+            bounds = run.bounds(pos)
+            stepped[np.diff(bounds) > 0] = r
+            coins = run.coins(pos, bounds)
+        staying, moving, msrc, mdst = _move(run, pos, coins)
+        if not moving.size:
+            continue
+        mown = owners[moving]
+        moves.append((r, mown, msrc, mdst))
+        kept += moving.size
+        if crashing:  # a walk moving to a node crashed by then is lost
+            landed = crash[mdst] > r + 1
+            mown, mdst = mown[landed], mdst[landed]
+        if r == begin + L - 1 and mdst.size:
+            run.act(r + 1, mdst)
+        pos, owners = _append(run, (pos[staying], owners[staying]), (mdst, mown))
+        if kept > _SETTLE_AT:
+            _settle_moves(run, ph, moves)
+            moves, kept = [], 0
+    _settle_moves(run, ph, moves)
+    # After their last step, every walk left is a proxy where it stands.
+    np.add.at(ph.proxies, (owners, run.local_of(pos)), 1)
+    run.reach(stepped)
+
+
+def _settle_moves(run: _Run, ph: _Phase, moves: List[tuple]) -> None:
+    """The messages of still WALK rounds, from each round's ``(round, trees,
+    sources, destinations)`` of its moves: what the general walk does round
+    by round, for many rounds at once.  A round's messages -- one per
+    distinct move, in key order, sized by the step and the walks it carries
+    -- go to the tallies as one record, and those that land join their
+    receivers to the trees: in the round of the first to land, through the
+    smallest-id sender.
+    """
+    if not moves:
+        return
+    n = run.n
+    begin = max(1, ph.window.start)
+    span = len(ph.starters) * n * n  # distinct move keys
+    first = moves[0][0]
+    rounds, trees, sources, destinations = zip(*moves)
+    sizes = [column.size for column in trees]
+    keys = np.concatenate(trees) * n + run.local_of(np.concatenate(sources))
+    keys = keys * n + run.local_of(np.concatenate(destinations))
+    keys += np.repeat(np.asarray(rounds) - first, sizes) * span
+    g_key, counts = _group(keys)
+    # Floor division by a scalar is several times faster than np.divmod.
+    g_round = g_key // span
+    g_move = g_key - g_round * span
+    g_round += first
+    ph.move_keys.append(g_move)
+    g_head = g_move // n
+    g_dst = g_move - g_head * n
+    g_own = g_head // n
+    g_src = g_head - g_own * n
+    # Bit lengths of the step (at most L) and of the walks carried (at most
+    # walks_per: a message carries walks of one tree), by table.
+    step_bits = _bit_lengths(np.arange(1, ph.window.walk_length + 1))
+    count_bits = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
+    sizes = (run.id_bits + ph.phase_bits + 1) + step_bits[g_round - begin] + count_bits[counts]
+    senders, receivers = ph.nodes(g_own, g_src), ph.nodes(g_own, g_dst)
+    for lo, hi in zip(*_bounds(g_round)):
+        r = int(g_round[lo])
+        run.metrics.record_bulk("walk_token", sizes[lo:hi], r, senders[lo:hi], receivers[lo:hi])
+    rows = g_own * n + g_dst
+    if run.crashing:
+        landed = run.crash[receivers] > g_round + 1
+        run.count("lost_to_crash", receivers[~landed])
+        landed = np.flatnonzero(landed)
+        rows, g_round, g_src = rows[landed], g_round[landed], g_src[landed]
+    # The messages are in round, then key order: a fresh row's first one is
+    # its earliest, from its smallest-id sender.
+    off = ph.off.reshape(-1)
+    fresh = np.flatnonzero(off[rows] == -1)
+    if fresh.size:
+        order = np.sort(rows[fresh] * rows.size + fresh)  # by row, then message
+        joins = order // rows.size
+        at = order[_runs(joins)] % rows.size
+        joins = rows[at]
+        off[joins] = np.maximum(1, g_round[at] + 1 - ph.window.start)
+        ph.par.reshape(-1)[joins] = g_src[at]
 
 
 def _land(run: _Run, ph: _Phase, r: int, batches, owners, pos, steps):
@@ -1308,10 +1483,6 @@ def _converge_cast(
         np.maximum.at(last, ph.trial[trees], deadline[members])
         run.tick(last)
     crash = run.crash
-    learn = run.learn.copy()  # as the segment found it
-    # Lowest tree whose flagged message reached each node so far: tree s
-    # sees the flag raised by trees before it, and by its own children.
-    told_by = np.full(run.learn.size, S, dtype=np.int64)
     # The origins' rows gather what reaches them, from every round.
     origins = np.arange(S) * n + (ph.starters - ph.node_base)
     deadline[origins] = _NEVER
@@ -1321,14 +1492,22 @@ def _converge_cast(
     holds = held.any(axis=1)
     if counters:
         holds |= counters[0] > 0
+    nodes = ph.nodes(trees, members - trees * n)
+    parents = ph.par.reshape(-1)[members]
+    send_rounds = deadline[members]
+    if _still(run, ph, int(send_rounds[-1]) + 1 if members.size else begin, end):
+        ph.still += 1
+        _cast_still(run, ph, kind, members, nodes, parents, deadline, held, counters, holds)
+        return held[origins], (counters[0][origins] if counters else None)
+    learn = run.learn.copy()  # as the segment found it
+    # Lowest tree whose flagged message reached each node so far: tree s
+    # sees the flag raised by trees before it, and by its own children.
+    told_by = np.full(run.learn.size, S, dtype=np.int64)
     header = run.id_bits + ph.phase_bits + 1
     # A second copy counts twice; without copies counters stay within a
     # phase's walks.
     doubles = run.channel is not None and bool(run.channel.duplicate.any())
     widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
-    nodes = ph.nodes(trees, members - trees * n)
-    parents = ph.par.reshape(-1)[members]
-    send_rounds = deadline[members]
     reached = np.zeros(run.B, dtype=np.int64)
     for lo, hi in zip(*_bounds(send_rounds)):
         r = int(send_rounds[lo])
@@ -1375,6 +1554,62 @@ def _converge_cast(
         holds[rows[keep & holds[f]]] = True
     run.reach(reached)
     return held[origins], (counters[0][origins] if counters else None)
+
+
+def _cast_still(run: _Run, ph: _Phase, kind, members, nodes, parents, deadline, held, counters, holds):
+    """A converge-cast when nothing can act between its rounds (:func:`_still`),
+    for :func:`_converge_cast`, whose send slots, batch nodes, parents and
+    holdings it takes.
+
+    Nobody knows of a winner, so only live holders send, and every message
+    lands in the round after it is sent: a member's set is final when it
+    sends.  So the levels (send rounds) only merge the sets of their live,
+    holding and kept members into their parents, in order; the sends are
+    sized and tallied, one record per send round, afterwards.
+    """
+    n = run.n
+    crash = run.crash
+    trees = members // n
+    rows = trees * n + parents
+    receivers = ph.nodes(trees, parents)
+    send_rounds = deadline[members]
+    # A parent keeps what lands by its own send round; under crash-stops, a
+    # member sends only while it lives, and its message lands only at a
+    # parent that still lives.
+    merges = deadline[rows] > send_rounds
+    live = slice(None)
+    if run.crashing:
+        live = crash[nodes] > send_rounds
+        merges &= live & (crash[receivers] > send_rounds + 1)
+    for lo, hi in zip(*_bounds(send_rounds)):
+        at = (holds[members[lo:hi]] & merges[lo:hi]).nonzero()[0]
+        if not at.size:
+            continue
+        at += lo
+        f = members[at]
+        _scatter(rows[at], held[f], [c[f] for c in counters], held, counters)
+        holds[rows[at]] = True
+    reached = np.zeros(run.B, dtype=np.int64)
+    if send_rounds[live].size:
+        _reach(run, reached, nodes[live], send_rounds[live])
+    sent = holds[members]
+    if run.crashing:
+        sent &= live
+    if sent.any():
+        f, src, dst, rounds = members[sent], nodes[sent], receivers[sent], send_rounds[sent]
+        sizes = run.id_bits + ph.phase_bits + 1 + run.id_bits * _popcount(held[f])
+        widths = _bit_lengths(np.maximum(np.arange(run.walks_per + 1), 1))
+        for c in counters:
+            sizes += widths[c[f]]
+        for lo, hi in zip(*_bounds(rounds)):
+            run.metrics.record_bulk(kind, sizes[lo:hi], int(rounds[lo]), src[lo:hi], dst[lo:hi])
+        if run.crashing:
+            lost = crash[dst] <= rounds + 1
+            run.count("lost_to_crash", dst[lost])
+            src, rounds = src[~lost], rounds[~lost]
+        if rounds.size:
+            _reach(run, reached, src, rounds + 1)
+    run.reach(reached)
 
 
 def _report(run: _Run, ph: _Phase) -> None:
@@ -1710,6 +1945,7 @@ def _simulate(run: _Run) -> None:
                 leaders=len(run.leaders),
                 messages=messages,
                 message_units=units,
+                still=ph.still,
                 walk_s=walked - started,
                 exchange_s=exchanged - walked,
                 cascade_s=stamp() - exchanged,

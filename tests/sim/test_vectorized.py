@@ -389,7 +389,13 @@ class TestGoldenOutcomes:
 
 class TestTracedRun:
     @pytest.mark.parametrize(
-        "name", ["election-expander-crash", "known_tmix-expander", "election-congestion"]
+        "name",
+        [
+            "election-expander-crash",
+            "known_tmix-expander",
+            "election-congestion",
+            "faulty-drop-expander64",
+        ],
     )
     def test_traced_outcome_matches_untraced(self, name, tmp_path):
         spec, expected = _GOLDEN[name]
@@ -408,3 +414,10 @@ class TestTracedRun:
         for phase in phases:
             for part in ("walk_s", "exchange_s", "cascade_s"):
                 assert phase["attrs"][part] >= 0.0
+        # How many of each phase's walk, REPORT and COLLECT ran still: all
+        # three of [25]'s one phase, none under a message adversary.
+        still = [phase["attrs"]["still"] for phase in phases]
+        if name == "known_tmix-expander":
+            assert still == [3]
+        if name.startswith("faulty-"):
+            assert still == [0] * len(phases)
