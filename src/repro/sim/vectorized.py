@@ -43,22 +43,26 @@ message tallies (summed per trial once per phase); a trial that stops -- no
 survivors, or the round cap -- leaves the batch where it would stop alone.
 
 A WALK, REPORT or COLLECT segment runs *still* (:func:`_still`) when nothing
-can act between its rounds: the batch has no channel, nobody in the phase's
-trials has heard of a winner, and the segment's last message arrives by its
-end and by the round cap.  Every message then arrives, once, in the round
-after it is sent, and none carries or raises the heard-winner flag, so
-nothing a round does changes what a later round sends, and the per-round
-work of the hop rule can go.  The still walk (:func:`_walk_still`) keeps
-only the coins, the moves (:func:`_move`, shared with the general walk) and
-the crash filters round by round, and settles the moves' messages, tallies
-and tree joins in chunks of rounds (:func:`_settle_moves`); a still
-converge-cast (:func:`_cast_still`) only merges each send round's live,
-holding, kept members into their parents -- a member's set is final when it
-sends -- and sizes and tallies the sends afterwards, one record per send
-round.  Tallies are sums and a join keeps its row's earliest, smallest-id
-landing, so a still segment's outcome is byte-identical to the general
-path's; what it skips is the flight buffer, the landings and, per message,
-the cap, channel and heard-winner checks.
+can act between its rounds: the batch has no channel and the segment's last
+message arrives by its end and by the round cap.  Every message then
+arrives, once, in the round after it is sent, so nothing a round does
+changes what a later round sends, and the per-round work of the hop rule
+can go.  A converge-cast also needs nobody in the phase's trials to have
+heard of a winner, since knowing makes a member send; a walk's moves never
+read that flag, so a walk runs still whoever has heard.  The still walk
+(:func:`_walk_still`) keeps only the coins, the moves (:func:`_move`, shared
+with the general walk) and the crash filters round by round, and settles
+the moves' messages, tallies, tree joins and heard-winner flags in chunks
+of rounds (:func:`_settle_moves`); a still converge-cast
+(:func:`_cast_still`) only merges each send round's live, holding, kept
+members into their parents -- a member's set is final when it sends -- and
+sizes and tallies the sends afterwards, one record per send round.  Tallies
+are sums, a join keeps its row's earliest, smallest-id landing and the flag
+passes on in round order, so a still segment's outcome is byte-identical to
+the general path's; what it skips is the flight buffer, the landings and,
+per message, the cap and channel checks.  The general walk thus runs only
+for a batch with a channel or a walk the round cap cuts short; every walk
+there carries its step count, since delays put walks out of step.
 
 Faults follow the reference node's rules for a second and a late copy of
 each message (pinned in ``tests/core/test_copies_and_late_arrivals.py``):
@@ -1028,21 +1032,23 @@ def _open_phase(run: _Run, index: int, active: np.ndarray) -> Optional[_Phase]:
     return _Phase(run, index, window, starters)
 
 
-def _still(run: _Run, ph: _Phase, last_round: int, end: int) -> bool:
-    """Whether a segment of ``ph`` ending before round ``end``, whose last
-    message arrives in round ``last_round``, runs still: nothing can act
-    between its rounds.
+def _still(run: _Run, trials: np.ndarray, last_round: int, end: int) -> bool:
+    """Whether a segment ending before round ``end``, whose last message
+    arrives in round ``last_round``, runs still: nothing can act between its
+    rounds.  ``trials`` (with repeats) are those whose sends depend on the
+    heard-winner flag: the phase's trials for REPORT and COLLECT, where
+    knowing makes a member send, and none for WALK, whose moves never read
+    the flag (:func:`_settle_moves` passes it on).
 
     That holds when the batch has no channel (every message arrives, once,
-    in the round after it is sent), no node of the phase's trials has heard
-    of a winner (so no message carries the flag, and none raises it) and the
-    last message arrives by ``end`` and by the round cap (so nothing is cut
-    short).  Trials that left the batch do not count.
+    in the round after it is sent), the last message arrives by ``end`` and
+    by the round cap (so nothing is cut short), and no node of ``trials``
+    has heard of a winner.  Trials that left the batch do not count.
     """
     if run.channel is not None or last_round > min(end, run.max_rounds):
         return False
     heard = (run.learn.reshape(run.B, run.n) != _NEVER).any(axis=1)
-    return not heard[ph.trial].any()
+    return not heard[trials].any()
 
 
 def _move(run: _Run, pos: np.ndarray, coins: np.ndarray):
@@ -1077,20 +1083,21 @@ def _group(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     """WALK: every starter's lazy walks as token vectors, one CSR gather per round.
 
-    Grows the trees (join offsets, parents, forward-edge move keys) and the
-    proxy counts.  A round's moves go through the hop rule as one message per
+    Runs still (:func:`_walk_still`) unless the batch has a channel or the
+    round cap falls inside the walk.  Grows the trees (join offsets, parents,
+    forward-edge move keys) and the proxy counts.  Every walk carries its
+    step count.  A round's moves go through the hop rule as one message per
     ``(tree, src, dst, steps)``, and every copy lands, with the walks it
-    carries, in an in-flight buffer under its arrival round.  Walks move while
-    the WALK segment is open; an unfinished walk that lands after it closed
-    never moves again.  Without delays every walk takes its ``t``-th step in
-    round ``begin + t - 1``, so steps are not tracked per walk.  Returns the
-    trials (a mask) whose walk the round cap cut short, or ``None``: a cut
-    trial's walk ends where it would end alone, and the others walk on.
+    carries, in an in-flight buffer under its arrival round.  Walks move
+    while the WALK segment is open; an unfinished walk that lands after it
+    closed never moves again.  Returns the trials (a mask) whose walk the
+    round cap cut short, or ``None``: a cut trial's walk ends where it would
+    end alone, and the others walk on.
     """
     begin = max(1, ph.window.start)
     close = ph.window.report_start
     L = ph.window.walk_length
-    if _still(run, ph, begin + L, close):
+    if _still(run, _NONE, begin + L, close):
         ph.still += 1
         _walk_still(run, ph)
         return None
@@ -1099,13 +1106,11 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
     learn = run.learn
     trial_of = run.trial_of
     max_rounds = run.max_rounds
-    channel = run.channel
-    delayed = channel is not None and channel.delay is not None
     move_keys = ph.move_keys
     base_bits = run.id_bits + ph.phase_bits + 1
     owners = np.repeat(np.arange(len(ph.starters), dtype=np.int64), run.walks_per)
     pos = np.repeat(ph.starters, run.walks_per)
-    steps = np.zeros(pos.size, dtype=np.int64) if delayed else None
+    steps = np.zeros(pos.size, dtype=np.int64)
     crashing = run.crashing
     flight: Dict[int, list] = {}  # arrival round -> landing batches
     cut = None  # trials the round cap stopped
@@ -1127,36 +1132,28 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
                 alive = crash[pos] > r
                 if not alive.all():
                     run.tick(r, pos[~alive])
-                    pos, owners = pos[alive], owners[alive]
-                    steps = None if steps is None else steps[alive]
+                    pos, owners, steps = pos[alive], owners[alive], steps[alive]
         if not pos.size or r >= close:  # nothing moves this round
             if not flight:
                 return cut
-            pos, owners = pos[:0], owners[:0]
-            steps = None if steps is None else steps[:0]
+            pos, owners, steps = pos[:0], owners[:0], steps[:0]
             r = min(flight)
             continue
         staying, moving, msrc, mdst = _move(run, pos, run.step(r, pos))
-        stay_pos, stay_own = pos[staying], owners[staying]
-        stay_steps = None if steps is None else steps[staying]
+        stay_pos, stay_own, stay_steps = pos[staying], owners[staying], steps[staying]
         if moving.size:
             mown = owners[moving]
-            # One message per (tree, src, dst[, steps]) move, in lexicographic
+            msteps = steps[moving] + 1
+            # One message per (tree, src, dst, steps) move, in lexicographic
             # order; the moves' (tree, src, dst) keys are the tree's forward edges.
             key = (mown * n + run.local_of(msrc)) * n + run.local_of(mdst)
-            if delayed:
-                msteps = steps[moving] + 1
-                key = key * (L + 1) + msteps
+            key = key * (L + 1) + msteps
             g_key, counts = _group(key)
-            if delayed:
-                g_move, g_steps = np.divmod(g_key, L + 1)
-                step_bits = _bit_lengths(g_steps)
-            else:
-                g_move, step_bits = g_key, counter_bits(r - begin + 1)
+            g_move, g_steps = np.divmod(g_key, L + 1)
             move_keys.append(g_move)
             g_head, g_dst = np.divmod(g_move, n)
             g_own, g_src = np.divmod(g_head, n)
-            sizes = base_bits + step_bits + _bit_lengths(counts)
+            sizes = base_bits + _bit_lengths(g_steps) + _bit_lengths(counts)
             senders = ph.nodes(g_own, g_src)
             receivers = ph.nodes(g_own, g_dst)
             got = run.hop("walk_token", sizes, r, senders, receivers, learn[senders] <= r)
@@ -1166,45 +1163,31 @@ def _walk(run: _Run, ph: _Phase) -> Optional[np.ndarray]:
                     cut = np.zeros(run.B, dtype=bool)
                 cut[trial_of[senders]] = True
                 going = ~cut[trial_of[stay_pos]]
-                stay_pos, stay_own = stay_pos[going], stay_own[going]
-                stay_steps = None if stay_steps is None else stay_steps[going]
+                stay_pos, stay_own, stay_steps = stay_pos[going], stay_own[going], stay_steps[going]
             else:
                 arrive, copies = got
+                landing = arrive  # each walk's arrival round
                 if crashing:  # keep what lands: each walk once per copy of its message
-                    if channel is None:
-                        delivered = crash[mdst] > r + 1
-                        mown, mdst = mown[delivered], mdst[delivered]
-                    else:
-                        group = np.searchsorted(g_key, key)
-                        per_walk = copies[group]
-                        mown, mdst = np.repeat(mown, per_walk), np.repeat(mdst, per_walk)
-                        if delayed:
-                            msteps = np.repeat(msteps, per_walk)
-                            landing = np.repeat(arrive[group], per_walk)
+                    group = np.searchsorted(g_key, key)
+                    per_walk = copies[group]
+                    mown, mdst, msteps = (np.repeat(c, per_walk) for c in (mown, mdst, msteps))
+                    if type(arrive) is not int:
+                        landing = np.repeat(arrive[group], per_walk)
                     sent = copies.astype(bool, copy=False)
                     g_own, g_src, g_dst = g_own[sent], g_src[sent], g_dst[sent]
                     arrive = _at(arrive, sent)
-                joins = g_own * n + g_dst
-                if not delayed:
-                    if joins.size:
-                        flight[r + 1] = [(joins, g_src, mown, mdst, None)]
-                else:
-                    for a, a_joins, a_src in _by_round(arrive, joins, g_src):
-                        at = landing == a
-                        batch = (a_joins, a_src, mown[at], mdst[at], msteps[at])
-                        flight.setdefault(a, []).append(batch)
+                # Every delivered message carries walks: both land in the same rounds.
+                for (a, *messages), (_, *walks) in zip(
+                    _by_round(arrive, g_own * n + g_dst, g_src),
+                    _by_round(landing, mown, mdst, msteps),
+                ):
+                    flight.setdefault(a, []).append((*messages, *walks))
         # Walks that stayed took their step in place; finished ones are proxies.
-        if delayed:
-            steps = stay_steps + 1
-            done = steps == L
-            np.add.at(ph.proxies, (stay_own[done], run.local_of(stay_pos[done])), 1)
-            going = ~done
-            owners, pos, steps = stay_own[going], stay_pos[going], steps[going]
-        elif r - begin + 1 == L:
-            np.add.at(ph.proxies, (stay_own, run.local_of(stay_pos)), 1)
-            owners, pos = stay_own[:0], stay_pos[:0]
-        else:
-            owners, pos = stay_own, stay_pos
+        steps = stay_steps + 1
+        done = steps == L
+        np.add.at(ph.proxies, (stay_own[done], run.local_of(stay_pos[done])), 1)
+        going = ~done
+        owners, pos, steps = stay_own[going], stay_pos[going], steps[going]
         if not pos.size and not flight:
             return cut
         r += 1
@@ -1215,10 +1198,11 @@ def _walk_still(run: _Run, ph: _Phase) -> None:
 
     Every walk then takes its ``t``-th step in round ``begin + t - 1``, and a
     move lands, if at all, in the next round: its walk steps on from there
-    at once, whatever its message does.  So only the coins, the moves and
-    the crash filters run round by round; the moves' messages, tallies and
-    tree joins are settled in chunks of rounds (:func:`_settle_moves`), and
-    the trials' activity once, at the end.
+    at once, whatever its message does or carries.  So only the coins, the
+    moves and the crash filters run round by round; the moves' messages,
+    tallies, tree joins and heard-winner flags are settled in chunks of
+    rounds (:func:`_settle_moves`), and the trials' activity once, at the
+    end.
     """
     crash = run.crash
     crashing = run.crashing
@@ -1271,8 +1255,9 @@ def _settle_moves(run: _Run, ph: _Phase, moves: List[tuple]) -> None:
     by round, for many rounds at once.  A round's messages -- one per
     distinct move, in key order, sized by the step and the walks it carries
     -- go to the tallies as one record, and those that land join their
-    receivers to the trees: in the round of the first to land, through the
-    smallest-id sender.
+    receivers to the trees (:func:`_join`).  Round by round, they pass the
+    heard-winner flag on as the hop rule does: a sender that heard by the
+    send round tells a receiver that lives at the arrival round.
     """
     if not moves:
         return
@@ -1310,54 +1295,47 @@ def _settle_moves(run: _Run, ph: _Phase, moves: List[tuple]) -> None:
         run.count("lost_to_crash", receivers[~landed])
         landed = np.flatnonzero(landed)
         rows, g_round, g_src = rows[landed], g_round[landed], g_src[landed]
-    # The messages are in round, then key order: a fresh row's first one is
-    # its earliest, from its smallest-id sender.
+        senders, receivers = senders[landed], receivers[landed]
+    learn = run.learn
+    if (learn != _NEVER).any():  # else no message carries the flag
+        for lo, hi in zip(*_bounds(g_round)):
+            r = int(g_round[lo])
+            told = receivers[lo:hi][learn[senders[lo:hi]] <= r]
+            learn[told] = np.minimum(learn[told], r + 1)
+    _join(ph, rows, g_src, g_round + 1)
+
+
+def _join(ph: _Phase, rows: np.ndarray, senders: np.ndarray, landed) -> None:
+    """Join each of ``rows`` (flat tree rows, one per landed message) that is
+    in no tree yet through its first message, from ``senders[i]``, in the
+    round it landed (``landed``: one round, or one per message).  The
+    messages are in send order, then key order: a fresh row's first one is
+    its earliest, from its smallest-id sender."""
     off = ph.off.reshape(-1)
     fresh = np.flatnonzero(off[rows] == -1)
-    if fresh.size:
-        order = np.sort(rows[fresh] * rows.size + fresh)  # by row, then message
-        joins = order // rows.size
-        at = order[_runs(joins)] % rows.size
-        joins = rows[at]
-        off[joins] = np.maximum(1, g_round[at] + 1 - ph.window.start)
-        ph.par.reshape(-1)[joins] = g_src[at]
+    if not fresh.size:
+        return
+    order = np.sort(rows[fresh] * rows.size + fresh)  # by row, then message
+    joins = order // rows.size
+    at = order[_runs(joins)] % rows.size
+    joins = rows[at]
+    off[joins] = np.maximum(1, _at(landed, at) - ph.window.start)
+    ph.par.reshape(-1)[joins] = senders[at]
 
 
 def _land(run: _Run, ph: _Phase, r: int, batches, owners, pos, steps):
-    """Walks landing in round ``r``: the trees they join, the proxies they
-    finish at, and the residents with the unfinished ones appended (only
-    while the WALK segment is open).
-
-    A node joins a tree in the round its first walks of that tree land,
-    through the earliest-sent, then smallest-id, of their senders (the
-    batches are in send order).
+    """Walks landing in round ``r``, from the ``(rows, senders, owners,
+    positions, steps)`` batches of their messages, in send order: the trees
+    they join (:func:`_join`), the proxies they finish at, and the residents
+    with the unfinished ones appended (only while the WALK segment is open).
     """
-    n = run.n
-    off = ph.off.reshape(-1)
-    par = ph.par.reshape(-1)
-    for joins, senders, *_walks in batches:
-        fresh = off[joins] == -1
-        if fresh.any():
-            joins, senders = np.divmod(np.sort(joins[fresh] * n + senders[fresh]), n)
-            first = _runs(joins)
-            off[joins[first]] = max(1, r - ph.window.start)
-            par[joins[first]] = senders[first]
-    if len(batches) == 1:
-        l_own, l_pos, l_steps = batches[0][2:]
-    else:
-        l_own, l_pos, l_steps = (np.concatenate(parts) for parts in list(zip(*batches))[2:])
-        if run.B > 1:  # each batch runs trial by trial; so must their union
-            order = np.argsort(run.trial_of[l_pos], kind="stable")
-            l_own, l_pos, l_steps = l_own[order], l_pos[order], l_steps[order]
+    rows, senders, l_own, l_pos, l_steps = (np.concatenate(parts) for parts in zip(*batches))
+    if len(batches) > 1 and run.B > 1:  # each batch runs trial by trial; so must their union
+        order = np.argsort(run.trial_of[l_pos], kind="stable")
+        l_own, l_pos, l_steps = l_own[order], l_pos[order], l_steps[order]
+    _join(ph, rows, senders, r)
     run.act(r, l_pos)
-    L = ph.window.walk_length
-    if l_steps is None:  # walks in step: all landed walks took r - begin steps
-        if r - max(1, ph.window.start) == L:
-            np.add.at(ph.proxies, (l_own, run.local_of(l_pos)), 1)
-            return owners, pos, steps
-        pos, owners = _append(run, (pos, owners), (l_pos, l_own))
-        return owners, pos, steps
-    done = l_steps == L
+    done = l_steps == ph.window.walk_length
     np.add.at(ph.proxies, (l_own[done], run.local_of(l_pos[done])), 1)
     going = ~done & (r < ph.window.report_start)
     pos, owners, steps = _append(
@@ -1495,7 +1473,7 @@ def _converge_cast(
     nodes = ph.nodes(trees, members - trees * n)
     parents = ph.par.reshape(-1)[members]
     send_rounds = deadline[members]
-    if _still(run, ph, int(send_rounds[-1]) + 1 if members.size else begin, end):
+    if _still(run, ph.trial, int(send_rounds[-1]) + 1 if members.size else begin, end):
         ph.still += 1
         _cast_still(run, ph, kind, members, nodes, parents, deadline, held, counters, holds)
         return held[origins], (counters[0][origins] if counters else None)
