@@ -53,7 +53,6 @@ __all__ = [
     "TrialOutcome",
     "ExplicitElectionOutcome",
     "LeaderElectionNode",
-    "leader_election_factory",
     "run_leader_election",
     "run_explicit_leader_election",
     "BatchRunner",
@@ -76,8 +75,7 @@ __getattr__, __dir__ = lazy_exports(
             "ExplicitElectionOutcome",
             "LeaderElectionNode",
             "TrialOutcome",
-            "leader_election_factory",
-            "paper_parameters",
+                    "paper_parameters",
             "run_explicit_leader_election",
             "run_leader_election",
         ),

@@ -18,28 +18,18 @@ from typing import Optional, Sequence
 
 from ..core.leader_election import LeaderElectionNode
 from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
-from ..core.result import TrialOutcome, outcome_from_simulation
-from ..core.schedule import PhaseSchedule
+from ..core.result import TrialOutcome
+from ..core.runner import ElectionRecipe
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
-from ..sim.harness import build_network
-from ..sim.network import MessageObserver, SimulationResult
-from ..sim.node import NodeContext
+from ..sim.network import MessageObserver
 
 __all__ = [
-    "KNOWN_TMIX_PORT_STREAM",
-    "KNOWN_TMIX_NETWORK_STREAM",
     "KnownTmixNode",
     "pin_walk_length",
-    "known_tmix_factory",
+    "known_tmix_recipe",
     "known_tmix_trial",
-    "simulate_known_tmix",
 ]
-
-#: The baseline's historical seed streams: port numbering and per-node
-#: randomness.  Every engine and the live deployment draw from these.
-KNOWN_TMIX_PORT_STREAM = 0x41
-KNOWN_TMIX_NETWORK_STREAM = 0x42
 
 
 class KnownTmixNode(LeaderElectionNode):
@@ -76,46 +66,32 @@ def pin_walk_length(
     )
 
 
-def known_tmix_factory(
-    mixing_time: int,
+def known_tmix_recipe(
+    graph: Graph,
+    mixing_time: Optional[int] = None,
     params: ElectionParameters = DEFAULT_PARAMETERS,
     safety_factor: float = 1.0,
-):
-    """Protocol factory with the walk length pinned to ``safety_factor * t_mix``."""
-    pinned = pin_walk_length(params, mixing_time, safety_factor)
+    max_rounds: Optional[int] = None,
+) -> ElectionRecipe:
+    """The [25] baseline's :class:`~repro.core.runner.ElectionRecipe` on ``graph``.
 
-    def factory(ctx: NodeContext) -> KnownTmixNode:
-        return KnownTmixNode(ctx, params=pinned)
-
-    return factory
-
-
-def simulate_known_tmix(
-    graph: Graph,
-    mixing_time: int,
-    params: ElectionParameters,
-    safety_factor: float,
-    seed: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    max_rounds: int,
-    observers: Sequence[MessageObserver],
-) -> SimulationResult:
-    """One [25]-baseline run on the shared harness (historical seed streams).
-
-    Phase-anchored crash plans resolve against the schedule of the *pinned*
-    parameters -- the walk length every node actually runs with.
+    ``mixing_time=None`` computes the exact ``t_mix`` of ``graph`` through
+    :func:`~repro.graphs.mixing.cached_mixing_time`, so a sweep that reuses
+    one graph instance pays its dense ``n x n`` matrix products once, not
+    once per trial.  Every node runs the walk length pinned to
+    ``safety_factor * t_mix``, and phase-anchored crash plans resolve
+    against the schedule of those pinned parameters.
     """
-    pinned = pin_walk_length(params, mixing_time, safety_factor)
-    return build_network(
-        graph,
-        known_tmix_factory(mixing_time, params=params, safety_factor=safety_factor),
-        seed=seed,
-        port_stream=KNOWN_TMIX_PORT_STREAM,
-        network_stream=KNOWN_TMIX_NETWORK_STREAM,
-        fault_plan=fault_plan,
-        phase_start_of=PhaseSchedule(pinned).phase_start,
-        observers=observers,
-    ).run(max_rounds=max_rounds)
+    if mixing_time is None:
+        from ..graphs.mixing import cached_mixing_time
+
+        mixing_time = cached_mixing_time(graph)
+    return ElectionRecipe(
+        "known_tmix",
+        pin_walk_length(params, mixing_time, safety_factor),
+        max_rounds=max_rounds,
+        mixing_time=mixing_time,
+    )
 
 
 def known_tmix_trial(
@@ -126,24 +102,13 @@ def known_tmix_trial(
     safety_factor: float = 1.0,
     seed: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    max_rounds: int = 1_000_000,
+    max_rounds: Optional[int] = None,
     observers: Sequence[MessageObserver] = (),
 ) -> TrialOutcome:
-    """Run the [25] baseline and return the unified trial outcome.
-
-    ``mixing_time=None`` computes the exact ``t_mix`` of ``graph`` through
-    :func:`~repro.graphs.mixing.cached_mixing_time`, so a sweep that reuses
-    one graph instance pays its dense ``n x n`` matrix products once, not
-    once per trial.  A non-empty ``fault_plan`` runs the single oracle-length
-    phase against that adversary.
+    """Run the [25] baseline of :func:`known_tmix_recipe` and return the
+    unified trial outcome, which records the oracle ``t_mix`` in
+    ``extras["mixing_time"]``.  A non-empty ``fault_plan`` runs the single
+    oracle-length phase against that adversary.
     """
-    if mixing_time is None:
-        from ..graphs.mixing import cached_mixing_time
-
-        mixing_time = cached_mixing_time(graph)
-    result = simulate_known_tmix(
-        graph, mixing_time, params, safety_factor, seed, fault_plan, max_rounds, observers
-    )
-    outcome = outcome_from_simulation("known_tmix", result)
-    outcome.extras["mixing_time"] = mixing_time
-    return outcome
+    recipe = known_tmix_recipe(graph, mixing_time, params, safety_factor, max_rounds)
+    return recipe.run(graph, seed, fault_plan, observers=observers)

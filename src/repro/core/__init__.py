@@ -9,7 +9,7 @@ from .identity import (
     expected_contenders,
     initialise_node,
 )
-from .leader_election import LeaderElectionNode, leader_election_factory
+from .leader_election import LeaderElectionNode
 from .params import DEFAULT_PARAMETERS, ElectionParameters, paper_parameters
 from .result import (
     CLASSIFICATIONS,
@@ -18,7 +18,7 @@ from .result import (
     TrialOutcome,
     outcome_from_simulation,
 )
-from .runner import build_election_network, run_leader_election
+from .runner import ElectionRecipe, build_election_network, run_leader_election
 from .schedule import PhaseSchedule, PhaseWindow, Segment
 from .walks import WalkTreeState, binomial, lazy_step_counts, split_over_ports
 
@@ -40,12 +40,12 @@ __all__ = [
     "lazy_step_counts",
     "split_over_ports",
     "LeaderElectionNode",
-    "leader_election_factory",
     "TrialOutcome",
     "CLASSIFICATIONS",
     "KIND_CLASSIFICATIONS",
     "SUCCESS_CLASSIFICATIONS",
     "outcome_from_simulation",
+    "ElectionRecipe",
     "run_leader_election",
     "build_election_network",
     "ExplicitElectionOutcome",

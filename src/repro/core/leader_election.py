@@ -41,7 +41,7 @@ from .params import DEFAULT_PARAMETERS, ElectionParameters
 from .schedule import PhaseSchedule
 from .walks import WalkTreeState
 
-__all__ = ["LeaderElectionNode", "leader_election_factory"]
+__all__ = ["LeaderElectionNode"]
 
 
 class LeaderElectionNode(Protocol):
@@ -513,14 +513,3 @@ class LeaderElectionNode(Protocol):
                 self.latest_tree_phase[origin] = phase
         return tree
 
-
-def leader_election_factory(
-    params: ElectionParameters = DEFAULT_PARAMETERS,
-    assumed_n: Optional[int] = None,
-):
-    """Return a protocol factory for :class:`repro.sim.Network`."""
-
-    def factory(ctx: NodeContext) -> LeaderElectionNode:
-        return LeaderElectionNode(ctx, params=params, assumed_n=assumed_n)
-
-    return factory

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tup
 
 from ..baselines.clique_sublinear import clique_sublinear_trial
 from ..baselines.controlled_flooding import controlled_flooding_trial, flood_max_trial
-from ..baselines.known_tmix import known_tmix_trial
+from ..baselines.known_tmix import known_tmix_recipe, known_tmix_trial
 from ..broadcast.flooding import flooding_trial
 from ..broadcast.push_pull import push_pull_trial
 from ..broadcast.spanning_tree import spanning_tree_trial
@@ -243,21 +243,11 @@ def _run_paper_election(graph: Graph, spec: TrialSpec) -> TrialOutcome:
 
 # ----------------------------------------------------------------- baselines
 def _known_tmix_batch(graph: Graph, spec: TrialSpec):
-    from ..graphs.mixing import cached_mixing_time
-    from ..sim.vectorized import vectorized_known_tmix_trial
+    from ..sim.vectorized import VectorizedTrial
 
     kwargs = _vectorized_kwargs(spec, ("observers",))
-    t_mix = kwargs.pop("mixing_time", None)
-    if t_mix is None:
-        t_mix = cached_mixing_time(graph)
-    return vectorized_known_tmix_trial(
-        graph,
-        t_mix,
-        params=spec.params,
-        seed=spec.seed,
-        fault_plan=spec.effective_fault_plan,
-        **kwargs,
-    )
+    recipe = known_tmix_recipe(graph, params=spec.params, **kwargs)
+    return VectorizedTrial(graph, recipe, spec.seed, spec.effective_fault_plan)
 
 
 @register_algorithm(
@@ -275,15 +265,12 @@ def _run_known_tmix(graph: Graph, spec: TrialSpec) -> TrialOutcome:
     exact mixing time is computed in the worker (deterministic per graph and
     memoised on the instance, so serial sweeps pay it once).
     """
-    kwargs = dict(spec.algo_kwargs)
-    t_mix = kwargs.pop("mixing_time", None)
     return known_tmix_trial(
         graph,
-        t_mix,
         params=spec.params,
         seed=spec.seed,
         fault_plan=spec.effective_fault_plan,
-        **kwargs,
+        **spec.algo_kwargs,
     )
 
 

@@ -117,7 +117,7 @@ def run_walk_budget_election(
     observers: Sequence[MessageObserver] = (),
     c1: float = 3.0,
     c2: float = 1.0,
-    max_rounds: int = 1_000_000,
+    max_rounds: Optional[int] = None,
 ) -> TrialOutcome:
     """Budget-limited election via bounded-length random walks.
 

@@ -163,7 +163,7 @@ def run_unknown_n_experiment(
     base: Graph,
     params: ElectionParameters = DEFAULT_PARAMETERS,
     seed: Optional[int] = None,
-    max_rounds: int = 10_000_000,
+    max_rounds: Optional[int] = None,
 ) -> UnknownSizeExperimentResult:
     """Run the election on a dumbbell while nodes believe ``n = |base|``.
 

@@ -11,7 +11,8 @@ exchanging :mod:`repro.exec.wire` frames over TCP or Unix-domain sockets:
   (message drops/delays on the relay, crash-stops as ``SIGKILL``), and
   aggregates the final :class:`~repro.core.result.TrialOutcome`;
 * :mod:`repro.net.transport` -- framing, addresses, and the payload codec;
-* :mod:`repro.net.protocols` -- per-algorithm deployment profiles;
+* :mod:`repro.net.protocols` -- which specs deploy live, as which
+  :class:`~repro.core.runner.ElectionRecipe`;
 * :mod:`repro.net.faults` -- the plan-to-transport fault mapping;
 * :mod:`repro.net.status` -- the stdlib REST status endpoint.
 
@@ -25,7 +26,7 @@ checks it in one call::
     python -m repro.net.coordinator --family expander --n 8 --seed 42 --verify
 """
 
-from .protocols import LIVE_ALGORITHMS, get_profile
+from .protocols import LIVE_ALGORITHMS, live_recipe
 from .status import StatusBoard, StatusServer, write_snapshot
 from .transport import NET_WIRE_VERSION, FrameStream, parse_address
 
@@ -56,7 +57,7 @@ __all__ = [
     "cross_validate",
     "run_live_trial",
     "LIVE_ALGORITHMS",
-    "get_profile",
+    "live_recipe",
     "StatusBoard",
     "StatusServer",
     "write_snapshot",

@@ -6,11 +6,11 @@ into a *live* distributed run: one OS process per node (see
 synchronous-round message router.
 
 The coordinator builds the same :class:`~repro.sim.network.Network` a
-simulated run of the spec builds (:func:`~repro.sim.harness.build_network`:
-same port numbering, seed streams and fault injector), with a stand-in
-protocol per node, and drives its event loop, :meth:`Network.rounds
-<repro.sim.network.Network.rounds>`, with frame exchanges in place of
-protocol calls:
+simulated run of the spec builds (:meth:`ElectionRecipe.network
+<repro.core.runner.ElectionRecipe.network>`: same port numbering, seed
+streams and fault injector), with a stand-in protocol per node, and drives
+its event loop, :meth:`Network.rounds <repro.sim.network.Network.rounds>`,
+with frame exchanges in place of protocol calls:
 
 * per event round, every node the loop lists receives one ``round`` frame
   (its inbox) and answers one ``acted`` frame (its sends, wake-ups, halted
@@ -50,7 +50,7 @@ from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.params import DEFAULT_PARAMETERS
-from ..core.result import TrialOutcome
+from ..core.result import TrialOutcome, outcome_from_simulation
 from ..exec.backends.workerpool import worker_environment
 from ..exec.serialize import outcome_to_dict
 from ..exec.spec import GraphSpec, TrialSpec
@@ -58,11 +58,10 @@ from ..faults.injector import FaultInjector
 from ..graphs.generators import gilbert_connectivity_radius
 from ..graphs.topology import Graph
 from ..obs.tracer import current_tracer
-from ..sim.harness import build_network
 from ..sim.node import Inbox, Protocol
 from ..sim.rng import derive_seed
 from .faults import plan_from_options
-from .protocols import LIVE_ALGORITHMS, get_profile
+from .protocols import LIVE_ALGORITHMS, live_recipe
 from .status import StatusBoard, StatusServer, write_snapshot
 from .transport import (
     NET_WIRE_VERSION,
@@ -146,8 +145,7 @@ class LiveElection:
         self.status = status if status is not None else StatusBoard()
         self.graph = graph if graph is not None else spec.build_graph()
         self.python = python or sys.executable
-        self.profile = get_profile(spec.algorithm)
-        self.config = self.profile.resolve(spec, self.graph)
+        self.recipe = live_recipe(spec, self.graph)
 
         # Run state (reset per run; an instance serves exactly one run).
         self._ran = False
@@ -184,20 +182,13 @@ class LiveElection:
 
     # --------------------------------------------------------------- the run
     async def _run(self) -> TrialOutcome:
-        spec, graph, profile, config = self.spec, self.graph, self.profile, self.config
+        spec, graph, recipe = self.spec, self.graph, self.recipe
         n = graph.num_nodes
         tracer = current_tracer()
         started = time.monotonic()
 
-        network = build_network(
-            graph,
-            _RemoteNode,
-            seed=spec.seed,
-            port_stream=profile.port_stream,
-            network_stream=profile.network_stream,
-            fault_plan=spec.effective_fault_plan,
-            phase_start_of=profile.phase_start_of(config),
-            known_n=config["known_n"],
+        network = recipe.network(
+            graph, spec.seed, spec.effective_fault_plan, factory=_RemoteNode
         )
         remotes: List[_RemoteNode] = network.protocols
         injector = network.fault_injector
@@ -228,7 +219,8 @@ class LiveElection:
         # result of any node crash-stopped at round 0 (the simulator never
         # calls on_start on those either).
         self.status.update(state="handshake")
-        network_seed = derive_seed(spec.seed, profile.network_stream)
+        network_seed = derive_seed(spec.seed, recipe.streams[1])
+        config = dataclasses.asdict(recipe)
         init_replies = await asyncio.gather(
             *[
                 self._exchange(
@@ -238,7 +230,7 @@ class LiveElection:
                         "version": NET_WIRE_VERSION,
                         "node": node,
                         "degree": remotes[node].ctx.degree,
-                        "known_n": config["known_n"],
+                        "known_n": remotes[node].ctx.known_n,
                         "network_seed": network_seed,
                         "config": config,
                     },
@@ -254,7 +246,7 @@ class LiveElection:
         # it lists act concurrently in their processes, and their replies are
         # replayed in node order, which is the simulator's outbox order.
         barriers = 0
-        for round_number, nodes, inboxes in network.rounds(config["max_rounds"]):
+        for round_number, nodes, inboxes in network.rounds(recipe.max_rounds):
             self._kill_due(injector, round_number, tracer)
             self.status.update(
                 state="running",
@@ -284,7 +276,7 @@ class LiveElection:
         }
         result = network.result(net_events=net_events)
         run_metrics = result.metrics
-        outcome = profile.finish(config, result)
+        outcome = recipe.finish(outcome_from_simulation(recipe.algorithm, result))
         self.status.update(
             state="finished",
             round=run_metrics.rounds,

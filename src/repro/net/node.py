@@ -2,14 +2,14 @@
 
 ``python -m repro.net.node --connect uds:/tmp/x.sock --index 3`` runs one
 node of a live deployment.  The process connects back to the coordinator,
-identifies itself, builds its protocol instance from the config the
-coordinator ships (see :mod:`repro.net.protocols`), and then executes the
-lock-step frame protocol:
+identifies itself, builds its protocol instance from the run's
+:class:`~repro.core.runner.ElectionRecipe`, which the coordinator ships as
+its ``dataclasses.asdict`` (see :mod:`repro.net.protocols`), and then
+executes the lock-step frame protocol:
 
 * ``hello`` (node -> coordinator): version handshake plus the node index;
 * ``init`` (coordinator -> node): degree, resolved ``known_n``, the network
-  seed the node derives its private randomness from, and the algorithm
-  config;
+  seed the node derives its private randomness from, and the recipe;
 * ``ready`` (node -> coordinator): acknowledges construction and carries the
   protocol's initial result snapshot (a node crash-stopped at round 0 is
   represented by exactly this snapshot, matching the simulator, which never
@@ -34,10 +34,10 @@ import asyncio
 import sys
 from typing import List, Optional, Tuple
 
+from ..core.runner import ElectionRecipe
 from ..sim.message import Message
 from ..sim.node import NodeContext
 from ..sim.rng import node_rng
-from .protocols import build_protocol
 from .transport import (
     NET_WIRE_VERSION,
     FrameStream,
@@ -94,7 +94,7 @@ async def run_node(address: str, index: int) -> None:
             send_callback=shim.on_send,
             wake_callback=shim.on_wake,
         )
-        protocol = build_protocol(init["config"], ctx)
+        protocol = ElectionRecipe.from_config(init["config"]).protocol(ctx)
         await stream.send(
             {
                 "op": "ready",

@@ -131,6 +131,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
+from ..core.runner import ElectionRecipe
 from ..faults.injector import FAULT_EVENT_KINDS, crash_schedule, delay_table, removed_edges
 from ..faults.plan import FaultPlan
 from ..graphs.topology import Graph
@@ -150,7 +152,6 @@ __all__ = [
     "VectorizedTrial",
     "run_vectorized_batch",
     "vectorized_election_trial",
-    "vectorized_known_tmix_trial",
 ]
 
 #: Stream id of the bulk walk generator (never drawn by the reference).
@@ -311,65 +312,51 @@ def _by_round(arrive, *columns: np.ndarray):
 
 
 class VectorizedTrial:
-    """The inputs of one engine run, before any of its seed streams is drawn.
+    """The inputs of one engine run, before any of its seed streams is drawn:
+    a graph, the :class:`~repro.core.runner.ElectionRecipe` it runs, a seed,
+    a fault plan and an edge capacity.
 
     Runs with equal :attr:`shape` -- node count, the ``n`` the protocol
-    assumes, parameters (a pinned walk length included), network stream,
-    decide rule, round cap and edge capacity -- share every phase window and
-    message width, so :func:`run_vectorized_batch` can run them as one batch.
-    Everything else (graph, seed, fault plan, a [25] trial's oracle mixing
-    time) stays per trial.
+    assumes, decide rule (the recipe's algorithm), parameters (a pinned walk
+    length included), round cap and edge capacity -- share every phase
+    window and message width, so :func:`run_vectorized_batch` can run them
+    as one batch.  Everything else (graph, seed, fault plan, how ``n`` was
+    told, a [25] trial's oracle mixing time) stays per trial.
     """
 
-    __slots__ = (
-        "graph",
-        "params",
-        "seed",
-        "fault_plan",
-        "max_rounds",
-        "network_stream",
-        "decide_rule",
-        "n_eff",
-        "edge_capacity_words",
-        "mixing_time",
-    )
+    __slots__ = ("graph", "recipe", "seed", "fault_plan", "edge_capacity_words")
 
     def __init__(
         self,
         graph: Graph,
-        params,
-        seed: Optional[int],
-        fault_plan: Optional[FaultPlan],
-        max_rounds: int,
-        network_stream: int,
-        decide_rule: str,
-        known_n: Optional[int] = -1,
-        assumed_n: Optional[int] = None,
+        recipe: ElectionRecipe,
+        seed: Optional[int] = None,
+        fault_plan: Optional[FaultPlan] = None,
         edge_capacity_words: Optional[int] = None,
     ) -> None:
         self.graph = graph
-        self.params = params
+        self.recipe = recipe
         self.seed = seed
         self.fault_plan = fault_plan
-        self.max_rounds = max_rounds
-        self.network_stream = network_stream
-        self.decide_rule = decide_rule
-        resolved = graph.num_nodes if known_n == -1 else known_n
-        self.n_eff = resolved if resolved is not None else assumed_n
         self.edge_capacity_words = edge_capacity_words
-        #: The oracle ``t_mix`` of a [25] trial, recorded in its outcome.
-        self.mixing_time: Optional[int] = None
+
+    @property
+    def n_eff(self) -> Optional[int]:
+        """The ``n`` every node uses: the one it is told, else the assumed one."""
+        known_n = self.recipe.known_n
+        told = self.graph.num_nodes if known_n == -1 else known_n
+        return told if told is not None else self.recipe.assumed_n
 
     @property
     def shape(self) -> tuple:
         """What every member of one batch shares."""
+        recipe = self.recipe
         return (
             self.graph.num_nodes,
             self.n_eff,
-            self.params,
-            self.network_stream,
-            self.decide_rule,
-            self.max_rounds,
+            recipe.algorithm,
+            recipe.params,
+            recipe.max_rounds,
             self.edge_capacity_words,
         )
 
@@ -381,10 +368,10 @@ class _Member:
     __slots__ = ("contenders", "rank", "crash", "has_faults", "wrng", "csr", "channel")
 
     def __init__(self, trial: VectorizedTrial, schedule) -> None:
-        graph, params = trial.graph, trial.params
+        graph, params = trial.graph, trial.recipe.params
         n = graph.num_nodes
         seed = trial.seed if trial.seed is not None else fresh_master_seed()
-        network_seed = derive_seed(seed, trial.network_stream)
+        network_seed = derive_seed(seed, trial.recipe.streams[1])
         n_eff = trial.n_eff
         if n_eff is None:
             raise ProtocolError(
@@ -717,14 +704,14 @@ class _Run:
     )
 
     def __init__(self, trial: VectorizedTrial, members: List[_Member], schedule) -> None:
-        params = trial.params
+        params = trial.recipe.params
         B = self.B = len(members)
         n = self.n = trial.graph.num_nodes
         N = B * n
         n_eff = trial.n_eff
         self.params = params
         self.schedule = schedule
-        self.max_rounds = trial.max_rounds
+        self.max_rounds = trial.recipe.max_rounds
         self.trial_of = np.repeat(np.arange(B, dtype=np.int64), n)
         self.local = np.tile(np.arange(n, dtype=np.int64), B)
         self.trial_starts = np.arange(B + 1, dtype=np.int64) * n
@@ -770,7 +757,7 @@ class _Run:
         # [25]'s rule has no thresholds: every contender that decides stops.
         self.thresholds = (
             (0, 0)
-            if trial.decide_rule == "known_tmix"
+            if trial.recipe.algorithm == "known_tmix"
             else (params.intersection_threshold(n_eff), params.distinctness_threshold(n_eff))
         )
         self.metrics = _Metrics(word_bits_for(n), B, self.trial_of, trial.edge_capacity_words)
@@ -1851,10 +1838,8 @@ def _outcome(run: _Run, t: int, trial: VectorizedTrial):
         "final_walk_length": run.schedule.window(phases - 1).walk_length if phases else 0,
         "simulator": "vectorized",
     }
-    if trial.mixing_time is not None:
-        extras["mixing_time"] = trial.mixing_time
-    return TrialOutcome(
-        algorithm=trial.decide_rule,
+    outcome = TrialOutcome(
+        algorithm=trial.recipe.algorithm,
         kind="election",
         num_nodes=n,
         winners=leaders,
@@ -1865,6 +1850,7 @@ def _outcome(run: _Run, t: int, trial: VectorizedTrial):
         crashed_nodes=crashed,
         extras=extras,
     )
+    return trial.recipe.finish(outcome)
 
 
 def _no_clock() -> float:
@@ -1937,22 +1923,19 @@ def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
     union of their graphs.
 
     Returns, per trial and in order, its
-    :class:`~repro.core.result.TrialOutcome` (``algorithm`` is the trial's
-    :attr:`~VectorizedTrial.decide_rule`, ``extras["simulator"]`` is
-    ``"vectorized"``) -- byte-identical to the trial run alone -- or the
-    exception its setup raised (e.g.
-    :class:`VectorizedUnsupported` for duplicate contender ids), which
-    fails that trial only.  Raises :class:`ValueError` for trials of
+    :class:`~repro.core.result.TrialOutcome` (``algorithm`` is that of the
+    trial's recipe, ``extras["simulator"]`` is ``"vectorized"``) --
+    byte-identical to the trial run alone -- or the exception its setup
+    raised (e.g. :class:`VectorizedUnsupported` for duplicate contender
+    ids), which fails that trial only.  Raises :class:`ValueError` for trials of
     different :attr:`VectorizedTrial.shape`.
     """
-    from ..core.schedule import PhaseSchedule
-
     if not trials:
         return []
     lead = trials[0]
     if any(trial.shape != lead.shape for trial in trials):
         raise ValueError("a vectorized batch runs trials of one shape only")
-    schedule = PhaseSchedule(lead.params)
+    schedule = lead.recipe.schedule()
     results: list = [None] * len(trials)
     members: List[_Member] = []
     slots: List[int] = []
@@ -1973,11 +1956,11 @@ def run_vectorized_batch(trials: Sequence[VectorizedTrial]) -> list:
 
 def vectorized_election_trial(
     graph: Graph,
-    params=None,
+    params: ElectionParameters = DEFAULT_PARAMETERS,
     seed: Optional[int] = None,
     known_n: Optional[int] = -1,
     assumed_n: Optional[int] = None,
-    max_rounds: int = 10_000_000,
+    max_rounds: Optional[int] = None,
     edge_capacity_words: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> VectorizedTrial:
@@ -1989,44 +1972,7 @@ def vectorized_election_trial(
     >>> outcome.algorithm, outcome.extras["simulator"], outcome.classification
     ('election', 'vectorized', 'elected')
     """
-    from ..core.params import DEFAULT_PARAMETERS
-    from ..core.runner import ELECTION_NETWORK_STREAM
-
-    return VectorizedTrial(
-        graph,
-        DEFAULT_PARAMETERS if params is None else params,
-        seed,
-        fault_plan,
-        max_rounds,
-        network_stream=ELECTION_NETWORK_STREAM,
-        decide_rule="election",
-        known_n=known_n,
-        assumed_n=assumed_n,
-        edge_capacity_words=edge_capacity_words,
+    recipe = ElectionRecipe(
+        params=params, known_n=known_n, assumed_n=assumed_n, max_rounds=max_rounds
     )
-
-
-def vectorized_known_tmix_trial(
-    graph: Graph,
-    mixing_time: int,
-    params=None,
-    safety_factor: float = 1.0,
-    seed: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    max_rounds: int = 1_000_000,
-) -> VectorizedTrial:
-    """A [25]-baseline run for :func:`run_vectorized_batch`: the walk length
-    pinned as :func:`~repro.baselines.known_tmix.pin_walk_length` pins it,
-    one oracle-length phase under the [25] decision rule, on the baseline's
-    historical network stream."""
-    from ..baselines.known_tmix import KNOWN_TMIX_NETWORK_STREAM, pin_walk_length
-    from ..core.params import DEFAULT_PARAMETERS
-
-    if params is None:
-        params = DEFAULT_PARAMETERS
-    pinned = pin_walk_length(params, mixing_time, safety_factor)
-    trial = VectorizedTrial(
-        graph, pinned, seed, fault_plan, max_rounds, KNOWN_TMIX_NETWORK_STREAM, "known_tmix"
-    )
-    trial.mixing_time = mixing_time
-    return trial
+    return VectorizedTrial(graph, recipe, seed, fault_plan, edge_capacity_words)

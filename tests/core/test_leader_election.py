@@ -10,7 +10,7 @@ import pytest
 from repro.core import (
     DEFAULT_PARAMETERS,
     ElectionParameters,
-    leader_election_factory,
+    LeaderElectionNode,
     run_leader_election,
 )
 from repro.graphs import (
@@ -175,7 +175,7 @@ class TestModelRequirements:
         graph = complete_graph(16)
         ports = PortNumberedGraph(graph, seed=1)
         with pytest.raises(ProtocolError):
-            Network(ports, leader_election_factory(), known_n=None, seed=2)
+            Network(ports, LeaderElectionNode, known_n=None, seed=2)
 
     def test_assumed_n_fallback_is_accepted(self):
         graph = complete_graph(16)
