@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.analysis import sweep_summary
 from repro.campaign import (
     CampaignRunner,
@@ -13,6 +15,7 @@ from repro.campaign import (
     write_report,
 )
 from repro.core import DEFAULT_PARAMETERS, ElectionParameters
+from repro.campaign.spec import expand_trials
 from repro.exec import (
     BatchRunner,
     ExecutionProfile,
@@ -20,6 +23,7 @@ from repro.exec import (
     ResultCache,
     SweepSpec,
     TrialSpec,
+    cache_backend_names,
 )
 from repro.faults import FaultPlan
 
@@ -337,3 +341,73 @@ class TestProfiledReport:
                 reports.append(handle.read())
         assert json.loads(reports[0])["coverage"] == 1.0
         assert reports[0] == reports[1]
+
+    def test_cached_outcomes_read_back_a_profiled_run(self, tmp_path):
+        """``cached_outcomes`` applies the run-wide simulator as the run did,
+        so a profiled campaign's outcomes read back from its cache."""
+        campaign = _campaign()
+        profile = ExecutionProfile(simulator="vectorized")
+        cache = ResultCache(tmp_path)
+        CampaignRunner(campaign, cache, workers=1, profile=profile).run()
+        outcomes = cached_outcomes(campaign, cache, profile)
+        flat = [outcome for per_sweep in outcomes.values() for outcome in per_sweep]
+        assert len(flat) == campaign.num_trials
+        assert all(outcome is not None for outcome in flat)
+        named = _naming_simulator(campaign, "vectorized")
+        assert outcomes == cached_outcomes(named, cache)
+
+
+def _mixed_campaign():
+    """Every outcome kind the report folds: elections (fault-free and with
+    drops), flood-max, flooding and spanning trees, over two sweeps."""
+    clique = GraphSpec("clique", (10,))
+    return CampaignSpec(
+        name="fold-differential",
+        sweeps=(
+            SweepSpec(
+                name="mixed",
+                configs=(
+                    TrialSpec(graph=clique, params=FAST, label="election clean"),
+                    TrialSpec(
+                        graph=clique,
+                        params=FAST,
+                        fault_plan=FaultPlan.dropping(0.1),
+                        label="election drop=0.1",
+                    ),
+                    TrialSpec(graph=clique, algorithm="flood_max", label="flood_max"),
+                    TrialSpec(graph=clique, algorithm="flooding", label="flooding"),
+                    TrialSpec(graph=clique, algorithm="spanning_tree", label="tree"),
+                ),
+                trials=3,
+                base_seed=8,
+            ),
+            SweepSpec(
+                name="untouched",
+                configs=(TrialSpec(graph=clique, algorithm="flood_max", label="never run"),),
+                trials=2,
+                base_seed=9,
+            ),
+        ),
+    )
+
+
+class TestFoldsAgree:
+    """The cache-backed report (one :class:`SummaryAggregate` per
+    configuration) and :func:`sweep_summary` over the full cached outcomes
+    fold to the same rows, partial groups included, on every cache backend."""
+
+    @pytest.mark.parametrize("backend", cache_backend_names())
+    def test_report_rows_equal_sweep_summary_of_cached_outcomes(self, tmp_path, backend):
+        campaign = _mixed_campaign()
+        cache = ResultCache(tmp_path / backend, backend=backend)
+        specs = [spec for _, _, spec, _ in expand_trials(campaign)]
+        # Cache part of it: complete, partial and empty configuration groups.
+        BatchRunner(workers=1, cache=cache).run(specs[:4] + specs[6:8] + specs[10:15])
+        report = campaign_report(campaign, cache)
+        assert 0.0 < report["coverage"] < 1.0
+        outcomes = cached_outcomes(campaign, cache)
+        for sweep, reported in zip(campaign.sweeps, report["sweeps"]):
+            folded = sweep_summary(sweep, outcomes[sweep.name])
+            assert json.dumps(reported["rows"], sort_keys=True) == json.dumps(
+                folded, sort_keys=True
+            )
