@@ -19,12 +19,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.params import DEFAULT_PARAMETERS, ElectionParameters
 from ..core.result import CLASSIFICATIONS, KIND_CLASSIFICATIONS
 from ..exec.algorithms import get_algorithm
-from ..exec.cache import SummaryAggregate
+from ..exec.cache.base import SummaryAggregate, aggregate_summaries, summary_from_outcome
 from ..exec.spec import SweepSpec, TrialSpec
 from ..faults.plan import CrashFaults, FaultPlan, MessageFaults
 from ..graphs.mixing import cached_mixing_time
 from ..graphs.topology import Graph
-from .stats import success_rate, summarize
 
 __all__ = [
     "algorithm_robustness_configs",
@@ -172,15 +171,22 @@ def sweep_summary(
     return summarize_config_groups(sweep, sweep.group(list(outcomes)))
 
 
-def _aggregate_row(config: TrialSpec, aggregate: SummaryAggregate):
-    """:func:`_config_row` over an already-folded configuration group.
+def _config_row(config: TrialSpec, group):
+    """One configuration's aggregate row plus its unrounded mean messages.
 
-    The arithmetic mirrors the outcome-list path exactly: success rate and
-    means divide exact integer sums by exact counts -- the same numerator
-    and denominator the list path feeds :func:`success_rate` and
-    :func:`summarize` -- so both paths round to identical values and the
-    report stays byte-identical whichever one produced it.
+    ``group`` is that configuration's outcomes (``None`` per missing trial),
+    folded here with :func:`~repro.exec.cache.aggregate_summaries`, or the
+    :class:`~repro.exec.cache.SummaryAggregate` the streaming report path
+    already folded.  Either way the success rate and the means divide exact
+    integer sums by exact counts, so a list and a cache-side fold of the
+    same outcomes render the same row.
     """
+    if isinstance(group, SummaryAggregate):
+        aggregate = group
+    else:
+        aggregate = aggregate_summaries(
+            len(group), [summary_from_outcome(o) for o in group if o is not None]
+        )
     row: Dict[str, object] = {
         "label": config.label or config.describe(),
         "trials": aggregate.requested,
@@ -193,49 +199,13 @@ def _aggregate_row(config: TrialSpec, aggregate: SummaryAggregate):
         row["messages"] = round(mean_messages, 1)
         row["message_units"] = round(aggregate.sum_message_units / aggregate.done, 1)
         row["rounds"] = round(aggregate.sum_rounds / aggregate.done, 1)
+        # Zero-fill the kind's full label family, then count; stray labels
+        # still land.
         labels = KIND_CLASSIFICATIONS.get(aggregate.kind, CLASSIFICATIONS)
         tallies = {label: 0 for label in labels}
         for label, count in aggregate.classification_counts:
             tallies[label] = tallies.get(label, 0) + count
         row["classifications"] = tallies
-    return row, mean_messages
-
-
-def _config_row(config: TrialSpec, group):
-    """One configuration's aggregate row plus its unrounded mean messages.
-
-    ``group`` holds that configuration's outcomes (``None`` per missing
-    trial): full :class:`TrialOutcome` objects or
-    :class:`~repro.exec.cache.OutcomeSummary` projections -- both aggregate
-    identically because only the summary-projected fields are read.  A pre-folded
-    :class:`~repro.exec.cache.SummaryAggregate` (the streaming report path)
-    is accepted in place of the whole group.
-    """
-    if isinstance(group, SummaryAggregate):
-        return _aggregate_row(config, group)
-    done = [outcome for outcome in group if outcome is not None]
-    row: Dict[str, object] = {
-        "label": config.label or config.describe(),
-        "trials": len(group),
-        "done": len(done),
-    }
-    mean_messages: Optional[float] = None
-    if done:
-        row["success_rate"] = round(success_rate([o.success for o in done]), 3)
-        mean_messages = summarize([o.messages for o in done]).mean
-        row["messages"] = round(mean_messages, 1)
-        row["message_units"] = round(summarize([o.message_units for o in done]).mean, 1)
-        row["rounds"] = round(summarize([o.rounds for o in done]).mean, 1)
-        classified = [o for o in done if hasattr(o, "classification")]
-        if classified:
-            # Zero-fill the kind's full label family, then count; stray
-            # labels still land.
-            labels = KIND_CLASSIFICATIONS.get(classified[0].kind, CLASSIFICATIONS)
-            tallies = {label: 0 for label in labels}
-            for outcome in classified:
-                label = outcome.classification
-                tallies[label] = tallies.get(label, 0) + 1
-            row["classifications"] = tallies
     return row, mean_messages
 
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 from ..analysis.experiments import summarize_config_groups
 from ..core.result import KIND_CLASSIFICATIONS
 from ..exec.cache import ResultCache, atomic_write_bytes
-from ..exec.fingerprint import code_version_tag, trial_fingerprint
+from ..exec.fingerprint import code_version_tag
 from .spec import CampaignSpec, expand_trials
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,22 +48,27 @@ _COLUMNS = (
 )
 
 
-def cached_outcomes(spec: CampaignSpec, cache: ResultCache) -> Dict[str, List[Optional[object]]]:
+def cached_outcomes(
+    spec: CampaignSpec,
+    cache: ResultCache,
+    profile: Optional["ExecutionProfile"] = None,
+) -> Dict[str, List[Optional[object]]]:
     """Per-sweep expansion-ordered outcome lists, ``None`` where not cached.
 
     This materialises every cached :class:`TrialOutcome` -- use it for
     analyses that need full outcomes; :func:`campaign_report` itself streams
     aggregate summaries instead and never holds more than one
-    configuration's worth of data.
+    configuration's worth of data.  Pass the campaign's ``profile`` when it
+    ran under one, as for :func:`campaign_report`: both look trials up
+    through the same :func:`~repro.campaign.spec.expand_trials`.
     """
-    outcomes: Dict[str, List[Optional[object]]] = {}
-    for sweep in spec.sweeps:
-        fingerprints = [trial_fingerprint(trial) for trial in sweep.expand()]
-        outcomes[sweep.name] = [
-            cached.outcome if cached is not None else None
-            for cached in cache.get_many(fingerprints)
-        ]
-    return outcomes
+    fingerprints: Dict[str, List[str]] = {sweep.name: [] for sweep in spec.sweeps}
+    for name, _, _, fingerprint in expand_trials(spec, profile):
+        fingerprints[name].append(fingerprint)
+    return {
+        name: [cached.outcome if cached is not None else None for cached in cache.get_many(prints)]
+        for name, prints in fingerprints.items()
+    }
 
 
 def _streamed_sweep(sweep, trials, cache: ResultCache):

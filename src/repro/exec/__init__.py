@@ -27,9 +27,9 @@ shape first-class support:
 * :class:`ProgressSink` -- live progress and a wall/compute-time summary,
   subscribed through the :mod:`repro.obs` trace-sink API;
 * :class:`Shard` -- deterministic fingerprint-based partitioning, so
-  ``run(specs, shard=Shard(k, m))`` executes slice ``k`` of ``m`` and the
-  union of all slices is bit-identical to the unsharded run (the
-  :mod:`repro.campaign` layer builds multi-machine campaigns on this).
+  ``CampaignRunner(shard=Shard(k, m))`` (:mod:`repro.campaign`) executes
+  slice ``k`` of ``m`` and the union of all slices is bit-identical to the
+  unsharded run.
 
 Quickstart::
 

@@ -14,12 +14,9 @@ for a fixed master seed (pinned registry-wide by
 
 The contract:
 
-* :meth:`submit` dispatches one spec and returns a future-like object
-  (``concurrent.futures.Future`` in every built-in backend) resolving to a
-  :class:`TrialPayload`;
-* :meth:`map` dispatches a batch and yields ``(index, payload)`` pairs in
-  *completion* order -- the runner, not the backend, restores submission
-  order;
+* :meth:`map` -- the one abstract method -- dispatches a batch and yields
+  ``(index, payload)`` pairs in *completion* order; the runner, not the
+  backend, restores submission order;
 * :meth:`start` / :meth:`close` bracket the backend's lifetime (idempotent;
   the backend is also a context manager).  A runner that instantiated the
   backend itself closes it after the batch; a backend instance passed in by
@@ -35,8 +32,7 @@ The contract:
 from __future__ import annotations
 
 import abc
-from concurrent.futures import Future, as_completed
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from ..execute import TrialPayload
 from ..spec import TrialSpec
@@ -80,14 +76,6 @@ class ExecutionBackend(abc.ABC):
         return True
 
     @abc.abstractmethod
-    def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
-        """Dispatch one trial; the future resolves to its payload."""
-
     def map(self, specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPayload]]:
         """Dispatch a batch, yielding ``(index, payload)`` in completion order."""
-        futures: Dict["Future[TrialPayload]", int] = {
-            self.submit(spec): index for index, spec in enumerate(specs)
-        }
-        for future in as_completed(futures):
-            yield futures[future], future.result()
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Iterator, Sequence, Tuple
 
-from ..execute import TrialPayload, batched_payloads, guarded_payload
+from ..execute import TrialPayload, batched_payloads
 from ..spec import TrialSpec
 from .base import ExecutionBackend
 
@@ -19,12 +18,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-
-    def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
-        """Execute immediately; the returned future is already resolved."""
-        future: "Future[TrialPayload]" = Future()
-        future.set_result(guarded_payload(spec))
-        return future
 
     def map(self, specs: Sequence[TrialSpec]) -> Iterator[Tuple[int, TrialPayload]]:
         """Execute lazily, same-shape vectorized trials as one batch each

@@ -326,7 +326,8 @@ class WorkerPoolBackend(ExecutionBackend):
         return self._prepare(spec) is None
 
     def submit(self, spec: TrialSpec) -> "Future[TrialPayload]":
-        """Dispatch ``spec`` as a unit of one."""
+        """Dispatch ``spec`` as a unit of one (outside the backend protocol:
+        :meth:`map` puts same-configuration specs in one unit)."""
         future: "Future[TrialPayload]" = Future()
         self._enqueue([_Member(spec, future.set_result)])
         return future

@@ -227,20 +227,6 @@ class ResultCache:
             results.append(cached)
         return results
 
-    def get_summaries(self, fingerprints: List[str]) -> List[Optional[OutcomeSummary]]:
-        """Batched aggregate summaries, ``None`` per miss (report fast path).
-
-        On SQLite this reads the derived summary columns only -- no payload is
-        deserialised -- which is what lets ``campaign_report`` stream over
-        millions of entries.  Summary lookups count toward the hit/miss
-        accounting exactly like full ``get`` calls.
-        """
-        summaries = self._backend.summaries(list(fingerprints))
-        hits = sum(1 for summary in summaries if summary is not None)
-        self._hits += hits
-        self._misses += len(summaries) - hits
-        return summaries
-
     def get_summary_aggregate(self, fingerprints: List[str]) -> SummaryAggregate:
         """One configuration group folded to exact counts and integer sums.
 
@@ -248,7 +234,7 @@ class ResultCache:
         database (one ``GROUP BY`` over the summary index per fingerprint
         chunk), on the JSON tree it folds the summary rows in Python --
         both bit-identical to :func:`~repro.exec.cache.base.aggregate_summaries`
-        over :meth:`get_summaries`.  Defined over the distinct fingerprints;
+        over the entries' summaries.  Defined over the distinct fingerprints;
         every distinct fingerprint counts toward the hit/miss accounting
         exactly like a ``get``.
         """

@@ -11,13 +11,14 @@ document*: the exact JSON payload the cache has always written to disk
 document verbatim, which is what keeps a merged SQLite cache byte-identical
 to the JSON tree at the report level.
 
-Backends additionally serve :class:`OutcomeSummary` rows -- a tiny derived
-projection (classification, success, message/round counts) -- and
-:class:`SummaryAggregate` folds of whole configuration groups, which is what
-the streaming report path actually consumes: exact counts and integer sums,
+Backends additionally serve :class:`SummaryAggregate` folds of whole
+configuration groups, which is what the streaming report path consumes:
+exact counts and integer sums of each entry's :class:`OutcomeSummary` -- a
+tiny derived projection (classification, success, message/round counts) --
 never a full outcome.  The SQLite backend materialises summaries as
 dedicated columns at write time and folds aggregates inside the database;
-the JSON backend derives both on read.
+the JSON backend derives the summaries on read and folds them with
+:func:`aggregate_summaries`, the reference fold every report row comes from.
 """
 
 from __future__ import annotations

@@ -81,8 +81,8 @@ _CACHE_KIB = 65_536
 #: cheap-and-fast beats maximal compression here.
 _COMPRESS_LEVEL = 1
 
-#: Covering index for the report path: a summary probe or aggregate query is
-#: answered entirely from this B-tree, never touching the (much fatter)
+#: Covering index for the report path: an aggregate query is answered
+#: entirely from this B-tree, never touching the (much fatter)
 #: payload-bearing table pages -- and the whole index of a million-entry
 #: store fits in the page cache.  Bulk merges drop and re-create it (one
 #: sorted build beats a million random insertions), hence the shared DDL.
@@ -287,33 +287,6 @@ class SqliteBackend(CacheBackend):
         self._insert(
             "INSERT OR REPLACE", fingerprint, document, summary_from_document(document)
         )
-
-    def summaries(self, fingerprints: List[str]) -> List[Optional[OutcomeSummary]]:
-        """Summary rows straight from the ``s_*`` columns (no payload parse).
-
-        Each hit costs one covering-index probe and one named-tuple
-        construction, never a JSON deserialisation.
-        """
-        by_fingerprint: Dict[str, OutcomeSummary] = {}
-        for start in range(0, len(fingerprints), _SELECT_CHUNK):
-            chunk = fingerprints[start : start + _SELECT_CHUNK]
-            placeholders = ",".join("?" for _ in chunk)
-            # INDEXED BY: the planner left alone probes the primary-key
-            # index and then fetches the s_* columns from the payload-fat
-            # table rows; pinning the covering index answers the whole
-            # query from its own (page-cache-resident) B-tree.
-            rows = self._connection.execute(
-                "SELECT fingerprint, s_algorithm, s_kind, s_classification,"
-                " s_success, s_messages, s_message_units, s_rounds"
-                " FROM entries INDEXED BY entries_summary"
-                " WHERE fingerprint IN (%s)" % placeholders,
-                chunk,
-            ).fetchall()
-            for row in rows:
-                by_fingerprint[row[0]] = OutcomeSummary(
-                    row[1], row[2], row[3], bool(row[4]), row[5], row[6], row[7]
-                )
-        return [by_fingerprint.get(fingerprint) for fingerprint in fingerprints]
 
     def aggregate(self, fingerprints: List[str]) -> SummaryAggregate:
         """The configuration-group fold pushed down into the database.

@@ -30,7 +30,6 @@ from .spec import GraphSpec, TrialSpec
 __all__ = [
     "TrialPayload",
     "execute_trial",
-    "guarded_payload",
     "batched_payloads",
     "work_units",
     "BATCH_TRIALS",
@@ -171,11 +170,6 @@ def _captured(start: float, run: Callable[[], TrialOutcome]) -> TrialPayload:
         error=None,
         elapsed_seconds=time.perf_counter() - start,
     )
-
-
-def guarded_payload(spec: TrialSpec) -> TrialPayload:
-    """Execute one trial in-process; failures come back as payload data."""
-    return _captured(time.perf_counter(), lambda: execute_trial(spec))
 
 
 #: Same-shape vectorized trials per batch: enough to spread the phase loop's

@@ -27,12 +27,11 @@ dispatch and filled from the parent process after execution (a single
 writer, though entry writes are atomic anyway), making re-runs of large
 campaigns free.
 
-Two extensions serve multi-machine campaigns (see :mod:`repro.campaign`):
-``run(specs, shard=Shard(k, m))`` executes only the trials whose fingerprint
-assigns them to shard ``k`` of ``m``, and ``on_error="capture"`` turns a
-failing trial into a :class:`TrialResult` with ``error`` set instead of
-aborting the whole batch -- the campaign runner's bounded-retry loop is
-built on it.
+``on_error="capture"`` turns a failing trial into a :class:`TrialResult`
+with ``error`` set instead of aborting the whole batch -- the campaign
+runner's bounded-retry loop is built on it.  Sharding a run across machines
+is the campaign's job (``CampaignRunner(shard=Shard(k, m))``, see
+:mod:`repro.campaign`).
 """
 
 from __future__ import annotations
@@ -55,13 +54,12 @@ from .config import ExecutionProfile
 from .execute import (
     TrialPayload,
     _check_capabilities,
+    batched_payloads,
     default_worker_count,
     execute_trial,
-    guarded_payload,
 )
 from .fingerprint import release_trial_document, trial_fingerprint
 from .report import BatchSummary
-from .shard import Shard
 from .spec import GraphSpec, SweepSpec, TrialSpec
 
 __all__ = ["BatchRunner", "TrialResult", "execute_trial", "default_worker_count"]
@@ -112,7 +110,7 @@ class TrialResult:
     """One executed (or cache-served, or failed-and-captured) trial.
 
     ``fingerprint`` is only computed when the runner has a cache configured
-    or the batch is sharded (the inline-graph digest is O(m)); it is the
+    or the caller passed it in (the inline-graph digest is O(m)); it is the
     empty string otherwise.  ``error`` is ``None`` for successful trials; a
     runner in ``on_error="capture"`` mode sets it to the failure's
     one-line description and leaves ``outcome`` as ``None``.
@@ -176,17 +174,9 @@ class BatchRunner:
     def run(
         self,
         specs: Iterable[TrialSpec],
-        shard: Optional[Shard] = None,
         fingerprints: Optional[List[str]] = None,
     ) -> List[TrialResult]:
         """Execute every spec and return results in submission order.
-
-        With ``shard=Shard(k, m)`` only the trials whose fingerprint assigns
-        them to shard ``k`` of ``m`` are executed; the returned list covers
-        just those trials (still in submission order).  Because assignment is
-        by fingerprint, the union of the ``m`` shard runs equals the
-        unsharded run trial for trial, and all shards fill compatible cache
-        entries.
 
         ``fingerprints`` may carry the specs' precomputed trial fingerprints
         (one per spec, in order) to spare recomputation -- the inline-graph
@@ -207,16 +197,10 @@ class BatchRunner:
                 "expected %d fingerprints, got %d" % (len(spec_list), len(fingerprints))
             )
         if fingerprints is None:
-            # The fingerprint is only worth computing when something keys off
-            # it: a cache to consult or a shard assignment to decide.
-            need_fingerprint = self.cache is not None or shard is not None
+            # The fingerprint is only worth computing when a cache keys off it.
             fingerprints = [
-                trial_fingerprint(spec) if need_fingerprint else "" for spec in spec_list
+                trial_fingerprint(spec) if self.cache is not None else "" for spec in spec_list
             ]
-        if shard is not None:
-            keep = [i for i, fp in enumerate(fingerprints) if shard.owns(fp)]
-            spec_list = [spec_list[i] for i in keep]
-            fingerprints = [fingerprints[i] for i in keep]
 
         total = len(spec_list)
         tracer = current_tracer().with_sinks(self.sinks)
@@ -327,9 +311,9 @@ class BatchRunner:
             _result=result,
         )
 
-    def run_sweep(self, sweep: SweepSpec, shard: Optional[Shard] = None) -> List[TrialResult]:
+    def run_sweep(self, sweep: SweepSpec) -> List[TrialResult]:
         """Expand a sweep and run it (flat, ``expand``-ordered results)."""
-        return self.run(sweep.expand(), shard=shard)
+        return self.run(sweep.expand())
 
     # ------------------------------------------------------------- execution
     def _execute_pending(
@@ -343,16 +327,16 @@ class BatchRunner:
         try:
             if owned:
                 backend.start()
-            if wired:
-                specs = [spec for _, _, spec in wired]
-                for position, payload in backend.map(specs):
-                    index, fingerprint, spec = wired[position]
-                    yield index, self._to_result(spec, fingerprint, payload)
             # Trials the backend's workers cannot reach (see the module
-            # docstring) execute in the orchestrating process instead;
-            # outcomes are identical wherever a trial runs.
-            for index, fingerprint, spec in inline:
-                yield index, self._to_result(spec, fingerprint, guarded_payload(spec))
+            # docstring) execute in the orchestrating process instead, as
+            # the serial backend runs them; outcomes are identical wherever
+            # a trial runs.
+            for entries, dispatch in ((wired, backend.map), (inline, batched_payloads)):
+                if not entries:
+                    continue
+                for position, payload in dispatch([spec for _, _, spec in entries]):
+                    index, fingerprint, spec = entries[position]
+                    yield index, self._to_result(spec, fingerprint, payload)
         finally:
             if owned:
                 backend.close()

@@ -166,6 +166,10 @@ class TestSweepSummary:
         message count does not survive 1-decimal rounding still reports 1.0."""
 
         class _Outcome:
+            algorithm = "election"
+            kind = "election"
+            classification = "elected"
+
             def __init__(self, messages):
                 self.messages = messages
                 self.message_units = messages
@@ -199,6 +203,10 @@ class TestSweepSummary:
         more complete clean config."""
 
         class _Outcome:
+            algorithm = "election"
+            kind = "election"
+            classification = "elected"
+
             def __init__(self, messages):
                 self.messages = messages
                 self.message_units = messages
@@ -238,6 +246,10 @@ class TestSweepSummary:
         algorithm with no fault-free config gets no overhead at all."""
 
         class _Outcome:
+            algorithm = "election"
+            kind = "election"
+            classification = "elected"
+
             def __init__(self, messages):
                 self.messages = messages
                 self.message_units = messages

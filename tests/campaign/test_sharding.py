@@ -2,8 +2,9 @@
 
 The load-bearing property of the campaign layer (satellite requirement of the
 campaign PR): for any sweep, partitioning its trials into ``m`` shards by
-fingerprint and running the shards independently -- serially or on 4 workers,
-into separate caches -- must reproduce exactly the trials, outcomes and cache
+fingerprint and running the shards independently as campaign shards
+(``CampaignRunner(shard=Shard(k, m))``) -- serially or on 4 workers, into
+separate caches -- must reproduce exactly the trials, outcomes and cache
 entries of the unsharded single-machine run.  The property test drives random
 small sweeps through both paths for ``m in {2, 3}``.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.core import ElectionParameters
 from repro.exec import (
     BatchRunner,
@@ -86,17 +88,23 @@ def _outcome_records(results):
     return [(trial_fingerprint(r.spec), r.outcome.as_record()) for r in results]
 
 
+def _shard_results(sweep, shard, cache, workers=1):
+    """The trial results of ``shard``'s campaign run of ``sweep`` into ``cache``."""
+    campaign = CampaignSpec(name="sharded", sweeps=(sweep,))
+    result = CampaignRunner(campaign, cache, workers=workers, shard=shard).run()
+    return list(result.results.get(sweep.name, {}).values())
+
+
 class TestUnionOfShardsEqualsUnsharded:
     @given(data=st.data(), num_shards=st.sampled_from([2, 3]))
     @settings(max_examples=15, deadline=None)
-    def test_serial_union_matches(self, data, num_shards):
+    def test_serial_union_matches(self, tmp_path_factory, data, num_shards):
         sweep = _random_sweep(data.draw)
         unsharded = BatchRunner(workers=1).run_sweep(sweep)
         union = []
         for k in range(num_shards):
-            union.extend(
-                BatchRunner(workers=1).run_sweep(sweep, shard=Shard(k, num_shards))
-            )
+            cache = ResultCache(tmp_path_factory.mktemp("shard"))
+            union.extend(_shard_results(sweep, Shard(k, num_shards), cache))
         assert len(union) == len(unsharded) == sweep.num_trials
         assert sorted(_outcome_records(union)) == sorted(_outcome_records(unsharded))
 
@@ -120,9 +128,7 @@ class TestUnionOfShardsEqualsUnsharded:
         executed = 0
         for k in range(num_shards):
             shard_cache = ResultCache(tmp_path / ("shard-%d" % k))
-            results = BatchRunner(workers=4, cache=shard_cache).run_sweep(
-                sweep, shard=Shard(k, num_shards)
-            )
+            results = _shard_results(sweep, Shard(k, num_shards), shard_cache, workers=4)
             executed += len(results)
             merged.merge_from(shard_cache)
         assert executed == sweep.num_trials

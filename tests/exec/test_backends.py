@@ -100,6 +100,23 @@ class TestEnvOverride:
         assert parallel.last_backend_name == "workerpool"
 
 
+class TestProtocol:
+    def test_map_is_the_one_abstract_dispatch_method(self):
+        """A backend needs only ``map``; ``submit`` alone is not a backend."""
+
+        class MapOnly(ExecutionBackend):
+            def map(self, specs):
+                return iter(())
+
+        class SubmitOnly(ExecutionBackend):
+            def submit(self, spec):
+                raise NotImplementedError
+
+        assert list(MapOnly().map([])) == []
+        with pytest.raises(TypeError):
+            SubmitOnly()
+
+
 class TestCallerOwnedLifecycle:
     def test_backend_instance_serves_multiple_batches(self):
         """A caller-owned pool is not closed by the runner between runs."""
@@ -112,10 +129,11 @@ class TestCallerOwnedLifecycle:
         assert _signature(first) == _signature(second)
         assert backend.worker_pids() == []
 
-    def test_submit_returns_future_like(self):
+    def test_map_of_one_spec_answers_it(self):
         spec = _sweep(trials=1).expand()[0]
         for backend in (SerialBackend(), WorkerPoolBackend(workers=1)):
-            payload = backend.submit(spec).result()
+            [(index, payload)] = backend.map([spec])
+            assert index == 0
             assert payload.error is None
             assert payload.outcome.num_nodes == 12
             backend.close()

@@ -13,7 +13,6 @@ from repro.exec import (
     GraphSpec,
     ProgressSink,
     ResultCache,
-    Shard,
     SweepSpec,
     TrialSpec,
     backend_names,
@@ -242,32 +241,6 @@ class _KillFirstSpawnedWorker(TraceSink):
                 return
             self.pid = record["attrs"]["pid"]
         os.kill(self.pid, signal.SIGKILL)
-
-
-class TestShardedRun:
-    def test_sharded_runs_partition_the_sweep(self):
-        sweep = _sweep()
-        unsharded = BatchRunner().run_sweep(sweep)
-        shards = [BatchRunner().run_sweep(sweep, shard=Shard(k, 2)) for k in (0, 1)]
-        assert sum(len(results) for results in shards) == sweep.num_trials
-        union = sorted(
-            (result.spec.label, result.spec.seed, str(result.outcome.as_record()))
-            for results in shards
-            for result in results
-        )
-        reference = sorted(
-            (result.spec.label, result.spec.seed, str(result.outcome.as_record()))
-            for result in unsharded
-        )
-        assert union == reference
-
-    def test_single_shard_is_the_whole_batch(self):
-        sweep = _sweep()
-        assert len(BatchRunner().run_sweep(sweep, shard=Shard(0, 1))) == sweep.num_trials
-
-    def test_sharded_results_carry_fingerprints_without_cache(self):
-        results = BatchRunner().run_sweep(_sweep(), shard=Shard(0, 2))
-        assert all(len(result.fingerprint) == 64 for result in results)
 
 
 class TestReporting:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import ElectionParameters
 from repro.exec import GraphSpec, SweepSpec, TrialSpec, execute_trial, outcome_to_dict, wire
-from repro.exec.execute import TrialPayload, guarded_payload
+from repro.exec.execute import TrialPayload, batched_payloads
 from repro.exec.fingerprint import trial_fingerprint
 from repro.exec.wire import (
     MAX_FRAME_BYTES,
@@ -92,16 +92,14 @@ class TestSpecRoundTrip:
 
 class TestPayloadRoundTrip:
     def test_success_payload(self):
-        payload = guarded_payload(TrialSpec(graph=GraphSpec("clique", (8,)), seed=2))
+        [(_, payload)] = batched_payloads([TrialSpec(graph=GraphSpec("clique", (8,)), seed=2)])
         rebuilt = payload_from_dict(json.loads(json.dumps(payload_to_dict(payload))))
         assert rebuilt.error is None
         assert outcome_to_dict(rebuilt.outcome) == outcome_to_dict(payload.outcome)
         assert rebuilt.elapsed_seconds == payload.elapsed_seconds
 
     def test_failure_payload_rebuilds_builtin_exception(self):
-        payload = guarded_payload(
-            TrialSpec(graph=GraphSpec("cycle", (1,)), params=FAST)
-        )
+        [(_, payload)] = batched_payloads([TrialSpec(graph=GraphSpec("cycle", (1,)), params=FAST)])
         rebuilt = payload_from_dict(json.loads(json.dumps(payload_to_dict(payload))))
         assert rebuilt.outcome is None
         assert rebuilt.error == payload.error
@@ -113,7 +111,7 @@ class TestPayloadRoundTrip:
             params=FAST,
             algo_kwargs={"congest_mode": "strict", "edge_capacity_words": 1},
         )
-        payload = guarded_payload(spec)
+        [(_, payload)] = batched_payloads([spec])
         document = json.loads(json.dumps(payload_to_dict(payload)))
         assert document["error_type"] == "repro.sim.errors.CongestViolationError"
         rebuilt = payload_from_dict(document)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.exec import GraphSpec, TrialSpec
 from repro.exec import worker
-from repro.exec.execute import guarded_payload
+from repro.exec.execute import batched_payloads
 from repro.exec.wire import (
     WIRE_VERSION,
     encode_frame,
@@ -122,7 +122,8 @@ def test_a_unit_answers_each_member_as_it_runs_alone():
     by_member = {frame.pop("member"): frame for frame in frames}
     assert sorted(by_member) == [0, 1, 2]
     for member, spec in enumerate(specs):
-        alone = payload_to_dict(guarded_payload(spec))
+        [(_, payload)] = batched_payloads([spec])
+        alone = payload_to_dict(payload)
         assert by_member[member]["outcome"] == alone["outcome"]
 
 

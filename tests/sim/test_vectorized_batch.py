@@ -16,8 +16,8 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, RetryPolicy, write_report
 from repro.exec import ExecutionProfile, GraphSpec, ResultCache, SweepSpec, TrialSpec
-from repro.exec.backends import ExecutionBackend, SerialBackend
-from repro.exec.execute import BATCH_TRIALS, batched_payloads, execute_trial, guarded_payload
+from repro.exec.backends import SerialBackend
+from repro.exec.execute import BATCH_TRIALS, batched_payloads, execute_trial
 from repro.faults import CrashFaults, DelayFaults, FaultPlan, MessageFaults
 from repro.graphs import hypercube_graph
 from repro.obs import Tracer, use_tracer
@@ -164,8 +164,9 @@ def test_failing_member_fails_alone():
     # Same shape; its crash plan names a node the graph does not have.
     broken = replace(spec, seed=3, fault_plan=FaultPlan(crashes=CrashFaults(targets=(99,))))
     payloads = _chunk([spec, broken, spec])
+    [(_, alone)] = batched_payloads([broken])
     assert payloads[1].outcome is None
-    assert payloads[1].error == guarded_payload(broken).error
+    assert payloads[1].error == alone.error
     assert isinstance(payloads[1].exception, ValueError)
     for payload in (payloads[0], payloads[2]):
         assert _digest(payload.outcome) == _GOLDEN["faulty-drop-hypercube4"][1]
@@ -217,7 +218,9 @@ class _PerTrial(SerialBackend):
     """The serial backend without batches: one engine call per trial."""
 
     def map(self, specs):
-        return ExecutionBackend.map(self, specs)
+        for index, spec in enumerate(specs):
+            [(_, payload)] = batched_payloads([spec])
+            yield index, payload
 
 
 def _campaign() -> CampaignSpec:
