@@ -15,7 +15,6 @@ from repro.campaign import (
     write_report,
 )
 from repro.core import DEFAULT_PARAMETERS, ElectionParameters
-from repro.campaign.spec import expand_trials
 from repro.exec import (
     BatchRunner,
     ExecutionProfile,
@@ -412,14 +411,12 @@ class TestFoldsAgree:
     def test_report_rows_equal_sweep_summary_of_cached_outcomes(self, tmp_path, backend):
         campaign = _mixed_campaign()
         cache = ResultCache(tmp_path / backend, backend=backend)
-        specs = [spec for _, _, spec, _ in expand_trials(campaign)]
+        specs = [spec for sweep in campaign.sweeps for spec in sweep.expand()]
         # Cache part of it: complete, partial and empty configuration groups.
         BatchRunner(workers=1, cache=cache).run(specs[:4] + specs[6:8] + specs[10:15])
         report = campaign_report(campaign, cache)
         assert 0.0 < report["coverage"] < 1.0
         outcomes = cached_outcomes(campaign, cache)
         for sweep, reported in zip(campaign.sweeps, report["sweeps"]):
-            folded = sweep_summary(sweep, outcomes[sweep.name])
-            assert json.dumps(reported["rows"], sort_keys=True) == json.dumps(
-                folded, sort_keys=True
-            )
+            folded = json.dumps(sweep_summary(sweep, outcomes[sweep.name]), sort_keys=True)
+            assert json.dumps(reported["rows"], sort_keys=True) == folded
